@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from tropcurves.errors import ScaleRefusal
+from tropcurves.graphs import find
 
 
 def _node(i, j):
@@ -33,9 +34,6 @@ class Arrangement:
 
     def nodes(self):
         return tuple(combinations(range(1, self.d + 1), 2))
-
-    def n_nodes(self):
-        return self.d * (self.d - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -62,20 +60,13 @@ def is_irreducible(m: MarkingSet):
     """Connectivity of the line graph with the marked nodes removed."""
     d = m.arrangement.d
     parent = list(range(d + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, j in m.arrangement.nodes():
         if (i, j) in m.nodes:
             continue
-        a, b = find(i), find(j)
+        a, b = find(parent, i), find(parent, j)
         if a != b:
             parent[a] = b
-    return len({find(i) for i in range(1, d + 1)}) == 1
+    return len({find(parent, i) for i in range(1, d + 1)}) == 1
 
 
 def similar_moves(m: MarkingSet):

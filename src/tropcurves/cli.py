@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from tropcurves.errors import ScaleRefusal
@@ -22,13 +21,6 @@ def _log(args, msg):
 
 def _emit(data):
     print(json.dumps(data, sort_keys=True, separators=(",", ":")))
-
-
-def workers_from_env():
-    try:
-        return max(1, int(os.environ.get("TROPCURVES_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def cmd_count(args):
@@ -45,7 +37,6 @@ def cmd_count(args):
 
 
 def cmd_enumerate(args):
-    from tropcurves.evaluation import PointConfiguration
     from tropcurves.floors import StretchedConfig, enumerate_curves, make_stretched
     from tropcurves.serialize import config_from_json, curve_to_json
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tropcurves.canonical import aut_order as _aut_order
-from tropcurves.canonical import types_isomorphic
+from tropcurves.canonical import aut_order, types_isomorphic
 from tropcurves.graphs import (
     CombinatorialType,
     Edge,
@@ -24,7 +23,6 @@ from tropcurves.graphs import (
     face_contract,
     overvalency,
     vadd,
-    vneg,
 )
 from tropcurves.linalg import Polyhedron, mat_rank
 
@@ -172,21 +170,6 @@ def cone_dimension(t: CombinatorialType):
     return 2 + ne - mat_rank(dense)
 
 
-def cone_polyhedron(t: CombinatorialType):
-    """The cone as a Polyhedron over positions (free) and lengths (>= 0)."""
-    nv = t.n_vertices()
-    ne = len(t.edges)
-    P = Polyhedron(2 * nv + ne, nonneg=range(2 * nv, 2 * nv + ne))
-    for i, e in enumerate(t.edges):
-        for coord in (0, 1):
-            entries = {2 * nv + i: -e.slope[coord]}
-            if not e.is_loop():
-                entries[2 * e.v + coord] = entries.get(2 * e.v + coord, 0) + 1
-                entries[2 * e.u + coord] = entries.get(2 * e.u + coord, 0) - 1
-            P.add_eq(entries, 0)
-    return P
-
-
 def path_coefficients(t: CombinatorialType):
     """For each vertex, the tree-path edge coefficients from vertex 0.
 
@@ -274,7 +257,7 @@ def cone_of(t: CombinatorialType):
         ambient_dim=2 * t.n_vertices() + len(t.edges),
         constraint_rows=constraint_matrix(t),
         dimension=cone_dimension(t),
-        aut_order=_aut_order(t),
+        aut_order=aut_order(t),
         realizable=is_realizable(t),
     )
 
@@ -373,7 +356,3 @@ def resolve_wall(t: CombinatorialType, vertex=None):
         if not types_isomorphic(face_contract(new_t, [new_edge]), t):
             raise AssertionError("wall resolution failed to contract back")
     return tuple(out)
-
-
-def aut_order(t: CombinatorialType):
-    return _aut_order(t)

@@ -35,9 +35,9 @@ import itertools
 from fractions import Fraction
 
 from tropcurves.canonical import canonical_key
-from tropcurves.cones import cone_polyhedron, is_realizable
+from tropcurves.cones import is_realizable
 from tropcurves.evaluation import PointConfiguration, fiber
-from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, is_stable
+from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, find, is_stable
 
 F = Fraction
 
@@ -123,13 +123,6 @@ def _signature(state, v_max, e_max):
     without them the cache would poison states whose continuations are
     pruned for ordering rather than combinatorial reasons.
     """
-
-    def find(x):
-        parent = state.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     prev = state.n_vertices - 1
     comp_names = {}
     arcs = []
@@ -137,7 +130,7 @@ def _signature(state, v_max, e_max):
         if emitter < 0:
             tag = (emitter, 0)
         else:
-            root = find(emitter)
+            root = find(state.parent, emitter)
             tag = (comp_names.setdefault(root, len(comp_names)), 1 if emitter == prev else 0)
         arcs.append((slope, tag))
     return (
@@ -154,68 +147,17 @@ _CORE_CACHE = {}
 _DECORATED_CACHE = {}
 
 
-def _table_path(d, b1):
-    import os.path
-
-    return os.path.join(os.path.dirname(__file__), "data", f"cores_d{d}_b{b1}.json")
-
-
-def _load_core_table(d, b1):
-    import json
-    import os
-
-    if os.environ.get("TROPCURVES_REBUILD_TABLES"):
-        return None
-    path = _table_path(d, b1)
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        data = json.load(fh)
-    out = []
-    for rec in data:
-        out.append(
-            CombinatorialType(
-                weights=tuple(rec["weights"]),
-                edges=tuple(Edge(u, v, tuple(s)) for u, v, s in rec["edges"]),
-                legs=tuple(Leg(v, tuple(s)) for v, s in rec["legs"]),
-            )
-        )
-    return out
-
-
-def save_core_table(d, b1, cores):
-    import json
-
-    data = [
-        {
-            "weights": list(t.weights),
-            "edges": [[e.u, e.v, list(e.slope)] for e in t.edges],
-            "legs": [[l.vertex, list(l.slope)] for l in t.legs],
-        }
-        for t in cores
-    ]
-    with open(_table_path(d, b1), "w") as fh:
-        json.dump(data, fh, separators=(",", ":"))
-
-
 def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
     """All weightless cores with nonzero edge slopes, degree d, Betti b1.
 
     Returns canonical CombinatorialTypes (legs unlabeled within a slope
     class), realizable ones only.  `slope_bound` widens the arc alphabet
     beyond the dual-polygon bound d, for falsification tests of the
-    corpus contract.  Results are memoized per process; enumerations
-    whose runtime exceeds a test budget ship as package data and are
-    loaded unless TROPCURVES_REBUILD_TABLES is set.
+    corpus contract.  Results are memoized per process.
     """
     cache_key = (d, b1, max_valency, slope_bound)
     if cache_key in _CORE_CACHE:
         return _CORE_CACHE[cache_key]
-    if max_valency is None and slope_bound is None:
-        table = _load_core_table(d, b1)
-        if table is not None:
-            _CORE_CACHE[cache_key] = table
-            return table
     alphabet = _arc_alphabet(d if slope_bound is None else slope_bound)
     v_max = 3 * d + 2 * b1 - 2
     e_max = 3 * d + 3 * b1 - 3
@@ -228,11 +170,6 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
         if key not in partition_cache:
             partition_cache[key] = _vector_partitions(target, alphabet, cap)
         return partition_cache[key]
-
-    def find(parent, x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
 
     def rec(state):
         if not state.open_arcs:
@@ -257,14 +194,7 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
         open_internal = sum(1 for a in state.open_arcs if a[1] >= 0)
         # budget window: future vertices must merge all components and
         # close the remaining cycles within the edge and vertex budgets
-        roots = set()
-        for v in range(state.n_vertices):
-            x = v
-            parent = state.parent
-            while parent[x] != x:
-                x = parent[x]
-            roots.add(x)
-        comp = len(roots)
+        comp = len({find(state.parent, v) for v in range(state.n_vertices)})
         slack = comp - 1 + b1 - state.cycles
         v_lo = max(1, open_internal - slack)
         v_hi = min(v_max - state.n_vertices, e_max - state.n_edges - comp + 1 - b1 + state.cycles)
@@ -343,12 +273,6 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
 def _apply_vertex(state, chosen, n_sinks, parts, b1_budget, key=None):
     v = state.n_vertices
     parent = list(state.parent) + [v]
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     cycles = state.cycles
     edges = list(state.edges)
     legs = list(state.legs)
@@ -360,7 +284,7 @@ def _apply_vertex(state, chosen, n_sinks, parts, b1_budget, key=None):
         elif emitter == -2:
             legs.append((v, (0, -1)))
         else:
-            ru, rv = find(emitter), find(v)
+            ru, rv = find(parent, emitter), find(parent, v)
             if ru == rv:
                 cycles += 1
                 closed_cycle = True
@@ -396,18 +320,12 @@ def _partial_realizable(state):
     realization), so this prune is sound.  Only the newest component can
     have gained a cycle.
     """
-
-    def find(x):
-        parent = state.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    root = find(state.n_vertices - 1)
-    comp = sorted(v for v in range(state.n_vertices) if find(v) == root)
+    parent = state.parent
+    root = find(parent, state.n_vertices - 1)
+    comp = sorted(v for v in range(state.n_vertices) if find(parent, v) == root)
     renum = {v: i for i, v in enumerate(comp)}
     edges = tuple(
-        Edge(renum[u], renum[v], s) for u, v, s in state.edges if find(u) == root
+        Edge(renum[u], renum[v], s) for u, v, s in state.edges if find(parent, u) == root
     )
     t = CombinatorialType((0,) * len(comp), edges, ())
     return is_realizable(t)
@@ -520,15 +438,9 @@ def genus_gadgets(t):
     return out
 
 
-def decorated_cores(d, g, vertex_sited_only=False):
-    """Cores of genus exactly g: Betti-g cores plus one-gadget variants.
-
-    With `vertex_sited_only` the gadget list is restricted to weights,
-    loops, pendants and bridges anchored at existing vertices; variants
-    anchored at edge or leg interiors differ from these by a subdivision
-    and are covered by the mark machinery where they matter.
-    """
-    cache_key = (d, g, vertex_sited_only)
+def decorated_cores(d, g):
+    """Cores of genus exactly g: Betti-g cores plus one-gadget variants."""
+    cache_key = (d, g)
     if cache_key in _DECORATED_CACHE:
         return _DECORATED_CACHE[cache_key]
     seen = {}
@@ -539,8 +451,6 @@ def decorated_cores(d, g, vertex_sited_only=False):
         for core in enumerate_cores(d, b1):
             if budget == 0:
                 candidates = [core]
-            elif vertex_sited_only:
-                candidates = vertex_gadgets(core)
             else:
                 candidates = genus_gadgets(core)
             for t in candidates:
@@ -555,19 +465,6 @@ def decorated_cores(d, g, vertex_sited_only=False):
     result = sorted(seen.values(), key=lambda t: canonical_key(t, labeled="none"))
     _DECORATED_CACHE[cache_key] = result
     return result
-
-
-def vertex_gadgets(t):
-    """Genus decorations anchored at vertices only."""
-    out = []
-    for v in range(t.n_vertices()):
-        out.append(_with_weight(t, v))
-        out.append(_with_loop(t, v))
-        out.append(_with_pendant(t, v))
-    for a in range(t.n_vertices()):
-        for b in range(a + 1, t.n_vertices()):
-            out.append(_with_bridge(t, ("vertex", a), ("vertex", b)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +504,7 @@ def _attach_mark(t, site):
     return CombinatorialType(base.weights, base.edges, tuple(legs))
 
 
-def marked_types(t, n_marks, max_results=None):
+def marked_types(t, n_marks):
     """All ways of attaching n contracted legs to a decorated core."""
     out = [t]
     for _ in range(n_marks):
@@ -616,21 +513,7 @@ def marked_types(t, n_marks, max_results=None):
             for site in _mark_sites(cur):
                 nxt.append(_attach_mark(cur, site))
         out = nxt
-        if max_results is not None and len(out) > max_results:
-            raise RuntimeError("marked type explosion")
     return out
-
-
-def corpus_types(d, g, max_marks=2):
-    """The dimension-law corpus: decorated cores with up to `max_marks` marks."""
-    seen = {}
-    for core in decorated_cores(d, g):
-        for n in range(max_marks + 1):
-            for t in marked_types(core, n):
-                key = canonical_key(t, labeled="contracted")
-                if key not in seen:
-                    seen[key] = t
-    return list(seen.values())
 
 
 class _CoreScanner:
@@ -823,8 +706,6 @@ def _materialize(core, assignment, order, n):
     every order is a distinct combinatorial type, so all are produced and
     the empty-fiber ones are discarded by the caller.
     """
-    import itertools as it
-
     by_site = {}
     for pos_in_order, site in enumerate(assignment):
         by_site.setdefault(site, []).append(order[pos_in_order])
@@ -835,9 +716,9 @@ def _materialize(core, assignment, order, n):
         if site[0] == "vertex" or len(marks) == 1:
             groups.append([tuple(marks)])
         else:
-            groups.append(list(it.permutations(marks)))
+            groups.append(list(itertools.permutations(marks)))
     out = []
-    for combo in it.product(*groups):
+    for combo in itertools.product(*groups):
         t = core
         attached = []  # mark indices already carrying legs, any order
         last_piece = {}  # edge site -> edge index of its head-most piece

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tropcurves.graphs import CombinatorialType, ParametrizedCurve, face_contract
-from tropcurves.cones import cone_polyhedron  # noqa: F401 (re-exported for callers)
 from tropcurves.linalg import Polyhedron, solve_affine
 
 F = Fraction
@@ -99,7 +98,6 @@ def curve_at(t: CombinatorialType, x):
 def _cone_dim(t: CombinatorialType):
     """Dimension of the closed cone (nonnegative-length solutions)."""
     from tropcurves.cones import cone_dimension, cycle_system, is_realizable
-    from tropcurves.linalg import Polyhedron
 
     if is_realizable(t):
         return cone_dimension(t)
@@ -125,7 +123,7 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
     base = P.feasible_point()
     if base is None:
         return FiberDescription("empty", -1, cone_dim)
-    zero = [] if P.strict_point() is not None else P.implicit_zero_vars()
+    zero = P.implicit_zero_vars()
     rows = [list(row) for row in P.rows]
     rhs = list(P.rhs)
     for i in zero:

@@ -17,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tropcurves.graphs import (
-    CombinatorialType,
-    ParametrizedCurve,
-    TropicalGraph,
-    check_balancing,
-)
+from tropcurves.graphs import ParametrizedCurve, TropicalGraph, check_balancing
 
 F = Fraction
 

@@ -16,12 +16,12 @@ correctness is certified against the independent recursion oracle in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from tropcurves.errors import ScaleRefusal
 from tropcurves.evaluation import PointConfiguration
-from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve
+from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, find
 
 F = Fraction
 
@@ -55,21 +55,6 @@ class FloorDiagram:
 
     def n_marks(self):
         return self.d + len(self.elevators)
-
-    def is_connected(self):
-        parent = list(range(self.d + 1))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for e in self.elevators:
-            if e.top > 0 and e.bottom > 0:
-                a, b = find(e.top), find(e.bottom)
-                if a != b:
-                    parent[a] = b
-        return len({find(i) for i in range(1, self.d + 1)}) == 1
 
     def first_betti(self):
         bounded = sum(1 for e in self.elevators if e.top > 0 and e.bottom > 0)
@@ -213,17 +198,11 @@ def _weighted_shapes(d, g):
             continue  # parallel edges with permuted weights repeat the shape
         seen.add(key)
         parent = list(range(d + 1))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
         for (i, j) in combo:
-            a, b = find(i), find(j)
+            a, b = find(parent, i), find(parent, j)
             if a != b:
                 parent[a] = b
-        if len({find(i) for i in range(1, d + 1)}) != 1:
+        if len({find(parent, i) for i in range(1, d + 1)}) != 1:
             continue
         out.append((combo, weights, legs))
     return out
@@ -275,12 +254,8 @@ def _linear_extensions(d, edge_list, n):
     # floor i gets mark f_i with f_d < f_{d-1} < ... < f_1
     # elevator k between floors: f_top < m_k < f_bottom (DOWN = +infinity)
     results = []
-    marks = list(range(1, n + 1))
 
-    def floor_mark(fl, floor_marks):
-        return floor_marks[fl - 1]
-
-    def rec(pos, floor_marks, elevator_marks, used):
+    def rec(pos, floor_marks, elevator_marks):
         if pos > n:
             results.append((tuple(floor_marks), tuple(elevator_marks)))
             return
@@ -291,7 +266,7 @@ def _linear_extensions(d, edge_list, n):
         if next_floor >= 1:
             fm = list(floor_marks)
             fm[next_floor - 1] = pos
-            rec(pos + 1, fm, elevator_marks, used)
+            rec(pos + 1, fm, elevator_marks)
         for k, (top, bottom, w) in enumerate(edge_list):
             if elevator_marks[k] is not None:
                 continue
@@ -301,9 +276,9 @@ def _linear_extensions(d, edge_list, n):
                 continue  # lower floor already marked: too late
             em = list(elevator_marks)
             em[k] = pos
-            rec(pos + 1, floor_marks, em, used)
+            rec(pos + 1, floor_marks, em)
 
-    rec(1, [None] * d, [None] * len(edge_list), set())
+    rec(1, [None] * d, [None] * len(edge_list))
     # deduplicate assignments that differ by permuting identical elevators
     seen = set()
     for floor_marks, elevator_marks in results:
@@ -544,21 +519,14 @@ def decompose(curve: ParametrizedCurve):
     # components after removing elevator interiors
     n = t.n_vertices()
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, e in enumerate(t.edges):
         if i not in vertical_edges and not e.is_loop():
-            a, b = find(e.u), find(e.v)
+            a, b = find(parent, e.u), find(parent, e.v)
             if a != b:
                 parent[a] = b
     comps = {}
     for v in range(n):
-        comps.setdefault(find(v), []).append(v)
+        comps.setdefault(find(parent, v), []).append(v)
 
     # a floor is a component carrying some non-contracted horizontal piece
     def is_floor(vs):

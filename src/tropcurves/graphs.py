@@ -35,10 +35,6 @@ def vneg(a):
     return (-a[0], -a[1])
 
 
-def vsub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def det2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
@@ -53,18 +49,6 @@ class Edge:
 
     def is_loop(self):
         return self.u == self.v
-
-    def germ_at(self, vertex, end=None):
-        """Slope pointing away from `vertex`; loops need an explicit end (0 or 1)."""
-        if self.is_loop():
-            if end is None:
-                raise ValueError("loop germ requires an end")
-            return self.slope if end == 0 else vneg(self.slope)
-        if vertex == self.u:
-            return self.slope
-        if vertex == self.v:
-            return vneg(self.slope)
-        raise ValueError("vertex not incident to edge")
 
 
 @dataclass(frozen=True)
@@ -193,17 +177,6 @@ class CombinatorialType:
                 germs.append((leg.slope, ("leg", j)))
         return germs
 
-    def underlying_graph(self, lengths=None):
-        """Forget slopes; default lengths are all 1."""
-        if lengths is None:
-            lengths = (Fraction(1),) * len(self.edges)
-        return TropicalGraph(
-            weights=self.weights,
-            edges=tuple((e.u, e.v) for e in self.edges),
-            lengths=tuple(lengths),
-            legs=tuple(leg.vertex for leg in self.legs),
-        )
-
     # -- degree data -----------------------------------------------------
     def contracted_legs(self):
         return tuple(i for i, leg in enumerate(self.legs) if leg.is_contracted())
@@ -247,10 +220,7 @@ class CombinatorialType:
 
 def genus(g):
     """1 - chi + sum of vertex weights, for a connected graph."""
-    if isinstance(g, CombinatorialType):
-        nv, ne = g.n_vertices(), len(g.edges)
-    else:
-        nv, ne = g.n_vertices(), len(g.edges)
+    nv, ne = g.n_vertices(), len(g.edges)
     # chi = b0 - b1 = |V| - |E| for a connected graph
     return 1 - (nv - ne) + sum(g.weights)
 
@@ -278,8 +248,12 @@ def check_balancing(t: CombinatorialType):
     return None
 
 
-def is_balanced(t: CombinatorialType):
-    return check_balancing(t) is None
+def find(parent, x):
+    """Root of x in a union-find parent list, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def overvalency(g):
@@ -292,27 +266,21 @@ def _contract_core(t: CombinatorialType, edge_indices):
     edge_map sends an old surviving edge index to its new index (contracted
     edges are absent); vertex_map sends old vertices to merged vertices.
     """
-    subset = sorted(set(edge_indices))
+    contracted = set(edge_indices)
+    subset = sorted(contracted)
     for i in subset:
         if not (0 <= i < len(t.edges)):
             raise ValueError("edge index out of range")
     n = t.n_vertices()
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i in subset:
         e = t.edges[i]
-        ru, rv = find(e.u), find(e.v)
+        ru, rv = find(parent, e.u), find(parent, e.v)
         if ru != rv:
             parent[ru] = rv
-    reps = sorted({find(v) for v in range(n)})
+    reps = sorted({find(parent, v) for v in range(n)})
     new_id = {r: k for k, r in enumerate(reps)}
-    vertex_map = {v: new_id[find(v)] for v in range(n)}
+    vertex_map = {v: new_id[find(parent, v)] for v in range(n)}
 
     # weight of a merged vertex: sum of weights plus the genus of the
     # contracted subgraph landing there
@@ -332,7 +300,7 @@ def _contract_core(t: CombinatorialType, edge_indices):
     edges = []
     edge_map = {}
     for i, e in enumerate(t.edges):
-        if i in set(subset):
+        if i in contracted:
             continue
         edge_map[i] = len(edges)
         edges.append(Edge(vertex_map[e.u], vertex_map[e.v], e.slope))
@@ -411,9 +379,6 @@ class ParametrizedCurve:
     def evaluate(self):
         """Images of the contracted legs, in leg order."""
         return tuple(self.positions[self.ctype.legs[i].vertex] for i in self.ctype.contracted_legs())
-
-    def leg_position(self, leg_index):
-        return self.positions[self.ctype.legs[leg_index].vertex]
 
     def vertex_multiplicity(self, v):
         """|det| of two of the three non-contracted germ slopes at a

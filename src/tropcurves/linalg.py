@@ -103,168 +103,142 @@ class LPResult:
         return f"LPResult({self.status}, value={self.value})"
 
 
-def _simplex_standard(c, A, b):
-    """min c.x  s.t.  A x = b, x >= 0, solved by two-phase tableau simplex.
+def _tableau(A, b, n):
+    """Phase-1 tableau ``[A | I | b]`` with every row signed so that b >= 0.
 
-    Bland's rule throughout.  Returns an LPResult; rays certify
-    unboundedness in the original coordinates.
+    A holds Fraction rows of width n; the basis starts on the artificial
+    columns n .. n+m-1 and the last column is the right-hand side.
     """
     m = len(A)
-    n = len(c)
-    # Normalize rhs to be nonnegative.
-    A = [list(map(Fraction, row)) for row in A]
-    b = [Fraction(x) for x in b]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
+    tab = []
+    for i, (row, bi) in enumerate(zip(A, b)):
+        if bi < 0:
+            row, bi = [-x for x in row], -bi
+        tab.append(row + [ONE if j == i else ZERO for j in range(m)] + [bi])
+    return tab, list(range(n, n + m))
 
-    # Tableau columns: n structural + m artificial, then rhs.
-    width = n + m
-    tab = [A[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
 
-    def pivot(row, col):
-        pv = tab[row][col]
-        tab[row] = [x / pv for x in tab[row]]
-        for r in range(m):
-            if r != row and tab[r][col] != 0:
-                f = tab[r][col]
-                tr, tp = tab[r], tab[row]
-                tab[r] = [a - f * p for a, p in zip(tr, tp)]
-        basis[row] = col
+def _pivot(tab, basis, row, col):
+    pv = tab[row][col]
+    prow = tab[row] = [x / pv for x in tab[row]]
+    for r, tr in enumerate(tab):
+        f = tr[col]
+        if r != row and f != 0:
+            tab[r] = [a - f * p for a, p in zip(tr, prow)]
+    basis[row] = col
 
-    def run_phase(cost, allowed):
-        # cost: list of objective coefficients per column (length width).
-        while True:
-            # reduced costs z_j - c_j via current basis
-            red = list(cost)
-            for r in range(m):
-                cb = cost[basis[r]]
-                if cb != 0:
-                    row = tab[r]
-                    for j in range(width):
-                        if row[j] != 0:
-                            red[j] -= cb * row[j]
-            enter = None
-            for j in range(width):
-                if j in allowed and red[j] < 0:
-                    enter = j
-                    break
-            if enter is None:
-                return "optimal"
-            leave = None
-            best = None
-            for r in range(m):
-                a = tab[r][enter]
-                if a > 0:
-                    ratio = tab[r][width] / a
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                        best = ratio
-                        leave = r
-            if leave is None:
-                return ("unbounded", enter)
-            pivot(leave, enter)
 
-    # Phase 1
-    cost1 = [ZERO] * n + [ONE] * m
-    allowed = set(range(width))
-    out = run_phase(cost1, allowed)
-    assert out == "optimal"  # phase-1 objective is bounded below by 0
-    val1 = sum(tab[r][width] * cost1[basis[r]] for r in range(m))
-    if val1 != 0:
-        return LPResult("infeasible")
-    # Drive artificials out of the basis where possible.
-    for r in range(m):
-        if basis[r] >= n:
-            done = False
+def _phase1_reduced(tab, basis, n):
+    """Reduced costs of the sum of artificials: minus the column sums of
+    the rows whose basic variable is artificial (plain sums, no products)."""
+    red = [ZERO] * n
+    for row, k in zip(tab, basis):
+        if k >= n:
             for j in range(n):
-                if tab[r][j] != 0:
-                    pivot(r, j)
-                    done = True
-                    break
-            if not done:
-                # redundant row; leave the artificial basic at value 0
-                pass
-    # Phase 2: artificial columns barred.
-    cost2 = [Fraction(x) for x in c] + [ZERO] * m
-    allowed = set(range(n))
-    out = run_phase(cost2, allowed)
+                if row[j]:
+                    red[j] -= row[j]
+    return red
+
+
+def _phase2_reduced(c):
+    """Reduced-cost rule of the objective c on the structural columns."""
+
+    def reduced(tab, basis, n):
+        red = list(c)
+        for row, k in zip(tab, basis):
+            if k < n and c[k]:
+                ck = c[k]
+                for j in range(n):
+                    if row[j]:
+                        red[j] -= ck * row[j]
+        return red
+
+    return reduced
+
+
+def _bland(tab, basis, n, reduced):
+    """Pivot by Bland's rule until no structural column (index < n) has a
+    negative reduced cost.
+
+    Returns None at an optimum, or the entering column when no row bounds
+    it (the objective is unbounded along that column).
+    """
+    while True:
+        red = reduced(tab, basis, n)
+        enter = next((j for j in range(n) if red[j] < 0), None)
+        if enter is None:
+            return None
+        leave = best = None
+        for r, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+        if leave is None:
+            return enter
+        _pivot(tab, basis, leave, enter)
+
+
+def _phase1(A, b, n):
+    """Minimise the sum of artificials over ``A x = b, x >= 0``.
+
+    Only structural columns enter.  Returns the final (tableau, basis), or
+    None when the system is infeasible.
+    """
+    tab, basis = _tableau(A, b, n)
+    _bland(tab, basis, n, _phase1_reduced)
+    if any(row[-1] for row, k in zip(tab, basis) if k >= n):
+        return None
+    return tab, basis
+
+
+def _simplex_standard(c, A, b):
+    """min c.x  s.t.  A x = b, x >= 0, by two-phase tableau simplex.
+
+    Returns None when infeasible, else ``(point, ray)`` where ray is None
+    at an optimum and certifies unboundedness otherwise.
+    """
+    n = len(c)
+    phase1 = _phase1(A, b, n)
+    if phase1 is None:
+        return None
+    tab, basis = phase1
+    # drive artificials out of the basis; a row with no structural entry
+    # is redundant and keeps its artificial basic at value 0
+    for r, row in enumerate(tab):
+        if basis[r] >= n:
+            j = next((j for j in range(n) if row[j]), None)
+            if j is not None:
+                _pivot(tab, basis, r, j)
+    enter = _bland(tab, basis, n, _phase2_reduced(c))
     point = [ZERO] * n
-    for r in range(m):
-        if basis[r] < n:
-            point[basis[r]] = tab[r][width]
-    if out == "optimal":
-        value = sum(Fraction(c[j]) * point[j] for j in range(n))
-        return LPResult("optimal", value=value, point=point)
-    _, enter = out
+    for row, k in zip(tab, basis):
+        if k < n:
+            point[k] = row[-1]
+    if enter is None:
+        return point, None
     ray = [ZERO] * n
     ray[enter] = ONE
-    for r in range(m):
-        if basis[r] < n:
-            ray[basis[r]] = -tab[r][enter]
-    return LPResult("unbounded", point=point, ray=ray)
+    for row, k in zip(tab, basis):
+        if k < n:
+            ray[k] = -row[enter]
+    return point, ray
 
 
 def feasible_nonneg(rows, rhs, width):
-    """Fast feasibility of {A x = b, x >= 0}: bare phase-1 simplex.
+    """Feasibility of {A x = b, x >= 0}: phase 1 of the simplex only.
 
     rows: list of {col: coeff} dicts; returns True/False.  This is the
     hot path of the incidence scans; it avoids the Polyhedron wrapper.
     """
-    m = len(rows)
-    if m == 0:
-        return True
     A = []
-    b = []
-    for row, r in zip(rows, rhs):
+    for row in rows:
         dense = [ZERO] * width
-        neg = r < 0
         for j, a in row.items():
-            dense[j] = Fraction(-a) if neg else Fraction(a)
+            dense[j] = Fraction(a)
         A.append(dense)
-        b.append(-Fraction(r) if neg else Fraction(r))
-    total = width + m
-    tab = [A[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [width + i for i in range(m)]
-    # phase-1 objective: sum of artificials; reduced costs updated on the fly
-    while True:
-        red = [ZERO] * total
-        for j in range(width):
-            s = ZERO
-            for r in range(m):
-                if basis[r] >= width and tab[r][j] != 0:
-                    s += tab[r][j]
-            red[j] = -s
-        enter = None
-        for j in range(width):
-            if red[j] < 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for r in range(m):
-            a = tab[r][enter]
-            if a > 0:
-                ratio = tab[r][total] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
-        if leave is None:
-            break
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
-        for r in range(m):
-            if r != leave and tab[r][enter] != 0:
-                f = tab[r][enter]
-                rowr = tab[r]
-                rowp = tab[leave]
-                tab[r] = [x - f * y for x, y in zip(rowr, rowp)]
-        basis[leave] = enter
-    value = sum(tab[r][total] for r in range(m) if basis[r] >= width)
-    return value == 0
+    return _phase1(A, [Fraction(r) for r in rhs], width) is not None
 
 
 class Polyhedron:
@@ -277,8 +251,9 @@ class Polyhedron:
 
     def __init__(self, n_vars, nonneg):
         self.n = n_vars
-        self.nonneg = sorted(set(nonneg))
-        self.free = [i for i in range(n_vars) if i not in set(self.nonneg)]
+        nonneg = set(nonneg)
+        self.nonneg = sorted(nonneg)
+        self.free = [i for i in range(n_vars) if i not in nonneg]
         self.rows = []
         self.rhs = []
 
@@ -328,11 +303,7 @@ class Polyhedron:
 
     # --- queries --------------------------------------------------------
     def feasible_point(self):
-        A, b, cols, fcols, width = self._encode()
-        res = _simplex_standard([ZERO] * width, A, b)
-        if res.status == "infeasible":
-            return None
-        return self._decode(res.point, cols, fcols)
+        return self.optimize({}).point
 
     def optimize(self, objective, sense="min"):
         """Optimize a linear functional given as {var: coeff}.
@@ -344,19 +315,18 @@ class Polyhedron:
         sign = ONE if sense == "min" else -ONE
         for i, a in objective.items():
             a = sign * Fraction(a)
-            if i in set(self.nonneg):
+            if i in cols:
                 c[cols[i]] += a
             else:
                 p, q = fcols[i]
                 c[p] += a
                 c[q] -= a
         res = _simplex_standard(c, A, b)
-        if res.status == "infeasible":
-            return res
-        point = self._decode(res.point, cols, fcols)
-        if res.status == "unbounded":
-            ray = self._decode(res.ray, cols, fcols)
-            return LPResult("unbounded", point=point, ray=ray)
+        if res is None:
+            return LPResult("infeasible")
+        point = self._decode(res[0], cols, fcols)
+        if res[1] is not None:
+            return LPResult("unbounded", point=point, ray=self._decode(res[1], cols, fcols))
         value = sum(Fraction(a) * point[i] for i, a in objective.items())
         return LPResult("optimal", value=value, point=point)
 
@@ -386,6 +356,9 @@ class Polyhedron:
         """Nonneg variables that vanish identically on the polyhedron."""
         if self.strict_point() is not None:
             return []
+        return self._maximized_at_zero()
+
+    def _maximized_at_zero(self):
         out = []
         for i in self.nonneg:
             res = self.optimize({i: 1}, sense="max")
@@ -395,11 +368,11 @@ class Polyhedron:
 
     def dim(self):
         """Dimension of the polyhedron (-1 when empty)."""
-        if self.strict_point() is not None:
-            return self.n - mat_rank(self.rows)
-        if self.feasible_point() is None:
-            return -1
-        zero = self.implicit_zero_vars()
+        zero = []
+        if self.strict_point() is None:
+            if self.feasible_point() is None:
+                return -1
+            zero = self._maximized_at_zero()
         rows = list(self.rows)
         for i in zero:
             row = [ZERO] * self.n

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from tropcurves.cones import ModuliCone, classify, cone_of
+from tropcurves.cones import ModuliCone, classify
 from tropcurves.evaluation import FiberDescription, PointConfiguration
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, TropicalGraph
 

@@ -12,6 +12,7 @@ from tropcurves.corpus import (
 from tropcurves.evaluation import fiber
 from tropcurves.floors import enumerate_curves, make_stretched
 from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, genus, is_stable
+from tropcurves.serialize import dumps, fiber_to_json, type_to_json
 
 
 def tree_oracle_cores(d, slope_bound=None):
@@ -165,3 +166,19 @@ def test_scan_matches_floor_solutions_degree_two():
     assert sol_keys <= point_keys
     # every strictly interior point fiber is one of the floor solutions
     assert point_keys == sol_keys
+
+
+def test_scan_fibers_pool_matches_serial(monkeypatch):
+    # four points leave a one-parameter family: 25 hits, found by both
+    # halves of the core list (five points give a single hit)
+    cfg = make_stretched(4, 2).config
+
+    def encode(hits):
+        return dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
+
+    monkeypatch.delenv("TROPCURVES_WORKERS", raising=False)
+    serial = encode(scan_fibers(2, 0, cfg))
+    # 51 cores > 2 * 2 workers, so the scan is split over a pool
+    assert len(enumerate_cores(2, 0)) > 4
+    monkeypatch.setenv("TROPCURVES_WORKERS", "2")
+    assert encode(scan_fibers(2, 0, cfg)) == serial
