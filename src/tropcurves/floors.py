@@ -27,6 +27,7 @@ F = Fraction
 
 DOWN = -1  # pseudo-floor index for downward infinity
 UP = -2
+MAX_DEGREE = 5  # the floor layer is certified against the oracle up to this degree
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,6 @@ class FloorDiagram:
 
     def n_marks(self):
         return self.d + len(self.elevators)
-
-    def first_betti(self):
-        bounded = sum(1 for e in self.elevators if e.top > 0 and e.bottom > 0)
-        return bounded - (self.d - 1)
 
     def multiplicity(self):
         m = 1
@@ -157,46 +154,18 @@ def make_stretched(n, d):
 
 
 def _weighted_shapes(d, g):
-    """All connected weighted elevator shapes with per-floor divergence one.
+    """Each connected weighted elevator shape with per-floor divergence one.
 
     A shape assigns floor-to-floor elevators (from a higher floor to a
     lower one, d - 1 + g of them for Betti number g) plus weight-one legs
     dropping to infinity; the weighted out-minus-in of every floor is 1.
+    Parallel elevators carry non-decreasing weights, so each shape comes
+    once: edge multisets in lexicographic order, then weights in sorted
+    order.
     """
     pairs = [(i, j) for i in range(2, d + 1) for j in range(1, i)]
     n_edges = d - 1 + g
-    shapes = []
     for combo in itertools.combinations_with_replacement(pairs, n_edges):
-        # weights: positive integers, divergence 1 per floor
-        def assign(idx, weights):
-            if idx == n_edges:
-                div = [0] * (d + 1)
-                for (i, j), w in zip(combo, weights):
-                    div[i] += w
-                    div[j] -= w
-                legs = []
-                ok = True
-                for i in range(1, d + 1):
-                    need = 1 - div[i]
-                    if need < 0:
-                        ok = False
-                        break
-                    legs.append(need)
-                if ok:
-                    shapes.append((combo, tuple(weights), tuple(legs)))
-                return
-            i, j = combo[idx]
-            for w in range(1, d + 1):
-                assign(idx + 1, weights + [w])
-
-        assign(0, [])
-    out = []
-    seen = set()
-    for combo, weights, legs in shapes:
-        key = tuple(sorted(zip(combo, weights)))
-        if key in seen:
-            continue  # parallel edges with permuted weights repeat the shape
-        seen.add(key)
         parent = list(range(d + 1))
         for (i, j) in combo:
             a, b = find(parent, i), find(parent, j)
@@ -204,8 +173,31 @@ def _weighted_shapes(d, g):
                 parent[a] = b
         if len({find(parent, i) for i in range(1, d + 1)}) != 1:
             continue
-        out.append((combo, weights, legs))
-    return out
+        # Weights go from the last edge (the top floor) down, so floor i's
+        # in-weight is final before its out-weight grows and the loop can
+        # stop once its divergence passes one.  Floor 1 has no out-edges,
+        # so every full assignment is a shape.
+        div = [0] * (d + 1)
+        weights = [0] * n_edges
+        found = []
+
+        def assign(idx):
+            if idx < 0:
+                found.append((tuple(weights), tuple(1 - div[i] for i in range(1, d + 1))))
+                return
+            i, j = combo[idx]
+            cap = weights[idx + 1] if idx + 1 < n_edges and combo[idx + 1] == combo[idx] else d
+            for w in range(1, min(cap, 1 - div[i]) + 1):
+                weights[idx] = w
+                div[i] += w
+                div[j] -= w
+                assign(idx - 1)
+                div[i] -= w
+                div[j] += w
+
+        assign(n_edges - 1)
+        for ws, legs in sorted(found):
+            yield combo, ws, legs
 
 
 def _marked_diagrams(d, g):
@@ -213,60 +205,43 @@ def _marked_diagrams(d, g):
 
     Objects are floors and elevators; floors are totally ordered top to
     bottom (the top floor's mark is the smallest), each elevator sits
-    between its endpoints, legs come after their floor.  Identical
-    parallel elevators and identical legs are canonicalized by sorting
-    their marks, which quotients out diagram automorphisms.
+    between its endpoints, legs come after their floor.  Each diagram
+    comes once: identical elevators are interchangeable, which quotients
+    out diagram automorphisms.
     """
     for combo, weights, legs in _weighted_shapes(d, g):
-        edge_list = []
-        for (pair, w) in zip(combo, weights):
-            edge_list.append((pair[0], pair[1], w))
+        edge_list = [(i, j, w) for (i, j), w in zip(combo, weights)]
         for fl in range(1, d + 1):
-            for _ in range(legs[fl - 1]):
-                edge_list.append((fl, DOWN, 1))
-        n = d + len(edge_list)
-        for floor_marks, elevator_marks in _linear_extensions(d, edge_list, n):
-            elevators = []
-            for (i, j, w), m in zip(edge_list, elevator_marks):
-                elevators.append(Elevator(i, j, w, m))
-            elevators = _canonical_elevator_marks(elevators)
-            yield FloorDiagram(
-                d,
-                sum(1 for e in edge_list if e[1] != DOWN) - (d - 1),
-                tuple(floor_marks),
-                tuple(sorted(elevators, key=lambda e: e.mark)),
+            edge_list += [(fl, DOWN, 1)] * legs[fl - 1]
+        for floor_marks, elevator_marks in _linear_extensions(d, edge_list):
+            elevators = sorted(
+                (Elevator(i, j, w, m) for (i, j, w), m in zip(edge_list, elevator_marks)),
+                key=lambda e: e.mark,
             )
+            yield FloorDiagram(d, g, floor_marks, tuple(elevators))
 
 
-def _canonical_elevator_marks(elevators):
-    groups = {}
-    for e in elevators:
-        groups.setdefault((e.top, e.bottom, e.weight), []).append(e.mark)
-    out = []
-    for (top, bottom, w), marks in sorted(groups.items()):
-        for m in sorted(marks):
-            out.append(Elevator(top, bottom, w, m))
-    return out
+def _linear_extensions(d, edge_list):
+    """Assign marks 1..n to floors (top-down order) and elevators.
 
+    Floor i gets mark f_i with f_d < f_{d-1} < ... < f_1; elevator k
+    between floors gets f_top < m_k < f_bottom (DOWN = +infinity).
+    Identical elevators sit next to each other in edge_list and take
+    their marks in list order, so each marking comes once.
+    """
+    n = d + len(edge_list)
+    floor_marks = [None] * d
+    elevator_marks = [None] * len(edge_list)
 
-def _linear_extensions(d, edge_list, n):
-    """Assign marks 1..n to floors (top-down order) and elevators."""
-    # floor i gets mark f_i with f_d < f_{d-1} < ... < f_1
-    # elevator k between floors: f_top < m_k < f_bottom (DOWN = +infinity)
-    results = []
-
-    def rec(pos, floor_marks, elevator_marks):
+    def rec(pos, next_floor):
         if pos > n:
-            results.append((tuple(floor_marks), tuple(elevator_marks)))
+            yield tuple(floor_marks), tuple(elevator_marks)
             return
-        # choose which object receives mark `pos`
-        # next floor to place is floor (d - #placed): floors go top-down
-        placed_floors = sum(1 for x in floor_marks if x is not None)
-        next_floor = d - placed_floors  # floor index to place next
+        # choose which object receives mark `pos`: the next floor down first
         if next_floor >= 1:
-            fm = list(floor_marks)
-            fm[next_floor - 1] = pos
-            rec(pos + 1, fm, elevator_marks)
+            floor_marks[next_floor - 1] = pos
+            yield from rec(pos + 1, next_floor - 1)
+            floor_marks[next_floor - 1] = None
         for k, (top, bottom, w) in enumerate(edge_list):
             if elevator_marks[k] is not None:
                 continue
@@ -274,22 +249,13 @@ def _linear_extensions(d, edge_list, n):
                 continue  # upper floor not yet marked
             if bottom != DOWN and floor_marks[bottom - 1] is not None:
                 continue  # lower floor already marked: too late
-            em = list(elevator_marks)
-            em[k] = pos
-            rec(pos + 1, floor_marks, em)
+            if k and edge_list[k - 1] == edge_list[k] and elevator_marks[k - 1] is None:
+                continue  # an identical elevator before it is still unmarked
+            elevator_marks[k] = pos
+            yield from rec(pos + 1, next_floor)
+            elevator_marks[k] = None
 
-    rec(1, [None] * d, [None] * len(edge_list))
-    # deduplicate assignments that differ by permuting identical elevators
-    seen = set()
-    for floor_marks, elevator_marks in results:
-        groups = {}
-        for (top, bottom, w), m in zip(edge_list, elevator_marks):
-            groups.setdefault((top, bottom, w), []).append(m)
-        key = (floor_marks, tuple(sorted((k, tuple(sorted(v))) for k, v in groups.items())))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield floor_marks, elevator_marks
+    return rec(1, d)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +396,8 @@ def enumerate_curves(d, g, cfg):
     cfg must carry 3d + g - 1 points; every solution is floor decomposed
     and is produced from its marked floor diagram.
     """
+    if d > MAX_DEGREE:
+        raise ScaleRefusal(f"enumerate_curves is certified for d <= {MAX_DEGREE} only")
     if g < 0 or g > (d - 1) * (d - 2) // 2:
         return []
     n = 3 * d + g - 1
@@ -446,8 +414,8 @@ def enumerate_curves(d, g, cfg):
 def count_severi(d, g, cfg=None):
     """Multiplicity-weighted count of genus-g degree-d curves through
     3d + g - 1 stretched points (the Severi degree)."""
-    if d > 5:
-        raise ScaleRefusal("count_severi is certified for d <= 5 only")
+    if d > MAX_DEGREE:
+        raise ScaleRefusal(f"count_severi is certified for d <= {MAX_DEGREE} only")
     if d < 1:
         raise ValueError("degree must be positive")
     if g < 0 or g > (d - 1) * (d - 2) // 2:

@@ -194,6 +194,9 @@ def start_walk(d, g, cfg=None, seed=0):
     elevator's marked point declared mobile."""
     if d < 2:
         raise ValueError("the walk needs a non-top floor; degree 1 has a single floor")
+    max_genus = (d - 1) * (d - 2) // 2
+    if not 0 <= g <= max_genus:
+        raise ValueError(f"genus {g} is out of range: degree {d} needs 0 <= g <= {max_genus}")
     n = 3 * d + g - 1
     if cfg is None:
         cfg = make_stretched(n, d)

@@ -25,6 +25,19 @@ def test_count_scale_refusal(capsys):
     assert "scale" in err
 
 
+def test_enumerate_scale_refusal(capsys):
+    code, _out, err = run_cli(capsys, "enumerate", "--d", "6", "--g", "0")
+    assert code == 3
+    assert "scale" in err
+
+
+def test_walk_genus_out_of_range(capsys):
+    code, out, err = run_cli(capsys, "walk", "--d", "3", "--g", "5")
+    assert code == 2
+    assert out == ""
+    assert "0 <= g <= 1" in err
+
+
 def test_byte_determinism(capsys):
     _c, out1, _ = run_cli(capsys, "--json", "count", "--d", "2", "--g", "0")
     _c, out2, _ = run_cli(capsys, "--json", "count", "--d", "2", "--g", "0")

@@ -6,9 +6,13 @@ from fixtures import smooth_cubic_curve, smooth_cubic_type
 
 from tropcurves.errors import ScaleRefusal
 from tropcurves.floors import (
+    DOWN,
     Elevator,
     FloorDiagram,
     NotFloorDecomposed,
+    _linear_extensions,
+    _marked_diagrams,
+    _weighted_shapes,
     count_severi,
     decompose,
     diagram_curve,
@@ -67,25 +71,58 @@ def test_counts_match_oracle_small():
     assert count_severi(2, 0) == 1
     assert count_severi(3, 0) == 12
     assert count_severi(3, 1) == 1
-    for d in (1, 2, 3):
+    assert count_severi(4, 0) == 620
+    for d in (1, 2, 3, 4):
         for g in range(0, (d - 1) * (d - 2) // 2 + 1):
             assert count_severi(d, g) == irreducible_severi_degree(d, g)
+
+
+def test_diagram_multiplicities_match_oracle_to_degree_five():
+    # the certified scale: every d <= 5 and every genus, each diagram once
+    for d in range(1, 6):
+        for g in range(0, (d - 1) * (d - 2) // 2 + 1):
+            diags = list(_marked_diagrams(d, g))
+            assert len(set(diags)) == len(diags)
+            assert sum(diag.multiplicity() for diag in diags) == irreducible_severi_degree(d, g)
+
+
+def test_generation_order_is_lexicographic():
+    # solution order is output (walk seeds index it): shapes ascend by
+    # (edges, weights), markings by the object that takes each mark in turn
+    for d in range(1, 5):
+        for g in range(0, (d - 1) * (d - 2) // 2 + 1):
+            shapes = list(_weighted_shapes(d, g))
+            keys = [(combo, ws) for combo, ws, _legs in shapes]
+            assert keys == sorted(set(keys))
+            for combo, ws, legs in shapes:
+                edge_list = [(i, j, w) for (i, j), w in zip(combo, ws)]
+                edge_list += [(fl, DOWN, 1) for fl in range(1, d + 1) for _ in range(legs[fl - 1])]
+                seqs = []
+                for floor_marks, elevator_marks in _linear_extensions(d, edge_list):
+                    seq = [-1] * (d + len(edge_list))  # -1: the next floor down
+                    for k, m in enumerate(elevator_marks):
+                        seq[m - 1] = k
+                    seqs.append(tuple(seq))
+                assert seqs == sorted(set(seqs))
 
 
 def test_scale_refusal():
     with pytest.raises(ScaleRefusal):
         count_severi(6, 0)
+    with pytest.raises(ScaleRefusal):
+        enumerate_curves(6, 0, make_stretched(17, 6))
 
 
 def test_decompose_constructed_solutions():
-    cfg = make_stretched(8, 3)
-    for diag, curve in enumerate_curves(3, 0, cfg):
-        dec = decompose(curve)
-        assert dec.problems == ()
-        assert dec.diagram is not None
-        assert len(dec.floors) == 3
-        # round trip: the decomposition recovers the marked diagram
-        assert dec.diagram == diag
+    for d, g in [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2), (4, 3)]:
+        cfg = make_stretched(3 * d + g - 1, d)
+        for diag, curve in enumerate_curves(d, g, cfg):
+            dec = decompose(curve)
+            assert dec.problems == ()
+            assert dec.diagram is not None
+            assert len(dec.floors) == d
+            # round trip: the decomposition recovers the marked diagram
+            assert dec.diagram == diag
 
 
 def test_decompose_tropical_line():

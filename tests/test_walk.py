@@ -62,7 +62,7 @@ def test_advance_reaches_simple_wall():
 
 
 def test_walk_terminates_all_small_cases():
-    for d, g in [(2, 0), (3, 0), (3, 1)]:
+    for d, g in [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2), (4, 3)]:
         trace = run_walk(d, g)
         assert isinstance(trace.terminal, Terminal)
         t = trace.terminal.stratum
