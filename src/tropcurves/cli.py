@@ -1,8 +1,10 @@
 """Command line interface.
 
 Machine output is JSON on stdout; human-readable logs go to stderr.
-Identical inputs produce identical bytes.  Scale refusals exit with
-status 3; usage errors with the usual argparse status 2.
+Identical inputs produce identical bytes.  Exit statuses: 2 for usage
+errors (the usual argparse status) and for bad input, such as an
+unreadable file or malformed JSON; 3 for scale refusals; 4 when the walk
+fails one of its invariants (WalkError).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import json
 import sys
 
-from tropcurves.errors import ScaleRefusal
+from tropcurves.errors import ScaleRefusal, WalkError
 
 
 def _log(args, msg):
@@ -219,6 +221,9 @@ def main(argv=None):
     except ScaleRefusal as exc:
         print(f"scale refusal: {exc}", file=sys.stderr)
         return 3
+    except WalkError as exc:
+        print(f"walk error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

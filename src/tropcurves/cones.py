@@ -58,23 +58,20 @@ class ModuliCone:
 def spanning_tree(t: CombinatorialType):
     """(parent_vertex, parent_edge_index) arrays for a BFS tree rooted at 0."""
     n = t.n_vertices()
+    adjacent = [[] for _ in range(n)]
+    for i, e in enumerate(t.edges):
+        if not e.is_loop():
+            adjacent[e.u].append((i, e.v))
+            adjacent[e.v].append((i, e.u))
     parent = [-1] * n
     parent_edge = [-1] * n
     seen = [False] * n
     seen[0] = True
     queue = [0]
     tree_edges = set()
-    while queue:
-        x = queue.pop(0)
-        for i, e in enumerate(t.edges):
-            if e.is_loop():
-                continue
-            other = None
-            if e.u == x and not seen[e.v]:
-                other = e.v
-            elif e.v == x and not seen[e.u]:
-                other = e.u
-            if other is not None:
+    for x in queue:
+        for i, other in adjacent[x]:
+            if not seen[other]:
                 seen[other] = True
                 parent[other] = x
                 parent_edge[other] = i
@@ -184,17 +181,16 @@ def path_coefficients(t: CombinatorialType):
     return coeffs
 
 
-def reduced_fiber_polyhedron(t: CombinatorialType, points):
-    """The fiber polyhedron over the length coordinates only.
+def fiber_rows(t: CombinatorialType, points):
+    """The equations of the fiber over the edge lengths.
 
     Positions are eliminated along a spanning tree; the first marked
     point pins the translation, later marks contribute difference rows.
-    Returns (P, coeffs) where P is a Polyhedron over the edge lengths.
+    Returns (rows, rhs, coeffs): rows are {edge: coeff} dicts, the cycle
+    system first, and coeffs are the path coefficients.
     """
-    ne = len(t.edges)
-    P = Polyhedron(ne, nonneg=range(ne))
-    for row in cycle_system(t):
-        P.add_eq(row, 0)
+    rows = cycle_system(t)
+    rhs = [0] * len(rows)
     coeffs = path_coefficients(t)
     if points:
         v0 = t.legs[0].vertex
@@ -205,8 +201,22 @@ def reduced_fiber_polyhedron(t: CombinatorialType, points):
             for j, c in base.items():
                 diff[j] = diff.get(j, 0) - c
             for coord in (0, 1):
-                row = {j: c * t.edges[j].slope[coord] for j, c in diff.items()}
-                P.add_eq(row, points[i][coord] - points[0][coord])
+                rows.append({j: c * t.edges[j].slope[coord] for j, c in diff.items()})
+                rhs.append(points[i][coord] - points[0][coord])
+    return rows, rhs, coeffs
+
+
+def reduced_fiber_polyhedron(t: CombinatorialType, points):
+    """The fiber polyhedron over the length coordinates only.
+
+    Returns (P, coeffs) where P is the Polyhedron of `fiber_rows` with
+    nonnegative edge lengths.
+    """
+    ne = len(t.edges)
+    P = Polyhedron(ne, nonneg=range(ne))
+    rows, rhs, coeffs = fiber_rows(t, points)
+    for row, b in zip(rows, rhs):
+        P.add_eq(row, b)
     return P, coeffs
 
 
@@ -215,15 +225,15 @@ def expand_lengths(t: CombinatorialType, points, coeffs, lengths):
     nv = t.n_vertices()
     if points:
         v0 = t.legs[0].vertex
-        dx = sum(c * lengths[j] * t.edges[j].slope[0] for j, c in coeffs[v0].items())
-        dy = sum(c * lengths[j] * t.edges[j].slope[1] for j, c in coeffs[v0].items())
+        dx = sum(lengths[j] * (c * t.edges[j].slope[0]) for j, c in coeffs[v0].items())
+        dy = sum(lengths[j] * (c * t.edges[j].slope[1]) for j, c in coeffs[v0].items())
         root = (points[0][0] - dx, points[0][1] - dy)
     else:
         root = (Fraction(0), Fraction(0))
     out = [Fraction(0)] * (2 * nv + len(t.edges))
     for v in range(nv):
-        px = root[0] + sum(c * lengths[j] * t.edges[j].slope[0] for j, c in coeffs[v].items())
-        py = root[1] + sum(c * lengths[j] * t.edges[j].slope[1] for j, c in coeffs[v].items())
+        px = root[0] + sum(lengths[j] * (c * t.edges[j].slope[0]) for j, c in coeffs[v].items())
+        py = root[1] + sum(lengths[j] * (c * t.edges[j].slope[1]) for j, c in coeffs[v].items())
         out[2 * v] = px
         out[2 * v + 1] = py
     for j, l in enumerate(lengths):

@@ -396,6 +396,20 @@ def enumerate_curves(d, g, cfg):
     cfg must carry 3d + g - 1 points; every solution is floor decomposed
     and is produced from its marked floor diagram.
     """
+    out = []
+    for diag in solution_diagrams(d, g, cfg):
+        curve = diagram_curve(diag, cfg)
+        if curve is not None:
+            out.append((diag, curve))
+    return out
+
+
+def solution_diagrams(d, g, cfg):
+    """The marked floor diagrams behind `enumerate_curves`, in its order.
+
+    Through a stretched configuration each diagram has exactly one curve
+    (Brugalle-Mikhalkin), so the i-th diagram gives the i-th solution.
+    """
     if d > MAX_DEGREE:
         raise ScaleRefusal(f"enumerate_curves is certified for d <= {MAX_DEGREE} only")
     if g < 0 or g > (d - 1) * (d - 2) // 2:
@@ -403,12 +417,7 @@ def enumerate_curves(d, g, cfg):
     n = 3 * d + g - 1
     if len(cfg.points) != n:
         raise ValueError(f"expected {n} points for degree {d} genus {g}")
-    out = []
-    for diag in _marked_diagrams(d, g):
-        curve = diagram_curve(diag, cfg)
-        if curve is not None:
-            out.append((diag, curve))
-    return out
+    return list(_marked_diagrams(d, g))
 
 
 def count_severi(d, g, cfg=None):

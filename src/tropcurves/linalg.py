@@ -1,89 +1,87 @@
-"""Exact rational linear algebra and a small simplex solver.
+"""Exact linear algebra over the rationals and a small simplex solver.
 
-All computations use `fractions.Fraction`; there is no numerical rank or
-floating-point pivoting anywhere.  The simplex solver uses Bland's rule,
-so it terminates on every input and its answers are exact certificates
-(feasible point, unbounded ray, or infeasibility).
+Elimination (`mat_rank`, `solve_affine`) is exact integer arithmetic;
+Fractions appear only in what it is given and returns.  The simplex works
+over `fractions.Fraction` with Bland's rule, so it terminates on every
+input and its answers are exact certificates (feasible point, unbounded
+ray, or infeasibility).  No float enters any computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def mat_rank(rows):
-    """Rank of a matrix given as an iterable of coefficient rows."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
+def _integer_row(row):
+    """The row times the lcm of its denominators, as Python ints."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _reduce(m, ncols):
+    """Integer Gauss-Jordan elimination of the first ncols columns, in place.
+
+    Returns the pivot columns.  Row i < rank is then a nonzero multiple of
+    row i of the reduced row echelon form; later rows are zero in the
+    first ncols columns.  Each row update divides out the gcd of its two
+    multipliers, then the content (gcd of all entries) of the new row.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
-            col += 1
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col] / pv
-                row_r, row_p = m[r], m[rank]
-                for c in range(col, ncols):
-                    row_r[c] -= f * row_p[c]
-        rank += 1
-        col += 1
-    return rank
+        prow = m[rank]
+        p = prow[col]
+        for r, row in enumerate(m):
+            a = row[col]
+            if a and r != rank:
+                k = gcd(p, a)
+                pk, ak = p // k, a // k
+                row = [pk * x - ak * y for x, y in zip(row, prow)]
+                k = gcd(*row)
+                m[r] = [x // k for x in row] if k > 1 else row
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return pivots
+
+
+def mat_rank(rows):
+    """Rank of a matrix given as an iterable of coefficient rows."""
+    m = [_integer_row(row) for row in rows]
+    return len(_reduce(m, len(m[0]))) if m else 0
 
 
 def solve_affine(rows, rhs):
     """Solve ``A x = b`` exactly.
 
     Returns ``(particular, basis)`` where ``basis`` spans the kernel of A,
-    or ``None`` when the system is inconsistent.
+    or ``None`` when the system is inconsistent.  Both come from the
+    reduced row echelon form, which is unique, with the free variables
+    set to zero in the particular solution.
     """
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    m = [_integer_row(list(row) + [b]) for row, b in zip(rows, rhs)]
     nc = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(m)):
-        if m[r][nc] != 0:
-            return None
+    pivots = _reduce(m, nc)
+    if any(row[nc] for row in m[len(pivots):]):
+        return None
     particular = [ZERO] * nc
-    for i, col in enumerate(pivots):
-        particular[col] = m[i][nc]
-    free = [c for c in range(nc) if c not in pivots]
+    for row, col in zip(m, pivots):
+        particular[col] = Fraction(row[nc], row[col])
     basis = []
-    for fcol in free:
+    for fcol in sorted(set(range(nc)) - set(pivots)):
         vec = [ZERO] * nc
         vec[fcol] = ONE
-        for i, col in enumerate(pivots):
-            vec[col] = -m[i][fcol]
+        for row, col in zip(m, pivots):
+            vec[col] = Fraction(-row[fcol], row[col])
         basis.append(vec)
     return particular, basis
 

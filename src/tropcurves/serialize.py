@@ -7,6 +7,7 @@ so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -32,6 +33,23 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _reader(read):
+    """Make a missing key or a wrongly shaped value in the JSON given to
+    `read` a ValueError that names it."""
+
+    @functools.wraps(read)
+    def checked(data):
+        what = read.__name__.removesuffix("_from_json")
+        try:
+            return read(data)
+        except KeyError as exc:
+            raise ValueError(f"{what} JSON: missing key {exc.args[0]!r}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"{what} JSON is malformed: {exc}") from None
+
+    return checked
+
+
 # --- graphs and types -------------------------------------------------------
 
 
@@ -45,6 +63,7 @@ def graph_to_json(g: TropicalGraph):
     }
 
 
+@_reader
 def graph_from_json(data):
     vertices = sorted(data["vertices"], key=lambda d: d["id"])
     return TropicalGraph(
@@ -63,6 +82,7 @@ def type_to_json(t: CombinatorialType):
     }
 
 
+@_reader
 def type_from_json(data):
     vertices = sorted(data["vertices"], key=lambda d: d["id"])
     return CombinatorialType(
@@ -80,6 +100,7 @@ def curve_to_json(c: ParametrizedCurve):
     return data
 
 
+@_reader
 def curve_from_json(data):
     t = type_from_json(data)
     lengths = tuple(parse_frac(e["length"]) for e in data["edges"])
@@ -94,6 +115,7 @@ def config_to_json(cfg: PointConfiguration):
     return {"points": [[frac_str(x), frac_str(y)] for x, y in cfg.points]}
 
 
+@_reader
 def config_from_json(data):
     return PointConfiguration(tuple((parse_frac(x), parse_frac(y)) for x, y in data["points"]))
 
@@ -188,6 +210,7 @@ def family_to_json(fam):
     }
 
 
+@_reader
 def family_from_json(data):
     from tropcurves.families import AffineFunction, BaseCurve, Contraction, FamilyDatum
 

@@ -19,17 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import (
     classify,
     expand_lengths,
+    fiber_rows,
     path_coefficients,
-    reduced_fiber_polyhedron,
     split_vertex,
 )
+from tropcurves.errors import WalkError
 from tropcurves.evaluation import PointConfiguration
-from tropcurves.floors import decompose, enumerate_curves, make_stretched
+from tropcurves.floors import decompose, diagram_curve, make_stretched, solution_diagrams
 from tropcurves.graphs import (
     CombinatorialType,
     Edge,
@@ -40,10 +42,6 @@ from tropcurves.graphs import (
 from tropcurves.linalg import solve_affine
 
 F = Fraction
-
-
-class WalkError(RuntimeError):
-    """An invariant of the walk failed; this would falsify the induction."""
 
 
 @dataclass(frozen=True)
@@ -103,13 +101,10 @@ def _first_positive_ratio(lengths, direction):
 
 def _fiber_line(t, cfg):
     """(base lengths, direction) of the one-dimensional fiber of t."""
-    P, _coeffs = reduced_fiber_polyhedron(t, cfg.points)
-    rows = [list(row) for row in P.rows]
-    rhs = list(P.rhs)
-    if not rows:
-        rows = [[F(0)] * P.n]
-        rhs = [F(0)]
-    sol = solve_affine(rows, rhs)
+    rows, rhs, _coeffs = fiber_rows(t, cfg.points)
+    ne = len(t.edges)
+    dense = [[row.get(j, 0) for j in range(ne)] for row in rows]
+    sol = solve_affine(dense or [[0] * ne], rhs or [0])
     if sol is None:
         raise WalkError("evaluation fiber is empty")
     base, basis = sol
@@ -118,12 +113,23 @@ def _fiber_line(t, cfg):
     return base, basis[0]
 
 
-def _position_component(t, cfg, lengths, direction, vertex, coord):
-    """d/dt of a vertex coordinate along the fiber direction."""
+def _velocities(t, direction):
+    """Vertex velocities along `direction` times a positive integer, as
+    (x_0, y_0, x_1, ...); the first mark's vertex stays pinned.
+
+    Positions are affine in the lengths, so these are the path
+    coefficients applied to the direction.  Callers read only signs.
+    """
     coeffs = path_coefficients(t)
-    a = expand_lengths(t, cfg.points, coeffs, list(lengths))
-    b = expand_lengths(t, cfg.points, coeffs, [x + y for x, y in zip(lengths, direction)])
-    return b[2 * vertex + coord] - a[2 * vertex + coord]
+    scale = lcm(*[x.denominator for x in direction])
+    step = [int(x * scale) for x in direction]
+
+    def shift(v, k):
+        return sum(c * step[j] * t.edges[j].slope[k] for j, c in coeffs[v].items())
+
+    pin = t.legs[0].vertex
+    pinned = (shift(pin, 0), shift(pin, 1))
+    return [shift(v, k) - pinned[k] for v in range(t.n_vertices()) for k in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +206,11 @@ def start_walk(d, g, cfg=None, seed=0):
     n = 3 * d + g - 1
     if cfg is None:
         cfg = make_stretched(n, d)
-    sols = enumerate_curves(d, g, cfg)
-    if not sols:
+    diags = solution_diagrams(d, g, cfg)
+    diag = diags[seed % len(diags)]
+    curve = diagram_curve(diag, cfg)
+    if curve is None:
         raise ValueError("no floor decomposed solution: configuration is not stretched")
-    diag, curve = sols[seed % len(sols)]
     top = [e for e in diag.elevators if e.top == diag.d]
     if len(top) != 1 or top[0].weight != 1:
         raise WalkError("top floor elevator is not unique of weight one")
@@ -230,7 +237,7 @@ def start_walk(d, g, cfg=None, seed=0):
     )
     k, r, x_target = _ladder(state, new_curve)
     foot, _ = _elevator_foot(t, new_curve, elevator)
-    dx = _position_component(t, fixed, state.lengths, v, foot, 0)
+    dx = _velocities(t, v)[2 * foot]
     if dx == 0:
         raise WalkError("fiber direction does not move the mobile elevator")
     sign = 1 if (x_target - new_curve.positions[foot][0]) > 0 else -1
@@ -346,18 +353,10 @@ def _terminal(state: WalkState):
         raise WalkError("terminal ray moves more than one contracted edge length")
     free_edge = moving[0]
     # vertex positions must be constant along the ray
-    coeffs = path_coefficients(t)
-    a = expand_lengths(t, state.fixed.points, coeffs, list(state.lengths))
-    b = expand_lengths(
-        t,
-        state.fixed.points,
-        coeffs,
-        [x + y for x, y in zip(state.lengths, state.direction)],
-    )
-    nv = t.n_vertices()
-    if any(a[j] != b[j] for j in range(2 * nv)):
+    velocities = _velocities(t, state.direction)
+    if any(velocities):
         raise WalkError("terminal ray moves vertex positions")
-    ray = tuple(y - x for x, y in zip(a, b))
+    ray = (F(0),) * len(velocities) + tuple(state.direction)
     return state, Terminal(stratum=t, free_edge=free_edge, ray=ray)
 
 
@@ -479,8 +478,9 @@ def _wall_motion_sign(state):
     # the direction's effect on that vertex
     dead = [i for i, l in enumerate(state.lengths) if l == 0][0]
     e = t.edges[dead]
+    velocities = _velocities(t, state.direction)
     for vertex in (e.u, e.v):
-        dx = _position_component(t, state.fixed, state.lengths, state.direction, vertex, 0)
+        dx = velocities[2 * vertex]
         if dx != 0:
             return 1 if dx > 0 else -1
     raise WalkError("motion direction is vertically degenerate at the wall")

@@ -122,3 +122,30 @@ def test_validate_family_cli(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--json", "validate-family", "--family", str(ff))
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_fiber_malformed_type_json(tmp_path, capsys):
+    tf = tmp_path / "type.json"
+    tf.write_text(json.dumps({"vertices": [{"id": 0, "weight": 0}], "legs": []}))
+    pf = tmp_path / "pts.json"
+    pf.write_text(json.dumps({"points": [["0", "0"]]}))
+    code, out, err = run_cli(capsys, "fiber", "--type", str(tf), "--points", str(pf))
+    assert (code, out) == (2, "")
+    assert err == "error: type JSON: missing key 'edges'\n"
+    tf.write_text(json.dumps([1, 2]))
+    code, out, err = run_cli(capsys, "fiber", "--type", str(tf), "--points", str(pf))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: type JSON is malformed")
+
+
+def test_walk_error_exit_status(monkeypatch, capsys):
+    import tropcurves.walk
+    from tropcurves.walk import WalkError
+
+    def failing_walk(d, g, seed=0):
+        raise WalkError("(k, r) failed to decrease")
+
+    monkeypatch.setattr(tropcurves.walk, "run_walk", failing_walk)
+    code, out, err = run_cli(capsys, "walk", "--d", "3", "--g", "0")
+    assert (code, out) == (4, "")
+    assert err == "walk error: (k, r) failed to decrease\n"

@@ -184,3 +184,119 @@ def test_simplex_matches_vertex_oracle():
                 assert _satisfies(A, [0] * len(A), res.ray)
                 assert sign * _dot(c, res.ray) < 0
     assert seen == {"infeasible", "optimal", "unbounded"}
+
+
+# --- elimination against an independent Fraction oracle --------------------
+
+
+def _oracle_rref(rows, ncols):
+    """(reduced rows, pivot columns) over Q for the first ncols columns:
+    forward elimination to echelon form, then back substitution."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(r):
+            f = m[i][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+    return m, pivots
+
+
+def _oracle_solve(A, b, n):
+    m, pivots = _oracle_rref([list(row) + [bi] for row, bi in zip(A, b)], n)
+    if any(row[n] != 0 for row in m[len(pivots):]):
+        return None
+    particular = [Fraction(0)] * n
+    for row, c in zip(m, pivots):
+        particular[c] = row[n]
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for row, c in zip(m, pivots):
+            vec[c] = -row[f]
+        basis.append(vec)
+    return particular, basis
+
+
+MU = 12**12 * 40  # the stretch ratio (3d)^(3d) * x_max at d = 4, x_max = 40
+
+
+def _random_elimination_systems(count):
+    """Seeded systems of four kinds: small integers, fractions, integers at
+    the stretch scale, and small integer rows with right-hand sides at that
+    scale (the shape of the walk's fiber systems).  Some rows repeat a
+    combination of others, some rows and columns are zero."""
+    rng = random.Random(1968)
+    for index in range(count):
+        kind = ("int", "fraction", "big", "walk")[index % 4]
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+
+        def entry(big):
+            if rng.random() < 0.35:
+                return 0
+            if big:
+                return rng.randint(-MU, MU)
+            if kind == "fraction":
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            return rng.randint(-4, 4)
+
+        A = [[entry(kind == "big") for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.5:
+            i, j, k = rng.randrange(nr), rng.randrange(nr), rng.randrange(nr)
+            a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+            A[i] = [a * x + c * y for x, y in zip(A[j], A[k])]
+        if rng.random() < 0.2:
+            A[rng.randrange(nr)] = [0] * nc
+        if rng.random() < 0.2:
+            col = rng.randrange(nc)
+            for row in A:
+                row[col] = 0
+        big_rhs = kind in ("big", "walk")
+        if rng.random() < 0.5:
+            x = [entry(big_rhs) for _ in range(nc)]
+            b = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in A]
+        else:
+            b = [entry(big_rhs) for _ in range(nr)]
+        yield A, b
+
+
+def test_elimination_matches_fraction_oracle():
+    stats = {"inconsistent": 0, "deficient": 0, "big": 0, "fraction": 0}
+    for A, b in _random_elimination_systems(400):
+        n = len(A[0])
+        expected = _oracle_solve(A, b, n)
+        got = solve_affine(A, b)
+        assert got == expected
+        if got is not None:
+            assert all(type(x) is Fraction for vec in [got[0], *got[1]] for x in vec)
+        rank = len(_oracle_rref(A, n)[1])
+        assert mat_rank(A) == rank
+        assert mat_rank([list(row) + [bi] for row, bi in zip(A, b)]) == len(
+            _oracle_rref([list(row) + [bi] for row, bi in zip(A, b)], n + 1)[1]
+        )
+        stats["inconsistent"] += got is None
+        stats["deficient"] += rank < min(len(A), n)
+        stats["big"] += any(abs(Fraction(x)) >= 1 << 40 for x in b)
+        stats["fraction"] += any(type(x) is Fraction for row in A for x in row)
+    assert min(stats.values()) >= 40, stats
+
+
+def test_elimination_edge_cases():
+    assert solve_affine([], []) == ([], [])
+    assert solve_affine([[0, 0]], [0]) == ([0, 0], [[1, 0], [0, 1]])
+    assert solve_affine([[0, 0]], [Fraction(1, 3)]) is None
+    assert solve_affine([[-2, 0, 4]], [MU]) == ([Fraction(-MU, 2), 0, 0], [[0, 1, 0], [2, 0, 1]])
+    assert mat_rank([[0, 0], [0, 0]]) == 0
+    assert mat_rank([[MU, 1], [MU * MU, MU]]) == 1

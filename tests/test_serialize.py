@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from fixtures import smooth_cubic_curve, smooth_cubic_type, tropical_line
 
 from tropcurves.cones import cone_of
@@ -72,3 +74,17 @@ def test_fiber_export():
     data = fiber_to_json(fb)
     assert data["kind"] == "point"
     assert data["inside"] is True
+
+
+def test_readers_name_missing_keys():
+    edge = {"u": 0, "v": 0}
+    with pytest.raises(ValueError, match="type JSON: missing key 'slope'"):
+        type_from_json({"vertices": [{"id": 0, "weight": 1}], "edges": [edge], "legs": []})
+    data = curve_to_json(smooth_cubic_curve())
+    del data["positions"]
+    with pytest.raises(ValueError, match="curve JSON: missing key 'positions'"):
+        curve_from_json(data)
+    with pytest.raises(ValueError, match="config JSON: missing key 'points'"):
+        config_from_json({})
+    with pytest.raises(ValueError, match="graph JSON is malformed"):
+        graph_from_json({"vertices": 3, "edges": [], "legs": []})

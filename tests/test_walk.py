@@ -47,6 +47,26 @@ def test_start_walk_rejects_unstretched():
         run_walk(2, 0, cfg)
 
 
+def test_start_walk_picks_the_seeded_solution():
+    # through a stretched configuration every marked diagram has one curve,
+    # so choosing the diagram by seed chooses the same start as choosing
+    # among the built solutions
+    from tropcurves.floors import _marked_diagrams, enumerate_curves
+    from tropcurves.walk import _forget_mark
+
+    for d, g, seeds in ((3, 0, None), (4, 1, (0, 5, 38, 1001))):
+        cfg = make_stretched(3 * d + g - 1, d)
+        sols = enumerate_curves(d, g, cfg)
+        n_diagrams = sum(1 for _ in _marked_diagrams(d, g))
+        assert len(sols) == n_diagrams
+        for seed in range(n_diagrams) if seeds is None else seeds:
+            diag, curve = sols[seed % len(sols)]
+            mark = [e for e in diag.elevators if e.top == d][0].mark
+            state = start_walk(d, g, cfg, seed=seed)
+            assert state.mobile == cfg.points[mark - 1]
+            assert state.ctype == _forget_mark(curve, mark - 1)[0].ctype
+
+
 def test_advance_reaches_simple_wall():
     state = start_walk(2, 0)
     at_wall, event = advance(state)
