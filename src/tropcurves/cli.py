@@ -94,6 +94,17 @@ def cmd_walk(args):
     return 0
 
 
+def _read_nodes(path):
+    """The nodes of a marking file: a JSON list of [i, j] line-index pairs."""
+    from tropcurves.serialize import int_pair
+
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: a marking is a JSON list of [i, j] pairs")
+    return frozenset(int_pair(p, f"{path}: node") for p in data)
+
+
 def cmd_markings(args):
     from tropcurves.arrangements import (
         MarkingSet,
@@ -107,13 +118,8 @@ def cmd_markings(args):
     if args.codim:
         from tropcurves.arrangements import Arrangement
 
-        with open(args.codim[0]) as fh:
-            pairs1 = json.load(fh)
-        with open(args.codim[1]) as fh:
-            pairs2 = json.load(fh)
         arr = Arrangement(args.d)
-        m1 = MarkingSet(arr, frozenset(tuple(p) for p in pairs1))
-        m2 = MarkingSet(arr, frozenset(tuple(p) for p in pairs2))
+        m1, m2 = (MarkingSet(arr, _read_nodes(path)) for path in args.codim)
         _emit({"codim": branch_codim(m1, m2)})
         return 0
     if args.witness:

@@ -213,7 +213,7 @@ def reduced_fiber_polyhedron(t: CombinatorialType, points):
     nonnegative edge lengths.
     """
     ne = len(t.edges)
-    P = Polyhedron(ne, nonneg=range(ne))
+    P = Polyhedron(ne)
     rows, rhs, coeffs = fiber_rows(t, points)
     for row, b in zip(rows, rhs):
         P.add_eq(row, b)
@@ -248,7 +248,7 @@ def is_realizable(t: CombinatorialType):
         return True
     # maximize t subject to the cycle equations and l_e >= t (via slacks);
     # by homogeneity the cone has interior iff this is unbounded
-    Q = Polyhedron(2 * ne + 1, nonneg=range(2 * ne + 1))
+    Q = Polyhedron(2 * ne + 1)
     for row in cycle_system(t):
         Q.add_eq(row, 0)
     for i in range(ne):

@@ -1,6 +1,6 @@
 """Bounded enumeration of combinatorial types of plane curves.
 
-The corpus of degree-d, genus-g types is produced in three stages:
+The corpus of degree-d, genus-g types is produced in two stages:
 
 1.  `enumerate_cores(d, b1)` -- all weightless stable types with every
     edge slope nonzero, degree three copies each of (1,1), (-1,0), (0,-1)
@@ -12,18 +12,16 @@ The corpus of degree-d, genus-g types is produced in three stages:
     coordinates are bounded by d (the dual-polygon bound: a dual edge of
     the degree-d triangle has both coordinates at most d).
 
-2.  `decorated_cores(d, g)` -- cores of Betti number at most g with one
-    genus gadget sprinkled on: an extra vertex weight, a weighted
-    2-valent vertex splitting an edge, a contracted loop, a contracted
-    pendant edge to a weight-1 vertex, or a contracted bridge between two
-    sites.  A budget of one gadget suffices for the desk scale d <= 3
-    (where g <= 1); this bound is part of the corpus contract.
-
-3.  `scan_fibers(d, g, cfg)` -- all ways of attaching len(cfg) contracted
-    legs to a decorated core, pruned by exact LP feasibility of the
+2.  `scan_fibers(d, g, cfg)` -- all ways of attaching len(cfg) contracted
+    legs to a core, pruned by exact LP feasibility of the
     partially-constrained fiber polyhedron.  Every marked type whose
     fiber over cfg is nonempty appears in the scan; all others have empty
     fibers by construction.
+
+Decorated types -- with vertex weights, contracted loops or contracted
+bridges -- need no stage of their own: each reduces onto a weightless
+core of genus at most g with the same marked points (see `scan_fibers`),
+so scanning the cores of every genus g' <= g certifies them too.
 
 Unrealizable types (empty open cone) are dropped everywhere: they bound
 no stratum of the moduli space.
@@ -32,14 +30,11 @@ no stratum of the moduli space.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import is_realizable
 from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, find, is_stable
-
-F = Fraction
 
 
 def _rightward(s):
@@ -92,7 +87,6 @@ class _SweepState:
         "edges",
         "legs",
         "prev_key",
-        "prev_emitted",
     )
 
     def __init__(self, d):
@@ -106,7 +100,6 @@ class _SweepState:
         self.edges = []
         self.legs = []
         self.prev_key = None
-        self.prev_emitted = False
 
 
 def _step_key(state, chosen, n_sinks, parts):
@@ -144,7 +137,6 @@ def _signature(state, v_max, e_max):
 
 
 _CORE_CACHE = {}
-_DECORATED_CACHE = {}
 
 
 def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
@@ -307,7 +299,6 @@ def _apply_vertex(state, chosen, n_sinks, parts, b1_budget, key=None):
     child.edges = edges
     child.legs = legs
     child.prev_key = key
-    child.prev_emitted = bool(parts)
     if closed_cycle and not _partial_realizable(child):
         return None
     return child
@@ -344,19 +335,11 @@ def _build_type(state):
 
 
 # ---------------------------------------------------------------------------
-# gadgets: one unit of genus hidden in weights or contracted edges
+# marked types and fiber scan
 # ---------------------------------------------------------------------------
 
 
-def _sites(t):
-    """Attachment sites: vertices and edge interiors (legs handled separately)."""
-    out = [("vertex", v) for v in range(t.n_vertices())]
-    out += [("edge", i) for i in range(len(t.edges))]
-    out += [("leg", j) for j in range(len(t.legs))]
-    return out
-
-
-def _split_edge(t, i, extra_weight=0):
+def _split_edge(t, i):
     """Split edge i with a new 2-valent vertex; returns (type, new_vertex).
 
     The two pieces keep the slope of the original edge; new edge indices
@@ -369,107 +352,17 @@ def _split_edge(t, i, extra_weight=0):
     edges = list(t.edges)
     edges[i] = Edge(e.u, w, e.slope)
     edges.append(Edge(w, e.v, e.slope))
-    return CombinatorialType(t.weights + (extra_weight,), tuple(edges), t.legs), w
+    return CombinatorialType(t.weights + (0,), tuple(edges), t.legs), w
 
 
-def _split_leg(t, j, extra_weight=0):
+def _split_leg(t, j):
     """Turn leg j into edge + leg through a new 2-valent vertex."""
     leg = t.legs[j]
     w = t.n_vertices()
     edges = list(t.edges) + [Edge(leg.vertex, w, leg.slope)]
     legs = list(t.legs)
     legs[j] = Leg(w, leg.slope)
-    return CombinatorialType(t.weights + (extra_weight,), tuple(edges), tuple(legs)), w
-
-
-def _with_weight(t, v, dw=1):
-    weights = list(t.weights)
-    weights[v] += dw
-    return CombinatorialType(tuple(weights), t.edges, t.legs)
-
-
-def _with_loop(t, v):
-    return CombinatorialType(t.weights, t.edges + (Edge(v, v),), t.legs)
-
-
-def _with_pendant(t, v):
-    w = t.n_vertices()
-    return CombinatorialType(t.weights + (1,), t.edges + (Edge(v, w),), t.legs)
-
-
-def _with_bridge(t, site_a, site_b):
-    """Contracted edge between two sites (vertices or edge/leg interiors)."""
-    cur = t
-    ends = []
-    for kind, idx in (site_a, site_b):
-        if kind == "vertex":
-            ends.append(idx)
-        elif kind == "edge":
-            cur, w = _split_edge(cur, idx)
-            ends.append(w)
-        else:
-            cur, w = _split_leg(cur, idx)
-            ends.append(w)
-    return CombinatorialType(cur.weights, cur.edges + (Edge(ends[0], ends[1]),), cur.legs)
-
-
-def genus_gadgets(t):
-    """All one-unit genus decorations of a core, not yet deduplicated."""
-    out = []
-    for v in range(t.n_vertices()):
-        out.append(_with_weight(t, v))
-        out.append(_with_loop(t, v))
-        out.append(_with_pendant(t, v))
-    for i in range(len(t.edges)):
-        split, w = _split_edge(t, i, extra_weight=1)
-        out.append(split)
-    for j in range(len(t.legs)):
-        split, w = _split_leg(t, j, extra_weight=1)
-        out.append(split)
-    sites = _sites(t)
-    for a in range(len(sites)):
-        for b in range(a, len(sites)):
-            sa, sb = sites[a], sites[b]
-            if sa == sb and sa[0] == "vertex":
-                continue  # loop gadget already covers this
-            if sa[0] == "edge" and sa == sb:
-                continue  # two splits of one edge force a zero length
-            out.append(_with_bridge(t, sa, sb))
-    return out
-
-
-def decorated_cores(d, g):
-    """Cores of genus exactly g: Betti-g cores plus one-gadget variants."""
-    cache_key = (d, g)
-    if cache_key in _DECORATED_CACHE:
-        return _DECORATED_CACHE[cache_key]
-    seen = {}
-    for b1 in range(g + 1):
-        budget = g - b1
-        if budget > 1:
-            continue  # corpus contract: one gadget at desk scale
-        for core in enumerate_cores(d, b1):
-            if budget == 0:
-                candidates = [core]
-            else:
-                candidates = genus_gadgets(core)
-            for t in candidates:
-                if check_balancing(t) is not None or not is_stable(t):
-                    continue
-                key = canonical_key(t, labeled="none")
-                if key in seen:
-                    continue
-                if not is_realizable(t):
-                    continue
-                seen[key] = t
-    result = sorted(seen.values(), key=lambda t: canonical_key(t, labeled="none"))
-    _DECORATED_CACHE[cache_key] = result
-    return result
-
-
-# ---------------------------------------------------------------------------
-# marked types and fiber scan
-# ---------------------------------------------------------------------------
+    return CombinatorialType(t.weights + (0,), tuple(edges), tuple(legs)), w
 
 
 def _mark_sites(t):
@@ -505,7 +398,7 @@ def _attach_mark(t, site):
 
 
 def marked_types(t, n_marks):
-    """All ways of attaching n contracted legs to a decorated core."""
+    """All ways of attaching n contracted legs to a core."""
     out = [t]
     for _ in range(n_marks):
         nxt = []
@@ -773,33 +666,6 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     n = len(cfg)
     if cores is None:
         cores = enumerate_cores(d, g)
-    workers = _workers_from_env()
-    if workers > 1 and len(cores) > 2 * workers:
-        import multiprocessing as mp
-
-        chunks = [list(cores[i::workers]) for i in range(workers)]
-        with mp.Pool(workers) as pool:
-            parts = pool.starmap(_scan_chunk, [(chunk, cfg) for chunk in chunks])
-        merged = {}
-        for part in parts:
-            for key, (t, fb) in part.items():
-                merged.setdefault(key, (t, fb))
-        return [merged[k] for k in sorted(merged)]
-    part = _scan_chunk(list(cores), cfg)
-    return [part[k] for k in sorted(part)]
-
-
-def _workers_from_env():
-    import os
-
-    try:
-        return max(1, int(os.environ.get("TROPCURVES_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _scan_chunk(cores, cfg):
-    n = len(cfg)
     order = _scan_order(n)
     pts = [cfg.points[i] for i in order]
     # exact collinearity unlocks the scale-free pairwise filter
@@ -853,4 +719,4 @@ def _scan_chunk(cores, cfg):
                 fb = fiber(t, cfg)
                 if not fb.is_empty():
                     results[key] = (t, fb)
-    return results
+    return [results[k] for k in sorted(results)]

@@ -85,7 +85,7 @@ def curve_at(t: CombinatorialType, x):
     if not vanished:
         positions = tuple((x[2 * v], x[2 * v + 1]) for v in range(nv))
         return t, ParametrizedCurve(t, tuple(lengths), positions)
-    t2, vmap, emap, _ = face_contract(t, vanished, with_maps=True)
+    t2, vmap, emap = face_contract(t, vanished, with_maps=True)
     positions = [None] * t2.n_vertices()
     for v in range(nv):
         positions[vmap[v]] = (x[2 * v], x[2 * v + 1])
@@ -102,7 +102,7 @@ def _cone_dim(t: CombinatorialType):
     if is_realizable(t):
         return cone_dimension(t)
     ne = len(t.edges)
-    P = Polyhedron(ne, nonneg=range(ne))
+    P = Polyhedron(ne)
     for row in cycle_system(t):
         P.add_eq(row, 0)
     d = P.dim()
@@ -203,9 +203,8 @@ def is_general(cfg, d, g, verbose=False):
     True iff for every combinatorial type in the corpus of degree-d
     genus-g types with len(cfg) contracted legs, the evaluation fiber has
     codimension 2n in the closed cone or is empty.  The corpus bound is a
-    design contract (slope coordinates at most d, one contracted-edge or
-    genus gadget); beyond desk scale the verdict is "unknown", never a
-    silent False.
+    design contract (slope coordinates at most d); beyond desk scale the
+    verdict is "unknown", never a silent False.
     """
     if not isinstance(cfg, PointConfiguration):
         pts = tuple(tuple(p) for p in cfg)

@@ -13,8 +13,8 @@ Three layers of data:
 * `ParametrizedCurve` -- a combinatorial type with lengths and rational
   vertex positions in the plane, consistent edge by edge.
 
-All values are immutable after construction and safe to share between
-workers; every operation below is a pure function.
+All values are immutable after construction; every operation below is a
+pure function.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def overvalency(g):
 
 
 def _contract_core(t: CombinatorialType, edge_indices):
-    """Weighted edge contraction; returns (type, vertex_map, edge_map, leg_map).
+    """Weighted edge contraction; returns (type, vertex_map, edge_map).
 
     edge_map sends an old surviving edge index to its new index (contracted
     edges are absent); vertex_map sends old vertices to merged vertices.
@@ -305,9 +305,8 @@ def _contract_core(t: CombinatorialType, edge_indices):
         edge_map[i] = len(edges)
         edges.append(Edge(vertex_map[e.u], vertex_map[e.v], e.slope))
     legs = tuple(Leg(vertex_map[leg.vertex], leg.slope) for leg in t.legs)
-    leg_map = {j: j for j in range(len(t.legs))}
     new_t = CombinatorialType(tuple(weights), tuple(edges), legs)
-    return new_t, vertex_map, edge_map, leg_map
+    return new_t, vertex_map, edge_map
 
 
 def contract(t: CombinatorialType, edge_indices):
@@ -320,7 +319,7 @@ def contract(t: CombinatorialType, edge_indices):
     for i in set(edge_indices):
         if t.edges[i].slope != ZERO2:
             raise ValueError(f"edge {i} has nonzero slope {t.edges[i].slope}; only contracted edges may be collapsed")
-    new_t, _, _, _ = _contract_core(t, edge_indices)
+    new_t, _, _ = _contract_core(t, edge_indices)
     return new_t
 
 
@@ -331,9 +330,9 @@ def face_contract(t: CombinatorialType, edge_indices, with_maps=False):
     the named edge lengths go to zero and their endpoints merge.  Genus,
     balancing and the extended degree are all preserved.
     """
-    new_t, vmap, emap, lmap = _contract_core(t, edge_indices)
+    new_t, vmap, emap = _contract_core(t, edge_indices)
     if with_maps:
-        return new_t, vmap, emap, lmap
+        return new_t, vmap, emap
     return new_t
 
 

@@ -240,18 +240,10 @@ def feasible_nonneg(rows, rhs, width):
 
 
 class Polyhedron:
-    """A polyhedron ``{x : A x = b, x_i >= 0 for i in nonneg}``.
+    """A polyhedron ``{x : A x = b, x >= 0}`` in standard form."""
 
-    Variables not listed in ``nonneg`` are free.  Internally free
-    variables are split into differences of nonnegative ones, so every
-    query reduces to standard-form simplex.
-    """
-
-    def __init__(self, n_vars, nonneg):
+    def __init__(self, n_vars):
         self.n = n_vars
-        nonneg = set(nonneg)
-        self.nonneg = sorted(nonneg)
-        self.free = [i for i in range(n_vars) if i not in nonneg]
         self.rows = []
         self.rhs = []
 
@@ -263,102 +255,53 @@ class Polyhedron:
         self.rows.append(row)
         self.rhs.append(Fraction(rhs))
 
-    # --- internal standard-form encoding -------------------------------
-    def _encode(self):
-        # columns: nonneg vars, then (p, q) pairs per free var
-        cols = {}
-        k = 0
-        for i in self.nonneg:
-            cols[i] = k
-            k += 1
-        fcols = {}
-        for i in self.free:
-            fcols[i] = (k, k + 1)
-            k += 2
-        width = k
-        A = []
-        for row in self.rows:
-            r = [ZERO] * width
-            for i in self.nonneg:
-                if row[i] != 0:
-                    r[cols[i]] = row[i]
-            for i in self.free:
-                if row[i] != 0:
-                    p, q = fcols[i]
-                    r[p] = row[i]
-                    r[q] = -row[i]
-            A.append(r)
-        return A, list(self.rhs), cols, fcols, width
-
-    def _decode(self, xs, cols, fcols):
-        out = [ZERO] * self.n
-        for i in self.nonneg:
-            out[i] = xs[cols[i]]
-        for i in self.free:
-            p, q = fcols[i]
-            out[i] = xs[p] - xs[q]
-        return out
-
-    # --- queries --------------------------------------------------------
     def feasible_point(self):
         return self.optimize({}).point
 
     def optimize(self, objective, sense="min"):
-        """Optimize a linear functional given as {var: coeff}.
-
-        Returns an LPResult with point/ray in original coordinates.
-        """
-        A, b, cols, fcols, width = self._encode()
-        c = [ZERO] * width
+        """Optimize a linear functional given as {var: coeff}."""
+        c = [ZERO] * self.n
         sign = ONE if sense == "min" else -ONE
         for i, a in objective.items():
-            a = sign * Fraction(a)
-            if i in cols:
-                c[cols[i]] += a
-            else:
-                p, q = fcols[i]
-                c[p] += a
-                c[q] -= a
-        res = _simplex_standard(c, A, b)
+            c[i] += sign * Fraction(a)
+        res = _simplex_standard(c, self.rows, self.rhs)
         if res is None:
             return LPResult("infeasible")
-        point = self._decode(res[0], cols, fcols)
-        if res[1] is not None:
-            return LPResult("unbounded", point=point, ray=self._decode(res[1], cols, fcols))
+        point, ray = res
+        if ray is not None:
+            return LPResult("unbounded", point=point, ray=ray)
         value = sum(Fraction(a) * point[i] for i, a in objective.items())
         return LPResult("optimal", value=value, point=point)
 
     def strict_point(self):
-        """A point with all nonneg variables strictly positive, or None.
+        """A point with every variable strictly positive, or None.
 
         One slack LP: maximize t subject to x_i - t - s_i = 0, t <= 1.
         """
-        if not self.nonneg:
-            return self.feasible_point()
-        m = len(self.nonneg)
-        Q = Polyhedron(self.n + 1 + m + 1, nonneg=list(self.nonneg) + list(range(self.n, self.n + 1 + m + 1)))
+        n = self.n
+        t_var = n
+        Q = Polyhedron(2 * n + 2)
         for row, rhs in zip(self.rows, self.rhs):
-            Q.rows.append(list(row) + [ZERO] * (1 + m + 1))
+            Q.rows.append(list(row) + [ZERO] * (n + 2))
             Q.rhs.append(rhs)
-        t_var = self.n
-        for k, i in enumerate(self.nonneg):
-            Q.add_eq({i: 1, t_var: -1, self.n + 1 + k: -1}, 0)
+        for i in range(n):
+            Q.add_eq({i: 1, t_var: -1, t_var + 1 + i: -1}, 0)
         # t + cap = 1 keeps the LP bounded
-        Q.add_eq({t_var: 1, self.n + 1 + m: 1}, 1)
+        Q.add_eq({t_var: 1, 2 * n + 1: 1}, 1)
         res = Q.optimize({t_var: 1}, sense="max")
         if res.status != "optimal" or res.value <= 0:
             return None
-        return res.point[: self.n]
+        return res.point[:n]
 
     def implicit_zero_vars(self):
-        """Nonneg variables that vanish identically on the polyhedron."""
+        """Variables that vanish identically on the polyhedron."""
         if self.strict_point() is not None:
             return []
         return self._maximized_at_zero()
 
     def _maximized_at_zero(self):
         out = []
-        for i in self.nonneg:
+        for i in range(self.n):
             res = self.optimize({i: 1}, sense="max")
             if res.status == "optimal" and res.value == 0:
                 out.append(i)
@@ -379,7 +322,7 @@ class Polyhedron:
         return self.n - mat_rank(rows)
 
     def interior_point(self):
-        """A point in the relative interior (non-implicit nonnegs positive)."""
+        """A point in the relative interior (non-implicit variables positive)."""
         strict = self.strict_point()
         if strict is not None:
             return strict
@@ -388,7 +331,7 @@ class Polyhedron:
         if base is None:
             return None
         pts.append(base)
-        for i in self.nonneg:
+        for i in range(self.n):
             res = self.optimize({i: 1}, sense="max")
             if res.status == "unbounded":
                 # move a bounded amount along the ray from its base point

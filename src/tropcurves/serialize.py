@@ -82,13 +82,21 @@ def type_to_json(t: CombinatorialType):
     }
 
 
+def int_pair(value, what):
+    """``value`` as a tuple of two ints, or a ValueError naming ``what``."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} {value!r} is not a pair of ints")
+    return tuple(value)
+
+
 @_reader
 def type_from_json(data):
     vertices = sorted(data["vertices"], key=lambda d: d["id"])
+    what = "type JSON: slope"
     return CombinatorialType(
         weights=tuple(d["weight"] for d in vertices),
-        edges=tuple(Edge(e["u"], e["v"], tuple(e["slope"])) for e in data["edges"]),
-        legs=tuple(Leg(l["vertex"], tuple(l["slope"])) for l in data["legs"]),
+        edges=tuple(Edge(e["u"], e["v"], int_pair(e["slope"], what)) for e in data["edges"]),
+        legs=tuple(Leg(l["vertex"], int_pair(l["slope"], what)) for l in data["legs"]),
     )
 
 

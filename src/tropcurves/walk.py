@@ -71,7 +71,6 @@ class WalkState:
     elevator: int  # edge index of E
     floor_index: int  # k: host floor of E, counted from the bottom
     ladder: int  # r
-    trace: tuple = ()
 
     def interior_curve(self):
         """A curve strictly inside the stratum along the motion ray."""
@@ -216,8 +215,8 @@ def start_walk(d, g, cfg=None, seed=0):
         raise WalkError("top floor elevator is not unique of weight one")
     mobile_mark = top[0].mark
     mobile_point = cfg.points[mobile_mark - 1]
-    new_curve, e_map = _forget_mark(curve, mobile_mark - 1)
-    elevator = e_map_for_top_elevator(curve, new_curve, e_map, mobile_mark)
+    new_curve = _forget_mark(curve, mobile_mark - 1)
+    elevator = e_map_for_top_elevator(curve, new_curve, mobile_mark)
     fixed = PointConfiguration(tuple(p for i, p in enumerate(cfg.points) if i != mobile_mark - 1))
     t = new_curve.ctype
     cls = classify(t)
@@ -233,7 +232,6 @@ def start_walk(d, g, cfg=None, seed=0):
         elevator=elevator,
         floor_index=0,
         ladder=0,
-        trace=(),
     )
     k, r, x_target = _ladder(state, new_curve)
     foot, _ = _elevator_foot(t, new_curve, elevator)
@@ -247,7 +245,7 @@ def start_walk(d, g, cfg=None, seed=0):
     return state
 
 
-def e_map_for_top_elevator(curve, new_curve, e_map, mobile_mark):
+def e_map_for_top_elevator(curve, new_curve, mobile_mark):
     """Locate E in the mark-forgotten curve: the edge whose image contains
     the mobile point."""
     t = new_curve.ctype
@@ -263,11 +261,7 @@ def e_map_for_top_elevator(curve, new_curve, e_map, mobile_mark):
 
 
 def _forget_mark(curve, leg_index):
-    """Remove a contracted leg and stabilize the 2-valent vertex it leaves.
-
-    Returns (curve, edge_map) where edge_map sends old edge indices to new
-    ones (merged edges map to the merged index).
-    """
+    """Remove a contracted leg and stabilize the 2-valent vertex it leaves."""
     t = curve.ctype
     host = t.legs[leg_index].vertex
     legs = [leg for j, leg in enumerate(t.legs) if j != leg_index]
@@ -278,9 +272,7 @@ def _forget_mark(curve, leg_index):
     if t.weights[host] != 0 or len(incident) + len(others) != 2 or len(incident) != 2:
         # nothing to stabilize: just drop the leg
         t2 = CombinatorialType(t.weights, t.edges, tuple(legs))
-        return ParametrizedCurve(t2, curve.lengths, curve.positions), {
-            i: i for i in range(len(t.edges))
-        }
+        return ParametrizedCurve(t2, curve.lengths, curve.positions)
     (i1, e1), (i2, e2) = incident
     # merge e1 and e2 through host; orientation via the far endpoints
     a = e1.v if e1.u == host else e1.u
@@ -290,16 +282,11 @@ def _forget_mark(curve, leg_index):
     new_len = curve.lengths[i1] + curve.lengths[i2]
     edges = []
     lengths = []
-    edge_map = {}
     for i, e in enumerate(t.edges):
         if i in (i1, i2):
             continue
-        edge_map[i] = len(edges)
         edges.append(e)
         lengths.append(curve.lengths[i])
-    merged_index = len(edges)
-    edge_map[i1] = merged_index
-    edge_map[i2] = merged_index
     edges.append(new_edge)
     lengths.append(new_len)
     # drop the host vertex, renumbering everything above it
@@ -313,7 +300,7 @@ def _forget_mark(curve, leg_index):
     weights = tuple(w for v, w in enumerate(t.weights) if v != drop)
     positions = tuple(p for v, p in enumerate(curve.positions) if v != drop)
     t2 = CombinatorialType(weights, edges, legs)
-    return ParametrizedCurve(t2, tuple(lengths), positions), edge_map
+    return ParametrizedCurve(t2, tuple(lengths), positions)
 
 
 def advance(state: WalkState):
@@ -328,7 +315,7 @@ def advance(state: WalkState):
         raise WalkError(f"{len(vanished)} lengths vanish simultaneously; wall is not simple")
     dead = vanished[0]
     t = state.ctype
-    wall_type, vmap, emap, _lmap = face_contract(t, [dead], with_maps=True)
+    wall_type, vmap, emap = face_contract(t, [dead], with_maps=True)
     cls = classify(wall_type)
     if not cls.is_simple_wall():
         raise WalkError(f"wall stratum classified as {cls.kind}")
@@ -396,7 +383,7 @@ def cross(state: WalkState, event: WallEvent, choice: str):
     if len(dead) != 1:
         raise WalkError("cross expects a state sitting on its wall")
     dead = dead[0]
-    wall_type, vmap, emap, _lmap = face_contract(t, [dead], with_maps=True)
+    wall_type, vmap, emap = face_contract(t, [dead], with_maps=True)
     u = event.four_valent_vertex
     e_idx = emap[state.elevator]
     _e_germ, e_desc = _germ_of_edge(wall_type, u, e_idx)
@@ -438,7 +425,6 @@ def cross(state: WalkState, event: WallEvent, choice: str):
         elevator=new_elevator,
         floor_index=state.floor_index,
         ladder=state.ladder,
-        trace=state.trace,
     )
 
 
@@ -590,7 +576,7 @@ def _met_weight(at_wall, event):
     emap = None
     t = at_wall.ctype
     dead = [i for i, l in enumerate(at_wall.lengths) if l == 0][0]
-    _wt, _vmap, emap, _lmap = face_contract(t, [dead], with_maps=True)
+    _wt, _vmap, emap = face_contract(t, [dead], with_maps=True)
     e_idx = emap[at_wall.elevator]
     _g, e_desc = _germ_of_edge(wall_type, u, e_idx)
     others = [(s, d) for s, d in wall_type.star(u) if d != e_desc]

@@ -149,3 +149,28 @@ def test_walk_error_exit_status(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "walk", "--d", "3", "--g", "0")
     assert (code, out) == (4, "")
     assert err == "walk error: (k, r) failed to decrease\n"
+
+
+def test_markings_codim_reads_pairs(tmp_path, capsys):
+    m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
+    m1.write_text("[[1, 2]]")
+    m2.write_text("[[1, 3]]")
+    code, out, _ = run_cli(capsys, "markings", "--d", "3", "--codim", str(m1), str(m2))
+    assert (code, json.loads(out)) == (0, {"codim": 1})
+    m2.write_text("[[0, 1], [2]]")
+    code, out, err = run_cli(capsys, "markings", "--d", "3", "--codim", str(m1), str(m2))
+    assert (code, out) == (2, "")
+    assert err == f"error: {m2}: node [2] is not a pair of ints\n"
+    m2.write_text('{"a": 1}')
+    code, out, err = run_cli(capsys, "markings", "--d", "3", "--codim", str(m1), str(m2))
+    assert (code, out) == (2, "")
+    assert err == f"error: {m2}: a marking is a JSON list of [i, j] pairs\n"
+
+
+def test_classify_stratum_malformed_slope(tmp_path, capsys):
+    tf = tmp_path / "type.json"
+    legs = [{"vertex": 0, "slope": [1]}]
+    tf.write_text(json.dumps({"vertices": [{"id": 0, "weight": 0}], "edges": [], "legs": legs}))
+    code, out, err = run_cli(capsys, "classify-stratum", "--type", str(tf))
+    assert (code, out) == (2, "")
+    assert err == "error: type JSON: slope [1] is not a pair of ints\n"

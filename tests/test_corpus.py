@@ -4,7 +4,6 @@ from tropcurves.canonical import canonical_key
 from tropcurves.cones import cone_dimension, expected_dimension, is_realizable
 from tropcurves.corpus import (
     _attach_mark,
-    decorated_cores,
     enumerate_cores,
     marked_types,
     scan_fibers,
@@ -126,16 +125,9 @@ def test_degree_three_tree_corpus_frozen():
         assert cone_dimension(t) >= expected_dimension(t)
 
 
-def test_decorated_cores_small():
-    # degree 1 genus 0: only the line
-    assert len(decorated_cores(1, 0)) == 1
-    dec = decorated_cores(2, 0)
-    assert len(dec) == 51
-
-
 def test_marked_types_dimension_law_degree_two():
     # the dimension law across all 0-, 1- and 2-marked corpus types
-    for core in decorated_cores(2, 0):
+    for core in enumerate_cores(2, 0):
         for n in (0, 1, 2):
             for t in marked_types(core, n):
                 dim = cone_dimension(t)
@@ -168,17 +160,21 @@ def test_scan_matches_floor_solutions_degree_two():
     assert point_keys == sol_keys
 
 
-def test_scan_fibers_pool_matches_serial(monkeypatch):
-    # four points leave a one-parameter family: 25 hits, found by both
-    # halves of the core list (five points give a single hit)
+def test_scan_fibers_merges_cores():
+    # four points leave a one-parameter family: 25 hits spread over several
+    # cores (five points give a single hit), so the merged scan must equal
+    # the key-sorted union of the per-core scans
     cfg = make_stretched(4, 2).config
+    cores = enumerate_cores(2, 0)
+    assert len(cores) == 51
 
     def encode(hits):
         return dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
 
-    monkeypatch.delenv("TROPCURVES_WORKERS", raising=False)
-    serial = encode(scan_fibers(2, 0, cfg))
-    # 51 cores > 2 * 2 workers, so the scan is split over a pool
-    assert len(enumerate_cores(2, 0)) > 4
-    monkeypatch.setenv("TROPCURVES_WORKERS", "2")
-    assert encode(scan_fibers(2, 0, cfg)) == serial
+    merged = {}
+    for core in cores:
+        for t, fb in scan_fibers(2, 0, cfg, cores=[core]):
+            merged.setdefault(canonical_key(t, labeled="contracted"), (t, fb))
+    union = [merged[k] for k in sorted(merged)]
+    assert len(union) == 25
+    assert encode(scan_fibers(2, 0, cfg)) == encode(union)

@@ -27,7 +27,7 @@ def test_solve_affine():
 
 def test_lp_feasible_and_optimal():
     # x + y = 4, x,y >= 0: minimize x -> 0, maximize x -> 4
-    P = Polyhedron(2, nonneg=[0, 1])
+    P = Polyhedron(2)
     P.add_eq({0: 1, 1: 1}, 4)
     res = P.optimize({0: 1}, sense="min")
     assert res.status == "optimal" and res.value == 0
@@ -37,7 +37,7 @@ def test_lp_feasible_and_optimal():
 
 
 def test_lp_infeasible():
-    P = Polyhedron(2, nonneg=[0, 1])
+    P = Polyhedron(2)
     P.add_eq({0: 1, 1: 1}, -1)
     assert P.feasible_point() is None
     assert P.dim() == -1
@@ -45,7 +45,7 @@ def test_lp_infeasible():
 
 def test_lp_unbounded_ray():
     # x - y = 0 with x,y >= 0 is a ray
-    P = Polyhedron(2, nonneg=[0, 1])
+    P = Polyhedron(2)
     P.add_eq({0: 1, 1: -1}, 0)
     res = P.optimize({0: 1}, sense="max")
     assert res.status == "unbounded"
@@ -53,24 +53,14 @@ def test_lp_unbounded_ray():
     assert P.dim() == 1
 
 
-def test_free_variables():
-    # z free, x >= 0, constraint z = x - 5: dim 1, z can be negative
-    P = Polyhedron(2, nonneg=[0])
-    P.add_eq({1: 1, 0: -1}, -5)
-    res = P.optimize({1: 1}, sense="min")
-    assert res.status == "optimal" and res.value == -5
-    res = P.optimize({1: 1}, sense="max")
-    assert res.status == "unbounded"
-
-
 def test_implicit_equalities_and_interior():
     # x + y = 0, x,y >= 0 forces x = y = 0
-    P = Polyhedron(2, nonneg=[0, 1])
+    P = Polyhedron(2)
     P.add_eq({0: 1, 1: 1}, 0)
     assert P.implicit_zero_vars() == [0, 1]
     assert P.dim() == 0
     # interior point of the segment x + y = 1
-    Q = Polyhedron(2, nonneg=[0, 1])
+    Q = Polyhedron(2)
     Q.add_eq({0: 1, 1: 1}, 1)
     p = Q.interior_point()
     assert p[0] > 0 and p[1] > 0 and p[0] + p[1] == 1
@@ -78,7 +68,7 @@ def test_implicit_equalities_and_interior():
 
 def test_degenerate_cycling_guard():
     # A classic degenerate instance; Bland's rule must terminate.
-    P = Polyhedron(4, nonneg=[0, 1, 2, 3])
+    P = Polyhedron(4)
     P.add_eq({0: Fraction(1, 4), 1: -8, 2: -1, 3: 9}, 0)
     P.add_eq({0: Fraction(1, 2), 1: -12, 2: -Fraction(1, 2), 3: 3}, 0)
     res = P.optimize({0: -Fraction(3, 4), 1: 150, 2: -Fraction(1, 50), 3: 6}, sense="min")
@@ -163,7 +153,7 @@ def test_simplex_matches_vertex_oracle():
         feasible = _oracle_vertices(A, b, n) != []
         rows = [{j: a for j, a in enumerate(row) if a} for row in A]
         assert feasible_nonneg(rows, b, n) == feasible
-        P = Polyhedron(n, nonneg=range(n))
+        P = Polyhedron(n)
         for row, bi in zip(rows, b):
             P.add_eq(row, bi)
         point = P.feasible_point()

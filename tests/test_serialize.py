@@ -88,3 +88,5 @@ def test_readers_name_missing_keys():
         config_from_json({})
     with pytest.raises(ValueError, match="graph JSON is malformed"):
         graph_from_json({"vertices": 3, "edges": [], "legs": []})
+    with pytest.raises(ValueError, match=r"type JSON: slope \[1\] is not a pair of ints"):
+        type_from_json({"vertices": [{"id": 0, "weight": 0}], "edges": [], "legs": [{"vertex": 0, "slope": [1]}]})

@@ -64,7 +64,7 @@ def test_start_walk_picks_the_seeded_solution():
             mark = [e for e in diag.elevators if e.top == d][0].mark
             state = start_walk(d, g, cfg, seed=seed)
             assert state.mobile == cfg.points[mark - 1]
-            assert state.ctype == _forget_mark(curve, mark - 1)[0].ctype
+            assert state.ctype == _forget_mark(curve, mark - 1).ctype
 
 
 def test_advance_reaches_simple_wall():
