@@ -3,14 +3,34 @@
 The corpus of degree-d, genus-g types is produced in two stages:
 
 1.  `enumerate_cores(d, b1)` -- all weightless stable types with every
-    edge slope nonzero, degree three copies each of (1,1), (-1,0), (0,-1)
-    scaled to d, and first Betti number b1.  Enumeration sweeps the plane:
-    orient every edge "north-or-east" (positive y, or zero y and positive
-    x).  On a realizable type this orientation is acyclic -- a directed
-    cycle would force a nonzero displacement sum -- so every realizable
-    type appears among the topological orders the sweep explores.  Slope
-    coordinates are bounded by d (the dual-polygon bound: a dual edge of
-    the degree-d triangle has both coordinates at most d).
+    edge slope nonzero, d legs each of slopes (1,1), (-1,0), (0,-1), and
+    first Betti number b1, realizable ones only.
+
+    A tree is fixed by its legs: balancing forces the slope of each edge
+    to be the sum of the leg slopes beyond it, and any positive lengths
+    realize it.  So trees are generated rather than searched for.  A
+    rooted subtree is a sorted multiset of at least two children, each a
+    leg or a subtree hung from an edge whose forced slope is nonzero and
+    within the bound.  Every tree is rooted at its leg centroid: the one
+    vertex all of whose branches hold fewer than half the legs or, when
+    there is none, the one edge that splits the legs in half.  Then each
+    tree comes out exactly once (Wright, Richmond, Odlyzko and McKay,
+    "Constant time generation of free trees", SIAM J. Comput. 1986).
+
+    Cutting the b1 edges off a spanning tree of a core leaves a tree with
+    a pair of legs s, -s for each cut edge of slope s.  So the cores of
+    Betti number b1 come from the same generator run over the 3d class
+    legs plus b1 tagged pairs, with s drawn from the slope alphabet, by
+    gluing each pair back into an edge.  A core arises from each of its
+    spanning trees, so gluings are deduplicated by canonical key.  A
+    gluing whose cycles cannot close with positive lengths is dropped by
+    an exact planar cone test, and the survivors by the exact LP.
+
+    Slope coordinates are bounded by d (the dual-polygon bound).  An
+    edge's slope, weight included, is a dual edge of the Newton
+    subdivision of the triangle (0,0), (d,0), (0,d) turned by a right
+    angle, and both coordinates of a vector between two points of that
+    triangle lie in [-d, d].
 
 2.  `scan_fibers(d, g, cfg)` -- all ways of attaching len(cfg) contracted
     legs to a core, pruned by exact LP feasibility of the
@@ -34,105 +54,166 @@ import itertools
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import is_realizable
 from tropcurves.evaluation import PointConfiguration, fiber
-from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, find, is_stable
+from tropcurves.graphs import CombinatorialType, Edge, Leg
 
-
-def _rightward(s):
-    return s[1] > 0 or (s[1] == 0 and s[0] > 0)
+_CLASS_SLOPES = ((1, 1), (-1, 0), (0, -1))
 
 
 def _arc_alphabet(d):
-    out = []
-    for a in range(-d, d + 1):
-        for b in range(0, d + 1):
-            s = (a, b)
-            if s != (0, 0) and _rightward(s):
-                out.append(s)
-    return sorted(out)
+    """Nonzero slopes with coordinates in [-d, d], one of each pair s, -s:
+    those pointing up, or right along the x-axis."""
+    return sorted((a, b) for a in range(-d, d + 1) for b in range(d + 1) if b > 0 or a > 0)
 
 
-def _vector_partitions(target, alphabet, max_parts):
-    """Multisets from `alphabet` (sorted, all with y >= 0) summing to `target`."""
-    out = []
-
-    def rec(idx, tx, ty, parts):
-        if ty < 0:
-            return
-        if idx == len(alphabet):
-            if tx == 0 and ty == 0:
-                out.append(tuple(parts))
-            return
-        a, b = alphabet[idx]
-        rec(idx + 1, tx, ty, parts)
-        k = 1
-        while len(parts) + k <= max_parts and (b == 0 or k * b <= ty):
-            parts.extend([(a, b)] * k)
-            rec(idx + 1, tx - a * k, ty - b * k, parts)
-            for _ in range(k):
-                parts.pop()
-            k += 1
-
-    rec(0, target[0], target[1], [])
-    return out
-
-
-class _SweepState:
-    __slots__ = (
-        "open_arcs",
-        "sinks_left",
-        "n_vertices",
-        "n_edges",
-        "parent",
-        "cycles",
-        "edges",
-        "legs",
-        "prev_key",
-    )
-
-    def __init__(self, d):
-        # open arcs: (slope, emitter); emitter -1 = west leg, -2 = south leg
-        self.open_arcs = [((1, 0), -1)] * d + [((0, 1), -2)] * d
-        self.sinks_left = d
-        self.n_vertices = 0
-        self.n_edges = 0
-        self.parent = []
-        self.cycles = 0
-        self.edges = []
-        self.legs = []
-        self.prev_key = None
+def _cone_contains(gens, w):
+    """Exact 2D test: is w a nonnegative combination of the generators?"""
+    wx, wy = w
+    if wx == 0 and wy == 0:
+        return True
+    for gx, gy in gens:
+        if gx * wy - gy * wx == 0 and gx * wx + gy * wy > 0:
+            return True
+    n = len(gens)
+    for i in range(n):
+        gi = gens[i]
+        for j in range(i + 1, n):
+            gj = gens[j]
+            det = gi[0] * gj[1] - gi[1] * gj[0]
+            if det == 0:
+                continue
+            x = (wx * gj[1] - wy * gj[0])
+            y = (gi[0] * wy - gi[1] * wx)
+            if det < 0:
+                x, y, det = -x, -y, -det
+            if x >= 0 and y >= 0:
+                return True
+    return False
 
 
-def _step_key(state, chosen, n_sinks, parts):
-    """Order-invariant key of a vertex step, for the greedy-order rule."""
-    consumed = tuple(sorted((state.open_arcs[i][0], min(state.open_arcs[i][1], 0)) for i in chosen))
-    return (consumed, n_sinks, tuple(sorted(parts)))
+def _slope_sum(m, slopes):
+    """The summed slope of m[k] legs of each class k."""
+    return (sum(k * s[0] for k, s in zip(m, slopes)), sum(k * s[1] for k, s in zip(m, slopes)))
 
 
-def _signature(state, v_max, e_max):
-    """Label-independent completability signature, for the sterile cache.
+def _trees(slopes, counts, bound, max_valency):
+    """Each stable tree with counts[k] legs of class k once.
 
-    The greedy-order rule consults the previous step's key and whether an
-    arc was emitted by the previous vertex, so both enter the signature;
-    without them the cache would poison states whose continuations are
-    pruned for ordering rather than combinatorial reasons.
+    Leg class k has slope slopes[k]; edge slopes must be nonzero with
+    coordinates in [-bound, bound].  A leg multiset is a tuple of counts
+    per class, and a rooted subtree is a sorted tuple of children
+    (multiset, subtree), where the subtree of a single leg is ().  Yields
+    the children of vertex 0 of each tree.
     """
-    prev = state.n_vertices - 1
-    comp_names = {}
-    arcs = []
-    for slope, emitter in state.open_arcs:
-        if emitter < 0:
-            tag = (emitter, 0)
+    n = sum(counts)
+    cap = n if max_valency is None else max_valency
+    hung_forms = {}
+
+    def sub_multisets(m):
+        return [s for s in itertools.product(*(range(k + 1) for k in m)) if any(s)]
+
+    def hung(m):
+        """The subtrees holding legs m that can hang below an edge."""
+        if sum(m) == 1:
+            return [()]
+        if m not in hung_forms:
+            s = _slope_sum(m, slopes)
+            if s == (0, 0) or max(abs(s[0]), abs(s[1])) > bound:
+                hung_forms[m] = []
+            else:
+                # proper parts force at least two children
+                parts = [p for p in sub_multisets(m) if p != m]
+                hung_forms[m] = list(children(m, parts, cap - 1))
+        return hung_forms[m]
+
+    def children(rem, parts, k, i=0):
+        """Sorted tuples of at most k children whose legs sum to rem, their
+        multisets drawn from parts[i:] (ascending)."""
+        if not any(rem):
+            yield ()
+            return
+        for j in range(i, len(parts)):
+            m = parts[j]
+            if any(a > b for a, b in zip(m, rem)):
+                continue
+            options = hung(m)
+            if not options:
+                continue
+            left = rem
+            for r in range(1, k + 1):
+                left = tuple(a - b for a, b in zip(left, m))
+                if min(left) < 0:
+                    break
+                tails = list(children(left, parts, k - r, j + 1))
+                if not tails:
+                    continue
+                for combo in itertools.combinations_with_replacement(options, r):
+                    head = tuple((m, f) for f in combo)
+                    for tail in tails:
+                        yield head + tail
+
+    # a centroid vertex: every branch below n/2 legs, hence at least three
+    yield from children(counts, [m for m in sub_multisets(counts) if 2 * sum(m) < n], cap)
+    # a centroid edge: both sides n/2 legs, taken as an unordered pair
+    for m in sub_multisets(counts):
+        rest = tuple(a - b for a, b in zip(counts, m))
+        if 2 * sum(m) != n or m > rest:
+            continue
+        if m == rest:
+            pairs = itertools.combinations_with_replacement(hung(m), 2)
         else:
-            root = find(state.parent, emitter)
-            tag = (comp_names.setdefault(root, len(comp_names)), 1 if emitter == prev else 0)
-        arcs.append((slope, tag))
-    return (
-        tuple(sorted(arcs)),
-        state.sinks_left,
-        e_max - state.n_edges,
-        v_max - state.n_vertices,
-        state.cycles,
-        state.prev_key,
+            pairs = itertools.product(hung(m), hung(rest))
+        for a, b in pairs:
+            yield a + ((rest, b),)
+
+
+def _glue(slopes, root, b1):
+    """The core of one generated tree: leg classes 3 + 2i and 4 + 2i,
+    slopes s and -s, are glued into an edge of slope s.  None when a
+    glued edge is a loop or closes a cycle that no positive lengths
+    close: -v must lie in the cone of the cycle's slopes for each of its
+    slopes v."""
+    edges = []  # (parent, child, slope out of the parent), parents first
+    legs = []  # (vertex, class)
+
+    def place(v, kids):
+        for m, sub in kids:
+            if not sub:
+                legs.append((v, m.index(1)))
+                continue
+            w = len(edges) + 1
+            edges.append((v, w, _slope_sum(m, slopes)))
+            place(w, sub)
+
+    place(0, root)
+    n_vertices = len(edges) + 1
+    up = [None] * n_vertices
+    depth = [0] * n_vertices
+    for u, v, s in edges:
+        up[v] = (u, s)
+        depth[v] = depth[u] + 1
+    at = {k: v for v, k in legs}
+    glued = []
+    for i in range(b1):
+        s = slopes[3 + 2 * i]
+        a, b = at[3 + 2 * i], at[4 + 2 * i]
+        if a == b:
+            return None
+        cycle = [s]  # a -> b along the glued edge, then back up the tree
+        x, y = b, a
+        while x != y:
+            if depth[x] >= depth[y]:
+                x, step = up[x]
+                cycle.append((-step[0], -step[1]))
+            else:
+                y, step = up[y]
+                cycle.append(step)
+        if not all(_cone_contains(cycle, (-v[0], -v[1])) for v in cycle):
+            return None
+        glued.append(Edge(a, b, s))
+    return CombinatorialType(
+        (0,) * n_vertices,
+        tuple(Edge(u, v, s) for u, v, s in edges) + tuple(glued),
+        tuple(Leg(v, s) for s, v in sorted((slopes[k], v) for v, k in legs if k < 3)),
     )
 
 
@@ -143,195 +224,30 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
     """All weightless cores with nonzero edge slopes, degree d, Betti b1.
 
     Returns canonical CombinatorialTypes (legs unlabeled within a slope
-    class), realizable ones only.  `slope_bound` widens the arc alphabet
-    beyond the dual-polygon bound d, for falsification tests of the
-    corpus contract.  Results are memoized per process.
+    class), realizable ones only, sorted by canonical key.  `slope_bound`
+    widens the slope alphabet beyond the dual-polygon bound d, for
+    falsification tests of the corpus contract.  Results are memoized per
+    process.
     """
     cache_key = (d, b1, max_valency, slope_bound)
     if cache_key in _CORE_CACHE:
         return _CORE_CACHE[cache_key]
-    alphabet = _arc_alphabet(d if slope_bound is None else slope_bound)
-    v_max = 3 * d + 2 * b1 - 2
-    e_max = 3 * d + 3 * b1 - 3
-    seen = {}
-    sterile = set()
-    partition_cache = {}
-
-    def partitions(target, cap):
-        key = (target, cap)
-        if key not in partition_cache:
-            partition_cache[key] = _vector_partitions(target, alphabet, cap)
-        return partition_cache[key]
-
-    def rec(state):
-        if not state.open_arcs:
-            if state.sinks_left == 0 and state.cycles == b1 and state.n_vertices > 0:
-                roots = {find(state.parent, v) for v in range(state.n_vertices)}
-                if len(roots) == 1:
-                    t = _build_type(state)
-                    if t is not None:
-                        key = canonical_key(t, labeled="none")
-                        if key in seen:
-                            return True
-                        # a tree of positive lengths always realizes
-                        if state.cycles == 0 or is_realizable(t):
-                            seen[key] = t
-                            return True
-            return False
-        if state.n_vertices >= v_max:
-            return False
-        sig = _signature(state, v_max, e_max)
-        if sig in sterile:
-            return False
-        open_internal = sum(1 for a in state.open_arcs if a[1] >= 0)
-        # budget window: future vertices must merge all components and
-        # close the remaining cycles within the edge and vertex budgets
-        comp = len({find(state.parent, v) for v in range(state.n_vertices)})
-        slack = comp - 1 + b1 - state.cycles
-        v_lo = max(1, open_internal - slack)
-        v_hi = min(v_max - state.n_vertices, e_max - state.n_edges - comp + 1 - b1 + state.cycles)
-        if v_lo > v_hi:
-            sterile.add(sig)
-            return False
-        produced = False
-        classes = {}
-        for idx, arc in enumerate(state.open_arcs):
-            classes.setdefault(arc, []).append(idx)
-        class_list = sorted(classes)
-        counts = [len(classes[c]) for c in class_list]
-        for take in itertools.product(*[range(c + 1) for c in counts]):
-            n_take = sum(take)
-            if n_take == 0:
+    bound = d if slope_bound is None else slope_bound
+    counts = (d, d, d) + (1,) * (2 * b1)
+    found = {}
+    for pair_slopes in itertools.combinations_with_replacement(_arc_alphabet(bound), b1):
+        slopes = _CLASS_SLOPES + tuple(x for s in pair_slopes for x in (s, (-s[0], -s[1])))
+        for root in _trees(slopes, counts, bound, max_valency):
+            t = _glue(slopes, root, b1)
+            if t is None:
                 continue
-            chosen = []
-            for ci, k in enumerate(take):
-                chosen.extend(classes[class_list[ci]][:k])
-            if state.cycles == b1:
-                # cycle budget exhausted: consumed arcs must come from
-                # pairwise distinct components
-                comps = []
-                clash = False
-                for i in chosen:
-                    em = state.open_arcs[i][1]
-                    root = find(state.parent, em) if em >= 0 else None
-                    if root is not None:
-                        if root in comps:
-                            clash = True
-                            break
-                        comps.append(root)
-                if clash:
-                    continue
-            sx = sum(state.open_arcs[i][0][0] for i in chosen)
-            sy = sum(state.open_arcs[i][0][1] for i in chosen)
-            remaining_edges = e_max - state.n_edges - open_internal
-            if remaining_edges < 0:
-                continue
-            prev_in_a = any(state.open_arcs[i][1] == state.n_vertices - 1 for i in chosen)
-            for n_sinks in range(0, state.sinks_left + 1):
-                tx, ty = sx - n_sinks, sy - n_sinks
-                if ty < 0:
-                    continue
-                for parts in partitions((tx, ty), remaining_edges):
-                    val = n_take + n_sinks + len(parts)
-                    if val < 3:
-                        continue
-                    if max_valency is not None and val > max_valency:
-                        continue
-                    key = _step_key(state, chosen, n_sinks, parts)
-                    if (
-                        state.prev_key is not None
-                        and key < state.prev_key
-                        and not prev_in_a
-                    ):
-                        # this step is independent of the previous one and has
-                        # a smaller key: the greedy order does them the other
-                        # way around, so this branch is a duplicate
-                        continue
-                    child = _apply_vertex(state, chosen, n_sinks, parts, b1, key)
-                    if child is not None:
-                        if rec(child):
-                            produced = True
-        if not produced:
-            sterile.add(sig)
-        return produced
-
-    state = _SweepState(d)
-    rec(state)
-    result = sorted(seen.values(), key=lambda t: canonical_key(t, labeled="none"))
+            key = canonical_key(t, labeled="none")
+            if key not in found:
+                # a tree of positive lengths always realizes
+                found[key] = t if b1 == 0 or is_realizable(t) else None
+    result = [found[k] for k in sorted(found) if found[k] is not None]
     _CORE_CACHE[cache_key] = result
     return result
-
-
-def _apply_vertex(state, chosen, n_sinks, parts, b1_budget, key=None):
-    v = state.n_vertices
-    parent = list(state.parent) + [v]
-    cycles = state.cycles
-    edges = list(state.edges)
-    legs = list(state.legs)
-    closed_cycle = False
-    for i in chosen:
-        slope, emitter = state.open_arcs[i]
-        if emitter == -1:
-            legs.append((v, (-1, 0)))
-        elif emitter == -2:
-            legs.append((v, (0, -1)))
-        else:
-            ru, rv = find(parent, emitter), find(parent, v)
-            if ru == rv:
-                cycles += 1
-                closed_cycle = True
-                if cycles > b1_budget:
-                    return None
-            else:
-                parent[ru] = rv
-            edges.append((emitter, v, slope))
-    for _ in range(n_sinks):
-        legs.append((v, (1, 1)))
-    child = _SweepState.__new__(_SweepState)
-    chosen_set = set(chosen)
-    child.open_arcs = [arc for i, arc in enumerate(state.open_arcs) if i not in chosen_set]
-    child.open_arcs += [(s, v) for s in parts]
-    child.sinks_left = state.sinks_left - n_sinks
-    child.n_vertices = v + 1
-    child.n_edges = state.n_edges + len([i for i in chosen if state.open_arcs[i][1] >= 0])
-    child.parent = parent
-    child.cycles = cycles
-    child.edges = edges
-    child.legs = legs
-    child.prev_key = key
-    if closed_cycle and not _partial_realizable(child):
-        return None
-    return child
-
-
-def _partial_realizable(state):
-    """Cycle feasibility of the component just closed by the new vertex.
-
-    A prefix subgraph of a realizable curve is realizable (restrict the
-    realization), so this prune is sound.  Only the newest component can
-    have gained a cycle.
-    """
-    parent = state.parent
-    root = find(parent, state.n_vertices - 1)
-    comp = sorted(v for v in range(state.n_vertices) if find(parent, v) == root)
-    renum = {v: i for i, v in enumerate(comp)}
-    edges = tuple(
-        Edge(renum[u], renum[v], s) for u, v, s in state.edges if find(parent, u) == root
-    )
-    t = CombinatorialType((0,) * len(comp), edges, ())
-    return is_realizable(t)
-
-
-def _build_type(state):
-    weights = (0,) * state.n_vertices
-    edges = tuple(Edge(u, v, s) for u, v, s in state.edges)
-    legs = tuple(Leg(v, s) for v, s in sorted(state.legs, key=lambda x: (x[1], x[0])))
-    t = CombinatorialType(weights, edges, legs)
-    if check_balancing(t) is not None:
-        return None
-    if not is_stable(t):
-        return None
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +281,6 @@ def _split_leg(t, j):
     return CombinatorialType(t.weights + (0,), tuple(edges), tuple(legs)), w
 
 
-def _mark_sites(t):
-    """Sites where the next contracted leg can attach.
-
-    Splitting a contracted leg is omitted: the new mark would share its
-    point with an existing one, impossible for distinct configurations.
-    """
-    out = [("vertex", v) for v in range(t.n_vertices())]
-    out += [("edge", i) for i in range(len(t.edges))]
-    out += [("leg", j) for j in range(len(t.legs)) if not t.legs[j].is_contracted()]
-    return out
-
-
 def _attach_mark(t, site):
     """Attach the next contracted leg at a site.
 
@@ -395,18 +299,6 @@ def _attach_mark(t, site):
     legs = list(base.legs)
     legs.insert(n, Leg(host, (0, 0)))
     return CombinatorialType(base.weights, base.edges, tuple(legs))
-
-
-def marked_types(t, n_marks):
-    """All ways of attaching n contracted legs to a core."""
-    out = [t]
-    for _ in range(n_marks):
-        nxt = []
-        for cur in out:
-            for site in _mark_sites(cur):
-                nxt.append(_attach_mark(cur, site))
-        out = nxt
-    return out
 
 
 class _CoreScanner:
@@ -484,31 +376,6 @@ class _CoreScanner:
             gens.append(t.legs[vb].slope)
         return [g for g in gens if g != (0, 0)]
 
-    @staticmethod
-    def _cone_contains(gens, w):
-        """Exact 2D test: is w a nonnegative combination of the generators?"""
-        wx, wy = w
-        if wx == 0 and wy == 0:
-            return True
-        for gx, gy in gens:
-            if gx * wy - gy * wx == 0 and gx * wx + gy * wy > 0:
-                return True
-        n = len(gens)
-        for i in range(n):
-            gi = gens[i]
-            for j in range(i + 1, n):
-                gj = gens[j]
-                det = gi[0] * gj[1] - gi[1] * gj[0]
-                if det == 0:
-                    continue
-                x = (wx * gj[1] - wy * gj[0])
-                y = (gi[0] * wy - gi[1] * wx)
-                if det < 0:
-                    x, y, det = -x, -y, -det
-                if x >= 0 and y >= 0:
-                    return True
-        return False
-
     def pair_ok(self, a, b, w):
         """Can a curve place two points on sites a, b with difference
         along w?  The two-point system is a cone, so the answer is
@@ -520,7 +387,7 @@ class _CoreScanner:
         if cached is not None:
             return cached
         gens = self._pair_generators(a, b)
-        if not self._cone_contains(gens, w):
+        if not _cone_contains(gens, w):
             ok = False
         elif not self.cycles:
             ok = True

@@ -75,7 +75,7 @@ def test_fiber_subcommand(tmp_path, capsys):
 
     t = tropical_line(n_marks=2)
     # subdivide: put marks on rays via the corpus helper for a solvable fiber
-    from tropcurves.corpus import _attach_mark, _mark_sites
+    from tropcurves.corpus import _attach_mark
 
     base = tropical_line()
     # attach two marks on two different rays

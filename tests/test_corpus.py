@@ -2,12 +2,7 @@ import itertools
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import cone_dimension, expected_dimension, is_realizable
-from tropcurves.corpus import (
-    _attach_mark,
-    enumerate_cores,
-    marked_types,
-    scan_fibers,
-)
+from tropcurves.corpus import _attach_mark, enumerate_cores, scan_fibers
 from tropcurves.evaluation import fiber
 from tropcurves.floors import enumerate_curves, make_stretched
 from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, genus, is_stable
@@ -107,17 +102,44 @@ def test_degree_two_cores_match_tree_oracle():
 def test_slope_bound_is_sharp_at_degree_two():
     # widening the slope alphabet adds no realizable cores: the dual
     # polygon bound is not an artifact of the enumeration
-    wide = {canonical_key(t, labeled="none") for t in enumerate_cores(2, 0, slope_bound=3)}
-    normal = {canonical_key(t, labeled="none") for t in enumerate_cores(2, 0)}
-    assert wide == normal
+    for b1 in (0, 1):
+        wide = [canonical_key(t, labeled="none") for t in enumerate_cores(2, b1, slope_bound=3)]
+        normal = [canonical_key(t, labeled="none") for t in enumerate_cores(2, b1)]
+        assert wide == normal
     assert set(tree_oracle_cores(2, slope_bound=3)) == set(tree_oracle_cores(2))
+
+
+def test_betti_one_cores_degree_two():
+    cores = enumerate_cores(2, 1)
+    assert len(cores) == 156
+    for t in cores:
+        assert t.is_weightless()
+        assert is_stable(t)
+        assert check_balancing(t) is None
+        assert t.first_betti() == 1
+        assert is_realizable(t)
+        assert all(max(abs(e.slope[0]), abs(e.slope[1])) <= 2 for e in t.edges)
+    # a core that a plane sweep lost when its cache of dead-end states
+    # ignored the slopes of the edges already placed
+    square = CombinatorialType(
+        weights=(0, 0, 0, 0),
+        edges=(Edge(0, 1, (0, -1)), Edge(0, 2, (-1, 0)), Edge(2, 3, (1, 0)), Edge(1, 3, (0, 1))),
+        legs=(
+            Leg(2, (-1, 0)),
+            Leg(2, (-1, 0)),
+            Leg(1, (0, -1)),
+            Leg(1, (0, -1)),
+            Leg(0, (1, 1)),
+            Leg(3, (1, 1)),
+        ),
+    )
+    assert canonical_key(square, labeled="none") in {canonical_key(t, labeled="none") for t in cores}
 
 
 def test_degree_three_tree_corpus_frozen():
     cores = enumerate_cores(3, 0)
     assert len(cores) == 6422
-    sample = cores[:50]
-    for t in sample:
+    for t in cores:
         assert check_balancing(t) is None
         assert is_stable(t)
         assert genus(t) == 0
@@ -125,11 +147,31 @@ def test_degree_three_tree_corpus_frozen():
         assert cone_dimension(t) >= expected_dimension(t)
 
 
+def test_trivalent_cores_are_the_trivalent_members():
+    trivalent = [
+        canonical_key(t, labeled="none")
+        for t in enumerate_cores(3, 0)
+        if all(t.valency(v) == 3 for v in range(t.n_vertices()))
+    ]
+    capped = [canonical_key(t, labeled="none") for t in enumerate_cores(3, 0, max_valency=3)]
+    assert len(capped) == 791
+    assert capped == trivalent
+
+
 def test_marked_types_dimension_law_degree_two():
     # the dimension law across all 0-, 1- and 2-marked corpus types
     for core in enumerate_cores(2, 0):
+        level = [core]
         for n in (0, 1, 2):
-            for t in marked_types(core, n):
+            if n:
+                level = [
+                    _attach_mark(t, site)
+                    for t in level
+                    for site in [("vertex", v) for v in range(t.n_vertices())]
+                    + [("edge", i) for i in range(len(t.edges))]
+                    + [("leg", j) for j, leg in enumerate(t.legs) if not leg.is_contracted()]
+                ]
+            for t in level:
                 dim = cone_dimension(t)
                 assert dim >= expected_dimension(t)
                 vals = [t.valency(v) for v in range(t.n_vertices())]
