@@ -243,18 +243,7 @@ def expand_lengths(t: CombinatorialType, points, coeffs, lengths):
 
 def is_realizable(t: CombinatorialType):
     """True when the open cone (all lengths strictly positive) is nonempty."""
-    ne = len(t.edges)
-    if ne == 0:
-        return True
-    # maximize t subject to the cycle equations and l_e >= t (via slacks);
-    # by homogeneity the cone has interior iff this is unbounded
-    Q = Polyhedron(2 * ne + 1)
-    for row in cycle_system(t):
-        Q.add_eq(row, 0)
-    for i in range(ne):
-        Q.add_eq({i: 1, ne: -1, ne + 1 + i: -1}, 0)
-    res = Q.optimize({ne: 1}, sense="max")
-    return res.status == "unbounded" or (res.status == "optimal" and res.value > 0)
+    return reduced_fiber_polyhedron(t, ())[0].strict_point() is not None
 
 
 def cone_of(t: CombinatorialType):

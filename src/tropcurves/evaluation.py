@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tropcurves.graphs import CombinatorialType, ParametrizedCurve, face_contract
-from tropcurves.linalg import Polyhedron, solve_affine
+from tropcurves.linalg import solve_affine
 
 F = Fraction
 
@@ -96,17 +96,11 @@ def curve_at(t: CombinatorialType, x):
 
 
 def _cone_dim(t: CombinatorialType):
-    """Dimension of the closed cone (nonnegative-length solutions)."""
-    from tropcurves.cones import cone_dimension, cycle_system, is_realizable
+    """Dimension of the closed cone (nonnegative-length solutions); the
+    cone holds 0, so the length polyhedron is never empty."""
+    from tropcurves.cones import reduced_fiber_polyhedron
 
-    if is_realizable(t):
-        return cone_dimension(t)
-    ne = len(t.edges)
-    P = Polyhedron(ne)
-    for row in cycle_system(t):
-        P.add_eq(row, 0)
-    d = P.dim()
-    return d + 2 if d >= 0 else -1
+    return reduced_fiber_polyhedron(t, ())[0].dim() + 2
 
 
 def fiber(t: CombinatorialType, cfg: PointConfiguration):

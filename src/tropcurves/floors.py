@@ -476,6 +476,34 @@ class Decomposition:
     problems: tuple
 
 
+def floors_of(t: CombinatorialType, positions):
+    """The floors of a floor decomposed type, as sorted vertex tuples.
+
+    A floor is a component of the type without its vertical edges that
+    carries an edge or leg of nonzero horizontal slope.  Floors are
+    ordered bottom to top by lowest height, then by vertices.  Raises
+    NotFloorDecomposed when some edge or leg has a slope other than
+    (+-1, *) or (0, *).
+    """
+    for s in [e.slope for e in t.edges] + [leg.slope for leg in t.legs]:
+        if abs(s[0]) not in (0, 1):
+            raise NotFloorDecomposed(s)
+    parent = list(range(t.n_vertices()))
+    for e in t.edges:
+        if e.slope[0] != 0 or e.slope[1] == 0:
+            a, b = find(parent, e.u), find(parent, e.v)
+            if a != b:
+                parent[a] = b
+    carriers = [e.u for e in t.edges if e.slope[0] != 0]
+    carriers += [leg.vertex for leg in t.legs if leg.slope[0] != 0]
+    roots = {find(parent, v) for v in carriers}
+    comps = {}
+    for v in range(t.n_vertices()):
+        comps.setdefault(find(parent, v), []).append(v)
+    floors = [tuple(vs) for r, vs in comps.items() if r in roots]
+    return tuple(sorted(floors, key=lambda vs: (min(positions[v][1] for v in vs), vs)))
+
+
 def decompose(curve: ParametrizedCurve):
     """Split a curve into floors and elevators.
 
@@ -483,41 +511,9 @@ def decompose(curve: ParametrizedCurve):
     than (+-1, *) or (0, *).
     """
     t = curve.ctype
-    for e in t.edges:
-        if abs(e.slope[0]) not in (0, 1):
-            raise NotFloorDecomposed(e.slope)
-    for leg in t.legs:
-        if abs(leg.slope[0]) not in (0, 1):
-            raise NotFloorDecomposed(leg.slope)
-
+    floor_comps = floors_of(t, curve.positions)
     vertical_edges = [i for i, e in enumerate(t.edges) if e.slope[0] == 0 and e.slope[1] != 0]
     vertical_legs = [j for j, leg in enumerate(t.legs) if leg.slope[0] == 0 and leg.slope[1] != 0]
-
-    # components after removing elevator interiors
-    n = t.n_vertices()
-    parent = list(range(n))
-    for i, e in enumerate(t.edges):
-        if i not in vertical_edges and not e.is_loop():
-            a, b = find(parent, e.u), find(parent, e.v)
-            if a != b:
-                parent[a] = b
-    comps = {}
-    for v in range(n):
-        comps.setdefault(find(parent, v), []).append(v)
-
-    # a floor is a component carrying some non-contracted horizontal piece
-    def is_floor(vs):
-        vset = set(vs)
-        for i, e in enumerate(t.edges):
-            if i not in vertical_edges and e.u in vset and e.slope != (0, 0):
-                return True
-        for j, leg in enumerate(t.legs):
-            if j not in vertical_legs and leg.vertex in vset and leg.slope != (0, 0):
-                return True
-        return False
-
-    floor_comps = [tuple(sorted(vs)) for vs in comps.values() if is_floor(vs)]
-    floor_comps.sort(key=lambda vs: (min(curve.positions[v][1] for v in vs), vs))
     floor_of = {}
     for idx, vs in enumerate(floor_comps, start=1):
         for v in vs:
@@ -632,7 +628,7 @@ def decompose(curve: ParametrizedCurve):
             )
 
     return Decomposition(
-        floors=tuple(floor_comps),
+        floors=floor_comps,
         elevators=tuple(elevators),
         diagram=diagram,
         problems=tuple(problems),

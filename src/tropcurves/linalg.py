@@ -309,6 +309,8 @@ class Polyhedron:
 
     def dim(self):
         """Dimension of the polyhedron (-1 when empty)."""
+        if not self.rows:
+            return self.n  # the nonnegative orthant: no LP needed
         zero = []
         if self.strict_point() is None:
             if self.feasible_point() is None:

@@ -26,6 +26,10 @@ def frac_str(x):
 
 
 def parse_frac(s):
+    """A rational from a "p/q" string or an int; floats and booleans are
+    refused, so no binary fraction enters the exact arithmetic."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ValueError(f"rational {s!r} is not an int or a \"p/q\" string")
     return F(s)
 
 
@@ -63,9 +67,18 @@ def graph_to_json(g: TropicalGraph):
     }
 
 
+def _vertices(data, what):
+    """The vertex records sorted by id; the ids must be exactly 0..V-1."""
+    vertices = sorted(data["vertices"], key=lambda d: d["id"])
+    ids = [d["id"] for d in vertices]
+    if ids != list(range(len(vertices))):
+        raise ValueError(f"{what} JSON: vertex ids {ids} are not 0..{len(vertices) - 1}")
+    return vertices
+
+
 @_reader
 def graph_from_json(data):
-    vertices = sorted(data["vertices"], key=lambda d: d["id"])
+    vertices = _vertices(data, "graph")
     return TropicalGraph(
         weights=tuple(d["weight"] for d in vertices),
         edges=tuple((e["u"], e["v"]) for e in data["edges"]),
@@ -91,7 +104,7 @@ def int_pair(value, what):
 
 @_reader
 def type_from_json(data):
-    vertices = sorted(data["vertices"], key=lambda d: d["id"])
+    vertices = _vertices(data, "type")
     what = "type JSON: slope"
     return CombinatorialType(
         weights=tuple(d["weight"] for d in vertices),

@@ -10,9 +10,12 @@ number of special points between E and the nearest downward elevator --
 which strictly decreases lexicographically until a stratum with an
 unbounded contracted edge is reached: the genus-drop witness.
 
-Everything is exact; every wall is re-checked to be a simple wall, every
-crossing is re-checked to contract back to its wall, and the terminal
-ray is certified to move nothing but one contracted edge length.
+Everything is exact.  Every wall is re-checked to be a simple wall.  A
+crossing enters one of the wall's resolutions by construction, since
+`split_vertex` splits the wall's 4-valent vertex;
+`test_walls_resolve_and_contract_back` checks that all three
+resolutions of each wall met contract back to it.  The terminal ray is
+certified to move nothing but one contracted edge length.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from tropcurves.cones import (
 )
 from tropcurves.errors import WalkError
 from tropcurves.evaluation import PointConfiguration
-from tropcurves.floors import decompose, diagram_curve, make_stretched, solution_diagrams
+from tropcurves.floors import diagram_curve, floors_of, make_stretched, solution_diagrams
 from tropcurves.graphs import (
     CombinatorialType,
     Edge,
@@ -50,6 +53,7 @@ class WallEvent:
     wall_type: CombinatorialType
     four_valent_vertex: int
     parameter: Fraction  # motion parameter at which the wall is hit
+    edge_map: dict  # edge index before the contraction -> index in wall_type
 
 
 @dataclass(frozen=True)
@@ -72,20 +76,13 @@ class WalkState:
     floor_index: int  # k: host floor of E, counted from the bottom
     ladder: int  # r
 
-    def interior_curve(self):
-        """A curve strictly inside the stratum along the motion ray."""
+    def interior_positions(self):
+        """Vertex positions strictly inside the stratum along the motion ray."""
         step = _first_positive_ratio(self.lengths, self.direction)
         t = F(1) if step is None else step / 2
-        lengths = tuple(a + t * b for a, b in zip(self.lengths, self.direction))
-        return _curve_from_lengths(self.ctype, self.fixed, lengths)
-
-
-def _curve_from_lengths(t, cfg, lengths):
-    coeffs = path_coefficients(t)
-    full = expand_lengths(t, cfg.points, coeffs, list(lengths))
-    nv = t.n_vertices()
-    positions = tuple((full[2 * v], full[2 * v + 1]) for v in range(nv))
-    return ParametrizedCurve(t, tuple(lengths), positions)
+        lengths = [a + t * b for a, b in zip(self.lengths, self.direction)]
+        full = expand_lengths(self.ctype, self.fixed.points, path_coefficients(self.ctype), lengths)
+        return tuple((full[2 * v], full[2 * v + 1]) for v in range(self.ctype.n_vertices()))
 
 
 def _first_positive_ratio(lengths, direction):
@@ -136,53 +133,43 @@ def _velocities(t, direction):
 # ---------------------------------------------------------------------------
 
 
-def _elevator_foot(t, curve, edge_index):
+def _elevator_foot(t, positions, edge_index):
     """(foot vertex, top vertex) of a vertical edge, by height."""
     e = t.edges[edge_index]
-    if curve.positions[e.u][1] <= curve.positions[e.v][1]:
+    if positions[e.u][1] <= positions[e.v][1]:
         return e.u, e.v
     return e.v, e.u
 
 
-def _floor_data(curve):
-    dec = decompose(curve)
-    floor_of = {}
-    for idx, vs in enumerate(dec.floors, start=1):
-        for v in vs:
-            floor_of[v] = idx
-    return dec, floor_of
-
-
-def _ladder(state, curve):
-    """(k, r, target x, nearest downward elevator edge) for the state."""
-    t = state.ctype
-    dec, floor_of = _floor_data(curve)
-    foot, _top = _elevator_foot(t, curve, state.elevator)
-    if foot not in floor_of:
+def _ladder(t, positions, elevator):
+    """(k, r, target x): the floor index k of the elevator's foot, the
+    ladder r, and the x of the nearest other downward elevator on floor k."""
+    floors = floors_of(t, positions)
+    foot, _top = _elevator_foot(t, positions, elevator)
+    k = next((k for k, vs in enumerate(floors, start=1) if foot in vs), None)
+    if k is None:
         raise WalkError("mobile elevator foot is not on a floor")
-    k = floor_of[foot]
-    x_e = curve.positions[foot][0]
+    x_e = positions[foot][0]
     # downward elevator attachments on floor k (vertical germ pointing down)
-    floor_vertices = set(dec.floors[k - 1])
-    candidates = []
+    floor_vertices = set(floors[k - 1])
+    attachments = []
     for i, e in enumerate(t.edges):
-        if i == state.elevator or e.slope[0] != 0 or e.slope[1] == 0:
+        if i == elevator or e.slope[0] != 0 or e.slope[1] == 0:
             continue
-        fo, to = _elevator_foot(t, curve, i)
+        to = _elevator_foot(t, positions, i)[1]
         if to in floor_vertices:
-            candidates.append((abs(curve.positions[to][0] - x_e), curve.positions[to][0], i))
-    for j, leg in enumerate(t.legs):
+            attachments.append(positions[to][0])
+    for leg in t.legs:
         if leg.slope[0] == 0 and leg.slope[1] < 0 and leg.vertex in floor_vertices:
-            candidates.append((abs(curve.positions[leg.vertex][0] - x_e), curve.positions[leg.vertex][0], None))
-    candidates = [c for c in candidates if c[0] > 0]
+            attachments.append(positions[leg.vertex][0])
+    candidates = [(abs(x - x_e), x) for x in attachments if x != x_e]
     if not candidates:
         raise WalkError(f"floor {k} has no other downward elevator")
-    candidates.sort(key=lambda c: (c[0], -c[1]))  # nearest; ties prefer the right
-    _dist, x_target, _edge = candidates[0]
+    _dist, x_target = min(candidates, key=lambda c: (c[0], -c[1]))  # nearest; ties prefer the right
     lo, hi = min(x_e, x_target), max(x_e, x_target)
     specials = set()
     for v in floor_vertices:
-        x = curve.positions[v][0]
+        x = positions[v][0]
         if lo < x <= hi if x_target > x_e else lo <= x < hi:
             specials.add(x)
     r = len(specials)
@@ -233,8 +220,8 @@ def start_walk(d, g, cfg=None, seed=0):
         floor_index=0,
         ladder=0,
     )
-    k, r, x_target = _ladder(state, new_curve)
-    foot, _ = _elevator_foot(t, new_curve, elevator)
+    k, r, x_target = _ladder(t, new_curve.positions, elevator)
+    foot, _ = _elevator_foot(t, new_curve.positions, elevator)
     dx = _velocities(t, v)[2 * foot]
     if dx == 0:
         raise WalkError("fiber direction does not move the mobile elevator")
@@ -315,19 +302,19 @@ def advance(state: WalkState):
         raise WalkError(f"{len(vanished)} lengths vanish simultaneously; wall is not simple")
     dead = vanished[0]
     t = state.ctype
-    wall_type, vmap, emap = face_contract(t, [dead], with_maps=True)
+    wall_type, _, edge_map = face_contract(t, [dead], with_maps=True)
     cls = classify(wall_type)
     if not cls.is_simple_wall():
         raise WalkError(f"wall stratum classified as {cls.kind}")
     u = cls.four_valent_vertex
-    e_new = emap.get(state.elevator)
+    e_new = edge_map.get(state.elevator)
     if e_new is None:
         raise WalkError("the mobile elevator itself collapsed")
     we = wall_type.edges[e_new]
     if we.u != u and we.v != u:
         raise WalkError("wall vertex is not adjacent to the mobile elevator")
     kind = _event_kind(wall_type, u, e_new)
-    event = WallEvent(kind=kind, wall_type=wall_type, four_valent_vertex=u, parameter=step)
+    event = WallEvent(kind=kind, wall_type=wall_type, four_valent_vertex=u, parameter=step, edge_map=edge_map)
     at_wall = replace(state, lengths=wall_lengths)
     return at_wall, event
 
@@ -378,12 +365,9 @@ def cross(state: WalkState, event: WallEvent, choice: str):
     """
     if choice not in ("continue", "merge", "descend", "land"):
         raise ValueError("choice must be continue, merge, descend, or land")
-    t = state.ctype
-    dead = [i for i, l in enumerate(state.lengths) if l == 0]
-    if len(dead) != 1:
+    if sum(1 for l in state.lengths if l == 0) != 1:
         raise WalkError("cross expects a state sitting on its wall")
-    dead = dead[0]
-    wall_type, vmap, emap = face_contract(t, [dead], with_maps=True)
+    wall_type, emap = event.wall_type, event.edge_map
     u = event.four_valent_vertex
     e_idx = emap[state.elevator]
     _e_germ, e_desc = _germ_of_edge(wall_type, u, e_idx)
@@ -412,17 +396,15 @@ def cross(state: WalkState, event: WallEvent, choice: str):
     lengths = [F(0)] * len(new_type.edges)
     for old, new in emap.items():
         lengths[new] = state.lengths[old]
-    lengths[new_edge] = F(0)
     direction = _direction_away_from_wall(new_type, state.fixed, new_edge)
     # E keeps its index: split_vertex preserves edge numbering
-    new_elevator = emap[state.elevator]
     return WalkState(
         ctype=new_type,
         lengths=tuple(lengths),
         direction=direction,
         fixed=state.fixed,
         mobile=state.mobile,
-        elevator=new_elevator,
+        elevator=e_idx,
         floor_index=state.floor_index,
         ladder=state.ladder,
     )
@@ -490,8 +472,7 @@ class WalkTrace:
 
 
 def _refresh_invariant(state):
-    curve = state.interior_curve()
-    k, r, _x = _ladder(state, curve)
+    k, r, _x = _ladder(state.ctype, state.interior_positions(), state.elevator)
     return replace(state, floor_index=k, ladder=r)
 
 
@@ -573,12 +554,7 @@ def run_walk(d, g, cfg=None, seed=0):
 def _met_weight(at_wall, event):
     wall_type = event.wall_type
     u = event.four_valent_vertex
-    emap = None
-    t = at_wall.ctype
-    dead = [i for i, l in enumerate(at_wall.lengths) if l == 0][0]
-    _wt, _vmap, emap = face_contract(t, [dead], with_maps=True)
-    e_idx = emap[at_wall.elevator]
-    _g, e_desc = _germ_of_edge(wall_type, u, e_idx)
+    _g, e_desc = _germ_of_edge(wall_type, u, event.edge_map[at_wall.elevator])
     others = [(s, d) for s, d in wall_type.star(u) if d != e_desc]
     met = _met_germ(others)
     return abs(met[0][1]) if met[0] != (0, 0) else 1

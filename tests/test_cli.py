@@ -138,6 +138,18 @@ def test_fiber_malformed_type_json(tmp_path, capsys):
     assert err.startswith("error: type JSON is malformed")
 
 
+def test_fiber_refuses_float_points(tmp_path, capsys):
+    from fixtures import tropical_line
+
+    tf = tmp_path / "type.json"
+    tf.write_text(json.dumps(type_to_json(tropical_line(n_marks=2))))
+    pf = tmp_path / "pts.json"
+    pf.write_text(json.dumps({"points": [[0.1, 0], ["1", "2"]]}))
+    code, out, err = run_cli(capsys, "fiber", "--type", str(tf), "--points", str(pf))
+    assert (code, out) == (2, "")
+    assert err == 'error: rational 0.1 is not an int or a "p/q" string\n'
+
+
 def test_walk_error_exit_status(monkeypatch, capsys):
     import tropcurves.walk
     from tropcurves.walk import WalkError

@@ -16,6 +16,7 @@ from tropcurves.floors import (
     count_severi,
     decompose,
     diagram_curve,
+    floors_of,
     enumerate_curves,
     is_vertically_stretched,
     make_stretched,
@@ -123,6 +124,7 @@ def test_decompose_constructed_solutions():
             assert len(dec.floors) == d
             # round trip: the decomposition recovers the marked diagram
             assert dec.diagram == diag
+            assert floors_of(curve.ctype, curve.positions) == dec.floors
 
 
 def test_decompose_tropical_line():

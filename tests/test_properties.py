@@ -1,6 +1,7 @@
 """Property tests on small random combinatorial types (Hypothesis)."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -8,10 +9,29 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from tropcurves.canonical import aut_order, brute_force_aut_order, canonical_key, relabel  # noqa: E402
-from tropcurves.graphs import CombinatorialType, Edge, Leg  # noqa: E402
-from tropcurves.serialize import dumps, type_from_json, type_to_json  # noqa: E402
+from tropcurves.evaluation import PointConfiguration  # noqa: E402
+from tropcurves.graphs import (  # noqa: E402
+    CombinatorialType,
+    Edge,
+    Leg,
+    ParametrizedCurve,
+    check_balancing,
+    face_contract,
+    find,
+    genus,
+)
+from tropcurves.serialize import (  # noqa: E402
+    config_from_json,
+    config_to_json,
+    curve_from_json,
+    curve_to_json,
+    dumps,
+    type_from_json,
+    type_to_json,
+)
 
 SLOPES = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+RATIONALS = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
 
 
@@ -50,3 +70,70 @@ def test_aut_order_matches_brute_force(t):
 @hypothesis.given(small_types())
 def test_type_json_round_trip(t):
     assert type_from_json(json.loads(dumps(type_to_json(t)))) == t
+
+
+@st.composite
+def balanced_types(draw):
+    """A small type with one more leg at each unbalanced vertex, of the
+    slope that balances it."""
+    t = draw(small_types())
+    fixes = []
+    for v in range(t.n_vertices()):
+        sx = sum(s[0] for s, _d in t.star(v))
+        sy = sum(s[1] for s, _d in t.star(v))
+        if (sx, sy) != (0, 0):
+            fixes.append(Leg(v, (-sx, -sy)))
+    return CombinatorialType(t.weights, t.edges, t.legs + tuple(fixes))
+
+
+@SETTINGS
+@hypothesis.given(balanced_types(), st.data())
+def test_face_contract_preserves_genus_degree_and_balancing(t, data):
+    assert check_balancing(t) is None
+    subset = data.draw(st.sets(st.integers(0, len(t.edges) - 1)) if t.edges else st.just(set()))
+    # a subset that turns an edge of nonzero slope into a loop is no face
+    parent = list(range(t.n_vertices()))
+    for i in subset:
+        parent[find(parent, t.edges[i].u)] = find(parent, t.edges[i].v)
+    kept = [e for i, e in enumerate(t.edges) if i not in subset]
+    hypothesis.assume(all(e.slope == (0, 0) or find(parent, e.u) != find(parent, e.v) for e in kept))
+    c = face_contract(t, subset)
+    assert len(c.edges) == len(t.edges) - len(subset)
+    assert genus(c) == genus(t)
+    assert c.extended_degree() == t.extended_degree()
+    assert check_balancing(c) is None
+
+
+@st.composite
+def small_curves(draw):
+    """Curves on a random tree (plus zero-slope loops): positive rational
+    lengths, and positions integrated from a rational root position."""
+    n = draw(st.integers(1, 5))
+    positions = [(draw(RATIONALS), draw(RATIONALS))]
+    edges, lengths = [], []
+    for v in range(1, n):
+        u, s = draw(st.integers(0, v - 1)), draw(SLOPES)
+        length = draw(RATIONALS.filter(lambda x: x > 0))
+        edges.append(Edge(u, v, s))
+        lengths.append(length)
+        positions.append((positions[u][0] + length * s[0], positions[u][1] + length * s[1]))
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        edges.append(Edge(v, v, (0, 0)))
+        lengths.append(draw(RATIONALS.filter(lambda x: x > 0)))
+    weights = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    legs = tuple(Leg(v, s) for v, s in draw(st.lists(st.tuples(st.integers(0, n - 1), SLOPES), max_size=3)))
+    return ParametrizedCurve(CombinatorialType(weights, tuple(edges), legs), tuple(lengths), tuple(positions))
+
+
+@SETTINGS
+@hypothesis.given(small_curves())
+def test_curve_json_round_trip(c):
+    assert curve_from_json(json.loads(dumps(curve_to_json(c)))) == c
+
+
+@SETTINGS
+@hypothesis.given(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=1, max_size=6, unique=True))
+def test_config_json_round_trip(points):
+    cfg = PointConfiguration(tuple(points))
+    assert all(isinstance(x, F) for p in cfg.points for x in p)
+    assert config_from_json(json.loads(dumps(config_to_json(cfg)))) == cfg

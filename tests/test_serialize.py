@@ -90,3 +90,33 @@ def test_readers_name_missing_keys():
         graph_from_json({"vertices": 3, "edges": [], "legs": []})
     with pytest.raises(ValueError, match=r"type JSON: slope \[1\] is not a pair of ints"):
         type_from_json({"vertices": [{"id": 0, "weight": 0}], "edges": [], "legs": [{"vertex": 0, "slope": [1]}]})
+
+
+def test_readers_refuse_floats_and_booleans():
+    with pytest.raises(ValueError, match=r"^rational 0\.1 is not an int"):
+        parse_frac(0.1)
+    with pytest.raises(ValueError, match="^rational True is not an int"):
+        parse_frac(True)
+    assert parse_frac(3) == 3 and parse_frac("-7/2") == F(-7, 2)
+    with pytest.raises(ValueError, match=r"^rational 0\.1 is not an int"):
+        config_from_json({"points": [[0.1, 0], ["1", "2"]]})
+    with pytest.raises(ValueError, match="^rational True is not an int"):
+        config_from_json({"points": [[True, 0]]})
+    data = curve_to_json(smooth_cubic_curve())
+    data["edges"][0]["length"] = 1.5
+    with pytest.raises(ValueError, match=r"^rational 1\.5 is not an int"):
+        curve_from_json(data)
+
+
+def test_readers_require_vertex_ids_zero_to_count():
+    legs = [{"vertex": 0, "slope": [0, 0]}]
+    vertices = [{"id": 0, "weight": 0}, {"id": 5, "weight": 1}]
+    for v in (1, 5):
+        data = {"vertices": vertices, "edges": [{"u": 0, "v": v, "slope": [0, 0]}], "legs": legs}
+        with pytest.raises(ValueError, match=r"type JSON: vertex ids \[0, 5\] are not 0\.\.1"):
+            type_from_json(data)
+    graph = {"vertices": vertices, "edges": [{"u": 0, "v": 1, "length": "1"}], "legs": [{"vertex": 0}]}
+    with pytest.raises(ValueError, match=r"graph JSON: vertex ids \[0, 5\] are not 0\.\.1"):
+        graph_from_json(graph)
+    graph["vertices"] = [{"id": 1, "weight": 1}, {"id": 0, "weight": 0}]
+    assert graph_from_json(graph).weights == (0, 1)

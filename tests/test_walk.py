@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from tropcurves.cones import classify, resolve_wall
 from tropcurves.evaluation import fiber
 from tropcurves.floors import make_stretched
 from tropcurves.graphs import CombinatorialType, Leg, face_contract
+from tropcurves.serialize import dumps, trace_to_json
 from tropcurves.walk import (
     StarVerdict,
     Terminal,
@@ -138,6 +140,32 @@ def test_case_two_descent_at_d3():
     tr = case2[0]
     ks = [inv[0] for inv in tr.invariants]
     assert ks[-1] < ks[0]  # the descent lowered the host floor
+
+
+WALK_TRACE_SHA256 = {
+    (3, 0, 0): "c79d465c4c8b86777ecfa686f59a7d08560e1df228fa8bc815a10df0ed2a4cfe",
+    (3, 0, 1): "9c8ba4e13abe48237e84253fc4b89bf3b722c3026e7b17996b73a9414c24e8de",
+    (3, 0, 2): "37d59b47b869808f03338fbcf51a54a9a879fa661df720d22b533cc51f65f99d",
+    (3, 0, 3): "a250133188ca6a8fb8bb286bb15582d1ca35d5886303e7bea5ad6244e75e0218",
+    (3, 0, 4): "926d940ac49ef3c8d2eba4cd4b7c6112ea18ad44da2d8566d8d4a53e90620476",
+    (3, 0, 5): "cf611a27b632317985adc0c783a93e18023653c2ed82bd73c5c9b6e1c00a1e3b",
+    (3, 0, 6): "dfb7819e00c638778b352604d6a1c07244f0a3feee54b815c76422f6cb855935",
+    (3, 0, 7): "7dca682a138777316da743ec8a35de2ba5823f4964b96b942858d6d8df79f485",
+    (3, 0, 8): "8d7b3dcb2a601ef5fc6074434387e590fa2c18fa7a93fb087c60e05a148e6b12",
+    (3, 1, 0): "556ce73f2dcafd721533dd71fb29c20058acd5dd1513426662c0b128c30db02d",
+    (4, 0, 0): "f758c9863eca0daf461be1ab59aee60e812490dabf96d5b9063e29622ba33ba9",
+    (4, 1, 0): "dca2c2043de27660a202a6ae273bb6179f31357528c273b715327aca20673f3e",
+    (4, 2, 0): "76132df2077dd5bf02501383a8380d50fd7113a419a2800db9d191da4d3994cc",
+    (4, 3, 0): "9e106baf7f73f6dec26be0af611511bdd4062542d7381ee1411ae583e1ebc875",
+}
+
+
+def test_walk_traces_frozen():
+    # every wall, crossing, invariant and terminal ray of these walks is
+    # pinned byte for byte, including the three-wall descent of (3, 0, 8)
+    for (d, g, seed), digest in WALK_TRACE_SHA256.items():
+        blob = dumps(trace_to_json(run_walk(d, g, seed=seed)))
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, (d, g, seed)
 
 
 def test_walls_resolve_and_contract_back():
