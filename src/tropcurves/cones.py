@@ -4,9 +4,16 @@ A type with V vertices and E edges determines a cone inside the
 position-by-length space of dimension ``2V + E``, cut out by the linear
 equations ``position(v) - position(u) - length(e) * slope(e) = 0``.  The
 cone dimension is computed by exact integer row reduction; there is no
-numerical rank anywhere.  A fast path goes through the cycle system of a
-spanning tree (positions are determined by lengths up to translation),
-which gives the same rank with far smaller matrices.
+numerical rank anywhere.
+
+Once vertex 0 is pinned, positions follow from edge lengths along a BFS
+spanning tree: `path_coefficients` gives each vertex its tree-path edge
+coefficients, `path` the coefficients between two vertices and `xy_rows`
+their displacement rows.  This is the one coordinate system of the
+package: the cycle system, the fiber rows, the incidence scan in
+`corpus` and the walk's velocities in `walk` are all written in it.
+`cone_dimension` takes its rank from the cycle system, which is far
+smaller than the full constraint matrix.
 """
 
 from __future__ import annotations
@@ -55,88 +62,57 @@ class ModuliCone:
     realizable: bool
 
 
-def spanning_tree(t: CombinatorialType):
-    """(parent_vertex, parent_edge_index) arrays for a BFS tree rooted at 0."""
+def path_coefficients(t: CombinatorialType):
+    """For each vertex v, the edge coefficients of the BFS-tree path 0 -> v.
+
+    position(v) = position(0) + sum_i coeffs[v][i] * length_i * slope_i
+    for any curve of the type; cycle closure makes the choice of path
+    immaterial on the cone.  A child's coefficients are its parent's plus
+    +1 on the tree edge when the edge points away from the parent, -1
+    when it points towards it, so the tree edges are the keys.
+    """
     n = t.n_vertices()
     adjacent = [[] for _ in range(n)]
     for i, e in enumerate(t.edges):
         if not e.is_loop():
-            adjacent[e.u].append((i, e.v))
-            adjacent[e.v].append((i, e.u))
-    parent = [-1] * n
-    parent_edge = [-1] * n
-    seen = [False] * n
-    seen[0] = True
+            adjacent[e.u].append((i, e.v, 1))
+            adjacent[e.v].append((i, e.u, -1))
+    coeffs = [None] * n
+    coeffs[0] = {}
     queue = [0]
-    tree_edges = set()
     for x in queue:
-        for i, other in adjacent[x]:
-            if not seen[other]:
-                seen[other] = True
-                parent[other] = x
-                parent_edge[other] = i
-                tree_edges.add(i)
+        for i, other, sign in adjacent[x]:
+            if coeffs[other] is None:
+                coeffs[other] = {**coeffs[x], i: sign}
                 queue.append(other)
-    return parent, parent_edge, tree_edges
-
-
-def _tree_path_coeffs(t, parent, parent_edge, src, dst):
-    """Edge coefficients of the tree path src -> dst (+1 along, -1 against)."""
-
-    def to_root(v):
-        out = []
-        while parent[v] != -1:
-            out.append((parent_edge[v], v))
-            v = parent[v]
-        return out
-
-    up_src = to_root(src)
-    up_dst = to_root(dst)
-    src_edges = {i for i, _ in up_src}
-    dst_edges = {i for i, _ in up_dst}
-    common = src_edges & dst_edges
-    coeffs = {}
-    # disp(src -> dst) = disp(src -> root) - disp(dst -> root); crossing
-    # child -> parent follows the stored orientation iff child is the tail
-    for i, child in up_src:
-        if i in common:
-            continue
-        e = t.edges[i]
-        coeffs[i] = coeffs.get(i, 0) + (1 if e.u == child else -1)
-    for i, child in up_dst:
-        if i in common:
-            continue
-        e = t.edges[i]
-        coeffs[i] = coeffs.get(i, 0) - (1 if e.u == child else -1)
     return coeffs
 
 
-def cycle_system(t: CombinatorialType):
+def path(coeffs, u, v):
+    """Edge coefficients of position(v) - position(u) along the tree."""
+    out = dict(coeffs[v])
+    for j, c in coeffs[u].items():
+        out[j] = out.get(j, 0) - c
+    return out
+
+
+def xy_rows(t: CombinatorialType, edge_coeffs):
+    """The x and y displacement rows {edge: coeff * slope} of edge coefficients."""
+    return [{j: c * t.edges[j].slope[k] for j, c in edge_coeffs.items()} for k in (0, 1)]
+
+
+def cycle_system(t: CombinatorialType, coeffs):
     """Rows over the length variables expressing that every cycle closes up.
 
     For each non-tree edge f = (u, v) the displacement along f plus the
     displacement along the tree path v -> u must vanish; each such cycle
     contributes one row per plane coordinate.
     """
-    parent, parent_edge, tree_edges = spanning_tree(t)
+    tree = set().union(*coeffs)
     rows = []
-    for i, e in enumerate(t.edges):
-        if i in tree_edges:
-            continue
-        if e.is_loop():
-            # loop displacement: length * slope = 0 (slope is zero anyway)
-            rows.append({i: e.slope[0]})
-            rows.append({i: e.slope[1]})
-            continue
-        coeffs = _tree_path_coeffs(t, parent, parent_edge, e.v, e.u)
-        row_x = {i: e.slope[0]}
-        row_y = {i: e.slope[1]}
-        for j, c in coeffs.items():
-            s = t.edges[j].slope
-            row_x[j] = row_x.get(j, 0) + c * s[0]
-            row_y[j] = row_y.get(j, 0) + c * s[1]
-        rows.append(row_x)
-        rows.append(row_y)
+    for f, e in enumerate(t.edges):
+        if f not in tree:
+            rows += xy_rows(t, {f: 1, **path(coeffs, e.v, e.u)})
     return rows
 
 
@@ -159,26 +135,12 @@ def constraint_matrix(t: CombinatorialType):
 
 def cone_dimension(t: CombinatorialType):
     """dim = 2V + E - rank(constraints), via the cycle-system fast path."""
-    rows = cycle_system(t)
+    rows = cycle_system(t, path_coefficients(t))
     dense = []
     ne = len(t.edges)
     for row in rows:
         dense.append([row.get(i, 0) for i in range(ne)])
     return 2 + ne - mat_rank(dense)
-
-
-def path_coefficients(t: CombinatorialType):
-    """For each vertex, the tree-path edge coefficients from vertex 0.
-
-    position(v) = position(0) + sum_i coeffs[v][i] * length_i * slope_i
-    for any curve of the type; cycle closure makes the choice of path
-    immaterial on the cone.
-    """
-    parent, parent_edge, _tree = spanning_tree(t)
-    coeffs = []
-    for v in range(t.n_vertices()):
-        coeffs.append(_tree_path_coeffs(t, parent, parent_edge, 0, v))
-    return coeffs
 
 
 def fiber_rows(t: CombinatorialType, points):
@@ -189,20 +151,14 @@ def fiber_rows(t: CombinatorialType, points):
     Returns (rows, rhs, coeffs): rows are {edge: coeff} dicts, the cycle
     system first, and coeffs are the path coefficients.
     """
-    rows = cycle_system(t)
-    rhs = [0] * len(rows)
     coeffs = path_coefficients(t)
+    rows = cycle_system(t, coeffs)
+    rhs = [0] * len(rows)
     if points:
         v0 = t.legs[0].vertex
-        base = coeffs[v0]
         for i in range(1, len(points)):
-            vi = t.legs[i].vertex
-            diff = dict(coeffs[vi])
-            for j, c in base.items():
-                diff[j] = diff.get(j, 0) - c
-            for coord in (0, 1):
-                rows.append({j: c * t.edges[j].slope[coord] for j, c in diff.items()})
-                rhs.append(points[i][coord] - points[0][coord])
+            rows += xy_rows(t, path(coeffs, v0, t.legs[i].vertex))
+            rhs += [points[i][k] - points[0][k] for k in (0, 1)]
     return rows, rhs, coeffs
 
 
@@ -221,24 +177,21 @@ def reduced_fiber_polyhedron(t: CombinatorialType, points):
 
 
 def expand_lengths(t: CombinatorialType, points, coeffs, lengths):
-    """Rebuild the full position-length vector from a length solution."""
-    nv = t.n_vertices()
+    """Rebuild the full position-length vector from a length solution;
+    the first marked point pins the translation, else vertex 0 sits at 0."""
+
+    def shift(v):
+        return [sum(lengths[j] * a for j, a in row.items()) for row in xy_rows(t, coeffs[v])]
+
+    root = (Fraction(0), Fraction(0))
     if points:
-        v0 = t.legs[0].vertex
-        dx = sum(lengths[j] * (c * t.edges[j].slope[0]) for j, c in coeffs[v0].items())
-        dy = sum(lengths[j] * (c * t.edges[j].slope[1]) for j, c in coeffs[v0].items())
+        dx, dy = shift(t.legs[0].vertex)
         root = (points[0][0] - dx, points[0][1] - dy)
-    else:
-        root = (Fraction(0), Fraction(0))
-    out = [Fraction(0)] * (2 * nv + len(t.edges))
-    for v in range(nv):
-        px = root[0] + sum(lengths[j] * (c * t.edges[j].slope[0]) for j, c in coeffs[v].items())
-        py = root[1] + sum(lengths[j] * (c * t.edges[j].slope[1]) for j, c in coeffs[v].items())
-        out[2 * v] = px
-        out[2 * v + 1] = py
-    for j, l in enumerate(lengths):
-        out[2 * nv + j] = l
-    return out
+    out = []
+    for v in range(t.n_vertices()):
+        dx, dy = shift(v)
+        out += [root[0] + dx, root[1] + dy]
+    return out + list(lengths)
 
 
 def is_realizable(t: CombinatorialType):

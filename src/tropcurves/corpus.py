@@ -52,9 +52,10 @@ from __future__ import annotations
 import itertools
 
 from tropcurves.canonical import canonical_key
-from tropcurves.cones import is_realizable
+from tropcurves.cones import cycle_system, is_realizable, path, path_coefficients, xy_rows
 from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.graphs import CombinatorialType, Edge, Leg
+from tropcurves.linalg import feasible_nonneg
 
 _CLASS_SLOPES = ((1, 1), (-1, 0), (0, -1))
 
@@ -312,14 +313,10 @@ class _CoreScanner:
     """
 
     def __init__(self, core):
-        from tropcurves.cones import cycle_system, path_coefficients
-
         self.core = core
         self.ne = len(core.edges)
-        self.cycles = [
-            {int(k): int(v) for k, v in row.items()} for row in cycle_system(core)
-        ]
         self.coeffs = path_coefficients(core)
+        self.cycles = cycle_system(core, self.coeffs)
         # sites: vertices, edges (tau in [0, length]), non-contracted legs
         self.sites = [("vertex", v) for v in range(core.n_vertices())]
         self.sites += [("edge", i) for i in range(self.ne)]
@@ -348,14 +345,11 @@ class _CoreScanner:
         cone only over-approximates and a confirming LP is needed.
         """
         t = self.core
-        ka, va = a[0], a[1]
-        kb, vb = b[0], b[1]
-        anchor_a = va if ka == "vertex" else (t.edges[va].u if ka == "edge" else t.legs[va].vertex)
-        anchor_b = vb if kb == "vertex" else (t.edges[vb].u if kb == "edge" else t.legs[vb].vertex)
+        ka, va = a
+        kb, vb = b
+        anchor_a, anchor_b = (self._site_pos_terms(s, None)[0] for s in (a, b))
+        diff = path(self.coeffs, anchor_a, anchor_b)
         gens = []
-        diff = dict(self.coeffs[anchor_b])
-        for j, c in self.coeffs[anchor_a].items():
-            diff[j] = diff.get(j, 0) - c
         for j, c in diff.items():
             if c == 0:
                 continue
@@ -398,14 +392,8 @@ class _CoreScanner:
 
     def feasible(self, assignment, points):
         """Relaxed feasibility: the chosen sites can hit the chosen points."""
-        from tropcurves.linalg import feasible_nonneg
-
-        t = self.core
-        rows = []
-        rhs = []
-        for row in self.cycles:
-            rows.append(row)
-            rhs.append(0)
+        rows = list(self.cycles)
+        rhs = [0] * len(rows)
         tau_at = self.ne
         terms = []
         slack_rows = []
@@ -426,21 +414,12 @@ class _CoreScanner:
         base_vertex, base_extra = terms[0]
         for i in range(1, len(assignment)):
             vi, extra = terms[i]
-            diff = dict(self.coeffs[vi])
-            for j, c in self.coeffs[base_vertex].items():
-                diff[j] = diff.get(j, 0) - c
-            for coord in (0, 1):
-                row = {}
-                for j, c in diff.items():
-                    a = c * self.core.edges[j].slope[coord]
-                    if a:
-                        row[j] = a
+            for coord, row in enumerate(xy_rows(self.core, path(self.coeffs, base_vertex, vi))):
+                # every mark has its own tau variable, off the edge columns
                 for var, slope in extra.items():
-                    if slope[coord]:
-                        row[var] = row.get(var, 0) + slope[coord]
+                    row[var] = slope[coord]
                 for var, slope in base_extra.items():
-                    if slope[coord]:
-                        row[var] = row.get(var, 0) - slope[coord]
+                    row[var] = -slope[coord]
                 rows.append(row)
                 rhs.append(points[i][coord] - points[0][coord])
         return feasible_nonneg(rows, rhs, width)

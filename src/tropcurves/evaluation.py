@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from tropcurves.cones import expand_lengths, reduced_fiber_polyhedron
 from tropcurves.graphs import CombinatorialType, ParametrizedCurve, face_contract
 from tropcurves.linalg import solve_affine
 
@@ -98,8 +99,6 @@ def curve_at(t: CombinatorialType, x):
 def _cone_dim(t: CombinatorialType):
     """Dimension of the closed cone (nonnegative-length solutions); the
     cone holds 0, so the length polyhedron is never empty."""
-    from tropcurves.cones import reduced_fiber_polyhedron
-
     return reduced_fiber_polyhedron(t, ())[0].dim() + 2
 
 
@@ -109,8 +108,6 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
     Positions are eliminated along a spanning tree, so all simplex work
     happens over the edge-length coordinates.
     """
-    from tropcurves.cones import expand_lengths, reduced_fiber_polyhedron
-
     _check_marks(t, cfg)
     P, coeffs = reduced_fiber_polyhedron(t, cfg.points)
     cone_dim = _cone_dim(t)
@@ -191,7 +188,7 @@ def genericity_conclusion(t: CombinatorialType, cfg: PointConfiguration):
     return all(e.slope != (0, 0) for e in t.edges)
 
 
-def is_general(cfg, d, g, verbose=False):
+def is_general(cfg, d, g):
     """Decide general position of ``cfg`` relative to the enumerated corpus.
 
     True iff for every combinatorial type in the corpus of degree-d
@@ -213,16 +210,6 @@ def is_general(cfg, d, g, verbose=False):
     # genus g' < g: decorated genus-g types reduce to these scans; any
     # placement at a lower genus is an overdetermined coincidence and
     # already breaks generality
-    for g2 in range(g):
-        if scan_fibers(d, g2, cfg):
-            if verbose:
-                print(f"genus-{g2} curve through all {n} points")
-            return False
-    for ctype, fb in scan_fibers(d, g, cfg):
-        if fb.is_empty():
-            continue
-        if fb.codimension() != 2 * n:
-            if verbose:
-                print(f"non-generic fiber: codim {fb.codimension()} != {2 * n}")
-            return False
-    return True
+    if any(scan_fibers(d, g2, cfg) for g2 in range(g)):
+        return False
+    return all(fb.is_empty() or fb.codimension() == 2 * n for _t, fb in scan_fibers(d, g, cfg))

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from tropcurves.cones import ModuliCone, classify
 from tropcurves.evaluation import FiberDescription, PointConfiguration
+from tropcurves.families import AffineFunction, BaseCurve, Contraction, FamilyDatum
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, TropicalGraph
 
 F = Fraction
@@ -67,23 +68,38 @@ def graph_to_json(g: TropicalGraph):
     }
 
 
-def _vertices(data, what):
-    """The vertex records sorted by id; the ids must be exactly 0..V-1."""
-    vertices = sorted(data["vertices"], key=lambda d: d["id"])
+def int_value(value, what):
+    """``value`` if it is an int (not a bool), or a ValueError naming ``what``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an int")
+    return value
+
+
+def int_pair(value, what):
+    """``value`` as a tuple of two ints, or a ValueError naming ``what``."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} {value!r} is not a pair of ints")
+    return tuple(value)
+
+
+def _weights(data, what):
+    """The vertex weights in id order; ids and weights are ints and the
+    ids are exactly 0..V-1."""
+    vertices = sorted(data["vertices"], key=lambda d: int_value(d["id"], f"{what} JSON: vertex id"))
     ids = [d["id"] for d in vertices]
     if ids != list(range(len(vertices))):
         raise ValueError(f"{what} JSON: vertex ids {ids} are not 0..{len(vertices) - 1}")
-    return vertices
+    return tuple(int_value(d["weight"], f"{what} JSON: vertex weight") for d in vertices)
 
 
 @_reader
 def graph_from_json(data):
-    vertices = _vertices(data, "graph")
+    what = "graph JSON: vertex"
     return TropicalGraph(
-        weights=tuple(d["weight"] for d in vertices),
-        edges=tuple((e["u"], e["v"]) for e in data["edges"]),
+        weights=_weights(data, "graph"),
+        edges=tuple((int_value(e["u"], what), int_value(e["v"], what)) for e in data["edges"]),
         lengths=tuple(parse_frac(e["length"]) for e in data["edges"]),
-        legs=tuple(l["vertex"] for l in data["legs"]),
+        legs=tuple(int_value(l["vertex"], what) for l in data["legs"]),
     )
 
 
@@ -95,21 +111,18 @@ def type_to_json(t: CombinatorialType):
     }
 
 
-def int_pair(value, what):
-    """``value`` as a tuple of two ints, or a ValueError naming ``what``."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2 or any(type(x) is not int for x in value):
-        raise ValueError(f"{what} {value!r} is not a pair of ints")
-    return tuple(value)
-
-
 @_reader
 def type_from_json(data):
-    vertices = _vertices(data, "type")
-    what = "type JSON: slope"
+    def vertex(x):
+        return int_value(x, "type JSON: vertex")
+
+    def slope(x):
+        return int_pair(x, "type JSON: slope")
+
     return CombinatorialType(
-        weights=tuple(d["weight"] for d in vertices),
-        edges=tuple(Edge(e["u"], e["v"], int_pair(e["slope"], what)) for e in data["edges"]),
-        legs=tuple(Leg(l["vertex"], int_pair(l["slope"], what)) for l in data["legs"]),
+        weights=_weights(data, "type"),
+        edges=tuple(Edge(vertex(e["u"]), vertex(e["v"]), slope(e["slope"])) for e in data["edges"]),
+        legs=tuple(Leg(vertex(l["vertex"]), slope(l["slope"])) for l in data["legs"]),
     )
 
 
@@ -200,8 +213,6 @@ def trace_to_json(trace):
 
 
 def family_to_json(fam):
-    from tropcurves.families import AffineFunction
-
     def aff(f: AffineFunction):
         return {"value": frac_str(f.value), "slope": frac_str(f.slope)}
 
@@ -233,8 +244,6 @@ def family_to_json(fam):
 
 @_reader
 def family_from_json(data):
-    from tropcurves.families import AffineFunction, BaseCurve, Contraction, FamilyDatum
-
     def aff(d):
         return AffineFunction(parse_frac(d["value"]), parse_frac(d["slope"]))
 
@@ -255,9 +264,11 @@ def family_from_json(data):
     contractions = {}
     for key, c in data["contractions"].items():
         w, ref = key.split("|")
+        vertex_map = [int_value(x, "family JSON: vertex_map entry") for x in c["vertex_map"]]
+        edge_map = [int_value(x, "family JSON: edge_map entry") for x in c["edge_map"]]
         contractions[(int(w), parse_ref(ref))] = Contraction(
-            vertex_map=tuple(c["vertex_map"]),
-            edge_map=tuple(x if x >= 0 else None for x in c["edge_map"]),
+            vertex_map=tuple(vertex_map),
+            edge_map=tuple(x if x >= 0 else None for x in edge_map),
         )
     return FamilyDatum(
         base=base,

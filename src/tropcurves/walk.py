@@ -24,12 +24,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from tropcurves.canonical import canonical_key
+from tropcurves.canonical import canonical_key, types_isomorphic
 from tropcurves.cones import (
     classify,
     expand_lengths,
     fiber_rows,
     path_coefficients,
+    resolve_wall,
     split_vertex,
 )
 from tropcurves.errors import WalkError
@@ -113,19 +114,13 @@ def _velocities(t, direction):
     """Vertex velocities along `direction` times a positive integer, as
     (x_0, y_0, x_1, ...); the first mark's vertex stays pinned.
 
-    Positions are affine in the lengths, so these are the path
-    coefficients applied to the direction.  Callers read only signs.
+    Positions are affine in the lengths, so these are the positions of
+    the integer-scaled direction with that vertex pinned at the origin.
+    Callers read only signs.
     """
-    coeffs = path_coefficients(t)
     scale = lcm(*[x.denominator for x in direction])
     step = [int(x * scale) for x in direction]
-
-    def shift(v, k):
-        return sum(c * step[j] * t.edges[j].slope[k] for j, c in coeffs[v].items())
-
-    pin = t.legs[0].vertex
-    pinned = (shift(pin, 0), shift(pin, 1))
-    return [shift(v, k) - pinned[k] for v in range(t.n_vertices()) for k in (0, 1)]
+    return expand_lengths(t, ((0, 0),), path_coefficients(t), step)[: 2 * t.n_vertices()]
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +576,6 @@ def check_harmonic_or_lcs(base_type, germs):
     one of its three resolutions must be hit by some germ (local
     combinatorial surjectivity).
     """
-    from tropcurves.canonical import types_isomorphic
-    from tropcurves.cones import resolve_wall
-
     inside = [g for g in germs if types_isomorphic(g[0], base_type)]
     if len(inside) == len(list(germs)):
         width = max((len(v) for _t, v in germs), default=0)

@@ -1,5 +1,7 @@
 import json
 
+from fixtures import smooth_cubic_type, tropical_line
+
 from tropcurves.cli import main
 from tropcurves.serialize import config_to_json, type_to_json
 
@@ -186,3 +188,32 @@ def test_classify_stratum_malformed_slope(tmp_path, capsys):
     code, out, err = run_cli(capsys, "classify-stratum", "--type", str(tf))
     assert (code, out) == (2, "")
     assert err == "error: type JSON: slope [1] is not a pair of ints\n"
+
+
+def test_readers_refuse_non_ints_at_the_cli(tmp_path, capsys):
+    from fixtures import smooth_cubic_curve
+    from fractions import Fraction as F
+    from tropcurves.families import constant_family, BaseCurve
+    from tropcurves.graphs import TropicalGraph
+    from tropcurves.serialize import family_to_json
+
+    tf = tmp_path / "type.json"
+    for key, value in [("weight", 1.7), ("id", 1.0)]:
+        data = type_to_json(tropical_line())
+        data["vertices"][0][key] = value
+        tf.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "classify-stratum", "--type", str(tf))
+        assert (code, out) == (2, "")
+        assert err == f"error: type JSON: vertex {key} {value} is not an int\n"
+    data = type_to_json(smooth_cubic_type())
+    data["edges"][0]["v"] = 1.0
+    tf.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "classify-stratum", "--type", str(tf))
+    assert (code, out, err) == (2, "", "error: type JSON: vertex 1.0 is not an int\n")
+    base = BaseCurve(TropicalGraph((0, 0), ((0, 1),), (F(1),), (0,)))
+    data = family_to_json(constant_family(base, smooth_cubic_curve()))
+    data["contractions"]["0|edge:0"]["vertex_map"][0] = 0.0
+    ff = tmp_path / "fam.json"
+    ff.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
+    assert (code, out, err) == (2, "", "error: family JSON: vertex_map entry 0.0 is not an int\n")

@@ -8,12 +8,17 @@ from tropcurves.cones import (
     cone_dimension,
     cone_of,
     constraint_matrix,
+    cycle_system,
+    expand_lengths,
     expected_dimension,
+    fiber_rows,
     is_realizable,
     is_regular,
+    path_coefficients,
     resolve_wall,
     split_vertex,
 )
+from tropcurves.floors import enumerate_curves, make_stretched
 from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, face_contract
 from tropcurves.linalg import mat_rank
 
@@ -165,3 +170,23 @@ def test_split_vertex_with_loop_germ():
 def test_lower_bound_property_on_fixtures():
     for t in (tropical_line(), smooth_cubic_type(), nodal_cubic_type(), balanced_triangle()):
         assert cone_dimension(t) >= expected_dimension(t)
+
+
+def test_tree_coordinates_hold_on_every_solution_curve():
+    # the cycle rows vanish on the lengths, the fiber rows hold with their
+    # right-hand side, and the lengths rebuild the positions
+    for d in (1, 2, 3, 4):
+        for g in range((d - 1) * (d - 2) // 2 + 1):
+            points = make_stretched(3 * d + g - 1, d)
+            for _diag, curve in enumerate_curves(d, g, points):
+                t, lengths = curve.ctype, curve.lengths
+
+                def value(row):
+                    return sum(c * lengths[j] for j, c in row.items())
+
+                coeffs = path_coefficients(t)
+                assert all(value(row) == 0 for row in cycle_system(t, coeffs))
+                rows, rhs, _coeffs = fiber_rows(t, points.config.points)
+                assert [value(row) for row in rows] == rhs
+                full = expand_lengths(t, points.config.points, coeffs, lengths)
+                assert full == [x for p in curve.positions for x in p] + list(lengths)

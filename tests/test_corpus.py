@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 from tropcurves.canonical import canonical_key
@@ -220,3 +221,13 @@ def test_scan_fibers_merges_cores():
     union = [merged[k] for k in sorted(merged)]
     assert len(union) == 25
     assert encode(scan_fibers(2, 0, cfg)) == encode(union)
+
+
+def test_betti_one_scan_frozen():
+    # the only tier-1 run of the scanner's cycle rows and of its
+    # LP-confirmed pair test
+    hits = scan_fibers(2, 1, make_stretched(4, 2).config)
+    assert len(hits) == 28
+    encoded = dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
+    digest = hashlib.sha256(encoded.encode()).hexdigest()
+    assert digest == "787706483f69e5da3701faf5cc7bc19360fa00a2e57ba1a0294dbfd3fcb152ca"

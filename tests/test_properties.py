@@ -4,17 +4,20 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from fixtures import smooth_cubic_curve, tropical_line
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from tropcurves.canonical import aut_order, brute_force_aut_order, canonical_key, relabel  # noqa: E402
 from tropcurves.evaluation import PointConfiguration  # noqa: E402
+from tropcurves.families import BaseCurve, constant_family, validate_family  # noqa: E402
 from tropcurves.graphs import (  # noqa: E402
     CombinatorialType,
     Edge,
     Leg,
     ParametrizedCurve,
+    TropicalGraph,
     check_balancing,
     face_contract,
     find,
@@ -26,6 +29,8 @@ from tropcurves.serialize import (  # noqa: E402
     curve_from_json,
     curve_to_json,
     dumps,
+    family_from_json,
+    family_to_json,
     type_from_json,
     type_to_json,
 )
@@ -137,3 +142,29 @@ def test_config_json_round_trip(points):
     cfg = PointConfiguration(tuple(points))
     assert all(isinstance(x, F) for p in cfg.points for x in p)
     assert config_from_json(json.loads(dumps(config_to_json(cfg)))) == cfg
+
+
+@st.composite
+def constant_families(draw):
+    """Constant families of a fixture curve over a loop-free base: a random
+    tree on at most four vertices plus up to one parallel edge, positive
+    rational lengths and up to three legs."""
+    n = draw(st.integers(1, 4))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))
+    lengths = tuple(draw(RATIONALS.filter(lambda x: x > 0)) for _ in edges)
+    weights = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    legs = tuple(draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    line = ParametrizedCurve(tropical_line(), (), ((F(0), F(0)),))
+    curve = draw(st.sampled_from([line, smooth_cubic_curve()]))
+    return constant_family(BaseCurve(TropicalGraph(weights, tuple(edges), lengths, legs)), curve)
+
+
+@SETTINGS
+@hypothesis.given(constant_families())
+def test_family_json_round_trip(fam):
+    text = dumps(family_to_json(fam))
+    back = family_from_json(json.loads(text))
+    assert dumps(family_to_json(back)) == text
+    assert validate_family(back) == validate_family(fam)

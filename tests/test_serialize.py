@@ -6,6 +6,7 @@ from fixtures import smooth_cubic_curve, smooth_cubic_type, tropical_line
 
 from tropcurves.cones import cone_of
 from tropcurves.evaluation import PointConfiguration, fiber
+from tropcurves.families import BaseCurve, constant_family
 from tropcurves.graphs import TropicalGraph
 from tropcurves.serialize import (
     cone_to_json,
@@ -14,6 +15,8 @@ from tropcurves.serialize import (
     curve_from_json,
     curve_to_json,
     dumps,
+    family_from_json,
+    family_to_json,
     fiber_to_json,
     frac_str,
     graph_from_json,
@@ -120,3 +123,32 @@ def test_readers_require_vertex_ids_zero_to_count():
         graph_from_json(graph)
     graph["vertices"] = [{"id": 1, "weight": 1}, {"id": 0, "weight": 0}]
     assert graph_from_json(graph).weights == (0, 1)
+
+
+def test_readers_refuse_non_ints_where_ints_belong():
+    type_cases = [
+        ("vertices", 1, "weight", 1.7, "vertex weight"),
+        ("vertices", 1, "weight", True, "vertex weight"),
+        ("vertices", 1, "id", 1.0, "vertex id"),
+        ("edges", 0, "v", 1.0, "vertex"),
+        ("edges", 0, "u", False, "vertex"),
+        ("legs", 0, "vertex", 0.0, "vertex"),
+    ]
+    for part, i, key, value, what in type_cases:
+        data = type_to_json(smooth_cubic_type())
+        data[part][i][key] = value
+        with pytest.raises(ValueError, match=f"^type JSON: {what} {value} is not an int$"):
+            type_from_json(data)
+    graph_cases = [("vertices", 1, "weight", 1.5, "vertex weight"), ("edges", 0, "u", 0.0, "vertex")]
+    graph_cases.append(("legs", 0, "vertex", 1.0, "vertex"))
+    for part, i, key, value, what in graph_cases:
+        data = graph_to_json(TropicalGraph((0, 1), ((0, 1),), (F(1),), (0,)))
+        data[part][i][key] = value
+        with pytest.raises(ValueError, match=f"^graph JSON: {what} {value} is not an int$"):
+            graph_from_json(data)
+    base = BaseCurve(TropicalGraph((0, 0), ((0, 1),), (F(1),), (0,)))
+    for key, value in [("vertex_map", 0.0), ("edge_map", 2.0), ("edge_map", True)]:
+        data = family_to_json(constant_family(base, smooth_cubic_curve()))
+        data["contractions"]["0|edge:0"][key][0] = value
+        with pytest.raises(ValueError, match=f"^family JSON: {key} entry {value} is not an int$"):
+            family_from_json(data)
