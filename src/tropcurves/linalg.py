@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals and a small simplex solver.
 
-Elimination (`mat_rank`, `solve_affine`) is exact integer arithmetic;
-Fractions appear only in what it is given and returns.  The simplex works
-over `fractions.Fraction` with Bland's rule, so it terminates on every
-input and its answers are exact certificates (feasible point, unbounded
-ray, or infeasibility).  No float enters any computation.
+Both kernels, elimination (`mat_rank`, `solve_affine`) and the simplex,
+run over Python ints: each row is cleared of denominators once, stays a
+nonzero multiple of its rational row, and sheds its content after every
+update.  Fractions are built only from what the kernels are given and
+what they return.  The simplex pivots by Bland's rule, so it terminates
+on every input and its answers are exact certificates (feasible point,
+unbounded ray, or infeasibility).  No float enters any computation.
 """
 
 from __future__ import annotations
@@ -23,13 +25,31 @@ def _integer_row(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
+def _eliminate(m, prow, col):
+    """Clear column col of every row of m but prow, in place.
+
+    Each row becomes ``p·row − a·prow`` over gcd(p, a), where p and a are
+    the column's entries in prow and the row, and then sheds its content
+    (the gcd of its entries).  With p > 0 every row stays a positive
+    multiple of its rational counterpart.
+    """
+    p = prow[col]
+    for r, row in enumerate(m):
+        a = row[col]
+        if a and row is not prow:
+            k = gcd(p, a)
+            pk, ak = p // k, a // k
+            row = [pk * x - ak * y for x, y in zip(row, prow)]
+            k = gcd(*row)
+            m[r] = [x // k for x in row] if k > 1 else row
+
+
 def _reduce(m, ncols):
     """Integer Gauss-Jordan elimination of the first ncols columns, in place.
 
     Returns the pivot columns.  Row i < rank is then a nonzero multiple of
     row i of the reduced row echelon form; later rows are zero in the
-    first ncols columns.  Each row update divides out the gcd of its two
-    multipliers, then the content (gcd of all entries) of the new row.
+    first ncols columns.
     """
     pivots = []
     for col in range(ncols):
@@ -38,16 +58,7 @@ def _reduce(m, ncols):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        p = prow[col]
-        for r, row in enumerate(m):
-            a = row[col]
-            if a and r != rank:
-                k = gcd(p, a)
-                pk, ak = p // k, a // k
-                row = [pk * x - ak * y for x, y in zip(row, prow)]
-                k = gcd(*row)
-                m[r] = [x // k for x in row] if k > 1 else row
+        _eliminate(m, m[rank], col)
         pivots.append(col)
         if len(pivots) == len(m):
             break
@@ -101,92 +112,65 @@ class LPResult:
         return f"LPResult({self.status}, value={self.value})"
 
 
-def _tableau(A, b, n):
-    """Phase-1 tableau ``[A | I | b]`` with every row signed so that b >= 0.
-
-    A holds Fraction rows of width n; the basis starts on the artificial
-    columns n .. n+m-1 and the last column is the right-hand side.
-    """
-    m = len(A)
-    tab = []
-    for i, (row, bi) in enumerate(zip(A, b)):
-        if bi < 0:
-            row, bi = [-x for x in row], -bi
-        tab.append(row + [ONE if j == i else ZERO for j in range(m)] + [bi])
-    return tab, list(range(n, n + m))
-
-
 def _pivot(tab, basis, row, col):
-    pv = tab[row][col]
-    prow = tab[row] = [x / pv for x in tab[row]]
-    for r, tr in enumerate(tab):
-        f = tr[col]
-        if r != row and f != 0:
-            tab[r] = [a - f * p for a, p in zip(tr, prow)]
+    """Pivot on tab[row][col], negating the row first if the entry is
+    negative; every other row of tab, the objective rows too, is updated."""
+    if tab[row][col] < 0:
+        tab[row] = [-x for x in tab[row]]
+    _eliminate(tab, tab[row], col)
     basis[row] = col
 
 
-def _phase1_reduced(tab, basis, n):
-    """Reduced costs of the sum of artificials: minus the column sums of
-    the rows whose basic variable is artificial (plain sums, no products)."""
-    red = [ZERO] * n
-    for row, k in zip(tab, basis):
-        if k >= n:
-            for j in range(n):
-                if row[j]:
-                    red[j] -= row[j]
-    return red
-
-
-def _phase2_reduced(c):
-    """Reduced-cost rule of the objective c on the structural columns."""
-
-    def reduced(tab, basis, n):
-        red = list(c)
-        for row, k in zip(tab, basis):
-            if k < n and c[k]:
-                ck = c[k]
-                for j in range(n):
-                    if row[j]:
-                        red[j] -= ck * row[j]
-        return red
-
-    return reduced
-
-
-def _bland(tab, basis, n, reduced):
-    """Pivot by Bland's rule until no structural column (index < n) has a
-    negative reduced cost.
+def _bland(tab, basis, n):
+    """Minimise the objective row tab[len(basis)] by Bland's rule until no
+    structural column (index < n) has a negative reduced cost.
 
     Returns None at an optimum, or the entering column when no row bounds
     it (the objective is unbounded along that column).
     """
+    m = len(basis)
     while True:
-        red = reduced(tab, basis, n)
-        enter = next((j for j in range(n) if red[j] < 0), None)
+        obj = tab[m]
+        enter = next((j for j in range(n) if obj[j] < 0), None)
         if enter is None:
             return None
-        leave = best = None
-        for r, row in enumerate(tab):
+        leave, num, den = None, 1, 0  # best ratio so far is num/den; 1/0 is +inf
+        for r, (row, k) in enumerate(zip(tab, basis)):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
+                diff = row[-1] * den - num * a  # sign of row[-1]/a - num/den
+                if diff < 0 or (diff == 0 and k < basis[leave]):
+                    leave, num, den = r, row[-1], a
         if leave is None:
             return enter
         _pivot(tab, basis, leave, enter)
 
 
-def _phase1(A, b, n):
+def _phase1(A, b, n, carried=()):
     """Minimise the sum of artificials over ``A x = b, x >= 0``.
 
-    Only structural columns enter.  Returns the final (tableau, basis), or
-    None when the system is infeasible.
+    Each row [A | 1 | b] is cleared of denominators, so its artificial
+    column holds the row's multiplier, and signed so that b >= 0.  The
+    artificial columns are then dropped: none enters, and only the phase-1
+    objective row (minus the sum of the rational rows) needs them.  The
+    integer tableau is the constraint rows, that objective row, then the
+    carried rows, which every pivot updates too.  Returns (tableau, basis)
+    without the phase-1 row, or None when the system is infeasible.
     """
-    tab, basis = _tableau(A, b, n)
-    _bland(tab, basis, n, _phase1_reduced)
-    if any(row[-1] for row, k in zip(tab, basis) if k >= n):
+    tab, mults = [], []
+    for row, bi in zip(A, b):
+        *row, mult, bi = _integer_row([*row, 1, bi])
+        tab.append([*row, bi] if bi >= 0 else [-x for x in row] + [-bi])
+        mults.append(mult)
+    scale = lcm(*mults)
+    obj = [0] * (n + 1)
+    for row, mult in zip(tab, mults):
+        f = scale // mult
+        obj = [o - f * x for o, x in zip(obj, row)]
+    basis = list(range(n, n + len(tab)))
+    tab += [obj, *carried]
+    _bland(tab, basis, n)
+    if tab.pop(len(basis))[-1]:  # minus a multiple of the sum of artificials
         return None
     return tab, basis
 
@@ -194,49 +178,52 @@ def _phase1(A, b, n):
 def _simplex_standard(c, A, b):
     """min c.x  s.t.  A x = b, x >= 0, by two-phase tableau simplex.
 
-    Returns None when infeasible, else ``(point, ray)`` where ray is None
-    at an optimum and certifies unboundedness otherwise.
+    The objective row of c rides through phase 1.  Returns None when
+    infeasible, else ``(point, ray)`` where ray is None at an optimum and
+    certifies unboundedness otherwise.
     """
     n = len(c)
-    phase1 = _phase1(A, b, n)
+    phase1 = _phase1(A, b, n, [_integer_row([*c, 0])])
     if phase1 is None:
         return None
     tab, basis = phase1
     # drive artificials out of the basis; a row with no structural entry
     # is redundant and keeps its artificial basic at value 0
-    for r, row in enumerate(tab):
+    for r in range(len(basis)):
         if basis[r] >= n:
-            j = next((j for j in range(n) if row[j]), None)
+            j = next((j for j in range(n) if tab[r][j]), None)
             if j is not None:
                 _pivot(tab, basis, r, j)
-    enter = _bland(tab, basis, n, _phase2_reduced(c))
+    enter = _bland(tab, basis, n)
     point = [ZERO] * n
     for row, k in zip(tab, basis):
         if k < n:
-            point[k] = row[-1]
+            point[k] = Fraction(row[-1], row[k])
     if enter is None:
         return point, None
     ray = [ZERO] * n
     ray[enter] = ONE
     for row, k in zip(tab, basis):
         if k < n:
-            ray[k] = -row[enter]
+            ray[k] = Fraction(-row[enter], row[k])
     return point, ray
 
 
 def feasible_nonneg(rows, rhs, width):
     """Feasibility of {A x = b, x >= 0}: phase 1 of the simplex only.
 
-    rows: list of {col: coeff} dicts; returns True/False.  This is the
-    hot path of the incidence scans; it avoids the Polyhedron wrapper.
+    rows: list of {col: coeff} dicts with int or Fraction coefficients;
+    returns True/False.  The coefficients go straight into the integer
+    tableau.  This is the hot path of the incidence scans; it avoids the
+    Polyhedron wrapper.
     """
     A = []
     for row in rows:
-        dense = [ZERO] * width
+        dense = [0] * width
         for j, a in row.items():
-            dense[j] = Fraction(a)
+            dense[j] = a
         A.append(dense)
-    return _phase1(A, [Fraction(r) for r in rhs], width) is not None
+    return _phase1(A, rhs, width) is not None
 
 
 class Polyhedron:

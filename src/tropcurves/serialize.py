@@ -242,6 +242,21 @@ def family_to_json(fam):
     }
 
 
+def _check_contraction(key, source, target, vertex_map, edge_map):
+    """The maps of contraction ``key`` have one entry per vertex and per
+    edge of its fiber type ``source``, and each names a vertex or an edge
+    (or -1, contracted) of the vertex curve's type ``target``."""
+    for name, entries, size, low, high in (
+        ("vertex_map", vertex_map, source.n_vertices(), 0, target.n_vertices()),
+        ("edge_map", edge_map, len(source.edges), -1, len(target.edges)),
+    ):
+        if len(entries) != size:
+            raise ValueError(f"family JSON: contraction {key}: {name} has {len(entries)} entries, not {size}")
+        bad = next((x for x in entries if not low <= x < high), None)
+        if bad is not None:
+            raise ValueError(f"family JSON: contraction {key}: {name} entry {bad} is out of range")
+
+
 @_reader
 def family_from_json(data):
     def aff(d):
@@ -264,15 +279,20 @@ def family_from_json(data):
     contractions = {}
     for key, c in data["contractions"].items():
         w, ref = key.split("|")
+        w, ref = int(w), parse_ref(ref)
         vertex_map = [int_value(x, "family JSON: vertex_map entry") for x in c["vertex_map"]]
         edge_map = [int_value(x, "family JSON: edge_map entry") for x in c["edge_map"]]
-        contractions[(int(w), parse_ref(ref))] = Contraction(
+        if ref in edge_types and w in vertex_curves:
+            _check_contraction(key, edge_types[ref], vertex_curves[w].ctype, vertex_map, edge_map)
+        contractions[(w, ref)] = Contraction(
             vertex_map=tuple(vertex_map),
             edge_map=tuple(x if x >= 0 else None for x in edge_map),
         )
     return FamilyDatum(
         base=base,
-        extended_degree=tuple(tuple(s) for s in data["extended_degree"]),
+        extended_degree=tuple(
+            int_pair(s, "family JSON: extended_degree slope") for s in data["extended_degree"]
+        ),
         edge_types=edge_types,
         lengths=lengths,
         positions=positions,

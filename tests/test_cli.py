@@ -190,13 +190,18 @@ def test_classify_stratum_malformed_slope(tmp_path, capsys):
     assert err == "error: type JSON: slope [1] is not a pair of ints\n"
 
 
-def test_readers_refuse_non_ints_at_the_cli(tmp_path, capsys):
+def _constant_family_json():
     from fixtures import smooth_cubic_curve
     from fractions import Fraction as F
     from tropcurves.families import constant_family, BaseCurve
     from tropcurves.graphs import TropicalGraph
     from tropcurves.serialize import family_to_json
 
+    base = BaseCurve(TropicalGraph((0, 0), ((0, 1),), (F(1),), (0,)))
+    return family_to_json(constant_family(base, smooth_cubic_curve()))
+
+
+def test_readers_refuse_non_ints_at_the_cli(tmp_path, capsys):
     tf = tmp_path / "type.json"
     for key, value in [("weight", 1.7), ("id", 1.0)]:
         data = type_to_json(tropical_line())
@@ -210,10 +215,39 @@ def test_readers_refuse_non_ints_at_the_cli(tmp_path, capsys):
     tf.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "classify-stratum", "--type", str(tf))
     assert (code, out, err) == (2, "", "error: type JSON: vertex 1.0 is not an int\n")
-    base = BaseCurve(TropicalGraph((0, 0), ((0, 1),), (F(1),), (0,)))
-    data = family_to_json(constant_family(base, smooth_cubic_curve()))
+    data = _constant_family_json()
     data["contractions"]["0|edge:0"]["vertex_map"][0] = 0.0
     ff = tmp_path / "fam.json"
     ff.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
     assert (code, out, err) == (2, "", "error: family JSON: vertex_map entry 0.0 is not an int\n")
+
+
+def test_validate_family_refuses_bad_contraction_maps(tmp_path, capsys):
+    # each map points into the nine vertices and nine edges of the cubic
+    ff = tmp_path / "fam.json"
+    for name, edit, why in [
+        ("vertex_map", lambda m: m.__setitem__(0, 99), "vertex_map entry 99 is out of range"),
+        ("edge_map", lambda m: m.__setitem__(0, 99), "edge_map entry 99 is out of range"),
+        ("edge_map", lambda m: m.__setitem__(0, -2), "edge_map entry -2 is out of range"),
+        ("vertex_map", lambda m: m.pop(), "vertex_map has 8 entries, not 9"),
+    ]:
+        data = _constant_family_json()
+        edit(data["contractions"]["1|edge:0"][name])
+        ff.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
+        assert (code, out, err) == (2, "", f"error: family JSON: contraction 1|edge:0: {why}\n")
+
+
+def test_validate_family_refuses_bad_degree_slopes(tmp_path, capsys):
+    ff = tmp_path / "fam.json"
+    for slope in ([1.0, 1], [1, 1, 0], 1):
+        data = _constant_family_json()
+        data["extended_degree"][1] = slope
+        ff.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
+        assert (code, out) == (2, "")
+        assert err == f"error: family JSON: extended_degree slope {slope!r} is not a pair of ints\n"
+    data = _constant_family_json()
+    ff.write_text(json.dumps(data))
+    assert run_cli(capsys, "validate-family", "--family", str(ff))[0] == 0

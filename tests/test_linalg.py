@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 from tropcurves.linalg import Polyhedron, feasible_nonneg, mat_rank, solve_affine
+
+MU = 12**12 * 40  # the stretch ratio (3d)^(3d) * x_max at d = 4, x_max = 40
 
 
 def test_rank_basic():
@@ -133,12 +136,31 @@ def _oracle_min(A, b, c):
 
 
 def _random_systems(count):
+    """Small integer systems, then as many in the incidence scanner's shape:
+    edge-length columns, one tau and its slack with the row
+    {edge: 1, tau: -1, slack: -1}, and x/y rows with fraction coefficients
+    and right-hand sides at the stretch scale."""
     rng = random.Random(2005)
     for _ in range(count):
         m, n = rng.randint(1, 3), rng.randint(1, 4)
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(-3, 3) for _ in range(m)]
         c = [rng.randint(-3, 3) for _ in range(n)]
+        yield A, b, c
+    for _ in range(count):
+        ne = rng.randint(1, 3)
+        n = ne + 2
+        slack_row = [0] * n
+        slack_row[rng.randrange(ne)], slack_row[ne], slack_row[ne + 1] = 1, -1, -1
+        A = [slack_row]
+        for _ in range(rng.randint(1, 2)):
+            xy = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ne)]
+            A.append(xy + [rng.randint(-2, 2), 0])
+        x = [rng.choice((0, rng.randint(1, MU))) for _ in range(n)]
+        b = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in A]
+        if rng.random() < 0.3:
+            b[rng.randrange(1, len(A))] += rng.randint(-MU, MU)
+        c = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
         yield A, b, c
 
 
@@ -174,6 +196,65 @@ def test_simplex_matches_vertex_oracle():
                 assert _satisfies(A, [0] * len(A), res.ray)
                 assert sign * _dot(c, res.ray) < 0
     assert seen == {"infeasible", "optimal", "unbounded"}
+
+
+# sha256 of repr(_lp_outputs) over _frozen_systems(210), computed with the
+# Fraction tableau the integer kernel replaced
+SIMPLEX_SHA256 = "4f9866ecc6b6a8c3d4f7d7c64253d0c4030d980c9eb653795f7362aa17760a1a"
+
+
+def _frozen_systems(count):
+    """Seeded (A, b, objective) of three kinds: fraction entries, small
+    integer rows with right-hand sides at the stretch scale, and degenerate
+    systems (a row repeating a multiple of another, a zero row).  Most
+    right-hand sides come from a point with some zero coordinates, so many
+    vertices are degenerate; some are pushed off it."""
+    rng = random.Random(1968)
+    for index in range(count):
+        kind = ("fraction", "stretch", "degenerate")[index % 3]
+        m, n = rng.randint(2, 5), rng.randint(3, 6)
+
+        def entry():
+            if rng.random() < 0.3:
+                return 0
+            if kind == "fraction":
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            return rng.randint(-4, 4)
+
+        scale = MU if kind == "stretch" else 6
+        A = [[entry() for _ in range(n)] for _ in range(m)]
+        x = [rng.choice((0, 0, rng.randint(1, scale))) for _ in range(n)]
+        b = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in A]
+        if kind == "degenerate":
+            j = rng.randrange(m)
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            A += [[k * a for a in A[j]], [0] * n]
+            b += [k * b[j], 0]
+        elif rng.random() < 0.25:
+            b[rng.randrange(m)] += rng.randint(-scale, scale)
+        objective = {j: entry() for j in range(n) if rng.random() < 0.7}
+        yield A, b, objective
+
+
+def _lp_outputs(A, b, objective):
+    P = Polyhedron(len(A[0]))
+    for row, bi in zip(A, b):
+        P.add_eq({j: a for j, a in enumerate(row) if a}, bi)
+    out = []
+    for sense in ("min", "max"):
+        res = P.optimize(objective, sense=sense)
+        out.append((res.status, res.value, res.point, res.ray))
+    return out + [P.feasible_point(), P.strict_point(), P.implicit_zero_vars(), P.dim()]
+
+
+def test_simplex_outputs_frozen():
+    # statuses, values, points and rays pinned byte for byte: the kernel
+    # must take the same pivot path and build the same Fractions
+    outputs = [_lp_outputs(*system) for system in _frozen_systems(210)]
+    statuses = {res[0] for out in outputs for res in out[:2]}
+    assert statuses == {"infeasible", "optimal", "unbounded"}
+    assert any(out[3] is None and out[4] for out in outputs)  # implicit zeros
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == SIMPLEX_SHA256
 
 
 # --- elimination against an independent Fraction oracle --------------------
@@ -218,9 +299,6 @@ def _oracle_solve(A, b, n):
             vec[c] = -row[f]
         basis.append(vec)
     return particular, basis
-
-
-MU = 12**12 * 40  # the stretch ratio (3d)^(3d) * x_max at d = 4, x_max = 40
 
 
 def _random_elimination_systems(count):
