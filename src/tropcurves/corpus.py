@@ -50,6 +50,7 @@ no stratum of the moduli space.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import cycle_system, is_realizable, path, path_coefficients, xy_rows
@@ -310,6 +311,8 @@ class _CoreScanner:
     the constraint system only grows by rows as points are placed.
     Variables: edge lengths (nonneg), one tau per on-edge or on-leg mark
     (nonneg; on-edge taus are bounded by the edge length via a slack).
+    The points it is given are integer: `scan_fibers` clears their
+    denominators once, so every row it builds holds only ints.
     """
 
     def __init__(self, core):
@@ -323,7 +326,6 @@ class _CoreScanner:
         self.sites += [
             ("leg", j) for j, leg in enumerate(core.legs) if not leg.is_contracted()
         ]
-        self._pairs = {}
 
     def _site_pos_terms(self, site, tau_var):
         """(vertex, {var: slope-contribution}) of a point on the site."""
@@ -372,26 +374,31 @@ class _CoreScanner:
 
     def pair_ok(self, a, b, w):
         """Can a curve place two points on sites a, b with difference
-        along w?  The two-point system is a cone, so the answer is
-        scale-free and cached.  Trees are decided by cross products; with
-        cycles the generator test is a sound pre-filter and the exact LP
-        confirms."""
-        key = (a, b)
-        cached = self._pairs.get(key)
-        if cached is not None:
-            return cached
-        gens = self._pair_generators(a, b)
-        if not _cone_contains(gens, w):
-            ok = False
-        elif not self.cycles:
-            ok = True
-        else:
-            ok = self.feasible((a, b), ((0, 0), w))
-        self._pairs[key] = ok
-        return ok
+        along the integer vector w?  The two-point system is a cone, so
+        the answer is scale-free.  Trees are decided by cross products;
+        with cycles the generator test is a sound pre-filter and the
+        exact LP confirms."""
+        if not _cone_contains(self._pair_generators(a, b), w):
+            return False
+        return not self.cycles or self.feasible((a, b), ((0, 0), w))
+
+    def pair_table(self, w):
+        """(fits, back): fits[a] holds the sites b with pair_ok(a, b, w),
+        the sites a later mark may take after a mark on a, and back[b]
+        holds the sites a with pair_ok(a, b, w).  Every ordered pair is
+        tested once, in site order."""
+        fits = {a: set() for a in self.sites}
+        back = {b: set() for b in self.sites}
+        for a in self.sites:
+            for b in self.sites:
+                if self.pair_ok(a, b, w):
+                    fits[a].add(b)
+                    back[b].add(a)
+        return fits, back
 
     def feasible(self, assignment, points):
-        """Relaxed feasibility: the chosen sites can hit the chosen points."""
+        """Relaxed feasibility: the chosen sites can hit the chosen integer
+        points."""
         rows = list(self.cycles)
         rhs = [0] * len(rows)
         tau_at = self.ne
@@ -496,9 +503,13 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     Branch-and-prune over mark placements on each Betti-g weightless
     core: points are processed extremes-first and every partial placement
     is tested by an exact LP on the linearized system (lengths plus
-    position-along-edge variables).  Site assignments that survive all
-    points are materialized into marked types (one per ordering of marks
-    sharing an edge) and classified exactly.
+    position-along-edge variables).  The points are multiplied once by
+    the lcm of their denominators, so the LPs and cone tests run on ints.
+    When the points are collinear, a per-core table of the pair tests
+    (`_CoreScanner.pair_table`) prunes each placement before its LP.
+    Site assignments that survive all points are materialized into marked
+    types (one per ordering of marks sharing an edge) and classified
+    exactly over cfg itself.
 
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut
@@ -513,7 +524,10 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     if cores is None:
         cores = enumerate_cores(d, g)
     order = _scan_order(n)
-    pts = [cfg.points[i] for i in order]
+    # every scan LP is {A x = b, x >= 0} with b a point difference, so
+    # scaling the points by L > 0 scales solutions by L: same verdicts
+    scale = lcm(*(c.denominator for p in cfg.points for c in p))
+    pts = [tuple(c.numerator * (scale // c.denominator) for c in cfg.points[i]) for i in order]
     # exact collinearity unlocks the scale-free pairwise filter
     w = None
     if n >= 2:
@@ -526,31 +540,23 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     results = {}
     for core in cores:
         scanner = _CoreScanner(core)
+        if w is not None:
+            # step 1 would test every ordered pair of sites anyway
+            fits, back = scanner.pair_table(w)
         stack = [()]
         for k in range(n):
+            # translations absorb one point; for two the pair test is exact
+            exact = k == 0 or (k == 1 and w is not None)
+            tables = [fits if order[j] < order[k] else back for j in range(k)] if w is not None else []
             nxt = []
             for assignment in stack:
-                for site in scanner.sites:
+                sites = scanner.sites
+                if tables:
+                    allowed = set.intersection(*(t[a] for t, a in zip(tables, assignment)))
+                    sites = [s for s in sites if s in allowed]
+                for site in sites:
                     cand = assignment + (site,)
-                    if k == 0:
-                        nxt.append(cand)  # translations absorb one point
-                        continue
-                    if w is not None:
-                        consistent = True
-                        for j in range(k):
-                            if order[j] < order[k]:
-                                ok = scanner.pair_ok(assignment[j], site, w)
-                            else:
-                                ok = scanner.pair_ok(site, assignment[j], w)
-                            if not ok:
-                                consistent = False
-                                break
-                        if not consistent:
-                            continue
-                        if k == 1:
-                            nxt.append(cand)  # the pair test is exact here
-                            continue
-                    if scanner.feasible(cand, pts[: k + 1]):
+                    if exact or scanner.feasible(cand, pts[: k + 1]):
                         nxt.append(cand)
             stack = nxt
             if not stack:

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+from fractions import Fraction as F
 
+import tropcurves.corpus
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import cone_dimension, expected_dimension, is_realizable
 from tropcurves.corpus import _attach_mark, enumerate_cores, scan_fibers
-from tropcurves.evaluation import fiber
+from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.floors import enumerate_curves, make_stretched
 from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, genus, is_stable
 from tropcurves.serialize import dumps, fiber_to_json, type_to_json
@@ -190,11 +192,26 @@ def test_scan_fibers_degree_one():
         assert all(t.valency(v) == 3 for v in range(t.n_vertices()))
 
 
-def test_scan_matches_floor_solutions_degree_two():
+def _count_lps(monkeypatch):
+    """Count the scan's calls of the LP kernel."""
+    calls = []
+    kernel = tropcurves.corpus.feasible_nonneg
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(tropcurves.corpus, "feasible_nonneg", counted)
+    return calls
+
+
+def test_scan_matches_floor_solutions_degree_two(monkeypatch):
     cfg = make_stretched(5, 2)
     sols = enumerate_curves(2, 0, cfg)
     sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in sols}
+    lps = _count_lps(monkeypatch)
     hits = scan_fibers(2, 0, cfg.config)
+    assert len(lps) == 374
     point_keys = {
         canonical_key(t, labeled="contracted") for t, fb in hits if fb.kind == "point" and fb.inside
     }
@@ -223,10 +240,36 @@ def test_scan_fibers_merges_cores():
     assert encode(scan_fibers(2, 0, cfg)) == encode(union)
 
 
-def test_betti_one_scan_frozen():
+def test_scan_of_fractional_points_is_affine_invariant(monkeypatch):
+    # fractional, not collinear: no pair filter, so every step past the
+    # first runs the LP; scaling by a positive rational and translating
+    # must keep every hit, its fiber kind and the LP count
+    pts = ((F(1, 2), F(1, 3)), (F(-7, 5), F(2)), (F(3), F(-5, 4)), (F(11, 6), F(13, 7)))
+    lps = _count_lps(monkeypatch)
+    hits = scan_fibers(2, 0, PointConfiguration(pts))
+    assert len(lps) == 19881
+    r = F(3, 7)
+    moved = PointConfiguration(tuple((r * x + F(5, 2), r * y - F(1, 3)) for x, y in pts))
+    moved_hits = scan_fibers(2, 0, moved)
+    assert len(lps) == 2 * 19881
+
+    def summary(hits):
+        return [(canonical_key(t, labeled="contracted"), fb.kind) for t, fb in hits]
+
+    assert len(hits) == 25
+    assert {kind for _key, kind in summary(hits)} == {"point", "interval"}
+    assert summary(moved_hits) == summary(hits)
+    encoded = dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
+    digest = hashlib.sha256(encoded.encode()).hexdigest()
+    assert digest == "8e91538f3a49d89c5439ee310f63554f999e42e76d277e066aaf6790c177724d"
+
+
+def test_betti_one_scan_frozen(monkeypatch):
     # the only tier-1 run of the scanner's cycle rows and of its
-    # LP-confirmed pair test
+    # LP-confirmed pair test; the LP count pins the pair filter's pruning
+    lps = _count_lps(monkeypatch)
     hits = scan_fibers(2, 1, make_stretched(4, 2).config)
+    assert len(lps) == 4952
     assert len(hits) == 28
     encoded = dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
     digest = hashlib.sha256(encoded.encode()).hexdigest()

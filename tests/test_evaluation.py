@@ -4,6 +4,7 @@ import pytest
 
 from fixtures import tropical_line
 
+import tropcurves.corpus
 from tropcurves.cones import cone_dimension
 from tropcurves.corpus import _attach_mark
 from tropcurves.evaluation import PointConfiguration, fiber, genericity_conclusion, is_general
@@ -96,6 +97,19 @@ def test_is_general_rejects_repeated_points():
 
 def test_is_general_unknown_beyond_desk_scale():
     assert is_general([(0, 0), (1, -5)], 4, 0) == "unknown"
+
+
+def test_is_general_unknown_for_positive_genus_cubics(monkeypatch):
+    # enumerate_cores(3, 1) has never finished, so the call must refuse
+    # before it starts any scan
+    def no_scan(*args, **kwargs):
+        raise AssertionError("is_general scanned")
+
+    monkeypatch.setattr(tropcurves.corpus, "scan_fibers", no_scan)
+    monkeypatch.setattr(tropcurves.corpus, "enumerate_cores", no_scan)
+    cfg = make_stretched(7, 3).config
+    assert is_general(cfg, 3, 1) == "unknown"
+    assert is_general(cfg, 3, 2) == "unknown"
 
 
 def test_is_general_line_through_two_points():

@@ -10,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from tropcurves.canonical import aut_order, brute_force_aut_order, canonical_key, relabel  # noqa: E402
+from tropcurves.corpus import _cone_contains  # noqa: E402
 from tropcurves.evaluation import PointConfiguration  # noqa: E402
 from tropcurves.families import BaseCurve, constant_family, validate_family  # noqa: E402
 from tropcurves.graphs import (  # noqa: E402
@@ -23,6 +24,7 @@ from tropcurves.graphs import (  # noqa: E402
     find,
     genus,
 )
+from tropcurves.linalg import feasible_nonneg  # noqa: E402
 from tropcurves.serialize import (  # noqa: E402
     config_from_json,
     config_to_json,
@@ -38,6 +40,21 @@ from tropcurves.serialize import (  # noqa: E402
 SLOPES = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 RATIONALS = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
+
+
+@SETTINGS
+@hypothesis.given(
+    st.lists(SLOPES, max_size=5),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.integers(1, 10**6),
+)
+def test_cone_contains_matches_lp_and_is_scale_free(gens, w, m):
+    # the incidence scan runs the test on integer-scaled points, which
+    # relies on the answer not changing under w -> m*w
+    rows = [{j: g[c] for j, g in enumerate(gens) if g[c]} for c in (0, 1)]
+    inside = feasible_nonneg(rows, list(w), len(gens))
+    assert _cone_contains(gens, w) == inside
+    assert _cone_contains(gens, (m * w[0], m * w[1])) == inside
 
 
 @st.composite
