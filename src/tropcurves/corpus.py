@@ -17,14 +17,13 @@ The corpus of degree-d, genus-g types is produced in two stages:
     tree comes out exactly once (Wright, Richmond, Odlyzko and McKay,
     "Constant time generation of free trees", SIAM J. Comput. 1986).
 
-    Cutting the b1 edges off a spanning tree of a core leaves a tree with
-    a pair of legs s, -s for each cut edge of slope s.  So the cores of
-    Betti number b1 come from the same generator run over the 3d class
-    legs plus b1 tagged pairs, with s drawn from the slope alphabet, by
-    gluing each pair back into an edge.  A core arises from each of its
-    spanning trees, so gluings are deduplicated by canonical key.  A
-    gluing whose cycles cannot close with positive lengths is dropped by
-    an exact planar cone test, and the survivors by the exact LP.
+    A core of Betti number 1 is a cycle of k >= 2 vertices, each carrying
+    children drawn from the same subtrees (Harary and Palmer, "Graphical
+    Enumeration", 1973).  Balancing fixes each cycle slope from the one
+    before it, and one cycle closes with positive lengths iff the negative
+    of each of its slopes lies in the cone of them all, an exact planar
+    test.  A cycle is kept as the least of its rotations and reflections,
+    so each core comes out once too.  Higher Betti numbers are refused.
 
     Slope coordinates are bounded by d (the dual-polygon bound).  An
     edge's slope, weight included, is a dual edge of the Newton
@@ -53,18 +52,13 @@ import itertools
 from math import lcm
 
 from tropcurves.canonical import canonical_key
-from tropcurves.cones import cycle_system, is_realizable, path, path_coefficients, xy_rows
+from tropcurves.cones import cycle_system, path, path_coefficients, xy_rows
+from tropcurves.errors import ScaleRefusal
 from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.graphs import CombinatorialType, Edge, Leg
 from tropcurves.linalg import feasible_nonneg
 
 _CLASS_SLOPES = ((1, 1), (-1, 0), (0, -1))
-
-
-def _arc_alphabet(d):
-    """Nonzero slopes with coordinates in [-d, d], one of each pair s, -s:
-    those pointing up, or right along the x-axis."""
-    return sorted((a, b) for a in range(-d, d + 1) for b in range(d + 1) if b > 0 or a > 0)
 
 
 def _cone_contains(gens, w):
@@ -92,39 +86,40 @@ def _cone_contains(gens, w):
     return False
 
 
-def _slope_sum(m, slopes):
-    """The summed slope of m[k] legs of each class k."""
-    return (sum(k * s[0] for k, s in zip(m, slopes)), sum(k * s[1] for k, s in zip(m, slopes)))
+def _slope_sum(m):
+    """The summed slope of m[k] legs of each class k of _CLASS_SLOPES."""
+    return (m[0] - m[1], m[0] - m[2])
 
 
-def _trees(slopes, counts, bound, max_valency):
-    """Each stable tree with counts[k] legs of class k once.
+def _shapes(counts, bound, cap, b1):
+    """Each stable core with counts[k] legs of class k and Betti number
+    b1 <= 1 once, as (kids, cycle).
 
-    Leg class k has slope slopes[k]; edge slopes must be nonzero with
-    coordinates in [-bound, bound].  A leg multiset is a tuple of counts
-    per class, and a rooted subtree is a sorted tuple of children
-    (multiset, subtree), where the subtree of a single leg is ().  Yields
-    the children of vertex 0 of each tree.
+    Vertex i < len(kids) carries the children kids[i]; with b1 = 1 the
+    vertices form a cycle whose edge i -> i + 1 has slope cycle[i], and
+    a tree is one vertex and no cycle.  Edge slopes must be nonzero with
+    coordinates in [-bound, bound], and no vertex has more than cap
+    germs.  A leg multiset is a tuple of counts per class, and a rooted
+    subtree is a sorted tuple of children (multiset, subtree), where the
+    subtree of a single leg is ().
     """
     n = sum(counts)
-    cap = n if max_valency is None else max_valency
     hung_forms = {}
 
     def sub_multisets(m):
         return [s for s in itertools.product(*(range(k + 1) for k in m)) if any(s)]
+
+    def in_bound(s):
+        return s != (0, 0) and max(abs(s[0]), abs(s[1])) <= bound
 
     def hung(m):
         """The subtrees holding legs m that can hang below an edge."""
         if sum(m) == 1:
             return [()]
         if m not in hung_forms:
-            s = _slope_sum(m, slopes)
-            if s == (0, 0) or max(abs(s[0]), abs(s[1])) > bound:
-                hung_forms[m] = []
-            else:
-                # proper parts force at least two children
-                parts = [p for p in sub_multisets(m) if p != m]
-                hung_forms[m] = list(children(m, parts, cap - 1))
+            # proper parts force at least two children
+            parts = [p for p in sub_multisets(m) if p != m]
+            hung_forms[m] = list(children(m, parts, cap - 1)) if in_bound(_slope_sum(m)) else []
         return hung_forms[m]
 
     def children(rem, parts, k, i=0):
@@ -153,8 +148,44 @@ def _trees(slopes, counts, bound, max_valency):
                     for tail in tails:
                         yield head + tail
 
+    def beads(rem, seq):
+        """Cycles extending seq, a list of beads (multiset, slope out of
+        the vertex), each the least of its rotations and reflections."""
+        if not any(rem):
+            yield from closed(seq)
+            return
+        c = seq[-1][1]
+        for m in sub_multisets(rem):
+            s = _slope_sum(m)
+            out = (c[0] - s[0], c[1] - s[1])  # balancing at the new vertex
+            # a least sequence starts with its least bead, in either direction
+            if in_bound(out) and min((m, out), (m, (-c[0], -c[1]))) >= seq[0] and pendants[m]:
+                yield from beads(tuple(a - b for a, b in zip(rem, m)), seq + [(m, out)])
+
+    def closed(seq):
+        cycle = tuple(c for _m, c in seq)
+        # one cycle closes with positive lengths iff -v is in its cone for each v
+        if not all(_cone_contains(cycle, (-x, -y)) for x, y in cycle):
+            return
+        for kids in itertools.product(*(pendants[m] for m, _c in seq)):
+            ahead = [(m, c, p) for (m, c), p in zip(seq, kids)]
+            # reversed, vertex i leaves along its edge from vertex i - 1
+            back = [(m, (-x, -y), p) for (m, _c, p), (x, y) in zip(ahead, cycle[-1:] + cycle)][::-1]
+            if all(ahead <= b[r:] + b[:r] for b in (ahead, back) for r in range(len(seq))):
+                yield kids, cycle
+
+    if b1 == 1:
+        parts = sub_multisets(counts)[:-1]  # all legs at one vertex close no cycle
+        # the children a cycle vertex holding legs m can carry
+        pendants = {m: list(children(m, sub_multisets(m), cap - 2)) for m in parts}
+        box = range(-bound, bound + 1)
+        for m, c in itertools.product(parts, itertools.product(box, box)):
+            if pendants[m] and c != (0, 0):
+                yield from beads(tuple(a - b for a, b in zip(counts, m)), [(m, c)])
+        return
     # a centroid vertex: every branch below n/2 legs, hence at least three
-    yield from children(counts, [m for m in sub_multisets(counts) if 2 * sum(m) < n], cap)
+    for kids in children(counts, [m for m in sub_multisets(counts) if 2 * sum(m) < n], cap):
+        yield (kids,), ()
     # a centroid edge: both sides n/2 legs, taken as an unordered pair
     for m in sub_multisets(counts):
         rest = tuple(a - b for a, b in zip(counts, m))
@@ -165,58 +196,30 @@ def _trees(slopes, counts, bound, max_valency):
         else:
             pairs = itertools.product(hung(m), hung(rest))
         for a, b in pairs:
-            yield a + ((rest, b),)
+            yield (a + ((rest, b),),), ()
 
 
-def _glue(slopes, root, b1):
-    """The core of one generated tree: leg classes 3 + 2i and 4 + 2i,
-    slopes s and -s, are glued into an edge of slope s.  None when a
-    glued edge is a loop or closes a cycle that no positive lengths
-    close: -v must lie in the cone of the cycle's slopes for each of its
-    slopes v."""
-    edges = []  # (parent, child, slope out of the parent), parents first
-    legs = []  # (vertex, class)
+def _core(kids, cycle):
+    """The core of a shape of `_shapes`: cycle vertices first, then each
+    subtree's vertices depth first; tree edges in that order, then cycle edges."""
+    k = len(kids)
+    edges = []
+    legs = []  # (slope, vertex)
 
     def place(v, kids):
         for m, sub in kids:
             if not sub:
-                legs.append((v, m.index(1)))
+                legs.append((_CLASS_SLOPES[m.index(1)], v))
                 continue
-            w = len(edges) + 1
-            edges.append((v, w, _slope_sum(m, slopes)))
+            w = len(edges) + k
+            edges.append(Edge(v, w, _slope_sum(m)))
             place(w, sub)
 
-    place(0, root)
-    n_vertices = len(edges) + 1
-    up = [None] * n_vertices
-    depth = [0] * n_vertices
-    for u, v, s in edges:
-        up[v] = (u, s)
-        depth[v] = depth[u] + 1
-    at = {k: v for v, k in legs}
-    glued = []
-    for i in range(b1):
-        s = slopes[3 + 2 * i]
-        a, b = at[3 + 2 * i], at[4 + 2 * i]
-        if a == b:
-            return None
-        cycle = [s]  # a -> b along the glued edge, then back up the tree
-        x, y = b, a
-        while x != y:
-            if depth[x] >= depth[y]:
-                x, step = up[x]
-                cycle.append((-step[0], -step[1]))
-            else:
-                y, step = up[y]
-                cycle.append(step)
-        if not all(_cone_contains(cycle, (-v[0], -v[1])) for v in cycle):
-            return None
-        glued.append(Edge(a, b, s))
-    return CombinatorialType(
-        (0,) * n_vertices,
-        tuple(Edge(u, v, s) for u, v, s in edges) + tuple(glued),
-        tuple(Leg(v, s) for s, v in sorted((slopes[k], v) for v, k in legs if k < 3)),
-    )
+    for v, at_v in enumerate(kids):
+        place(v, at_v)
+    weights = (0,) * (len(edges) + k)
+    edges += [Edge(v, (v + 1) % k, c) for v, c in enumerate(cycle)]
+    return CombinatorialType(weights, tuple(edges), tuple(Leg(v, s) for s, v in sorted(legs)))
 
 
 _CORE_CACHE = {}
@@ -228,28 +231,22 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
     Returns canonical CombinatorialTypes (legs unlabeled within a slope
     class), realizable ones only, sorted by canonical key.  `slope_bound`
     widens the slope alphabet beyond the dual-polygon bound d, for
-    falsification tests of the corpus contract.  Results are memoized per
-    process.
+    falsification tests of the corpus contract.  Betti numbers above 1
+    are refused: at d <= 3, the scale `is_general` certifies, the genus
+    is at most 1.  Results are memoized per process.
     """
+    if b1 > 1:
+        raise ScaleRefusal("enumerate_cores is certified for Betti number b1 <= 1 only")
     cache_key = (d, b1, max_valency, slope_bound)
     if cache_key in _CORE_CACHE:
         return _CORE_CACHE[cache_key]
     bound = d if slope_bound is None else slope_bound
-    counts = (d, d, d) + (1,) * (2 * b1)
-    found = {}
-    for pair_slopes in itertools.combinations_with_replacement(_arc_alphabet(bound), b1):
-        slopes = _CLASS_SLOPES + tuple(x for s in pair_slopes for x in (s, (-s[0], -s[1])))
-        for root in _trees(slopes, counts, bound, max_valency):
-            t = _glue(slopes, root, b1)
-            if t is None:
-                continue
-            key = canonical_key(t, labeled="none")
-            if key not in found:
-                # a tree of positive lengths always realizes
-                found[key] = t if b1 == 0 or is_realizable(t) else None
-    result = [found[k] for k in sorted(found) if found[k] is not None]
-    _CORE_CACHE[cache_key] = result
-    return result
+    # no cap: a vertex has at most its 3d legs and two cycle edges
+    cap = 3 * d + 2 if max_valency is None else max_valency
+    cores = [_core(kids, cycle) for kids, cycle in _shapes((d, d, d), bound, cap, b1)]
+    cores.sort(key=lambda t: canonical_key(t, labeled="none"))
+    _CORE_CACHE[cache_key] = cores
+    return cores
 
 
 # ---------------------------------------------------------------------------

@@ -204,8 +204,8 @@ def is_general(cfg, d, g):
         cfg = PointConfiguration(pts)
     if d > 3:
         return "unknown"  # corpus bound: exhaustive enumeration kept to d <= 3
-    if d == 3 and g >= 1:
-        return "unknown"  # enumerate_cores(3, 1) has never finished
+    if g >= 2 or (d == 3 and g == 1):
+        return "unknown"  # b1 >= 2 is refused; no scan of the d = 3, b1 = 1 cores is certified
     from tropcurves.corpus import scan_fibers
 
     n = len(cfg)

@@ -20,6 +20,8 @@ ONE = Fraction(1)
 
 def _integer_row(row):
     """The row times the lcm of its denominators, as Python ints."""
+    if all(type(x) is int for x in row):
+        return row  # as it is: the kernels replace rows, never write into one
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*[x.denominator for x in row])
     return [x.numerator * (den // x.denominator) for x in row]

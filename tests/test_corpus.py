@@ -2,10 +2,13 @@ import hashlib
 import itertools
 from fractions import Fraction as F
 
+import pytest
+
 import tropcurves.corpus
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import cone_dimension, expected_dimension, is_realizable
-from tropcurves.corpus import _attach_mark, enumerate_cores, scan_fibers
+from tropcurves.corpus import _attach_mark, _core, _shapes, enumerate_cores, scan_fibers
+from tropcurves.errors import ScaleRefusal
 from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.floors import enumerate_curves, make_stretched
 from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, genus, is_stable
@@ -112,9 +115,18 @@ def test_slope_bound_is_sharp_at_degree_two():
     assert set(tree_oracle_cores(2, slope_bound=3)) == set(tree_oracle_cores(2))
 
 
+def _keys_digest(cores):
+    keys = [canonical_key(t, labeled="none") for t in cores]
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
 def test_betti_one_cores_degree_two():
     cores = enumerate_cores(2, 1)
     assert len(cores) == 156
+    # the ordered keys, which no vertex numbering moves
+    frozen = "2b743aaf9018eaee2869af7677b4efb16db2aede7df8cefc81c679e138657fb3"
+    assert _keys_digest(cores) == frozen
+    assert _keys_digest(enumerate_cores(2, 1, slope_bound=3)) == frozen
     for t in cores:
         assert t.is_weightless()
         assert is_stable(t)
@@ -137,6 +149,24 @@ def test_betti_one_cores_degree_two():
         ),
     )
     assert canonical_key(square, labeled="none") in {canonical_key(t, labeled="none") for t in cores}
+
+
+def test_betti_one_cores_generated_once():
+    # one shape per core: no canonical key repeats before the sort.  At
+    # d = 2 the least first bead already tells a cycle from its
+    # reflection; the trivalent cubics need the whole bead sequence
+    for d, bound, cap, count in ((2, 2, 8, 156), (2, 3, 8, 156), (2, 2, 3, 21), (3, 3, 3, 3586)):
+        shapes = _shapes((d, d, d), bound, cap, 1)
+        keys = [canonical_key(_core(kids, cycle), labeled="none") for kids, cycle in shapes]
+        assert len(keys) == len(set(keys)) == count
+    # the ordered keys of enumerate_cores(3, 1, max_valency=3)
+    digest = hashlib.sha256(repr(sorted(keys)).encode()).hexdigest()
+    assert digest == "973e3ce7a58c0ba8283ad4b463f4cc67840097c92a525eb11f7f066340cec89b"
+
+
+def test_enumerate_cores_refuses_betti_two():
+    with pytest.raises(ScaleRefusal):
+        enumerate_cores(2, 2)
 
 
 def test_degree_three_tree_corpus_frozen():
@@ -266,11 +296,28 @@ def test_scan_of_fractional_points_is_affine_invariant(monkeypatch):
 
 def test_betti_one_scan_frozen(monkeypatch):
     # the only tier-1 run of the scanner's cycle rows and of its
-    # LP-confirmed pair test; the LP count pins the pair filter's pruning
+    # LP-confirmed pair test; the LP counts pin the pair filter's pruning
     lps = _count_lps(monkeypatch)
+    in_table = []
+    table = tropcurves.corpus._CoreScanner.pair_table
+
+    def counted_table(self, w):
+        before = len(lps)
+        out = table(self, w)
+        in_table.append(len(lps) - before)
+        return out
+
+    monkeypatch.setattr(tropcurves.corpus._CoreScanner, "pair_table", counted_table)
     hits = scan_fibers(2, 1, make_stretched(4, 2).config)
-    assert len(lps) == 4952
+    # the pair table relaxes each cycle along the core's BFS spanning
+    # tree, so its LP count depends on the vertex numbering; the
+    # placement LPs and the hits up to isomorphism do not
+    assert len(lps) - sum(in_table) == 972
+    assert sum(in_table) == 3940
     assert len(hits) == 28
+    summary = [(canonical_key(t, labeled="contracted"), fb.kind, fb.codimension()) for t, fb in hits]
+    digest = hashlib.sha256(repr(summary).encode()).hexdigest()
+    assert digest == "7cd1ce67692fa8aa6a4f1028c8f63eb256b80789b3dc7f14cb6b8eed35ca4857"
     encoded = dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
     digest = hashlib.sha256(encoded.encode()).hexdigest()
-    assert digest == "787706483f69e5da3701faf5cc7bc19360fa00a2e57ba1a0294dbfd3fcb152ca"
+    assert digest == "7926b15335283d2f397d9c9b1bcce69abce43e7df693a88c88808ec72ea5946d"

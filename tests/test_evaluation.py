@@ -100,8 +100,9 @@ def test_is_general_unknown_beyond_desk_scale():
 
 
 def test_is_general_unknown_for_positive_genus_cubics(monkeypatch):
-    # enumerate_cores(3, 1) has never finished, so the call must refuse
-    # before it starts any scan
+    # no scan over the Betti-1 cores at d = 3 is certified, and cores of
+    # Betti number 2 are refused, so the call must answer before it
+    # starts any scan
     def no_scan(*args, **kwargs):
         raise AssertionError("is_general scanned")
 
@@ -110,6 +111,7 @@ def test_is_general_unknown_for_positive_genus_cubics(monkeypatch):
     cfg = make_stretched(7, 3).config
     assert is_general(cfg, 3, 1) == "unknown"
     assert is_general(cfg, 3, 2) == "unknown"
+    assert is_general(make_stretched(5, 2).config, 2, 2) == "unknown"
 
 
 def test_is_general_line_through_two_points():
