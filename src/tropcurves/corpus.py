@@ -32,8 +32,9 @@ The corpus of degree-d, genus-g types is produced in two stages:
     triangle lie in [-d, d].
 
 2.  `scan_fibers(d, g, cfg)` -- all ways of attaching len(cfg) contracted
-    legs to a core, pruned by exact LP feasibility of the
-    partially-constrained fiber polyhedron.  Every marked type whose
+    legs to a core, walked depth first and pruned by exact LP feasibility
+    of the partially-constrained fiber polyhedron, each LP extending the
+    solved tableau of its parent's.  Every marked type whose
     fiber over cfg is nonempty appears in the scan; all others have empty
     fibers by construction.
 
@@ -306,8 +307,13 @@ class _CoreScanner:
     A mark on an edge contributes the row  q = pos(u) + tau * slope(e)
     with 0 <= tau <= length(e); no edge is split during the search, so
     the constraint system only grows by rows as points are placed.
-    Variables: edge lengths (nonneg), one tau per on-edge or on-leg mark
-    (nonneg; on-edge taus are bounded by the edge length via a slack).
+    Variables: edge lengths (nonneg), then each mark's own columns in
+    placement order: a tau (nonneg) when it lies on an edge or a leg, and
+    on an edge a slack bounding tau by the edge length.  So the columns
+    of a placement are a prefix of those of every placement extending it,
+    and `mark_rows` builds each mark's rows once: `placements` passes them
+    to the LP of the placement they complete, which extends the solved
+    tableau of the parent placement's LP.
     The points it is given are integer: `scan_fibers` clears their
     denominators once, so every row it builds holds only ints.
     """
@@ -335,6 +341,35 @@ class _CoreScanner:
             return e.u, {tau_var: e.slope}
         leg = t.legs[idx]
         return leg.vertex, {tau_var: leg.slope}
+
+    def mark_rows(self, assignment, points, col):
+        """(rows, rhs, width): what the last mark of an assignment adds to
+        the system of the marks before it, whose columns end at col.
+
+        The first mark brings the cycle rows; every later mark two rows
+        pinning its position minus the first mark's to the difference of
+        their points; a mark on an edge also brings its slack row.
+        """
+        k = len(assignment) - 1
+        site = assignment[k]
+        v, extra = self._site_pos_terms(site, col)
+        rows = list(self.cycles) if k == 0 else []
+        width = col + len(extra)
+        if site[0] == "edge":
+            rows.append({site[1]: 1, col: -1, width: -1})
+            width += 1
+        rhs = [0] * len(rows)
+        if k:
+            # the first mark's tau, if any, is the first column past the lengths
+            base_vertex, base_extra = self._site_pos_terms(assignment[0], self.ne)
+            for coord, row in enumerate(xy_rows(self.core, path(self.coeffs, base_vertex, v))):
+                for var, slope in extra.items():
+                    row[var] = slope[coord]
+                for var, slope in base_extra.items():
+                    row[var] = -slope[coord]
+                rows.append(row)
+                rhs.append(points[k][coord] - points[0][coord])
+        return rows, rhs, width
 
     def _pair_generators(self, a, b):
         """Generators of the relaxed displacement cone from site a to b.
@@ -395,38 +430,49 @@ class _CoreScanner:
 
     def feasible(self, assignment, points):
         """Relaxed feasibility: the chosen sites can hit the chosen integer
-        points."""
-        rows = list(self.cycles)
-        rhs = [0] * len(rows)
-        tau_at = self.ne
-        terms = []
-        slack_rows = []
-        for site in assignment:
-            if site[0] == "vertex":
-                terms.append(self._site_pos_terms(site, None))
-            else:
-                terms.append(self._site_pos_terms(site, tau_at))
-                if site[0] == "edge":
-                    slack_rows.append((site[1], tau_at))
-                tau_at += 1
-        width = tau_at + len(slack_rows)
-        slack_at = tau_at
-        for edge_idx, tvar in slack_rows:
-            rows.append({edge_idx: 1, tvar: -1, slack_at: -1})
-            rhs.append(0)
-            slack_at += 1
-        base_vertex, base_extra = terms[0]
-        for i in range(1, len(assignment)):
-            vi, extra = terms[i]
-            for coord, row in enumerate(xy_rows(self.core, path(self.coeffs, base_vertex, vi))):
-                # every mark has its own tau variable, off the edge columns
-                for var, slope in extra.items():
-                    row[var] = slope[coord]
-                for var, slope in base_extra.items():
-                    row[var] = -slope[coord]
-                rows.append(row)
-                rhs.append(points[i][coord] - points[0][coord])
+        points.  One cold LP over the rows of every mark."""
+        rows, rhs, width = [], [], self.ne
+        for k in range(1, len(assignment) + 1):
+            more, b, width = self.mark_rows(assignment[:k], points, width)
+            rows += more
+            rhs += b
         return feasible_nonneg(rows, rhs, width)
+
+    def placements(self, points, tables=None):
+        """Every site assignment of the points that passes all tests, in
+        lexicographic order of site indices.
+
+        The walk is depth first, in site order.  tables[k], when given,
+        holds one pair table per earlier mark, whose entry at that mark's
+        site lists the sites mark k may take.  The first mark, and the
+        second when tables are given, need no LP: translations absorb one
+        point, and for two the pair test is exact.  Every later placement
+        runs one LP, which extends the solved tableau of the nearest
+        ancestor that ran one, so at most one tableau per depth is live.
+        """
+        n = len(points)
+        tableaux = []  # the solved tableaux of the LPs on the current path
+
+        def place(assignment, width, rows, rhs):
+            k = len(assignment)
+            if k == n:
+                yield assignment
+                return
+            sites = self.sites
+            if tables is not None and k:
+                allowed = set.intersection(*(t[a] for t, a in zip(tables[k], assignment)))
+                sites = [s for s in sites if s in allowed]
+            exact = k == 0 or (k == 1 and tables is not None)
+            for site in sites:
+                cand = assignment + (site,)
+                more, b, end = self.mark_rows(cand, points, width)
+                if exact:
+                    yield from place(cand, end, rows + more, rhs + b)
+                elif feasible_nonneg(rows + more, rhs + b, end, tableaux):
+                    yield from place(cand, end, [], [])
+                    tableaux.pop()
+
+        yield from place((), self.ne, [], [])
 
 
 def _scan_order(n):
@@ -500,11 +546,15 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     Branch-and-prune over mark placements on each Betti-g weightless
     core: points are processed extremes-first and every partial placement
     is tested by an exact LP on the linearized system (lengths plus
-    position-along-edge variables).  The points are multiplied once by
-    the lcm of their denominators, so the LPs and cone tests run on ints.
-    When the points are collinear, a per-core table of the pair tests
-    (`_CoreScanner.pair_table`) prunes each placement before its LP.
-    Site assignments that survive all points are materialized into marked
+    position-along-edge variables).  The placements are walked depth
+    first, in site order (`_CoreScanner.placements`), so each LP adds the
+    new mark's rows to the solved tableau of its parent placement's LP,
+    and only the tableaux on the current path are kept.  The points are
+    multiplied once by the lcm of their denominators, so the LPs and cone
+    tests run on ints.  When the points are collinear, a per-core table of
+    the pair tests (`_CoreScanner.pair_table`) prunes each placement
+    before its LP.  Site assignments that survive all points come out in
+    lexicographic order of site indices and are materialized into marked
     types (one per ordering of marks sharing an edge) and classified
     exactly over cfg itself.
 
@@ -534,32 +584,20 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
             (pts[i][0] - pts[0][0]) * dy == (pts[i][1] - pts[0][1]) * dx for i in range(2, n)
         ):
             w = (dx, dy)
+            # where each point lies along the line
+            ahead = [x * dx + y * dy for x, y in pts]
     results = {}
     for core in cores:
         scanner = _CoreScanner(core)
+        tables = None
         if w is not None:
             # step 1 would test every ordered pair of sites anyway
             fits, back = scanner.pair_table(w)
-        stack = [()]
-        for k in range(n):
-            # translations absorb one point; for two the pair test is exact
-            exact = k == 0 or (k == 1 and w is not None)
-            tables = [fits if order[j] < order[k] else back for j in range(k)] if w is not None else []
-            nxt = []
-            for assignment in stack:
-                sites = scanner.sites
-                if tables:
-                    allowed = set.intersection(*(t[a] for t, a in zip(tables, assignment)))
-                    sites = [s for s in sites if s in allowed]
-                for site in sites:
-                    cand = assignment + (site,)
-                    if exact or scanner.feasible(cand, pts[: k + 1]):
-                        nxt.append(cand)
-            stack = nxt
-            if not stack:
-                break
+            # mark k takes fits after a mark j whose point lies behind its
+            # own on the line, else back
+            tables = [[fits if ahead[j] < ahead[k] else back for j in range(k)] for k in range(n)]
         evaluated = set()
-        for assignment in stack:
+        for assignment in scanner.placements(pts, tables):
             for t in _materialize(core, assignment, order, n):
                 key = canonical_key(t, labeled="contracted")
                 if key in evaluated or key in results:

@@ -6,7 +6,10 @@ nonzero multiple of its rational row, and sheds its content after every
 update.  Fractions are built only from what the kernels are given and
 what they return.  The simplex pivots by Bland's rule, so it terminates
 on every input and its answers are exact certificates (feasible point,
-unbounded ray, or infeasibility).  No float enters any computation.
+unbounded ray, or infeasibility).  Its phase 1 can start from a solved
+tableau and add rows and columns to it, which is how `feasible_nonneg`
+decides a chain of systems each extending the one before; a cold solve
+starts from the empty tableau.  No float enters any computation.
 """
 
 from __future__ import annotations
@@ -148,33 +151,75 @@ def _bland(tab, basis, n):
         _pivot(tab, basis, leave, enter)
 
 
-def _phase1(A, b, n, carried=()):
-    """Minimise the sum of artificials over ``A x = b, x >= 0``.
+def _phase1(A, b, n, carried=(), tab=(), basis=()):
+    """Add the rows ``A x = b`` to a solved tableau and minimise a positive
+    combination of their artificials over ``x >= 0``.
 
-    Each row [A | 1 | b] is cleared of denominators, so its artificial
-    column holds the row's multiplier, and signed so that b >= 0.  The
-    artificial columns are then dropped: none enters, and only the phase-1
-    objective row (minus the sum of the rational rows) needs them.  The
-    integer tableau is the constraint rows, that objective row, then the
-    carried rows, which every pivot updates too.  Returns (tableau, basis)
-    without the phase-1 row, or None when the system is infeasible.
+    (tab, basis) is a tableau this routine returned over at most n
+    columns, with every artificial driven out (`_drive_out`); its rows are
+    widened to n columns.  The empty tableau, the default, makes this a
+    cold phase 1.  Each new row [A | 1 | b] is cleared of denominators, so
+    its artificial column holds the row's multiplier.  The tableau's basic
+    columns are cleared from the new rows, which leaves an equivalent
+    system, and each new row is signed so that b >= 0: the tableau's basis
+    and the new artificials are then a feasible basis.  The artificial
+    columns are dropped: none enters, and only the phase-1 objective row,
+    minus the sum of the new rows each over its multiplier, needs them.
+    In a cold solve that is the sum of the artificials; a row changed by
+    the clearing weighs its artificial by another positive factor, which
+    decides feasibility just as well.  The integer tableau is the
+    constraint rows, that objective row, then the carried rows, which
+    every pivot updates too.  Returns a new (tableau, basis) without the
+    phase-1 row, or None when the system is infeasible; the given tableau
+    is left as it is.
     """
-    tab, mults = [], []
+    width = len(tab[0]) - 1 if tab else n
+    if width < n:
+        pad = [0] * (n - width)
+        tab = [row[:-1] + pad + row[-1:] for row in tab]
+    else:
+        tab = list(tab)
+    new, mults = [], []
     for row, bi in zip(A, b):
         *row, mult, bi = _integer_row([*row, 1, bi])
-        tab.append([*row, bi] if bi >= 0 else [-x for x in row] + [-bi])
+        new.append([*row, bi])
         mults.append(mult)
+    for prow, k in zip(tab, basis):
+        _eliminate(new, prow, k)
+    new = [row if row[-1] >= 0 else [-x for x in row] for row in new]
     scale = lcm(*mults)
     obj = [0] * (n + 1)
-    for row, mult in zip(tab, mults):
+    for row, mult in zip(new, mults):
         f = scale // mult
         obj = [o - f * x for o, x in zip(obj, row)]
-    basis = list(range(n, n + len(tab)))
-    tab += [obj, *carried]
+    m = len(tab)
+    basis = [*basis, *range(n + m, n + m + len(new))]
+    tab += [*new, obj, *carried]
     _bland(tab, basis, n)
     if tab.pop(len(basis))[-1]:  # minus a multiple of the sum of artificials
         return None
     return tab, basis
+
+
+def _drive_out(tab, basis, n):
+    """Pivot every artificial still basic after a feasible phase 1 (at
+    value 0) out of the basis, on the first structural nonzero of its row;
+    a row with none is zero and is dropped, rhs included.
+
+    Left basic, such an artificial is no longer in any objective, so a
+    later pivot on a negative entry of its row would lift it above zero
+    unseen, and an extended system could pass phase 1 while infeasible.
+    """
+    zero = []
+    for r in range(len(basis)):
+        if basis[r] >= n:
+            j = next((j for j in range(n) if tab[r][j]), None)
+            if j is None:
+                zero.append(r)
+            else:
+                _pivot(tab, basis, r, j)
+    for r in reversed(zero):
+        del tab[r], basis[r]
 
 
 def _simplex_standard(c, A, b):
@@ -189,13 +234,7 @@ def _simplex_standard(c, A, b):
     if phase1 is None:
         return None
     tab, basis = phase1
-    # drive artificials out of the basis; a row with no structural entry
-    # is redundant and keeps its artificial basic at value 0
-    for r in range(len(basis)):
-        if basis[r] >= n:
-            j = next((j for j in range(n) if tab[r][j]), None)
-            if j is not None:
-                _pivot(tab, basis, r, j)
+    _drive_out(tab, basis, n)
     enter = _bland(tab, basis, n)
     point = [ZERO] * n
     for row, k in zip(tab, basis):
@@ -211,13 +250,21 @@ def _simplex_standard(c, A, b):
     return point, ray
 
 
-def feasible_nonneg(rows, rhs, width):
+def feasible_nonneg(rows, rhs, width, path=None):
     """Feasibility of {A x = b, x >= 0}: phase 1 of the simplex only.
 
     rows: list of {col: coeff} dicts with int or Fraction coefficients;
     returns True/False.  The coefficients go straight into the integer
     tableau.  This is the hot path of the incidence scans; it avoids the
     Polyhedron wrapper.
+
+    path, when given, is a list of solved tableaux, one per system on a
+    chain of systems each extending the one before.  The rows then extend
+    the system of path[-1] (or stand alone when path is empty): its
+    tableau is widened to width columns and phase 1 runs over the new
+    rows' artificials only.  When the system is feasible its tableau, with
+    every artificial driven out, is appended to path for the systems that
+    extend it; the caller removes it when done.
     """
     A = []
     for row in rows:
@@ -225,7 +272,13 @@ def feasible_nonneg(rows, rhs, width):
         for j, a in row.items():
             dense[j] = a
         A.append(dense)
-    return _phase1(A, rhs, width) is not None
+    solved = _phase1(A, rhs, width, (), *(path[-1] if path else ()))
+    if solved is None:
+        return False
+    if path is not None:
+        _drive_out(*solved, width)
+        path.append(solved)
+    return True
 
 
 class Polyhedron:

@@ -8,9 +8,11 @@ import hashlib
 
 import pytest
 
+import tropcurves.corpus
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import is_realizable
-from tropcurves.corpus import enumerate_cores
+from tropcurves.corpus import enumerate_cores, scan_fibers
+from tropcurves.floors import enumerate_curves, make_stretched
 from tropcurves.graphs import check_balancing, is_stable
 
 
@@ -32,3 +34,27 @@ def test_betti_one_cores_degree_three():
         # the generator decides realizability by a planar cone test; the
         # LP here shares none of its code
         assert is_realizable(t)
+
+
+@pytest.mark.slow
+def test_cubic_configuration_is_general(monkeypatch):
+    # the full genus-0 scan at d = 3: all 6422 tree cores, 8 collinear points
+    cfg = make_stretched(8, 3)
+    sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in enumerate_curves(3, 0, cfg)}
+    assert len(sol_keys) == 9
+    lps = []
+    kernel = tropcurves.corpus.feasible_nonneg
+
+    def counted(*args):
+        lps.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(tropcurves.corpus, "feasible_nonneg", counted)
+    hits = scan_fibers(3, 0, cfg.config)
+    assert len(lps) == 885266
+    assert len(hits) == 9
+    assert {canonical_key(t, labeled="contracted") for t, _fb in hits} == sol_keys
+    # is_general's own test: every nonempty fiber has codimension 2n
+    for _t, fb in hits:
+        assert fb.kind == "point"
+        assert fb.codimension() == 16

@@ -250,6 +250,17 @@ def test_scan_matches_floor_solutions_degree_two(monkeypatch):
     assert point_keys == sol_keys
 
 
+def test_scan_of_shuffled_collinear_points():
+    # the pair tables orient two marks by where their points lie on the
+    # line, not by input order: relabeling the points keeps the one hit
+    cfg = make_stretched(5, 2).config
+    ((t, fb),) = scan_fibers(2, 0, cfg)
+    want = [(canonical_key(t, labeled="none"), fb.kind)]
+    for perm in ((4, 3, 2, 1, 0), (2, 0, 4, 1, 3), (1, 0, 2, 3, 4)):
+        shuffled = PointConfiguration(tuple(cfg.points[i] for i in perm))
+        assert [(canonical_key(t, labeled="none"), fb.kind) for t, fb in scan_fibers(2, 0, shuffled)] == want
+
+
 def test_scan_fibers_merges_cores():
     # four points leave a one-parameter family: 25 hits spread over several
     # cores (five points give a single hit), so the merged scan must equal
