@@ -32,9 +32,10 @@ The corpus of degree-d, genus-g types is produced in two stages:
     triangle lie in [-d, d].
 
 2.  `scan_fibers(d, g, cfg)` -- all ways of attaching len(cfg) contracted
-    legs to a core, walked depth first and pruned by exact LP feasibility
-    of the partially-constrained fiber polyhedron, each LP extending the
-    solved tableau of its parent's.  Every marked type whose
+    legs to a core, walked depth first and pruned by exact pair tests
+    (one table per direction between two points) and by exact LP
+    feasibility of the partially-constrained fiber polyhedron, each LP
+    extending the solved tableau of its parent's.  Every marked type whose
     fiber over cfg is nonempty appears in the scan; all others have empty
     fibers by construction.
 
@@ -50,7 +51,7 @@ no stratum of the moduli space.
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from math import gcd, lcm
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import cycle_system, path, path_coefficients, xy_rows
@@ -223,9 +224,6 @@ def _core(kids, cycle):
     return CombinatorialType(weights, tuple(edges), tuple(Leg(v, s) for s, v in sorted(legs)))
 
 
-_CORE_CACHE = {}
-
-
 def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
     """All weightless cores with nonzero edge slopes, degree d, Betti b1.
 
@@ -234,19 +232,15 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
     widens the slope alphabet beyond the dual-polygon bound d, for
     falsification tests of the corpus contract.  Betti numbers above 1
     are refused: at d <= 3, the scale `is_general` certifies, the genus
-    is at most 1.  Results are memoized per process.
+    is at most 1.
     """
     if b1 > 1:
         raise ScaleRefusal("enumerate_cores is certified for Betti number b1 <= 1 only")
-    cache_key = (d, b1, max_valency, slope_bound)
-    if cache_key in _CORE_CACHE:
-        return _CORE_CACHE[cache_key]
     bound = d if slope_bound is None else slope_bound
     # no cap: a vertex has at most its 3d legs and two cycle edges
     cap = 3 * d + 2 if max_valency is None else max_valency
     cores = [_core(kids, cycle) for kids, cycle in _shapes((d, d, d), bound, cap, b1)]
     cores.sort(key=lambda t: canonical_key(t, labeled="none"))
-    _CORE_CACHE[cache_key] = cores
     return cores
 
 
@@ -416,8 +410,9 @@ class _CoreScanner:
 
     def pair_table(self, w):
         """(fits, back): fits[a] holds the sites b with pair_ok(a, b, w),
-        the sites a later mark may take after a mark on a, and back[b]
-        holds the sites a with pair_ok(a, b, w).  Every ordered pair is
+        the sites a later mark may take after a mark on a when its point
+        lies ahead along w, and back[a] those with pair_ok(b, a, w), which
+        is pair_ok(a, b, -w), for a point behind.  Every ordered pair is
         tested once, in site order."""
         fits = {a: set() for a in self.sites}
         back = {b: set() for b in self.sites}
@@ -438,20 +433,27 @@ class _CoreScanner:
             rhs += b
         return feasible_nonneg(rows, rhs, width)
 
-    def placements(self, points, tables=None):
+    def placements(self, points):
         """Every site assignment of the points that passes all tests, in
         lexicographic order of site indices.
 
-        The walk is depth first, in site order.  tables[k], when given,
-        holds one pair table per earlier mark, whose entry at that mark's
-        site lists the sites mark k may take.  The first mark, and the
-        second when tables are given, need no LP: translations absorb one
-        point, and for two the pair test is exact.  Every later placement
-        runs one LP, which extends the solved tableau of the nearest
-        ancestor that ran one, so at most one tableau per depth is live.
+        The walk is depth first, in site order.  Mark k may take only the
+        sites allowed after each earlier mark j by the pair table of the
+        direction of points[k] - points[j], built when first needed.  The
+        first two marks need no LP: translations absorb one point, and for
+        two the pair test is exact.  Every later placement runs one LP,
+        which extends the solved tableau of the nearest ancestor that ran
+        one, so at most one tableau per depth is live.
         """
         n = len(points)
+        tables = {}  # primitive direction -> its pair table
+        halves = {}  # depth k -> the half of a pair table each earlier mark reads
         tableaux = []  # the solved tableaux of the LPs on the current path
+
+        def half(w, side):
+            if w not in tables:
+                tables[w] = self.pair_table(w)
+            return tables[w][side]
 
         def place(assignment, width, rows, rhs):
             k = len(assignment)
@@ -459,20 +461,31 @@ class _CoreScanner:
                 yield assignment
                 return
             sites = self.sites
-            if tables is not None and k:
-                allowed = set.intersection(*(t[a] for t, a in zip(tables[k], assignment)))
-                sites = [s for s in sites if s in allowed]
-            exact = k == 0 or (k == 1 and tables is not None)
+            if k:
+                if k not in halves:
+                    halves[k] = [half(*_direction(points[j], points[k])) for j in range(k)]
+                fit = set.intersection(*(h[a] for h, a in zip(halves[k], assignment)))
+                sites = [s for s in sites if s in fit]
             for site in sites:
                 cand = assignment + (site,)
                 more, b, end = self.mark_rows(cand, points, width)
-                if exact:
+                if k <= 1:
                     yield from place(cand, end, rows + more, rhs + b)
                 elif feasible_nonneg(rows + more, rhs + b, end, tableaux):
                     yield from place(cand, end, [], [])
                     tableaux.pop()
 
         yield from place((), self.ne, [], [])
+
+
+def _direction(p, q):
+    """(w, side): the primitive vector w parallel to q - p whose first
+    nonzero coordinate is positive, and the half of w's pair table that
+    lists the sites of a mark on q after a mark on p: 0 (fits) when q - p
+    is a positive multiple of w, else 1 (back)."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    g = gcd(dx, dy) if (dx, dy) > (0, 0) else -gcd(dx, dy)
+    return (dx // g, dy // g), int(g < 0)
 
 
 def _scan_order(n):
@@ -551,12 +564,12 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     new mark's rows to the solved tableau of its parent placement's LP,
     and only the tableaux on the current path are kept.  The points are
     multiplied once by the lcm of their denominators, so the LPs and cone
-    tests run on ints.  When the points are collinear, a per-core table of
-    the pair tests (`_CoreScanner.pair_table`) prunes each placement
-    before its LP.  Site assignments that survive all points come out in
-    lexicographic order of site indices and are materialized into marked
-    types (one per ordering of marks sharing an edge) and classified
-    exactly over cfg itself.
+    tests run on ints.  Per core, one table of pair tests for each
+    direction between two points (`_CoreScanner.pair_table`) prunes each
+    placement before its LP.  Site assignments that survive all points
+    come out in lexicographic order of site indices and are materialized
+    into marked types (one per ordering of marks sharing an edge) and
+    classified exactly over cfg itself.
 
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut
@@ -575,29 +588,11 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     # scaling the points by L > 0 scales solutions by L: same verdicts
     scale = lcm(*(c.denominator for p in cfg.points for c in p))
     pts = [tuple(c.numerator * (scale // c.denominator) for c in cfg.points[i]) for i in order]
-    # exact collinearity unlocks the scale-free pairwise filter
-    w = None
-    if n >= 2:
-        dx = pts[1][0] - pts[0][0]
-        dy = pts[1][1] - pts[0][1]
-        if all(
-            (pts[i][0] - pts[0][0]) * dy == (pts[i][1] - pts[0][1]) * dx for i in range(2, n)
-        ):
-            w = (dx, dy)
-            # where each point lies along the line
-            ahead = [x * dx + y * dy for x, y in pts]
     results = {}
     for core in cores:
         scanner = _CoreScanner(core)
-        tables = None
-        if w is not None:
-            # step 1 would test every ordered pair of sites anyway
-            fits, back = scanner.pair_table(w)
-            # mark k takes fits after a mark j whose point lies behind its
-            # own on the line, else back
-            tables = [[fits if ahead[j] < ahead[k] else back for j in range(k)] for k in range(n)]
         evaluated = set()
-        for assignment in scanner.placements(pts, tables):
+        for assignment in scanner.placements(pts):
             for t in _materialize(core, assignment, order, n):
                 key = canonical_key(t, labeled="contracted")
                 if key in evaluated or key in results:

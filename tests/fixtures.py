@@ -1,4 +1,4 @@
-"""Hand-built curve types shared across the test suite.
+"""Hand-built curve types and helpers shared across the test suite.
 
 The two cubics are written out floor by floor: a smooth genus-1 cubic
 (two elevators of weight one between the bottom floors making the cycle)
@@ -8,9 +8,32 @@ and a genus-0 cubic with a weight-2 elevator.  Both are weightless,
 
 from fractions import Fraction
 
+import tropcurves.corpus
+from tropcurves.evaluation import PointConfiguration
+from tropcurves.floors import StretchedConfig
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve
 
 F = Fraction
+
+
+def count_lps(monkeypatch):
+    """A list that grows by one for each call the scan makes to the LP kernel."""
+    calls = []
+    kernel = tropcurves.corpus.feasible_nonneg
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(tropcurves.corpus, "feasible_nonneg", counted)
+    return calls
+
+
+def shifted(cfg, shift):
+    """A stretched configuration with the x of point k moved by shift(k),
+    off its line, at half its stretch."""
+    pts = tuple((x + shift(k), y) for k, (x, y) in enumerate(cfg.points))
+    return StretchedConfig(PointConfiguration(pts), stretch=cfg.stretch / 2)
 
 
 def tropical_line(n_marks=0):

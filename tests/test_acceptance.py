@@ -5,14 +5,15 @@ Marked `slow` and deselected by default; run them with
 """
 
 import hashlib
+from fractions import Fraction as F
 
 import pytest
+from fixtures import count_lps, shifted
 
-import tropcurves.corpus
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import is_realizable
 from tropcurves.corpus import enumerate_cores, scan_fibers
-from tropcurves.floors import enumerate_curves, make_stretched
+from tropcurves.floors import enumerate_curves, is_vertically_stretched, make_stretched
 from tropcurves.graphs import check_balancing, is_stable
 
 
@@ -37,19 +38,18 @@ def test_betti_one_cores_degree_three():
 
 
 @pytest.mark.slow
-def test_cubic_configuration_is_general(monkeypatch):
-    # the full genus-0 scan at d = 3: all 6422 tree cores, 8 collinear points
+@pytest.mark.parametrize("shift", [None, lambda k: F(k * k, 97)], ids=["collinear", "shifted"])
+def test_cubic_configuration_is_general(monkeypatch, shift):
+    # the full genus-0 scan at d = 3: all 6422 tree cores, 8 points on a
+    # line, or moved off it, where points j and k lie along a direction
+    # fixed by j + k: 13 pair tables per core instead of one
     cfg = make_stretched(8, 3)
+    if shift is not None:
+        cfg = shifted(cfg, shift)
+        assert is_vertically_stretched(cfg.points, cfg.stretch)
     sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in enumerate_curves(3, 0, cfg)}
     assert len(sol_keys) == 9
-    lps = []
-    kernel = tropcurves.corpus.feasible_nonneg
-
-    def counted(*args):
-        lps.append(None)
-        return kernel(*args)
-
-    monkeypatch.setattr(tropcurves.corpus, "feasible_nonneg", counted)
+    lps = count_lps(monkeypatch)
     hits = scan_fibers(3, 0, cfg.config)
     assert len(lps) == 885266
     assert len(hits) == 9

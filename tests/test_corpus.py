@@ -3,14 +3,15 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from fixtures import count_lps, shifted
 
 import tropcurves.corpus
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import cone_dimension, expected_dimension, is_realizable
 from tropcurves.corpus import _attach_mark, _core, _shapes, enumerate_cores, scan_fibers
 from tropcurves.errors import ScaleRefusal
-from tropcurves.evaluation import PointConfiguration, fiber
-from tropcurves.floors import enumerate_curves, make_stretched
+from tropcurves.evaluation import PointConfiguration, fiber, is_general
+from tropcurves.floors import enumerate_curves, is_vertically_stretched, make_stretched
 from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, genus, is_stable
 from tropcurves.serialize import dumps, fiber_to_json, type_to_json
 
@@ -222,24 +223,11 @@ def test_scan_fibers_degree_one():
         assert all(t.valency(v) == 3 for v in range(t.n_vertices()))
 
 
-def _count_lps(monkeypatch):
-    """Count the scan's calls of the LP kernel."""
-    calls = []
-    kernel = tropcurves.corpus.feasible_nonneg
-
-    def counted(*args):
-        calls.append(None)
-        return kernel(*args)
-
-    monkeypatch.setattr(tropcurves.corpus, "feasible_nonneg", counted)
-    return calls
-
-
 def test_scan_matches_floor_solutions_degree_two(monkeypatch):
     cfg = make_stretched(5, 2)
     sols = enumerate_curves(2, 0, cfg)
     sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in sols}
-    lps = _count_lps(monkeypatch)
+    lps = count_lps(monkeypatch)
     hits = scan_fibers(2, 0, cfg.config)
     assert len(lps) == 374
     point_keys = {
@@ -248,6 +236,18 @@ def test_scan_matches_floor_solutions_degree_two(monkeypatch):
     assert sol_keys <= point_keys
     # every strictly interior point fiber is one of the floor solutions
     assert point_keys == sol_keys
+    # off the line, the ten pairs take five and then seven directions,
+    # each with its own pair table, and the LP count stays that of the line
+    for shift in (lambda k: F(1, 7) if k == 2 else 0, lambda k: F(k * k, 7)):
+        moved = shifted(cfg, shift)
+        assert is_vertically_stretched(moved.points, moved.stretch)
+        sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in enumerate_curves(2, 0, moved)}
+        del lps[:]
+        hits = scan_fibers(2, 0, moved.config)
+        assert len(lps) == 374
+        assert {canonical_key(t, labeled="contracted") for t, _fb in hits} == sol_keys
+        assert all(fb.kind == "point" and fb.codimension() == 10 for _t, fb in hits)
+        assert is_general(moved.config, 2, 0) is True
 
 
 def test_scan_of_shuffled_collinear_points():
@@ -282,17 +282,17 @@ def test_scan_fibers_merges_cores():
 
 
 def test_scan_of_fractional_points_is_affine_invariant(monkeypatch):
-    # fractional, not collinear: no pair filter, so every step past the
-    # first runs the LP; scaling by a positive rational and translating
-    # must keep every hit, its fiber kind and the LP count
+    # fractional, not collinear: one pair table per core and direction
+    # between two points; scaling by a positive rational and translating must keep
+    # every hit, its fiber kind and the LP count
     pts = ((F(1, 2), F(1, 3)), (F(-7, 5), F(2)), (F(3), F(-5, 4)), (F(11, 6), F(13, 7)))
-    lps = _count_lps(monkeypatch)
+    lps = count_lps(monkeypatch)
     hits = scan_fibers(2, 0, PointConfiguration(pts))
-    assert len(lps) == 19881
+    assert len(lps) == 384
     r = F(3, 7)
     moved = PointConfiguration(tuple((r * x + F(5, 2), r * y - F(1, 3)) for x, y in pts))
     moved_hits = scan_fibers(2, 0, moved)
-    assert len(lps) == 2 * 19881
+    assert len(lps) == 2 * 384
 
     def summary(hits):
         return [(canonical_key(t, labeled="contracted"), fb.kind) for t, fb in hits]
@@ -308,7 +308,7 @@ def test_scan_of_fractional_points_is_affine_invariant(monkeypatch):
 def test_betti_one_scan_frozen(monkeypatch):
     # the only tier-1 run of the scanner's cycle rows and of its
     # LP-confirmed pair test; the LP counts pin the pair filter's pruning
-    lps = _count_lps(monkeypatch)
+    lps = count_lps(monkeypatch)
     in_table = []
     table = tropcurves.corpus._CoreScanner.pair_table
 
