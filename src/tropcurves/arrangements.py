@@ -103,6 +103,11 @@ def similar_moves(m: MarkingSet):
     return list(out.values())
 
 
+def _check_delta(delta):
+    if delta < 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
+
+
 def equivalence_classes(d, delta):
     """Partition of all delta-markings under the move closure.
 
@@ -111,6 +116,7 @@ def equivalence_classes(d, delta):
     """
     if d > 7:
         raise ScaleRefusal("equivalence classes are certified for d <= 7 only")
+    _check_delta(delta)
     arr = Arrangement(d)
     all_markings = [
         MarkingSet(arr, frozenset(c)) for c in combinations(arr.nodes(), delta)
@@ -161,6 +167,7 @@ def empty_criterion(d, delta):
 
 def marking_avoiding_line(d, delta, line=1):
     """A delta-marking disjoint from the given line, when one exists."""
+    _check_delta(delta)
     arr = Arrangement(d)
     pool = [p for p in arr.nodes() if line not in p]
     if delta > len(pool):

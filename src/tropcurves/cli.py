@@ -39,14 +39,13 @@ def cmd_count(args):
 
 
 def cmd_enumerate(args):
-    from tropcurves.floors import StretchedConfig, enumerate_curves, make_stretched
+    from tropcurves.floors import StretchedConfig, enumerate_curves
     from tropcurves.serialize import config_from_json, curve_to_json
 
+    cfg = None  # the built-in stretched configuration
     if args.points:
         with open(args.points) as fh:
             cfg = StretchedConfig(config_from_json(json.load(fh)), stretch=0)
-    else:
-        cfg = make_stretched(3 * args.d + args.g - 1, args.d)
     sols = enumerate_curves(args.d, args.g, cfg)
     data = {
         "d": args.d,

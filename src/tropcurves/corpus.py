@@ -32,10 +32,11 @@ The corpus of degree-d, genus-g types is produced in two stages:
     triangle lie in [-d, d].
 
 2.  `scan_fibers(d, g, cfg)` -- all ways of attaching len(cfg) contracted
-    legs to a core, walked depth first and pruned by exact pair tests
-    (one table per direction between two points) and by exact LP
-    feasibility of the partially-constrained fiber polyhedron, each LP
-    extending the solved tableau of its parent's.  Every marked type whose
+    legs to a core, walked depth first and pruned by pair tests (one
+    table per direction between two points; exact for trees, a sound
+    relaxation of the cycle rows otherwise) and by exact LP feasibility of
+    the partially-constrained fiber polyhedron, each LP extending the
+    solved tableau of its parent's.  Every marked type whose
     fiber over cfg is nonempty appears in the scan; all others have empty
     fibers by construction.
 
@@ -370,7 +371,8 @@ class _CoreScanner:
 
         Exact for trees (disjoint free lengths along the path); for
         positive Betti number the cycle equations are dropped, so the
-        cone only over-approximates and a confirming LP is needed.
+        cone only over-approximates, and the placement LPs, which carry
+        the cycle rows, decide.
         """
         t = self.core
         ka, va = a
@@ -398,40 +400,24 @@ class _CoreScanner:
             gens.append(t.legs[vb].slope)
         return [g for g in gens if g != (0, 0)]
 
-    def pair_ok(self, a, b, w):
-        """Can a curve place two points on sites a, b with difference
-        along the integer vector w?  The two-point system is a cone, so
-        the answer is scale-free.  Trees are decided by cross products;
-        with cycles the generator test is a sound pre-filter and the
-        exact LP confirms."""
-        if not _cone_contains(self._pair_generators(a, b), w):
-            return False
-        return not self.cycles or self.feasible((a, b), ((0, 0), w))
-
     def pair_table(self, w):
-        """(fits, back): fits[a] holds the sites b with pair_ok(a, b, w),
-        the sites a later mark may take after a mark on a when its point
-        lies ahead along w, and back[a] those with pair_ok(b, a, w), which
-        is pair_ok(a, b, -w), for a point behind.  Every ordered pair is
-        tested once, in site order."""
+        """(fits, back): fits[a] holds the sites b whose displacement cone
+        from a (`_pair_generators(a, b)`) contains w, the sites a later
+        mark may take after a mark on a when its point lies ahead along w;
+        back[b] holds the sites a passing the same test, those a later
+        mark may take after a mark on b when its point lies behind.  The
+        two-point system is a cone, so the test is scale-free.  For a tree
+        it is exact; with cycles it is a sound pre-filter that the
+        placement LPs complete.  Every ordered pair is tested once, in
+        site order."""
         fits = {a: set() for a in self.sites}
         back = {b: set() for b in self.sites}
         for a in self.sites:
             for b in self.sites:
-                if self.pair_ok(a, b, w):
+                if _cone_contains(self._pair_generators(a, b), w):
                     fits[a].add(b)
                     back[b].add(a)
         return fits, back
-
-    def feasible(self, assignment, points):
-        """Relaxed feasibility: the chosen sites can hit the chosen integer
-        points.  One cold LP over the rows of every mark."""
-        rows, rhs, width = [], [], self.ne
-        for k in range(1, len(assignment) + 1):
-            more, b, width = self.mark_rows(assignment[:k], points, width)
-            rows += more
-            rhs += b
-        return feasible_nonneg(rows, rhs, width)
 
     def placements(self, points):
         """Every site assignment of the points that passes all tests, in
@@ -440,10 +426,12 @@ class _CoreScanner:
         The walk is depth first, in site order.  Mark k may take only the
         sites allowed after each earlier mark j by the pair table of the
         direction of points[k] - points[j], built when first needed.  The
-        first two marks need no LP: translations absorb one point, and for
-        two the pair test is exact.  Every later placement runs one LP,
-        which extends the solved tableau of the nearest ancestor that ran
-        one, so at most one tableau per depth is live.
+        first mark needs no LP: translations absorb one point.  Nor does
+        the second on a tree, where the pair test is exact; on a core with
+        a cycle the pair test only relaxes the cycle rows, so the second
+        mark runs the first LP.  Every later placement runs one LP, which
+        extends the solved tableau of its parent's, so at most one tableau
+        per depth is live.
         """
         n = len(points)
         tables = {}  # primitive direction -> its pair table
@@ -469,7 +457,7 @@ class _CoreScanner:
             for site in sites:
                 cand = assignment + (site,)
                 more, b, end = self.mark_rows(cand, points, width)
-                if k <= 1:
+                if k == 0 or (k == 1 and not self.cycles):
                     yield from place(cand, end, rows + more, rhs + b)
                 elif feasible_nonneg(rows + more, rhs + b, end, tableaux):
                     yield from place(cand, end, [], [])

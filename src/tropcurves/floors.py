@@ -390,21 +390,25 @@ def diagram_curve(diag: FloorDiagram, cfg):
     return curve
 
 
-def enumerate_curves(d, g, cfg):
+def enumerate_curves(d, g, cfg=None):
     """All genus-g degree-d curves through a stretched configuration.
 
-    cfg must carry 3d + g - 1 points; every solution is floor decomposed
-    and is produced from its marked floor diagram.
+    cfg must carry 3d + g - 1 points (default: `make_stretched`); every
+    solution is floor decomposed and is produced from its marked floor
+    diagram.
     """
+    diags = solution_diagrams(d, g, cfg)
+    if cfg is None:
+        cfg = make_stretched(3 * d + g - 1, d)
     out = []
-    for diag in solution_diagrams(d, g, cfg):
+    for diag in diags:
         curve = diagram_curve(diag, cfg)
         if curve is not None:
             out.append((diag, curve))
     return out
 
 
-def solution_diagrams(d, g, cfg):
+def solution_diagrams(d, g, cfg=None):
     """The marked floor diagrams behind `enumerate_curves`, in its order.
 
     Through a stretched configuration each diagram has exactly one curve
@@ -412,10 +416,12 @@ def solution_diagrams(d, g, cfg):
     """
     if d > MAX_DEGREE:
         raise ScaleRefusal(f"enumerate_curves is certified for d <= {MAX_DEGREE} only")
+    if d < 1:
+        raise ValueError("degree must be positive")
     if g < 0 or g > (d - 1) * (d - 2) // 2:
         return []
     n = 3 * d + g - 1
-    if len(cfg.points) != n:
+    if cfg is not None and len(cfg.points) != n:
         raise ValueError(f"expected {n} points for degree {d} genus {g}")
     return list(_marked_diagrams(d, g))
 
@@ -429,8 +435,6 @@ def count_severi(d, g, cfg=None):
         raise ValueError("degree must be positive")
     if g < 0 or g > (d - 1) * (d - 2) // 2:
         return 0
-    if cfg is None:
-        cfg = make_stretched(3 * d + g - 1, d)
     total = 0
     for _diag, curve in enumerate_curves(d, g, cfg):
         total += curve.multiplicity()

@@ -1,14 +1,20 @@
 """The elevator-moving walk through the moduli space.
 
 Starting from a floor decomposed solution through n stretched points,
-one marked point is declared mobile and slid horizontally.  The curve
-moves along the one-dimensional evaluation fiber of its nice stratum
-until an edge length vanishes: a simple wall, where the mobile elevator
-E becomes adjacent to a 4-valent vertex.  Crossing the wall follows a
-case analysis on the pair (k, r) -- the index of E's host floor and the
-number of special points between E and the nearest downward elevator --
-which strictly decreases lexicographically until a stratum with an
-unbounded contracted edge is reached: the genus-drop witness.
+the marked point on the top floor's elevator is forgotten and declared
+mobile; forgetting it merges the elevator's two pieces into one edge, E.
+The curve moves along the one-dimensional evaluation fiber of its nice
+stratum until an edge length vanishes: a simple wall, where E becomes
+adjacent to a 4-valent vertex.  What E met there is read once from that
+vertex: a mark, else another vertical (an elevator), else nothing (a
+floor vertex).  Crossing the wall follows a case analysis on the pair
+(k, r) -- the index of E's host floor and the number of special points
+between E and the nearest downward elevator E'.  While r > 1, E slides
+past the point it met.  At r = 1 it merges with E': when E' has weight
+one this is the base case, and otherwise a heavy-elevator descent of two
+more walls lowers the host floor.  (k, r) strictly decreases
+lexicographically until a stratum with an unbounded contracted edge is
+reached: the genus-drop witness.
 
 Everything is exact.  Every wall is re-checked to be a simple wall.  A
 crossing enters one of the wall's resolutions by construction, since
@@ -50,11 +56,21 @@ F = Fraction
 
 @dataclass(frozen=True)
 class WallEvent:
-    kind: str  # elevator_meets_marked_point | elevator_meets_elevator | elevator_meets_floor_vertex
     wall_type: CombinatorialType
     four_valent_vertex: int
     parameter: Fraction  # motion parameter at which the wall is hit
     edge_map: dict  # edge index before the contraction -> index in wall_type
+    elevator_germ: tuple  # descriptor of E's germ at the wall vertex
+    others: tuple  # the other three germs there, as (slope, descriptor)
+    met: tuple | None  # the germ of what E met; None for a floor vertex
+
+    @property
+    def kind(self):
+        if self.met is None:
+            return "elevator_meets_floor_vertex"
+        if self.met[0] == (0, 0):
+            return "elevator_meets_marked_point"
+        return "elevator_meets_elevator"
 
 
 @dataclass(frozen=True)
@@ -178,7 +194,13 @@ def _ladder(t, positions, elevator):
 
 def start_walk(d, g, cfg=None, seed=0):
     """Initial walk state: a floor decomposed solution with its top-floor
-    elevator's marked point declared mobile."""
+    elevator's marked point declared mobile.
+
+    Forgetting that mark merges the two pieces of the top elevator into
+    one edge, E.  The motion direction is the fiber line of the
+    mark-forgotten stratum, oriented so that E's foot moves toward the
+    nearest other downward elevator on its floor.
+    """
     if d < 2:
         raise ValueError("the walk needs a non-top floor; degree 1 has a single floor")
     max_genus = (d - 1) * (d - 2) // 2
@@ -196,54 +218,38 @@ def start_walk(d, g, cfg=None, seed=0):
     if len(top) != 1 or top[0].weight != 1:
         raise WalkError("top floor elevator is not unique of weight one")
     mobile_mark = top[0].mark
-    mobile_point = cfg.points[mobile_mark - 1]
-    new_curve = _forget_mark(curve, mobile_mark - 1)
-    elevator = e_map_for_top_elevator(curve, new_curve, mobile_mark)
+    new_curve, elevator = _forget_mark(curve, mobile_mark - 1)
     fixed = PointConfiguration(tuple(p for i, p in enumerate(cfg.points) if i != mobile_mark - 1))
     t = new_curve.ctype
-    cls = classify(t)
-    if not cls.is_nice():
+    if not classify(t).is_nice():
         raise WalkError("initial stratum is not nice")
-    base, v = _fiber_line(t, fixed)
-    state = WalkState(
-        ctype=t,
-        lengths=tuple(new_curve.lengths),
-        direction=v,
-        fixed=fixed,
-        mobile=mobile_point,
-        elevator=elevator,
-        floor_index=0,
-        ladder=0,
-    )
+    _base, v = _fiber_line(t, fixed)
     k, r, x_target = _ladder(t, new_curve.positions, elevator)
     foot, _ = _elevator_foot(t, new_curve.positions, elevator)
     dx = _velocities(t, v)[2 * foot]
     if dx == 0:
         raise WalkError("fiber direction does not move the mobile elevator")
-    sign = 1 if (x_target - new_curve.positions[foot][0]) > 0 else -1
-    if (dx > 0) != (sign > 0):
+    if (dx > 0) != (x_target > new_curve.positions[foot][0]):
         v = tuple(-x for x in v)
-    state = replace(state, direction=tuple(v), floor_index=k, ladder=r)
-    return state
-
-
-def e_map_for_top_elevator(curve, new_curve, mobile_mark):
-    """Locate E in the mark-forgotten curve: the edge whose image contains
-    the mobile point."""
-    t = new_curve.ctype
-    px, py = curve.positions[curve.ctype.legs[mobile_mark - 1].vertex]
-    for i, e in enumerate(t.edges):
-        if e.slope[0] != 0 or e.slope[1] == 0:
-            continue
-        (ux, uy) = new_curve.positions[e.u]
-        (vx, vy) = new_curve.positions[e.v]
-        if ux == px and min(uy, vy) <= py <= max(uy, vy):
-            return i
-    raise WalkError("mobile elevator not found after forgetting its mark")
+    return WalkState(
+        ctype=t,
+        lengths=tuple(new_curve.lengths),
+        direction=tuple(v),
+        fixed=fixed,
+        mobile=cfg.points[mobile_mark - 1],
+        elevator=elevator,
+        floor_index=k,
+        ladder=r,
+    )
 
 
 def _forget_mark(curve, leg_index):
-    """Remove a contracted leg and stabilize the 2-valent vertex it leaves."""
+    """Remove a contracted leg and stabilize the 2-valent vertex it leaves.
+
+    Returns (curve, edge): the new curve and the edge that carried the
+    mark.  That is the merged edge when the vertex is stabilized away,
+    and otherwise the mark vertex's one edge.
+    """
     t = curve.ctype
     host = t.legs[leg_index].vertex
     legs = [leg for j, leg in enumerate(t.legs) if j != leg_index]
@@ -253,8 +259,10 @@ def _forget_mark(curve, leg_index):
     ]
     if t.weights[host] != 0 or len(incident) + len(others) != 2 or len(incident) != 2:
         # nothing to stabilize: just drop the leg
+        if len(incident) != 1:
+            raise WalkError("mobile elevator not found after forgetting its mark")
         t2 = CombinatorialType(t.weights, t.edges, tuple(legs))
-        return ParametrizedCurve(t2, curve.lengths, curve.positions)
+        return ParametrizedCurve(t2, curve.lengths, curve.positions), incident[0][0]
     (i1, e1), (i2, e2) = incident
     # merge e1 and e2 through host; orientation via the far endpoints
     a = e1.v if e1.u == host else e1.u
@@ -272,22 +280,24 @@ def _forget_mark(curve, leg_index):
     edges.append(new_edge)
     lengths.append(new_len)
     # drop the host vertex, renumbering everything above it
-    drop = host
-
     def ren(v):
-        return v - 1 if v > drop else v
+        return v - 1 if v > host else v
 
     edges = tuple(Edge(ren(e.u), ren(e.v), e.slope) for e in edges)
     legs = tuple(Leg(ren(leg.vertex), leg.slope) for leg in legs)
-    weights = tuple(w for v, w in enumerate(t.weights) if v != drop)
-    positions = tuple(p for v, p in enumerate(curve.positions) if v != drop)
+    weights = tuple(w for v, w in enumerate(t.weights) if v != host)
+    positions = tuple(p for v, p in enumerate(curve.positions) if v != host)
     t2 = CombinatorialType(weights, edges, legs)
-    return ParametrizedCurve(t2, tuple(lengths), positions)
+    return ParametrizedCurve(t2, tuple(lengths), positions), len(edges) - 1
 
 
 def advance(state: WalkState):
     """Move along the fiber direction to the next wall, or detect the
-    terminal ray."""
+    terminal ray.
+
+    At a wall, the germs of its 4-valent vertex are read once: E's own
+    germ, the three others, and the one E met (`_met_germ`).
+    """
     step = _first_positive_ratio(state.lengths, state.direction)
     if step is None:
         return _terminal(state)
@@ -295,9 +305,7 @@ def advance(state: WalkState):
     vanished = [i for i, l in enumerate(wall_lengths) if l == 0 and state.direction[i] < 0]
     if len(vanished) != 1:
         raise WalkError(f"{len(vanished)} lengths vanish simultaneously; wall is not simple")
-    dead = vanished[0]
-    t = state.ctype
-    wall_type, _, edge_map = face_contract(t, [dead], with_maps=True)
+    wall_type, _, edge_map = face_contract(state.ctype, vanished, with_maps=True)
     cls = classify(wall_type)
     if not cls.is_simple_wall():
         raise WalkError(f"wall stratum classified as {cls.kind}")
@@ -305,13 +313,31 @@ def advance(state: WalkState):
     e_new = edge_map.get(state.elevator)
     if e_new is None:
         raise WalkError("the mobile elevator itself collapsed")
-    we = wall_type.edges[e_new]
-    if we.u != u and we.v != u:
+    germs = wall_type.star(u)
+    e_germ = [d for _s, d in germs if d[0] == "edge" and d[1] == e_new]
+    if not e_germ:
         raise WalkError("wall vertex is not adjacent to the mobile elevator")
-    kind = _event_kind(wall_type, u, e_new)
-    event = WallEvent(kind=kind, wall_type=wall_type, four_valent_vertex=u, parameter=step, edge_map=edge_map)
-    at_wall = replace(state, lengths=wall_lengths)
-    return at_wall, event
+    others = tuple((s, d) for s, d in germs if d != e_germ[0])
+    if len(others) != 3:
+        raise WalkError("wall vertex is not 4-valent")
+    event = WallEvent(
+        wall_type=wall_type,
+        four_valent_vertex=u,
+        parameter=step,
+        edge_map=edge_map,
+        elevator_germ=e_germ[0],
+        others=others,
+        met=_met_germ(others),
+    )
+    return replace(state, lengths=wall_lengths), event
+
+
+def _met_germ(others):
+    """What E met at the wall: a mark, else another vertical, else None
+    (a floor vertex)."""
+    marks = [(s, d) for s, d in others if s == (0, 0) and d[0] == "leg"]
+    verticals = [(s, d) for s, d in others if s[0] == 0 and s[1] != 0]
+    return (marks + verticals + [None])[0]
 
 
 def _terminal(state: WalkState):
@@ -329,79 +355,51 @@ def _terminal(state: WalkState):
     return state, Terminal(stratum=t, free_edge=free_edge, ray=ray)
 
 
-def _event_kind(wall_type, u, elevator_edge):
-    germs = wall_type.star(u)
-    has_mark = any(s == (0, 0) and d[0] == "leg" for s, d in germs)
-    verticals = [
-        (s, d)
-        for s, d in germs
-        if s[0] == 0 and s[1] != 0 and not (d[0] == "edge" and d[1] == elevator_edge)
-    ]
-    if has_mark:
-        return "elevator_meets_marked_point"
-    if verticals:
-        return "elevator_meets_elevator"
-    return "elevator_meets_floor_vertex"
-
-
-def _germ_of_edge(wall_type, u, edge_index):
-    for s, d in wall_type.star(u):
-        if d[0] == "edge" and d[1] == edge_index:
-            return s, d
-    raise WalkError("edge germ not found at wall vertex")
-
-
 def cross(state: WalkState, event: WallEvent, choice: str):
     """Resolve the wall per the case analysis and enter the next stratum.
 
-    choice: "continue" slides E past the met special point (case r > 1);
-    "merge" attaches E to the met object (base case and the descent with
-    a heavy elevator).
+    The wall's 4-valent vertex is split so that E's germ leaves with one
+    other germ, read from the event:
+      "continue" -- the floor germ on the far side of the met special
+        point, so E slides past it (case r > 1);
+      "merge" -- the met germ, so E attaches to the mark or elevator it
+        met (the base case, and the start of the heavy-elevator descent);
+      "descend" -- the downward vertical germ;
+      "land" -- the rightward floor germ.
     """
     if choice not in ("continue", "merge", "descend", "land"):
         raise ValueError("choice must be continue, merge, descend, or land")
     if sum(1 for l in state.lengths if l == 0) != 1:
         raise WalkError("cross expects a state sitting on its wall")
-    wall_type, emap = event.wall_type, event.edge_map
-    u = event.four_valent_vertex
-    e_idx = emap[state.elevator]
-    _e_germ, e_desc = _germ_of_edge(wall_type, u, e_idx)
-    germs = wall_type.star(u)
-    others = [(s, d) for s, d in germs if d != e_desc]
-    if len(others) != 3:
-        raise WalkError("wall vertex is not 4-valent")
+    others = event.others
+    if choice in ("merge", "continue") and event.met is None:
+        raise WalkError("no met object at the wall vertex")
     if choice == "merge":
-        met = _met_germ(others)
-        moving = [met[1], e_desc]
+        partner = event.met
     elif choice == "descend":
         down = [(s, d) for s, d in others if s[0] == 0 and s[1] < 0]
         if not down:
             raise WalkError("no downward germ to descend along")
-        moving = [down[0][1], e_desc]
+        partner = down[0]
     elif choice == "land":
         floor_right = [(s, d) for s, d in others if s[0] > 0]
         if not floor_right:
             raise WalkError("no rightward floor germ to land beside")
-        moving = [floor_right[0][1], e_desc]
+        partner = floor_right[0]
     else:
-        met = _met_germ(others)
-        floor_side = [(s, d) for s, d in others if d != met[1]]
-        moving = [e_desc, _far_floor_germ(state, floor_side)[1]]
-    new_type, new_edge = split_vertex(wall_type, u, moving)
+        partner = _far_floor_germ(state, [g for g in others if g != event.met])
+    u = event.four_valent_vertex
+    new_type, new_edge = split_vertex(event.wall_type, u, [partner[1], event.elevator_germ])
     lengths = [F(0)] * len(new_type.edges)
-    for old, new in emap.items():
+    for old, new in event.edge_map.items():
         lengths[new] = state.lengths[old]
-    direction = _direction_away_from_wall(new_type, state.fixed, new_edge)
-    # E keeps its index: split_vertex preserves edge numbering
-    return WalkState(
+    # split_vertex keeps the wall's edge numbering, so E keeps its index
+    return replace(
+        state,
         ctype=new_type,
         lengths=tuple(lengths),
-        direction=direction,
-        fixed=state.fixed,
-        mobile=state.mobile,
-        elevator=e_idx,
-        floor_index=state.floor_index,
-        ladder=state.ladder,
+        direction=_direction_away_from_wall(new_type, state.fixed, new_edge),
+        elevator=event.edge_map[state.elevator],
     )
 
 
@@ -414,39 +412,20 @@ def _direction_away_from_wall(new_type, fixed, new_edge):
     return tuple(v)
 
 
-def _met_germ(others):
-    """The germ of the object E collided with: a mark, or another vertical."""
-    mark = [(s, d) for s, d in others if s == (0, 0) and d[0] == "leg"]
-    if mark:
-        return mark[0]
-    vertical = [(s, d) for s, d in others if s[0] == 0 and s[1] != 0]
-    if vertical:
-        return vertical[0]
-    raise WalkError("no met object at the wall vertex")
-
-
 def _far_floor_germ(state, floor_side):
-    """Of the two floor germs at the wall vertex, the one pointing in the
-    motion direction of E."""
-    foot_dx = _wall_motion_sign(state)
+    """Of the two floor germs at the wall vertex, the one pointing the way
+    E's foot moves.  The foot is an endpoint of the dead edge, and the
+    first endpoint that moves horizontally gives that way."""
+    t = state.ctype
+    dead = t.edges[state.lengths.index(0)]
+    velocities = _velocities(t, state.direction)
+    dxs = [velocities[2 * v] for v in (dead.u, dead.v) if velocities[2 * v] != 0]
+    if not dxs:
+        raise WalkError("motion direction is vertically degenerate at the wall")
     for s, d in floor_side:
-        if s[0] != 0 and (s[0] > 0) == (foot_dx > 0):
+        if s[0] != 0 and (s[0] > 0) == (dxs[0] > 0):
             return (s, d)
     raise WalkError("no floor germ on the far side")
-
-
-def _wall_motion_sign(state):
-    t = state.ctype
-    # E's foot is an endpoint of the dead edge; its x-motion sign equals
-    # the direction's effect on that vertex
-    dead = [i for i, l in enumerate(state.lengths) if l == 0][0]
-    e = t.edges[dead]
-    velocities = _velocities(t, state.direction)
-    for vertex in (e.u, e.v):
-        dx = velocities[2 * vertex]
-        if dx != 0:
-            return 1 if dx > 0 else -1
-    raise WalkError("motion direction is vertically degenerate at the wall")
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +445,6 @@ class WalkTrace:
     walls: tuple  # the simple-wall types encountered
 
 
-def _refresh_invariant(state):
-    k, r, _x = _ladder(state.ctype, state.interior_positions(), state.elevator)
-    return replace(state, floor_index=k, ladder=r)
-
-
 def run_walk(d, g, cfg=None, seed=0):
     """Drive the walk until the genus-drop witness appears.
 
@@ -483,6 +457,18 @@ def run_walk(d, g, cfg=None, seed=0):
     walls = []
     crossings = 0
     bound = 8 * d * (3 * d + g) + 40
+
+    def wall(event):
+        walls.append(event.wall_type)
+        events.append(("wall", event.kind, event.parameter))
+
+    def recorded(state, choice):
+        # read (k, r) inside the stratum just entered
+        k, r, _x = _ladder(state.ctype, state.interior_positions(), state.elevator)
+        events.append(("cross", choice, k, r))
+        invariants.append((k, r))
+        return replace(state, floor_index=k, ladder=r)
+
     while True:
         if crossings > bound:
             raise WalkError("walk exceeded its a-priori step bound")
@@ -499,60 +485,35 @@ def run_walk(d, g, cfg=None, seed=0):
                 crossings=crossings,
                 walls=tuple(walls),
             )
-        event = outcome
-        walls.append(event.wall_type)
-        events.append(("wall", event.kind, event.parameter))
-        k, r = at_wall.floor_index, at_wall.ladder
-        if r > 1:
-            state = cross(at_wall, event, "continue")
-            state = _refresh_invariant(state)
-            events.append(("cross", "continue", state.floor_index, state.ladder))
-            invariants.append((state.floor_index, state.ladder))
-            crossings += 1
+        wall(outcome)
+        k = at_wall.floor_index
+        crossings += 1
+        if at_wall.ladder > 1:
+            state = recorded(cross(at_wall, outcome, "continue"), "continue")
             continue
         # r == 1: E has reached the nearest downward elevator E'
-        met_weight = _met_weight(at_wall, event)
-        if met_weight == 1:
-            state = cross(at_wall, event, "merge")
-            events.append(("cross", "merge", "base-case"))
-            crossings += 1
+        heavy = outcome.kind == "elevator_meets_elevator" and abs(outcome.met[0][1]) > 1
+        state = cross(at_wall, outcome, "merge")
+        if not heavy:
             # the fiber of the merged stratum must be the unbounded ray
+            events.append(("cross", "merge", "base-case"))
             continue
         # heavy elevator: the three-wall descent of the induction step
-        state = cross(at_wall, event, "merge")
         events.append(("cross", "merge", "descend-start"))
-        crossings += 1
-        at_wall2, out2 = advance(state)
-        if isinstance(out2, Terminal):
-            raise WalkError("descent hit a terminal ray before the mark wall")
-        walls.append(out2.wall_type)
-        events.append(("wall", out2.kind, out2.parameter))
-        if out2.kind != "elevator_meets_marked_point":
-            raise WalkError(f"descent expected the elevator mark, got {out2.kind}")
-        state = cross(at_wall2, out2, "descend")
-        events.append(("cross", "descend", None))
-        crossings += 1
-        at_wall3, out3 = advance(state)
-        if isinstance(out3, Terminal):
-            raise WalkError("descent hit a terminal ray before reaching the floor")
-        walls.append(out3.wall_type)
-        events.append(("wall", out3.kind, out3.parameter))
-        state = cross(at_wall3, out3, "land")
-        state = _refresh_invariant(state)
-        events.append(("cross", "land", state.floor_index, state.ladder))
-        invariants.append((state.floor_index, state.ladder))
-        crossings += 1
+        for choice, before in (("descend", "the mark wall"), ("land", "reaching the floor")):
+            at_wall, outcome = advance(state)
+            if isinstance(outcome, Terminal):
+                raise WalkError(f"descent hit a terminal ray before {before}")
+            wall(outcome)
+            if choice == "descend" and outcome.kind != "elevator_meets_marked_point":
+                raise WalkError(f"descent expected the elevator mark, got {outcome.kind}")
+            state = cross(at_wall, outcome, choice)
+            crossings += 1
+            if choice == "descend":
+                events.append(("cross", "descend", None))
+        state = recorded(state, "land")
         if state.floor_index >= k:
             raise WalkError(f"descent failed to lower the floor: {k} -> {state.floor_index}")
-
-
-def _met_weight(at_wall, event):
-    wall_type = event.wall_type
-    u = event.four_valent_vertex
-    _g, e_desc = _germ_of_edge(wall_type, u, event.edge_map[at_wall.elevator])
-    others = [(s, d) for s, d in wall_type.star(u) if d != e_desc]
-    met = _met_germ(others)
-    return abs(met[0][1]) if met[0] != (0, 0) else 1
 
 
 # ---------------------------------------------------------------------------

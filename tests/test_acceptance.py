@@ -13,8 +13,10 @@ from fixtures import count_lps, shifted
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import is_realizable
 from tropcurves.corpus import enumerate_cores, scan_fibers
-from tropcurves.floors import enumerate_curves, is_vertically_stretched, make_stretched
+from tropcurves.floors import enumerate_curves, is_vertically_stretched, make_stretched, solution_diagrams
 from tropcurves.graphs import check_balancing, is_stable
+from tropcurves.serialize import dumps, trace_to_json
+from tropcurves.walk import run_walk
 
 
 @pytest.mark.slow
@@ -58,3 +60,21 @@ def test_cubic_configuration_is_general(monkeypatch, shift):
     for _t, fb in hits:
         assert fb.kind == "point"
         assert fb.codimension() == 16
+
+
+@pytest.mark.slow
+def test_walk_from_every_start_to_degree_four():
+    # the walk ends at a genus-drop witness from every floor decomposed
+    # start at d <= 4: 451 walks, 64 of them through the heavy-elevator
+    # descent; every trace is pinned byte for byte
+    blob = hashlib.sha256()
+    walks = descents = 0
+    for d, g in ((2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2), (4, 3)):
+        cfg = make_stretched(3 * d + g - 1, d)
+        for seed in range(len(solution_diagrams(d, g, cfg))):
+            trace = run_walk(d, g, cfg, seed=seed)
+            blob.update(dumps(trace_to_json(trace)).encode())
+            walks += 1
+            descents += any(e[:2] == ("cross", "descend") for e in trace.events)
+    assert (walks, descents) == (451, 64)
+    assert blob.hexdigest() == "de33b0a5d92a99b4b18076c68069d7c1687d0ec800759b5524eb6823014acdcc"

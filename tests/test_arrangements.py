@@ -99,6 +99,12 @@ def test_empty_criterion():
     assert w is not None and is_irreducible(w)
 
 
+def test_negative_delta_is_refused():
+    for call in (equivalence_classes, empty_criterion, marking_avoiding_line):
+        with pytest.raises(ValueError, match="delta"):
+            call(4, -1)
+
+
 def test_reduction_strategy_strictly_decreases():
     m = mk(5, (1, 2), (1, 3), (2, 3), (4, 5))
     assert is_irreducible(m)

@@ -40,6 +40,22 @@ def test_walk_genus_out_of_range(capsys):
     assert "0 <= g <= 1" in err
 
 
+def test_enumerate_refuses_degree_zero(capsys):
+    for g in ("0", "2"):
+        code, out, err = run_cli(capsys, "enumerate", "--d", "0", "--g", g)
+        assert code == 2
+        assert out == ""
+        assert "degree must be positive" in err
+
+
+def test_markings_refuse_negative_delta(capsys):
+    for mode in ("--witness", "--classes"):
+        code, out, err = run_cli(capsys, "markings", "--d", "4", "--delta", "-1", mode)
+        assert code == 2
+        assert out == ""
+        assert "delta must be non-negative" in err
+
+
 def test_byte_determinism(capsys):
     _c, out1, _ = run_cli(capsys, "--json", "count", "--d", "2", "--g", "0")
     _c, out2, _ = run_cli(capsys, "--json", "count", "--d", "2", "--g", "0")

@@ -114,6 +114,15 @@ def test_scale_refusal():
         enumerate_curves(6, 0, make_stretched(17, 6))
 
 
+def test_degree_zero_is_refused():
+    # as count_severi does, before any configuration is built
+    for g in (0, 2):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            enumerate_curves(0, g)
+    # the default configuration is the one the counts use
+    assert enumerate_curves(2, 0) == enumerate_curves(2, 0, make_stretched(5, 2))
+
+
 def test_decompose_constructed_solutions():
     for d, g in [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2), (4, 3)]:
         cfg = make_stretched(3 * d + g - 1, d)

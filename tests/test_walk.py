@@ -66,7 +66,16 @@ def test_start_walk_picks_the_seeded_solution():
             mark = [e for e in diag.elevators if e.top == d][0].mark
             state = start_walk(d, g, cfg, seed=seed)
             assert state.mobile == cfg.points[mark - 1]
-            assert state.ctype == _forget_mark(curve, mark - 1).ctype
+            forgotten, _edge = _forget_mark(curve, mark - 1)
+            assert state.ctype == forgotten.ctype
+            # E is the one vertical edge whose image holds the mobile point
+            px, py = state.mobile
+            through = []
+            for i, e in enumerate(forgotten.ctype.edges):
+                (ux, uy), (vx, vy) = forgotten.positions[e.u], forgotten.positions[e.v]
+                if e.slope[0] == 0 and e.slope[1] != 0 and ux == px and min(uy, vy) <= py <= max(uy, vy):
+                    through.append(i)
+            assert through == [state.elevator]
 
 
 def test_advance_reaches_simple_wall():
