@@ -260,17 +260,11 @@ def split_vertex(t: CombinatorialType, v, moving_germs):
         if d not in moving or d[0] != "edge":
             continue
         _, i, end = d
+        # edges[i] is read again for a loop's second germ, so a loop with
+        # both germs moving ends as a loop at new_v, and one with a single
+        # moving germ opens into a real edge
         e = edges[i]
-        if e.is_loop():
-            both = ("edge", i, 0) in moving and ("edge", i, 1) in moving
-            if both:
-                if end == 0:
-                    edges[i] = Edge(new_v, new_v, e.slope)
-                continue
-            # one germ of the loop moves: the loop opens into a real edge
-            edges[i] = Edge(new_v, e.v, e.slope) if end == 0 else Edge(e.u, new_v, e.slope)
-        else:
-            edges[i] = Edge(new_v, e.v, e.slope) if end == 0 else Edge(e.u, new_v, e.slope)
+        edges[i] = Edge(new_v, e.v, e.slope) if end == 0 else Edge(e.u, new_v, e.slope)
     legs = list(t.legs)
     for s, d in star:
         if d in moving and d[0] == "leg":

@@ -8,9 +8,10 @@ infinity, and one marked point on every floor and elevator.  Curves are
 rebuilt from marked diagrams exactly: the elevator x-coordinates are the
 x-coordinates of their marks and the floor heights are pinned by theirs.
 
-Counting is multiplicity-weighted (the vertex |det| product); its
-correctness is certified against the independent recursion oracle in
-`tropcurves.recursion`.
+Counting sums the multiplicities (vertex |det| products) of the curves
+built; it is certified against the independent recursion oracle in
+`tropcurves.recursion` up to MAX_DEGREE.  Counting and enumeration share
+one (d, g) check, in `solution_diagrams`.
 """
 
 from __future__ import annotations
@@ -263,142 +264,102 @@ def _linear_extensions(d, edge_list):
 # ---------------------------------------------------------------------------
 
 
-def _floor_profile(diag, fl, cfg):
-    """Sorted attachment events and the left-edge slope profile of a floor.
-
-    Events are (x, kind, payload): elevator departures ("down", weight),
-    arrivals ("up", weight), and the floor's own mark ("mark", index).
-    The slope left of all events is 0 and rises by w at a departure,
-    drops by w at an arrival, reading left to right.
-    """
-    events = []
-    for k, e in enumerate(diag.elevators):
-        x = cfg.points[e.mark - 1][0]
-        if e.top == fl:
-            events.append((x, "down", (k, e.weight)))
-        if e.bottom == fl:
-            events.append((x, "up", (k, e.weight)))
-    mark = diag.floor_marks[fl - 1]
-    events.append((cfg.points[mark - 1][0], "mark", (mark,)))
-    events.sort(key=lambda ev: ev[0])
-    return events
-
-
-def _floor_heights(diag, fl, cfg):
-    """Piecewise data: y(x) on floor `fl` pinned by its marked point."""
-    events = _floor_profile(diag, fl, cfg)
-    xs = [ev[0] for ev in events]
-    # slope between events: s[i] on the interval (xs[i-1], xs[i])
-    slopes = [F(0)]
-    for ev in events:
-        ds = 0
-        if ev[1] == "down":
-            ds = ev[2][1]
-        elif ev[1] == "up":
-            ds = -ev[2][1]
-        slopes.append(slopes[-1] + ds)
-    # integrate from the marked point
-    mark = diag.floor_marks[fl - 1]
-    mx, my = cfg.points[mark - 1]
-    heights = [None] * len(events)
-    idx = xs.index(mx)
-    heights[idx] = my
-    for i in range(idx + 1, len(events)):
-        heights[i] = heights[i - 1] + slopes[i] * (xs[i] - xs[i - 1])
-    for i in range(idx - 1, -1, -1):
-        heights[i] = heights[i + 1] - slopes[i + 1] * (xs[i + 1] - xs[i])
-    return events, xs, heights, slopes
-
-
 def diagram_curve(diag: FloorDiagram, cfg):
     """The unique parametrized curve of a marked diagram through cfg.
 
-    Returns None when the diagram admits no curve over this
-    configuration (an elevator length fails to be positive, or a mark
+    Each floor is built in one pass: its elevator ends and its mark,
+    sorted by x, change its slope by +w (an elevator leaves downward), -w
+    (one arrives) or 0 (the mark); the running sum gives the slopes and
+    the heights are integrated outward from the mark.  Returns None when
+    the diagram admits no curve over this configuration (two events of a
+    floor share an x, an elevator length fails to be positive, or a mark
     misses its object).
     """
     points = cfg.points
-    floor_data = {}
+    positions = []
+    edges = []  # (tail, head, slope, length)
+    mark_vertex = {}  # mark index -> vertex
+    ends = []  # (vertex, slope) of the non-contracted legs
+    attach_vertex = {}  # (elevator index, floor) -> vertex
     for fl in range(1, diag.d + 1):
-        floor_data[fl] = _floor_heights(diag, fl, cfg)
-
-    vertices = []  # positions
-    weights = []
-    edges = []
-    legs_contracted = {}  # mark index -> vertex
-    legs_rest = []
-
-    def new_vertex(pos):
-        vertices.append(pos)
-        weights.append(0)
-        return len(vertices) - 1
-
-    attach_vertex = {}  # (elevator index, floor) -> vertex id
-    for fl in range(1, diag.d + 1):
-        events, xs, heights, slopes = floor_data[fl]
-        ids = []
-        for i, ev in enumerate(events):
-            v = new_vertex((xs[i], heights[i]))
-            ids.append(v)
-            if ev[1] == "mark":
-                legs_contracted[ev[2][0]] = v
+        events = []  # (x, slope change, elevator index or None at the mark)
+        for k, e in enumerate(diag.elevators):
+            x = points[e.mark - 1][0]
+            if e.top == fl:
+                events.append((x, e.weight, k))
+            if e.bottom == fl:
+                events.append((x, -e.weight, k))
+        mark = diag.floor_marks[fl - 1]
+        mx, my = points[mark - 1]
+        events.append((mx, 0, None))
+        events.sort(key=lambda ev: ev[0])
+        xs = [x for x, _ds, _k in events]
+        # slopes[i] is the slope on (xs[i-1], xs[i]); 0 left of every event
+        slopes = list(itertools.accumulate((ds for _x, ds, _k in events), initial=0))
+        at = next(i for i, ev in enumerate(events) if ev[2] is None)
+        heights = [my] * len(events)
+        for i in range(at + 1, len(events)):
+            heights[i] = heights[i - 1] + slopes[i] * (xs[i] - xs[i - 1])
+        for i in range(at - 1, -1, -1):
+            heights[i] = heights[i + 1] - slopes[i + 1] * (xs[i + 1] - xs[i])
+        first = len(positions)
+        for i, (x, _ds, k) in enumerate(events):
+            if k is None:
+                mark_vertex[mark] = first + i
             else:
-                attach_vertex[(ev[2][0], fl)] = v
-        legs_rest.append((ids[0], (-1, 0)))
-        legs_rest.append((ids[-1], (1, 1)))
+                attach_vertex[(k, fl)] = first + i
+            positions.append((x, heights[i]))
+        ends += [(first, (-1, 0)), (len(positions) - 1, (1, 1))]
         for i in range(1, len(events)):
             dx = xs[i] - xs[i - 1]
             if dx <= 0:
                 return None  # coincident events: not a valid solution
-            edges.append((ids[i - 1], ids[i], (1, int(slopes[i])), dx))
+            edges.append((first + i - 1, first + i, (1, slopes[i]), dx))
 
     for k, e in enumerate(diag.elevators):
-        x = points[e.mark - 1][0]
-        qy = points[e.mark - 1][1]
+        x, qy = points[e.mark - 1]
         top_v = attach_vertex[(k, e.top)]
-        y_top = vertices[top_v][1]
-        mark_v = new_vertex((x, qy))
-        legs_contracted[e.mark] = mark_v
+        y_top = positions[top_v][1]
+        mark_v = len(positions)
+        positions.append((x, qy))
+        mark_vertex[e.mark] = mark_v
         if qy >= y_top:
             return None  # the mark must lie strictly below the upper floor
         edges.append((top_v, mark_v, (0, -e.weight), (y_top - qy) / e.weight))
         if e.bottom == DOWN:
-            legs_rest.append((mark_v, (0, -1)))
+            ends.append((mark_v, (0, -1)))
         else:
             bot_v = attach_vertex[(k, e.bottom)]
-            y_bot = vertices[bot_v][1]
+            y_bot = positions[bot_v][1]
             if y_bot >= qy:
                 return None
             edges.append((mark_v, bot_v, (0, -e.weight), (qy - y_bot) / e.weight))
 
     n = diag.n_marks()
-    if sorted(legs_contracted) != list(range(1, n + 1)):
+    if sorted(mark_vertex) != list(range(1, n + 1)):
         return None
-    leg_tuple = [Leg(legs_contracted[m], (0, 0)) for m in range(1, n + 1)]
-    leg_tuple += [Leg(v, s) for v, s in sorted(legs_rest, key=lambda t: (t[1], t[0]))]
+    legs = [Leg(mark_vertex[m], (0, 0)) for m in range(1, n + 1)]
+    legs += [Leg(v, s) for v, s in sorted(ends, key=lambda t: (t[1], t[0]))]
     ctype = CombinatorialType(
-        weights=tuple(weights),
+        weights=(0,) * len(positions),
         edges=tuple(Edge(u, v, s) for u, v, s, _l in edges),
-        legs=tuple(leg_tuple),
+        legs=tuple(legs),
     )
-    lengths = tuple(l for _u, _v, _s, l in edges)
-    positions = tuple(vertices)
     try:
-        curve = ParametrizedCurve(ctype, lengths, positions)
+        return ParametrizedCurve(ctype, tuple(l for _u, _v, _s, l in edges), tuple(positions))
     except ValueError:
         return None
-    return curve
 
 
 def enumerate_curves(d, g, cfg=None):
     """All genus-g degree-d curves through a stretched configuration.
 
-    cfg must carry 3d + g - 1 points (default: `make_stretched`); every
-    solution is floor decomposed and is produced from its marked floor
-    diagram.
+    cfg must carry 3d + g - 1 points (default: `make_stretched`, built
+    only when there are diagrams); every solution is floor decomposed and
+    is produced from its marked floor diagram.
     """
     diags = solution_diagrams(d, g, cfg)
-    if cfg is None:
+    if diags and cfg is None:
         cfg = make_stretched(3 * d + g - 1, d)
     out = []
     for diag in diags:
@@ -413,9 +374,11 @@ def solution_diagrams(d, g, cfg=None):
 
     Through a stretched configuration each diagram has exactly one curve
     (Brugalle-Mikhalkin), so the i-th diagram gives the i-th solution.
+    The floor layer's only (d, g) check: a genus outside 0..(d-1)(d-2)/2
+    has no diagrams.
     """
     if d > MAX_DEGREE:
-        raise ScaleRefusal(f"enumerate_curves is certified for d <= {MAX_DEGREE} only")
+        raise ScaleRefusal(f"the floor layer is certified for d <= {MAX_DEGREE} only")
     if d < 1:
         raise ValueError("degree must be positive")
     if g < 0 or g > (d - 1) * (d - 2) // 2:
@@ -427,18 +390,9 @@ def solution_diagrams(d, g, cfg=None):
 
 
 def count_severi(d, g, cfg=None):
-    """Multiplicity-weighted count of genus-g degree-d curves through
-    3d + g - 1 stretched points (the Severi degree)."""
-    if d > MAX_DEGREE:
-        raise ScaleRefusal(f"count_severi is certified for d <= {MAX_DEGREE} only")
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if g < 0 or g > (d - 1) * (d - 2) // 2:
-        return 0
-    total = 0
-    for _diag, curve in enumerate_curves(d, g, cfg):
-        total += curve.multiplicity()
-    return total
+    """Multiplicity-weighted count of the curves `enumerate_curves`
+    builds through 3d + g - 1 stretched points (the Severi degree)."""
+    return sum(curve.multiplicity() for _diag, curve in enumerate_curves(d, g, cfg))
 
 
 def top_floor_check(diag: FloorDiagram):

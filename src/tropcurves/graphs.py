@@ -379,19 +379,24 @@ class ParametrizedCurve:
         """Images of the contracted legs, in leg order."""
         return tuple(self.positions[self.ctype.legs[i].vertex] for i in self.ctype.contracted_legs())
 
-    def vertex_multiplicity(self, v):
-        """|det| of two of the three non-contracted germ slopes at a
-        3-valent-in-the-immersed-sense vertex; 1 when fewer than three
-        germs survive dropping the contracted ones."""
-        germs = [s for s, _ in self.ctype.star(v) if s != ZERO2]
-        if len(germs) < 3:
-            return 1
-        if len(germs) > 3:
-            raise ValueError("multiplicity undefined at vertices with more than three non-contracted germs")
-        return abs(det2(germs[0], germs[1]))
-
     def multiplicity(self):
+        """Product over vertices of the |det| of two of the three
+        non-contracted germ slopes; a vertex with fewer than three such
+        germs counts 1.  The germs are gathered in one pass, in `star`
+        order: edges by index, then legs (loops have slope zero)."""
+        t = self.ctype
+        germs = [[] for _ in range(t.n_vertices())]
+        for e in t.edges:
+            if e.slope != ZERO2:
+                germs[e.u].append(e.slope)
+                germs[e.v].append(vneg(e.slope))
+        for leg in t.legs:
+            if leg.slope != ZERO2:
+                germs[leg.vertex].append(leg.slope)
         m = 1
-        for v in range(self.ctype.n_vertices()):
-            m *= self.vertex_multiplicity(v)
+        for star in germs:
+            if len(star) > 3:
+                raise ValueError("multiplicity undefined at vertices with more than three non-contracted germs")
+            if len(star) == 3:
+                m *= abs(det2(star[0], star[1]))
         return m

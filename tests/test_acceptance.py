@@ -13,8 +13,16 @@ from fixtures import count_lps, shifted
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import is_realizable
 from tropcurves.corpus import enumerate_cores, scan_fibers
-from tropcurves.floors import enumerate_curves, is_vertically_stretched, make_stretched, solution_diagrams
+from tropcurves.floors import (
+    MAX_DEGREE,
+    count_severi,
+    enumerate_curves,
+    is_vertically_stretched,
+    make_stretched,
+    solution_diagrams,
+)
 from tropcurves.graphs import check_balancing, is_stable
+from tropcurves.recursion import irreducible_severi_degree
 from tropcurves.serialize import dumps, trace_to_json
 from tropcurves.walk import run_walk
 
@@ -78,3 +86,13 @@ def test_walk_from_every_start_to_degree_four():
             descents += any(e[:2] == ("cross", "descend") for e in trace.events)
     assert (walks, descents) == (451, 64)
     assert blob.hexdigest() == "de33b0a5d92a99b4b18076c68069d7c1687d0ec800759b5524eb6823014acdcc"
+
+
+@pytest.mark.slow
+def test_degree_five_counts_through_curves():
+    # the floor layer's certified scale: every (5, g) counted through the
+    # curves it builds, one per marked diagram
+    assert MAX_DEGREE == 5
+    counts = [count_severi(5, g) for g in range(7)]
+    assert counts == [87304, 87192, 36855, 7915, 882, 48, 1]
+    assert counts == [irreducible_severi_degree(5, g) for g in range(7)]

@@ -40,6 +40,23 @@ def test_walk_genus_out_of_range(capsys):
     assert "0 <= g <= 1" in err
 
 
+def test_genus_out_of_range_answers_empty(capsys):
+    # count and enumerate share the floor layer's one (d, g) contract: no
+    # diagrams, so no solutions and a count of 0, as the oracle says
+    for d in ("1", "3"):
+        code, out, err = run_cli(capsys, "--json", "enumerate", "--d", d, "--g", "-5")
+        assert code == 0
+        assert json.loads(out)["solutions"] == []
+        code, out, _err = run_cli(capsys, "--json", "count", "--d", d, "--g", "-5", "--oracle")
+        assert code == 0
+        assert json.loads(out) == {"agrees": True, "count": 0, "d": int(d), "g": -5, "oracle": 0}
+    # the walk needs a solution to start from
+    code, out, err = run_cli(capsys, "walk", "--d", "3", "--g", "-5")
+    assert code == 2
+    assert out == ""
+    assert "0 <= g <= 1" in err
+
+
 def test_enumerate_refuses_degree_zero(capsys):
     for g in ("0", "2"):
         code, out, err = run_cli(capsys, "enumerate", "--d", "0", "--g", g)

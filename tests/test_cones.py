@@ -165,6 +165,11 @@ def test_split_vertex_with_loop_germ():
     new_t, new_edge = split_vertex(t, 0, [loop_germ, right])
     assert check_balancing(new_t) is None
     assert not new_t.edges[0].is_loop()
+    # moving both loop germs carries the whole loop to the new vertex
+    new_t, new_edge = split_vertex(t, 0, [("edge", 0, 1), right, ("edge", 0, 0)])
+    assert check_balancing(new_t) is None
+    assert new_t.edges == (Edge(1, 1), Edge(0, 1, (1, 0)))
+    assert new_edge == 1
 
 
 def test_lower_bound_property_on_fixtures():

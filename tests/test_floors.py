@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +27,7 @@ from tropcurves.floors import (
 )
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, genus
 from tropcurves.recursion import irreducible_severi_degree
+from tropcurves.serialize import curve_to_json
 
 
 def test_make_stretched_witness():
@@ -78,6 +81,18 @@ def test_counts_match_oracle_small():
             assert count_severi(d, g) == irreducible_severi_degree(d, g)
 
 
+def test_curves_frozen():
+    # every curve through the default configuration at d <= 4, with its
+    # diagram and multiplicity, pinned byte for byte
+    blob = hashlib.sha256()
+    for d in range(1, 5):
+        for g in range(0, (d - 1) * (d - 2) // 2 + 1):
+            for diag, curve in enumerate_curves(d, g):
+                record = [diag.text(), curve_to_json(curve), curve.multiplicity()]
+                blob.update(json.dumps(record, sort_keys=True).encode())
+    assert blob.hexdigest() == "14c89c8455b008b7b541e06775f522e970c67ca51c42c1d3f3ae1128e2ce6c3a"
+
+
 def test_diagram_multiplicities_match_oracle_to_degree_five():
     # the certified scale: every d <= 5 and every genus, each diagram once
     for d in range(1, 6):
@@ -115,7 +130,7 @@ def test_scale_refusal():
 
 
 def test_degree_zero_is_refused():
-    # as count_severi does, before any configuration is built
+    # solution_diagrams refuses it before any configuration is built
     for g in (0, 2):
         with pytest.raises(ValueError, match="degree must be positive"):
             enumerate_curves(0, g)

@@ -158,6 +158,29 @@ def test_curve_multiplicity_line():
     assert curve.multiplicity() == 1
 
 
+def test_multiplicity_refuses_four_germs():
+    t = CombinatorialType(
+        weights=(0,),
+        edges=(),
+        legs=(Leg(0, (1, 0)), Leg(0, (-1, 0)), Leg(0, (0, 1)), Leg(0, (0, -1))),
+    )
+    curve = ParametrizedCurve(t, lengths=(), positions=((F(0), F(0)),))
+    with pytest.raises(ValueError, match="more than three"):
+        curve.multiplicity()
+
+
+def test_multiplicity_skips_the_mark():
+    # a weight-two edge between two vertices of |det| 2; vertex 1 carries
+    # a mark, listed first, and counts the |det| of its other three germs
+    t = CombinatorialType(
+        weights=(0, 0),
+        edges=(Edge(0, 1, (0, 2)),),
+        legs=(Leg(1), Leg(0, (-1, -1)), Leg(0, (1, -1)), Leg(1, (-1, 1)), Leg(1, (1, 1))),
+    )
+    curve = ParametrizedCurve(t, lengths=(F(1),), positions=((F(0), F(0)), (F(0), F(2))))
+    assert curve.multiplicity() == 4
+
+
 def test_genus_invariance_under_contraction_fuzz():
     import random
 
