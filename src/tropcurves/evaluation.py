@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tropcurves.cones import expand_lengths, reduced_fiber_polyhedron
-from tropcurves.graphs import CombinatorialType, ParametrizedCurve, face_contract
+from tropcurves.graphs import CombinatorialType, ParametrizedCurve, check_balancing, face_contract
 from tropcurves.linalg import solve_affine
 
 F = Fraction
@@ -65,7 +65,10 @@ class FiberDescription:
         return self.cone_dimension - self.dimension
 
 
-def _check_marks(t: CombinatorialType, cfg: PointConfiguration):
+def _check_input(t: CombinatorialType, cfg: PointConfiguration):
+    bad = check_balancing(t)  # as `cone_of` refuses it
+    if bad is not None:
+        raise ValueError(f"type is not balanced at vertex {bad}")
     n = len(cfg)
     marks = t.contracted_legs()
     if len(marks) != n:
@@ -97,8 +100,10 @@ def curve_at(t: CombinatorialType, x):
 
 
 def _cone_dim(t: CombinatorialType):
-    """Dimension of the closed cone (nonnegative-length solutions); the
-    cone holds 0, so the length polyhedron is never empty."""
+    """Dimension of the closed cone (nonnegative-length solutions): the
+    length polyhedron's `dim`, one relative-interior LP when the type has
+    cycles, plus the two translations.  The cone holds 0, so the length
+    polyhedron is never empty."""
     return reduced_fiber_polyhedron(t, ())[0].dim() + 2
 
 
@@ -106,22 +111,19 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
     """Exact description of the evaluation fiber of ``t`` over ``cfg``.
 
     Positions are eliminated along a spanning tree, so all simplex work
-    happens over the edge-length coordinates.
+    happens over the edge-length coordinates.  One LP decides the fiber:
+    `Polyhedron.interior_point` is None when it is empty, and a unit row
+    pins each length that point leaves at 0, which vanishes on the whole
+    fiber; the affine hull then gives the dimension and the geometry.
     """
-    _check_marks(t, cfg)
+    _check_input(t, cfg)
     P, coeffs = reduced_fiber_polyhedron(t, cfg.points)
     cone_dim = _cone_dim(t)
-    base = P.feasible_point()
-    if base is None:
+    interior = P.interior_point()
+    if interior is None:
         return FiberDescription("empty", -1, cone_dim)
-    zero = P.implicit_zero_vars()
-    rows = [list(row) for row in P.rows]
-    rhs = list(P.rhs)
-    for i in zero:
-        row = [F(0)] * P.n
-        row[i] = F(1)
-        rows.append(row)
-        rhs.append(F(0))
+    units = [[F(1) if j == i else F(0) for j in range(P.n)] for i, x in enumerate(interior) if not x]
+    rows, rhs = P.rows + units, P.rhs + [F(0)] * len(units)
     if not rows:
         rows = [[F(0)] * P.n]
         rhs = [F(0)]

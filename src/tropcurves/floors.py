@@ -17,6 +17,7 @@ one (d, g) check, in `solution_diagrams`.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,27 +78,39 @@ class FloorDiagram:
         return "\n".join(lines)
 
 
+_FLOOR_LINE = re.compile(r"F(\d+):\s*mark=(\d+)")
+_ELEVATOR_LINE = re.compile(r"(\d+):(F\d+|up)->(F\d+|down)\s+mark=(\d+)")
+
+
 def parse_diagram(text):
-    """Inverse of FloorDiagram.text()."""
-    floor_marks = {}
-    elevators = []
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("F"):
-            head, markpart = line.split(":")
-            idx = int(head[1:])
-            floor_marks[idx] = int(markpart.split("=")[1])
+    """Inverse of FloorDiagram.text().  Raises ValueError naming the
+    problem in text the generator never writes: floors other than F1..Fd
+    once each, an elevator from up, to a floor not below its own or of
+    weight 0, or marks that are not a permutation of 1..n."""
+    floors, elevators = [], []
+    for line in filter(None, map(str.strip, text.splitlines())):
+        if m := _FLOOR_LINE.fullmatch(line):
+            floors.append((int(m[1]), int(m[2])))
+        elif m := _ELEVATOR_LINE.fullmatch(line):
+            if m[2] == "up":
+                raise ValueError(f"an elevator starts at a floor, not up: {line!r}")
+            top, bottom = int(m[2][1:]), DOWN if m[3] == "down" else int(m[3][1:])
+            if int(m[1]) < 1:
+                raise ValueError(f"elevator weight must be at least 1: {line!r}")
+            if bottom != DOWN and not 1 <= bottom < top:
+                raise ValueError(f"an elevator goes down to a lower floor or down: {line!r}")
+            elevators.append(Elevator(top, bottom, int(m[1]), int(m[4])))
         else:
-            spec, markpart = line.split(" mark=")
-            w, arrow = spec.split(":")
-            src, dst = arrow.split("->")
-            top = UP if src == "up" else int(src[1:])
-            bottom = DOWN if dst == "down" else int(dst[1:])
-            elevators.append(Elevator(top, bottom, int(w), int(markpart)))
-    d = max(floor_marks)
-    marks = tuple(floor_marks[i] for i in range(1, d + 1))
+            raise ValueError(f"not a floor or elevator line: {line!r}")
+    floors.sort()
+    d = len(floors)
+    if d == 0 or [i for i, _m in floors] != list(range(1, d + 1)):
+        raise ValueError(f"floors must be F1..Fd, each once, not {[i for i, _m in floors]}")
+    if any(e.top > d for e in elevators):
+        raise ValueError(f"an elevator names a floor outside F1..F{d}")
+    marks = tuple(m for _i, m in floors)
+    if sorted(marks + tuple(e.mark for e in elevators)) != list(range(1, d + len(elevators) + 1)):
+        raise ValueError(f"marks must be a permutation of 1..{d + len(elevators)}")
     bounded = sum(1 for e in elevators if e.top > 0 and e.bottom > 0)
     return FloorDiagram(d, bounded - (d - 1), marks, tuple(sorted(elevators, key=lambda e: e.mark)))
 

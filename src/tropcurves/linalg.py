@@ -10,6 +10,12 @@ unbounded ray, or infeasibility).  Its phase 1 can start from a solved
 tableau and add rows and columns to it, which is how `feasible_nonneg`
 decides a chain of systems each extending the one before; a cold solve
 starts from the empty tableau.  No float enters any computation.
+
+`Polyhedron` asks the simplex two kinds of question: `feasible_point`
+and `optimize` solve the system as given, and `interior_point` solves
+the single LP of Freund, Roundy and Todd (1985) for a relative-interior
+point.  `strict_point`, `implicit_zero_vars` and `dim` read their answers
+off that point.
 """
 
 from __future__ import annotations
@@ -315,72 +321,48 @@ class Polyhedron:
         value = sum(Fraction(a) * point[i] for i, a in objective.items())
         return LPResult("optimal", value=value, point=point)
 
-    def strict_point(self):
-        """A point with every variable strictly positive, or None.
+    def interior_point(self):
+        """A relative-interior point, positive exactly off the variables
+        that vanish identically, or None when the polyhedron is empty.
 
-        One slack LP: maximize t subject to x_i - t - s_i = 0, t <= 1.
+        One LP (Freund, Roundy and Todd, MIT Sloan WP 1674-85, 1985): with
+        x = y + s and lambda = 1 + mu, maximize sum(y) subject to
+        A (y + s) = lambda b and y <= 1, all variables >= 0.  A large
+        lambda lifts every coordinate that can be positive to 1, so the
+        optimum has y_i = 1 exactly there, and x / lambda is the point.
+        Columns: y, s, mu, then the slacks of y <= 1.
         """
         n = self.n
-        t_var = n
-        Q = Polyhedron(2 * n + 2)
-        for row, rhs in zip(self.rows, self.rhs):
-            Q.rows.append(list(row) + [ZERO] * (n + 2))
-            Q.rhs.append(rhs)
+        Q = Polyhedron(3 * n + 1)
+        for row, b in zip(self.rows, self.rhs):
+            Q.rows.append([*row, *row, -b, *[ZERO] * n])
+            Q.rhs.append(b)
         for i in range(n):
-            Q.add_eq({i: 1, t_var: -1, t_var + 1 + i: -1}, 0)
-        # t + cap = 1 keeps the LP bounded
-        Q.add_eq({t_var: 1, 2 * n + 1: 1}, 1)
-        res = Q.optimize({t_var: 1}, sense="max")
-        if res.status != "optimal" or res.value <= 0:
+            Q.add_eq({i: 1, 2 * n + 1 + i: 1}, 1)
+        res = Q.optimize(dict.fromkeys(range(n), 1), sense="max")
+        if res.status != "optimal":
             return None
-        return res.point[:n]
+        x, lam = res.point, 1 + res.point[2 * n]
+        return [(x[i] + x[n + i]) / lam for i in range(n)]
+
+    def strict_point(self):
+        """A point with every variable strictly positive, or None."""
+        point = self.interior_point()
+        return point if point is not None and all(point) else None
 
     def implicit_zero_vars(self):
-        """Variables that vanish identically on the polyhedron."""
-        if self.strict_point() is not None:
-            return []
-        return self._maximized_at_zero()
-
-    def _maximized_at_zero(self):
-        out = []
-        for i in range(self.n):
-            res = self.optimize({i: 1}, sense="max")
-            if res.status == "optimal" and res.value == 0:
-                out.append(i)
-        return out
+        """Variables that vanish identically on the polyhedron ([] when it
+        is empty): the zeros of `interior_point`."""
+        point = self.interior_point()
+        return [i for i, x in enumerate(point or ()) if not x]
 
     def dim(self):
-        """Dimension of the polyhedron (-1 when empty)."""
+        """Dimension of the polyhedron (-1 when empty): n minus the rank of
+        its rows and a unit row for each identically-zero variable."""
         if not self.rows:
             return self.n  # the nonnegative orthant: no LP needed
-        zero = []
-        if self.strict_point() is None:
-            if self.feasible_point() is None:
-                return -1
-            zero = self._maximized_at_zero()
-        rows = list(self.rows)
-        for i in zero:
-            row = [ZERO] * self.n
-            row[i] = ONE
-            rows.append(row)
-        return self.n - mat_rank(rows)
-
-    def interior_point(self):
-        """A point in the relative interior (non-implicit variables positive)."""
-        strict = self.strict_point()
-        if strict is not None:
-            return strict
-        pts = []
-        base = self.feasible_point()
-        if base is None:
-            return None
-        pts.append(base)
-        for i in range(self.n):
-            res = self.optimize({i: 1}, sense="max")
-            if res.status == "unbounded":
-                # move a bounded amount along the ray from its base point
-                pts.append([p + r for p, r in zip(res.point, res.ray)])
-            elif res.status == "optimal" and res.value > 0:
-                pts.append(res.point)
-        k = Fraction(1, len(pts))
-        return [sum(p[j] for p in pts) * k for j in range(self.n)]
+        point = self.interior_point()
+        if point is None:
+            return -1
+        units = [[ONE if j == i else ZERO for j in range(self.n)] for i, x in enumerate(point) if not x]
+        return self.n - mat_rank(self.rows + units)

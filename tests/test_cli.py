@@ -173,6 +173,20 @@ def test_fiber_malformed_type_json(tmp_path, capsys):
     assert err.startswith("error: type JSON is malformed")
 
 
+def test_fiber_and_classify_refuse_unbalanced_type(tmp_path, capsys):
+    # one edge of slope (1, 0) and no legs: both ends are unbalanced, and
+    # both commands refuse the type with the message cone_of raises
+    tf = tmp_path / "type.json"
+    edges = [{"u": 0, "v": 1, "slope": [1, 0]}]
+    tf.write_text(json.dumps({"vertices": [{"id": 0, "weight": 0}, {"id": 1, "weight": 0}], "edges": edges, "legs": []}))
+    pf = tmp_path / "pts.json"
+    pf.write_text(json.dumps({"points": []}))
+    for argv in (["classify-stratum", "--type", str(tf)], ["fiber", "--type", str(tf), "--points", str(pf)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: type is not balanced at vertex 0\n"
+
+
 def test_fiber_refuses_float_points(tmp_path, capsys):
     from fixtures import tropical_line
 

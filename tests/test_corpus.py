@@ -6,7 +6,7 @@ import pytest
 from fixtures import count_lps, shifted
 
 from tropcurves.canonical import canonical_key
-from tropcurves.cones import cone_dimension, expected_dimension, is_realizable
+from tropcurves.cones import cone_dimension, expected_dimension, is_realizable, reduced_fiber_polyhedron
 from tropcurves.corpus import _attach_mark, _core, _shapes, enumerate_cores, scan_fibers
 from tropcurves.errors import ScaleRefusal
 from tropcurves.evaluation import PointConfiguration, fiber, is_general
@@ -318,3 +318,18 @@ def test_betti_one_scan_frozen(monkeypatch):
     encoded = dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
     digest = hashlib.sha256(encoded.encode()).hexdigest()
     assert digest == "7926b15335283d2f397d9c9b1bcce69abce43e7df693a88c88808ec72ea5946d"
+
+
+def test_forced_zero_fibers_frozen():
+    # the only tier-1 scan whose fibers vanish on some edge lengths: 243 of
+    # its 331 hits have lengths forced to zero, so the unit rows `fiber`
+    # adds for them decide the dimensions and endpoints pinned here
+    cfg = PointConfiguration(((-2, -1), (1, 0), (1, 1), (2, 1)))
+    hits = scan_fibers(2, 0, cfg)
+    kinds = [fb.kind for _t, fb in hits]
+    assert (len(hits), kinds.count("interval"), kinds.count("point"), kinds.count("higher")) == (331, 146, 132, 53)
+    forced = [t for t, _fb in hits if reduced_fiber_polyhedron(t, cfg.points)[0].implicit_zero_vars()]
+    assert len(forced) == 243
+    encoded = dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
+    digest = hashlib.sha256(encoded.encode()).hexdigest()
+    assert digest == "6bba56869c3c8355968f0057e0b43b21d0b476a0dfa1b9fb63232819fa4bd019"

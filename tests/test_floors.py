@@ -191,6 +191,28 @@ def test_diagram_text_round_trip():
         assert parse_diagram(diag.text()) == diag
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("F1: mark=1\n1:up->F1 mark=2", "starts at a floor, not up"),
+        ("F1: mark=1\n1:F9->down mark=2", "outside F1..F1"),
+        ("F2: mark=1\nF1: mark=2\n1:F1->F2 mark=3", "lower floor"),
+        ("F1: mark=1\n1:F1->F0 mark=2", "lower floor"),
+        ("F2: mark=3\nF1: mark=1\n1:F2->F1 mark=2\n1:F1->down mark=7", "permutation of 1..4"),
+        ("F1: mark=1\n1:F1->down mark=1", "permutation of 1..2"),
+        ("F1: mark=1\n0:F1->down mark=2", "weight must be at least 1"),
+        ("", "floors must be F1..Fd"),
+        ("F2: mark=1\n1:F2->down mark=2", "floors must be F1..Fd"),
+        ("F1: mark=1\nF1: mark=2", r"each once, not \[1, 1\]"),
+        ("F1: mark=1\n1:F1->down", "not a floor or elevator line"),
+    ],
+)
+def test_parse_diagram_refuses_malformed_text(text, problem):
+    # text the generator never writes, which diagram_curve cannot build
+    with pytest.raises(ValueError, match=problem):
+        parse_diagram(text)
+
+
 def test_top_floor_check_hand_built():
     bad = FloorDiagram(
         2,

@@ -182,6 +182,15 @@ def test_simplex_matches_vertex_oracle():
         assert (point is not None) == feasible
         if point is not None:
             assert _satisfies(A, b, point)
+        # the relative-interior point is positive exactly where some
+        # feasible point is: where -x_i is unbounded below or goes negative
+        interior = P.interior_point()
+        assert (interior is not None) == feasible
+        if interior is not None:
+            assert _satisfies(A, b, interior)
+            for i in range(n):
+                status, value = _oracle_min(A, b, [-1 if j == i else 0 for j in range(n)])
+                assert (interior[i] > 0) == (status == "unbounded" or value < 0)
         objective = dict(enumerate(c))
         for sense, sign in (("min", 1), ("max", -1)):
             status, value = _oracle_min(A, b, [sign * a for a in c])
