@@ -52,12 +52,12 @@ no stratum of the moduli space.
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import cycle_system, path, path_coefficients, xy_rows
 from tropcurves.errors import ScaleRefusal
-from tropcurves.evaluation import PointConfiguration, fiber
+from tropcurves.evaluation import PointConfiguration, fiber, integer_points
 from tropcurves.graphs import CombinatorialType, Edge, Leg
 from tropcurves.linalg import feasible_nonneg
 
@@ -574,8 +574,8 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     order = _scan_order(n)
     # every scan LP is {A x = b, x >= 0} with b a point difference, so
     # scaling the points by L > 0 scales solutions by L: same verdicts
-    scale = lcm(*(c.denominator for p in cfg.points for c in p))
-    pts = [tuple(c.numerator * (scale // c.denominator) for c in cfg.points[i]) for i in order]
+    _scale, pts = integer_points(cfg.points)
+    pts = [pts[i] for i in order]
     results = {}
     for core in cores:
         scanner = _CoreScanner(core)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from tropcurves.cones import expand_lengths, reduced_fiber_polyhedron
 from tropcurves.graphs import CombinatorialType, ParametrizedCurve, check_balancing, face_contract
@@ -36,6 +37,12 @@ class PointConfiguration:
 
     def translated(self, dx, dy):
         return PointConfiguration(tuple((x + dx, y + dy) for x, y in self.points))
+
+
+def integer_points(points):
+    """(L, the points times L as int pairs), L the lcm of their denominators."""
+    scale = lcm(*(c.denominator for p in points for c in p))
+    return scale, [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)) for x, y in points]
 
 
 @dataclass(frozen=True)

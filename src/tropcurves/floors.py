@@ -5,7 +5,7 @@ curve of degree d splits into d horizontal floors joined by vertical
 elevators.  The combinatorics is recorded in a `FloorDiagram`: floors
 ordered bottom to top, weighted elevators between them or dropping to
 infinity, and one marked point on every floor and elevator.  Curves are
-rebuilt from marked diagrams exactly: the elevator x-coordinates are the
+rebuilt from marked diagrams exactly, on ints: elevators stand at the
 x-coordinates of their marks and the floor heights are pinned by theirs.
 
 Counting sums the multiplicities (vertex |det| products) of the curves
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tropcurves.errors import ScaleRefusal
-from tropcurves.evaluation import PointConfiguration
+from tropcurves.evaluation import PointConfiguration, integer_points
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, find
 
 F = Fraction
@@ -280,6 +280,8 @@ def _linear_extensions(d, edge_list):
 def diagram_curve(diag: FloorDiagram, cfg):
     """The unique parametrized curve of a marked diagram through cfg.
 
+    The points are multiplied once by L, the lcm of their denominators,
+    and the curve is built on ints; only the answer holds Fractions.
     Each floor is built in one pass: its elevator ends and its mark,
     sorted by x, change its slope by +w (an elevator leaves downward), -w
     (one arrives) or 0 (the mark); the running sum gives the slopes and
@@ -288,8 +290,8 @@ def diagram_curve(diag: FloorDiagram, cfg):
     floor share an x, an elevator length fails to be positive, or a mark
     misses its object).
     """
-    points = cfg.points
-    positions = []
+    scale, points = integer_points(cfg.points)
+    positions = []  # times L
     edges = []  # (tail, head, slope, length)
     mark_vertex = {}  # mark index -> vertex
     ends = []  # (vertex, slope) of the non-contracted legs
@@ -327,7 +329,7 @@ def diagram_curve(diag: FloorDiagram, cfg):
             dx = xs[i] - xs[i - 1]
             if dx <= 0:
                 return None  # coincident events: not a valid solution
-            edges.append((first + i - 1, first + i, (1, slopes[i]), dx))
+            edges.append((first + i - 1, first + i, (1, slopes[i]), F(dx, scale)))
 
     for k, e in enumerate(diag.elevators):
         x, qy = points[e.mark - 1]
@@ -338,7 +340,7 @@ def diagram_curve(diag: FloorDiagram, cfg):
         mark_vertex[e.mark] = mark_v
         if qy >= y_top:
             return None  # the mark must lie strictly below the upper floor
-        edges.append((top_v, mark_v, (0, -e.weight), (y_top - qy) / e.weight))
+        edges.append((top_v, mark_v, (0, -e.weight), F(y_top - qy, e.weight * scale)))
         if e.bottom == DOWN:
             ends.append((mark_v, (0, -1)))
         else:
@@ -346,7 +348,7 @@ def diagram_curve(diag: FloorDiagram, cfg):
             y_bot = positions[bot_v][1]
             if y_bot >= qy:
                 return None
-            edges.append((mark_v, bot_v, (0, -e.weight), (qy - y_bot) / e.weight))
+            edges.append((mark_v, bot_v, (0, -e.weight), F(qy - y_bot, e.weight * scale)))
 
     n = diag.n_marks()
     if sorted(mark_vertex) != list(range(1, n + 1)):
@@ -358,10 +360,8 @@ def diagram_curve(diag: FloorDiagram, cfg):
         edges=tuple(Edge(u, v, s) for u, v, s, _l in edges),
         legs=tuple(legs),
     )
-    try:
-        return ParametrizedCurve(ctype, tuple(l for _u, _v, _s, l in edges), tuple(positions))
-    except ValueError:
-        return None
+    positions = tuple((F(x, scale), F(y, scale)) for x, y in positions)
+    return ParametrizedCurve(ctype, tuple(l for _u, _v, _s, l in edges), positions)
 
 
 def enumerate_curves(d, g, cfg=None):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 Vec = tuple[int, int]
 
@@ -37,6 +38,10 @@ def vneg(a):
 
 def det2(a, b):
     return a[0] * b[1] - a[1] * b[0]
+
+
+def _fraction(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -347,7 +352,8 @@ class ParametrizedCurve:
 
     For every non-loop edge u -> v the positions satisfy
     ``position(v) - position(u) == length * slope``, so the whole map to
-    the plane is determined by the stored data.
+    the plane is determined by the stored data.  The checks clear every
+    denominator once, to one common multiple, and compare ints.
     """
 
     ctype: CombinatorialType
@@ -355,24 +361,26 @@ class ParametrizedCurve:
     positions: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(Fraction(x) for x in self.lengths))
-        object.__setattr__(
-            self, "positions", tuple((Fraction(p[0]), Fraction(p[1])) for p in self.positions)
-        )
-        t = self.ctype
-        if len(self.lengths) != len(t.edges):
+        object.__setattr__(self, "lengths", tuple(map(_fraction, self.lengths)))
+        object.__setattr__(self, "positions", tuple((_fraction(p[0]), _fraction(p[1])) for p in self.positions))
+        t, ne = self.ctype, len(self.lengths)
+        if ne != len(t.edges):
             raise ValueError("one length per edge required")
         if len(self.positions) != t.n_vertices():
             raise ValueError("one position per vertex required")
-        if any(x <= 0 for x in self.lengths):
+        # the lengths, then x and y of each vertex, over one common denominator
+        values = [*self.lengths, *(c for p in self.positions for c in p)]
+        den = lcm(*(x.denominator for x in values))
+        ints = [x.numerator * (den // x.denominator) for x in values]
+        if any(x <= 0 for x in ints[:ne]):
             raise ValueError("edge lengths must be strictly positive")
-        for e, ln in zip(t.edges, self.lengths):
-            pu, pv = self.positions[e.u], self.positions[e.v]
+        for e, ln in zip(t.edges, ints):
             if e.is_loop():
                 if e.slope != ZERO2:
                     raise ValueError("loop slope must vanish")
                 continue
-            if (pv[0] - pu[0], pv[1] - pu[1]) != (ln * e.slope[0], ln * e.slope[1]):
+            u, v = ne + 2 * e.u, ne + 2 * e.v
+            if (ints[v] - ints[u], ints[v + 1] - ints[u + 1]) != (ln * e.slope[0], ln * e.slope[1]):
                 raise ValueError(f"edge {e} violates geometric consistency")
 
     def evaluate(self):

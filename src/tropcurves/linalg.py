@@ -157,27 +157,27 @@ def _bland(tab, basis, n):
         _pivot(tab, basis, leave, enter)
 
 
-def _phase1(A, b, n, carried=(), tab=(), basis=()):
+def _phase1(rows, n, carried=(), tab=(), basis=()):
     """Add the rows ``A x = b`` to a solved tableau and minimise a positive
     combination of their artificials over ``x >= 0``.
 
     (tab, basis) is a tableau this routine returned over at most n
     columns, with every artificial driven out (`_drive_out`); its rows are
     widened to n columns.  The empty tableau, the default, makes this a
-    cold phase 1.  Each new row [A | 1 | b] is cleared of denominators, so
-    its artificial column holds the row's multiplier.  The tableau's basic
-    columns are cleared from the new rows, which leaves an equivalent
-    system, and each new row is signed so that b >= 0: the tableau's basis
-    and the new artificials are then a feasible basis.  The artificial
-    columns are dropped: none enters, and only the phase-1 objective row,
-    minus the sum of the new rows each over its multiplier, needs them.
-    In a cold solve that is the sum of the artificials; a row changed by
-    the clearing weighs its artificial by another positive factor, which
-    decides feasibility just as well.  The integer tableau is the
-    constraint rows, that objective row, then the carried rows, which
-    every pivot updates too.  Returns a new (tableau, basis) without the
-    phase-1 row, or None when the system is infeasible; the given tableau
-    is left as it is.
+    cold phase 1.  Each new row is [A | 1 | b] cleared of denominators by
+    the caller, n + 2 ints, so its artificial column holds the row's
+    multiplier.  The tableau's basic columns are cleared from the new
+    rows, which leaves an equivalent system, and each new row is signed
+    so that b >= 0: the tableau's basis and the new artificials are then
+    a feasible basis.  The artificial columns are dropped: none enters,
+    and only the phase-1 objective row, minus the sum of the new rows
+    each over its multiplier, needs them.  In a cold solve that is the
+    sum of the artificials; a row changed by the clearing weighs its
+    artificial by another positive factor, which decides feasibility
+    just as well.  The integer tableau is the constraint rows, that
+    objective row, then the carried rows, which every pivot updates too.
+    Returns a new (tableau, basis) without the phase-1 row, or None when
+    the system is infeasible; the given tableau is left as it is.
     """
     width = len(tab[0]) - 1 if tab else n
     if width < n:
@@ -185,11 +185,8 @@ def _phase1(A, b, n, carried=(), tab=(), basis=()):
         tab = [row[:-1] + pad + row[-1:] for row in tab]
     else:
         tab = list(tab)
-    new, mults = [], []
-    for row, bi in zip(A, b):
-        *row, mult, bi = _integer_row([*row, 1, bi])
-        new.append([*row, bi])
-        mults.append(mult)
+    new = [[*row[:n], row[n + 1]] for row in rows]
+    mults = [row[n] for row in rows]
     for prow, k in zip(tab, basis):
         _eliminate(new, prow, k)
     new = [row if row[-1] >= 0 else [-x for x in row] for row in new]
@@ -236,7 +233,7 @@ def _simplex_standard(c, A, b):
     certifies unboundedness otherwise.
     """
     n = len(c)
-    phase1 = _phase1(A, b, n, [_integer_row([*c, 0])])
+    phase1 = _phase1([_integer_row([*row, 1, bi]) for row, bi in zip(A, b)], n, [_integer_row([*c, 0])])
     if phase1 is None:
         return None
     tab, basis = phase1
@@ -260,9 +257,9 @@ def feasible_nonneg(rows, rhs, width, path=None):
     """Feasibility of {A x = b, x >= 0}: phase 1 of the simplex only.
 
     rows: list of {col: coeff} dicts with int or Fraction coefficients;
-    returns True/False.  The coefficients go straight into the integer
-    tableau.  This is the hot path of the incidence scans; it avoids the
-    Polyhedron wrapper.
+    returns True/False.  Each row is cleared of denominators over its
+    nonzeros alone and goes straight into the integer tableau.  This is
+    the hot path of the incidence scans; it avoids the Polyhedron wrapper.
 
     path, when given, is a list of solved tableaux, one per system on a
     chain of systems each extending the one before.  The rows then extend
@@ -273,12 +270,13 @@ def feasible_nonneg(rows, rhs, width, path=None):
     extend it; the caller removes it when done.
     """
     A = []
-    for row in rows:
-        dense = [0] * width
+    for row, bi in zip(rows, rhs):
+        mult = lcm(bi.denominator, *[a.denominator for a in row.values()])
+        dense = [0] * width + [mult, bi.numerator * (mult // bi.denominator)]
         for j, a in row.items():
-            dense[j] = a
+            dense[j] = a.numerator * (mult // a.denominator)
         A.append(dense)
-    solved = _phase1(A, rhs, width, (), *(path[-1] if path else ()))
+    solved = _phase1(A, width, (), *(path[-1] if path else ()))
     if solved is None:
         return False
     if path is not None:

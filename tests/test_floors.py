@@ -23,8 +23,10 @@ from tropcurves.floors import (
     is_vertically_stretched,
     make_stretched,
     parse_diagram,
+    solution_diagrams,
     top_floor_check,
 )
+from tropcurves.evaluation import PointConfiguration
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, genus
 from tropcurves.recursion import irreducible_severi_degree
 from tropcurves.serialize import curve_to_json
@@ -91,6 +93,33 @@ def test_curves_frozen():
                 record = [diag.text(), curve_to_json(curve), curve.multiplicity()]
                 blob.update(json.dumps(record, sort_keys=True).encode())
     assert blob.hexdigest() == "14c89c8455b008b7b541e06775f522e970c67ca51c42c1d3f3ae1128e2ce6c3a"
+
+
+def test_curves_commute_with_a_rational_affine_map():
+    # p -> p/6 + (1/2, -1/3) gives points with denominator 6, so the curves
+    # are built over L = 6: each must be the image of the curve through the
+    # integer points, lengths divided by 6.  Reversed, the points fail most
+    # diagrams, and a diagram without a curve has none after the map either.
+    def image(p):
+        return (p[0] / 6 + F(1, 2), p[1] / 6 - F(1, 3))
+
+    built = missing = 0
+    for d in range(1, 4):
+        for g in range(0, (d - 1) * (d - 2) // 2 + 1):
+            points = make_stretched(3 * d + g - 1, d).points
+            for cfg in (PointConfiguration(points), PointConfiguration(points[::-1])):
+                moved = PointConfiguration(tuple(map(image, cfg.points)))
+                for diag in solution_diagrams(d, g, cfg):
+                    curve, moved_curve = diagram_curve(diag, cfg), diagram_curve(diag, moved)
+                    if curve is None:
+                        assert moved_curve is None
+                        missing += 1
+                        continue
+                    assert moved_curve.ctype == curve.ctype
+                    assert moved_curve.lengths == tuple(x / 6 for x in curve.lengths)
+                    assert moved_curve.positions == tuple(map(image, curve.positions))
+                    built += 1
+    assert built and missing
 
 
 def test_diagram_multiplicities_match_oracle_to_degree_five():

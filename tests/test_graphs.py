@@ -152,6 +152,27 @@ def test_parametrized_curve_consistency():
         ParametrizedCurve(t, lengths=(F(0),), positions=((F(0), F(0)), (F(0), F(0))))
 
 
+def test_parametrized_curve_refuses_a_fractional_offset_in_y():
+    # x agrees exactly; y is off by 1/6 against denominators 2 and 3
+    t = CombinatorialType(weights=(0, 0), edges=(Edge(0, 1, (1, 2)),))
+    ParametrizedCurve(t, lengths=(F(1, 2),), positions=((F(1, 3), F(0)), (F(5, 6), F(1))))
+    with pytest.raises(ValueError, match="geometric consistency"):
+        ParametrizedCurve(t, lengths=(F(1, 2),), positions=((F(1, 3), F(0)), (F(5, 6), F(7, 6))))
+
+
+def test_parametrized_curve_stores_fractions():
+    # ints become Fractions; a Fraction is stored as it is
+    t = CombinatorialType(weights=(0, 0), edges=(Edge(0, 1, (0, -1)),))
+    length = F(3, 2)
+    curve = ParametrizedCurve(t, lengths=(length,), positions=((0, 0), (0, F(-3, 2))))
+    assert curve.lengths[0] is length
+    assert all(type(c) is F for p in curve.positions for c in p)
+    curve = ParametrizedCurve(t, lengths=(3,), positions=((1, 2), (1, -1)))
+    assert curve.lengths == (3,) and type(curve.lengths[0]) is F
+    assert curve.positions == ((1, 2), (1, -1))
+    assert all(type(c) is F for p in curve.positions for c in p)
+
+
 def test_curve_multiplicity_line():
     line = tropical_line()
     curve = ParametrizedCurve(line, lengths=(), positions=((F(0), F(0)),))

@@ -119,17 +119,24 @@ def _dot(c, x):
     return sum(Fraction(a) * v for a, v in zip(c, x))
 
 
-def _oracle_min(A, b, c):
-    """(status, value) of min c.x over A x = b, x >= 0.
+def _oracle_extremes(A, b, n):
+    """(vertices, extreme rays) of A x = b, x >= 0; the rays are the
+    vertices of A r = 0, sum r = 1, r >= 0, listed only when there is a
+    vertex."""
+    vertices = _oracle_vertices(A, b, n)
+    rays = _oracle_vertices(A + [[1] * n], [0] * len(A) + [1], n) if vertices else []
+    return vertices, rays
+
+
+def _oracle_min(extremes, c):
+    """(status, value) of min c.x over the polyhedron of `_oracle_extremes`.
 
     A nonempty polyhedron without lines has a vertex; it is unbounded below
-    iff an extreme ray (a vertex of A r = 0, sum r = 1, r >= 0) descends.
+    iff an extreme ray descends.
     """
-    n = len(c)
-    vertices = _oracle_vertices(A, b, n)
+    vertices, rays = extremes
     if not vertices:
         return "infeasible", None
-    rays = _oracle_vertices(A + [[1] * n], [0] * len(A) + [1], n)
     if any(_dot(c, r) < 0 for r in rays):
         return "unbounded", None
     return "optimal", min(_dot(c, v) for v in vertices)
@@ -172,7 +179,8 @@ def test_simplex_matches_vertex_oracle():
     seen = set()
     for A, b, c in _random_systems(300):
         n = len(c)
-        feasible = _oracle_vertices(A, b, n) != []
+        extremes = _oracle_extremes(A, b, n)
+        feasible = extremes[0] != []
         rows = [{j: a for j, a in enumerate(row) if a} for row in A]
         assert feasible_nonneg(rows, b, n) == feasible
         P = Polyhedron(n)
@@ -189,11 +197,11 @@ def test_simplex_matches_vertex_oracle():
         if interior is not None:
             assert _satisfies(A, b, interior)
             for i in range(n):
-                status, value = _oracle_min(A, b, [-1 if j == i else 0 for j in range(n)])
+                status, value = _oracle_min(extremes, [-1 if j == i else 0 for j in range(n)])
                 assert (interior[i] > 0) == (status == "unbounded" or value < 0)
         objective = dict(enumerate(c))
         for sense, sign in (("min", 1), ("max", -1)):
-            status, value = _oracle_min(A, b, [sign * a for a in c])
+            status, value = _oracle_min(extremes, [sign * a for a in c])
             res = P.optimize(objective, sense=sense)
             seen.add(status)
             assert res.status == status
@@ -249,7 +257,7 @@ def test_extended_tableau_matches_cold_solve():
             if not cold:
                 break
             if i == 0:
-                _tab, basis = _phase1([row[:width] for row in A[:end]], b[:end], width)
+                _tab, basis = _phase1([[*row[:width], 1, bi] for row, bi in zip(A[:end], b[:end])], width)
                 degenerate += any(k >= width for k in basis)
             start = end
     # a first block left an artificial basic at zero, which must leave the

@@ -153,6 +153,66 @@ def test_curve_json_round_trip(c):
     assert curve_from_json(json.loads(dumps(curve_to_json(c)))) == c
 
 
+def _fraction_consistent(t, lengths, positions):
+    """The consistency check of ParametrizedCurve, in Fraction arithmetic."""
+    lengths = [F(x) for x in lengths]
+    positions = [(F(x), F(y)) for x, y in positions]
+    if any(x <= 0 for x in lengths):
+        return False
+    for e, ln in zip(t.edges, lengths):
+        (ux, uy), (vx, vy) = positions[e.u], positions[e.v]
+        if not e.is_loop() and (vx - ux, vy - uy) != (ln * e.slope[0], ln * e.slope[1]):
+            return False
+    return True
+
+
+@st.composite
+def curve_inputs(draw):
+    """A tree type with lengths and integrated positions, ints and
+    Fractions of mixed denominators, plus parallel copies of tree edges
+    and zero-slope loops; then maybe one coordinate moved by 1/q, one
+    length moved by 1/q or one length made nonpositive."""
+    n = draw(st.integers(1, 5))
+    number = st.one_of(st.integers(-20, 20), RATIONALS)
+    positions = [[draw(number), draw(number)]]
+    edges, lengths = [], []
+    for v in range(1, n):
+        u, s = draw(st.integers(0, v - 1)), draw(SLOPES)
+        length = draw(st.one_of(st.integers(1, 9), RATIONALS.filter(lambda x: x > 0)))
+        edges.append(Edge(u, v, s))
+        lengths.append(length)
+        positions.append([positions[u][0] + length * s[0], positions[u][1] + length * s[1]])
+    for i in draw(st.lists(st.integers(0, n - 2), max_size=2)) if n > 1 else ():
+        edges.append(edges[i])
+        lengths.append(lengths[i])
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        edges.append(Edge(v, v, (0, 0)))
+        lengths.append(draw(RATIONALS.filter(lambda x: x > 0)))
+    q = F(draw(st.sampled_from((-1, 1))), draw(st.integers(1, 12)))
+    change = draw(st.sampled_from(("none", "position", "length", "nonpositive")))
+    if change == "position":
+        positions[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] += q
+    elif change in ("length", "nonpositive") and lengths:
+        i = draw(st.integers(0, len(lengths) - 1))
+        lengths[i] = lengths[i] + q if change == "length" else -abs(lengths[i]) * draw(st.integers(0, 1))
+    t = CombinatorialType((0,) * n, tuple(edges))
+    return t, tuple(lengths), tuple(map(tuple, positions))
+
+
+@SETTINGS
+@hypothesis.given(curve_inputs())
+def test_curve_check_matches_fraction_arithmetic(inputs):
+    # the constructor clears denominators to one lcm and compares ints;
+    # it must accept exactly what the Fraction check accepts
+    t, lengths, positions = inputs
+    try:
+        ParametrizedCurve(t, lengths, positions)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _fraction_consistent(t, lengths, positions)
+
+
 @SETTINGS
 @hypothesis.given(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=1, max_size=6, unique=True))
 def test_config_json_round_trip(points):
