@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from tropcurves.errors import ScaleRefusal
-from tropcurves.graphs import find
+from tropcurves.graphs import components
 
 
 def _node(i, j):
@@ -58,15 +58,8 @@ class MarkingSet:
 
 def is_irreducible(m: MarkingSet):
     """Connectivity of the line graph with the marked nodes removed."""
-    d = m.arrangement.d
-    parent = list(range(d + 1))
-    for i, j in m.arrangement.nodes():
-        if (i, j) in m.nodes:
-            continue
-        a, b = find(parent, i), find(parent, j)
-        if a != b:
-            parent[a] = b
-    return len({find(parent, i) for i in range(1, d + 1)}) == 1
+    unmarked = [p for p in m.arrangement.nodes() if p not in m.nodes]
+    return len(set(components(m.arrangement.d + 1, unmarked)[1:])) == 1
 
 
 def similar_moves(m: MarkingSet):

@@ -227,7 +227,7 @@ def is_regular(t: CombinatorialType):
 def classify(t: CombinatorialType):
     """Nice / simple wall / other, per valency and regularity."""
     if t.is_weightless():
-        vals = [t.valency(v) for v in range(t.n_vertices())]
+        vals = [len(star) for star in t.stars()]
         four = [v for v, k in enumerate(vals) if k == 4]
         if all(k == 3 for k in vals) and is_regular(t):
             return StratumClass(NICE)

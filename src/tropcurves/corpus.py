@@ -512,7 +512,6 @@ def _materialize(core, assignment, order, n):
         t = core
         attached = []  # mark indices already carrying legs, any order
         last_piece = {}  # edge site -> edge index of its head-most piece
-        ok = True
         for site, seq in zip(site_list, combo):
             for mark in seq:  # rank order along the site
                 kind, idx = site
@@ -528,16 +527,9 @@ def _materialize(core, assignment, order, n):
                 insert_pos = sum(1 for m in attached if m < mark)
                 legs = list(base.legs)
                 legs.insert(insert_pos, Leg(host, (0, 0)))
-                try:
-                    t = CombinatorialType(base.weights, base.edges, tuple(legs))
-                except ValueError:
-                    ok = False
-                    break
+                t = CombinatorialType(base.weights, base.edges, tuple(legs))
                 attached.append(mark)
-            if not ok:
-                break
-        if ok:
-            out.append(t)
+        out.append(t)
     return out
 
 

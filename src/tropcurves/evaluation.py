@@ -192,7 +192,7 @@ def genericity_conclusion(t: CombinatorialType, cfg: PointConfiguration):
         return True
     if not t.is_weightless():
         return False
-    if any(t.valency(v) != 3 for v in range(t.n_vertices())):
+    if any(len(star) != 3 for star in t.stars()):
         return False
     return all(e.slope != (0, 0) for e in t.edges)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from tropcurves.errors import ScaleRefusal
 from tropcurves.evaluation import PointConfiguration, integer_points
-from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, find
+from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, components
 
 F = Fraction
 
@@ -180,12 +180,7 @@ def _weighted_shapes(d, g):
     pairs = [(i, j) for i in range(2, d + 1) for j in range(1, i)]
     n_edges = d - 1 + g
     for combo in itertools.combinations_with_replacement(pairs, n_edges):
-        parent = list(range(d + 1))
-        for (i, j) in combo:
-            a, b = find(parent, i), find(parent, j)
-            if a != b:
-                parent[a] = b
-        if len({find(parent, i) for i in range(1, d + 1)}) != 1:
+        if len(set(components(d + 1, combo)[1:])) != 1:
             continue
         # Weights go from the last edge (the top floor) down, so floor i's
         # in-weight is final before its out-weight grows and the loop can
@@ -459,19 +454,13 @@ def floors_of(t: CombinatorialType, positions):
     for s in [e.slope for e in t.edges] + [leg.slope for leg in t.legs]:
         if abs(s[0]) not in (0, 1):
             raise NotFloorDecomposed(s)
-    parent = list(range(t.n_vertices()))
-    for e in t.edges:
-        if e.slope[0] != 0 or e.slope[1] == 0:
-            a, b = find(parent, e.u), find(parent, e.v)
-            if a != b:
-                parent[a] = b
-    carriers = [e.u for e in t.edges if e.slope[0] != 0]
-    carriers += [leg.vertex for leg in t.legs if leg.slope[0] != 0]
-    roots = {find(parent, v) for v in carriers}
+    root = components(t.n_vertices(), [(e.u, e.v) for e in t.edges if e.slope[0] != 0 or e.slope[1] == 0])
+    carriers = {root[e.u] for e in t.edges if e.slope[0] != 0}
+    carriers |= {root[leg.vertex] for leg in t.legs if leg.slope[0] != 0}
     comps = {}
-    for v in range(t.n_vertices()):
-        comps.setdefault(find(parent, v), []).append(v)
-    floors = [tuple(vs) for r, vs in comps.items() if r in roots]
+    for v, r in enumerate(root):
+        comps.setdefault(r, []).append(v)
+    floors = [tuple(vs) for r, vs in comps.items() if r in carriers]
     return tuple(sorted(floors, key=lambda vs: (min(positions[v][1] for v in vs), vs)))
 
 

@@ -3,6 +3,7 @@ import json
 from fixtures import smooth_cubic_type, tropical_line
 
 from tropcurves.cli import main
+from tropcurves.graphs import CombinatorialType, Edge, Leg
 from tropcurves.serialize import config_to_json, type_to_json
 
 
@@ -298,3 +299,25 @@ def test_validate_family_refuses_bad_degree_slopes(tmp_path, capsys):
     data = _constant_family_json()
     ff.write_text(json.dumps(data))
     assert run_cli(capsys, "validate-family", "--family", str(ff))[0] == 0
+
+
+def test_classify_stratum_output_frozen(tmp_path, capsys):
+    # a weight-1 vertex with a zero-slope loop, joined to a second vertex
+    # by two parallel edges: the loop flip and the edge swap give order 4
+    t = CombinatorialType(
+        weights=(1, 0),
+        edges=(Edge(0, 0), Edge(0, 1, (1, 0)), Edge(0, 1, (1, 0))),
+        legs=(Leg(0, (-1, 1)), Leg(0, (-1, -1)), Leg(1, (1, 1)), Leg(1, (1, -1))),
+    )
+    tf = tmp_path / "type.json"
+    tf.write_text(json.dumps(type_to_json(t)))
+    code, out, _ = run_cli(capsys, "classify-stratum", "--type", str(tf))
+    assert code == 0
+    assert out == (
+        '{"ambient_dim":7,"aut_order":4,"classification":"other","constraints":[[0,0,0,0,0,0,0],'
+        '[0,0,0,0,0,0,0],[-1,0,1,0,0,-1,0],[0,-1,0,1,0,0,0],[-1,0,1,0,0,0,-1],[0,-1,0,1,0,0,0]],'
+        '"dimension":4,"four_valent_vertex":null,"realizable":true,"type":{"edges":'
+        '[{"slope":[0,0],"u":0,"v":0},{"slope":[1,0],"u":0,"v":1},{"slope":[1,0],"u":0,"v":1}],'
+        '"legs":[{"slope":[-1,1],"vertex":0},{"slope":[-1,-1],"vertex":0},{"slope":[1,1],"vertex":1},'
+        '{"slope":[1,-1],"vertex":1}],"vertices":[{"id":0,"weight":1},{"id":1,"weight":0}]}}\n'
+    )

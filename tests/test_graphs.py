@@ -1,7 +1,11 @@
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
+from tropcurves.floors import enumerate_curves
 from tropcurves.graphs import (
     CombinatorialType,
     Edge,
@@ -15,6 +19,7 @@ from tropcurves.graphs import (
     is_stable,
     overvalency,
 )
+from tropcurves.serialize import type_to_json
 
 F = Fraction
 
@@ -117,6 +122,39 @@ def test_contract_rejects_nonzero_slope():
     # face contraction collapses it anyway, preserving genus and balance
     c = face_contract(t, [0])
     assert genus(c) == genus(t)
+
+
+def test_contract_refuses_edge_index_out_of_range():
+    # the range is checked before any slope is read, so -1 does not wrap
+    # to the last edge (slope (0, 1), which `contract` would refuse)
+    t = CombinatorialType(
+        weights=(0, 0),
+        edges=(Edge(0, 1), Edge(0, 1, (0, 1))),
+        legs=(Leg(0, (0, -1)), Leg(1, (0, 1))),
+    )
+    for bad in ([99], [-1], [0, 2]):
+        for op in (contract, face_contract):
+            with pytest.raises(ValueError, match="edge index out of range"):
+                op(t, bad)
+
+
+def test_face_contract_numbering_frozen():
+    # every edge subset of size <= 2 of every curve type at d <= 3: the
+    # contracted type with its vertex and edge maps, or the refusal message
+    blob = hashlib.sha256()
+    for d in range(1, 4):
+        for g in range(0, (d - 1) * (d - 2) // 2 + 1):
+            for _diag, curve in enumerate_curves(d, g):
+                t = curve.ctype
+                for k in range(3):
+                    for subset in itertools.combinations(range(len(t.edges)), k):
+                        try:
+                            c, vmap, emap = face_contract(t, subset, with_maps=True)
+                            record = [type_to_json(c), sorted(vmap.items()), sorted(emap.items())]
+                        except ValueError as err:
+                            record = str(err)
+                        blob.update(json.dumps(record, sort_keys=True).encode())
+    assert blob.hexdigest() == "d9d265293cce2a82d244f5e313a2846898a99bbbaf86b0ba43eacc4f2dff7ca0"
 
 
 def test_overvalency():

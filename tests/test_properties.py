@@ -20,8 +20,8 @@ from tropcurves.graphs import (  # noqa: E402
     ParametrizedCurve,
     TropicalGraph,
     check_balancing,
+    components,
     face_contract,
-    find,
     genus,
 )
 from tropcurves.linalg import feasible_nonneg  # noqa: E402
@@ -94,6 +94,74 @@ def test_type_json_round_trip(t):
     assert type_from_json(json.loads(dumps(type_to_json(t)))) == t
 
 
+def _star_reference(t, v):
+    """Germs at v by a scan of every edge and leg, one vertex at a time:
+    the reference the one-pass `stars` must match."""
+    germs = []
+    for i, e in enumerate(t.edges):
+        if e.is_loop() and e.u == v:
+            germs.append((e.slope, ("edge", i, 0)))
+            germs.append(((-e.slope[0], -e.slope[1]), ("edge", i, 1)))
+        elif e.u == v:
+            germs.append((e.slope, ("edge", i, 0)))
+        elif e.v == v:
+            germs.append(((-e.slope[0], -e.slope[1]), ("edge", i, 1)))
+    for j, leg in enumerate(t.legs):
+        if leg.vertex == v:
+            germs.append((leg.slope, ("leg", j)))
+    return germs
+
+
+@SETTINGS
+@hypothesis.given(small_types())
+def test_stars_match_a_per_vertex_scan(t):
+    reference = [_star_reference(t, v) for v in range(t.n_vertices())]
+    assert t.stars() == reference
+    assert [t.star(v) for v in range(t.n_vertices())] == reference
+    assert [t.valency(v) for v in range(t.n_vertices())] == [len(s) for s in reference]
+    sums = [(sum(s[0] for s, _d in germs), sum(s[1] for s, _d in germs)) for germs in reference]
+    unbalanced = [v for v, total in enumerate(sums) if total != (0, 0)]
+    assert check_balancing(t) == (unbalanced[0] if unbalanced else None)
+
+
+def test_star_and_valency_refuse_vertices_out_of_range():
+    t = smooth_cubic_curve().ctype
+    for v in (-1, t.n_vertices()):
+        with pytest.raises(ValueError, match="out of range"):
+            t.star(v)
+        with pytest.raises(ValueError, match="out of range"):
+            t.valency(v)
+
+
+@st.composite
+def pair_lists(draw):
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+
+
+@SETTINGS
+@hypothesis.given(pair_lists())
+@hypothesis.example((4, [(0, 0), (1, 2), (2, 1), (1, 2), (3, 3)]))
+def test_components_match_breadth_first_search(case):
+    n, pairs = case
+    adjacent = {x: set() for x in range(n)}
+    for u, v in pairs:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    label = {}
+    for s in range(n):
+        frontier = [s]
+        while frontier:
+            x = frontier.pop()
+            if x not in label:
+                label[x] = s
+                frontier.extend(adjacent[x])
+    root = components(n, pairs)
+    assert all(root[root[x]] == root[x] for x in range(n))
+    assert all((root[x] == root[y]) == (label[x] == label[y]) for x in range(n) for y in range(n))
+
+
 @st.composite
 def balanced_types(draw):
     """A small type with one more leg at each unbalanced vertex, of the
@@ -114,11 +182,9 @@ def test_face_contract_preserves_genus_degree_and_balancing(t, data):
     assert check_balancing(t) is None
     subset = data.draw(st.sets(st.integers(0, len(t.edges) - 1)) if t.edges else st.just(set()))
     # a subset that turns an edge of nonzero slope into a loop is no face
-    parent = list(range(t.n_vertices()))
-    for i in subset:
-        parent[find(parent, t.edges[i].u)] = find(parent, t.edges[i].v)
+    root = components(t.n_vertices(), [(t.edges[i].u, t.edges[i].v) for i in subset])
     kept = [e for i, e in enumerate(t.edges) if i not in subset]
-    hypothesis.assume(all(e.slope == (0, 0) or find(parent, e.u) != find(parent, e.v) for e in kept))
+    hypothesis.assume(all(e.slope == (0, 0) or root[e.u] != root[e.v] for e in kept))
     c = face_contract(t, subset)
     assert len(c.edges) == len(t.edges) - len(subset)
     assert genus(c) == genus(t)
