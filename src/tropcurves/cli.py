@@ -3,7 +3,8 @@
 Machine output is JSON on stdout; human-readable logs go to stderr.
 Identical inputs produce identical bytes.  Exit statuses: 2 for usage
 errors (the usual argparse status) and for bad input, such as an
-unreadable file or malformed JSON; 3 for scale refusals; 4 when the walk
+unreadable file or malformed JSON, or an output path that cannot be
+written, refused before any work; 3 for scale refusals; 4 when the walk
 fails one of its invariants (WalkError).
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from tropcurves.errors import ScaleRefusal, WalkError
@@ -23,6 +25,19 @@ def _log(args, msg):
 
 def _emit(data):
     print(json.dumps(data, sort_keys=True, separators=(",", ":")))
+
+
+def _check_writable(path):
+    """Refuse an output path that cannot be written, before any work is
+    done and without creating or truncating it; the file is opened only
+    once its contents are ready."""
+    if os.path.exists(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(path) or "."
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not ok:
+        raise OSError(f"cannot write {path}")
 
 
 def cmd_count(args):
@@ -42,6 +57,8 @@ def cmd_enumerate(args):
     from tropcurves.floors import StretchedConfig, enumerate_curves
     from tropcurves.serialize import config_from_json, curve_to_json
 
+    if args.out:
+        _check_writable(args.out)
     cfg = None  # the built-in stretched configuration
     if args.points:
         with open(args.points) as fh:
@@ -82,6 +99,8 @@ def cmd_walk(args):
     from tropcurves.serialize import trace_to_json
     from tropcurves.walk import run_walk
 
+    if args.trace:
+        _check_writable(args.trace)
     trace = run_walk(args.d, args.g, seed=args.seed)
     data = trace_to_json(trace)
     if args.trace:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from tropcurves.canonical import aut_order, types_isomorphic
 from tropcurves.graphs import (
@@ -31,7 +32,7 @@ from tropcurves.graphs import (
     overvalency,
     vadd,
 )
-from tropcurves.linalg import Polyhedron, mat_rank
+from tropcurves.linalg import Polyhedron, clear_denominators, mat_rank
 
 NICE = "nice"
 SIMPLE_WALL = "simple_wall"
@@ -176,22 +177,43 @@ def reduced_fiber_polyhedron(t: CombinatorialType, points):
     return P, coeffs
 
 
+def integer_positions(t: CombinatorialType, coeffs, lengths, anchor):
+    """Vertex positions (x_0, y_0, x_1, ...) of int lengths, on ints: the
+    first mark's vertex sits at the int point `anchor`, or vertex 0 at the
+    origin when there is none."""
+    xs = [l * e.slope[0] for l, e in zip(lengths, t.edges)]
+    ys = [l * e.slope[1] for l, e in zip(lengths, t.edges)]
+    shifts = [(sum(c * xs[j] for j, c in p.items()), sum(c * ys[j] for j, c in p.items())) for p in coeffs]
+    x0 = y0 = 0
+    if anchor is not None:
+        dx, dy = shifts[t.legs[0].vertex]
+        x0, y0 = anchor[0] - dx, anchor[1] - dy
+    return [c for dx, dy in shifts for c in (x0 + dx, y0 + dy)]
+
+
+def vertex_positions(t: CombinatorialType, points, coeffs, lengths, scale):
+    """Vertex positions (x_0, y_0, x_1, ...), as Fractions, of the int
+    lengths divided by `scale`; the first marked point pins the
+    translation, else vertex 0 sits at 0.  The point joins the lengths
+    over one common denominator, the tree paths are summed on ints, and
+    each coordinate is divided once."""
+    anchor = None
+    if points:
+        x, y = points[0]
+        common = lcm(scale, x.denominator, y.denominator)
+        lengths = [l * (common // scale) for l in lengths]
+        scale = common
+        anchor = (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+    return [Fraction(c, scale) for c in integer_positions(t, coeffs, lengths, anchor)]
+
+
 def expand_lengths(t: CombinatorialType, points, coeffs, lengths):
     """Rebuild the full position-length vector from a length solution;
-    the first marked point pins the translation, else vertex 0 sits at 0."""
-
-    def shift(v):
-        return [sum(lengths[j] * a for j, a in row.items()) for row in xy_rows(t, coeffs[v])]
-
-    root = (Fraction(0), Fraction(0))
-    if points:
-        dx, dy = shift(t.legs[0].vertex)
-        root = (points[0][0] - dx, points[0][1] - dy)
-    out = []
-    for v in range(t.n_vertices()):
-        dx, dy = shift(v)
-        out += [root[0] + dx, root[1] + dy]
-    return out + list(lengths)
+    the first marked point pins the translation, else vertex 0 sits at 0.
+    The lengths are cleared to ints once and the positions built by
+    `vertex_positions`."""
+    scale, ints = clear_denominators(lengths)
+    return vertex_positions(t, points, coeffs, ints, scale) + list(lengths)
 
 
 def is_realizable(t: CombinatorialType):

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from tropcurves.cones import expand_lengths, reduced_fiber_polyhedron
 from tropcurves.graphs import CombinatorialType, ParametrizedCurve, check_balancing, face_contract
-from tropcurves.linalg import solve_affine
+from tropcurves.linalg import clear_denominators, solve_affine
 
 F = Fraction
 
@@ -41,8 +40,8 @@ class PointConfiguration:
 
 def integer_points(points):
     """(L, the points times L as int pairs), L the lcm of their denominators."""
-    scale = lcm(*(c.denominator for p in points for c in p))
-    return scale, [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)) for x, y in points]
+    scale, flat = clear_denominators([c for p in points for c in p])
+    return scale, list(zip(flat[::2], flat[1::2]))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ pure function.
 `components(n, pairs)` is the one union-find: connectivity, contraction,
 floors, elevator shapes and line-arrangement irreducibility all read its
 roots.  `CombinatorialType.stars()` gathers every vertex's germs in one
-pass, for questions about all stars or valencies at once.  Neither result
-is cached on the type: an index kept on each of the 303 curves of
+pass, for questions about all stars or valencies at once, and `star(v)`
+gathers v's alone, in the same germ order.  Neither result is cached on
+the type: an index kept on each of the 303 curves of
 `enumerate_curves(4, 0)` would hold 3.2 MB.
 """
 
@@ -171,22 +172,32 @@ class CombinatorialType:
     def n_vertices(self):
         return len(self.weights)
 
-    def stars(self):
-        """Every vertex's germs as (slope, descriptor) pairs, in one pass:
-        edges by index (a loop gives both its germs), then legs."""
-        germs = [[] for _ in self.weights]
+    def _gather(self, germs):
+        """Append each germ to germs[vertex], for each vertex whose entry
+        is a list and not None, in the one germ order: edges by index (a
+        loop gives both its germs), then legs.  A germ is a (slope,
+        descriptor) pair."""
         for i, e in enumerate(self.edges):
-            germs[e.u].append((e.slope, ("edge", i, 0)))
-            germs[e.v].append((vneg(e.slope), ("edge", i, 1)))
+            if (at := germs[e.u]) is not None:
+                at.append((e.slope, ("edge", i, 0)))
+            if (at := germs[e.v]) is not None:
+                at.append((vneg(e.slope), ("edge", i, 1)))
         for j, leg in enumerate(self.legs):
-            germs[leg.vertex].append((leg.slope, ("leg", j)))
+            if (at := germs[leg.vertex]) is not None:
+                at.append((leg.slope, ("leg", j)))
         return germs
 
+    def stars(self):
+        """Every vertex's germs, in one pass."""
+        return self._gather([[] for _ in self.weights])
+
     def star(self, v):
-        """Germs at v, as in `stars`."""
+        """The germs at v alone, as in `stars`."""
         if not 0 <= v < len(self.weights):
             raise ValueError(f"vertex {v} out of range")
-        return self.stars()[v]
+        germs = [None] * len(self.weights)
+        germs[v] = []
+        return self._gather(germs)[v]
 
     def valency(self, v):
         return len(self.star(v))

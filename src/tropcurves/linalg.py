@@ -27,13 +27,18 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def clear_denominators(values):
+    """(L, the values times L as ints), L the lcm of the denominators of
+    the given ints and Fractions."""
+    scale = lcm(*[x.denominator for x in values])
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
 def _integer_row(row):
     """The row times the lcm of its denominators, as Python ints."""
     if all(type(x) is int for x in row):
         return row  # as it is: the kernels replace rows, never write into one
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = lcm(*[x.denominator for x in row])
-    return [x.numerator * (den // x.denominator) for x in row]
+    return clear_denominators([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row])[1]
 
 
 def _eliminate(m, prow, col):

@@ -22,25 +22,33 @@ crossing enters one of the wall's resolutions by construction, since
 `test_walls_resolve_and_contract_back` checks that all three
 resolutions of each wall met contract back to it.  The terminal ray is
 certified to move nothing but one contracted edge length.
+
+The geometry runs on Python ints, with denominators cleared once per
+call: the fiber line is solved over the points times their lcm, which
+leaves its direction as it was; the next wall is picked, and the wall
+lengths built, from the lengths and the direction each cleared to one
+denominator; and positions and velocities sum the tree paths on ints
+(`cones.integer_positions`).  Fractions are made only for what a state,
+an event or the trace holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
 from tropcurves.canonical import canonical_key, types_isomorphic
 from tropcurves.cones import (
     classify,
-    expand_lengths,
     fiber_rows,
+    integer_positions,
     path_coefficients,
     resolve_wall,
     split_vertex,
+    vertex_positions,
 )
 from tropcurves.errors import WalkError
-from tropcurves.evaluation import PointConfiguration
+from tropcurves.evaluation import PointConfiguration, integer_points
 from tropcurves.floors import diagram_curve, floors_of, make_stretched, solution_diagrams
 from tropcurves.graphs import (
     CombinatorialType,
@@ -49,7 +57,7 @@ from tropcurves.graphs import (
     ParametrizedCurve,
     face_contract,
 )
-from tropcurves.linalg import solve_affine
+from tropcurves.linalg import clear_denominators, solve_affine
 
 F = Fraction
 
@@ -94,49 +102,60 @@ class WalkState:
     ladder: int  # r
 
     def interior_positions(self):
-        """Vertex positions strictly inside the stratum along the motion ray."""
-        step = _first_positive_ratio(self.lengths, self.direction)
-        t = F(1) if step is None else step / 2
-        lengths = [a + t * b for a, b in zip(self.lengths, self.direction)]
-        full = expand_lengths(self.ctype, self.fixed.points, path_coefficients(self.ctype), lengths)
-        return tuple((full[2 * v], full[2 * v + 1]) for v in range(self.ctype.n_vertices()))
+        """Vertex positions strictly inside the stratum along the motion
+        ray: halfway to the next wall, or one unit along a ray."""
+        scale, a, dscale, b, k = _wall_ahead(self.lengths, self.direction)
+        if k is None:  # lengths + direction, over L·D
+            den, lengths = scale * dscale, [x * dscale + y * scale for x, y in zip(a, b)]
+        else:  # lengths + (step / 2)·direction, over 2·L·(-b_k)
+            den, lengths = 2 * scale * -b[k], [2 * x * -b[k] + a[k] * y for x, y in zip(a, b)]
+        flat = vertex_positions(self.ctype, self.fixed.points, path_coefficients(self.ctype), lengths, den)
+        return tuple(zip(flat[::2], flat[1::2]))
 
 
-def _first_positive_ratio(lengths, direction):
-    best = None
-    for l, d in zip(lengths, direction):
-        if d < 0:
-            ratio = -l / d
-            if best is None or ratio < best:
-                best = ratio
-    return best
+def _wall_ahead(lengths, direction):
+    """The motion line on ints: (L, a, D, b, k) with lengths = a / L and
+    direction = b / D, and k the index of the first length to vanish
+    along it, the least a_k / -b_k over b_k < 0 (the first of equals), or
+    None when no length falls.  The wall sits at step a_k·D / (-b_k·L)."""
+    scale, a = clear_denominators(lengths)
+    dscale, b = clear_denominators(direction)
+    k = None
+    for i, (x, y) in enumerate(zip(a, b)):
+        if y < 0 and (k is None or x * -b[k] < a[k] * -y):
+            k = i
+    return scale, a, dscale, b, k
 
 
 def _fiber_line(t, cfg):
-    """(base lengths, direction) of the one-dimensional fiber of t."""
-    rows, rhs, _coeffs = fiber_rows(t, cfg.points)
+    """The direction of the one-dimensional fiber of t over cfg.
+
+    The points are cleared to ints first: scaling the right-hand side by
+    their lcm leaves the kernel, and whether the fiber is empty, as they
+    were."""
+    _scale, points = integer_points(cfg.points)
+    rows, rhs, _coeffs = fiber_rows(t, points)
     ne = len(t.edges)
     dense = [[row.get(j, 0) for j in range(ne)] for row in rows]
     sol = solve_affine(dense or [[0] * ne], rhs or [0])
     if sol is None:
         raise WalkError("evaluation fiber is empty")
-    base, basis = sol
+    _base, basis = sol
     if len(basis) != 1:
         raise WalkError(f"fiber dimension {len(basis)} inside a nice stratum, expected 1")
-    return base, basis[0]
+    return basis[0]
 
 
 def _velocities(t, direction):
     """Vertex velocities along `direction` times a positive integer, as
-    (x_0, y_0, x_1, ...); the first mark's vertex stays pinned.
+    ints (x_0, y_0, x_1, ...); the first mark's vertex stays pinned.
 
     Positions are affine in the lengths, so these are the positions of
     the integer-scaled direction with that vertex pinned at the origin.
     Callers read only signs.
     """
-    scale = lcm(*[x.denominator for x in direction])
-    step = [int(x * scale) for x in direction]
-    return expand_lengths(t, ((0, 0),), path_coefficients(t), step)[: 2 * t.n_vertices()]
+    _scale, step = clear_denominators(direction)
+    return integer_positions(t, path_coefficients(t), step, (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +242,7 @@ def start_walk(d, g, cfg=None, seed=0):
     t = new_curve.ctype
     if not classify(t).is_nice():
         raise WalkError("initial stratum is not nice")
-    _base, v = _fiber_line(t, fixed)
+    v = _fiber_line(t, fixed)
     k, r, x_target = _ladder(t, new_curve.positions, elevator)
     foot, _ = _elevator_foot(t, new_curve.positions, elevator)
     dx = _velocities(t, v)[2 * foot]
@@ -298,11 +317,15 @@ def advance(state: WalkState):
     At a wall, the germs of its 4-valent vertex are read once: E's own
     germ, the three others, and the one E met (`_met_germ`).
     """
-    step = _first_positive_ratio(state.lengths, state.direction)
-    if step is None:
+    scale, a, dscale, b, k = _wall_ahead(state.lengths, state.direction)
+    if k is None:
         return _terminal(state)
-    wall_lengths = tuple(a + step * b for a, b in zip(state.lengths, state.direction))
-    vanished = [i for i, l in enumerate(wall_lengths) if l == 0 and state.direction[i] < 0]
+    # length i at the wall is (a_i·(-b_k) + a_k·b_i) / (-b_k·L); one that
+    # does not move stays the Fraction it was
+    wall = [x * -b[k] + a[k] * y for x, y in zip(a, b)]
+    den = -b[k] * scale
+    wall_lengths = tuple(l if y == 0 else F(w, den) for l, w, y in zip(state.lengths, wall, b))
+    vanished = [i for i, (w, y) in enumerate(zip(wall, b)) if w == 0 and y < 0]
     if len(vanished) != 1:
         raise WalkError(f"{len(vanished)} lengths vanish simultaneously; wall is not simple")
     wall_type, _, edge_map = face_contract(state.ctype, vanished, with_maps=True)
@@ -323,7 +346,7 @@ def advance(state: WalkState):
     event = WallEvent(
         wall_type=wall_type,
         four_valent_vertex=u,
-        parameter=step,
+        parameter=F(a[k] * dscale, den),
         edge_map=edge_map,
         elevator_germ=e_germ[0],
         others=others,
@@ -404,7 +427,7 @@ def cross(state: WalkState, event: WallEvent, choice: str):
 
 
 def _direction_away_from_wall(new_type, fixed, new_edge):
-    _base, v = _fiber_line(new_type, fixed)
+    v = _fiber_line(new_type, fixed)
     if v[new_edge] == 0:
         raise WalkError("fiber direction ignores the resolving edge")
     if v[new_edge] < 0:

@@ -105,6 +105,53 @@ def test_walk_trace(tmp_path, capsys):
     assert data["terminal"]["stratum"]["edges"][data["terminal"]["free_edge"]]["slope"] == [0, 0]
 
 
+def _refuses_unwritable_output(tmp_path, monkeypatch, capsys, module, name, argv, flag):
+    # the path is checked before any work: the job itself must not run
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the job ran before its output path was checked")
+
+    monkeypatch.setattr(module, name, must_not_run)
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(capsys, *argv, flag, str(path))
+        assert (code, out, err) == (2, "", f"error: cannot write {path}\n")
+    assert not (tmp_path / "missing").exists()
+    monkeypatch.undo()
+
+
+def _failed_run_leaves_output_alone(tmp_path, capsys, argv, flag, status):
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier")
+    for path in (kept, fresh):
+        code, out, _err = run_cli(capsys, *argv, flag, str(path))
+        assert (code, out) == (status, "")
+    assert kept.read_text() == "earlier"
+    assert not fresh.exists()
+
+
+def test_walk_checks_its_trace_path_before_the_run(tmp_path, monkeypatch, capsys):
+    import tropcurves.walk
+    from tropcurves.walk import WalkError
+
+    argv = ("walk", "--d", "4", "--g", "3")
+    _refuses_unwritable_output(tmp_path, monkeypatch, capsys, tropcurves.walk, "run_walk", argv, "--trace")
+    # a walk that fails after the check neither creates nor truncates the file
+    _failed_run_leaves_output_alone(tmp_path, capsys, ("walk", "--d", "3", "--g", "5"), "--trace", 2)
+
+    def failing_walk(d, g, seed=0):
+        raise WalkError("(k, r) failed to decrease")
+
+    monkeypatch.setattr(tropcurves.walk, "run_walk", failing_walk)
+    _failed_run_leaves_output_alone(tmp_path, capsys, ("walk", "--d", "3", "--g", "0"), "--trace", 4)
+
+
+def test_enumerate_checks_its_out_path_before_the_run(tmp_path, monkeypatch, capsys):
+    import tropcurves.floors
+
+    argv = ("enumerate", "--d", "4", "--g", "0")
+    _refuses_unwritable_output(tmp_path, monkeypatch, capsys, tropcurves.floors, "enumerate_curves", argv, "--out")
+    _failed_run_leaves_output_alone(tmp_path, capsys, ("enumerate", "--d", "6", "--g", "0"), "--out", 3)
+
+
 def test_fiber_subcommand(tmp_path, capsys):
     from fixtures import tropical_line
     from tropcurves.evaluation import PointConfiguration

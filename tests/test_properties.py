@@ -10,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from tropcurves.canonical import aut_order, brute_force_aut_order, canonical_key, relabel  # noqa: E402
+from tropcurves.cones import expand_lengths, path_coefficients  # noqa: E402
 from tropcurves.corpus import _cone_contains  # noqa: E402
 from tropcurves.evaluation import PointConfiguration  # noqa: E402
 from tropcurves.families import BaseCurve, constant_family, validate_family  # noqa: E402
@@ -36,6 +37,7 @@ from tropcurves.serialize import (  # noqa: E402
     type_from_json,
     type_to_json,
 )
+from tropcurves.walk import _velocities  # noqa: E402
 
 SLOPES = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 RATIONALS = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
@@ -277,6 +279,50 @@ def test_curve_check_matches_fraction_arithmetic(inputs):
     except ValueError:
         accepted = False
     assert accepted == _fraction_consistent(t, lengths, positions)
+
+
+def _expand_reference(t, points, coeffs, lengths):
+    """Positions then lengths, summed along the tree paths in Fraction
+    arithmetic: the reference the int `expand_lengths` must match."""
+
+    def shift(v):
+        return [sum(F(lengths[j]) * c * t.edges[j].slope[k] for j, c in coeffs[v].items()) for k in (0, 1)]
+
+    root = (F(0), F(0))
+    if points:
+        dx, dy = shift(t.legs[0].vertex)
+        root = (points[0][0] - dx, points[0][1] - dy)
+    return [root[k] + shift(v)[k] for v in range(t.n_vertices()) for k in (0, 1)] + list(lengths)
+
+
+@st.composite
+def expansion_inputs(draw):
+    """A small type with lengths and maybe an anchor point: all ints, or
+    Fractions of mixed denominators, or a mix of both."""
+    t = draw(small_types())
+    number = draw(st.sampled_from((st.integers(-50, 50), RATIONALS, st.one_of(st.integers(-50, 50), RATIONALS))))
+    lengths = draw(st.lists(number, min_size=len(t.edges), max_size=len(t.edges)))
+    points = ()
+    if t.legs and draw(st.booleans()):
+        points = (draw(st.tuples(number, number)),)
+    return t, points, lengths
+
+
+@SETTINGS
+@hypothesis.given(expansion_inputs())
+def test_expand_lengths_matches_fraction_arithmetic(inputs):
+    # positions are built on ints over one lcm and divided once; the walk's
+    # velocities share that kernel and must have the reference's signs
+    t, points, lengths = inputs
+    coeffs = path_coefficients(t)
+    expanded = expand_lengths(t, points, coeffs, lengths)
+    assert expanded == _expand_reference(t, points, coeffs, lengths)
+    assert all(type(x) is F for x in expanded[: 2 * t.n_vertices()])
+    if t.legs:
+        velocities = _velocities(t, lengths)
+        reference = _expand_reference(t, ((0, 0),), coeffs, lengths)[: 2 * t.n_vertices()]
+        assert all(type(x) is int for x in velocities)
+        assert [(x > 0) - (x < 0) for x in velocities] == [(x > 0) - (x < 0) for x in reference]
 
 
 @SETTINGS

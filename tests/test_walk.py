@@ -5,9 +5,9 @@ import pytest
 
 from tropcurves.canonical import types_isomorphic
 from tropcurves.cones import classify, resolve_wall
-from tropcurves.evaluation import fiber
-from tropcurves.floors import make_stretched
-from tropcurves.graphs import CombinatorialType, Leg, face_contract
+from tropcurves.evaluation import PointConfiguration, fiber
+from tropcurves.floors import make_stretched, solution_diagrams
+from tropcurves.graphs import CombinatorialType, Leg, ParametrizedCurve, face_contract
 from tropcurves.serialize import dumps, trace_to_json
 from tropcurves.walk import (
     StarVerdict,
@@ -175,6 +175,60 @@ def test_walk_traces_frozen():
     for (d, g, seed), digest in WALK_TRACE_SHA256.items():
         blob = dumps(trace_to_json(run_walk(d, g, seed=seed)))
         assert hashlib.sha256(blob.encode()).hexdigest() == digest, (d, g, seed)
+
+
+def _affine_image(points):
+    """The points mapped by p -> p/6 + (1/2, -1/3): denominators 2, 3 and 6."""
+    return PointConfiguration(tuple((x / 6 + F(1, 2), y / 6 - F(1, 3)) for x, y in points))
+
+
+def test_walk_commutes_with_a_rational_affine_map():
+    # the walk clears the moved points to ints; on them every length and
+    # wall parameter is divided by 6 while the fiber lines stay, so the
+    # strata, events, invariants and terminal ray must be the same
+    starts = []
+    for d, g in ((2, 0), (3, 0), (3, 1), (4, 0), (4, 2)):
+        points = make_stretched(3 * d + g - 1, d).points
+        n = 6 if d == 4 else len(solution_diagrams(d, g, PointConfiguration(points)))
+        starts += [(d, g, points, seed) for seed in range(n)]
+    for d, g, points, seed in starts:
+        trace = run_walk(d, g, PointConfiguration(points), seed)
+        moved = run_walk(d, g, _affine_image(points), seed)
+        scaled = [(e[0], e[1], e[2] / 6) if e[0] == "wall" else e for e in trace.events]
+        assert list(moved.events) == scaled, (d, g, seed)
+        assert moved.invariants == trace.invariants
+        assert moved.walls == trace.walls
+        assert moved.crossings == trace.crossings
+        assert moved.terminal == trace.terminal
+
+
+def test_interior_positions_pass_through_the_fixed_points(monkeypatch):
+    # from every state the walk advances from, halfway to the next wall (or
+    # one unit along the terminal ray, in Fraction arithmetic here) the
+    # positions make a curve of the stratum with each mark on its point,
+    # on integer points and on their affine image
+    import tropcurves.walk
+
+    states = []
+
+    def recording_advance(state):
+        states.append(state)
+        return advance(state)
+
+    monkeypatch.setattr(tropcurves.walk, "advance", recording_advance)
+    for d, g, seed in ((3, 0, 8), (4, 2, 3)):
+        points = make_stretched(3 * d + g - 1, d).points
+        for cfg in (PointConfiguration(points), _affine_image(points)):
+            run_walk(d, g, cfg, seed)
+    assert len(states) == 4 * 7  # six crossings each, then the terminal ray
+    for state in states:
+        ratios = [-l / v for l, v in zip(state.lengths, state.direction) if v < 0]
+        t = min(ratios) / 2 if ratios else 1
+        lengths = tuple(l + t * v for l, v in zip(state.lengths, state.direction))
+        positions = state.interior_positions()
+        ParametrizedCurve(state.ctype, lengths, positions)  # refuses an inconsistent edge
+        marks = [positions[state.ctype.legs[i].vertex] for i in range(len(state.fixed))]
+        assert marks == list(state.fixed.points)
 
 
 def test_walls_resolve_and_contract_back():
