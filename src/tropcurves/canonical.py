@@ -15,6 +15,7 @@ loops, so the order returned by `aut_order` is
 
 from __future__ import annotations
 
+from collections import Counter
 from math import factorial
 
 from tropcurves.graphs import CombinatorialType, Edge, Leg, vneg
@@ -138,21 +139,10 @@ def canonical_type(t: CombinatorialType):
 
 
 def relabel(t: CombinatorialType, label):
-    n = t.n_vertices()
-    inv = [0] * n
-    for v in range(n):
-        inv[label[v]] = v
-    weights = tuple(t.weights[inv[k]] for k in range(n))
-    edge_keys = []
-    for e in t.edges:
-        a, b = label[e.u], label[e.v]
-        if a <= b:
-            edge_keys.append((a, b, e.slope))
-        else:
-            edge_keys.append((b, a, vneg(e.slope)))
-    edges = tuple(Edge(a, b, s) for a, b, s in sorted(edge_keys))
-    legs = tuple(Leg(label[leg.vertex], leg.slope) for leg in t.legs)
-    return CombinatorialType(weights, edges, legs)
+    """The type with vertex v renumbered label[v]: its `_encode` encoding."""
+    weights, edge_keys, legs = _encode(t, label)
+    edges = tuple(Edge(*key) for key in edge_keys)
+    return CombinatorialType(weights, edges, tuple(Leg(v, slope) for (_j, slope), v in legs))
 
 
 def types_isomorphic(t1: CombinatorialType, t2: CombinatorialType):
@@ -160,19 +150,12 @@ def types_isomorphic(t1: CombinatorialType, t2: CombinatorialType):
 
 
 def aut_order(t: CombinatorialType):
-    """Order of the automorphism group respecting leg order, weights, slopes."""
-    _, label, vertex_count = canonical_form(t)
-    # parallel classes of edges in the canonical encoding
-    classes = {}
-    loops = 0
-    for e in t.edges:
-        a, b = label[e.u], label[e.v]
-        key = (a, b, e.slope) if a <= b else (b, a, vneg(e.slope))
-        classes[key] = classes.get(key, 0) + 1
-        if e.is_loop():
-            loops += 1
-    order = vertex_count * (2 ** loops)
-    for mult in classes.values():
+    """Order of the automorphism group respecting leg order, weights, slopes:
+    the achieving labelings, times 2 for each loop (a key (a, a, slope)),
+    times mult! for each edge key of multiplicity mult."""
+    (_weights, edge_keys, _legs), _label, vertex_count = canonical_form(t)
+    order = vertex_count * 2 ** sum(1 for a, b, _s in edge_keys if a == b)
+    for mult in Counter(edge_keys).values():
         order *= factorial(mult)
     return order
 

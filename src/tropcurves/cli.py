@@ -1,9 +1,10 @@
 """Command line interface.
 
 Machine output is JSON on stdout; human-readable logs go to stderr.
-Identical inputs produce identical bytes.  Exit statuses: 2 for usage
-errors (the usual argparse status) and for bad input, such as an
-unreadable file or malformed JSON, or an output path that cannot be
+Identical inputs produce identical bytes.  Exit statuses: 1 when
+`validate-family` returns a failed verdict, whose JSON is on stdout; 2
+for usage errors (the usual argparse status) and for bad input, such as
+an unreadable file or malformed JSON, or an output path that cannot be
 written, refused before any work; 3 for scale refusals; 4 when the walk
 fails one of its invariants (WalkError).
 """

@@ -32,7 +32,7 @@ from tropcurves.graphs import (
     overvalency,
     vadd,
 )
-from tropcurves.linalg import Polyhedron, clear_denominators, mat_rank
+from tropcurves.linalg import Polyhedron, clear_denominators, feasible_nonneg, mat_rank
 
 NICE = "nice"
 SIMPLE_WALL = "simple_wall"
@@ -217,8 +217,14 @@ def expand_lengths(t: CombinatorialType, points, coeffs, lengths):
 
 
 def is_realizable(t: CombinatorialType):
-    """True when the open cone (all lengths strictly positive) is nonempty."""
-    return reduced_fiber_polyhedron(t, ())[0].strict_point() is not None
+    """True when the open cone (all lengths strictly positive) is nonempty.
+
+    It is a cone, so that is when the cycle rows have a solution with
+    every length at least 1: with l = 1 + x, one phase-1 LP asks for
+    x >= 0 with each row's value at x equal to minus the row's sum.
+    """
+    rows = cycle_system(t, path_coefficients(t))
+    return feasible_nonneg(rows, [-sum(row.values()) for row in rows], len(t.edges))
 
 
 def cone_of(t: CombinatorialType):

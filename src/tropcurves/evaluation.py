@@ -150,22 +150,12 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
         return FiberDescription("higher", dim, cone_dim)
     # one-dimensional: walk the line l0 + s*v against the length bounds
     v = basis[0]
-    lo, hi = None, None
-    lo_finite = hi_finite = False
-    for i in range(P.n):
-        if v[i] == 0:
-            continue
-        bound = -l0[i] / v[i]
-        if v[i] > 0:
-            if not lo_finite or bound > lo:
-                lo, lo_finite = bound, True
-        else:
-            if not hi_finite or bound < hi:
-                hi, hi_finite = bound, True
+    lo = max((-a / b for a, b in zip(l0, v) if b > 0), default=None)
+    hi = min((-a / b for a, b in zip(l0, v) if b < 0), default=None)
     endpoints = []
     rays = []
-    for s, finite, sign in ((lo, lo_finite, -1), (hi, hi_finite, 1)):
-        if finite:
+    for s, sign in ((lo, -1), (hi, 1)):
+        if s is not None:
             lengths = [a + s * b for a, b in zip(l0, v)]
             t2, curve = curve_at(t, full_point(lengths))
             endpoints.append(("curve", t2, curve))
@@ -179,7 +169,7 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
         cone_dim,
         endpoints=tuple(endpoints),
         rays=tuple(rays),
-        bounded=(lo_finite and hi_finite),
+        bounded=(lo is not None and hi is not None),
     )
 
 

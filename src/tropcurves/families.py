@@ -114,10 +114,13 @@ def validate_family(fam: FamilyDatum):
     """Check the family compatibilities; returns the first violation.
 
     (1) interior fibers are parametrized curves of the stated type with
-        the stated extended degree;
+        the stated extended degree, a length function on every edge and
+        position functions at every vertex;
     (2) at a base vertex, the contracted image of every type edge has the
         length given by the edge's length function;
-    (3) the vertex curve's positions match the position functions.
+    (3) the vertex curve's positions match the position functions;
+    (4) the vertex curve has the stated extended degree, and the
+        contraction keeps each leg at its vertex.
     """
     for ref, tail, head, blen in _edge_refs(fam.base):
         t = fam.edge_types.get(ref)
@@ -128,6 +131,10 @@ def validate_family(fam: FamilyDatum):
         bad = check_balancing(t)
         if bad is not None:
             return FamilyVerdict(False, "unbalanced-fiber", f"{ref} vertex {bad}")
+        missing = [f"length {i}" for i in range(len(t.edges)) if i not in fam.lengths.get(ref, {})]
+        missing += [f"position {u}" for u in range(t.n_vertices()) if u not in fam.positions.get(ref, {})]
+        if missing:
+            return FamilyVerdict(False, "missing-function", f"{ref} {missing[0]}")
         # sample parameters: endpoints (and midpoint of legs) suffice for
         # affine data; interior positivity is convexity in between
         samples = [F(0), blen] if blen is not None else [F(0), F(1)]
@@ -172,10 +179,11 @@ def validate_family(fam: FamilyDatum):
                     return FamilyVerdict(
                         False, "position-compatibility", f"{ref} vertex {u} at base vertex {w}"
                     )
-            # leg order must be preserved by the contraction
+            # the vertex curve has the family's legs, in order, and the
+            # contraction keeps each leg at its vertex
+            if curve.ctype.extended_degree() != tuple(fam.extended_degree):
+                return FamilyVerdict(False, "degree-mismatch", f"vertex {w}")
             for j, leg in enumerate(t.legs):
-                if curve.ctype.legs[j].slope != leg.slope:
-                    return FamilyVerdict(False, "leg-order", f"{ref} leg {j}")
                 if contraction.vertex_map[leg.vertex] != curve.ctype.legs[j].vertex:
                     return FamilyVerdict(False, "leg-attachment", f"{ref} leg {j}")
     return FamilyVerdict(True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -431,9 +432,10 @@ class Decomposition:
     """Floors and elevators of a floor decomposed curve.
 
     floors: tuple of vertex tuples, ordered bottom to top by height;
-    elevators: tuple of (vertex chain, weight, top floor index or UP,
-    bottom floor index or DOWN, marks); diagram: the marked FloorDiagram
-    when the marking is one point per object, else None with problems.
+    elevators: tuple of (edge chain, weight, top vertex, bottom vertex),
+    the chain's edge indices increasing and its weight that of its first
+    edge, ordered by first edge; diagram: the marked FloorDiagram when the
+    marking is one point per object, else None with problems.
     """
 
     floors: tuple
@@ -465,131 +467,61 @@ def floors_of(t: CombinatorialType, positions):
 
 
 def decompose(curve: ParametrizedCurve):
-    """Split a curve into floors and elevators.
+    """Split a curve into its floors (`floors_of`) and elevators.
 
-    Raises NotFloorDecomposed when some edge or leg has a slope other
-    than (+-1, *) or (0, *).
+    An elevator is a chain of vertical edges: a component of them, two
+    joined only at a vertex off every floor that carries exactly these two
+    vertical edges.  So a chain ends at each floor and at every other
+    vertex, whatever the edge numbering: at one with a single vertical
+    edge, or three or more.  Its marks are the marks at its vertices off
+    the floors.  The diagram needs one mark on every floor and elevator; a
+    vertical leg at a floor is an elevator without a mark.  Raises
+    NotFloorDecomposed when some edge or leg has a slope other than
+    (+-1, *) or (0, *).
     """
-    t = curve.ctype
-    floor_comps = floors_of(t, curve.positions)
-    vertical_edges = [i for i, e in enumerate(t.edges) if e.slope[0] == 0 and e.slope[1] != 0]
-    vertical_legs = [j for j, leg in enumerate(t.legs) if leg.slope[0] == 0 and leg.slope[1] != 0]
-    floor_of = {}
-    for idx, vs in enumerate(floor_comps, start=1):
-        for v in vs:
-            floor_of[v] = idx
-
-    # elevators: maximal vertical chains through non-floor junction vertices
-    used = set()
-    elevators = []
-    adj = {}
-    for i in vertical_edges:
-        e = t.edges[i]
-        adj.setdefault(e.u, []).append(i)
-        adj.setdefault(e.v, []).append(i)
-
-    for i in vertical_edges:
-        if i in used:
-            continue
-        chain = [i]
-        used.add(i)
-
-        def extend(v):
-            # walk through 2-valent vertical junctions outside floors
-            while v not in floor_of:
-                nxt = [k for k in adj.get(v, []) if k not in used]
-                if len(nxt) != 1:
-                    break
-                k = nxt[0]
-                used.add(k)
-                chain.append(k)
-                e = t.edges[k]
-                v = e.v if e.u == v else e.u
-            return v
-
-        end_a = extend(t.edges[i].u)
-        end_b = extend(t.edges[i].v)
-        if curve.positions[end_a][1] >= curve.positions[end_b][1]:
-            top_v, bot_v = end_a, end_b
-        else:
-            top_v, bot_v = end_b, end_a
-        w = abs(t.edges[i].slope[1])
-        elevators.append((tuple(chain), w, top_v, bot_v))
-
-    problems = []
-    for chain, w, top_v, bot_v in elevators:
-        for k in chain:
-            if abs(t.edges[k].slope[1]) != w:
-                problems.append(f"elevator chain {chain} mixes weights")
-
-    # vertical legs are elevators to infinity
-    leg_elevators = []
-    for j in vertical_legs:
-        leg = t.legs[j]
-        w = abs(leg.slope[1])
-        goes_down = leg.slope[1] < 0
-        leg_elevators.append((j, w, leg.vertex, goes_down))
-
-    # marks: contracted legs, one per floor / elevator
-    marks_of_floor = {i: [] for i in range(1, len(floor_comps) + 1)}
-    marks_other = {}
+    t, pos = curve.ctype, curve.positions
+    floors = floors_of(t, pos)
+    floor_of = {v: i for i, vs in enumerate(floors, start=1) for v in vs}
+    marks_at = {}  # vertex -> the marks there
     for j in t.contracted_legs():
-        v = t.legs[j].vertex
-        if v in floor_of:
-            marks_of_floor[floor_of[v]].append(j + 1)
-        else:
-            marks_other.setdefault(v, []).append(j + 1)
+        marks_at.setdefault(t.legs[j].vertex, []).append(j + 1)
 
+    def marks(vs):
+        return sorted(m for v in vs for m in marks_at.get(v, ()))
+
+    ne = len(t.edges)
+    germs = [(i, v) for i, e in enumerate(t.edges) if e.slope[0] == 0 and e.slope[1] != 0 for v in (e.u, e.v)]
+    count = Counter(v for _i, v in germs)
+    joints = {v for v, k in count.items() if k == 2 and v not in floor_of}
+    root = components(ne + len(pos), [(i, ne + v) for i, v in germs if v in joints])
+    chains = {}  # root -> the (edge, vertex) germs of one chain, by edge index
+    for i, v in germs:
+        chains.setdefault(root[i], []).append((i, v))
+    elevators, spans, problems, issues = [], [], [], []
+    for pairs in chains.values():
+        chain = tuple(dict.fromkeys(i for i, _v in pairs))
+        vs = {v for _i, v in pairs}
+        w = abs(t.edges[chain[0]].slope[1])
+        problems += [f"elevator chain {chain} mixes weights" for i in chain if abs(t.edges[i].slope[1]) != w]
+        # highest first, ties by vertex; a closed chain has no ends, so its
+        # highest and lowest vertices stand in
+        tips = sorted(vs - joints or vs, key=lambda v: (pos[v][1], -v), reverse=True)
+        elevators.append((chain, w, tips[0], tips[-1]))
+        ms = marks(vs - floor_of.keys())
+        if floors and len(ms) != 1:
+            issues.append(f"elevator with marks {ms}")
+        spans.append((floor_of.get(tips[0], UP), floor_of.get(tips[-1], DOWN), w, ms))
+    issues += [
+        "unmarked vertical leg elevator"
+        for leg in t.legs
+        if leg.slope[0] == 0 and leg.slope[1] != 0 and leg.vertex in floor_of
+    ]
+    floor_marks = [marks(vs) for vs in floors]
+    issues += [f"floor {i} with marks {ms}" for i, ms in enumerate(floor_marks, start=1) if len(ms) != 1]
     diagram = None
-    if len(floor_comps) > 0:
-        elevator_records = []
-        ok = True
-        for chain, w, top_v, bot_v in elevators:
-            chain_vertices = set()
-            for k in chain:
-                chain_vertices.add(t.edges[k].u)
-                chain_vertices.add(t.edges[k].v)
-            inner = [v for v in chain_vertices if v not in floor_of]
-            marks = sorted(m for v in inner for m in marks_other.get(v, []))
-            top_fl = floor_of.get(top_v, UP)
-            bot_fl = floor_of.get(bot_v, DOWN)
-            if len(marks) != 1:
-                problems.append(f"elevator with marks {marks}")
-                ok = False
-                marks = [0]
-            elevator_records.append(Elevator(top_fl, bot_fl, w, marks[0]))
-        for j, w, v, goes_down in leg_elevators:
-            fl = floor_of.get(v, None)
-            if fl is None:
-                # the leg hangs off an elevator chain: it extends that chain
-                continue
-            # an unmarked vertical leg attached to a floor is its own
-            # elevator only if it carries a mark vertex; mark vertices on
-            # legs appear as chain vertices, handled above.  A bare leg at
-            # a floor is an elevator without a mark.
-            elevator_records.append(Elevator(fl, DOWN if goes_down else UP, w, 0))
-            problems.append("unmarked vertical leg elevator")
-            ok = False
-        floor_marks = []
-        for i in range(1, len(floor_comps) + 1):
-            ms = sorted(marks_of_floor[i])
-            if len(ms) != 1:
-                problems.append(f"floor {i} with marks {ms}")
-                ok = False
-                ms = [0]
-            floor_marks.append(ms[0])
-        if ok:
-            bounded = sum(1 for e in elevator_records if e.top > 0 and e.bottom > 0)
-            diagram = FloorDiagram(
-                len(floor_comps),
-                bounded - (len(floor_comps) - 1),
-                tuple(floor_marks),
-                tuple(sorted(elevator_records, key=lambda e: e.mark)),
-            )
-
-    return Decomposition(
-        floors=floor_comps,
-        elevators=tuple(elevators),
-        diagram=diagram,
-        problems=tuple(problems),
-    )
+    if floors and not issues:
+        bounded = sum(1 for top, bottom, _w, _ms in spans if top > 0 and bottom > 0)
+        records = sorted((Elevator(top, bottom, w, ms[0]) for top, bottom, w, ms in spans), key=lambda e: e.mark)
+        genus = bounded - (len(floors) - 1)
+        diagram = FloorDiagram(len(floors), genus, tuple(ms[0] for ms in floor_marks), tuple(records))
+    return Decomposition(floors, tuple(elevators), diagram, tuple(problems + issues))

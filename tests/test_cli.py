@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fixtures import smooth_cubic_type, tropical_line
 
 from tropcurves.cli import main
@@ -346,6 +348,28 @@ def test_validate_family_refuses_bad_degree_slopes(tmp_path, capsys):
     data = _constant_family_json()
     ff.write_text(json.dumps(data))
     assert run_cli(capsys, "validate-family", "--family", str(ff))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "edit, verdict",
+    [
+        (lambda d: d["lengths"]["edge:0"].pop("0"), ["missing-function", "('edge', 0) length 0"]),
+        (lambda d: d["lengths"].pop("edge:0"), ["missing-function", "('edge', 0) length 0"]),
+        (lambda d: d["positions"]["edge:0"].pop("3"), ["missing-function", "('edge', 0) position 3"]),
+        (lambda d: d["vertex_curves"]["1"]["legs"].pop(), ["degree-mismatch", "vertex 1"]),
+    ],
+    ids=["length-function", "lengths-of-a-ref", "position-function", "vertex-curve-legs"],
+)
+def test_validate_family_reports_incomplete_data(tmp_path, capsys, edit, verdict):
+    # well-formed JSON that leaves out part of the family: a failed
+    # verdict on stdout, exit 1, nothing on stderr
+    data = _constant_family_json()
+    edit(data)
+    ff = tmp_path / "fam.json"
+    ff.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "violation": verdict[0], "detail": verdict[1]}
 
 
 def test_classify_stratum_output_frozen(tmp_path, capsys):

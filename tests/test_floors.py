@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from fixtures import smooth_cubic_curve, smooth_cubic_type
+from fixtures import smooth_cubic_curve, smooth_cubic_type, tropical_line
 
 from tropcurves.errors import ScaleRefusal
 from tropcurves.floors import (
@@ -212,6 +213,79 @@ def test_decompose_unmarked_cubic_reports_structure():
     assert len(dec.elevators) == 3
     assert dec.diagram is None  # no marks anywhere
     assert dec.problems != ()
+
+
+def _decompose_corpus():
+    """The 452 curves of `enumerate_curves(d, g)` for d <= 4 and every g,
+    the smooth cubic, and 60 of those curves with one mark moved to
+    another vertex."""
+    curves = [c for d in range(1, 5) for g in range((d - 1) * (d - 2) // 2 + 1) for _diag, c in enumerate_curves(d, g)]
+    moved = []
+    for i, c in enumerate(curves[::7][:60]):
+        t = c.ctype
+        j = t.contracted_legs()[i % t.n_marks()]
+        legs = list(t.legs)
+        legs[j] = Leg((legs[j].vertex + 1 + i % (t.n_vertices() - 1)) % t.n_vertices())
+        moved.append(ParametrizedCurve(CombinatorialType(t.weights, t.edges, tuple(legs)), c.lengths, c.positions))
+    return curves + [smooth_cubic_curve()] + moved
+
+
+def test_decompose_frozen():
+    # taken before the chains came from `components`; the moved marks give
+    # floors and elevators with no mark or with two
+    curves = _decompose_corpus()
+    assert len(curves) == 513
+    h = hashlib.sha256()
+    for curve in curves:
+        h.update(repr(decompose(curve)).encode())
+    assert h.hexdigest() == "0b7a9b60fdc4163a6ecdd2bcbb03e3eb57ed4e4cbbfd5c52eb8d6d95c79040e8"
+
+
+def test_decompose_chains_end_at_a_junction_whatever_the_edge_order():
+    # floors at vertices 0 (top), 2 and 3; vertex 1 is off every floor, with one
+    # vertical edge up (weight 2) and two down: each is its own chain
+    positions = ((F(0), F(2)), (F(0), F(0)), (F(0), F(-1)), (F(0), F(-3)))
+    edges = [(Edge(0, 1, (0, -2)), F(1)), (Edge(1, 2, (0, -1)), F(1)), (Edge(1, 3, (0, -1)), F(3))]
+    legs = (Leg(0), Leg(2), Leg(3), Leg(0, (-1, 1)), Leg(0, (1, 1)))
+    legs += (Leg(2, (-1, -1)), Leg(2, (1, 0)), Leg(3, (-1, -1)), Leg(3, (1, 0)))
+    for order in itertools.permutations(range(3)):
+        t = CombinatorialType((0,) * 4, tuple(edges[k][0] for k in order), legs)
+        dec = decompose(ParametrizedCurve(t, tuple(edges[k][1] for k in order), positions))
+        chains = {(tuple(order[i] for i in chain), w, top, bottom) for chain, w, top, bottom in dec.elevators}
+        assert chains == {((0,), 2, 0, 1), ((1,), 1, 1, 2), ((2,), 1, 1, 3)}
+        assert dec.problems == ("elevator with marks []",) * 3
+        assert dec.diagram is None
+
+
+def test_decompose_chains_end_at_a_floor_vertex_with_two_vertical_edges():
+    # vertex 1 lies on a floor, between a vertical edge up and one down
+    positions = ((F(0), F(2)), (F(0), F(0)), (F(0), F(-1)))
+    t = CombinatorialType(
+        (0,) * 3,
+        (Edge(0, 1, (0, -1)), Edge(1, 2, (0, -1))),
+        tuple(Leg(v, s) for v in range(3) for s in ((0, 0), (-1, 0), (1, 0))),
+    )
+    dec = decompose(ParametrizedCurve(t, (F(2), F(1)), positions))
+    assert dec.elevators == (((0,), 1, 0, 1), ((1,), 1, 1, 2))
+
+
+def test_decompose_problems_pinned():
+    # the messages as they were before the chains came from `components`
+    [(_diag, conic)] = enumerate_curves(2, 0)
+    t = conic.ctype
+
+    def with_legs(legs):
+        return ParametrizedCurve(CombinatorialType(t.weights, t.edges, tuple(legs)), conic.lengths, conic.positions)
+
+    moved = list(t.legs)
+    moved[2] = Leg(6)  # mark 3 leaves floor 1 for the bounded elevator, which has mark 2
+    for curve, problems in [
+        (with_legs(moved), ("elevator with marks [2, 3]", "floor 1 with marks []")),
+        (with_legs(t.legs[1:]), ("floor 2 with marks []",)),  # floor 2's mark dropped
+        (ParametrizedCurve(tropical_line(n_marks=1), (), ((F(0), F(0)),)), ("unmarked vertical leg elevator",)),
+    ]:
+        dec = decompose(curve)
+        assert (dec.problems, dec.diagram) == (problems, None)
 
 
 def test_diagram_text_round_trip():

@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from tropcurves.canonical import aut_order, brute_force_aut_order, canonical_key, relabel  # noqa: E402
-from tropcurves.cones import expand_lengths, path_coefficients  # noqa: E402
+from tropcurves.cones import expand_lengths, is_realizable, path_coefficients, reduced_fiber_polyhedron  # noqa: E402
 from tropcurves.corpus import _cone_contains  # noqa: E402
 from tropcurves.evaluation import PointConfiguration  # noqa: E402
 from tropcurves.families import BaseCurve, constant_family, validate_family  # noqa: E402
@@ -72,6 +72,14 @@ def small_types(draw):
     weights = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     legs = tuple(Leg(v, s) for v, s in draw(st.lists(st.tuples(st.integers(0, n - 1), SLOPES), max_size=3)))
     return CombinatorialType(weights, tuple(edges), legs)
+
+
+@SETTINGS
+@hypothesis.given(small_types())
+def test_is_realizable_matches_the_relative_interior_point(t):
+    # the phase-1 LP with every length at least 1, against the open cone's
+    # point from `Polyhedron.strict_point`
+    assert is_realizable(t) == (reduced_fiber_polyhedron(t, ())[0].strict_point() is not None)
 
 
 @SETTINGS
