@@ -17,11 +17,11 @@ All values are immutable after construction; every operation below is a
 pure function.
 
 `components(n, pairs)` is the one union-find: connectivity, contraction,
-floors, elevator shapes and line-arrangement irreducibility all read its
-roots.  `CombinatorialType.stars()` gathers every vertex's germs in one
-pass, for questions about all stars or valencies at once, and `star(v)`
-gathers v's alone, in the same germ order.  Neither result is cached on
-the type: an index kept on each of the 303 curves of
+floors, elevator shapes, line-arrangement irreducibility and marking
+classes all read its roots.  `CombinatorialType.stars()` gathers every
+vertex's germs in one pass, for questions about all stars or valencies at
+once, and `star(v)` gathers v's alone, in the same germ order.  Neither
+result is cached on the type: an index kept on each of the 303 curves of
 `enumerate_curves(4, 0)` would hold 3.2 MB.
 """
 

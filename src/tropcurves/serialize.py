@@ -28,10 +28,14 @@ def frac_str(x):
 
 def parse_frac(s):
     """A rational from a "p/q" string or an int; floats and booleans are
-    refused, so no binary fraction enters the exact arithmetic."""
+    refused, so no binary fraction enters the exact arithmetic, and a zero
+    denominator is refused too."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ValueError(f"rational {s!r} is not an int or a \"p/q\" string")
-    return F(s)
+    try:
+        return F(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 def dumps(obj):
@@ -73,6 +77,13 @@ def int_value(value, what):
     if type(value) is not int:
         raise ValueError(f"{what} {value!r} is not an int")
     return value
+
+
+def _pair(value, what):
+    """``value`` as a tuple of two entries, or a ValueError naming ``what``."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{what} {value!r} is not a pair")
+    return tuple(value)
 
 
 def int_pair(value, what):
@@ -138,7 +149,7 @@ def curve_to_json(c: ParametrizedCurve):
 def curve_from_json(data):
     t = type_from_json(data)
     lengths = tuple(parse_frac(e["length"]) for e in data["edges"])
-    positions = tuple((parse_frac(p[0]), parse_frac(p[1])) for p in data["positions"])
+    positions = tuple(tuple(map(parse_frac, _pair(p, "curve JSON: position"))) for p in data["positions"])
     return ParametrizedCurve(t, lengths, positions)
 
 
@@ -272,7 +283,7 @@ def family_from_json(data):
         parse_ref(k): {int(i): aff(f) for i, f in v.items()} for k, v in data["lengths"].items()
     }
     positions = {
-        parse_ref(k): {int(u): (aff(p[0]), aff(p[1])) for u, p in v.items()}
+        parse_ref(k): {int(u): tuple(map(aff, _pair(p, "family JSON: position"))) for u, p in v.items()}
         for k, v in data["positions"].items()
     }
     vertex_curves = {int(w): curve_from_json(c) for w, c in data["vertex_curves"].items()}

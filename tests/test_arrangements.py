@@ -60,19 +60,55 @@ def test_equivalence_classes_triangle():
     assert {m.key() for m in irr_classes[0]} == {((1, 2),), ((1, 3),), ((2, 3),)}
 
 
-def test_single_class_of_irreducible_markings_d4():
-    for delta in (1, 2, 3):
-        classes = equivalence_classes(4, delta)
-        irr = [cl for cl in classes if any(is_irreducible(m) for m in cl)]
-        assert len(irr) == 1
-        # every marking in the irreducible class is itself irreducible
-        assert all(is_irreducible(m) for m in irr[0])
+def bfs_classes(d, delta):
+    """The classes by breadth-first search over `similar_moves`, each in
+    key order and ordered by least key: the oracle for the union-find."""
+    arr = Arrangement(d)
+    unseen = {c: MarkingSet(arr, frozenset(c)) for c in combinations(arr.nodes(), delta)}
+    classes = []
+    while unseen:
+        frontier = [unseen.pop(min(unseen))]
+        component = list(frontier)
+        while frontier:
+            m = frontier.pop()
+            for m2 in similar_moves(m):
+                if unseen.pop(m2.key(), None) is not None:
+                    component.append(m2)
+                    frontier.append(m2)
+        classes.append(sorted(m.key() for m in component))
+    return classes
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_equivalence_classes_match_move_search(d):
+    for delta in range((d - 1) * (d - 2) // 2 + 2):
+        classes = [[m.key() for m in cl] for cl in equivalence_classes(d, delta)]
+        assert classes == bfs_classes(d, delta)
+
+
+@pytest.mark.parametrize("d", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
+def test_single_class_of_irreducible_markings(d):
+    # each class is all irreducible or all reducible; one class is
+    # irreducible for every delta up to (d-1)(d-2)/2, none past it
+    bound = (d - 1) * (d - 2) // 2
+    for delta in range(bound + 2):
+        kinds = [{is_irreducible(m) for m in cl} for cl in equivalence_classes(d, delta)]
+        assert all(len(k) == 1 for k in kinds)
+        assert kinds.count({True}) == (delta <= bound)
 
 
 def test_trivial_class_d2():
     classes = equivalence_classes(2, 0)
     assert len(classes) == 1
     assert classes[0][0].delta() == 0
+
+
+def test_marking_set_refuses_non_nodes():
+    for d in (3, 7):
+        for pair in ((0, 1), (1, 1), (1, d + 1)):
+            with pytest.raises(ValueError, match="not a node"):
+                mk(d, pair)
+        assert mk(d, (d, 1)).key() == ((1, d),)
 
 
 def test_scale_refusal():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,20 @@ def test_markings_classes(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["irreducible_classes"] == 1
+
+
+@pytest.mark.parametrize(
+    "delta, digest",
+    [
+        ("6", "505885bc7135078628cacfcbfc8d42a39a1394d17e842b3e7ea1e403578226b9"),
+        ("8", "86179c5b8131dd0bc7f88ef667b36a17befc23b10d72c26574d6467bda846be8"),
+    ],
+)
+def test_markings_classes_output_frozen(capsys, delta, digest):
+    # the bytes of the breadth-first search that the union-find replaced
+    code, out, _ = run_cli(capsys, "--json", "markings", "--d", "6", "--delta", delta, "--classes")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_markings_witness(capsys):
@@ -272,10 +287,20 @@ def test_markings_codim_reads_pairs(tmp_path, capsys):
     code, out, err = run_cli(capsys, "markings", "--d", "3", "--codim", str(m1), str(m2))
     assert (code, out) == (2, "")
     assert err == f"error: {m2}: node [2] is not a pair of ints\n"
+    m2.write_text("[[1, 4]]")
+    code, out, err = run_cli(capsys, "markings", "--d", "3", "--codim", str(m1), str(m2))
+    assert (code, out, err) == (2, "", "error: marking contains a pair that is not a node\n")
     m2.write_text('{"a": 1}')
     code, out, err = run_cli(capsys, "markings", "--d", "3", "--codim", str(m1), str(m2))
     assert (code, out) == (2, "")
     assert err == f"error: {m2}: a marking is a JSON list of [i, j] pairs\n"
+
+
+def test_zero_denominator_is_refused_at_the_cli(tmp_path, capsys):
+    pf = tmp_path / "points.json"
+    pf.write_text(json.dumps({"points": [["1/0", "0"]]}))
+    code, out, err = run_cli(capsys, "enumerate", "--d", "1", "--g", "0", "--points", str(pf))
+    assert (code, out, err) == (2, "", "error: rational '1/0' has a zero denominator\n")
 
 
 def test_classify_stratum_malformed_slope(tmp_path, capsys):

@@ -111,6 +111,28 @@ def test_readers_refuse_floats_and_booleans():
         curve_from_json(data)
 
 
+def test_parse_frac_refuses_a_zero_denominator():
+    with pytest.raises(ValueError, match="^rational '1/0' has a zero denominator$"):
+        parse_frac("1/0")
+
+
+def test_curve_reader_refuses_a_short_position():
+    data = curve_to_json(smooth_cubic_curve())
+    data["positions"][1] = ["0"]
+    with pytest.raises(ValueError, match=r"^curve JSON: position \['0'\] is not a pair$"):
+        curve_from_json(data)
+
+
+def test_family_reader_refuses_a_short_position():
+    base = BaseCurve(TropicalGraph((0, 0), ((0, 1),), (F(1),), (0,)))
+    data = family_to_json(constant_family(base, smooth_cubic_curve()))
+    ref = next(iter(data["positions"]))
+    u = next(iter(data["positions"][ref]))
+    data["positions"][ref][u] = []
+    with pytest.raises(ValueError, match=r"^family JSON: position \[\] is not a pair$"):
+        family_from_json(data)
+
+
 def test_readers_require_vertex_ids_zero_to_count():
     legs = [{"vertex": 0, "slope": [0, 0]}]
     vertices = [{"id": 0, "weight": 0}, {"id": 5, "weight": 1}]
