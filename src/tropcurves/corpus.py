@@ -34,8 +34,9 @@ The corpus of degree-d, genus-g types is produced in two stages:
 2.  `scan_fibers(d, g, cfg)` -- all ways of attaching len(cfg) contracted
     legs to a core, walked depth first and pruned by pair tests (one
     table per direction between two points; exact for trees, a sound
-    relaxation of the cycle rows otherwise) and by exact LP feasibility of
-    the partially-constrained fiber polyhedron, each LP extending the
+    relaxation of the cycle rows otherwise), which drop a placement as
+    soon as some later mark has no site left, and by exact LP feasibility
+    of the partially-constrained fiber polyhedron, each LP extending the
     solved tableau of its parent's.  Every marked type whose
     fiber over cfg is nonempty appears in the scan; all others have empty
     fibers by construction.
@@ -308,7 +309,9 @@ class _CoreScanner:
     of a placement are a prefix of those of every placement extending it,
     and `mark_rows` builds each mark's rows once: `placements` passes them
     to the LP of the placement they complete, which extends the solved
-    tableau of the parent placement's LP.
+    tableau of the parent placement's LP.  Before that, the pair tables
+    (`pair_table`) narrow the sites of every mark not yet placed, and a
+    placement that leaves one of them no site gets neither rows nor LP.
     The points it is given are integer: `scan_fibers` clears their
     denominators once, so every row it builds holds only ints.
     """
@@ -423,19 +426,20 @@ class _CoreScanner:
         """Every site assignment of the points that passes all tests, in
         lexicographic order of site indices.
 
-        The walk is depth first, in site order.  Mark k may take only the
-        sites allowed after each earlier mark j by the pair table of the
-        direction of points[k] - points[j], built when first needed.  The
-        first mark needs no LP: translations absorb one point.  Nor does
-        the second on a tree, where the pair test is exact; on a core with
-        a cycle the pair test only relaxes the cycle rows, so the second
-        mark runs the first LP.  Every later placement runs one LP, which
-        extends the solved tableau of its parent's, so at most one tableau
-        per depth is live.
+        The walk is depth first, in site order, and carries the domains,
+        the sites each mark not yet placed may still take.  When mark k
+        takes a site, each later mark j keeps the sites that the pair
+        table of the direction of points[j] - points[k], built when first
+        needed, allows after it; the site is dropped if some later mark
+        has none left (forward checking).  The first mark needs no LP:
+        translations absorb one point.  Nor does the second on a tree, where the pair
+        test is exact; on a core with a cycle the pair test only relaxes
+        the cycle rows, so the second mark runs the first LP.  Every later
+        placement runs one LP, which extends the solved tableau of its
+        parent's, so at most one tableau per depth is live.
         """
         n = len(points)
         tables = {}  # primitive direction -> its pair table
-        halves = {}  # depth k -> the half of a pair table each earlier mark reads
         tableaux = []  # the solved tableaux of the LPs on the current path
 
         def half(w, side):
@@ -443,27 +447,26 @@ class _CoreScanner:
                 tables[w] = self.pair_table(w)
             return tables[w][side]
 
-        def place(assignment, width, rows, rhs):
+        def place(assignment, width, rows, rhs, domains):
             k = len(assignment)
             if k == n:
                 yield assignment
                 return
-            sites = self.sites
-            if k:
-                if k not in halves:
-                    halves[k] = [half(*_direction(points[j], points[k])) for j in range(k)]
-                fit = set.intersection(*(h[a] for h, a in zip(halves[k], assignment)))
-                sites = [s for s in sites if s in fit]
-            for site in sites:
+            ahead = [half(*_direction(points[k], points[j])) for j in range(k + 1, n)]
+            for site in [s for s in self.sites if s in domains[0]]:
+                # the domains of marks k + 1, ..., n - 1 once mark k is on site
+                later = [h[site] & dom for h, dom in zip(ahead, domains[1:])]
+                if not all(later):
+                    continue
                 cand = assignment + (site,)
                 more, b, end = self.mark_rows(cand, points, width)
                 if k == 0 or (k == 1 and not self.cycles):
-                    yield from place(cand, end, rows + more, rhs + b)
+                    yield from place(cand, end, rows + more, rhs + b, later)
                 elif feasible_nonneg(rows + more, rhs + b, end, tableaux):
-                    yield from place(cand, end, [], [])
+                    yield from place(cand, end, [], [], later)
                     tableaux.pop()
 
-        yield from place((), self.ne, [], [])
+        yield from place((), self.ne, [], [], [set(self.sites)] * n)
 
 
 def _direction(p, q):
@@ -545,11 +548,13 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     and only the tableaux on the current path are kept.  The points are
     multiplied once by the lcm of their denominators, so the LPs and cone
     tests run on ints.  Per core, one table of pair tests for each
-    direction between two points (`_CoreScanner.pair_table`) prunes each
-    placement before its LP.  Site assignments that survive all points
-    come out in lexicographic order of site indices and are materialized
-    into marked types (one per ordering of marks sharing an edge) and
-    classified exactly over cfg itself.
+    direction between two points (`_CoreScanner.pair_table`) narrows the
+    sites every later mark may take, and a placement that leaves some
+    later mark no site is dropped before its rows and its LP.  Site
+    assignments that survive all points come out in lexicographic order
+    of site indices and are materialized into marked types (one per
+    ordering of marks sharing an edge) and classified exactly over cfg
+    itself.
 
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from fractions import Fraction
 
 from tropcurves.cones import ModuliCone, classify
@@ -17,6 +18,7 @@ from tropcurves.families import AffineFunction, BaseCurve, Contraction, FamilyDa
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, TropicalGraph
 
 F = Fraction
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def frac_str(x):
@@ -27,10 +29,11 @@ def frac_str(x):
 
 
 def parse_frac(s):
-    """A rational from a "p/q" string or an int; floats and booleans are
-    refused, so no binary fraction enters the exact arithmetic, and a zero
-    denominator is refused too."""
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
+    """A rational from a "p/q" string or an int; floats, booleans and any
+    other string, such as "1e3" or "1.5", are refused, so no binary
+    fraction enters the exact arithmetic and no exponent asks for a huge
+    power of ten, and a zero denominator is refused too."""
+    if not (type(s) is int or isinstance(s, str) and _RATIONAL.fullmatch(s)):
         raise ValueError(f"rational {s!r} is not an int or a \"p/q\" string")
     try:
         return F(s)
@@ -162,7 +165,7 @@ def config_to_json(cfg: PointConfiguration):
 
 @_reader
 def config_from_json(data):
-    return PointConfiguration(tuple((parse_frac(x), parse_frac(y)) for x, y in data["points"]))
+    return PointConfiguration(tuple(tuple(map(parse_frac, _pair(p, "config JSON: point"))) for p in data["points"]))
 
 
 # --- cones and fibers -------------------------------------------------------

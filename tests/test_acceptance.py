@@ -61,7 +61,7 @@ def test_cubic_configuration_is_general(monkeypatch, shift):
     assert len(sol_keys) == 9
     lps = count_lps(monkeypatch)
     hits = scan_fibers(3, 0, cfg.config)
-    assert len(lps) == 885266
+    assert len(lps) == 262622
     assert len(hits) == 9
     assert {canonical_key(t, labeled="contracted") for t, _fb in hits} == sol_keys
     # is_general's own test: every nonempty fiber has codimension 2n

@@ -303,6 +303,22 @@ def test_zero_denominator_is_refused_at_the_cli(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: rational '1/0' has a zero denominator\n")
 
 
+def test_exponent_in_a_rational_is_refused_at_the_cli(tmp_path, capsys):
+    # Fraction("1e999999999") would build a billion-digit power of ten
+    pf = tmp_path / "points.json"
+    pf.write_text(json.dumps({"points": [["1e999999999", "0"]]}))
+    code, out, err = run_cli(capsys, "enumerate", "--d", "1", "--g", "0", "--points", str(pf))
+    assert (code, out, err) == (2, "", "error: rational '1e999999999' is not an int or a \"p/q\" string\n")
+
+
+@pytest.mark.parametrize("point", [["1"], ["1", "2", "3"]], ids=["one-entry", "three-entries"])
+def test_point_that_is_not_a_pair_is_refused_at_the_cli(tmp_path, capsys, point):
+    pf = tmp_path / "points.json"
+    pf.write_text(json.dumps({"points": [point]}))
+    code, out, err = run_cli(capsys, "enumerate", "--d", "1", "--g", "0", "--points", str(pf))
+    assert (code, out, err) == (2, "", f"error: config JSON: point {point!r} is not a pair\n")
+
+
 def test_classify_stratum_malformed_slope(tmp_path, capsys):
     tf = tmp_path / "type.json"
     legs = [{"vertex": 0, "slope": [1]}]

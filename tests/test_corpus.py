@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 from fractions import Fraction as F
@@ -7,11 +8,21 @@ from fixtures import count_lps, shifted
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import cone_dimension, expected_dimension, is_realizable, reduced_fiber_polyhedron
-from tropcurves.corpus import _attach_mark, _core, _shapes, enumerate_cores, scan_fibers
+from tropcurves.corpus import (
+    _attach_mark,
+    _core,
+    _CoreScanner,
+    _direction,
+    _scan_order,
+    _shapes,
+    enumerate_cores,
+    scan_fibers,
+)
 from tropcurves.errors import ScaleRefusal
-from tropcurves.evaluation import PointConfiguration, fiber, is_general
+from tropcurves.evaluation import PointConfiguration, fiber, integer_points, is_general
 from tropcurves.floors import enumerate_curves, is_vertically_stretched, make_stretched
 from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, genus, is_stable
+from tropcurves.linalg import feasible_nonneg
 from tropcurves.serialize import dumps, fiber_to_json, type_to_json
 
 
@@ -228,7 +239,7 @@ def test_scan_matches_floor_solutions_degree_two(monkeypatch):
     sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in sols}
     lps = count_lps(monkeypatch)
     hits = scan_fibers(2, 0, cfg.config)
-    assert len(lps) == 374
+    assert len(lps) == 40
     point_keys = {
         canonical_key(t, labeled="contracted") for t, fb in hits if fb.kind == "point" and fb.inside
     }
@@ -243,7 +254,7 @@ def test_scan_matches_floor_solutions_degree_two(monkeypatch):
         sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in enumerate_curves(2, 0, moved)}
         del lps[:]
         hits = scan_fibers(2, 0, moved.config)
-        assert len(lps) == 374
+        assert len(lps) == 40
         assert {canonical_key(t, labeled="contracted") for t, _fb in hits} == sol_keys
         assert all(fb.kind == "point" and fb.codimension() == 10 for _t, fb in hits)
         assert is_general(moved.config, 2, 0) is True
@@ -280,18 +291,21 @@ def test_scan_fibers_merges_cores():
     assert encode(scan_fibers(2, 0, cfg)) == encode(union)
 
 
+FRACTIONAL_POINTS = ((F(1, 2), F(1, 3)), (F(-7, 5), F(2)), (F(3), F(-5, 4)), (F(11, 6), F(13, 7)))
+
+
 def test_scan_of_fractional_points_is_affine_invariant(monkeypatch):
     # fractional, not collinear: one pair table per core and direction
     # between two points; scaling by a positive rational and translating must keep
     # every hit, its fiber kind and the LP count
-    pts = ((F(1, 2), F(1, 3)), (F(-7, 5), F(2)), (F(3), F(-5, 4)), (F(11, 6), F(13, 7)))
+    pts = FRACTIONAL_POINTS
     lps = count_lps(monkeypatch)
     hits = scan_fibers(2, 0, PointConfiguration(pts))
-    assert len(lps) == 384
+    assert len(lps) == 88
     r = F(3, 7)
     moved = PointConfiguration(tuple((r * x + F(5, 2), r * y - F(1, 3)) for x, y in pts))
     moved_hits = scan_fibers(2, 0, moved)
-    assert len(lps) == 2 * 384
+    assert len(lps) == 2 * 88
 
     def summary(hits):
         return [(canonical_key(t, labeled="contracted"), fb.kind) for t, fb in hits]
@@ -307,10 +321,11 @@ def test_scan_of_fractional_points_is_affine_invariant(monkeypatch):
 def test_betti_one_scan_frozen(monkeypatch):
     # the only tier-1 run of the scanner's cycle rows; the pair tables
     # relax them and run no LP, so every LP is a placement LP, from the
-    # second mark on, and the count pins the pair filter's pruning
+    # second mark on, and the count pins the pruning by the pair tables,
+    # which drop a placement when a later mark has no site left
     lps = count_lps(monkeypatch)
     hits = scan_fibers(2, 1, make_stretched(4, 2).config)
-    assert len(lps) == 5528
+    assert len(lps) == 1816
     assert len(hits) == 28
     summary = [(canonical_key(t, labeled="contracted"), fb.kind, fb.codimension()) for t, fb in hits]
     digest = hashlib.sha256(repr(summary).encode()).hexdigest()
@@ -318,6 +333,60 @@ def test_betti_one_scan_frozen(monkeypatch):
     encoded = dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
     digest = hashlib.sha256(encoded.encode()).hexdigest()
     assert digest == "7926b15335283d2f397d9c9b1bcce69abce43e7df693a88c88808ec72ea5946d"
+
+
+def reference_placements(scanner, points):
+    """The placement walk without forward checking: a site of mark k is
+    tried when the pair table of each earlier mark allows it, then one
+    cold LP decides the whole prefix system, with no solved tableau."""
+    tables = {}
+
+    def allowed(j, a, k, b):
+        w, side = _direction(points[j], points[k])
+        if w not in tables:
+            tables[w] = scanner.pair_table(w)
+        return b in tables[w][side][a]
+
+    def place(assignment, width, rows, rhs):
+        k = len(assignment)
+        if k == len(points):
+            yield assignment
+            return
+        for site in scanner.sites:
+            if not all(allowed(j, a, k, site) for j, a in enumerate(assignment)):
+                continue
+            cand = assignment + (site,)
+            more, b, end = scanner.mark_rows(cand, points, width)
+            rows_k, rhs_k = rows + more, rhs + b
+            if k == 0 or (k == 1 and not scanner.cycles) or feasible_nonneg(rows_k, rhs_k, end):
+                yield from place(cand, end, rows_k, rhs_k)
+
+    yield from place((), scanner.ne, [], [])
+
+
+@pytest.mark.parametrize(
+    "make_cfg",
+    [
+        lambda: make_stretched(5, 2).config,
+        lambda: shifted(make_stretched(5, 2), lambda k: F(1, 7) if k == 2 else 0).config,
+        lambda: shifted(make_stretched(5, 2), lambda k: F(k * k, 7)).config,
+        lambda: PointConfiguration(FRACTIONAL_POINTS),
+        lambda: make_stretched(4, 2).config,
+    ],
+    ids=["line", "one-shifted", "all-shifted", "fractional", "four-on-a-line"],
+)
+def test_placements_match_reference_walk(make_cfg):
+    # forward checking cuts only subtrees that yield nothing: every core
+    # of degree 2 and Betti number at most 1 keeps its assignments and
+    # their order
+    cfg = make_cfg()
+    _scale, pts = integer_points(cfg.points)
+    pts = [pts[i] for i in _scan_order(len(pts))]
+    for core in enumerate_cores(2, 0) + enumerate_cores(2, 1):
+        scanner = _CoreScanner(core)
+        # a table depends on its direction alone: both walks read one copy
+        scanner.pair_table = functools.cache(scanner.pair_table)
+        assert list(scanner.placements(pts)) == list(reference_placements(scanner, pts))
 
 
 def test_forced_zero_fibers_frozen():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -114,6 +115,15 @@ def test_readers_refuse_floats_and_booleans():
 def test_parse_frac_refuses_a_zero_denominator():
     with pytest.raises(ValueError, match="^rational '1/0' has a zero denominator$"):
         parse_frac("1/0")
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", " 7 ", "1_0"])
+def test_parse_frac_refuses_what_is_not_p_over_q(text):
+    # Fraction would take each of these; an exponent can ask for a power
+    # of ten with a billion digits
+    with pytest.raises(ValueError, match=f"^rational {re.escape(repr(text))} is not an int or a \"p/q\" string$"):
+        parse_frac(text)
+    assert parse_frac("+3") == 3 and parse_frac("-22/7") == F(-22, 7)
 
 
 def test_curve_reader_refuses_a_short_position():
