@@ -55,7 +55,7 @@ def cmd_count(args):
 
 
 def cmd_enumerate(args):
-    from tropcurves.floors import StretchedConfig, enumerate_curves
+    from tropcurves.floors import enumerate_curves
     from tropcurves.serialize import config_from_json, curve_to_json
 
     if args.out:
@@ -63,7 +63,7 @@ def cmd_enumerate(args):
     cfg = None  # the built-in stretched configuration
     if args.points:
         with open(args.points) as fh:
-            cfg = StretchedConfig(config_from_json(json.load(fh)), stretch=0)
+            cfg = config_from_json(json.load(fh))
     sols = enumerate_curves(args.d, args.g, cfg)
     data = {
         "d": args.d,

@@ -37,9 +37,10 @@ The corpus of degree-d, genus-g types is produced in two stages:
     relaxation of the cycle rows otherwise), which drop a placement as
     soon as some later mark has no site left, and by exact LP feasibility
     of the partially-constrained fiber polyhedron, each LP extending the
-    solved tableau of its parent's.  Every marked type whose
-    fiber over cfg is nonempty appears in the scan; all others have empty
-    fibers by construction.
+    solved tableau of its parent's.  Each surviving placement builds one
+    marked type, its marks sharing an edge or a leg in the order their
+    points fix.  Every marked type whose fiber over cfg is nonempty
+    appears in the scan; all others have empty fibers by construction.
 
 Decorated types -- with vertex weights, contracted loops or contracted
 bridges -- need no stage of their own: each reduces onto a weightless
@@ -251,52 +252,6 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
 # ---------------------------------------------------------------------------
 
 
-def _split_edge(t, i):
-    """Split edge i with a new 2-valent vertex; returns (type, new_vertex).
-
-    The two pieces keep the slope of the original edge; new edge indices
-    are len(edges)-1 order-stable: piece one replaces i, piece two appended.
-    """
-    e = t.edges[i]
-    if e.is_loop():
-        raise ValueError("cannot split a loop")
-    w = t.n_vertices()
-    edges = list(t.edges)
-    edges[i] = Edge(e.u, w, e.slope)
-    edges.append(Edge(w, e.v, e.slope))
-    return CombinatorialType(t.weights + (0,), tuple(edges), t.legs), w
-
-
-def _split_leg(t, j):
-    """Turn leg j into edge + leg through a new 2-valent vertex."""
-    leg = t.legs[j]
-    w = t.n_vertices()
-    edges = list(t.edges) + [Edge(leg.vertex, w, leg.slope)]
-    legs = list(t.legs)
-    legs[j] = Leg(w, leg.slope)
-    return CombinatorialType(t.weights + (0,), tuple(edges), tuple(legs)), w
-
-
-def _attach_mark(t, site):
-    """Attach the next contracted leg at a site.
-
-    Contracted legs stay grouped at the front of the leg order; the new
-    mark gets index n_marks.
-    """
-    kind, idx = site
-    n = t.n_marks()
-    if kind == "vertex":
-        host = idx
-        base = t
-    elif kind == "edge":
-        base, host = _split_edge(t, idx)
-    else:
-        base, host = _split_leg(t, idx)
-    legs = list(base.legs)
-    legs.insert(n, Leg(host, (0, 0)))
-    return CombinatorialType(base.weights, base.edges, tuple(legs))
-
-
 class _CoreScanner:
     """Incidence search over one core: marks are linearized.
 
@@ -492,48 +447,49 @@ def _scan_order(n):
     return order
 
 
-def _materialize(core, assignment, order, n):
-    """Build the marked types consistent with a full site assignment.
+def _materialize(t, assignment, order, points):
+    """The marked type of t with mark order[k], at points[k], on site
+    assignment[k], built in one pass.
 
-    Marks landing on a common edge or leg can sit in any order along it;
-    every order is a distinct combinatorial type, so all are produced and
-    the empty-fiber ones are discarded by the caller.
+    A mark at tau along an edge or a leg of slope s lies at pos + tau * s,
+    so the marks sharing one take the order of their points' projections
+    on s, the only order whose fiber can be nonempty.  Sites are split in
+    order of first appearance, each new 2-valent vertex numbered next: an
+    edge keeps its index for the piece at its tail and appends the head
+    piece, a leg appends the piece up to the new vertex and moves to it.
+    The new contracted legs follow t's own marks, in mark order.
     """
     by_site = {}
-    for pos_in_order, site in enumerate(assignment):
-        by_site.setdefault(site, []).append(order[pos_in_order])
-    groups = []
-    site_list = list(by_site)
-    for site in site_list:
-        marks = by_site[site]
-        if site[0] == "vertex" or len(marks) == 1:
-            groups.append([tuple(marks)])
-        else:
-            groups.append(list(itertools.permutations(marks)))
-    out = []
-    for combo in itertools.product(*groups):
-        t = core
-        attached = []  # mark indices already carrying legs, any order
-        last_piece = {}  # edge site -> edge index of its head-most piece
-        for site, seq in zip(site_list, combo):
-            for mark in seq:  # rank order along the site
-                kind, idx = site
-                if kind == "vertex":
-                    base, host = t, idx
-                elif kind == "edge":
-                    target = last_piece.get(site, idx)
-                    base, host = _split_edge(t, target)
-                    last_piece[site] = len(base.edges) - 1
-                else:
-                    # contracted legs inserted so far shift the leg indices
-                    base, host = _split_leg(t, idx + len(attached))
-                insert_pos = sum(1 for m in attached if m < mark)
-                legs = list(base.legs)
-                legs.insert(insert_pos, Leg(host, (0, 0)))
-                t = CombinatorialType(base.weights, base.edges, tuple(legs))
-                attached.append(mark)
-        out.append(t)
-    return out
+    for k, site in enumerate(assignment):
+        by_site.setdefault(site, []).append(k)
+    edges, legs = list(t.edges), list(t.legs)
+    nv = t.n_vertices()
+    hosts = {}  # mark -> the vertex carrying it
+    for (kind, idx), ks in by_site.items():
+        if kind == "vertex":
+            hosts.update((order[k], idx) for k in ks)
+            continue
+        s = (edges if kind == "edge" else legs)[idx].slope
+        head = idx
+        for k in sorted(ks, key=lambda k: points[k][0] * s[0] + points[k][1] * s[1]):
+            hosts[order[k]] = nv
+            if kind == "edge":
+                e = edges[head]
+                edges[head] = Edge(e.u, nv, s)
+                edges.append(Edge(nv, e.v, s))
+                head = len(edges) - 1
+            else:
+                edges.append(Edge(legs[idx].vertex, nv, s))
+                legs[idx] = Leg(nv, s)
+            nv += 1
+    m = t.n_marks()
+    legs[m:m] = [Leg(hosts[i], (0, 0)) for i in sorted(hosts)]
+    return CombinatorialType(t.weights + (0,) * (nv - t.n_vertices()), tuple(edges), tuple(legs))
+
+
+def _attach_mark(t, site):
+    """Attach the next contracted leg, index t.n_marks(), at a site."""
+    return _materialize(t, (site,), (0,), ((0, 0),))
 
 
 def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
@@ -552,9 +508,9 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     sites every later mark may take, and a placement that leaves some
     later mark no site is dropped before its rows and its LP.  Site
     assignments that survive all points come out in lexicographic order
-    of site indices and are materialized into marked types (one per
-    ordering of marks sharing an edge) and classified exactly over cfg
-    itself.
+    of site indices; each is materialized into one marked type
+    (`_materialize`), whose fiber is then nonempty, and each new type is
+    classified exactly over cfg itself.
 
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut
@@ -576,14 +532,9 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     results = {}
     for core in cores:
         scanner = _CoreScanner(core)
-        evaluated = set()
         for assignment in scanner.placements(pts):
-            for t in _materialize(core, assignment, order, n):
-                key = canonical_key(t, labeled="contracted")
-                if key in evaluated or key in results:
-                    continue
-                evaluated.add(key)
-                fb = fiber(t, cfg)
-                if not fb.is_empty():
-                    results[key] = (t, fb)
+            t = _materialize(core, assignment, order, pts)
+            key = canonical_key(t, labeled="contracted")
+            if key not in results:
+                results[key] = (t, fiber(t, cfg))
     return [results[k] for k in sorted(results)]

@@ -19,6 +19,7 @@ from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, T
 
 F = Fraction
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_MAX_DIGITS = 4300  # CPython's default limit on int(str) since 3.10.7 and 3.11
 
 
 def frac_str(x):
@@ -32,9 +33,13 @@ def parse_frac(s):
     """A rational from a "p/q" string or an int; floats, booleans and any
     other string, such as "1e3" or "1.5", are refused, so no binary
     fraction enters the exact arithmetic and no exponent asks for a huge
-    power of ten, and a zero denominator is refused too."""
+    power of ten.  A zero denominator is refused too, and so is a
+    numerator or denominator longer than _MAX_DIGITS digits, which `int`
+    would refuse in its own words or, on older Pythons, not at all."""
     if not (type(s) is int or isinstance(s, str) and _RATIONAL.fullmatch(s)):
         raise ValueError(f"rational {s!r} is not an int or a \"p/q\" string")
+    if isinstance(s, str) and max(len(part) for part in s.lstrip("+-").split("/")) > _MAX_DIGITS:
+        raise ValueError(f"rational {s[:12] + '...'!r} has more than {_MAX_DIGITS} digits")
     try:
         return F(s)
     except ZeroDivisionError:

@@ -311,6 +311,13 @@ def test_exponent_in_a_rational_is_refused_at_the_cli(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: rational '1e999999999' is not an int or a \"p/q\" string\n")
 
 
+def test_rational_of_5000_digits_is_refused_at_the_cli(tmp_path, capsys):
+    pf = tmp_path / "points.json"
+    pf.write_text(json.dumps({"points": [["1" * 5000, "0"]]}))
+    code, out, err = run_cli(capsys, "enumerate", "--d", "1", "--g", "0", "--points", str(pf))
+    assert (code, out, err) == (2, "", "error: rational '111111111111...' has more than 4300 digits\n")
+
+
 @pytest.mark.parametrize("point", [["1"], ["1", "2", "3"]], ids=["one-entry", "three-entries"])
 def test_point_that_is_not_a_pair_is_refused_at_the_cli(tmp_path, capsys, point):
     pf = tmp_path / "points.json"

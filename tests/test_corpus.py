@@ -13,6 +13,7 @@ from tropcurves.corpus import (
     _core,
     _CoreScanner,
     _direction,
+    _materialize,
     _scan_order,
     _shapes,
     enumerate_cores,
@@ -389,11 +390,14 @@ def test_placements_match_reference_walk(make_cfg):
         assert list(scanner.placements(pts)) == list(reference_placements(scanner, pts))
 
 
+FORCED_ZERO_POINTS = ((-2, -1), (1, 0), (1, 1), (2, 1))
+
+
 def test_forced_zero_fibers_frozen():
     # the only tier-1 scan whose fibers vanish on some edge lengths: 243 of
     # its 331 hits have lengths forced to zero, so the unit rows `fiber`
     # adds for them decide the dimensions and endpoints pinned here
-    cfg = PointConfiguration(((-2, -1), (1, 0), (1, 1), (2, 1)))
+    cfg = PointConfiguration(FORCED_ZERO_POINTS)
     hits = scan_fibers(2, 0, cfg)
     kinds = [fb.kind for _t, fb in hits]
     assert (len(hits), kinds.count("interval"), kinds.count("point"), kinds.count("higher")) == (331, 146, 132, 53)
@@ -402,3 +406,71 @@ def test_forced_zero_fibers_frozen():
     encoded = dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
     digest = hashlib.sha256(encoded.encode()).hexdigest()
     assert digest == "6bba56869c3c8355968f0057e0b43b21d0b476a0dfa1b9fb63232819fa4bd019"
+
+
+def test_scan_evaluates_no_empty_fiber(monkeypatch):
+    # the points fix the order of the marks sharing an edge or a leg, so
+    # every placement builds one type, and each fiber `fiber` is asked
+    # for is a hit
+    import tropcurves.corpus as corpus
+
+    kinds = []
+
+    def counted(t, cfg):
+        fb = fiber(t, cfg)
+        kinds.append(fb.kind)
+        return fb
+
+    monkeypatch.setattr(corpus, "fiber", counted)
+    hits = scan_fibers(2, 0, PointConfiguration(FORCED_ZERO_POINTS))
+    assert (len(kinds), kinds.count("empty"), len(hits)) == (331, 0, 331)
+
+
+def fanned_out_types(core, assignment, order):
+    """The marked types of a site assignment for every ordering of the
+    marks sharing an edge or a leg, each mark added through its own
+    intermediate type: the materialization from before the points chose
+    the ordering, kept as an oracle."""
+    by_site = {}
+    for k, site in enumerate(assignment):
+        by_site.setdefault(site, []).append(order[k])
+    for combo in itertools.product(*(itertools.permutations(marks) for marks in by_site.values())):
+        t, attached, head = core, [], {}  # head: edge site -> its head piece
+        for (kind, idx), seq in zip(by_site, combo):
+            for mark in seq:  # from the tail of the edge or leg outwards
+                edges, legs, host = list(t.edges), list(t.legs), t.n_vertices()
+                if kind == "vertex":
+                    host = idx
+                elif kind == "edge":
+                    i = head.get((kind, idx), idx)
+                    e = edges[i]
+                    edges[i] = Edge(e.u, host, e.slope)
+                    edges.append(Edge(host, e.v, e.slope))
+                    head[(kind, idx)] = len(edges) - 1
+                else:
+                    j = idx + len(attached)  # past the marks inserted so far
+                    edges.append(Edge(legs[j].vertex, host, legs[j].slope))
+                    legs[j] = Leg(host, legs[j].slope)
+                legs.insert(sum(m < mark for m in attached), Leg(host, (0, 0)))
+                weights = t.weights + (() if kind == "vertex" else (0,))
+                t = CombinatorialType(weights, tuple(edges), tuple(legs))
+                attached.append(mark)
+        yield t
+
+
+def test_one_ordering_of_a_shared_site_has_a_fiber():
+    # of every ordering of the marks sharing an edge or a leg, exactly one
+    # has a nonempty fiber, and it is the one type the scan builds
+    cfg = PointConfiguration(FORCED_ZERO_POINTS)
+    _scale, pts = integer_points(cfg.points)
+    order = _scan_order(len(pts))
+    pts = [pts[i] for i in order]
+    shared = 0
+    for core in enumerate_cores(2, 0):
+        for assignment in _CoreScanner(core).placements(pts):
+            if len(set(assignment)) == len(assignment):
+                continue
+            shared += 1
+            nonempty = [t for t in fanned_out_types(core, assignment, order) if not fiber(t, cfg).is_empty()]
+            assert [type_to_json(t) for t in nonempty] == [type_to_json(_materialize(core, assignment, order, pts))]
+    assert shared == 149

@@ -126,6 +126,17 @@ def test_parse_frac_refuses_what_is_not_p_over_q(text):
     assert parse_frac("+3") == 3 and parse_frac("-22/7") == F(-22, 7)
 
 
+@pytest.mark.parametrize(
+    "text", ["1" * 4301, "-" + "1" * 4301, "1/" + "7" * 4301], ids=["numerator", "negative", "denominator"]
+)
+def test_parse_frac_refuses_more_than_4300_digits(text):
+    # past 4300 digits int(str) refuses on its own, in words that name
+    # neither the reader nor the value, or not at all before 3.10.7
+    with pytest.raises(ValueError, match=f"^rational {re.escape(repr(text[:12] + '...'))} has more than 4300 digits$"):
+        parse_frac(text)
+    assert parse_frac(text[:-1]) == F(text[:-1])
+
+
 def test_curve_reader_refuses_a_short_position():
     data = curve_to_json(smooth_cubic_curve())
     data["positions"][1] = ["0"]
