@@ -36,8 +36,11 @@ The corpus of degree-d, genus-g types is produced in two stages:
     table per direction between two points; exact for trees, a sound
     relaxation of the cycle rows otherwise), which drop a placement as
     soon as some later mark has no site left, and by exact LP feasibility
-    of the partially-constrained fiber polyhedron, each LP extending the
-    solved tableau of its parent's.  Each surviving placement builds one
+    of the partially-constrained fiber polyhedron.  The LPs are lazy: a
+    complete placement that passes every pair test solves its prefixes
+    not yet solved, each LP extending the solved tableau of the one
+    before, and the first infeasible prefix drops its whole subtree.
+    Each surviving placement builds one
     marked type, its marks sharing an edge or a leg in the order their
     points fix.  Every marked type whose fiber over cfg is nonempty
     appears in the scan; all others have empty fibers by construction.
@@ -262,11 +265,13 @@ class _CoreScanner:
     placement order: a tau (nonneg) when it lies on an edge or a leg, and
     on an edge a slack bounding tau by the edge length.  So the columns
     of a placement are a prefix of those of every placement extending it,
-    and `mark_rows` builds each mark's rows once: `placements` passes them
-    to the LP of the placement they complete, which extends the solved
-    tableau of the parent placement's LP.  Before that, the pair tables
-    (`pair_table`) narrow the sites of every mark not yet placed, and a
-    placement that leaves one of them no site gets neither rows nor LP.
+    and the system of a complete placement holds every row of each of its
+    prefixes.  The pair tables (`pair_table`) narrow the sites of every
+    mark not yet placed, and a placement that leaves one of them no site
+    is dropped.  `placements` asks for LPs only at a complete placement:
+    `mark_rows` then builds the rows of each mark whose prefix is not yet
+    solved, and each prefix LP extends the solved tableau of the one
+    before it.
     The points it is given are integer: `scan_fibers` clears their
     denominators once, so every row it builds holds only ints.
     """
@@ -386,26 +391,57 @@ class _CoreScanner:
         takes a site, each later mark j keeps the sites that the pair
         table of the direction of points[j] - points[k], built when first
         needed, allows after it; the site is dropped if some later mark
-        has none left (forward checking).  The first mark needs no LP:
-        translations absorb one point.  Nor does the second on a tree, where the pair
-        test is exact; on a core with a cycle the pair test only relaxes
-        the cycle rows, so the second mark runs the first LP.  Every later
-        placement runs one LP, which extends the solved tableau of its
-        parent's, so at most one tableau per depth is live.
+        has none left (forward checking).
+
+        Only a complete placement asks for LPs.  A prefix needs one from
+        its third mark on, or from its second on a core with a cycle, whose
+        rows the pair test only relaxes; translations absorb the first
+        point.  The prefixes not yet solved are solved in order, each LP
+        extending the solved tableau of the one before it, so at most one
+        tableau per depth is live; the first infeasible one drops its
+        whole subtree, and siblings reuse every solved prefix.  A complete
+        placement's system holds every row of each of its prefixes, so
+        the assignments are those of an LP at every prefix, and no prefix
+        is solved twice.
         """
         n = len(points)
+        first = 1 if self.cycles else 2  # the first mark whose prefix needs an LP
         tables = {}  # primitive direction -> its pair table
-        tableaux = []  # the solved tableaux of the LPs on the current path
+        tableaux = []  # the solved tableaux of the prefixes on the current path
+        ends = []  # the width of each of their systems
+        dead = n  # the last mark of the first infeasible prefix, n when none
 
         def half(w, side):
             if w not in tables:
                 tables[w] = self.pair_table(w)
             return tables[w][side]
 
-        def place(assignment, width, rows, rhs, domains):
+        def settle(assignment):
+            """The last mark of the first infeasible prefix of a complete
+            assignment, n when there is none."""
+            if n <= first:
+                return n
+            start = first + len(tableaux) if tableaux else 0
+            col = ends[-1] if ends else self.ne
+            rows, rhs = [], []
+            for k in range(start, n):
+                more, b, col = self.mark_rows(assignment[:k + 1], points, col)
+                rows += more
+                rhs += b
+                if k >= first:
+                    if not feasible_nonneg(rows, rhs, col, tableaux):
+                        return k
+                    ends.append(col)
+                    rows, rhs = [], []
+            return n
+
+        def place(assignment, domains):
+            nonlocal dead
             k = len(assignment)
             if k == n:
-                yield assignment
+                dead = settle(assignment)
+                if dead == n:
+                    yield assignment
                 return
             ahead = [half(*_direction(points[k], points[j])) for j in range(k + 1, n)]
             for site in [s for s in self.sites if s in domains[0]]:
@@ -413,15 +449,15 @@ class _CoreScanner:
                 later = [h[site] & dom for h, dom in zip(ahead, domains[1:])]
                 if not all(later):
                     continue
-                cand = assignment + (site,)
-                more, b, end = self.mark_rows(cand, points, width)
-                if k == 0 or (k == 1 and not self.cycles):
-                    yield from place(cand, end, rows + more, rhs + b, later)
-                elif feasible_nonneg(rows + more, rhs + b, end, tableaux):
-                    yield from place(cand, end, [], [], later)
-                    tableaux.pop()
+                yield from place(assignment + (site,), later)
+                # leaving the prefix drops its tableau and every deeper one
+                live = max(k - first, 0)
+                del tableaux[live:], ends[live:]
+                if dead < k:
+                    return
+                dead = n
 
-        yield from place((), self.ne, [], [], [set(self.sites)] * n)
+        yield from place((), [set(self.sites)] * n)
 
 
 def _direction(p, q):
@@ -496,17 +532,19 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     """All marked types over pure cores with a nonempty fiber over cfg.
 
     Branch-and-prune over mark placements on each Betti-g weightless
-    core: points are processed extremes-first and every partial placement
-    is tested by an exact LP on the linearized system (lengths plus
-    position-along-edge variables).  The placements are walked depth
-    first, in site order (`_CoreScanner.placements`), so each LP adds the
-    new mark's rows to the solved tableau of its parent placement's LP,
+    core: points are processed extremes-first, and per core one table of
+    pair tests for each direction between two points
+    (`_CoreScanner.pair_table`) narrows the sites every later mark may
+    take; a placement that leaves some later mark no site is dropped.
+    The placements are walked depth first, in site order
+    (`_CoreScanner.placements`).  A complete placement that passes every
+    pair test is then tested by exact LPs on the linearized system
+    (lengths plus position-along-edge variables) of each prefix not yet
+    solved, each LP adding a prefix's rows to the solved tableau of the
+    one before it; the first infeasible prefix drops its whole subtree,
     and only the tableaux on the current path are kept.  The points are
     multiplied once by the lcm of their denominators, so the LPs and cone
-    tests run on ints.  Per core, one table of pair tests for each
-    direction between two points (`_CoreScanner.pair_table`) narrows the
-    sites every later mark may take, and a placement that leaves some
-    later mark no site is dropped before its rows and its LP.  Site
+    tests run on ints.  Site
     assignments that survive all points come out in lexicographic order
     of site indices; each is materialized into one marked type
     (`_materialize`), whose fiber is then nonempty, and each new type is

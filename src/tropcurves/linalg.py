@@ -263,8 +263,9 @@ def feasible_nonneg(rows, rhs, width, path=None):
 
     rows: list of {col: coeff} dicts with int or Fraction coefficients;
     returns True/False.  Each row is cleared of denominators over its
-    nonzeros alone and goes straight into the integer tableau.  This is
-    the hot path of the incidence scans; it avoids the Polyhedron wrapper.
+    nonzeros alone and goes straight into the integer tableau, with no
+    Polyhedron wrapper: the incidence scan's lazy placement LPs and
+    `cones.is_realizable` call it directly.
 
     path, when given, is a list of solved tableaux, one per system on a
     chain of systems each extending the one before.  The rows then extend

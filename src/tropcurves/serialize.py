@@ -29,6 +29,16 @@ def frac_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
+def _shown(value):
+    """The repr of an offending value, cut short so that a refusal stays
+    one short line: a string to its first 12 characters, any other value
+    to the first 40 characters of its repr."""
+    if isinstance(value, str):
+        return repr(value if len(value) <= 12 else value[:12] + "...")
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def parse_frac(s):
     """A rational from a "p/q" string or an int; floats, booleans and any
     other string, such as "1e3" or "1.5", are refused, so no binary
@@ -37,13 +47,13 @@ def parse_frac(s):
     numerator or denominator longer than _MAX_DIGITS digits, which `int`
     would refuse in its own words or, on older Pythons, not at all."""
     if not (type(s) is int or isinstance(s, str) and _RATIONAL.fullmatch(s)):
-        raise ValueError(f"rational {s!r} is not an int or a \"p/q\" string")
+        raise ValueError(f"rational {_shown(s)} is not an int or a \"p/q\" string")
     if isinstance(s, str) and max(len(part) for part in s.lstrip("+-").split("/")) > _MAX_DIGITS:
-        raise ValueError(f"rational {s[:12] + '...'!r} has more than {_MAX_DIGITS} digits")
+        raise ValueError(f"rational {_shown(s)} has more than {_MAX_DIGITS} digits")
     try:
         return F(s)
     except ZeroDivisionError:
-        raise ValueError(f"rational {s!r} has a zero denominator") from None
+        raise ValueError(f"rational {_shown(s)} has a zero denominator") from None
 
 
 def dumps(obj):
@@ -83,21 +93,21 @@ def graph_to_json(g: TropicalGraph):
 def int_value(value, what):
     """``value`` if it is an int (not a bool), or a ValueError naming ``what``."""
     if type(value) is not int:
-        raise ValueError(f"{what} {value!r} is not an int")
+        raise ValueError(f"{what} {_shown(value)} is not an int")
     return value
 
 
 def _pair(value, what):
     """``value`` as a tuple of two entries, or a ValueError naming ``what``."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"{what} {value!r} is not a pair")
+        raise ValueError(f"{what} {_shown(value)} is not a pair")
     return tuple(value)
 
 
 def int_pair(value, what):
     """``value`` as a tuple of two ints, or a ValueError naming ``what``."""
     if not isinstance(value, (list, tuple)) or len(value) != 2 or any(type(x) is not int for x in value):
-        raise ValueError(f"{what} {value!r} is not a pair of ints")
+        raise ValueError(f"{what} {_shown(value)} is not a pair of ints")
     return tuple(value)
 
 
@@ -107,7 +117,7 @@ def _weights(data, what):
     vertices = sorted(data["vertices"], key=lambda d: int_value(d["id"], f"{what} JSON: vertex id"))
     ids = [d["id"] for d in vertices]
     if ids != list(range(len(vertices))):
-        raise ValueError(f"{what} JSON: vertex ids {ids} are not 0..{len(vertices) - 1}")
+        raise ValueError(f"{what} JSON: vertex ids {_shown(ids)} are not 0..{len(vertices) - 1}")
     return tuple(int_value(d["weight"], f"{what} JSON: vertex weight") for d in vertices)
 
 

@@ -318,6 +318,32 @@ def test_rational_of_5000_digits_is_refused_at_the_cli(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: rational '111111111111...' has more than 4300 digits\n")
 
 
+LONG_NUMERAL = "1" * 3000
+LINE_JSON = type_to_json(tropical_line())
+POINTS_ARGS = ("enumerate", "--d", "1", "--g", "0", "--points")
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (POINTS_ARGS, {"points": [[LONG_NUMERAL + "e5", "0"]]}),
+        (POINTS_ARGS, {"points": [[LONG_NUMERAL + "/0", "0"]]}),
+        (POINTS_ARGS, {"points": [list(range(5000))]}),
+        (("classify-stratum", "--type"), {**LINE_JSON, "vertices": [{"id": 0, "weight": LONG_NUMERAL}]}),
+        (("classify-stratum", "--type"), {**LINE_JSON, "legs": [{"vertex": 0, "slope": list(range(5000))}]}),
+    ],
+    ids=["not-p-q", "zero-denominator", "not-a-pair", "not-an-int", "not-a-pair-of-ints"],
+)
+def test_refusal_of_a_long_value_is_one_short_line(tmp_path, capsys, argv, document):
+    # the offending value is shown cut short, never echoed whole
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *argv, str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 120
+
+
 @pytest.mark.parametrize("point", [["1"], ["1", "2", "3"]], ids=["one-entry", "three-entries"])
 def test_point_that_is_not_a_pair_is_refused_at_the_cli(tmp_path, capsys, point):
     pf = tmp_path / "points.json"

@@ -240,7 +240,7 @@ def test_scan_matches_floor_solutions_degree_two(monkeypatch):
     sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in sols}
     lps = count_lps(monkeypatch)
     hits = scan_fibers(2, 0, cfg.config)
-    assert len(lps) == 40
+    assert len(lps) == 3
     point_keys = {
         canonical_key(t, labeled="contracted") for t, fb in hits if fb.kind == "point" and fb.inside
     }
@@ -255,7 +255,7 @@ def test_scan_matches_floor_solutions_degree_two(monkeypatch):
         sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in enumerate_curves(2, 0, moved)}
         del lps[:]
         hits = scan_fibers(2, 0, moved.config)
-        assert len(lps) == 40
+        assert len(lps) == 3
         assert {canonical_key(t, labeled="contracted") for t, _fb in hits} == sol_keys
         assert all(fb.kind == "point" and fb.codimension() == 10 for _t, fb in hits)
         assert is_general(moved.config, 2, 0) is True
@@ -323,10 +323,11 @@ def test_betti_one_scan_frozen(monkeypatch):
     # the only tier-1 run of the scanner's cycle rows; the pair tables
     # relax them and run no LP, so every LP is a placement LP, from the
     # second mark on, and the count pins the pruning by the pair tables,
-    # which drop a placement when a later mark has no site left
+    # which drop a placement when a later mark has no site left, and the
+    # lazy LPs, which only a complete placement asks for
     lps = count_lps(monkeypatch)
     hits = scan_fibers(2, 1, make_stretched(4, 2).config)
-    assert len(lps) == 1816
+    assert len(lps) == 620
     assert len(hits) == 28
     summary = [(canonical_key(t, labeled="contracted"), fb.kind, fb.codimension()) for t, fb in hits]
     digest = hashlib.sha256(repr(summary).encode()).hexdigest()
@@ -336,10 +337,12 @@ def test_betti_one_scan_frozen(monkeypatch):
     assert digest == "7926b15335283d2f397d9c9b1bcce69abce43e7df693a88c88808ec72ea5946d"
 
 
-def reference_placements(scanner, points):
+def reference_placements(scanner, points, lp=True):
     """The placement walk without forward checking: a site of mark k is
     tried when the pair table of each earlier mark allows it, then one
-    cold LP decides the whole prefix system, with no solved tableau."""
+    cold LP decides the whole prefix system, with no solved tableau.
+    With lp false the LP is skipped: the walk then reaches every
+    placement the pair tables alone allow."""
     tables = {}
 
     def allowed(j, a, k, b):
@@ -359,10 +362,16 @@ def reference_placements(scanner, points):
             cand = assignment + (site,)
             more, b, end = scanner.mark_rows(cand, points, width)
             rows_k, rhs_k = rows + more, rhs + b
-            if k == 0 or (k == 1 and not scanner.cycles) or feasible_nonneg(rows_k, rhs_k, end):
+            if k < first_lp(scanner) or not lp or feasible_nonneg(rows_k, rhs_k, end):
                 yield from place(cand, end, rows_k, rhs_k)
 
     yield from place((), scanner.ne, [], [])
+
+
+def first_lp(scanner):
+    """The first mark whose prefix needs an LP: the third on a tree, where
+    the pair test of two marks is exact, else the second."""
+    return 1 if scanner.cycles else 2
 
 
 @pytest.mark.parametrize(
@@ -376,18 +385,28 @@ def reference_placements(scanner, points):
     ],
     ids=["line", "one-shifted", "all-shifted", "fractional", "four-on-a-line"],
 )
-def test_placements_match_reference_walk(make_cfg):
-    # forward checking cuts only subtrees that yield nothing: every core
-    # of degree 2 and Betti number at most 1 keeps its assignments and
-    # their order
+def test_placements_match_reference_walk(monkeypatch, make_cfg):
+    # forward checking cuts only subtrees that yield nothing, and lazy
+    # LPs decide the same prefixes: every core of degree 2 and Betti
+    # number at most 1 keeps its assignments and their order
     cfg = make_cfg()
     _scale, pts = integer_points(cfg.points)
     pts = [pts[i] for i in _scan_order(len(pts))]
+    lps = count_lps(monkeypatch)
     for core in enumerate_cores(2, 0) + enumerate_cores(2, 1):
         scanner = _CoreScanner(core)
         # a table depends on its direction alone: both walks read one copy
         scanner.pair_table = functools.cache(scanner.pair_table)
+        del lps[:]
         assert list(scanner.placements(pts)) == list(reference_placements(scanner, pts))
+        # an LP only for a prefix, needing one, of a complete placement
+        # that the pair tables alone reach, and each such prefix at most once
+        needed = {
+            a[: k + 1]
+            for a in reference_placements(scanner, pts, lp=False)
+            for k in range(first_lp(scanner), len(a))
+        }
+        assert len(lps) <= len(needed)
 
 
 FORCED_ZERO_POINTS = ((-2, -1), (1, 0), (1, 1), (2, 1))
