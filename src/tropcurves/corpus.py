@@ -35,12 +35,9 @@ The corpus of degree-d, genus-g types is produced in two stages:
     legs to a core, walked depth first and pruned by pair tests (one
     table per direction between two points; exact for trees, a sound
     relaxation of the cycle rows otherwise), which drop a placement as
-    soon as some later mark has no site left, and by exact LP feasibility
-    of the partially-constrained fiber polyhedron.  The LPs are lazy: a
-    complete placement that passes every pair test solves its prefixes
-    not yet solved, each LP extending the solved tableau of the one
-    before, and the first infeasible prefix drops its whole subtree.
-    Each surviving placement builds one
+    soon as some later mark has no site left.  A complete placement that
+    passes every pair test is then decided by one exact LP, feasibility
+    of its fiber polyhedron.  Each surviving placement builds one
     marked type, its marks sharing an edge or a leg in the order their
     points fix.  Every marked type whose fiber over cfg is nonempty
     appears in the scan; all others have empty fibers by construction.
@@ -268,12 +265,10 @@ class _CoreScanner:
     and the system of a complete placement holds every row of each of its
     prefixes.  The pair tables (`pair_table`) narrow the sites of every
     mark not yet placed, and a placement that leaves one of them no site
-    is dropped.  `placements` asks for LPs only at a complete placement:
-    `mark_rows` then builds the rows of each mark whose prefix is not yet
-    solved, and each prefix LP extends the solved tableau of the one
-    before it.
-    The points it is given are integer: `scan_fibers` clears their
-    denominators once, so every row it builds holds only ints.
+    is dropped.  `placements` asks for an LP only at a complete
+    placement, whose system `mark_rows` builds mark by mark.  The points
+    it is given are integer: `scan_fibers` clears their denominators
+    once, so every row it builds holds only ints.
     """
 
     def __init__(self, core):
@@ -393,69 +388,46 @@ class _CoreScanner:
         needed, allows after it; the site is dropped if some later mark
         has none left (forward checking).
 
-        Only a complete placement asks for LPs.  A prefix needs one from
-        its third mark on, or from its second on a core with a cycle, whose
-        rows the pair test only relaxes; translations absorb the first
-        point.  The prefixes not yet solved are solved in order, each LP
-        extending the solved tableau of the one before it, so at most one
-        tableau per depth is live; the first infeasible one drops its
-        whole subtree, and siblings reuse every solved prefix.  A complete
-        placement's system holds every row of each of its prefixes, so
-        the assignments are those of an LP at every prefix, and no prefix
-        is solved twice.
+        Only a complete placement asks for an LP, one cold solve of its
+        whole system, and only when some prefix needs one: from its third
+        mark on, or from its second on a core with a cycle, whose rows the
+        pair test only relaxes; translations absorb the first point.  A
+        complete placement's system holds every row of each of its
+        prefixes, over their columns first, so it is feasible exactly
+        when every prefix is.
         """
         n = len(points)
         first = 1 if self.cycles else 2  # the first mark whose prefix needs an LP
         tables = {}  # primitive direction -> its pair table
-        tableaux = []  # the solved tableaux of the prefixes on the current path
-        ends = []  # the width of each of their systems
-        dead = n  # the last mark of the first infeasible prefix, n when none
+        # (direction, side) from mark k to each later mark, for every depth k
+        directions = [[_direction(points[k], points[j]) for j in range(k + 1, n)] for k in range(n)]
 
         def half(w, side):
             if w not in tables:
                 tables[w] = self.pair_table(w)
             return tables[w][side]
 
-        def settle(assignment):
-            """The last mark of the first infeasible prefix of a complete
-            assignment, n when there is none."""
-            if n <= first:
-                return n
-            start = first + len(tableaux) if tableaux else 0
-            col = ends[-1] if ends else self.ne
-            rows, rhs = [], []
-            for k in range(start, n):
+        def feasible(assignment):
+            """One cold LP over the whole system of a complete assignment."""
+            col, rows, rhs = self.ne, [], []
+            for k in range(n):
                 more, b, col = self.mark_rows(assignment[:k + 1], points, col)
                 rows += more
                 rhs += b
-                if k >= first:
-                    if not feasible_nonneg(rows, rhs, col, tableaux):
-                        return k
-                    ends.append(col)
-                    rows, rhs = [], []
-            return n
+            return feasible_nonneg(rows, rhs, col)
 
         def place(assignment, domains):
-            nonlocal dead
             k = len(assignment)
             if k == n:
-                dead = settle(assignment)
-                if dead == n:
+                if n <= first or feasible(assignment):
                     yield assignment
                 return
-            ahead = [half(*_direction(points[k], points[j])) for j in range(k + 1, n)]
+            ahead = [half(w, side) for w, side in directions[k]]
             for site in [s for s in self.sites if s in domains[0]]:
                 # the domains of marks k + 1, ..., n - 1 once mark k is on site
                 later = [h[site] & dom for h, dom in zip(ahead, domains[1:])]
-                if not all(later):
-                    continue
-                yield from place(assignment + (site,), later)
-                # leaving the prefix drops its tableau and every deeper one
-                live = max(k - first, 0)
-                del tableaux[live:], ends[live:]
-                if dead < k:
-                    return
-                dead = n
+                if all(later):
+                    yield from place(assignment + (site,), later)
 
         yield from place((), [set(self.sites)] * n)
 
@@ -538,17 +510,13 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     take; a placement that leaves some later mark no site is dropped.
     The placements are walked depth first, in site order
     (`_CoreScanner.placements`).  A complete placement that passes every
-    pair test is then tested by exact LPs on the linearized system
-    (lengths plus position-along-edge variables) of each prefix not yet
-    solved, each LP adding a prefix's rows to the solved tableau of the
-    one before it; the first infeasible prefix drops its whole subtree,
-    and only the tableaux on the current path are kept.  The points are
+    pair test is then decided by one exact LP on its linearized system
+    (lengths plus position-along-edge variables).  The points are
     multiplied once by the lcm of their denominators, so the LPs and cone
-    tests run on ints.  Site
-    assignments that survive all points come out in lexicographic order
-    of site indices; each is materialized into one marked type
-    (`_materialize`), whose fiber is then nonempty, and each new type is
-    classified exactly over cfg itself.
+    tests run on ints.  Site assignments that survive all points come
+    out in lexicographic order of site indices; each is materialized into
+    one marked type (`_materialize`), whose fiber is then nonempty, and
+    each new type is classified exactly over cfg itself.
 
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut

@@ -6,10 +6,9 @@ nonzero multiple of its rational row, and sheds its content after every
 update.  Fractions are built only from what the kernels are given and
 what they return.  The simplex pivots by Bland's rule, so it terminates
 on every input and its answers are exact certificates (feasible point,
-unbounded ray, or infeasibility).  Its phase 1 can start from a solved
-tableau and add rows and columns to it, which is how `feasible_nonneg`
-decides a chain of systems each extending the one before; a cold solve
-starts from the empty tableau.  No float enters any computation.
+unbounded ray, or infeasibility).  Every solve is cold: phase 1 starts
+from the artificial basis of the system it is given, and
+`feasible_nonneg` runs phase 1 alone.  No float enters any computation.
 
 `Polyhedron` asks the simplex two kinds of question: `feasible_point`
 and `optimize` solve the system as given, and `interior_point` solves
@@ -162,47 +161,31 @@ def _bland(tab, basis, n):
         _pivot(tab, basis, leave, enter)
 
 
-def _phase1(rows, n, carried=(), tab=(), basis=()):
-    """Add the rows ``A x = b`` to a solved tableau and minimise a positive
-    combination of their artificials over ``x >= 0``.
+def _phase1(rows, n, carried=()):
+    """Minimise a positive combination of the artificials of ``A x = b``
+    over ``x >= 0``.
 
-    (tab, basis) is a tableau this routine returned over at most n
-    columns, with every artificial driven out (`_drive_out`); its rows are
-    widened to n columns.  The empty tableau, the default, makes this a
-    cold phase 1.  Each new row is [A | 1 | b] cleared of denominators by
-    the caller, n + 2 ints, so its artificial column holds the row's
-    multiplier.  The tableau's basic columns are cleared from the new
-    rows, which leaves an equivalent system, and each new row is signed
-    so that b >= 0: the tableau's basis and the new artificials are then
-    a feasible basis.  The artificial columns are dropped: none enters,
-    and only the phase-1 objective row, minus the sum of the new rows
-    each over its multiplier, needs them.  In a cold solve that is the
-    sum of the artificials; a row changed by the clearing weighs its
-    artificial by another positive factor, which decides feasibility
-    just as well.  The integer tableau is the constraint rows, that
-    objective row, then the carried rows, which every pivot updates too.
-    Returns a new (tableau, basis) without the phase-1 row, or None when
-    the system is infeasible; the given tableau is left as it is.
+    Each row is [A | 1 | b] cleared of denominators by the caller, n + 2
+    ints, so its artificial column holds the row's multiplier.  Each row
+    is signed so that b >= 0, which makes the artificials a feasible
+    basis.  The artificial columns are dropped: none enters, and only the
+    phase-1 objective row needs them.  That row, the sum of the
+    artificials times the lcm of the multipliers, is minus the sum of the
+    rows each over its multiplier, times that lcm.  The integer tableau
+    is the constraint rows, that objective row, then the carried rows,
+    which every pivot updates too.  Returns (tableau, basis) without the
+    phase-1 row, or None when the system is infeasible.
     """
-    width = len(tab[0]) - 1 if tab else n
-    if width < n:
-        pad = [0] * (n - width)
-        tab = [row[:-1] + pad + row[-1:] for row in tab]
-    else:
-        tab = list(tab)
     new = [[*row[:n], row[n + 1]] for row in rows]
     mults = [row[n] for row in rows]
-    for prow, k in zip(tab, basis):
-        _eliminate(new, prow, k)
     new = [row if row[-1] >= 0 else [-x for x in row] for row in new]
     scale = lcm(*mults)
     obj = [0] * (n + 1)
     for row, mult in zip(new, mults):
         f = scale // mult
         obj = [o - f * x for o, x in zip(obj, row)]
-    m = len(tab)
-    basis = [*basis, *range(n + m, n + m + len(new))]
-    tab += [*new, obj, *carried]
+    basis = list(range(n, n + len(new)))
+    tab = [*new, obj, *carried]
     _bland(tab, basis, n)
     if tab.pop(len(basis))[-1]:  # minus a multiple of the sum of artificials
         return None
@@ -215,8 +198,8 @@ def _drive_out(tab, basis, n):
     a row with none is zero and is dropped, rhs included.
 
     Left basic, such an artificial is no longer in any objective, so a
-    later pivot on a negative entry of its row would lift it above zero
-    unseen, and an extended system could pass phase 1 while infeasible.
+    phase-2 pivot on a negative entry of its row would lift it above zero
+    unseen, and the point returned would not solve the system.
     """
     zero = []
     for r in range(len(basis)):
@@ -258,22 +241,14 @@ def _simplex_standard(c, A, b):
     return point, ray
 
 
-def feasible_nonneg(rows, rhs, width, path=None):
+def feasible_nonneg(rows, rhs, width):
     """Feasibility of {A x = b, x >= 0}: phase 1 of the simplex only.
 
-    rows: list of {col: coeff} dicts with int or Fraction coefficients;
-    returns True/False.  Each row is cleared of denominators over its
-    nonzeros alone and goes straight into the integer tableau, with no
-    Polyhedron wrapper: the incidence scan's lazy placement LPs and
-    `cones.is_realizable` call it directly.
-
-    path, when given, is a list of solved tableaux, one per system on a
-    chain of systems each extending the one before.  The rows then extend
-    the system of path[-1] (or stand alone when path is empty): its
-    tableau is widened to width columns and phase 1 runs over the new
-    rows' artificials only.  When the system is feasible its tableau, with
-    every artificial driven out, is appended to path for the systems that
-    extend it; the caller removes it when done.
+    rows: list of {col: coeff} dicts with int or Fraction coefficients
+    over width columns; returns True/False.  Each row is cleared of
+    denominators over its nonzeros alone and goes straight into the
+    integer tableau, with no Polyhedron wrapper: the incidence scan's
+    placement LPs and `cones.is_realizable` call it directly.
     """
     A = []
     for row, bi in zip(rows, rhs):
@@ -282,13 +257,7 @@ def feasible_nonneg(rows, rhs, width, path=None):
         for j, a in row.items():
             dense[j] = a.numerator * (mult // a.denominator)
         A.append(dense)
-    solved = _phase1(A, width, (), *(path[-1] if path else ()))
-    if solved is None:
-        return False
-    if path is not None:
-        _drive_out(*solved, width)
-        path.append(solved)
-    return True
+    return _phase1(A, width) is not None
 
 
 class Polyhedron:

@@ -271,6 +271,24 @@ def family_to_json(fam):
     }
 
 
+_INDEX = f"([0-9]{{1,{_MAX_DIGITS}}})"
+_FAMILY_KEYS = {  # the form of a family JSON key -> (its pattern, its name in a refusal)
+    "index": (re.compile(_INDEX), "an index"),
+    "ref": (re.compile(f"([a-z]+):{_INDEX}"), 'a "kind:index" reference'),
+    "contraction": (re.compile(f"{_INDEX}\\|([a-z]+):{_INDEX}"), 'a "vertex|kind:index" key'),
+}
+
+
+def _family_key(key, form, field):
+    """The parts of a family JSON object key of the given form, indices as
+    ints, or a ValueError naming the field."""
+    pattern, name = _FAMILY_KEYS[form]
+    match = pattern.fullmatch(key)
+    if match is None:
+        raise ValueError(f"family JSON: {field} key {_shown(key)} is not {name}")
+    return tuple(part if part.isalpha() else int(part) for part in match.groups())
+
+
 def _check_contraction(key, source, target, vertex_map, edge_map):
     """The maps of contraction ``key`` have one entry per vertex and per
     edge of its fiber type ``source``, and each names a vertex or an edge
@@ -291,24 +309,32 @@ def family_from_json(data):
     def aff(d):
         return AffineFunction(parse_frac(d["value"]), parse_frac(d["slope"]))
 
-    def parse_ref(s):
-        kind, idx = s.split(":")
-        return (kind, int(idx))
+    def ref_key(key, field):
+        return _family_key(key, "ref", field)
+
+    def index_key(key, field):
+        return _family_key(key, "index", field)[0]
 
     base = BaseCurve(graph_from_json(data["base"]))
-    edge_types = {parse_ref(k): type_from_json(v) for k, v in data["edge_types"].items()}
+    edge_types = {ref_key(k, "edge_types"): type_from_json(v) for k, v in data["edge_types"].items()}
     lengths = {
-        parse_ref(k): {int(i): aff(f) for i, f in v.items()} for k, v in data["lengths"].items()
+        ref_key(k, "lengths"): {index_key(i, "lengths"): aff(f) for i, f in v.items()}
+        for k, v in data["lengths"].items()
     }
     positions = {
-        parse_ref(k): {int(u): tuple(map(aff, _pair(p, "family JSON: position"))) for u, p in v.items()}
+        ref_key(k, "positions"): {
+            index_key(u, "positions"): tuple(map(aff, _pair(p, "family JSON: position")))
+            for u, p in v.items()
+        }
         for k, v in data["positions"].items()
     }
-    vertex_curves = {int(w): curve_from_json(c) for w, c in data["vertex_curves"].items()}
+    vertex_curves = {
+        index_key(w, "vertex_curves"): curve_from_json(c) for w, c in data["vertex_curves"].items()
+    }
     contractions = {}
     for key, c in data["contractions"].items():
-        w, ref = key.split("|")
-        w, ref = int(w), parse_ref(ref)
+        w, kind, idx = _family_key(key, "contraction", "contractions")
+        ref = (kind, idx)
         vertex_map = [int_value(x, "family JSON: vertex_map entry") for x in c["vertex_map"]]
         edge_map = [int_value(x, "family JSON: edge_map entry") for x in c["edge_map"]]
         if ref in edge_types and w in vertex_curves:

@@ -61,9 +61,9 @@ def test_cubic_configuration_is_general(monkeypatch, shift):
     assert len(sol_keys) == 9
     lps = count_lps(monkeypatch)
     hits = scan_fibers(3, 0, cfg.config)
-    # lazy LPs: only the complete placements the pair tables leave ask
-    # for them; both cases solve the same 50 prefixes, all feasible
-    assert len(lps) == 50
+    # one LP for each complete placement the pair tables leave: both
+    # cases solve 9, all feasible
+    assert len(lps) == 9
     assert len(hits) == 9
     assert {canonical_key(t, labeled="contracted") for t, _fb in hits} == sol_keys
     # is_general's own test: every nonempty fiber has codimension 2n

@@ -410,6 +410,47 @@ def test_validate_family_refuses_bad_contraction_maps(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: family JSON: contraction 1|edge:0: {why}\n")
 
 
+_REF = 'is not a "kind:index" reference'
+_CONTRACTION = 'is not a "vertex|kind:index" key'
+
+
+@pytest.mark.parametrize(
+    "path, old, new, refusal",
+    [
+        (["contractions"], "1|edge:0", "1", f"contractions key '1' {_CONTRACTION}"),
+        (["contractions"], "1|edge:0", "x|edge:0", f"contractions key 'x|edge:0' {_CONTRACTION}"),
+        (["edge_types"], "edge:0", "edge:x", f"edge_types key 'edge:x' {_REF}"),
+        (["lengths"], "edge:0", "edge", f"lengths key 'edge' {_REF}"),
+        (["positions"], "edge:0", "edge:0:1", f"positions key 'edge:0:1' {_REF}"),
+        (["lengths", "edge:0"], "0", "x", "lengths key 'x' is not an index"),
+        (["positions", "edge:0"], "3", " 3", "positions key ' 3' is not an index"),
+        (["vertex_curves"], "1", "1" * 5000, "vertex_curves key '111111111111...' is not an index"),
+    ],
+    ids=[
+        "contraction",
+        "contraction-vertex",
+        "edge-types-ref",
+        "lengths-ref",
+        "positions-ref",
+        "lengths-index",
+        "positions-index",
+        "vertex-curves-index",
+    ],
+)
+def test_validate_family_refuses_malformed_keys(tmp_path, capsys, path, old, new, refusal):
+    # every key is parsed by one reader, which names the field and shows
+    # the key cut short, never Python's own unpacking or int() message
+    data = _constant_family_json()
+    mapping = data
+    for step in path:
+        mapping = mapping[step]
+    mapping[new] = mapping.pop(old)
+    ff = tmp_path / "fam.json"
+    ff.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
+    assert (code, out, err) == (2, "", f"error: family JSON: {refusal}\n")
+
+
 def test_validate_family_refuses_bad_degree_slopes(tmp_path, capsys):
     ff = tmp_path / "fam.json"
     for slope in ([1.0, 1], [1, 1, 0], 1):

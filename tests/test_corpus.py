@@ -240,7 +240,7 @@ def test_scan_matches_floor_solutions_degree_two(monkeypatch):
     sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in sols}
     lps = count_lps(monkeypatch)
     hits = scan_fibers(2, 0, cfg.config)
-    assert len(lps) == 3
+    assert len(lps) == 1
     point_keys = {
         canonical_key(t, labeled="contracted") for t, fb in hits if fb.kind == "point" and fb.inside
     }
@@ -255,7 +255,7 @@ def test_scan_matches_floor_solutions_degree_two(monkeypatch):
         sol_keys = {canonical_key(c.ctype, labeled="contracted") for _d, c in enumerate_curves(2, 0, moved)}
         del lps[:]
         hits = scan_fibers(2, 0, moved.config)
-        assert len(lps) == 3
+        assert len(lps) == 1
         assert {canonical_key(t, labeled="contracted") for t, _fb in hits} == sol_keys
         assert all(fb.kind == "point" and fb.codimension() == 10 for _t, fb in hits)
         assert is_general(moved.config, 2, 0) is True
@@ -302,11 +302,11 @@ def test_scan_of_fractional_points_is_affine_invariant(monkeypatch):
     pts = FRACTIONAL_POINTS
     lps = count_lps(monkeypatch)
     hits = scan_fibers(2, 0, PointConfiguration(pts))
-    assert len(lps) == 88
+    assert len(lps) == 54
     r = F(3, 7)
     moved = PointConfiguration(tuple((r * x + F(5, 2), r * y - F(1, 3)) for x, y in pts))
     moved_hits = scan_fibers(2, 0, moved)
-    assert len(lps) == 2 * 88
+    assert len(lps) == 2 * 54
 
     def summary(hits):
         return [(canonical_key(t, labeled="contracted"), fb.kind) for t, fb in hits]
@@ -323,11 +323,11 @@ def test_betti_one_scan_frozen(monkeypatch):
     # the only tier-1 run of the scanner's cycle rows; the pair tables
     # relax them and run no LP, so every LP is a placement LP, from the
     # second mark on, and the count pins the pruning by the pair tables,
-    # which drop a placement when a later mark has no site left, and the
-    # lazy LPs, which only a complete placement asks for
+    # which drop a placement when a later mark has no site left: one LP
+    # for each complete placement they leave
     lps = count_lps(monkeypatch)
     hits = scan_fibers(2, 1, make_stretched(4, 2).config)
-    assert len(lps) == 620
+    assert len(lps) == 356
     assert len(hits) == 28
     summary = [(canonical_key(t, labeled="contracted"), fb.kind, fb.codimension()) for t, fb in hits]
     digest = hashlib.sha256(repr(summary).encode()).hexdigest()
@@ -340,7 +340,7 @@ def test_betti_one_scan_frozen(monkeypatch):
 def reference_placements(scanner, points, lp=True):
     """The placement walk without forward checking: a site of mark k is
     tried when the pair table of each earlier mark allows it, then one
-    cold LP decides the whole prefix system, with no solved tableau.
+    cold LP decides the whole prefix system.
     With lp false the LP is skipped: the walk then reaches every
     placement the pair tables alone allow."""
     tables = {}
@@ -386,9 +386,10 @@ def first_lp(scanner):
     ids=["line", "one-shifted", "all-shifted", "fractional", "four-on-a-line"],
 )
 def test_placements_match_reference_walk(monkeypatch, make_cfg):
-    # forward checking cuts only subtrees that yield nothing, and lazy
-    # LPs decide the same prefixes: every core of degree 2 and Betti
-    # number at most 1 keeps its assignments and their order
+    # forward checking cuts only subtrees that yield nothing, and one LP
+    # per complete placement decides as an LP at every prefix does: every
+    # core of degree 2 and Betti number at most 1 keeps its assignments
+    # and their order
     cfg = make_cfg()
     _scale, pts = integer_points(cfg.points)
     pts = [pts[i] for i in _scan_order(len(pts))]
@@ -399,14 +400,8 @@ def test_placements_match_reference_walk(monkeypatch, make_cfg):
         scanner.pair_table = functools.cache(scanner.pair_table)
         del lps[:]
         assert list(scanner.placements(pts)) == list(reference_placements(scanner, pts))
-        # an LP only for a prefix, needing one, of a complete placement
-        # that the pair tables alone reach, and each such prefix at most once
-        needed = {
-            a[: k + 1]
-            for a in reference_placements(scanner, pts, lp=False)
-            for k in range(first_lp(scanner), len(a))
-        }
-        assert len(lps) <= len(needed)
+        # one LP for each complete placement the pair tables alone reach
+        assert len(lps) == len(list(reference_placements(scanner, pts, lp=False)))
 
 
 FORCED_ZERO_POINTS = ((-2, -1), (1, 0), (1, 1), (2, 1))

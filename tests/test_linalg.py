@@ -3,7 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from tropcurves.linalg import Polyhedron, _phase1, feasible_nonneg, mat_rank, solve_affine
+from tropcurves.linalg import Polyhedron, feasible_nonneg, mat_rank, solve_affine
 
 MU = 12**12 * 40  # the stretch ratio (3d)^(3d) * x_max at d = 4, x_max = 40
 
@@ -213,56 +213,6 @@ def test_simplex_matches_vertex_oracle():
                 assert _satisfies(A, [0] * len(A), res.ray)
                 assert sign * _dot(c, res.ray) < 0
     assert seen == {"infeasible", "optimal", "unbounded"}
-
-
-def _chained_systems(count):
-    """Seeded integer systems cut into three blocks of rows, each block
-    over at least as many columns as the one before, as the scan's
-    placements add rows and tau/slack columns.  Half of the first blocks repeat a multiple
-    of one of their rows, many entries are zero and most right-hand sides
-    come from a point with zero coordinates, so phase 1 of the first block
-    often ends with an artificial basic at zero."""
-    rng = random.Random(1858)
-    for _ in range(count):
-        widths = sorted(rng.randint(1, 5) for _ in range(3))
-        A, cuts = [], []
-        for width in widths:
-            for _ in range(rng.randint(1, 2)):
-                A.append([rng.choice((0, 0, rng.randint(-3, 3))) if j < width else 0 for j in range(widths[-1])])
-            if not cuts and rng.random() < 0.5:
-                A.append([rng.randint(-2, 2) * a for a in rng.choice(A)])
-            cuts.append(len(A))
-        x = [rng.choice((0, 0, rng.randint(1, 4))) for _ in range(widths[-1])]
-        b = [sum(a * v for a, v in zip(row, x)) for row in A]
-        if rng.random() < 0.3:
-            b[rng.randrange(len(b))] += rng.randint(-3, 3)
-        yield A, b, cuts, widths
-
-
-def test_extended_tableau_matches_cold_solve():
-    # each block extends the solved tableau of the blocks before it; the
-    # verdict must be that of a cold solve of all of them
-    degenerate = 0
-    # -x = 0 leaves its artificial basic at zero over a negative entry and
-    # the zero row leaves one with no structural entry; kept in the basis,
-    # the first would be lifted to 2 unseen when x = 2 enters
-    by_hand = ([[-1], [0], [1]], [0, 0, 2], [2, 3], [1, 1])
-    for A, b, cuts, widths in [by_hand, *_chained_systems(400)]:
-        rows = [{j: a for j, a in enumerate(row) if a} for row in A]
-        path, start = [], 0
-        for i, (end, width) in enumerate(zip(cuts, widths)):
-            cold = feasible_nonneg(rows[:end], b[:end], width)
-            assert feasible_nonneg(rows[start:end], b[start:end], width, path) == cold
-            assert len(path) == i + cold  # a feasible block pushes its tableau
-            if not cold:
-                break
-            if i == 0:
-                _tab, basis = _phase1([[*row[:width], 1, bi] for row, bi in zip(A[:end], b[:end])], width)
-                degenerate += any(k >= width for k in basis)
-            start = end
-    # a first block left an artificial basic at zero, which must leave the
-    # basis before the next block extends the tableau
-    assert degenerate >= 100
 
 
 # sha256 of repr(_lp_outputs) over _frozen_systems(210), computed with the
