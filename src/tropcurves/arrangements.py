@@ -18,6 +18,9 @@ from itertools import combinations, product
 from tropcurves.errors import ScaleRefusal
 from tropcurves.graphs import components
 
+# desk scale: every operation here lists the C(d, 2) nodes or more
+_MAX_LINES = 7
+
 
 def _node(i, j):
     return (i, j) if i < j else (j, i)
@@ -111,10 +114,10 @@ def equivalence_classes(d, delta):
     Markings are ints over the bits of `Arrangement.nodes()`.  The pair
     {L, L'} and a third line L'' give one move: with p clear, a marking
     holding q but not r trades q for r, and the reverse trade is the same
-    move read from the image.  Desk scale keeps d <= 7.
+    move read from the image.  Desk scale keeps d <= _MAX_LINES.
     """
-    if d > 7:
-        raise ScaleRefusal("equivalence classes are certified for d <= 7 only")
+    if d > _MAX_LINES:
+        raise ScaleRefusal(f"equivalence classes are certified for d <= {_MAX_LINES} only")
     _check_delta(delta)
     arr = Arrangement(d)
     nodes = arr.nodes()
@@ -147,8 +150,11 @@ def empty_criterion(d, delta):
     """True when no irreducible delta-marking exists: delta > (d-1)(d-2)/2.
 
     Cross-checked constructively: otherwise a marking disjoint from the
-    first line exists and is irreducible.
+    first line exists and is irreducible.  Like the witness, it is
+    certified for d <= _MAX_LINES only.
     """
+    if d > _MAX_LINES:
+        raise ScaleRefusal(f"the emptiness criterion is certified for d <= {_MAX_LINES} only")
     bound = (d - 1) * (d - 2) // 2
     empty = delta > bound
     if not empty:
@@ -158,7 +164,12 @@ def empty_criterion(d, delta):
 
 
 def marking_avoiding_line(d, delta, line=1):
-    """A delta-marking disjoint from the given line, when one exists."""
+    """A delta-marking disjoint from the given line, when one exists.
+
+    It lists the nodes, so it is certified for d <= _MAX_LINES only.
+    """
+    if d > _MAX_LINES:
+        raise ScaleRefusal(f"witness markings are certified for d <= {_MAX_LINES} only")
     _check_delta(delta)
     arr = Arrangement(d)
     pool = [p for p in arr.nodes() if line not in p]

@@ -36,11 +36,11 @@ The corpus of degree-d, genus-g types is produced in two stages:
     table per direction between two points; exact for trees, a sound
     relaxation of the cycle rows otherwise), which drop a placement as
     soon as some later mark has no site left.  A complete placement that
-    passes every pair test is then decided by one exact LP, feasibility
-    of its fiber polyhedron.  Each surviving placement builds one
-    marked type, its marks sharing an edge or a leg in the order their
-    points fix.  Every marked type whose fiber over cfg is nonempty
-    appears in the scan; all others have empty fibers by construction.
+    passes every pair test builds its one marked type, its marks sharing
+    an edge or a leg in the order their points fix, and one exact LP on
+    that type's fiber (`cones.fiber_rows`) decides it.  Every marked
+    type whose fiber over cfg is nonempty appears in the scan; all
+    others have empty fibers by construction.
 
 Decorated types -- with vertex weights, contracted loops or contracted
 bridges -- need no stage of their own: each reduces onto a weightless
@@ -57,7 +57,7 @@ import itertools
 from math import gcd
 
 from tropcurves.canonical import canonical_key
-from tropcurves.cones import cycle_system, path, path_coefficients, xy_rows
+from tropcurves.cones import fiber_rows, path, path_coefficients
 from tropcurves.errors import ScaleRefusal
 from tropcurves.evaluation import PointConfiguration, fiber, integer_points
 from tropcurves.graphs import CombinatorialType, Edge, Leg
@@ -253,76 +253,34 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
 
 
 class _CoreScanner:
-    """Incidence search over one core: marks are linearized.
+    """Incidence search over one core.
 
-    A mark on an edge contributes the row  q = pos(u) + tau * slope(e)
-    with 0 <= tau <= length(e); no edge is split during the search, so
-    the constraint system only grows by rows as points are placed.
-    Variables: edge lengths (nonneg), then each mark's own columns in
-    placement order: a tau (nonneg) when it lies on an edge or a leg, and
-    on an edge a slack bounding tau by the edge length.  So the columns
-    of a placement are a prefix of those of every placement extending it,
-    and the system of a complete placement holds every row of each of its
-    prefixes.  The pair tables (`pair_table`) narrow the sites of every
-    mark not yet placed, and a placement that leaves one of them no site
-    is dropped.  `placements` asks for an LP only at a complete
-    placement, whose system `mark_rows` builds mark by mark.  The points
-    it is given are integer: `scan_fibers` clears their denominators
-    once, so every row it builds holds only ints.
+    The pair tables (`pair_table`) narrow the sites of every mark not yet
+    placed, and a placement that leaves one of them no site is dropped.
+    `placements` asks for an LP only at a complete placement: it builds
+    the placement's one marked type (`_materialize`) and asks whether its
+    fiber (`cones.fiber_rows`, nonnegative lengths) is nonempty.  The
+    points it is given are integer: `scan_fibers` clears their
+    denominators once, so every row it builds holds only ints.
     """
 
     def __init__(self, core):
         self.core = core
-        self.ne = len(core.edges)
         self.coeffs = path_coefficients(core)
-        self.cycles = cycle_system(core, self.coeffs)
-        # sites: vertices, edges (tau in [0, length]), non-contracted legs
+        # sites: vertices, edges and non-contracted legs, a mark anywhere along one
         self.sites = [("vertex", v) for v in range(core.n_vertices())]
-        self.sites += [("edge", i) for i in range(self.ne)]
+        self.sites += [("edge", i) for i in range(len(core.edges))]
         self.sites += [
             ("leg", j) for j, leg in enumerate(core.legs) if not leg.is_contracted()
         ]
 
-    def _site_pos_terms(self, site, tau_var):
-        """(vertex, {var: slope-contribution}) of a point on the site."""
-        t = self.core
+    def _anchor(self, site):
+        """The vertex a point on the site is measured from: the vertex
+        itself, an edge's tail or a leg's root."""
         kind, idx = site
-        if kind == "vertex":
-            return idx, {}
-        if kind == "edge":
-            e = t.edges[idx]
-            return e.u, {tau_var: e.slope}
-        leg = t.legs[idx]
-        return leg.vertex, {tau_var: leg.slope}
-
-    def mark_rows(self, assignment, points, col):
-        """(rows, rhs, width): what the last mark of an assignment adds to
-        the system of the marks before it, whose columns end at col.
-
-        The first mark brings the cycle rows; every later mark two rows
-        pinning its position minus the first mark's to the difference of
-        their points; a mark on an edge also brings its slack row.
-        """
-        k = len(assignment) - 1
-        site = assignment[k]
-        v, extra = self._site_pos_terms(site, col)
-        rows = list(self.cycles) if k == 0 else []
-        width = col + len(extra)
-        if site[0] == "edge":
-            rows.append({site[1]: 1, col: -1, width: -1})
-            width += 1
-        rhs = [0] * len(rows)
-        if k:
-            # the first mark's tau, if any, is the first column past the lengths
-            base_vertex, base_extra = self._site_pos_terms(assignment[0], self.ne)
-            for coord, row in enumerate(xy_rows(self.core, path(self.coeffs, base_vertex, v))):
-                for var, slope in extra.items():
-                    row[var] = slope[coord]
-                for var, slope in base_extra.items():
-                    row[var] = -slope[coord]
-                rows.append(row)
-                rhs.append(points[k][coord] - points[0][coord])
-        return rows, rhs, width
+        if kind == "leg":
+            return self.core.legs[idx].vertex
+        return self.core.edges[idx].u if kind == "edge" else idx
 
     def _pair_generators(self, a, b):
         """Generators of the relaxed displacement cone from site a to b.
@@ -335,8 +293,7 @@ class _CoreScanner:
         t = self.core
         ka, va = a
         kb, vb = b
-        anchor_a, anchor_b = (self._site_pos_terms(s, None)[0] for s in (a, b))
-        diff = path(self.coeffs, anchor_a, anchor_b)
+        diff = path(self.coeffs, self._anchor(a), self._anchor(b))
         gens = []
         for j, c in diff.items():
             if c == 0:
@@ -388,16 +345,18 @@ class _CoreScanner:
         needed, allows after it; the site is dropped if some later mark
         has none left (forward checking).
 
-        Only a complete placement asks for an LP, one cold solve of its
-        whole system, and only when some prefix needs one: from its third
-        mark on, or from its second on a core with a cycle, whose rows the
-        pair test only relaxes; translations absorb the first point.  A
-        complete placement's system holds every row of each of its
-        prefixes, over their columns first, so it is feasible exactly
-        when every prefix is.
+        Only a complete placement asks for an LP, and only when some
+        prefix needs one: from its third mark on, or from its second on a
+        core with a cycle, whose rows the pair test only relaxes;
+        translations absorb the first point.  The LP asks whether the
+        fiber of the placement's marked type is nonempty.  A piece of a
+        split edge or leg has nonnegative length exactly when the marks
+        on it lie in the order `_materialize` gives them, and forgetting
+        the later marks maps that fiber into the fiber of each prefix, so
+        this one LP decides as an LP at every prefix would.
         """
         n = len(points)
-        first = 1 if self.cycles else 2  # the first mark whose prefix needs an LP
+        first = 1 if self.core.first_betti() else 2  # the first mark whose prefix needs an LP
         tables = {}  # primitive direction -> its pair table
         # (direction, side) from mark k to each later mark, for every depth k
         directions = [[_direction(points[k], points[j]) for j in range(k + 1, n)] for k in range(n)]
@@ -408,13 +367,9 @@ class _CoreScanner:
             return tables[w][side]
 
         def feasible(assignment):
-            """One cold LP over the whole system of a complete assignment."""
-            col, rows, rhs = self.ne, [], []
-            for k in range(n):
-                more, b, col = self.mark_rows(assignment[:k + 1], points, col)
-                rows += more
-                rhs += b
-            return feasible_nonneg(rows, rhs, col)
+            """Is the fiber of the assignment's marked type nonempty?"""
+            t = _materialize(self.core, assignment, range(n), points)
+            return feasible_nonneg(*fiber_rows(t, points)[:2], len(t.edges))
 
         def place(assignment, domains):
             k = len(assignment)
@@ -510,13 +465,13 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     take; a placement that leaves some later mark no site is dropped.
     The placements are walked depth first, in site order
     (`_CoreScanner.placements`).  A complete placement that passes every
-    pair test is then decided by one exact LP on its linearized system
-    (lengths plus position-along-edge variables).  The points are
-    multiplied once by the lcm of their denominators, so the LPs and cone
-    tests run on ints.  Site assignments that survive all points come
-    out in lexicographic order of site indices; each is materialized into
-    one marked type (`_materialize`), whose fiber is then nonempty, and
-    each new type is classified exactly over cfg itself.
+    pair test is then decided by one exact LP: is the fiber of its one
+    marked type (`_materialize`), over the edge lengths
+    (`cones.fiber_rows`), nonempty?  The points are multiplied once by
+    the lcm of their denominators, so the LPs and cone tests run on ints.
+    Site assignments that survive all points come out in lexicographic
+    order of site indices, each with a nonempty fiber, and each new
+    marked type is classified exactly over cfg itself.
 
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut

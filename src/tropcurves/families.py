@@ -139,14 +139,13 @@ def validate_family(fam: FamilyDatum):
         # affine data; interior positivity is convexity in between
         samples = [F(0), blen] if blen is not None else [F(0), F(1)]
         mid = sum(samples) / 2
-        for dist in (mid,):
-            _t, lengths, positions = _fiber_at(fam, ref, dist)
-            if any(l <= 0 for l in lengths):
-                return FamilyVerdict(False, "fiber-leaves-stratum", f"{ref} at {dist}")
-            try:
-                ParametrizedCurve(t, lengths, positions)
-            except ValueError as exc:
-                return FamilyVerdict(False, "fiber-not-a-curve", f"{ref} at {dist}: {exc}")
+        _t, lengths, positions = _fiber_at(fam, ref, mid)
+        if any(l <= 0 for l in lengths):
+            return FamilyVerdict(False, "fiber-leaves-stratum", f"{ref} at {mid}")
+        try:
+            ParametrizedCurve(t, lengths, positions)
+        except ValueError as exc:
+            return FamilyVerdict(False, "fiber-not-a-curve", f"{ref} at {mid}: {exc}")
         for dist in samples:
             _t, lengths, positions = _fiber_at(fam, ref, dist)
             if any(l < 0 for l in lengths):

@@ -116,6 +116,15 @@ def test_scale_refusal():
         equivalence_classes(8, 1)
 
 
+def test_witness_scale_refusal():
+    # both list the nodes; at d = 7 they still answer
+    for call in (empty_criterion, marking_avoiding_line):
+        with pytest.raises(ScaleRefusal):
+            call(8, 1)
+    assert not empty_criterion(7, 15)
+    assert marking_avoiding_line(7, 15).delta() == 15
+
+
 def test_branch_codim():
     m1 = mk(4, (1, 2), (3, 4))
     m2 = mk(4, (1, 2), (1, 3))

@@ -111,6 +111,14 @@ def test_markings_witness(capsys):
     assert data["empty"] is True
 
 
+def test_markings_witness_scale_refusal(capsys):
+    # the witness lists the C(d, 2) nodes, so d = 100000 would run for hours
+    code, out, err = run_cli(capsys, "markings", "--d", "100000", "--delta", "1", "--witness")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("scale refusal:")
+
+
 def test_walk_trace(tmp_path, capsys):
     out_file = tmp_path / "t.json"
     code, _out, _err = run_cli(

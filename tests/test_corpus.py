@@ -7,7 +7,7 @@ import pytest
 from fixtures import count_lps, shifted
 
 from tropcurves.canonical import canonical_key
-from tropcurves.cones import cone_dimension, expected_dimension, is_realizable, reduced_fiber_polyhedron
+from tropcurves.cones import cone_dimension, expected_dimension, fiber_rows, is_realizable, reduced_fiber_polyhedron
 from tropcurves.corpus import (
     _attach_mark,
     _core,
@@ -340,7 +340,7 @@ def test_betti_one_scan_frozen(monkeypatch):
 def reference_placements(scanner, points, lp=True):
     """The placement walk without forward checking: a site of mark k is
     tried when the pair table of each earlier mark allows it, then one
-    cold LP decides the whole prefix system.
+    cold LP decides the fiber of the prefix's marked type.
     With lp false the LP is skipped: the walk then reaches every
     placement the pair tables alone allow."""
     tables = {}
@@ -351,7 +351,12 @@ def reference_placements(scanner, points, lp=True):
             tables[w] = scanner.pair_table(w)
         return b in tables[w][side][a]
 
-    def place(assignment, width, rows, rhs):
+    def nonempty(assignment):
+        k = len(assignment)
+        t = _materialize(scanner.core, assignment, range(k), points[:k])
+        return feasible_nonneg(*fiber_rows(t, points[:k])[:2], len(t.edges))
+
+    def place(assignment):
         k = len(assignment)
         if k == len(points):
             yield assignment
@@ -360,18 +365,16 @@ def reference_placements(scanner, points, lp=True):
             if not all(allowed(j, a, k, site) for j, a in enumerate(assignment)):
                 continue
             cand = assignment + (site,)
-            more, b, end = scanner.mark_rows(cand, points, width)
-            rows_k, rhs_k = rows + more, rhs + b
-            if k < first_lp(scanner) or not lp or feasible_nonneg(rows_k, rhs_k, end):
-                yield from place(cand, end, rows_k, rhs_k)
+            if k < first_lp(scanner) or not lp or nonempty(cand):
+                yield from place(cand)
 
-    yield from place((), scanner.ne, [], [])
+    yield from place(())
 
 
 def first_lp(scanner):
     """The first mark whose prefix needs an LP: the third on a tree, where
     the pair test of two marks is exact, else the second."""
-    return 1 if scanner.cycles else 2
+    return 1 if scanner.core.first_betti() else 2
 
 
 @pytest.mark.parametrize(
@@ -402,6 +405,24 @@ def test_placements_match_reference_walk(monkeypatch, make_cfg):
         assert list(scanner.placements(pts)) == list(reference_placements(scanner, pts))
         # one LP for each complete placement the pair tables alone reach
         assert len(lps) == len(list(reference_placements(scanner, pts, lp=False)))
+
+
+def test_scan_lp_verdict_is_fiber_emptiness():
+    # the LP a complete placement asks for, on its marked type's fiber
+    # rows, says nonempty exactly when `fiber`, on its own relative-interior
+    # LP, does: over every placement the pair tables alone allow, so the
+    # rejected ones are checked too
+    _scale, pts = integer_points(FRACTIONAL_POINTS)
+    pts = [pts[i] for i in _scan_order(len(pts))]
+    cfg = PointConfiguration(tuple(pts))
+    verdicts = []
+    for core in enumerate_cores(2, 0) + enumerate_cores(2, 1):
+        for assignment in reference_placements(_CoreScanner(core), pts, lp=False):
+            t = _materialize(core, assignment, range(len(pts)), pts)
+            feasible = feasible_nonneg(*fiber_rows(t, pts)[:2], len(t.edges))
+            assert feasible == (not fiber(t, cfg).is_empty())
+            verdicts.append(feasible)
+    assert (len(verdicts), verdicts.count(False)) == (442, 353)
 
 
 FORCED_ZERO_POINTS = ((-2, -1), (1, 0), (1, 1), (2, 1))

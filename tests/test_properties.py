@@ -1,5 +1,7 @@
 """Property tests on small random combinatorial types (Hypothesis)."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
@@ -10,8 +12,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from tropcurves.canonical import aut_order, brute_force_aut_order, canonical_key, relabel  # noqa: E402
+from tropcurves.cli import main  # noqa: E402
 from tropcurves.cones import expand_lengths, is_realizable, path_coefficients, reduced_fiber_polyhedron  # noqa: E402
-from tropcurves.corpus import _cone_contains  # noqa: E402
+from tropcurves.corpus import _attach_mark, _cone_contains  # noqa: E402
 from tropcurves.evaluation import PointConfiguration  # noqa: E402
 from tropcurves.families import BaseCurve, constant_family, validate_family  # noqa: E402
 from tropcurves.graphs import (  # noqa: E402
@@ -365,3 +368,85 @@ def test_family_json_round_trip(fam):
     back = family_from_json(json.loads(text))
     assert dumps(family_to_json(back)) == text
     assert validate_family(back) == validate_family(fam)
+
+
+def _reader_cases():
+    """(argv, document): each CLI input a reader parses, as a valid JSON
+    document and the argv that reads it, "{}" standing for its file."""
+    line = tropical_line()
+    marked = type_to_json(_attach_mark(_attach_mark(line, ("leg", 0)), ("leg", 2)))
+    points = config_to_json(PointConfiguration(((3, 5), (-5, -1))))
+    base = BaseCurve(TropicalGraph((0, 0), ((0, 1),), (F(1),), (0,)))
+    family = family_to_json(constant_family(base, smooth_cubic_curve()))
+    return [
+        (("fiber", "--type", "{}", "--points", points), marked),
+        (("fiber", "--type", marked, "--points", "{}"), points),
+        (("classify-stratum", "--type", "{}"), marked),
+        (("enumerate", "--d", "1", "--g", "0", "--points", "{}"), points),
+        (("validate-family", "--family", "{}"), family),
+        (("markings", "--d", "3", "--codim", "{}", [[1, 3]]), [[1, 2]]),
+    ]
+
+
+HOSTILE = ["1/0", [0], 10**30, True, None, {}, "x", -1, 0.5]
+
+
+def _paths(doc, path=()):
+    """The path of every entry below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A reader case with one to three entries of its document deleted,
+    renamed (a key), repeated (a list entry) or replaced by a hostile value."""
+    argv, doc = draw(st.sampled_from(_reader_cases()))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *up, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in up:
+            parent = parent[step]
+        op = draw(st.sampled_from(["delete", "rename", "repeat", "replace"]))
+        if op == "delete":
+            del parent[key]
+        elif op == "rename" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(["x", "", "1/0", key + key]))] = parent.pop(key)
+        elif op == "repeat" and isinstance(parent, list):
+            parent.insert(key, parent[key])
+        else:
+            parent[key] = draw(st.sampled_from(HOSTILE))
+        doc = json.loads(json.dumps(doc))  # no entry shared with HOSTILE or another
+    return argv, doc
+
+
+@hypothesis.settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@hypothesis.given(mutated_inputs())
+def test_mutated_cli_inputs_fail_cleanly(tmp_path_factory, case):
+    # one reader contract: whatever a mutated document holds, the CLI
+    # answers with a documented exit status, never a traceback, and a
+    # refusal is one short line
+    argv, doc = case
+    folder = tmp_path_factory.getbasetemp() / "mutated-inputs"
+    folder.mkdir(exist_ok=True)
+    args = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, str) and arg != "{}":
+            args.append(arg)
+            continue
+        path = folder / f"{i}.json"
+        path.write_text(json.dumps(doc if arg == "{}" else arg))
+        args.append(str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    err = err.getvalue().replace(str(folder), "")
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120, err
