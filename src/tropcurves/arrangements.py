@@ -142,7 +142,7 @@ def branch_codim(m: MarkingSet, m2: MarkingSet):
     if m.arrangement != m2.arrangement:
         raise ValueError("markings live on different arrangements")
     if m.delta() != m2.delta():
-        raise ValueError("markings must have the same cardinality")
+        raise ValueError(f"markings must have the same cardinality, not {m.delta()} and {m2.delta()}")
     return len(m2.nodes - m.nodes)
 
 

@@ -41,6 +41,17 @@ def _check_writable(path):
         raise OSError(f"cannot write {path}")
 
 
+def _load_json(path):
+    """The JSON document in the file at `path`.  A file that does not
+    decode, such as one holding an integer of more than 4300 digits, is
+    refused in one line that names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: not valid JSON: {str(exc).split(';')[0]}") from None
+
+
 def cmd_count(args):
     from tropcurves.floors import count_severi
     from tropcurves.recursion import irreducible_severi_degree
@@ -62,8 +73,7 @@ def cmd_enumerate(args):
         _check_writable(args.out)
     cfg = None  # the built-in stretched configuration
     if args.points:
-        with open(args.points) as fh:
-            cfg = config_from_json(json.load(fh))
+        cfg = config_from_json(_load_json(args.points))
     sols = enumerate_curves(args.d, args.g, cfg)
     data = {
         "d": args.d,
@@ -86,10 +96,8 @@ def cmd_fiber(args):
     from tropcurves.serialize import config_from_json, fiber_to_json, type_from_json
     from tropcurves.evaluation import fiber
 
-    with open(args.type) as fh:
-        t = type_from_json(json.load(fh))
-    with open(args.points) as fh:
-        cfg = config_from_json(json.load(fh))
+    t = type_from_json(_load_json(args.type))
+    cfg = config_from_json(_load_json(args.points))
     fb = fiber(t, cfg)
     _log(args, f"fiber: {fb.kind}, dimension {fb.dimension}")
     _emit(fiber_to_json(fb))
@@ -117,8 +125,7 @@ def _read_nodes(path):
     """The nodes of a marking file: a JSON list of [i, j] line-index pairs."""
     from tropcurves.serialize import int_pair
 
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: a marking is a JSON list of [i, j] pairs")
     return frozenset(int_pair(p, f"{path}: node") for p in data)
@@ -172,8 +179,7 @@ def cmd_validate_family(args):
     from tropcurves.families import validate_family
     from tropcurves.serialize import family_from_json
 
-    with open(args.family) as fh:
-        fam = family_from_json(json.load(fh))
+    fam = family_from_json(_load_json(args.family))
     verdict = validate_family(fam)
     _emit({"ok": verdict.ok, "violation": verdict.violation, "detail": verdict.detail})
     return 0 if verdict.ok else 1
@@ -183,9 +189,7 @@ def cmd_classify_stratum(args):
     from tropcurves.cones import cone_of
     from tropcurves.serialize import cone_to_json, type_from_json
 
-    with open(args.type) as fh:
-        t = type_from_json(json.load(fh))
-    cone = cone_of(t)
+    cone = cone_of(type_from_json(_load_json(args.type)))
     _emit(cone_to_json(cone))
     return 0
 
@@ -223,9 +227,10 @@ def build_parser():
     m = sub.add_parser("markings", help="marking classes on a line arrangement")
     m.add_argument("--d", type=int, required=True)
     m.add_argument("--delta", type=int, default=0)
-    m.add_argument("--classes", action="store_true", help="list equivalence classes (default)")
-    m.add_argument("--witness", action="store_true", help="emptiness criterion plus witness")
-    m.add_argument("--codim", nargs=2, metavar=("M1", "M2"), help="codimension of two markings")
+    mode = m.add_mutually_exclusive_group()
+    mode.add_argument("--classes", action="store_true", help="list equivalence classes (default)")
+    mode.add_argument("--witness", action="store_true", help="emptiness criterion plus witness")
+    mode.add_argument("--codim", nargs=2, metavar=("M1", "M2"), help="codimension of two markings")
     m.set_defaults(func=cmd_markings)
 
     v = sub.add_parser("validate-family", help="check a family JSON")

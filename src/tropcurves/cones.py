@@ -306,7 +306,7 @@ def split_vertex(t: CombinatorialType, v, moving_germs):
     return CombinatorialType(weights, tuple(edges), tuple(legs)), new_edge_index
 
 
-def resolve_wall(t: CombinatorialType, vertex=None):
+def resolve_wall(t: CombinatorialType):
     """The three types splitting a simple wall's 4-valent vertex.
 
     Each result pairs the germs {g0, gi} at the old vertex against the
@@ -316,11 +316,8 @@ def resolve_wall(t: CombinatorialType, vertex=None):
     cls = classify(t)
     if not cls.is_simple_wall():
         raise ValueError("resolve_wall requires a simple wall")
-    v = cls.four_valent_vertex if vertex is None else vertex
-    star = t.star(v)
-    if len(star) != 4:
-        raise ValueError("split vertex is not 4-valent")
-    descriptors = [d for _, d in star]
+    v = cls.four_valent_vertex
+    descriptors = [d for _, d in t.star(v)]
     out = []
     for i in (1, 2, 3):
         moving = [descriptors[j] for j in range(1, 4) if j != i]

@@ -94,11 +94,26 @@ def components(n, pairs):
     return list(map(root, range(n)))
 
 
-def _check_connected(n_vertices, adjacency_pairs):
-    if n_vertices == 0:
+def _check_graph(weights, ends, leg_vertices):
+    """Refuse a negative weight, an edge endpoint or a leg vertex out of
+    range, or a disconnected graph, naming the vertex, edge or leg."""
+    n = len(weights)
+    if n == 0:
         raise ValueError("graph needs at least one vertex")
-    if len(set(components(n_vertices, adjacency_pairs))) != 1:
-        raise ValueError("graph is disconnected")
+    if min(weights) < 0:
+        v = next(v for v, w in enumerate(weights) if w < 0)
+        raise ValueError(f"vertex {v}: weight {weights[v]} is negative")
+    for i, (u, v) in enumerate(ends):
+        if not (0 <= u < n and 0 <= v < n):
+            bad = v if 0 <= u < n else u
+            raise ValueError(f"edge {i}: endpoint {bad} is out of range 0..{n - 1}")
+    for j, v in enumerate(leg_vertices):
+        if not 0 <= v < n:
+            raise ValueError(f"leg {j}: vertex {v} is out of range 0..{n - 1}")
+    roots = components(n, ends)
+    if len(set(roots)) != 1:
+        v = next(v for v, r in enumerate(roots) if r != roots[0])
+        raise ValueError(f"graph is disconnected: vertex {v} is not joined to vertex 0")
 
 
 @dataclass(frozen=True)
@@ -115,20 +130,12 @@ class TropicalGraph:
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
         object.__setattr__(self, "lengths", tuple(Fraction(x) for x in self.lengths))
         object.__setattr__(self, "legs", tuple(int(v) for v in self.legs))
-        n = len(self.weights)
         if len(self.lengths) != len(self.edges):
-            raise ValueError("one length per edge required")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("vertex weights must be nonnegative")
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("edge endpoint out of range")
-        for v in self.legs:
-            if not (0 <= v < n):
-                raise ValueError("leg vertex out of range")
-        if any(x <= 0 for x in self.lengths):
-            raise ValueError("edge lengths must be strictly positive")
-        _check_connected(n, self.edges)
+            raise ValueError(f"one length per edge required: {len(self.lengths)} for {len(self.edges)} edges")
+        _check_graph(self.weights, self.edges, self.legs)
+        for i, x in enumerate(self.lengths):
+            if x <= 0:
+                raise ValueError(f"edge {i}: length {x} is not strictly positive")
 
     def n_vertices(self):
         return len(self.weights)
@@ -155,18 +162,10 @@ class CombinatorialType:
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "legs", tuple(self.legs))
-        n = len(self.weights)
-        if any(w < 0 for w in self.weights):
-            raise ValueError("vertex weights must be nonnegative")
-        for e in self.edges:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise ValueError("edge endpoint out of range")
-            if e.is_loop() and e.slope != ZERO2:
-                raise ValueError("a loop with nonzero slope is not realizable")
-        for leg in self.legs:
-            if not (0 <= leg.vertex < n):
-                raise ValueError("leg vertex out of range")
-        _check_connected(n, [(e.u, e.v) for e in self.edges])
+        _check_graph(self.weights, [(e.u, e.v) for e in self.edges], [leg.vertex for leg in self.legs])
+        for i, e in enumerate(self.edges):
+            if e.u == e.v and e.slope != ZERO2:
+                raise ValueError(f"edge {i}: a loop with nonzero slope {e.slope} is not realizable")
 
     # -- structure ------------------------------------------------------
     def n_vertices(self):

@@ -28,8 +28,9 @@ call: the fiber line is solved over the points times their lcm, which
 leaves its direction as it was; the next wall is picked, and the wall
 lengths built, from the lengths and the direction each cleared to one
 denominator; and positions and velocities sum the tree paths on ints
-(`cones.integer_positions`).  Fractions are made only for what a state,
-an event or the trace holds.
+(`cones.integer_positions`).  Each stratum's path coefficients are built
+once, by its fiber solve, and kept on its `WalkState`.  Fractions are
+made only for what a state, an event or the trace holds.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from tropcurves.cones import (
     classify,
     fiber_rows,
     integer_positions,
-    path_coefficients,
     resolve_wall,
     split_vertex,
     vertex_positions,
@@ -100,6 +100,7 @@ class WalkState:
     elevator: int  # edge index of E
     floor_index: int  # k: host floor of E, counted from the bottom
     ladder: int  # r
+    coeffs: tuple  # ctype's tree-path coefficients, from its fiber solve
 
     def interior_positions(self):
         """Vertex positions strictly inside the stratum along the motion
@@ -109,7 +110,7 @@ class WalkState:
             den, lengths = scale * dscale, [x * dscale + y * scale for x, y in zip(a, b)]
         else:  # lengths + (step / 2)·direction, over 2·L·(-b_k)
             den, lengths = 2 * scale * -b[k], [2 * x * -b[k] + a[k] * y for x, y in zip(a, b)]
-        flat = vertex_positions(self.ctype, self.fixed.points, path_coefficients(self.ctype), lengths, den)
+        flat = vertex_positions(self.ctype, self.fixed.points, self.coeffs, lengths, den)
         return tuple(zip(flat[::2], flat[1::2]))
 
 
@@ -128,13 +129,13 @@ def _wall_ahead(lengths, direction):
 
 
 def _fiber_line(t, cfg):
-    """The direction of the one-dimensional fiber of t over cfg.
+    """The direction of t's one-dimensional fiber over cfg, and its rows' path coefficients.
 
     The points are cleared to ints first: scaling the right-hand side by
     their lcm leaves the kernel, and whether the fiber is empty, as they
     were."""
     _scale, points = integer_points(cfg.points)
-    rows, rhs, _coeffs = fiber_rows(t, points)
+    rows, rhs, coeffs = fiber_rows(t, points)
     ne = len(t.edges)
     dense = [[row.get(j, 0) for j in range(ne)] for row in rows]
     sol = solve_affine(dense or [[0] * ne], rhs or [0])
@@ -143,10 +144,10 @@ def _fiber_line(t, cfg):
     _base, basis = sol
     if len(basis) != 1:
         raise WalkError(f"fiber dimension {len(basis)} inside a nice stratum, expected 1")
-    return basis[0]
+    return basis[0], coeffs
 
 
-def _velocities(t, direction):
+def _velocities(t, coeffs, direction):
     """Vertex velocities along `direction` times a positive integer, as
     ints (x_0, y_0, x_1, ...); the first mark's vertex stays pinned.
 
@@ -155,7 +156,7 @@ def _velocities(t, direction):
     Callers read only signs.
     """
     _scale, step = clear_denominators(direction)
-    return integer_positions(t, path_coefficients(t), step, (0, 0))
+    return integer_positions(t, coeffs, step, (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +243,10 @@ def start_walk(d, g, cfg=None, seed=0):
     t = new_curve.ctype
     if not classify(t).is_nice():
         raise WalkError("initial stratum is not nice")
-    v = _fiber_line(t, fixed)
+    v, coeffs = _fiber_line(t, fixed)
     k, r, x_target = _ladder(t, new_curve.positions, elevator)
     foot, _ = _elevator_foot(t, new_curve.positions, elevator)
-    dx = _velocities(t, v)[2 * foot]
+    dx = _velocities(t, coeffs, v)[2 * foot]
     if dx == 0:
         raise WalkError("fiber direction does not move the mobile elevator")
     if (dx > 0) != (x_target > new_curve.positions[foot][0]):
@@ -259,6 +260,7 @@ def start_walk(d, g, cfg=None, seed=0):
         elevator=elevator,
         floor_index=k,
         ladder=r,
+        coeffs=coeffs,
     )
 
 
@@ -371,7 +373,7 @@ def _terminal(state: WalkState):
         raise WalkError("terminal ray moves more than one contracted edge length")
     free_edge = moving[0]
     # vertex positions must be constant along the ray
-    velocities = _velocities(t, state.direction)
+    velocities = _velocities(t, state.coeffs, state.direction)
     if any(velocities):
         raise WalkError("terminal ray moves vertex positions")
     ray = (F(0),) * len(velocities) + tuple(state.direction)
@@ -416,23 +418,20 @@ def cross(state: WalkState, event: WallEvent, choice: str):
     lengths = [F(0)] * len(new_type.edges)
     for old, new in event.edge_map.items():
         lengths[new] = state.lengths[old]
+    v, coeffs = _fiber_line(new_type, state.fixed)
+    if v[new_edge] == 0:
+        raise WalkError("fiber direction ignores the resolving edge")
+    if v[new_edge] < 0:
+        v = [-x for x in v]  # away from the wall: the resolving edge grows
     # split_vertex keeps the wall's edge numbering, so E keeps its index
     return replace(
         state,
         ctype=new_type,
         lengths=tuple(lengths),
-        direction=_direction_away_from_wall(new_type, state.fixed, new_edge),
+        direction=tuple(v),
         elevator=event.edge_map[state.elevator],
+        coeffs=coeffs,
     )
-
-
-def _direction_away_from_wall(new_type, fixed, new_edge):
-    v = _fiber_line(new_type, fixed)
-    if v[new_edge] == 0:
-        raise WalkError("fiber direction ignores the resolving edge")
-    if v[new_edge] < 0:
-        v = [-x for x in v]
-    return tuple(v)
 
 
 def _far_floor_germ(state, floor_side):
@@ -441,7 +440,7 @@ def _far_floor_germ(state, floor_side):
     first endpoint that moves horizontally gives that way."""
     t = state.ctype
     dead = t.edges[state.lengths.index(0)]
-    velocities = _velocities(t, state.direction)
+    velocities = _velocities(t, state.coeffs, state.direction)
     dxs = [velocities[2 * v] for v in (dead.u, dead.v) if velocities[2 * v] != 0]
     if not dxs:
         raise WalkError("motion direction is vertically degenerate at the wall")

@@ -111,6 +111,20 @@ def test_markings_witness(capsys):
     assert data["empty"] is True
 
 
+@pytest.mark.parametrize("flags", [("--classes", "--witness"), ("--witness", "--codim"), ("--classes", "--codim")])
+def test_markings_mode_flags_are_exclusive(tmp_path, capsys, flags):
+    m = tmp_path / "m.json"
+    m.write_text("[[1, 2]]")
+    argv = ["markings", "--d", "4", "--delta", "1"]
+    for flag in flags:
+        argv += [flag, str(m), str(m)] if flag == "--codim" else [flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "not allowed with argument" in captured.err
+
+
 def test_markings_witness_scale_refusal(capsys):
     # the witness lists the C(d, 2) nodes, so d = 100000 would run for hours
     code, out, err = run_cli(capsys, "markings", "--d", "100000", "--delta", "1", "--witness")
@@ -329,6 +343,82 @@ def test_rational_of_5000_digits_is_refused_at_the_cli(tmp_path, capsys):
 LONG_NUMERAL = "1" * 3000
 LINE_JSON = type_to_json(tropical_line())
 POINTS_ARGS = ("enumerate", "--d", "1", "--g", "0", "--points")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--d", "1", "--g", "0", "--points", "{bad}"),
+        ("fiber", "--type", "{bad}", "--points", "{good}"),
+        ("fiber", "--type", "{good}", "--points", "{bad}"),
+        ("markings", "--d", "3", "--codim", "{bad}", "{good}"),
+        ("validate-family", "--family", "{bad}"),
+        ("classify-stratum", "--type", "{bad}"),
+    ],
+    ids=["enumerate-points", "fiber-type", "fiber-points", "markings-codim", "validate-family", "classify-stratum"],
+)
+@pytest.mark.parametrize("text", ['{"weight": ' + "1" * 5000 + "}", "[" * 100000], ids=["long-int", "deep-nesting"])
+def test_undecodable_json_is_refused_naming_the_file(tmp_path, capsys, argv, text):
+    # an integer of more than 4300 digits, or nesting past the recursion
+    # limit, does not decode: the refusal names the file, not Python's limit
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(LINE_JSON))
+    code, out, err = run_cli(capsys, *(a.format(bad=bad, good=good) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: not valid JSON: ") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err and len(err) < 120 + len(str(bad))
+
+
+def _edited_line(**edits):
+    """The tropical line's type JSON with some of its lists replaced."""
+    return {**type_to_json(tropical_line()), **edits}
+
+
+@pytest.mark.parametrize(
+    "document, refusal",
+    [
+        (_edited_line(vertices=[]), "graph needs at least one vertex"),
+        (_edited_line(vertices=[{"id": 0, "weight": -2}]), "vertex 0: weight -2 is negative"),
+        (_edited_line(edges=[{"u": 0, "v": 7, "slope": [0, 0]}]), "edge 0: endpoint 7 is out of range 0..0"),
+        (
+            _edited_line(legs=[*LINE_JSON["legs"][:2], {"vertex": 3, "slope": [1, 1]}]),
+            "leg 2: vertex 3 is out of range 0..0",
+        ),
+        (
+            _edited_line(vertices=[{"id": 0, "weight": 0}, {"id": 1, "weight": 0}]),
+            "graph is disconnected: vertex 1 is not joined to vertex 0",
+        ),
+        (
+            _edited_line(edges=[{"u": 0, "v": 0, "slope": [1, 0]}]),
+            "edge 0: a loop with nonzero slope (1, 0) is not realizable",
+        ),
+    ],
+    ids=["no-vertex", "negative-weight", "edge-endpoint", "leg-vertex", "disconnected", "sloped-loop"],
+)
+def test_type_refusals_name_their_record(tmp_path, capsys, document, refusal):
+    tf = tmp_path / "type.json"
+    tf.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "classify-stratum", "--type", str(tf))
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
+
+def test_base_graph_refusal_names_its_edge(tmp_path, capsys):
+    data = _constant_family_json()
+    data["base"]["edges"][0]["length"] = "-3/2"
+    ff = tmp_path / "fam.json"
+    ff.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
+    assert (code, out, err) == (2, "", "error: edge 0: length -3/2 is not strictly positive\n")
+
+
+def test_codim_refusal_names_both_cardinalities(tmp_path, capsys):
+    m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
+    m1.write_text("[[1, 2]]")
+    m2.write_text("[[1, 3], [2, 3]]")
+    code, out, err = run_cli(capsys, "markings", "--d", "3", "--codim", str(m1), str(m2))
+    assert (code, out, err) == (2, "", "error: markings must have the same cardinality, not 1 and 2\n")
 
 
 @pytest.mark.parametrize(

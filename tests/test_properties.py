@@ -330,7 +330,7 @@ def test_expand_lengths_matches_fraction_arithmetic(inputs):
     assert expanded == _expand_reference(t, points, coeffs, lengths)
     assert all(type(x) is F for x in expanded[: 2 * t.n_vertices()])
     if t.legs:
-        velocities = _velocities(t, lengths)
+        velocities = _velocities(t, coeffs, lengths)
         reference = _expand_reference(t, ((0, 0),), coeffs, lengths)[: 2 * t.n_vertices()]
         assert all(type(x) is int for x in velocities)
         assert [(x > 0) - (x < 0) for x in velocities] == [(x > 0) - (x < 0) for x in reference]

@@ -177,6 +177,30 @@ def test_walk_traces_frozen():
         assert hashlib.sha256(blob.encode()).hexdigest() == digest, (d, g, seed)
 
 
+def test_each_stratum_builds_its_path_coefficients_once(monkeypatch):
+    # the walk state keeps the coefficients its fiber solve built: one
+    # fiber_rows per stratum entered, one classify for the start stratum
+    # and one for each wall.  Every module's binding of the name is
+    # counted, so a direct import is counted too
+    import sys
+
+    from tropcurves.cones import path_coefficients as build
+
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return build(t)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("tropcurves") and getattr(module, "path_coefficients", None) is build:
+            monkeypatch.setattr(module, "path_coefficients", counting)
+    for d, g, seed in ((3, 0, 8), (4, 2, 3)):
+        calls.clear()
+        trace = run_walk(d, g, seed=seed)
+        assert len(calls) == 2 * (trace.crossings + 1), (d, g, seed)
+
+
 def _affine_image(points):
     """The points mapped by p -> p/6 + (1/2, -1/3): denominators 2, 3 and 6."""
     return PointConfiguration(tuple((x / 6 + F(1, 2), y / 6 - F(1, 3)) for x, y in points))
