@@ -35,12 +35,14 @@ The corpus of degree-d, genus-g types is produced in two stages:
     legs to a core, walked depth first and pruned by pair tests (one
     table per direction between two points; exact for trees, a sound
     relaxation of the cycle rows otherwise), which drop a placement as
-    soon as some later mark has no site left.  A complete placement that
-    passes every pair test builds its one marked type, its marks sharing
-    an edge or a leg in the order their points fix, and one exact LP on
-    that type's fiber (`cones.fiber_rows`) decides it.  Every marked
-    type whose fiber over cfg is nonempty appears in the scan; all
-    others have empty fibers by construction.
+    soon as some later mark has no site left.  A table folds each anchor
+    pair's path against its direction w once (`_fold`), and each site
+    pair only its own at most two generators onto that.  A complete
+    placement that passes every pair test builds its one marked type,
+    its marks sharing an edge or a leg in the order their points fix, and
+    one exact LP on that type's fiber (`cones.fiber_rows`) decides it.
+    Every marked type whose fiber over cfg is nonempty appears in the
+    scan; all others have empty fibers by construction.
 
 Decorated types -- with vertex weights, contracted loops or contracted
 bridges -- need no stage of their own: each reduces onto a weightless
@@ -66,29 +68,39 @@ from tropcurves.linalg import feasible_nonneg
 _CLASS_SLOPES = ((1, 1), (-1, 0), (0, -1))
 
 
-def _cone_contains(gens, w):
-    """Exact 2D test: is w a nonnegative combination of the generators?"""
+def _fold(gens, w, seen=(False, None, None)):
+    """Fold generators against a nonzero w into (ahead, left, right):
+    whether one is a positive multiple of w, and the ones nearest w
+    counterclockwise and clockwise of it (None if none).  Folding onto
+    seen equals folding seen's generators and gens together."""
+    ahead, left, right = seen
     wx, wy = w
-    if wx == 0 and wy == 0:
-        return True
-    for gx, gy in gens:
-        if gx * wy - gy * wx == 0 and gx * wx + gy * wy > 0:
-            return True
-    n = len(gens)
-    for i in range(n):
-        gi = gens[i]
-        for j in range(i + 1, n):
-            gj = gens[j]
-            det = gi[0] * gj[1] - gi[1] * gj[0]
-            if det == 0:
-                continue
-            x = (wx * gj[1] - wy * gj[0])
-            y = (gi[0] * wy - gi[1] * wx)
-            if det < 0:
-                x, y, det = -x, -y, -det
-            if x >= 0 and y >= 0:
-                return True
-    return False
+    for g in gens:
+        gx, gy = g
+        side = wx * gy - wy * gx
+        if side > 0:
+            if left is None or gx * left[1] - gy * left[0] > 0:
+                left = g
+        elif side < 0:
+            if right is None or right[0] * gy - right[1] * gx > 0:
+                right = g
+        elif gx * wx + gy * wy > 0:
+            ahead = True
+    return ahead, left, right
+
+
+def _holds(seen):
+    """Is w in the cone of the generators folded into seen?  Either one is
+    ahead, or the nearest on either side span less than a half-turn
+    through w: det(left, right) < 0."""
+    ahead, left, right = seen
+    return ahead or (left is not None and right is not None and left[0] * right[1] < left[1] * right[0])
+
+
+def _cone_contains(gens, w):
+    """Exact 2D test: is w a nonnegative combination of the generators?
+    w = 0 always is; any other w takes one O(n) fold and its read."""
+    return w == (0, 0) or _holds(_fold(gens, w))
 
 
 def _slope_sum(m):
@@ -274,64 +286,51 @@ class _CoreScanner:
             ("leg", j) for j, leg in enumerate(core.legs) if not leg.is_contracted()
         ]
 
-    def _anchor(self, site):
-        """The vertex a point on the site is measured from: the vertex
-        itself, an edge's tail or a leg's root."""
-        kind, idx = site
-        if kind == "leg":
-            return self.core.legs[idx].vertex
-        return self.core.edges[idx].u if kind == "edge" else idx
-
-    def _pair_generators(self, a, b):
-        """Generators of the relaxed displacement cone from site a to b.
-
-        Exact for trees (disjoint free lengths along the path); for
-        positive Betti number the cycle equations are dropped, so the
-        cone only over-approximates, and the placement LPs, which carry
-        the cycle rows, decide.
-        """
-        t = self.core
-        ka, va = a
-        kb, vb = b
-        diff = path(self.coeffs, self._anchor(a), self._anchor(b))
-        gens = []
-        for j, c in diff.items():
-            if c == 0:
-                continue
-            s = t.edges[j].slope
-            gens.append((c * s[0], c * s[1]))
-        # a point sliding on an edge already traversed by the path stays
-        # within that path generator's span (tau <= length); only edges
-        # off the path contribute their own direction
-        if ka == "edge" and diff.get(va, 0) == 0:
-            s = t.edges[va].slope
-            gens.append((-s[0], -s[1]))
-        elif ka == "leg":
-            s = t.legs[va].slope
-            gens.append((-s[0], -s[1]))
-        if kb == "edge" and diff.get(vb, 0) == 0:
-            gens.append(t.edges[vb].slope)
-        elif kb == "leg":
-            gens.append(t.legs[vb].slope)
-        return [g for g in gens if g != (0, 0)]
-
     def pair_table(self, w):
         """(fits, back): fits[a] holds the sites b whose displacement cone
-        from a (`_pair_generators(a, b)`) contains w, the sites a later
-        mark may take after a mark on a when its point lies ahead along w;
-        back[b] holds the sites a passing the same test, those a later
-        mark may take after a mark on b when its point lies behind.  The
-        two-point system is a cone, so the test is scale-free.  For a tree
-        it is exact; with cycles it is a sound pre-filter that the
-        placement LPs complete.  Every ordered pair is tested once, in
-        site order."""
+        from a contains w, the sites a later mark may take after a mark on
+        a when its point lies ahead along w; back[b] holds the sites a
+        passing the same test, those a later mark may take after a mark on
+        b when its point lies behind.  The two-point system is a cone, so
+        the test is scale-free.
+
+        The cone from a to b is generated by the path between the vertices
+        the two points are measured from, their anchors, each path edge's
+        slope times its coefficient, plus the direction each site adds: a
+        leg's slope, or an edge's when the path does not traverse it (a
+        point sliding on a traversed edge stays within that path
+        generator's span, tau <= length).  It is exact for trees, whose
+        path lengths are free; with cycles the cycle equations are
+        dropped, so the cone only over-approximates, and the placement
+        LPs, which carry the cycle rows, decide.  Each anchor pair's path
+        is folded against w once (`_fold`), and each site pair folds only
+        its own at most two generators onto that triple."""
+        t = self.core
+        edges = t.edges
+        # anchor -> its sites, each with the edge it slides on and its
+        # slope: a vertex itself, an edge from its tail, a leg from its root
+        at = {}
+        for site in self.sites:
+            kind, idx = site
+            if kind == "edge":
+                at.setdefault(edges[idx].u, []).append((site, idx, edges[idx].slope))
+            elif kind == "leg":
+                at.setdefault(t.legs[idx].vertex, []).append((site, None, t.legs[idx].slope))
+            else:
+                at.setdefault(idx, []).append((site, None, None))
         fits = {a: set() for a in self.sites}
         back = {b: set() for b in self.sites}
-        for a in self.sites:
-            for b in self.sites:
-                if _cone_contains(self._pair_generators(a, b), w):
-                    fits[a].add(b)
-                    back[b].add(a)
+        for u, outs in at.items():
+            for v, ins in at.items():
+                diff = path(self.coeffs, u, v)
+                base = _fold([(c * edges[j].slope[0], c * edges[j].slope[1]) for j, c in diff.items() if c], w)
+                for a, ea, sa in outs:
+                    seen = base if sa is None or diff.get(ea) else _fold(((-sa[0], -sa[1]),), w, base)
+                    inside = _holds(seen)  # more generators only widen a cone holding w
+                    for b, eb, sb in ins:
+                        if inside or sb is not None and not diff.get(eb) and _holds(_fold((sb,), w, seen)):
+                            fits[a].add(b)
+                            back[b].add(a)
         return fits, back
 
     def placements(self, points):

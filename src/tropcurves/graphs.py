@@ -372,23 +372,21 @@ class ParametrizedCurve:
         object.__setattr__(self, "positions", tuple((_fraction(p[0]), _fraction(p[1])) for p in self.positions))
         t, ne = self.ctype, len(self.lengths)
         if ne != len(t.edges):
-            raise ValueError("one length per edge required")
+            raise ValueError(f"one length per edge required: {ne} for {len(t.edges)} edges")
         if len(self.positions) != t.n_vertices():
-            raise ValueError("one position per vertex required")
+            raise ValueError(f"one position per vertex required: {len(self.positions)} for {t.n_vertices()} vertices")
         # the lengths, then x and y of each vertex, over one common denominator
         values = [*self.lengths, *(c for p in self.positions for c in p)]
         den = lcm(*(x.denominator for x in values))
         ints = [x.numerator * (den // x.denominator) for x in values]
         if any(x <= 0 for x in ints[:ne]):
-            raise ValueError("edge lengths must be strictly positive")
-        for e, ln in zip(t.edges, ints):
-            if e.is_loop():
-                if e.slope != ZERO2:
-                    raise ValueError("loop slope must vanish")
-                continue
-            u, v = ne + 2 * e.u, ne + 2 * e.v
+            i = next(i for i, x in enumerate(ints[:ne]) if x <= 0)
+            raise ValueError(f"edge {i}: length {self.lengths[i]} is not strictly positive")
+        # a loop has slope zero (CombinatorialType refuses any other), so it fixes no position
+        for i, e in enumerate(t.edges):
+            u, v, ln = ne + 2 * e.u, ne + 2 * e.v, ints[i]
             if (ints[v] - ints[u], ints[v + 1] - ints[u + 1]) != (ln * e.slope[0], ln * e.slope[1]):
-                raise ValueError(f"edge {e} violates geometric consistency")
+                raise ValueError(f"edge {i}: positions violate geometric consistency")
 
     def evaluate(self):
         """Images of the contracted legs, in leg order."""

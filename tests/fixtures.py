@@ -6,6 +6,7 @@ and a genus-0 cubic with a weight-2 elevator.  Both are weightless,
 3-valent, balanced, of degree three copies each of (1,1), (-1,0), (0,-1).
 """
 
+import itertools
 from fractions import Fraction
 
 import tropcurves.corpus
@@ -27,6 +28,29 @@ def count_lps(monkeypatch):
 
     monkeypatch.setattr(tropcurves.corpus, "feasible_nonneg", counted)
     return calls
+
+
+def reference_cone_contains(gens, w):
+    """Is w a nonnegative combination of the planar generators?  O(n^2):
+    w = 0, w a positive multiple of one generator, or w in the closed
+    cone of some two independent generators, solved by Cramer's rule."""
+    wx, wy = w
+    if wx == 0 and wy == 0:
+        return True
+    for gx, gy in gens:
+        if gx * wy - gy * wx == 0 and gx * wx + gy * wy > 0:
+            return True
+    for gi, gj in itertools.combinations(gens, 2):
+        det = gi[0] * gj[1] - gi[1] * gj[0]
+        if det == 0:
+            continue
+        x = wx * gj[1] - wy * gj[0]
+        y = gi[0] * wy - gi[1] * wx
+        if det < 0:
+            x, y = -x, -y
+        if x >= 0 and y >= 0:
+            return True
+    return False
 
 
 def shifted(cfg, shift):

@@ -413,6 +413,20 @@ def test_base_graph_refusal_names_its_edge(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: edge 0: length -3/2 is not strictly positive\n")
 
 
+@pytest.mark.parametrize(
+    "length, refusal",
+    [("0", "edge 3: length 0 is not strictly positive"), ("3", "edge 3: positions violate geometric consistency")],
+    ids=["zero", "inconsistent"],
+)
+def test_vertex_curve_refusal_names_its_edge(tmp_path, capsys, length, refusal):
+    data = _constant_family_json()
+    data["vertex_curves"]["1"]["edges"][3]["length"] = length
+    ff = tmp_path / "fam.json"
+    ff.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
+
 def test_codim_refusal_names_both_cardinalities(tmp_path, capsys):
     m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
     m1.write_text("[[1, 2]]")

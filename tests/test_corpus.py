@@ -4,10 +4,17 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from fixtures import count_lps, shifted
+from fixtures import count_lps, reference_cone_contains, shifted
 
 from tropcurves.canonical import canonical_key
-from tropcurves.cones import cone_dimension, expected_dimension, fiber_rows, is_realizable, reduced_fiber_polyhedron
+from tropcurves.cones import (
+    cone_dimension,
+    expected_dimension,
+    fiber_rows,
+    is_realizable,
+    path,
+    reduced_fiber_polyhedron,
+)
 from tropcurves.corpus import (
     _attach_mark,
     _core,
@@ -423,6 +430,61 @@ def test_scan_lp_verdict_is_fiber_emptiness():
             assert feasible == (not fiber(t, cfg).is_empty())
             verdicts.append(feasible)
     assert (len(verdicts), verdicts.count(False)) == (442, 353)
+
+
+def reference_pair_generators(scanner):
+    """Each ordered site pair's displacement cone generators, built pair
+    by pair: the path between the two sites' anchor vertices, each edge's
+    slope times its coefficient; then, leaving a, minus a leg's slope or
+    an edge's when the path does not traverse it, and entering b, plus
+    that slope under the same rule."""
+    t = scanner.core
+
+    def anchor(site):
+        kind, idx = site
+        if kind == "leg":
+            return t.legs[idx].vertex
+        return t.edges[idx].u if kind == "edge" else idx
+
+    def own(site, diff):
+        kind, idx = site
+        if kind == "leg":
+            return [t.legs[idx].slope]
+        return [t.edges[idx].slope] if kind == "edge" and not diff.get(idx) else []
+
+    gens = {}
+    for a in scanner.sites:
+        for b in scanner.sites:
+            diff = path(scanner.coeffs, anchor(a), anchor(b))
+            g = [(c * t.edges[j].slope[0], c * t.edges[j].slope[1]) for j, c in diff.items() if c]
+            g += [(-x, -y) for x, y in own(a, diff)] + own(b, diff)
+            gens[a, b] = [v for v in g if v != (0, 0)]
+    return gens
+
+
+def test_pair_tables_match_per_pair_cone_tests():
+    # pair_table folds each anchor pair's path once per direction; the
+    # reference runs the pairwise cone test on every site pair's own list,
+    # over the directions of the tier-1 off-line configurations plus the
+    # axes, the diagonals and a steep one
+    stretched = make_stretched(5, 2)
+    configs = [
+        FRACTIONAL_POINTS,
+        shifted(stretched, lambda k: F(1, 7) if k == 2 else 0).config.points,
+        shifted(stretched, lambda k: F(k * k, 7)).config.points,
+    ]
+    directions = {(1, 0), (0, 1), (1, 1), (1, -1), (1, -500)}
+    for points in configs:
+        _scale, pts = integer_points(points)
+        directions |= {_direction(p, q)[0] for p, q in itertools.combinations(pts, 2)}
+    assert len(directions) == 22
+    for core in enumerate_cores(2, 0) + enumerate_cores(2, 1):
+        scanner = _CoreScanner(core)
+        gens = reference_pair_generators(scanner)
+        for w in sorted(directions):
+            fits = {a: {b for b in scanner.sites if reference_cone_contains(gens[a, b], w)} for a in scanner.sites}
+            back = {b: {a for a in scanner.sites if b in fits[a]} for b in scanner.sites}
+            assert scanner.pair_table(w) == (fits, back), (core, w)
 
 
 FORCED_ZERO_POINTS = ((-2, -1), (1, 0), (1, 1), (2, 1))

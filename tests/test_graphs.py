@@ -184,10 +184,14 @@ def test_parametrized_curve_consistency():
     # not balanced as stated; only geometric consistency is checked here
     curve = ParametrizedCurve(t, lengths=(F(3),), positions=((F(0), F(0)), (F(0), F(-3))))
     assert curve.positions[1] == (0, -3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^edge 0: positions violate geometric consistency$"):
         ParametrizedCurve(t, lengths=(F(3),), positions=((F(0), F(0)), (F(1), F(-3))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^edge 0: length 0 is not strictly positive$"):
         ParametrizedCurve(t, lengths=(F(0),), positions=((F(0), F(0)), (F(0), F(0))))
+    with pytest.raises(ValueError, match="^one length per edge required: 2 for 1 edges$"):
+        ParametrizedCurve(t, lengths=(F(3), F(1)), positions=((F(0), F(0)), (F(0), F(-3))))
+    with pytest.raises(ValueError, match="^one position per vertex required: 1 for 2 vertices$"):
+        ParametrizedCurve(t, lengths=(F(3),), positions=((F(0), F(0)),))
 
 
 def test_parametrized_curve_refuses_a_fractional_offset_in_y():

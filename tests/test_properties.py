@@ -6,7 +6,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from fixtures import smooth_cubic_curve, tropical_line
+from fixtures import reference_cone_contains, smooth_cubic_curve, tropical_line
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -60,6 +60,24 @@ def test_cone_contains_matches_lp_and_is_scale_free(gens, w, m):
     inside = feasible_nonneg(rows, list(w), len(gens))
     assert _cone_contains(gens, w) == inside
     assert _cone_contains(gens, (m * w[0], m * w[1])) == inside
+
+
+@st.composite
+def cone_cases(draw):
+    """Up to eight generators and a w, each a free slope or an integer
+    multiple of one of at most three directions, so zero, parallel and
+    antiparallel vectors, and w = 0, come up often."""
+    directions = draw(st.lists(SLOPES.filter(any), min_size=1, max_size=3))
+    multiple = st.builds(lambda v, k: (k * v[0], k * v[1]), st.sampled_from(directions), st.integers(-3, 3))
+    gens = draw(st.lists(st.one_of(multiple, SLOPES), max_size=8))
+    return gens, draw(st.one_of(multiple, SLOPES))
+
+
+@SETTINGS
+@hypothesis.given(cone_cases())
+def test_cone_fold_matches_pairwise_test(case):
+    gens, w = case
+    assert _cone_contains(gens, w) == reference_cone_contains(gens, w)
 
 
 @st.composite
