@@ -33,11 +33,12 @@ The corpus of degree-d, genus-g types is produced in two stages:
 
 2.  `scan_fibers(d, g, cfg)` -- all ways of attaching len(cfg) contracted
     legs to a core, walked depth first and pruned by pair tests (one
-    table per direction between two points; exact for trees, a sound
-    relaxation of the cycle rows otherwise), which drop a placement as
-    soon as some later mark has no site left.  A table folds each anchor
-    pair's path against its direction w once (`_fold`), and each site
-    pair only its own at most two generators onto that.  A complete
+    table of site masks per direction between two points; exact for
+    trees, a sound relaxation of the cycle rows otherwise), which drop a
+    placement as soon as some later mark has no site left.  A table
+    folds each anchor pair's path against its direction w once
+    (`_fold`), and each site pair only its own at most two generators
+    onto that.  A complete
     placement that passes every pair test builds its one marked type,
     its marks sharing an edge or a leg in the order their points fix, and
     one exact LP on that type's fiber (`cones.fiber_rows`) decides it.
@@ -242,10 +243,11 @@ def _core(kids, cycle):
 def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
     """All weightless cores with nonzero edge slopes, degree d, Betti b1.
 
-    Returns canonical CombinatorialTypes (legs unlabeled within a slope
-    class), realizable ones only, sorted by canonical key.  `slope_bound`
-    widens the slope alphabet beyond the dual-polygon bound d, for
-    falsification tests of the corpus contract.  Betti numbers above 1
+    Returns the generated cores, one CombinatorialType per isomorphism
+    class (legs unlabeled within a slope class), realizable ones only,
+    sorted by canonical key; a core is not relabeled to its canonical
+    form.  `slope_bound` widens the slope alphabet beyond the
+    dual-polygon bound d, for falsification tests of the corpus contract.  Betti numbers above 1
     are refused: at d <= 3, the scale `is_general` certifies, the genus
     is at most 1.
     """
@@ -287,12 +289,13 @@ class _CoreScanner:
         ]
 
     def pair_table(self, w):
-        """(fits, back): fits[a] holds the sites b whose displacement cone
-        from a contains w, the sites a later mark may take after a mark on
-        a when its point lies ahead along w; back[b] holds the sites a
-        passing the same test, those a later mark may take after a mark on
-        b when its point lies behind.  The two-point system is a cone, so
-        the test is scale-free.
+        """(fits, back), lists of site masks indexed by site: bit b of
+        fits[a] is set when the displacement cone from site a to site b
+        contains w, so a later mark may take b after a mark on a when its
+        point lies ahead along w; bit a of back[b] is set by the same
+        test, so a later mark may take a after a mark on b when its point
+        lies behind.  Sites are numbered by their index in `sites`.  The
+        two-point system is a cone, so the test is scale-free.
 
         The cone from a to b is generated by the path between the vertices
         the two points are measured from, their anchors, each path edge's
@@ -310,16 +313,15 @@ class _CoreScanner:
         # anchor -> its sites, each with the edge it slides on and its
         # slope: a vertex itself, an edge from its tail, a leg from its root
         at = {}
-        for site in self.sites:
-            kind, idx = site
+        for i, (kind, idx) in enumerate(self.sites):
             if kind == "edge":
-                at.setdefault(edges[idx].u, []).append((site, idx, edges[idx].slope))
+                at.setdefault(edges[idx].u, []).append((i, idx, edges[idx].slope))
             elif kind == "leg":
-                at.setdefault(t.legs[idx].vertex, []).append((site, None, t.legs[idx].slope))
+                at.setdefault(t.legs[idx].vertex, []).append((i, None, t.legs[idx].slope))
             else:
-                at.setdefault(idx, []).append((site, None, None))
-        fits = {a: set() for a in self.sites}
-        back = {b: set() for b in self.sites}
+                at.setdefault(idx, []).append((i, None, None))
+        fits = [0] * len(self.sites)
+        back = [0] * len(self.sites)
         for u, outs in at.items():
             for v, ins in at.items():
                 diff = path(self.coeffs, u, v)
@@ -329,8 +331,8 @@ class _CoreScanner:
                     inside = _holds(seen)  # more generators only widen a cone holding w
                     for b, eb, sb in ins:
                         if inside or sb is not None and not diff.get(eb) and _holds(_fold((sb,), w, seen)):
-                            fits[a].add(b)
-                            back[b].add(a)
+                            fits[a] |= 1 << b
+                            back[b] |= 1 << a
         return fits, back
 
     def placements(self, points):
@@ -338,11 +340,14 @@ class _CoreScanner:
         lexicographic order of site indices.
 
         The walk is depth first, in site order, and carries the domains,
-        the sites each mark not yet placed may still take.  When mark k
-        takes a site, each later mark j keeps the sites that the pair
-        table of the direction of points[j] - points[k], built when first
-        needed, allows after it; the site is dropped if some later mark
-        has none left (forward checking).
+        one site mask per mark not yet placed: the sites it may still
+        take.  When mark k takes site i, each later mark j keeps the sites
+        that row i of the pair table of the direction of points[j] -
+        points[k] allows after it, one int AND; the site is dropped if
+        some later mark has none left (forward checking).  A domain's
+        sites are visited lowest bit first, which is site order.  The
+        rows depth k reads are fetched on its first visit, each table
+        built when first needed, so a depth never reached builds none.
 
         Only a complete placement asks for an LP, and only when some
         prefix needs one: from its third mark on, or from its second on a
@@ -355,15 +360,12 @@ class _CoreScanner:
         this one LP decides as an LP at every prefix would.
         """
         n = len(points)
+        sites = self.sites
         first = 1 if self.core.first_betti() else 2  # the first mark whose prefix needs an LP
         tables = {}  # primitive direction -> its pair table
         # (direction, side) from mark k to each later mark, for every depth k
         directions = [[_direction(points[k], points[j]) for j in range(k + 1, n)] for k in range(n)]
-
-        def half(w, side):
-            if w not in tables:
-                tables[w] = self.pair_table(w)
-            return tables[w][side]
+        ahead = [None] * n  # depth k -> the table halves it reads, once visited
 
         def feasible(assignment):
             """Is the fiber of the assignment's marked type nonempty?"""
@@ -376,14 +378,22 @@ class _CoreScanner:
                 if n <= first or feasible(assignment):
                     yield assignment
                 return
-            ahead = [half(w, side) for w, side in directions[k]]
-            for site in [s for s in self.sites if s in domains[0]]:
-                # the domains of marks k + 1, ..., n - 1 once mark k is on site
-                later = [h[site] & dom for h, dom in zip(ahead, domains[1:])]
+            if ahead[k] is None:
+                for w, _side in directions[k]:
+                    if w not in tables:
+                        tables[w] = self.pair_table(w)
+                ahead[k] = [tables[w][side] for w, side in directions[k]]
+            rows, rest, dom = ahead[k], domains[1:], domains[0]
+            while dom:
+                low = dom & -dom
+                i = low.bit_length() - 1
+                # the domains of marks k + 1, ..., n - 1 once mark k is on site i
+                later = [h[i] & d for h, d in zip(rows, rest)]
                 if all(later):
-                    yield from place(assignment + (site,), later)
+                    yield from place(assignment + (sites[i],), later)
+                dom ^= low
 
-        yield from place((), [set(self.sites)] * n)
+        yield from place((), [(1 << len(sites)) - 1] * n)
 
 
 def _direction(p, q):

@@ -366,16 +366,21 @@ def enumerate_curves(d, g, cfg=None):
 
     cfg must carry 3d + g - 1 points (default: `make_stretched`, built
     only when there are diagrams); every solution is floor decomposed and
-    is produced from its marked floor diagram.
+    is produced from its marked floor diagram.  Through points the floor
+    method covers each diagram has exactly one curve, so a diagram with
+    none proves cfg is outside it: ValueError.
     """
     diags = solution_diagrams(d, g, cfg)
     if diags and cfg is None:
         cfg = make_stretched(3 * d + g - 1, d)
     out = []
-    for diag in diags:
+    for i, diag in enumerate(diags):
         curve = diagram_curve(diag, cfg)
-        if curve is not None:
-            out.append((diag, curve))
+        if curve is None:
+            raise ValueError(
+                f"diagram {i} has no curve through the points: the floor method needs them stretched, top down"
+            )
+        out.append((diag, curve))
     return out
 
 

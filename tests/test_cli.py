@@ -61,6 +61,21 @@ def test_genus_out_of_range_answers_empty(capsys):
     assert "0 <= g <= 1" in err
 
 
+def test_enumerate_refuses_points_outside_the_floor_method(tmp_path, capsys):
+    # the stretched points listed bottom up have no floor decomposed curve
+    # for any diagram: one error line, not an empty list of solutions
+    from tropcurves.evaluation import PointConfiguration
+    from tropcurves.floors import make_stretched
+
+    pf = tmp_path / "rev.json"
+    pf.write_text(json.dumps(config_to_json(PointConfiguration(make_stretched(8, 3).points[::-1]))))
+    code, out, err = run_cli(capsys, "--json", "enumerate", "--d", "3", "--g", "0", "--points", str(pf))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: diagram 0 has no curve through the points")
+    assert err.count("\n") == 1
+
+
 def test_enumerate_refuses_degree_zero(capsys):
     for g in ("0", "2"):
         code, out, err = run_cli(capsys, "enumerate", "--d", "0", "--g", g)

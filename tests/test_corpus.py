@@ -344,6 +344,15 @@ def test_betti_one_scan_frozen(monkeypatch):
     assert digest == "7926b15335283d2f397d9c9b1bcce69abce43e7df693a88c88808ec72ea5946d"
 
 
+def site_sets(scanner, table):
+    """A pair table's halves as dicts from each site to the set of sites
+    whose bits its mask sets."""
+    return tuple(
+        {a: {b for j, b in enumerate(scanner.sites) if mask >> j & 1} for a, mask in zip(scanner.sites, half)}
+        for half in table
+    )
+
+
 def reference_placements(scanner, points, lp=True):
     """The placement walk without forward checking: a site of mark k is
     tried when the pair table of each earlier mark allows it, then one
@@ -355,7 +364,7 @@ def reference_placements(scanner, points, lp=True):
     def allowed(j, a, k, b):
         w, side = _direction(points[j], points[k])
         if w not in tables:
-            tables[w] = scanner.pair_table(w)
+            tables[w] = site_sets(scanner, scanner.pair_table(w))
         return b in tables[w][side][a]
 
     def nonempty(assignment):
@@ -412,6 +421,42 @@ def test_placements_match_reference_walk(monkeypatch, make_cfg):
         assert list(scanner.placements(pts)) == list(reference_placements(scanner, pts))
         # one LP for each complete placement the pair tables alone reach
         assert len(lps) == len(list(reference_placements(scanner, pts, lp=False)))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [make_stretched(5, 2).config.points, FRACTIONAL_POINTS],
+    ids=["line", "fractional"],
+)
+def test_placements_build_each_table_once_per_call(points):
+    # a depth fetches its tables on its first visit and a call keeps none
+    # for the next: each call builds each direction at most once, those
+    # of every depth down to the deepest it reaches and no others, so
+    # points on a line build one table per core
+    _scale, pts = integer_points(points)
+    pts = [pts[i] for i in _scan_order(len(pts))]
+    reached = [set()]  # the directions of depths 0..k, for each k
+    for k, p in enumerate(pts[:-1]):
+        reached.append(reached[-1] | {_direction(p, q)[0] for q in pts[k + 1 :]})
+    sizes = set()
+    for core in enumerate_cores(2, 0) + enumerate_cores(2, 1):
+        scanner = _CoreScanner(core)
+        built = []
+        table = scanner.pair_table
+        scanner.pair_table = lambda w: built.append(w) or table(w)
+        for _call in range(2):
+            del built[:]
+            complete = list(scanner.placements(pts))
+            assert len(built) == len(set(built)), core
+            assert set(built) in reached[1:], core
+            if complete:
+                assert set(built) == reached[-1], core
+        sizes.add(len(built))
+    if len(reached[-1]) == 1:
+        assert sizes == {1}
+    else:
+        # some cores stop before their last depth, and build less
+        assert min(sizes) < len(reached[-1]) == max(sizes)
 
 
 def test_scan_lp_verdict_is_fiber_emptiness():
@@ -484,7 +529,7 @@ def test_pair_tables_match_per_pair_cone_tests():
         for w in sorted(directions):
             fits = {a: {b for b in scanner.sites if reference_cone_contains(gens[a, b], w)} for a in scanner.sites}
             back = {b: {a for a in scanner.sites if b in fits[a]} for b in scanner.sites}
-            assert scanner.pair_table(w) == (fits, back), (core, w)
+            assert site_sets(scanner, scanner.pair_table(w)) == (fits, back), (core, w)
 
 
 FORCED_ZERO_POINTS = ((-2, -1), (1, 0), (1, 1), (2, 1))

@@ -96,6 +96,18 @@ def test_curves_frozen():
     assert blob.hexdigest() == "14c89c8455b008b7b541e06775f522e970c67ca51c42c1d3f3ae1128e2ce6c3a"
 
 
+def test_points_outside_the_floor_method_are_refused():
+    # reversed, the points of make_stretched(8, 3) are still vertically
+    # stretched, but no diagram has a curve through them: enumerating them
+    # must refuse, not answer no solutions where N(3, 0) = 12
+    stretched = make_stretched(8, 3)
+    points = stretched.points[::-1]
+    assert is_vertically_stretched(points, stretched.stretch)
+    for run in (enumerate_curves, count_severi):
+        with pytest.raises(ValueError, match="diagram 0 has no curve through the points"):
+            run(3, 0, PointConfiguration(points))
+
+
 def test_curves_commute_with_a_rational_affine_map():
     # p -> p/6 + (1/2, -1/3) gives points with denominator 6, so the curves
     # are built over L = 6: each must be the image of the curve through the
