@@ -4,9 +4,11 @@ Through a sufficiently stretched point configuration, every solution
 curve of degree d splits into d horizontal floors joined by vertical
 elevators.  The combinatorics is recorded in a `FloorDiagram`: floors
 ordered bottom to top, weighted elevators between them or dropping to
-infinity, and one marked point on every floor and elevator.  Curves are
-rebuilt from marked diagrams exactly, on ints: elevators stand at the
-x-coordinates of their marks and the floor heights are pinned by theirs.
+infinity, and one marked point on every floor and elevator, listed
+without dead branches: shapes grow floor by floor from the top, and a
+floor takes its mark only once it can.  Curves are rebuilt from marked
+diagrams exactly, on ints: elevators stand at the x-coordinates of their
+marks and the floor heights are pinned by theirs.
 
 Counting sums the multiplicities (vertex |det| products) of the curves
 built; it is certified against the independent recursion oracle in
@@ -175,40 +177,41 @@ def _weighted_shapes(d, g):
     A shape assigns floor-to-floor elevators (from a higher floor to a
     lower one, d - 1 + g of them for Betti number g) plus weight-one legs
     dropping to infinity; the weighted out-minus-in of every floor is 1.
-    Parallel elevators carry non-decreasing weights, so each shape comes
-    once: edge multisets in lexicographic order, then weights in sorted
-    order.
+    Floors go top down, so floor i's in-weight is final when it chooses
+    its out-elevators: a non-decreasing run of (j, w), j < i, of weight
+    at most 1 + in-weight, the rest going to legs.  No partial shape
+    exceeds d - 1 + g elevators; the count and connectivity are checked
+    at the end.  Parallel elevators carry non-decreasing weights, so
+    each shape comes once, sorted by (edge multiset, weights).
     """
-    pairs = [(i, j) for i in range(2, d + 1) for j in range(1, i)]
     n_edges = d - 1 + g
-    for combo in itertools.combinations_with_replacement(pairs, n_edges):
-        if len(set(components(d + 1, combo)[1:])) != 1:
-            continue
-        # Weights go from the last edge (the top floor) down, so floor i's
-        # in-weight is final before its out-weight grows and the loop can
-        # stop once its divergence passes one.  Floor 1 has no out-edges,
-        # so every full assignment is a shape.
-        div = [0] * (d + 1)
-        weights = [0] * n_edges
-        found = []
+    inflow = [0] * (d + 1)
+    legs = [0] * (d + 2)  # the budget floor i leaves unspent
+    edges = []  # (i, j, w): the runs of floors d, d-1, ... in turn
+    found = []
 
-        def assign(idx):
-            if idx < 0:
-                found.append((tuple(weights), tuple(1 - div[i] for i in range(1, d + 1))))
-                return
-            i, j = combo[idx]
-            cap = weights[idx + 1] if idx + 1 < n_edges and combo[idx + 1] == combo[idx] else d
-            for w in range(1, min(cap, 1 - div[i]) + 1):
-                weights[idx] = w
-                div[i] += w
-                div[j] -= w
-                assign(idx - 1)
-                div[i] -= w
-                div[j] += w
+    def run(i, options, start, budget):
+        legs[i] = budget
+        if i == 1:
+            if len(edges) == n_edges and len(set(components(d + 1, [e[:2] for e in edges])[1:])) == 1:
+                es = sorted(edges)
+                found.append((tuple(e[:2] for e in es), tuple(e[2] for e in es), tuple(legs[1 : d + 1])))
+            return
+        # floor i stops here, and floor i - 1 starts with its in-weight final
+        run(i - 1, [(j, w) for j in range(1, i - 1) for w in range(1, 2 + inflow[i - 1])], 0, 1 + inflow[i - 1])
+        if len(edges) == n_edges:
+            return
+        for k in range(start, len(options)):
+            j, w = options[k]
+            if w <= budget:
+                edges.append((i, j, w))
+                inflow[j] += w
+                run(i, options, k, budget - w)
+                edges.pop()
+                inflow[j] -= w
 
-        assign(n_edges - 1)
-        for ws, legs in sorted(found):
-            yield combo, ws, legs
+    run(d + 1, [], 0, 0)  # a floor above the top that places nothing
+    yield from sorted(found)
 
 
 def _marked_diagrams(d, g):
@@ -238,18 +241,23 @@ def _linear_extensions(d, edge_list):
     Floor i gets mark f_i with f_d < f_{d-1} < ... < f_1; elevator k
     between floors gets f_top < m_k < f_bottom (DOWN = +infinity).
     Identical elevators sit next to each other in edge_list and take
-    their marks in list order, so each marking comes once.
+    their marks in list order, so each marking comes once.  A floor
+    takes its mark only once no elevator ending on it waits unmarked, so
+    every partial marking extends to a full one.
     """
     n = d + len(edge_list)
     floor_marks = [None] * d
     elevator_marks = [None] * len(edge_list)
+    waiting = [0] * (d + 2)  # unmarked elevators ending on floor i; legs count at DOWN = -1
+    for _top, bottom, _w in edge_list:
+        waiting[bottom] += 1
 
     def rec(pos, next_floor):
         if pos > n:
             yield tuple(floor_marks), tuple(elevator_marks)
             return
         # choose which object receives mark `pos`: the next floor down first
-        if next_floor >= 1:
+        if next_floor >= 1 and not waiting[next_floor]:
             floor_marks[next_floor - 1] = pos
             yield from rec(pos + 1, next_floor - 1)
             floor_marks[next_floor - 1] = None
@@ -258,12 +266,12 @@ def _linear_extensions(d, edge_list):
                 continue
             if floor_marks[top - 1] is None:
                 continue  # upper floor not yet marked
-            if bottom != DOWN and floor_marks[bottom - 1] is not None:
-                continue  # lower floor already marked: too late
             if k and edge_list[k - 1] == edge_list[k] and elevator_marks[k - 1] is None:
                 continue  # an identical elevator before it is still unmarked
             elevator_marks[k] = pos
+            waiting[bottom] -= 1
             yield from rec(pos + 1, next_floor)
+            waiting[bottom] += 1
             elevator_marks[k] = None
 
     return rec(1, d)
@@ -278,7 +286,8 @@ def diagram_curve(diag: FloorDiagram, cfg):
     """The unique parametrized curve of a marked diagram through cfg.
 
     The points are multiplied once by L, the lcm of their denominators,
-    and the curve is built on ints; only the answer holds Fractions.
+    and the curve is built on ints; only the answer holds Fractions, made
+    without a gcd when L = 1.
     Each floor is built in one pass: its elevator ends and its mark,
     sorted by x, change its slope by +w (an elevator leaves downward), -w
     (one arrives) or 0 (the mark); the running sum gives the slopes and
@@ -288,6 +297,7 @@ def diagram_curve(diag: FloorDiagram, cfg):
     misses its object).
     """
     scale, points = integer_points(cfg.points)
+    unscale = F if scale == 1 else lambda v: F(v, scale)
     positions = []  # times L
     edges = []  # (tail, head, slope, length)
     mark_vertex = {}  # mark index -> vertex
@@ -326,7 +336,7 @@ def diagram_curve(diag: FloorDiagram, cfg):
             dx = xs[i] - xs[i - 1]
             if dx <= 0:
                 return None  # coincident events: not a valid solution
-            edges.append((first + i - 1, first + i, (1, slopes[i]), F(dx, scale)))
+            edges.append((first + i - 1, first + i, (1, slopes[i]), unscale(dx)))
 
     for k, e in enumerate(diag.elevators):
         x, qy = points[e.mark - 1]
@@ -357,7 +367,7 @@ def diagram_curve(diag: FloorDiagram, cfg):
         edges=tuple(Edge(u, v, s) for u, v, s, _l in edges),
         legs=tuple(legs),
     )
-    positions = tuple((F(x, scale), F(y, scale)) for x, y in positions)
+    positions = tuple((unscale(x), unscale(y)) for x, y in positions)
     return ParametrizedCurve(ctype, tuple(l for _u, _v, _s, l in edges), positions)
 
 

@@ -28,7 +28,7 @@ from tropcurves.floors import (
     top_floor_check,
 )
 from tropcurves.evaluation import PointConfiguration
-from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, genus
+from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, components, genus
 from tropcurves.recursion import irreducible_severi_degree
 from tropcurves.serialize import curve_to_json
 
@@ -162,6 +162,109 @@ def test_generation_order_is_lexicographic():
                         seq[m - 1] = k
                     seqs.append(tuple(seq))
                 assert seqs == sorted(set(seqs))
+
+
+def _oracle_shapes(d, g):
+    # filter-all reference: every multiset of floor pairs, kept when
+    # connected, then every weight assignment with divergence one
+    pairs = [(i, j) for i in range(2, d + 1) for j in range(1, i)]
+    n_edges = d - 1 + g
+    for combo in itertools.combinations_with_replacement(pairs, n_edges):
+        if len(set(components(d + 1, combo)[1:])) != 1:
+            continue
+        div = [0] * (d + 1)
+        weights = [0] * n_edges
+        found = []
+
+        def assign(idx):
+            if idx < 0:
+                found.append((tuple(weights), tuple(1 - div[i] for i in range(1, d + 1))))
+                return
+            i, j = combo[idx]
+            cap = weights[idx + 1] if idx + 1 < n_edges and combo[idx + 1] == combo[idx] else d
+            for w in range(1, min(cap, 1 - div[i]) + 1):
+                weights[idx] = w
+                div[i] += w
+                div[j] -= w
+                assign(idx - 1)
+                div[i] -= w
+                div[j] += w
+
+        assign(n_edges - 1)
+        for ws, legs in sorted(found):
+            yield combo, ws, legs
+
+
+def _oracle_extensions(d, edge_list):
+    # unpruned reference: a floor may take its mark while an elevator
+    # ending on it is unmarked, and that branch then dies
+    n = d + len(edge_list)
+    floor_marks = [None] * d
+    elevator_marks = [None] * len(edge_list)
+
+    def rec(pos, next_floor):
+        if pos > n:
+            yield tuple(floor_marks), tuple(elevator_marks)
+            return
+        if next_floor >= 1:
+            floor_marks[next_floor - 1] = pos
+            yield from rec(pos + 1, next_floor - 1)
+            floor_marks[next_floor - 1] = None
+        for k, (top, bottom, _w) in enumerate(edge_list):
+            if elevator_marks[k] is not None or floor_marks[top - 1] is None:
+                continue
+            if bottom != DOWN and floor_marks[bottom - 1] is not None:
+                continue
+            if k and edge_list[k - 1] == edge_list[k] and elevator_marks[k - 1] is None:
+                continue
+            elevator_marks[k] = pos
+            yield from rec(pos + 1, next_floor)
+            elevator_marks[k] = None
+
+    return rec(1, d)
+
+
+def _oracle_diagrams(d, g, shapes):
+    for combo, weights, legs in shapes:
+        edge_list = [(i, j, w) for (i, j), w in zip(combo, weights)]
+        edge_list += [(fl, DOWN, 1) for fl in range(1, d + 1) for _ in range(legs[fl - 1])]
+        for floor_marks, elevator_marks in _oracle_extensions(d, edge_list):
+            elevators = (Elevator(i, j, w, m) for (i, j, w), m in zip(edge_list, elevator_marks))
+            yield FloorDiagram(d, g, floor_marks, tuple(sorted(elevators, key=lambda e: e.mark)))
+
+
+def test_listing_matches_the_filter_all_oracle():
+    # the pruned generators list the same shapes and diagrams, in the same
+    # order, as filtering every edge multiset and every marking order
+    assert list(_weighted_shapes(1, 0)) == list(_oracle_shapes(1, 0)) == [((), (), (1,))]
+    for d in range(1, 6):
+        top = (d - 1) * (d - 2) // 2
+        for g in range(0, top + 2 if d < 5 else top + 1):
+            shapes = list(_oracle_shapes(d, g))
+            assert list(_weighted_shapes(d, g)) == shapes
+            assert (shapes == []) == (g > top)
+            if d < 5 or g >= 4:
+                assert list(_marked_diagrams(d, g)) == list(_oracle_diagrams(d, g, shapes))
+    assert list(_weighted_shapes(5, 7)) == []
+
+
+def test_degree_six_shapes():
+    # beyond the listing's scale, shapes alone: each key once, in order,
+    # connected, d - 1 + g elevators and divergence one at every floor
+    counts = []
+    for g in range(0, 12):
+        shapes = list(_weighted_shapes(6, g))
+        keys = [(combo, ws) for combo, ws, _legs in shapes]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for combo, ws, legs in shapes:
+            assert len(combo) == 5 + g
+            assert len(set(components(7, combo)[1:])) == 1
+            for fl in range(1, 7):
+                out = sum(w for (i, _j), w in zip(combo, ws) if i == fl)
+                inflow = sum(w for (_i, j), w in zip(combo, ws) if j == fl)
+                assert legs[fl - 1] >= 0 and out - inflow + legs[fl - 1] == 1
+        counts.append(len(shapes))
+    assert counts == [1296, 3082, 3959, 3529, 2370, 1253, 530, 179, 47, 9, 1, 0]
 
 
 def test_scale_refusal():
