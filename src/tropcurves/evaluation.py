@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tropcurves.cones import expand_lengths, reduced_fiber_polyhedron
-from tropcurves.graphs import CombinatorialType, ParametrizedCurve, check_balancing, face_contract
+from tropcurves.graphs import CombinatorialType, ParametrizedCurve, check_balancing, exact, face_contract
 from tropcurves.linalg import clear_denominators, solve_affine
 
 F = Fraction
@@ -21,12 +21,15 @@ F = Fraction
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """An ordered tuple of pairwise distinct rational plane points."""
+    """An ordered tuple of pairwise distinct rational plane points, given
+    as ints or Fractions and stored as Fractions; a float is refused."""
 
     points: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        pts = tuple((F(p[0]), F(p[1])) for p in self.points)
+        pts = tuple(
+            (F(exact(p[0], f"point {k}: x")), F(exact(p[1], f"point {k}: y"))) for k, p in enumerate(self.points)
+        )
         object.__setattr__(self, "points", pts)
         if len(set(pts)) != len(pts):
             raise ValueError("configuration points must be pairwise distinct")

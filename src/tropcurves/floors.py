@@ -180,9 +180,13 @@ def _weighted_shapes(d, g):
     Floors go top down, so floor i's in-weight is final when it chooses
     its out-elevators: a non-decreasing run of (j, w), j < i, of weight
     at most 1 + in-weight, the rest going to legs.  No partial shape
-    exceeds d - 1 + g elevators; the count and connectivity are checked
-    at the end.  Parallel elevators carry non-decreasing weights, so
-    each shape comes once, sorted by (edge multiset, weights).
+    exceeds d - 1 + g elevators, and none is grown that cannot reach
+    them: a unit of budget at floor k takes part in at most k - 1
+    elevators, one per floor it drops, so floor i's unspent budget and
+    the budgets of the floors below bound the elevators still to come.
+    Connectivity is checked at the end.  Parallel elevators carry
+    non-decreasing weights, so each shape comes once, sorted by (edge
+    multiset, weights).
     """
     n_edges = d - 1 + g
     inflow = [0] * (d + 1)
@@ -190,15 +194,19 @@ def _weighted_shapes(d, g):
     edges = []  # (i, j, w): the runs of floors d, d-1, ... in turn
     found = []
 
-    def run(i, options, start, budget):
+    def run(i, options, start, budget, reach):
+        # reach: budget * (i - 1) plus (1 + in-weight) * (k - 1) for 1 < k < i
         legs[i] = budget
+        if len(edges) + reach < n_edges:
+            return
         if i == 1:
-            if len(edges) == n_edges and len(set(components(d + 1, [e[:2] for e in edges])[1:])) == 1:
+            if len(set(components(d + 1, [e[:2] for e in edges])[1:])) == 1:
                 es = sorted(edges)
                 found.append((tuple(e[:2] for e in es), tuple(e[2] for e in es), tuple(legs[1 : d + 1])))
             return
         # floor i stops here, and floor i - 1 starts with its in-weight final
-        run(i - 1, [(j, w) for j in range(1, i - 1) for w in range(1, 2 + inflow[i - 1])], 0, 1 + inflow[i - 1])
+        options_below = [(j, w) for j in range(1, i - 1) for w in range(1, 2 + inflow[i - 1])]
+        run(i - 1, options_below, 0, 1 + inflow[i - 1], reach - budget * (i - 1))
         if len(edges) == n_edges:
             return
         for k in range(start, len(options)):
@@ -206,11 +214,11 @@ def _weighted_shapes(d, g):
             if w <= budget:
                 edges.append((i, j, w))
                 inflow[j] += w
-                run(i, options, k, budget - w)
+                run(i, options, k, budget - w, reach - w * (i - j))
                 edges.pop()
                 inflow[j] -= w
 
-    run(d + 1, [], 0, 0)  # a floor above the top that places nothing
+    run(d + 1, [], 0, 0, d * (d - 1) // 2)  # a floor above the top that places nothing
     yield from sorted(found)
 
 
@@ -282,12 +290,22 @@ def _linear_extensions(d, edge_list):
 # ---------------------------------------------------------------------------
 
 
+def _ratio(n, den):
+    """n / den as an int when it is one, else as a Fraction."""
+    if den == 1:
+        return n
+    q, r = divmod(n, den)
+    return F(n, den) if r else q
+
+
 def diagram_curve(diag: FloorDiagram, cfg):
     """The unique parametrized curve of a marked diagram through cfg.
 
     The points are multiplied once by L, the lcm of their denominators,
-    and the curve is built on ints; only the answer holds Fractions, made
-    without a gcd when L = 1.
+    and the curve is built on ints.  Every value of the answer that is
+    integral is passed as an int, so with integer points only the
+    elevators of weight above 1 can have Fraction lengths; the curve
+    keeps its integer form and makes Fractions only when they are read.
     Each floor is built in one pass: its elevator ends and its mark,
     sorted by x, change its slope by +w (an elevator leaves downward), -w
     (one arrives) or 0 (the mark); the running sum gives the slopes and
@@ -297,7 +315,6 @@ def diagram_curve(diag: FloorDiagram, cfg):
     misses its object).
     """
     scale, points = integer_points(cfg.points)
-    unscale = F if scale == 1 else lambda v: F(v, scale)
     positions = []  # times L
     edges = []  # (tail, head, slope, length)
     mark_vertex = {}  # mark index -> vertex
@@ -336,7 +353,7 @@ def diagram_curve(diag: FloorDiagram, cfg):
             dx = xs[i] - xs[i - 1]
             if dx <= 0:
                 return None  # coincident events: not a valid solution
-            edges.append((first + i - 1, first + i, (1, slopes[i]), unscale(dx)))
+            edges.append((first + i - 1, first + i, (1, slopes[i]), _ratio(dx, scale)))
 
     for k, e in enumerate(diag.elevators):
         x, qy = points[e.mark - 1]
@@ -347,7 +364,7 @@ def diagram_curve(diag: FloorDiagram, cfg):
         mark_vertex[e.mark] = mark_v
         if qy >= y_top:
             return None  # the mark must lie strictly below the upper floor
-        edges.append((top_v, mark_v, (0, -e.weight), F(y_top - qy, e.weight * scale)))
+        edges.append((top_v, mark_v, (0, -e.weight), _ratio(y_top - qy, e.weight * scale)))
         if e.bottom == DOWN:
             ends.append((mark_v, (0, -1)))
         else:
@@ -355,7 +372,7 @@ def diagram_curve(diag: FloorDiagram, cfg):
             y_bot = positions[bot_v][1]
             if y_bot >= qy:
                 return None
-            edges.append((mark_v, bot_v, (0, -e.weight), F(qy - y_bot, e.weight * scale)))
+            edges.append((mark_v, bot_v, (0, -e.weight), _ratio(qy - y_bot, e.weight * scale)))
 
     n = diag.n_marks()
     if sorted(mark_vertex) != list(range(1, n + 1)):
@@ -367,8 +384,9 @@ def diagram_curve(diag: FloorDiagram, cfg):
         edges=tuple(Edge(u, v, s) for u, v, s, _l in edges),
         legs=tuple(legs),
     )
-    positions = tuple((unscale(x), unscale(y)) for x, y in positions)
-    return ParametrizedCurve(ctype, tuple(l for _u, _v, _s, l in edges), positions)
+    if scale != 1:
+        positions = [(_ratio(x, scale), _ratio(y, scale)) for x, y in positions]
+    return ParametrizedCurve(ctype, [l for _u, _v, _s, l in edges], positions)
 
 
 def enumerate_curves(d, g, cfg=None):

@@ -11,10 +11,13 @@ Three layers of data:
   other, and since geometric consistency forces them to vanish, a loop
   with a nonzero slope is rejected at construction.
 * `ParametrizedCurve` -- a combinatorial type with lengths and rational
-  vertex positions in the plane, consistent edge by edge.
+  vertex positions in the plane, consistent edge by edge.  It stores them
+  as ints over one common denominator and makes their Fractions only
+  when they are read.
 
 All values are immutable after construction; every operation below is a
-pure function.
+pure function.  Lengths and coordinates are ints or Fractions: a float
+is refused, never converted.
 
 `components(n, pairs)` is the one union-find: connectivity, contraction,
 floors, elevator shapes, line-arrangement irreducibility and marking
@@ -27,7 +30,7 @@ result is cached on the type: an index kept on each of the 303 curves of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -50,6 +53,27 @@ def det2(a, b):
 
 def _fraction(x):
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+_INT = {int}
+_EXACT = {int, Fraction}
+
+
+def exact(x, where):
+    """x as an int or a Fraction.  A float is refused, naming `where`: it
+    holds a binary fraction, not the rational meant.  Any other rational
+    type is converted."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"{where} {x!r} is a float, not an int or a Fraction")
+    return Fraction(x)
+
+
+def _value_name(i, ne):
+    """Names the i-th value given to a curve with ne edges: its lengths,
+    then x and y of each vertex."""
+    return f"edge {i}: length" if i < ne else f"vertex {(i - ne) // 2}: {'xy'[(i - ne) % 2]}"
 
 
 @dataclass(frozen=True)
@@ -128,7 +152,8 @@ class TropicalGraph:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        object.__setattr__(self, "lengths", tuple(Fraction(x) for x in self.lengths))
+        lengths = tuple(Fraction(exact(x, f"edge {i}: length")) for i, x in enumerate(self.lengths))
+        object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "legs", tuple(int(v) for v in self.legs))
         if len(self.lengths) != len(self.edges):
             raise ValueError(f"one length per edge required: {len(self.lengths)} for {len(self.edges)} edges")
@@ -353,40 +378,93 @@ def face_contract(t: CombinatorialType, edge_indices, with_maps=False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ParametrizedCurve:
     """A combinatorial type with exact lengths and vertex positions.
 
     For every non-loop edge u -> v the positions satisfy
     ``position(v) - position(u) == length * slope``, so the whole map to
-    the plane is determined by the stored data.  The checks clear every
-    denominator once, to one common multiple, and compare ints.
+    the plane is determined by the stored data.  Lengths and coordinates
+    are ints or Fractions; a float is refused.  The curve stores one
+    integer form: `ints` holds the lengths, then x and y of each vertex,
+    times `den`, their least common denominator.  The check compares those
+    ints, and so do `==` and `hash`, which agrees with comparing the
+    Fractions.  `lengths` and `positions` are read-only tuples of
+    Fractions built on first read: a Fraction passed in is the object
+    read back, and an int is read back as a Fraction.
     """
 
-    ctype: CombinatorialType
-    lengths: tuple[Fraction, ...]
-    positions: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("ctype", "den", "ints", "_given", "_read")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(map(_fraction, self.lengths)))
-        object.__setattr__(self, "positions", tuple((_fraction(p[0]), _fraction(p[1])) for p in self.positions))
-        t, ne = self.ctype, len(self.lengths)
-        if ne != len(t.edges):
-            raise ValueError(f"one length per edge required: {ne} for {len(t.edges)} edges")
-        if len(self.positions) != t.n_vertices():
-            raise ValueError(f"one position per vertex required: {len(self.positions)} for {t.n_vertices()} vertices")
-        # the lengths, then x and y of each vertex, over one common denominator
-        values = [*self.lengths, *(c for p in self.positions for c in p)]
-        den = lcm(*(x.denominator for x in values))
-        ints = [x.numerator * (den // x.denominator) for x in values]
+    def __init__(self, ctype: CombinatorialType, lengths, positions):
+        values = list(lengths)  # then x and y of each vertex
+        ne = len(values)
+        if ne != len(ctype.edges):
+            raise ValueError(f"one length per edge required: {ne} for {len(ctype.edges)} edges")
+        add = values.append
+        for x, y in positions:
+            add(x)
+            add(y)
+        nv = (len(values) - ne) // 2
+        if nv != ctype.n_vertices():
+            raise ValueError(f"one position per vertex required: {nv} for {ctype.n_vertices()} vertices")
+        types = set(map(type, values))
+        if types == _INT:
+            den = 1
+            values = ints = tuple(values)
+        else:
+            if not types <= _EXACT:  # a float, or a rational of some other type
+                values = [exact(x, _value_name(i, ne)) for i, x in enumerate(values)]
+            den = lcm(*{x.denominator for x in values if type(x) is Fraction})
+            ints = tuple(x * den if type(x) is int else x.numerator * (den // x.denominator) for x in values)
         if any(x <= 0 for x in ints[:ne]):
             i = next(i for i, x in enumerate(ints[:ne]) if x <= 0)
-            raise ValueError(f"edge {i}: length {self.lengths[i]} is not strictly positive")
+            raise ValueError(f"edge {i}: length {values[i]} is not strictly positive")
         # a loop has slope zero (CombinatorialType refuses any other), so it fixes no position
-        for i, e in enumerate(t.edges):
+        for i, e in enumerate(ctype.edges):
             u, v, ln = ne + 2 * e.u, ne + 2 * e.v, ints[i]
             if (ints[v] - ints[u], ints[v + 1] - ints[u + 1]) != (ln * e.slope[0], ln * e.slope[1]):
                 raise ValueError(f"edge {i}: positions violate geometric consistency")
+        put = object.__setattr__
+        put(self, "ctype", ctype)
+        put(self, "den", den)
+        put(self, "ints", ints)
+        put(self, "_given", tuple(values))
+        put(self, "_read", None)
+
+    def _views(self):
+        """(lengths, positions) as Fractions, built on the first call."""
+        if self._read is None:
+            values, ne = tuple(map(_fraction, self._given)), len(self.ctype.edges)
+            object.__setattr__(self, "_read", (values[:ne], tuple(zip(values[ne::2], values[ne + 1 :: 2]))))
+        return self._read
+
+    @property
+    def lengths(self) -> tuple[Fraction, ...]:
+        return self._views()[0]
+
+    @property
+    def positions(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return self._views()[1]
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.ints == other.ints and self.ctype == other.ctype
+
+    def __hash__(self):
+        return hash((self.ctype, self.den, self.ints))
+
+    def __repr__(self):
+        return f"ParametrizedCurve(ctype={self.ctype!r}, lengths={self.lengths!r}, positions={self.positions!r})"
+
+    def __reduce__(self):
+        return ParametrizedCurve, (self.ctype, self.lengths, self.positions)
 
     def evaluate(self):
         """Images of the contracted legs, in leg order."""

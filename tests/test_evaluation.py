@@ -42,6 +42,14 @@ def test_point_configuration_rejects_repeats():
         PointConfiguration(((F(0), F(0)), (F(0), F(0))))
 
 
+def test_point_configuration_refuses_floats():
+    # 0.1 is stored as a binary fraction, so it is refused, not converted
+    with pytest.raises(ValueError, match=r"^point 0: x 0\.1 is a float, not an int or a Fraction$"):
+        PointConfiguration(((0.1, 0.2), (1, 2)))
+    with pytest.raises(ValueError, match=r"^point 1: y 2\.0 is a float, not an int or a Fraction$"):
+        PointConfiguration(((F(1, 10), 0), (1, 2.0)))
+
+
 def test_fiber_requires_matching_marks():
     t = marked_line_two_rays()
     with pytest.raises(ValueError):

@@ -215,6 +215,27 @@ def test_parametrized_curve_stores_fractions():
     assert all(type(c) is F for p in curve.positions for c in p)
 
 
+def test_curves_and_graphs_refuse_floats():
+    # a float is a binary fraction, not the rational meant, even when integral
+    t = CombinatorialType(weights=(0, 0), edges=(Edge(0, 1, (0, -1)),))
+    with pytest.raises(ValueError, match=r"^edge 0: length 1\.5 is a float, not an int or a Fraction$"):
+        ParametrizedCurve(t, lengths=(1.5,), positions=((0, 0), (0, F(-3, 2))))
+    with pytest.raises(ValueError, match=r"^vertex 1: y -3\.0 is a float, not an int or a Fraction$"):
+        ParametrizedCurve(t, lengths=(3,), positions=((0, 0), (0, -3.0)))
+    with pytest.raises(ValueError, match=r"^edge 0: length 0\.1 is a float, not an int or a Fraction$"):
+        TropicalGraph(weights=(0, 0), edges=((0, 1),), lengths=(0.1,))
+
+
+def test_enumerated_curves_equal_their_rebuilt_copies():
+    # a curve rebuilt from the Fractions it reads back has the same
+    # integer form, so it is equal and hashes equal
+    for d in range(1, 5):
+        for g in range(0, (d - 1) * (d - 2) // 2 + 1):
+            for _diag, c in enumerate_curves(d, g):
+                copy = ParametrizedCurve(c.ctype, c.lengths, c.positions)
+                assert copy == c and hash(copy) == hash(c)
+
+
 def test_curve_multiplicity_line():
     line = tropical_line()
     curve = ParametrizedCurve(line, lengths=(), positions=((F(0), F(0)),))

@@ -296,18 +296,34 @@ def curve_inputs(draw):
     return t, tuple(lengths), tuple(map(tuple, positions))
 
 
+def _int_if_integral(x):
+    x = F(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @SETTINGS
-@hypothesis.given(curve_inputs())
-def test_curve_check_matches_fraction_arithmetic(inputs):
+@hypothesis.given(curve_inputs(), st.data())
+def test_curve_check_matches_fraction_arithmetic(inputs, data):
     # the constructor clears denominators to one lcm and compares ints;
-    # it must accept exactly what the Fraction check accepts
+    # it must accept exactly what the Fraction check accepts, and the
+    # same curve given as drawn, as Fractions, as ints where integral or
+    # mixed must get the same verdict, refusal text and integer form
     t, lengths, positions = inputs
-    try:
-        ParametrizedCurve(t, lengths, positions)
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == _fraction_consistent(t, lengths, positions)
+    values, ne = [*lengths, *(c for p in positions for c in p)], len(lengths)
+    picks = data.draw(st.lists(st.sampled_from((F, _int_if_integral)), min_size=len(values), max_size=len(values)))
+    forms = [values, [F(x) for x in values], [_int_if_integral(x) for x in values], [f(x) for f, x in zip(picks, values)]]
+    verdicts, curves = [], []
+    for given in forms:
+        try:
+            curves.append(ParametrizedCurve(t, given[:ne], tuple(zip(given[ne::2], given[ne + 1 :: 2]))))
+            verdicts.append("accepted")
+        except ValueError as exc:
+            verdicts.append(str(exc))
+    assert len(set(verdicts)) == 1, verdicts
+    assert (verdicts[0] == "accepted") == _fraction_consistent(t, lengths, positions)
+    for c in curves[1:]:
+        assert c == curves[0] and hash(c) == hash(curves[0])
+        assert c.lengths == curves[0].lengths and c.positions == curves[0].positions
 
 
 def _expand_reference(t, points, coeffs, lengths):
