@@ -90,10 +90,19 @@ def path_coefficients(t: CombinatorialType):
 
 
 def path(coeffs, u, v):
-    """Edge coefficients of position(v) - position(u) along the tree."""
+    """Edge coefficients of position(v) - position(u) along the tree.
+
+    The two root paths share the edges from vertex 0 down to the meeting
+    point of u and v, with equal coefficients; those cancel and are left
+    out, so the dict holds exactly the edges of the tree path u -> v.
+    """
     out = dict(coeffs[v])
     for j, c in coeffs[u].items():
-        out[j] = out.get(j, 0) - c
+        c = out.get(j, 0) - c
+        if c:
+            out[j] = c
+        else:
+            del out[j]
     return out
 
 
@@ -148,18 +157,21 @@ def fiber_rows(t: CombinatorialType, points):
     """The equations of the fiber over the edge lengths.
 
     Positions are eliminated along a spanning tree; the first marked
-    point pins the translation, later marks contribute difference rows.
-    Returns (rows, rhs, coeffs): rows are {edge: coeff} dicts, the cycle
-    system first, and coeffs are the path coefficients.
+    point pins the translation, and each later mark i contributes the x
+    and y rows of the tree path from mark i-1's vertex to its own, with
+    right-hand side points[i] - points[i-1].  Pairs measured from mark 0
+    instead would be the running sums of these, a unit-triangular change
+    of rows with the same row space and solutions, but each would repeat
+    the edges near the root.  Returns (rows, rhs, coeffs): rows are
+    {edge: coeff} dicts, the cycle system first, and coeffs are the path
+    coefficients.
     """
     coeffs = path_coefficients(t)
     rows = cycle_system(t, coeffs)
     rhs = [0] * len(rows)
-    if points:
-        v0 = t.legs[0].vertex
-        for i in range(1, len(points)):
-            rows += xy_rows(t, path(coeffs, v0, t.legs[i].vertex))
-            rhs += [points[i][k] - points[0][k] for k in (0, 1)]
+    for i in range(1, len(points)):
+        rows += xy_rows(t, path(coeffs, t.legs[i - 1].vertex, t.legs[i].vertex))
+        rhs += [points[i][k] - points[i - 1][k] for k in (0, 1)]
     return rows, rhs, coeffs
 
 

@@ -325,7 +325,7 @@ class _CoreScanner:
         for u, outs in at.items():
             for v, ins in at.items():
                 diff = path(self.coeffs, u, v)
-                base = _fold([(c * edges[j].slope[0], c * edges[j].slope[1]) for j, c in diff.items() if c], w)
+                base = _fold([(c * edges[j].slope[0], c * edges[j].slope[1]) for j, c in diff.items()], w)
                 for a, ea, sa in outs:
                     seen = base if sa is None or diff.get(ea) else _fold(((-sa[0], -sa[1]),), w, base)
                     inside = _holds(seen)  # more generators only widen a cone holding w

@@ -312,9 +312,11 @@ def diagram_curve(diag: FloorDiagram, cfg):
     the heights are integrated outward from the mark.  Returns None when
     the diagram admits no curve over this configuration (two events of a
     floor share an x, an elevator length fails to be positive, or a mark
-    misses its object).
+    misses its object).  cfg is a point configuration, or the pair
+    (L, int points) that `integer_points` makes of one, which is how
+    `enumerate_curves` clears its points once for all its diagrams.
     """
-    scale, points = integer_points(cfg.points)
+    scale, points = cfg if isinstance(cfg, tuple) else integer_points(cfg.points)
     positions = []  # times L
     edges = []  # (tail, head, slope, length)
     mark_vertex = {}  # mark index -> vertex
@@ -399,11 +401,14 @@ def enumerate_curves(d, g, cfg=None):
     none proves cfg is outside it: ValueError.
     """
     diags = solution_diagrams(d, g, cfg)
-    if diags and cfg is None:
+    if not diags:
+        return []
+    if cfg is None:
         cfg = make_stretched(3 * d + g - 1, d)
+    cleared = integer_points(cfg.points)
     out = []
     for i, diag in enumerate(diags):
-        curve = diagram_curve(diag, cfg)
+        curve = diagram_curve(diag, cleared)
         if curve is None:
             raise ValueError(
                 f"diagram {i} has no curve through the points: the floor method needs them stretched, top down"

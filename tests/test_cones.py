@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import pytest
 
 from fixtures import nodal_cubic_type, smooth_cubic_type, tropical_line
@@ -195,3 +197,76 @@ def test_tree_coordinates_hold_on_every_solution_curve():
                 assert [value(row) for row in rows] == rhs
                 full = expand_lengths(t, points.config.points, coeffs, lengths)
                 assert full == [x for p in curve.positions for x in p] + list(lengths)
+
+
+def first_mark_rows(t, points):
+    """Mark i's x and y rows as the tree path from mark 0's vertex, with
+    right-hand side points[i] - points[0], built from path_coefficients
+    alone; the cycle rows are left out."""
+    coeffs = path_coefficients(t)
+    rows, rhs = [], []
+    for i in range(1, len(points)):
+        root, own = coeffs[t.legs[0].vertex], coeffs[t.legs[i].vertex]
+        diff = {j: own.get(j, 0) - root.get(j, 0) for j in {*own, *root}}
+        rows += [{j: c * t.edges[j].slope[k] for j, c in diff.items() if c} for k in (0, 1)]
+        rhs += [points[i][k] - points[0][k] for k in (0, 1)]
+    return rows, rhs
+
+
+def test_fiber_rows_follow_consecutive_marks(monkeypatch):
+    # every system the walk solves and the scan's placement LPs ask about:
+    # mark i's row pair is the first-mark pair i minus pair i - 1, so the
+    # two row sets span one space and must give one solve_affine answer
+    # and one feasible_nonneg verdict
+    import tropcurves.corpus
+    import tropcurves.walk
+    from tropcurves.corpus import scan_fibers
+    from tropcurves.evaluation import PointConfiguration
+    from tropcurves.linalg import feasible_nonneg, solve_affine
+    from tropcurves.walk import run_walk
+
+    systems = []
+
+    def recording(t, points):
+        systems.append((t, tuple(points)))
+        return fiber_rows(t, points)
+
+    monkeypatch.setattr(tropcurves.walk, "fiber_rows", recording)
+    monkeypatch.setattr(tropcurves.corpus, "fiber_rows", recording)
+    for d, g in ((3, 0), (3, 1), (4, 2)):
+        for seed in range(6):
+            run_walk(d, g, seed=seed)
+    walked = len(systems)
+    fractional = ((F(1, 2), F(1, 3)), (F(-7, 5), F(2)), (F(3), F(-5, 4)), (F(11, 6), F(13, 7)))
+    scan_fibers(2, 0, make_stretched(5, 2).config)
+    scan_fibers(2, 1, make_stretched(4, 2).config)
+    scan_fibers(2, 1, PointConfiguration(fractional))
+    scan_fibers(2, 0, PointConfiguration(((-2, -1), (1, 0), (1, 1), (2, 1))))
+    assert walked > 50 and len(systems) - walked > 1000
+
+    def nonzero(row):
+        return {j: c for j, c in row.items() if c}
+
+    verdicts = set()
+    for t, points in systems:
+        rows, rhs, _coeffs = fiber_rows(t, points)
+        ref_rows, ref_rhs = first_mark_rows(t, points)
+        n_cycle = len(rows) - len(ref_rows)
+        assert rhs[:n_cycle] == [0] * n_cycle
+        # the same row of the pair before, two places back; none for mark 1
+        before_rows, before_rhs = [{}, {}] + ref_rows[:-2], [0, 0] + ref_rhs[:-2]
+        for k, (row, before) in enumerate(zip(ref_rows, before_rows)):
+            want = {j: row.get(j, 0) - before.get(j, 0) for j in {*row, *before}}
+            assert nonzero(rows[n_cycle + k]) == nonzero(want)
+            assert rhs[n_cycle + k] == ref_rhs[k] - before_rhs[k]
+        ne = len(t.edges)
+        ref_rows, ref_rhs = rows[:n_cycle] + ref_rows, rhs[:n_cycle] + ref_rhs
+
+        def dense(rs):
+            return [[row.get(j, 0) for j in range(ne)] for row in rs] or [[0] * ne]
+
+        assert solve_affine(dense(rows), rhs or [0]) == solve_affine(dense(ref_rows), ref_rhs or [0])
+        verdict = feasible_nonneg(rows, rhs, ne)
+        assert verdict == feasible_nonneg(ref_rows, ref_rhs, ne)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -96,6 +96,25 @@ def test_curves_frozen():
     assert blob.hexdigest() == "14c89c8455b008b7b541e06775f522e970c67ca51c42c1d3f3ae1128e2ce6c3a"
 
 
+def test_enumerate_curves_clears_its_points_once(monkeypatch):
+    # every diagram is built over one clearing of the configuration, and
+    # builds the curve diagram_curve builds from the configuration itself
+    import tropcurves.floors
+    from tropcurves.evaluation import integer_points
+
+    calls = []
+
+    def counting(points):
+        calls.append(points)
+        return integer_points(points)
+
+    monkeypatch.setattr(tropcurves.floors, "integer_points", counting)
+    cfg = make_stretched(11, 4)
+    solutions = enumerate_curves(4, 0, cfg)
+    assert len(solutions) == 303 and calls == [cfg.points]
+    assert all(diagram_curve(diag, cfg) == curve for diag, curve in solutions[::31])
+
+
 def test_points_outside_the_floor_method_are_refused():
     # reversed, the points of make_stretched(8, 3) are still vertically
     # stretched, but no diagram has a curve through them: enumerating them

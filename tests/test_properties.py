@@ -13,7 +13,7 @@ st = hypothesis.strategies
 
 from tropcurves.canonical import aut_order, brute_force_aut_order, canonical_key, relabel  # noqa: E402
 from tropcurves.cli import main  # noqa: E402
-from tropcurves.cones import expand_lengths, is_realizable, path_coefficients, reduced_fiber_polyhedron  # noqa: E402
+from tropcurves.cones import expand_lengths, is_realizable, path, path_coefficients, reduced_fiber_polyhedron  # noqa: E402
 from tropcurves.corpus import _attach_mark, _cone_contains  # noqa: E402
 from tropcurves.evaluation import PointConfiguration  # noqa: E402
 from tropcurves.families import BaseCurve, constant_family, validate_family  # noqa: E402
@@ -101,6 +101,19 @@ def test_is_realizable_matches_the_relative_interior_point(t):
     # the phase-1 LP with every length at least 1, against the open cone's
     # point from `Polyhedron.strict_point`
     assert is_realizable(t) == (reduced_fiber_polyhedron(t, ())[0].strict_point() is not None)
+
+
+@SETTINGS
+@hypothesis.given(small_types())
+def test_tree_path_holds_only_its_own_edges(t):
+    # the edges the two root paths share cancel and are left out
+    coeffs = path_coefficients(t)
+    for u in range(t.n_vertices()):
+        for v in range(t.n_vertices()):
+            got = path(coeffs, u, v)
+            assert 0 not in got.values()
+            diff = {j: coeffs[v].get(j, 0) - coeffs[u].get(j, 0) for j in {*coeffs[u], *coeffs[v]}}
+            assert got == {j: c for j, c in diff.items() if c}
 
 
 @SETTINGS

@@ -8,7 +8,7 @@ from tropcurves.cones import classify, resolve_wall
 from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.floors import make_stretched, solution_diagrams
 from tropcurves.graphs import CombinatorialType, Leg, ParametrizedCurve, face_contract
-from tropcurves.serialize import dumps, trace_to_json
+from tropcurves.serialize import dumps, fiber_to_json, trace_to_json
 from tropcurves.walk import (
     StarVerdict,
     Terminal,
@@ -175,6 +175,25 @@ def test_walk_traces_frozen():
     for (d, g, seed), digest in WALK_TRACE_SHA256.items():
         blob = dumps(trace_to_json(run_walk(d, g, seed=seed)))
         assert hashlib.sha256(blob.encode()).hexdigest() == digest, (d, g, seed)
+
+
+# sha256 of the start strata's fibers over their fixed points, one dumps
+# of fiber_to_json per d = 3 walk, g = 0 then 1, seeds 0-11 each; pinned
+# while the fiber rows were still measured from the first mark
+START_FIBERS_SHA256 = "bfc8811a2a7ae10ad0ebe0f9cce2909a50838db08587478b0212ffb12c74ea7b"
+
+
+def test_start_stratum_fibers_frozen():
+    # each start stratum's fiber is a bounded interval whose two endpoint
+    # curves are pinned byte for byte
+    blob = hashlib.sha256()
+    for g in (0, 1):
+        for seed in range(12):
+            state = start_walk(3, g, seed=seed)
+            fb = fiber(state.ctype, state.fixed)
+            assert (fb.kind, len(fb.endpoints), fb.bounded) == ("interval", 2, True), (g, seed)
+            blob.update(dumps(fiber_to_json(fb)).encode())
+    assert blob.hexdigest() == START_FIBERS_SHA256
 
 
 def test_each_stratum_builds_its_path_coefficients_once(monkeypatch):
