@@ -172,6 +172,8 @@ def marking_avoiding_line(d, delta, line=1):
         raise ScaleRefusal(f"witness markings are certified for d <= {_MAX_LINES} only")
     _check_delta(delta)
     arr = Arrangement(d)
+    if not 1 <= line <= d:
+        raise ValueError(f"line must be one of 1..{d}, got {line}")
     pool = [p for p in arr.nodes() if line not in p]
     if delta > len(pool):
         return None
@@ -184,9 +186,11 @@ def reduce_to_avoiding_line(m: MarkingSet, line=1):
     Returns the list of markings visited; each move strictly decreases
     the number of marked nodes on the line.
     """
+    d = m.arrangement.d
+    if not 1 <= line <= d:
+        raise ValueError(f"line must be one of 1..{d}, got {line}")
     if not is_irreducible(m):
         raise ValueError("reduction strategy requires an irreducible marking")
-    d = m.arrangement.d
     path = [m]
     current = m
     while True:

@@ -145,12 +145,8 @@ def constraint_matrix(t: CombinatorialType):
 
 def cone_dimension(t: CombinatorialType):
     """dim = 2V + E - rank(constraints), via the cycle-system fast path."""
-    rows = cycle_system(t, path_coefficients(t))
-    dense = []
     ne = len(t.edges)
-    for row in rows:
-        dense.append([row.get(i, 0) for i in range(ne)])
-    return 2 + ne - mat_rank(dense)
+    return 2 + ne - mat_rank(cycle_system(t, path_coefficients(t)), ne)
 
 
 def fiber_rows(t: CombinatorialType, points):

@@ -249,8 +249,12 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
     form.  `slope_bound` widens the slope alphabet beyond the
     dual-polygon bound d, for falsification tests of the corpus contract.  Betti numbers above 1
     are refused: at d <= 3, the scale `is_general` certifies, the genus
-    is at most 1.
+    is at most 1; a degree below 1 or a negative b1 is a ValueError.
     """
+    if d < 1:
+        raise ValueError(f"degree d must be at least 1, got {d}")
+    if b1 < 0:
+        raise ValueError(f"Betti number b1 must be non-negative, got {b1}")
     if b1 > 1:
         raise ScaleRefusal("enumerate_cores is certified for Betti number b1 <= 1 only")
     bound = d if slope_bound is None else slope_bound

@@ -122,8 +122,9 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
     Positions are eliminated along a spanning tree, so all simplex work
     happens over the edge-length coordinates.  One LP decides the fiber:
     `Polyhedron.interior_point` is None when it is empty, and a unit row
-    pins each length that point leaves at 0, which vanishes on the whole
-    fiber; the affine hull then gives the dimension and the geometry.
+    {i: 1} pins each length that point leaves at 0, which vanishes on the
+    whole fiber; `solve_affine` on the fiber's own dict rows and these
+    then gives the affine hull, its dimension and the geometry.
     """
     _check_input(t, cfg)
     P, coeffs = reduced_fiber_polyhedron(t, cfg.points)
@@ -131,12 +132,8 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
     interior = P.interior_point()
     if interior is None:
         return FiberDescription("empty", -1, cone_dim)
-    units = [[F(1) if j == i else F(0) for j in range(P.n)] for i, x in enumerate(interior) if not x]
-    rows, rhs = P.rows + units, P.rhs + [F(0)] * len(units)
-    if not rows:
-        rows = [[F(0)] * P.n]
-        rhs = [F(0)]
-    sol = solve_affine(rows, rhs)
+    units = [{i: 1} for i, x in enumerate(interior) if not x]
+    sol = solve_affine(P.rows + units, P.rhs + [0] * len(units), P.n)
     assert sol is not None
     l0, basis = sol
     dim = len(basis)

@@ -319,19 +319,12 @@ def _contract_core(t: CombinatorialType, edge_indices):
     vertex_map = {v: new_id[r] for v, r in enumerate(roots)}
 
     # weight of a merged vertex: sum of weights plus the genus of the
-    # contracted subgraph landing there
-    weights = [0] * len(reps)
-    comp_vertices = {}
+    # contracted subgraph landing there, 1 - vertices + edges
+    weights = [1] * len(reps)
     for v in range(n):
-        comp_vertices.setdefault(vertex_map[v], set()).add(v)
-        weights[vertex_map[v]] += t.weights[v]
-    comp_edges = {k: 0 for k in range(len(reps))}
+        weights[vertex_map[v]] += t.weights[v] - 1
     for i in subset:
-        e = t.edges[i]
-        comp_edges[vertex_map[e.u]] += 1
-    for k in range(len(reps)):
-        b1 = comp_edges.get(k, 0) - len(comp_vertices[k]) + 1
-        weights[k] += b1
+        weights[vertex_map[t.edges[i].u]] += 1
 
     edges = []
     edge_map = {}

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals and a small simplex solver.
 
-Both kernels, elimination (`mat_rank`, `solve_affine`) and the simplex,
-run over Python ints: each row is cleared of denominators once, stays a
-nonzero multiple of its rational row, and sheds its content after every
-update.  Fractions are built only from what the kernels are given and
-what they return.  The simplex pivots by Bland's rule, so it terminates
-on every input and its answers are exact certificates (feasible point,
-unbounded ray, or infeasibility).  Every solve is cold: phase 1 starts
-from the artificial basis of the system it is given, and
-`feasible_nonneg` runs phase 1 alone.  No float enters any computation.
+Every entry point takes rows in one form, {col: coeff} dicts of ints
+and Fractions over a stated width, with their right-hand sides.  Both
+kernels, elimination (`mat_rank`, `solve_affine`) and the simplex, run
+over Python ints: `_int_rows`, the one place a row is cleared of
+denominators, clears each row once; it stays a nonzero multiple of its
+rational row and sheds its content after every update.  Fractions are
+built only from what the kernels are given and what they return.  The
+simplex pivots by Bland's rule, so it terminates on every input and its
+answers are exact certificates (feasible point, unbounded ray, or
+infeasibility).  Every solve is cold: phase 1 starts from the artificial
+basis of the system it is given, and `feasible_nonneg` runs phase 1
+alone.  No float enters any computation.
 
 `Polyhedron` asks the simplex two kinds of question: `feasible_point`
 and `optimize` solve the system as given, and `interior_point` solves
@@ -33,11 +36,19 @@ def clear_denominators(values):
     return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _integer_row(row):
-    """The row times the lcm of its denominators, as Python ints."""
-    if all(type(x) is int for x in row):
-        return row  # as it is: the kernels replace rows, never write into one
-    return clear_denominators([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row])[1]
+def _int_rows(rows, rhs, width):
+    """[A | m | b] as ints for each {col: coeff} row over width columns and
+    its right-hand side b, m the lcm of the denominators of the row's
+    nonzeros and b: m times the rational row.  The one place a row is
+    cleared of denominators."""
+    out = []
+    for row, b in zip(rows, rhs):
+        mult = lcm(b.denominator, *[a.denominator for a in row.values()])
+        dense = [0] * width + [mult, b.numerator * (mult // b.denominator)]
+        for j, a in row.items():
+            dense[j] = a.numerator * (mult // a.denominator)
+        out.append(dense)
+    return out
 
 
 def _eliminate(m, prow, col):
@@ -69,42 +80,40 @@ def _reduce(m, ncols):
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
+        if rank == len(m):
+            break
         piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         _eliminate(m, m[rank], col)
         pivots.append(col)
-        if len(pivots) == len(m):
-            break
     return pivots
 
 
-def mat_rank(rows):
-    """Rank of a matrix given as an iterable of coefficient rows."""
-    m = [_integer_row(row) for row in rows]
-    return len(_reduce(m, len(m[0]))) if m else 0
+def mat_rank(rows, width):
+    """Rank of a matrix given as {col: coeff} rows over width columns."""
+    return len(_reduce([row[:width] for row in _int_rows(rows, [0] * len(rows), width)], width))
 
 
-def solve_affine(rows, rhs):
-    """Solve ``A x = b`` exactly.
+def solve_affine(rows, rhs, width):
+    """Solve ``A x = b`` exactly, A given as {col: coeff} rows over width columns.
 
     Returns ``(particular, basis)`` where ``basis`` spans the kernel of A,
     or ``None`` when the system is inconsistent.  Both come from the
     reduced row echelon form, which is unique, with the free variables
     set to zero in the particular solution.
     """
-    m = [_integer_row(list(row) + [b]) for row, b in zip(rows, rhs)]
-    nc = len(rows[0]) if rows else 0
-    pivots = _reduce(m, nc)
-    if any(row[nc] for row in m[len(pivots):]):
+    m = [[*row[:width], row[-1]] for row in _int_rows(rows, rhs, width)]
+    pivots = _reduce(m, width)
+    if any(row[width] for row in m[len(pivots):]):
         return None
-    particular = [ZERO] * nc
+    particular = [ZERO] * width
     for row, col in zip(m, pivots):
-        particular[col] = Fraction(row[nc], row[col])
+        particular[col] = Fraction(row[width], row[col])
     basis = []
-    for fcol in sorted(set(range(nc)) - set(pivots)):
-        vec = [ZERO] * nc
+    for fcol in sorted(set(range(width)) - set(pivots)):
+        vec = [ZERO] * width
         vec[fcol] = ONE
         for row, col in zip(m, pivots):
             vec[col] = Fraction(-row[fcol], row[col])
@@ -165,10 +174,10 @@ def _phase1(rows, n, carried=()):
     """Minimise a positive combination of the artificials of ``A x = b``
     over ``x >= 0``.
 
-    Each row is [A | 1 | b] cleared of denominators by the caller, n + 2
-    ints, so its artificial column holds the row's multiplier.  Each row
-    is signed so that b >= 0, which makes the artificials a feasible
-    basis.  The artificial columns are dropped: none enters, and only the
+    Each row is [A | m | b] from `_int_rows`, n + 2 ints, so the
+    artificial column holds the row's multiplier m.  Each row is signed
+    so that b >= 0, which makes the artificials a feasible basis.  The
+    artificial columns are dropped: none enters, and only the
     phase-1 objective row needs them.  That row, the sum of the
     artificials times the lcm of the multipliers, is minus the sum of the
     rows each over its multiplier, times that lcm.  The integer tableau
@@ -213,55 +222,20 @@ def _drive_out(tab, basis, n):
         del tab[r], basis[r]
 
 
-def _simplex_standard(c, A, b):
-    """min c.x  s.t.  A x = b, x >= 0, by two-phase tableau simplex.
-
-    The objective row of c rides through phase 1.  Returns None when
-    infeasible, else ``(point, ray)`` where ray is None at an optimum and
-    certifies unboundedness otherwise.
-    """
-    n = len(c)
-    phase1 = _phase1([_integer_row([*row, 1, bi]) for row, bi in zip(A, b)], n, [_integer_row([*c, 0])])
-    if phase1 is None:
-        return None
-    tab, basis = phase1
-    _drive_out(tab, basis, n)
-    enter = _bland(tab, basis, n)
-    point = [ZERO] * n
-    for row, k in zip(tab, basis):
-        if k < n:
-            point[k] = Fraction(row[-1], row[k])
-    if enter is None:
-        return point, None
-    ray = [ZERO] * n
-    ray[enter] = ONE
-    for row, k in zip(tab, basis):
-        if k < n:
-            ray[k] = Fraction(-row[enter], row[k])
-    return point, ray
-
-
 def feasible_nonneg(rows, rhs, width):
     """Feasibility of {A x = b, x >= 0}: phase 1 of the simplex only.
 
     rows: list of {col: coeff} dicts with int or Fraction coefficients
-    over width columns; returns True/False.  Each row is cleared of
-    denominators over its nonzeros alone and goes straight into the
-    integer tableau, with no Polyhedron wrapper: the incidence scan's
+    over width columns; returns True/False.  The rows go straight into
+    the integer tableau, with no Polyhedron wrapper: the incidence scan's
     placement LPs and `cones.is_realizable` call it directly.
     """
-    A = []
-    for row, bi in zip(rows, rhs):
-        mult = lcm(bi.denominator, *[a.denominator for a in row.values()])
-        dense = [0] * width + [mult, bi.numerator * (mult // bi.denominator)]
-        for j, a in row.items():
-            dense[j] = a.numerator * (mult // a.denominator)
-        A.append(dense)
-    return _phase1(A, width) is not None
+    return _phase1(_int_rows(rows, rhs, width), width) is not None
 
 
 class Polyhedron:
-    """A polyhedron ``{x : A x = b, x >= 0}`` in standard form."""
+    """A polyhedron ``{x : A x = b, x >= 0}`` in standard form, its rows
+    kept as {col: coeff} dicts with their right-hand sides."""
 
     def __init__(self, n_vars):
         self.n = n_vars
@@ -270,26 +244,35 @@ class Polyhedron:
 
     def add_eq(self, coeffs, rhs):
         """Add a row given as {var_index: coeff}."""
-        row = [ZERO] * self.n
-        for j, a in coeffs.items():
-            row[j] += Fraction(a)
-        self.rows.append(row)
-        self.rhs.append(Fraction(rhs))
+        self.rows.append(dict(coeffs))
+        self.rhs.append(rhs)
 
     def feasible_point(self):
         return self.optimize({}).point
 
     def optimize(self, objective, sense="min"):
-        """Optimize a linear functional given as {var: coeff}."""
-        c = [ZERO] * self.n
-        sign = ONE if sense == "min" else -ONE
-        for i, a in objective.items():
-            c[i] += sign * Fraction(a)
-        res = _simplex_standard(c, self.rows, self.rhs)
-        if res is None:
+        """Optimize a linear functional given as {var: coeff} by two-phase
+        tableau simplex: the objective row, cleared with the constraint
+        rows, rides through phase 1.  An unbounded result carries a ray."""
+        n = self.n
+        c = objective if sense == "min" else {i: -a for i, a in objective.items()}
+        obj, *rows = _int_rows([c, *self.rows], [0, *self.rhs], n)
+        phase1 = _phase1(rows, n, [[*obj[:n], 0]])
+        if phase1 is None:
             return LPResult("infeasible")
-        point, ray = res
-        if ray is not None:
+        tab, basis = phase1
+        _drive_out(tab, basis, n)
+        enter = _bland(tab, basis, n)
+        point = [ZERO] * n
+        for row, k in zip(tab, basis):
+            if k < n:
+                point[k] = Fraction(row[-1], row[k])
+        if enter is not None:
+            ray = [ZERO] * n
+            ray[enter] = ONE
+            for row, k in zip(tab, basis):
+                if k < n:
+                    ray[k] = Fraction(-row[enter], row[k])
             return LPResult("unbounded", point=point, ray=ray)
         value = sum(Fraction(a) * point[i] for i, a in objective.items())
         return LPResult("optimal", value=value, point=point)
@@ -308,8 +291,7 @@ class Polyhedron:
         n = self.n
         Q = Polyhedron(3 * n + 1)
         for row, b in zip(self.rows, self.rhs):
-            Q.rows.append([*row, *row, -b, *[ZERO] * n])
-            Q.rhs.append(b)
+            Q.add_eq({**row, **{n + j: a for j, a in row.items()}, 2 * n: -b}, b)
         for i in range(n):
             Q.add_eq({i: 1, 2 * n + 1 + i: 1}, 1)
         res = Q.optimize(dict.fromkeys(range(n), 1), sense="max")
@@ -337,5 +319,4 @@ class Polyhedron:
         point = self.interior_point()
         if point is None:
             return -1
-        units = [[ONE if j == i else ZERO for j in range(self.n)] for i, x in enumerate(point) if not x]
-        return self.n - mat_rank(self.rows + units)
+        return self.n - mat_rank(self.rows + [{i: 1} for i, x in enumerate(point) if not x], self.n)

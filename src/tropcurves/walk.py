@@ -136,9 +136,7 @@ def _fiber_line(t, cfg):
     were."""
     _scale, points = integer_points(cfg.points)
     rows, rhs, coeffs = fiber_rows(t, points)
-    ne = len(t.edges)
-    dense = [[row.get(j, 0) for j in range(ne)] for row in rows]
-    sol = solve_affine(dense or [[0] * ne], rhs or [0])
+    sol = solve_affine(rows, rhs, len(t.edges))
     if sol is None:
         raise WalkError("evaluation fiber is empty")
     _base, basis = sol

@@ -150,6 +150,18 @@ def test_negative_delta_is_refused():
             call(4, -1)
 
 
+def test_line_outside_the_arrangement_is_refused():
+    # line 0 or d + 1 does not exist: no marking avoids it, and none is
+    # already off it
+    m = mk(5, (1, 2), (1, 3), (2, 3), (4, 5))
+    for line in (0, 6, -1):
+        with pytest.raises(ValueError, match="line"):
+            marking_avoiding_line(5, 2, line=line)
+        with pytest.raises(ValueError, match="line"):
+            reduce_to_avoiding_line(m, line=line)
+    assert marking_avoiding_line(5, 2, line=5) is not None
+
+
 def test_reduction_strategy_strictly_decreases():
     m = mk(5, (1, 2), (1, 3), (2, 3), (4, 5))
     assert is_irreducible(m)

@@ -188,6 +188,16 @@ def test_enumerate_cores_refuses_betti_two():
         enumerate_cores(2, 2)
 
 
+def test_enumerate_cores_refuses_a_degree_below_one_and_a_negative_betti_number():
+    # enumerate_cores(0, 0) was one vertex with no germs, and (1, -1) the
+    # Betti-0 tree
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="degree"):
+            enumerate_cores(d, 0)
+    with pytest.raises(ValueError, match="Betti"):
+        enumerate_cores(1, -1)
+
+
 def test_degree_three_tree_corpus_frozen():
     cores = enumerate_cores(3, 0)
     assert len(cores) == 6422

@@ -122,6 +122,13 @@ def test_is_general_unknown_for_positive_genus_cubics(monkeypatch):
     assert is_general(make_stretched(5, 2).config, 2, 2) == "unknown"
 
 
+def test_is_general_refuses_a_degree_below_one_and_a_negative_genus():
+    cfg = make_stretched(2, 1).config
+    for d, g, name in ((0, 0, "degree"), (-1, 0, "degree"), (1, -1, "Betti")):
+        with pytest.raises(ValueError, match=name):
+            is_general(cfg, d, g)
+
+
 def test_is_general_line_through_two_points():
     cfg = make_stretched(2, 1)
     assert is_general(cfg.config, 1, 0) is True

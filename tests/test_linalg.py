@@ -9,21 +9,21 @@ MU = 12**12 * 40  # the stretch ratio (3d)^(3d) * x_max at d = 4, x_max = 40
 
 
 def test_rank_basic():
-    assert mat_rank([[1, 0], [0, 1]]) == 2
-    assert mat_rank([[1, 2], [2, 4]]) == 1
-    assert mat_rank([]) == 0
-    assert mat_rank([[0, 0, 0]]) == 0
-    assert mat_rank([[Fraction(1, 2), 1], [1, 2], [0, 1]]) == 2
+    assert mat_rank([{0: 1}, {1: 1}], 2) == 2
+    assert mat_rank([{0: 1, 1: 2}, {0: 2, 1: 4}], 2) == 1
+    assert mat_rank([], 0) == 0
+    assert mat_rank([{}], 3) == 0
+    assert mat_rank([{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}, {1: 1}], 2) == 2
 
 
 def test_solve_affine():
-    sol = solve_affine([[1, 1], [1, -1]], [3, 1])
+    sol = solve_affine([{0: 1, 1: 1}, {0: 1, 1: -1}], [3, 1], 2)
     assert sol is not None
     part, basis = sol
     assert part == [2, 1]
     assert basis == []
-    assert solve_affine([[1, 1], [1, 1]], [0, 1]) is None
-    part, basis = solve_affine([[1, 1, 1]], [6])
+    assert solve_affine([{0: 1, 1: 1}, {0: 1, 1: 1}], [0, 1], 2) is None
+    part, basis = solve_affine([{0: 1, 1: 1, 2: 1}], [6], 3)
     assert len(basis) == 2
     assert sum(part) == 6
 
@@ -357,18 +357,24 @@ def _random_elimination_systems(count):
         yield A, b
 
 
+def _dict_rows(A):
+    """Dense rows as {col: coeff} rows of their nonzeros."""
+    return [{j: a for j, a in enumerate(row) if a} for row in A]
+
+
 def test_elimination_matches_fraction_oracle():
     stats = {"inconsistent": 0, "deficient": 0, "big": 0, "fraction": 0}
     for A, b in _random_elimination_systems(400):
         n = len(A[0])
         expected = _oracle_solve(A, b, n)
-        got = solve_affine(A, b)
+        rows = _dict_rows(A)
+        got = solve_affine(rows, b, n)
         assert got == expected
         if got is not None:
             assert all(type(x) is Fraction for vec in [got[0], *got[1]] for x in vec)
         rank = len(_oracle_rref(A, n)[1])
-        assert mat_rank(A) == rank
-        assert mat_rank([list(row) + [bi] for row, bi in zip(A, b)]) == len(
+        assert mat_rank(rows, n) == rank
+        assert mat_rank(_dict_rows([list(row) + [bi] for row, bi in zip(A, b)]), n + 1) == len(
             _oracle_rref([list(row) + [bi] for row, bi in zip(A, b)], n + 1)[1]
         )
         stats["inconsistent"] += got is None
@@ -379,9 +385,9 @@ def test_elimination_matches_fraction_oracle():
 
 
 def test_elimination_edge_cases():
-    assert solve_affine([], []) == ([], [])
-    assert solve_affine([[0, 0]], [0]) == ([0, 0], [[1, 0], [0, 1]])
-    assert solve_affine([[0, 0]], [Fraction(1, 3)]) is None
-    assert solve_affine([[-2, 0, 4]], [MU]) == ([Fraction(-MU, 2), 0, 0], [[0, 1, 0], [2, 0, 1]])
-    assert mat_rank([[0, 0], [0, 0]]) == 0
-    assert mat_rank([[MU, 1], [MU * MU, MU]]) == 1
+    assert solve_affine([], [], 0) == ([], [])
+    assert solve_affine([{}], [0], 2) == ([0, 0], [[1, 0], [0, 1]])
+    assert solve_affine([{}], [Fraction(1, 3)], 2) is None
+    assert solve_affine([{0: -2, 2: 4}], [MU], 3) == ([Fraction(-MU, 2), 0, 0], [[0, 1, 0], [2, 0, 1]])
+    assert mat_rank([{}, {}], 2) == 0
+    assert mat_rank([{0: MU, 1: 1}, {0: MU * MU, 1: MU}], 2) == 1

@@ -181,19 +181,27 @@ def test_walk_traces_frozen():
 # of fiber_to_json per d = 3 walk, g = 0 then 1, seeds 0-11 each; pinned
 # while the fiber rows were still measured from the first mark
 START_FIBERS_SHA256 = "bfc8811a2a7ae10ad0ebe0f9cce2909a50838db08587478b0212ffb12c74ea7b"
+# the same over the fixed points mapped by `_affine_image`, so the fiber
+# rows have Fraction right-hand sides; pinned while `Polyhedron` still
+# kept its rows as dense Fraction lists
+AFFINE_START_FIBERS_SHA256 = "9a044f2627790e6f651c317095188738d358f9d5a2d8f5d6bd9cf372e0c6f332"
 
 
 def test_start_stratum_fibers_frozen():
     # each start stratum's fiber is a bounded interval whose two endpoint
-    # curves are pinned byte for byte
-    blob = hashlib.sha256()
+    # curves are pinned byte for byte, over the fixed points and over
+    # their affine image; on g = 1 the cone dimension takes an LP
+    blob, affine = hashlib.sha256(), hashlib.sha256()
     for g in (0, 1):
         for seed in range(12):
             state = start_walk(3, g, seed=seed)
-            fb = fiber(state.ctype, state.fixed)
-            assert (fb.kind, len(fb.endpoints), fb.bounded) == ("interval", 2, True), (g, seed)
-            blob.update(dumps(fiber_to_json(fb)).encode())
+            for cfg, digest in ((state.fixed, blob), (_affine_image(state.fixed.points), affine)):
+                fb = fiber(state.ctype, cfg)
+                assert (fb.kind, len(fb.endpoints), fb.bounded) == ("interval", 2, True), (g, seed)
+                assert fb.codimension() in (14, 16), (g, seed)
+                digest.update(dumps(fiber_to_json(fb)).encode())
     assert blob.hexdigest() == START_FIBERS_SHA256
+    assert affine.hexdigest() == AFFINE_START_FIBERS_SHA256
 
 
 def test_each_stratum_builds_its_path_coefficients_once(monkeypatch):
