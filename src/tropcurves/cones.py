@@ -177,12 +177,8 @@ def reduced_fiber_polyhedron(t: CombinatorialType, points):
     Returns (P, coeffs) where P is the Polyhedron of `fiber_rows` with
     nonnegative edge lengths.
     """
-    ne = len(t.edges)
-    P = Polyhedron(ne)
     rows, rhs, coeffs = fiber_rows(t, points)
-    for row, b in zip(rows, rhs):
-        P.add_eq(row, b)
-    return P, coeffs
+    return Polyhedron(len(t.edges), rows, rhs), coeffs
 
 
 def integer_positions(t: CombinatorialType, coeffs, lengths, anchor):

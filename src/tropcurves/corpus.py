@@ -247,9 +247,10 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
     class (legs unlabeled within a slope class), realizable ones only,
     sorted by canonical key; a core is not relabeled to its canonical
     form.  `slope_bound` widens the slope alphabet beyond the
-    dual-polygon bound d, for falsification tests of the corpus contract.  Betti numbers above 1
-    are refused: at d <= 3, the scale `is_general` certifies, the genus
-    is at most 1; a degree below 1 or a negative b1 is a ValueError.
+    dual-polygon bound d, for falsification tests of the corpus contract.  A degree above 3
+    and a Betti number above 1 are refused: d <= 3 is the scale `is_general`
+    certifies, where the genus is at most 1.  A degree below 1 or a
+    negative b1 is a ValueError.
     """
     if d < 1:
         raise ValueError(f"degree d must be at least 1, got {d}")
@@ -257,6 +258,8 @@ def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
         raise ValueError(f"Betti number b1 must be non-negative, got {b1}")
     if b1 > 1:
         raise ScaleRefusal("enumerate_cores is certified for Betti number b1 <= 1 only")
+    if d > 3:
+        raise ScaleRefusal("enumerate_cores is certified for degree d <= 3 only")
     bound = d if slope_bound is None else slope_bound
     # no cap: a vertex has at most its 3d legs and two cycle edges
     cap = 3 * d + 2 if max_valency is None else max_valency

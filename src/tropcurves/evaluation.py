@@ -191,12 +191,15 @@ def is_general(cfg, d, g):
 
     True iff for every combinatorial type in the corpus of degree-d
     genus-g types with len(cfg) contracted legs, the evaluation fiber has
-    codimension 2n in the closed cone or is empty.  The corpus bound is a
-    design contract (slope coordinates at most d); beyond desk scale the
-    verdict is "unknown", never a silent False.
+    codimension 2n in the closed cone or is empty.  cfg is a
+    `PointConfiguration`, anything else with `points` (a
+    `StretchedConfig`), or a sequence of points.  The corpus bound is a
+    design contract (slope coordinates at most d); beyond desk scale (d > 3,
+    g >= 2, or g = 1 at d = 3) the verdict is "unknown", never a silent
+    False.
     """
     if not isinstance(cfg, PointConfiguration):
-        pts = tuple(tuple(p) for p in cfg)
+        pts = tuple(tuple(p) for p in getattr(cfg, "points", cfg))
         if len(set(pts)) != len(pts):
             return False  # a repeated point is never general
         cfg = PointConfiguration(pts)

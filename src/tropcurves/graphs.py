@@ -30,7 +30,7 @@ result is cached on the type: an index kept on each of the 303 curves of
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -371,6 +371,7 @@ def face_contract(t: CombinatorialType, edge_indices, with_maps=False):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ParametrizedCurve:
     """A combinatorial type with exact lengths and vertex positions.
 
@@ -380,13 +381,18 @@ class ParametrizedCurve:
     are ints or Fractions; a float is refused.  The curve stores one
     integer form: `ints` holds the lengths, then x and y of each vertex,
     times `den`, their least common denominator.  The check compares those
-    ints, and so do `==` and `hash`, which agrees with comparing the
-    Fractions.  `lengths` and `positions` are read-only tuples of
-    Fractions built on first read: a Fraction passed in is the object
-    read back, and an int is read back as a Fraction.
+    ints, and so do the generated `==` and `hash`, on (ctype, den, ints),
+    which agrees with comparing the Fractions.  `lengths` and `positions`
+    are read-only tuples of Fractions built on first read: a Fraction
+    passed in is the object read back, and an int is read back as a
+    Fraction.  A curve pickles and copies as its constructor call.
     """
 
-    __slots__ = ("ctype", "den", "ints", "_given", "_read")
+    ctype: CombinatorialType
+    den: int
+    ints: tuple[int, ...]
+    _given: tuple = field(compare=False)
+    _read: tuple | None = field(compare=False)
 
     def __init__(self, ctype: CombinatorialType, lengths, positions):
         values = list(lengths)  # then x and y of each vertex
@@ -438,20 +444,6 @@ class ParametrizedCurve:
     @property
     def positions(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return self._views()[1]
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.den == other.den and self.ints == other.ints and self.ctype == other.ctype
-
-    def __hash__(self):
-        return hash((self.ctype, self.den, self.ints))
 
     def __repr__(self):
         return f"ParametrizedCurve(ctype={self.ctype!r}, lengths={self.lengths!r}, positions={self.positions!r})"

@@ -13,15 +13,17 @@ infeasibility).  Every solve is cold: phase 1 starts from the artificial
 basis of the system it is given, and `feasible_nonneg` runs phase 1
 alone.  No float enters any computation.
 
-`Polyhedron` asks the simplex two kinds of question: `feasible_point`
-and `optimize` solve the system as given, and `interior_point` solves
-the single LP of Freund, Roundy and Todd (1985) for a relative-interior
-point.  `strict_point`, `implicit_zero_vars` and `dim` read their answers
-off that point.
+`Polyhedron(n, rows, rhs)` holds the row lists it is given, and
+`optimize` answers with a frozen `LPResult`.  The polyhedron asks two
+kinds of question: `feasible_point` and `optimize` solve the system as
+given, and `interior_point` solves the single LP of Freund, Roundy and
+Todd (1985) for a relative-interior point.  `strict_point`,
+`implicit_zero_vars` and `dim` read their answers off that point.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -121,19 +123,14 @@ def solve_affine(rows, rhs, width):
     return particular, basis
 
 
+@dataclass(frozen=True, slots=True)
 class LPResult:
     """Outcome of an exact LP solve."""
 
-    __slots__ = ("status", "value", "point", "ray")
-
-    def __init__(self, status, value=None, point=None, ray=None):
-        self.status = status  # "optimal" | "infeasible" | "unbounded"
-        self.value = value
-        self.point = point
-        self.ray = ray
-
-    def __repr__(self):
-        return f"LPResult({self.status}, value={self.value})"
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    value: Fraction | None = None
+    point: list | None = None
+    ray: list | None = None
 
 
 def _pivot(tab, basis, row, col):
@@ -233,14 +230,15 @@ def feasible_nonneg(rows, rhs, width):
     return _phase1(_int_rows(rows, rhs, width), width) is not None
 
 
+@dataclass(eq=False)
 class Polyhedron:
-    """A polyhedron ``{x : A x = b, x >= 0}`` in standard form, its rows
-    kept as {col: coeff} dicts with their right-hand sides."""
+    """A polyhedron ``{x : A x = b, x >= 0}`` in standard form over n
+    variables, its rows kept as {col: coeff} dicts with their right-hand
+    sides.  The rows given are kept, not copied."""
 
-    def __init__(self, n_vars):
-        self.n = n_vars
-        self.rows = []
-        self.rhs = []
+    n: int
+    rows: list = field(default_factory=list)
+    rhs: list = field(default_factory=list)
 
     def add_eq(self, coeffs, rhs):
         """Add a row given as {var_index: coeff}."""
@@ -289,11 +287,9 @@ class Polyhedron:
         Columns: y, s, mu, then the slacks of y <= 1.
         """
         n = self.n
-        Q = Polyhedron(3 * n + 1)
-        for row, b in zip(self.rows, self.rhs):
-            Q.add_eq({**row, **{n + j: a for j, a in row.items()}, 2 * n: -b}, b)
-        for i in range(n):
-            Q.add_eq({i: 1, 2 * n + 1 + i: 1}, 1)
+        rows = [{**row, **{n + j: a for j, a in row.items()}, 2 * n: -b} for row, b in zip(self.rows, self.rhs)]
+        rows += [{i: 1, 2 * n + 1 + i: 1} for i in range(n)]
+        Q = Polyhedron(3 * n + 1, rows, self.rhs + [1] * n)
         res = Q.optimize(dict.fromkeys(range(n), 1), sense="max")
         if res.status != "optimal":
             return None

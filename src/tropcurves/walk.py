@@ -265,9 +265,11 @@ def start_walk(d, g, cfg=None, seed=0):
 def _forget_mark(curve, leg_index):
     """Remove a contracted leg and stabilize the 2-valent vertex it leaves.
 
-    Returns (curve, edge): the new curve and the edge that carried the
-    mark.  That is the merged edge when the vertex is stabilized away,
-    and otherwise the mark vertex's one edge.
+    Returns (curve, edge): the new curve and the merged edge that carried
+    the mark.  The mark always sits on a weight-0 vertex between two
+    edges: the top floor has in-weight 0 and divergence 1, so it has one
+    elevator, of weight 1, and connectivity sends it to a lower floor,
+    where the mark cuts it in two.  Any other shape is a WalkError.
     """
     t = curve.ctype
     host = t.legs[leg_index].vertex
@@ -276,12 +278,8 @@ def _forget_mark(curve, leg_index):
     incident = [
         (i, e) for i, e in enumerate(t.edges) if e.u == host or e.v == host
     ]
-    if t.weights[host] != 0 or len(incident) + len(others) != 2 or len(incident) != 2:
-        # nothing to stabilize: just drop the leg
-        if len(incident) != 1:
-            raise WalkError("mobile elevator not found after forgetting its mark")
-        t2 = CombinatorialType(t.weights, t.edges, tuple(legs))
-        return ParametrizedCurve(t2, curve.lengths, curve.positions), incident[0][0]
+    if t.weights[host] != 0 or others or len(incident) != 2:
+        raise WalkError("the mobile mark is not on a weight-0 vertex between two edges")
     (i1, e1), (i2, e2) = incident
     # merge e1 and e2 through host; orientation via the far endpoints
     a = e1.v if e1.u == host else e1.u

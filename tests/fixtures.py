@@ -13,8 +13,35 @@ import tropcurves.corpus
 from tropcurves.evaluation import PointConfiguration
 from tropcurves.floors import StretchedConfig
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve
+from tropcurves.walk import start_walk
 
 F = Fraction
+
+# four fractional points, not collinear
+FRACTIONAL_POINTS = ((F(1, 2), F(1, 3)), (F(-7, 5), F(2)), (F(3), F(-5, 4)), (F(11, 6), F(13, 7)))
+# four points whose degree-2 scan has fibers with edge lengths forced to zero
+FORCED_ZERO_POINTS = ((-2, -1), (1, 0), (1, 1), (2, 1))
+
+
+def affine_image(points):
+    """The points mapped by p -> p/6 + (1/2, -1/3): denominators 2, 3 and 6."""
+    return PointConfiguration(tuple((x / 6 + F(1, 2), y / 6 - F(1, 3)) for x, y in points))
+
+
+def start_stratum(g):
+    """(type, fixed points) of the start stratum of the d = 3 walk of genus g, seed 0."""
+    state = start_walk(3, g)
+    return state.ctype, state.fixed
+
+
+def balanced_type():
+    """A weight-1 vertex with a zero-slope loop, joined to a second vertex
+    by two parallel edges: the loop flip and the edge swap give order 4."""
+    return CombinatorialType(
+        weights=(1, 0),
+        edges=(Edge(0, 0), Edge(0, 1, (1, 0)), Edge(0, 1, (1, 0))),
+        legs=(Leg(0, (-1, 1)), Leg(0, (-1, -1)), Leg(1, (1, 1)), Leg(1, (1, -1))),
+    )
 
 
 def count_lps(monkeypatch):

@@ -3,10 +3,9 @@ import json
 
 import pytest
 
-from fixtures import smooth_cubic_type, tropical_line
+from fixtures import balanced_type, smooth_cubic_type, tropical_line
 
 from tropcurves.cli import main
-from tropcurves.graphs import CombinatorialType, Edge, Leg
 from tropcurves.serialize import config_to_json, type_to_json
 
 
@@ -599,12 +598,51 @@ def test_validate_family_refuses_bad_degree_slopes(tmp_path, capsys):
         (lambda d: d["lengths"].pop("edge:0"), ["missing-function", "('edge', 0) length 0"]),
         (lambda d: d["positions"]["edge:0"].pop("3"), ["missing-function", "('edge', 0) position 3"]),
         (lambda d: d["vertex_curves"]["1"]["legs"].pop(), ["degree-mismatch", "vertex 1"]),
+        (lambda d: d["edge_types"].pop("edge:0"), ["missing-type", "('edge', 0)"]),
+        (lambda d: d["contractions"].pop("1|edge:0"), ["missing-vertex-data", "vertex 1, ('edge', 0)"]),
+        # edge 0 has length 10, x of vertex 0 is 2, and the base edge has length 1
+        (
+            lambda d: d["edge_types"]["edge:0"]["edges"][0].update(slope=[0, -2]),
+            ["unbalanced-fiber", "('edge', 0) vertex 0"],
+        ),
+        (
+            lambda d: d["positions"]["edge:0"]["0"][0].update(value="3"),
+            ["fiber-not-a-curve", "('edge', 0) at 1/2: edge 0: positions violate geometric consistency"],
+        ),
+        # the three edits below keep the value at the midpoint 1/2 and move the ends
+        (
+            lambda d: d["lengths"]["edge:0"]["0"].update(value="-1", slope="22"),
+            ["negative-length", "('edge', 0) at 0"],
+        ),
+        (
+            lambda d: d["lengths"]["edge:0"]["0"].update(value="5", slope="10"),
+            ["length-compatibility", "('edge', 0) edge 0 at vertex 0"],
+        ),
+        (
+            lambda d: d["positions"]["edge:0"]["0"][0].update(value="1", slope="2"),
+            ["position-compatibility", "('edge', 0) vertex 0 at base vertex 0"],
+        ),
+        (lambda d: d["vertex_curves"]["0"]["legs"][0].update(vertex=1), ["leg-attachment", "('edge', 0) leg 0"]),
     ],
-    ids=["length-function", "lengths-of-a-ref", "position-function", "vertex-curve-legs"],
+    ids=[
+        "length-function",
+        "lengths-of-a-ref",
+        "position-function",
+        "vertex-curve-legs",
+        "missing-type",
+        "missing-vertex-data",
+        "unbalanced-fiber",
+        "fiber-not-a-curve",
+        "negative-length",
+        "length-compatibility",
+        "position-compatibility",
+        "leg-attachment",
+    ],
 )
 def test_validate_family_reports_incomplete_data(tmp_path, capsys, edit, verdict):
-    # well-formed JSON that leaves out part of the family: a failed
-    # verdict on stdout, exit 1, nothing on stderr
+    # well-formed JSON that leaves out part of the family or breaks one
+    # of its compatibilities: a failed verdict on stdout, exit 1, nothing
+    # on stderr
     data = _constant_family_json()
     edit(data)
     ff = tmp_path / "fam.json"
@@ -615,15 +653,8 @@ def test_validate_family_reports_incomplete_data(tmp_path, capsys, edit, verdict
 
 
 def test_classify_stratum_output_frozen(tmp_path, capsys):
-    # a weight-1 vertex with a zero-slope loop, joined to a second vertex
-    # by two parallel edges: the loop flip and the edge swap give order 4
-    t = CombinatorialType(
-        weights=(1, 0),
-        edges=(Edge(0, 0), Edge(0, 1, (1, 0)), Edge(0, 1, (1, 0))),
-        legs=(Leg(0, (-1, 1)), Leg(0, (-1, -1)), Leg(1, (1, 1)), Leg(1, (1, -1))),
-    )
     tf = tmp_path / "type.json"
-    tf.write_text(json.dumps(type_to_json(t)))
+    tf.write_text(json.dumps(type_to_json(balanced_type())))
     code, out, _ = run_cli(capsys, "classify-stratum", "--type", str(tf))
     assert code == 0
     assert out == (

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from fixtures import count_lps, reference_cone_contains, shifted
+from fixtures import FORCED_ZERO_POINTS, FRACTIONAL_POINTS, count_lps, reference_cone_contains, shifted
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import (
@@ -309,9 +309,6 @@ def test_scan_fibers_merges_cores():
     assert encode(scan_fibers(2, 0, cfg)) == encode(union)
 
 
-FRACTIONAL_POINTS = ((F(1, 2), F(1, 3)), (F(-7, 5), F(2)), (F(3), F(-5, 4)), (F(11, 6), F(13, 7)))
-
-
 def test_scan_of_fractional_points_is_affine_invariant(monkeypatch):
     # fractional, not collinear: one pair table per core and direction
     # between two points; scaling by a positive rational and translating must keep
@@ -540,9 +537,6 @@ def test_pair_tables_match_per_pair_cone_tests():
             fits = {a: {b for b in scanner.sites if reference_cone_contains(gens[a, b], w)} for a in scanner.sites}
             back = {b: {a for a in scanner.sites if b in fits[a]} for b in scanner.sites}
             assert site_sets(scanner, scanner.pair_table(w)) == (fits, back), (core, w)
-
-
-FORCED_ZERO_POINTS = ((-2, -1), (1, 0), (1, 1), (2, 1))
 
 
 def test_forced_zero_fibers_frozen():

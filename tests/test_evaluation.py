@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fixtures import tropical_line
+from fixtures import start_stratum, tropical_line
 
 import tropcurves.corpus
 from tropcurves.cones import cone_dimension
@@ -59,16 +59,14 @@ def test_fiber_requires_matching_marks():
 def test_interval_fiber_in_walk_setting():
     # the genus-1 cubic through 8 of its 9 stretched points moves in an
     # interval whose boundary leaves the open stratum
-    from tropcurves.walk import start_walk
-
-    state = start_walk(3, 1)
-    fb = fiber(state.ctype, state.fixed)
+    t, fixed = start_stratum(1)
+    fb = fiber(t, fixed)
     assert fb.kind == "interval"
-    assert fb.codimension() == 2 * len(state.fixed)
+    assert fb.codimension() == 2 * len(fixed)
     for _tag, t2, _curve in fb.endpoints:
         # the endpoint degenerations have strictly smaller cones
         assert cone_dimension(t2) < fb.cone_dimension
-        assert genus(t2) == genus(state.ctype)
+        assert genus(t2) == genus(t)
 
 
 def test_translation_invariance():
@@ -130,5 +128,8 @@ def test_is_general_refuses_a_degree_below_one_and_a_negative_genus():
 
 
 def test_is_general_line_through_two_points():
+    # a StretchedConfig is read through its points, as a PointConfiguration is
     cfg = make_stretched(2, 1)
     assert is_general(cfg.config, 1, 0) is True
+    assert is_general(cfg, 1, 0) is True
+    assert is_general(make_stretched(5, 2), 2, 0) is True

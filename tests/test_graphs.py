@@ -1,6 +1,9 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -234,6 +237,29 @@ def test_enumerated_curves_equal_their_rebuilt_copies():
             for _diag, c in enumerate_curves(d, g):
                 copy = ParametrizedCurve(c.ctype, c.lengths, c.positions)
                 assert copy == c and hash(copy) == hash(c)
+
+
+def test_parametrized_curve_is_a_frozen_value():
+    # an int and Fraction mix, so den is 2; the Fractions are read first,
+    # and a copy that has not read them yet is still equal
+    t = CombinatorialType(weights=(0, 0), edges=(Edge(0, 1, (1, 2)),))
+    curve = ParametrizedCurve(t, lengths=(F(1, 2),), positions=((1, 0), (F(3, 2), 1)))
+    assert (curve.den, curve.ints) == (2, (1, 2, 0, 3, 2))
+    assert curve.lengths == (F(1, 2),)
+    for name in ("ctype", "den", "ints"):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(curve, name, None)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(curve, name)
+    rebuilt = ParametrizedCurve(t, (F(1, 2),), ((F(1), F(0)), (F(3, 2), F(1))))
+    assert rebuilt == curve and hash(rebuilt) == hash(curve) == hash((t, 2, curve.ints))
+    assert curve != (t, 2, curve.ints) and curve != "curve"
+    names = {"ParametrizedCurve": ParametrizedCurve, "CombinatorialType": CombinatorialType}
+    names.update(Edge=Edge, Leg=Leg, Fraction=F)
+    copies = [copy.copy(curve), copy.deepcopy(curve), pickle.loads(pickle.dumps(curve)), eval(repr(curve), names)]
+    for other in copies:
+        assert other == curve and hash(other) == hash(curve)
+        assert (other.lengths, other.positions) == (curve.lengths, curve.positions)
 
 
 def test_curve_multiplicity_line():

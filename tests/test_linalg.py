@@ -1,9 +1,12 @@
 import hashlib
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
-from tropcurves.linalg import Polyhedron, feasible_nonneg, mat_rank, solve_affine
+import pytest
+
+from tropcurves.linalg import LPResult, Polyhedron, feasible_nonneg, mat_rank, solve_affine
 
 MU = 12**12 * 40  # the stretch ratio (3d)^(3d) * x_max at d = 4, x_max = 40
 
@@ -54,6 +57,21 @@ def test_lp_unbounded_ray():
     assert res.status == "unbounded"
     assert res.ray[0] == res.ray[1] > 0
     assert P.dim() == 1
+
+
+def test_lp_result_is_a_frozen_value():
+    P = Polyhedron(2, [{0: 1, 1: 1}], [4])
+    res = P.optimize({0: 1})
+    for name in ("status", "value", "point", "ray"):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(res, name, None)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(res, name)
+    assert res == P.optimize({0: 1}) == LPResult("optimal", value=0, point=[0, 4])
+    assert res != ("optimal", 0, [0, 4], None) and res != "optimal"
+    # a result holding no point hashes; one with a point list does not
+    empty = Polyhedron(1, [{0: 1}], [-1]).optimize({})
+    assert empty == LPResult("infeasible") and hash(empty) == hash(LPResult("infeasible"))
 
 
 def test_implicit_equalities_and_interior():

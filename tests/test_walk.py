@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from fixtures import affine_image
 
 from tropcurves.canonical import types_isomorphic
 from tropcurves.cones import classify, resolve_wall
@@ -181,7 +182,7 @@ def test_walk_traces_frozen():
 # of fiber_to_json per d = 3 walk, g = 0 then 1, seeds 0-11 each; pinned
 # while the fiber rows were still measured from the first mark
 START_FIBERS_SHA256 = "bfc8811a2a7ae10ad0ebe0f9cce2909a50838db08587478b0212ffb12c74ea7b"
-# the same over the fixed points mapped by `_affine_image`, so the fiber
+# the same over the fixed points mapped by `affine_image`, so the fiber
 # rows have Fraction right-hand sides; pinned while `Polyhedron` still
 # kept its rows as dense Fraction lists
 AFFINE_START_FIBERS_SHA256 = "9a044f2627790e6f651c317095188738d358f9d5a2d8f5d6bd9cf372e0c6f332"
@@ -195,7 +196,7 @@ def test_start_stratum_fibers_frozen():
     for g in (0, 1):
         for seed in range(12):
             state = start_walk(3, g, seed=seed)
-            for cfg, digest in ((state.fixed, blob), (_affine_image(state.fixed.points), affine)):
+            for cfg, digest in ((state.fixed, blob), (affine_image(state.fixed.points), affine)):
                 fb = fiber(state.ctype, cfg)
                 assert (fb.kind, len(fb.endpoints), fb.bounded) == ("interval", 2, True), (g, seed)
                 assert fb.codimension() in (14, 16), (g, seed)
@@ -228,11 +229,6 @@ def test_each_stratum_builds_its_path_coefficients_once(monkeypatch):
         assert len(calls) == 2 * (trace.crossings + 1), (d, g, seed)
 
 
-def _affine_image(points):
-    """The points mapped by p -> p/6 + (1/2, -1/3): denominators 2, 3 and 6."""
-    return PointConfiguration(tuple((x / 6 + F(1, 2), y / 6 - F(1, 3)) for x, y in points))
-
-
 def test_walk_commutes_with_a_rational_affine_map():
     # the walk clears the moved points to ints; on them every length and
     # wall parameter is divided by 6 while the fiber lines stay, so the
@@ -244,7 +240,7 @@ def test_walk_commutes_with_a_rational_affine_map():
         starts += [(d, g, points, seed) for seed in range(n)]
     for d, g, points, seed in starts:
         trace = run_walk(d, g, PointConfiguration(points), seed)
-        moved = run_walk(d, g, _affine_image(points), seed)
+        moved = run_walk(d, g, affine_image(points), seed)
         scaled = [(e[0], e[1], e[2] / 6) if e[0] == "wall" else e for e in trace.events]
         assert list(moved.events) == scaled, (d, g, seed)
         assert moved.invariants == trace.invariants
@@ -269,7 +265,7 @@ def test_interior_positions_pass_through_the_fixed_points(monkeypatch):
     monkeypatch.setattr(tropcurves.walk, "advance", recording_advance)
     for d, g, seed in ((3, 0, 8), (4, 2, 3)):
         points = make_stretched(3 * d + g - 1, d).points
-        for cfg in (PointConfiguration(points), _affine_image(points)):
+        for cfg in (PointConfiguration(points), affine_image(points)):
             run_walk(d, g, cfg, seed)
     assert len(states) == 4 * 7  # six crossings each, then the terminal ray
     for state in states:
