@@ -19,7 +19,7 @@ from tropcurves.errors import ScaleRefusal
 from tropcurves.graphs import components
 
 # desk scale: every operation here lists the C(d, 2) nodes or more
-_MAX_LINES = 7
+MAX_LINES = 7
 
 
 def _node(i, j):
@@ -102,7 +102,11 @@ def similar_moves(m: MarkingSet):
     return list(out.values())
 
 
-def _check_delta(delta):
+def _check_scale(d, delta, what):
+    """Refuse d past MAX_LINES, saying what (verb included) is certified
+    to there, and a negative delta."""
+    if d > MAX_LINES:
+        raise ScaleRefusal(f"{what} certified for d <= {MAX_LINES} only")
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
 
@@ -114,11 +118,9 @@ def equivalence_classes(d, delta):
     Markings are ints over the bits of `Arrangement.nodes()`.  The pair
     {L, L'} and a third line L'' give one move: with p clear, a marking
     holding q but not r trades q for r, and the reverse trade is the same
-    move read from the image.  Desk scale keeps d <= _MAX_LINES.
+    move read from the image.  Desk scale keeps d <= MAX_LINES.
     """
-    if d > _MAX_LINES:
-        raise ScaleRefusal(f"equivalence classes are certified for d <= {_MAX_LINES} only")
-    _check_delta(delta)
+    _check_scale(d, delta, "equivalence classes are")
     arr = Arrangement(d)
     nodes = arr.nodes()
     bit = {p: 1 << k for k, p in enumerate(nodes)}
@@ -151,10 +153,9 @@ def empty_criterion(d, delta):
 
     Cross-checked constructively: otherwise a marking disjoint from the
     first line exists and is irreducible.  Like the witness, it is
-    certified for d <= _MAX_LINES only.
+    certified for d <= MAX_LINES only.
     """
-    if d > _MAX_LINES:
-        raise ScaleRefusal(f"the emptiness criterion is certified for d <= {_MAX_LINES} only")
+    _check_scale(d, delta, "the emptiness criterion is")
     bound = (d - 1) * (d - 2) // 2
     empty = delta > bound
     if not empty:
@@ -166,11 +167,9 @@ def empty_criterion(d, delta):
 def marking_avoiding_line(d, delta, line=1):
     """A delta-marking disjoint from the given line, when one exists.
 
-    It lists the nodes, so it is certified for d <= _MAX_LINES only.
+    It lists the nodes, so it is certified for d <= MAX_LINES only.
     """
-    if d > _MAX_LINES:
-        raise ScaleRefusal(f"witness markings are certified for d <= {_MAX_LINES} only")
-    _check_delta(delta)
+    _check_scale(d, delta, "witness markings are")
     arr = Arrangement(d)
     if not 1 <= line <= d:
         raise ValueError(f"line must be one of 1..{d}, got {line}")

@@ -1,6 +1,6 @@
 """Bounded enumeration of combinatorial types of plane curves.
 
-The corpus of degree-d, genus-g types is produced in two stages:
+The corpus of degree-d, genus-g types is produced and read in three stages:
 
 1.  `enumerate_cores(d, b1)` -- all weightless stable types with every
     edge slope nonzero, d legs each of slopes (1,1), (-1,0), (0,-1), and
@@ -45,6 +45,10 @@ The corpus of degree-d, genus-g types is produced in two stages:
     Every marked type whose fiber over cfg is nonempty appears in the
     scan; all others have empty fibers by construction.
 
+3.  `is_general(cfg, d, g)` -- no scan below genus g has a hit, and
+    every hit at genus g has codimension 2 len(cfg).  Past MAX_DEGREE
+    and MAX_BETTI, where the first two stages refuse, it is "unknown".
+
 Decorated types -- with vertex weights, contracted loops or contracted
 bridges -- need no stage of their own: each reduces onto a weightless
 core of genus at most g with the same marked points (see `scan_fibers`),
@@ -67,6 +71,10 @@ from tropcurves.graphs import CombinatorialType, Edge, Leg
 from tropcurves.linalg import feasible_nonneg
 
 _CLASS_SLOPES = ((1, 1), (-1, 0), (0, -1))
+
+# the cores' certified scale, which bounds all three stages
+MAX_DEGREE = 3
+MAX_BETTI = 1
 
 
 def _fold(gens, w, seen=(False, None, None)):
@@ -240,30 +248,27 @@ def _core(kids, cycle):
     return CombinatorialType(weights, tuple(edges), tuple(Leg(v, s) for s, v in sorted(legs)))
 
 
-def enumerate_cores(d, b1, max_valency=None, slope_bound=None):
+def enumerate_cores(d, b1, max_valency=None):
     """All weightless cores with nonzero edge slopes, degree d, Betti b1.
 
     Returns the generated cores, one CombinatorialType per isomorphism
     class (legs unlabeled within a slope class), realizable ones only,
     sorted by canonical key; a core is not relabeled to its canonical
-    form.  `slope_bound` widens the slope alphabet beyond the
-    dual-polygon bound d, for falsification tests of the corpus contract.  A degree above 3
-    and a Betti number above 1 are refused: d <= 3 is the scale `is_general`
-    certifies, where the genus is at most 1.  A degree below 1 or a
+    form.  A degree above MAX_DEGREE and a Betti number above MAX_BETTI
+    are refused, the scale `is_general` certifies.  A degree below 1 or a
     negative b1 is a ValueError.
     """
     if d < 1:
         raise ValueError(f"degree d must be at least 1, got {d}")
     if b1 < 0:
         raise ValueError(f"Betti number b1 must be non-negative, got {b1}")
-    if b1 > 1:
-        raise ScaleRefusal("enumerate_cores is certified for Betti number b1 <= 1 only")
-    if d > 3:
-        raise ScaleRefusal("enumerate_cores is certified for degree d <= 3 only")
-    bound = d if slope_bound is None else slope_bound
+    if b1 > MAX_BETTI:
+        raise ScaleRefusal(f"enumerate_cores is certified for Betti number b1 <= {MAX_BETTI} only")
+    if d > MAX_DEGREE:
+        raise ScaleRefusal(f"enumerate_cores is certified for degree d <= {MAX_DEGREE} only")
     # no cap: a vertex has at most its 3d legs and two cycle edges
     cap = 3 * d + 2 if max_valency is None else max_valency
-    cores = [_core(kids, cycle) for kids, cycle in _shapes((d, d, d), bound, cap, b1)]
+    cores = [_core(kids, cycle) for kids, cycle in _shapes((d, d, d), d, cap, b1)]
     cores.sort(key=lambda t: canonical_key(t, labeled="none"))
     return cores
 
@@ -515,3 +520,31 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
             if key not in results:
                 results[key] = (t, fiber(t, cfg))
     return [results[k] for k in sorted(results)]
+
+
+def is_general(cfg, d, g):
+    """Decide general position of ``cfg`` relative to the enumerated corpus.
+
+    True iff for every combinatorial type in the corpus of degree-d
+    genus-g types with len(cfg) contracted legs, the evaluation fiber has
+    codimension 2n in the closed cone or is empty.  cfg is a
+    `PointConfiguration`, anything else with `points` (a
+    `StretchedConfig`), or a sequence of points.  The corpus bound is a
+    design contract (slope coordinates at most d).  Past the cores' scale,
+    and at its corner (MAX_DEGREE, MAX_BETTI), whose scan is not
+    certified, the verdict is "unknown" before any scan, never a silent False.
+    """
+    if not isinstance(cfg, PointConfiguration):
+        pts = tuple(tuple(p) for p in getattr(cfg, "points", cfg))
+        if len(set(pts)) != len(pts):
+            return False  # a repeated point is never general
+        cfg = PointConfiguration(pts)
+    if d > MAX_DEGREE or g > MAX_BETTI or (d, g) == (MAX_DEGREE, MAX_BETTI):
+        return "unknown"
+    n = len(cfg)
+    # genus g' < g: decorated genus-g types reduce to these scans; any
+    # placement at a lower genus is an overdetermined coincidence and
+    # already breaks generality
+    if any(scan_fibers(d, g2, cfg) for g2 in range(g)):
+        return False
+    return all(fb.codimension() == 2 * n for _t, fb in scan_fibers(d, g, cfg))

@@ -4,7 +4,9 @@ The fiber of a combinatorial type over a point configuration is the
 polyhedron cut out inside the (closed) moduli cone by pinning the vertex
 carrying the i-th contracted leg to the i-th point.  Everything is exact:
 emptiness, dimension, interval endpoints and unbounded ray directions are
-all certified by the rational simplex underneath.
+all certified by the rational simplex underneath.  General position of
+a configuration, a statement about the fibers of a whole corpus of
+types, is `corpus.is_general`.
 """
 
 from __future__ import annotations
@@ -185,34 +187,3 @@ def genericity_conclusion(t: CombinatorialType, cfg: PointConfiguration):
         return False
     return all(e.slope != (0, 0) for e in t.edges)
 
-
-def is_general(cfg, d, g):
-    """Decide general position of ``cfg`` relative to the enumerated corpus.
-
-    True iff for every combinatorial type in the corpus of degree-d
-    genus-g types with len(cfg) contracted legs, the evaluation fiber has
-    codimension 2n in the closed cone or is empty.  cfg is a
-    `PointConfiguration`, anything else with `points` (a
-    `StretchedConfig`), or a sequence of points.  The corpus bound is a
-    design contract (slope coordinates at most d); beyond desk scale (d > 3,
-    g >= 2, or g = 1 at d = 3) the verdict is "unknown", never a silent
-    False.
-    """
-    if not isinstance(cfg, PointConfiguration):
-        pts = tuple(tuple(p) for p in getattr(cfg, "points", cfg))
-        if len(set(pts)) != len(pts):
-            return False  # a repeated point is never general
-        cfg = PointConfiguration(pts)
-    if d > 3:
-        return "unknown"  # corpus bound: exhaustive enumeration kept to d <= 3
-    if g >= 2 or (d == 3 and g == 1):
-        return "unknown"  # b1 >= 2 is refused; no scan of the d = 3, b1 = 1 cores is certified
-    from tropcurves.corpus import scan_fibers
-
-    n = len(cfg)
-    # genus g' < g: decorated genus-g types reduce to these scans; any
-    # placement at a lower genus is an overdetermined coincidence and
-    # already breaks generality
-    if any(scan_fibers(d, g2, cfg) for g2 in range(g)):
-        return False
-    return all(fb.is_empty() or fb.codimension() == 2 * n for _t, fb in scan_fibers(d, g, cfg))

@@ -204,71 +204,51 @@ def induced_map_slopes(fam: FamilyDatum, ref):
     return tuple(out)
 
 
-def constant_family(base: BaseCurve, curve: ParametrizedCurve):
-    """The family with every fiber equal to `curve` and identity maps."""
-    t = curve.ctype
-    edge_types = {}
-    lengths = {}
-    positions = {}
-    contractions = {}
-    ident = Contraction(
-        vertex_map=tuple(range(t.n_vertices())),
-        edge_map=tuple(range(len(t.edges))),
-    )
+def _uniform_family(base: BaseCurve, t, lengths, curve: ParametrizedCurve, ray=None):
+    """The family over `base` with every fiber of type t, identity maps,
+    and `curve` over every base vertex.  Along each base edge or leg the
+    fiber starts at lengths and curve's positions and moves by ray (laid
+    out as `evaluation.curve_at` reads a point; fixed when None)."""
+    nv, ne = t.n_vertices(), len(t.edges)
+    if ray is None:
+        ray = (0,) * (2 * nv + ne)
+    ident = Contraction(tuple(range(nv)), tuple(range(ne)))
+    edge_types, funcs, positions, contractions = {}, {}, {}, {}
     for ref, tail, head, _blen in _edge_refs(base):
         edge_types[ref] = t
-        lengths[ref] = {i: AffineFunction(curve.lengths[i], 0) for i in range(len(t.edges))}
+        funcs[ref] = {i: AffineFunction(lengths[i], ray[2 * nv + i]) for i in range(ne)}
         positions[ref] = {
-            u: (AffineFunction(curve.positions[u][0], 0), AffineFunction(curve.positions[u][1], 0))
-            for u in range(t.n_vertices())
+            u: (
+                AffineFunction(curve.positions[u][0], ray[2 * u]),
+                AffineFunction(curve.positions[u][1], ray[2 * u + 1]),
+            )
+            for u in range(nv)
         }
         contractions[(tail, ref)] = ident
         if head is not None:
             contractions[(head, ref)] = ident
-    vertex_curves = {w: curve for w in range(base.graph.n_vertices())}
     return FamilyDatum(
         base=base,
         extended_degree=t.extended_degree(),
         edge_types=edge_types,
-        lengths=lengths,
+        lengths=funcs,
         positions=positions,
-        vertex_curves=vertex_curves,
+        vertex_curves={w: curve for w in range(base.graph.n_vertices())},
         contractions=contractions,
     )
+
+
+def constant_family(base: BaseCurve, curve: ParametrizedCurve):
+    """The family with every fiber equal to `curve` and identity maps."""
+    return _uniform_family(base, curve.ctype, curve.lengths, curve)
 
 
 def ray_family(terminal_type, base_lengths, ray, base_point_curve):
     """The family over a single leg moving along a terminal ray.
 
-    The fiber at distance q has lengths base + q * ray; positions are
-    constant.  Used to revalidate the walk's genus-drop witness as an
-    honest family.
+    The fiber at distance q is the base point (base_lengths, the
+    positions of base_point_curve) plus q * ray.  Used to revalidate the
+    walk's genus-drop witness as an honest family.
     """
     base = BaseCurve(TropicalGraph(weights=(0,), edges=(), lengths=(), legs=(0,)))
-    t = terminal_type
-    nv = t.n_vertices()
-    ref = ("leg", 0)
-    lengths = {
-        ref: {
-            i: AffineFunction(base_lengths[i], ray[2 * nv + i]) for i in range(len(t.edges))
-        }
-    }
-    positions = {
-        ref: {
-            u: (
-                AffineFunction(base_point_curve.positions[u][0], ray[2 * u]),
-                AffineFunction(base_point_curve.positions[u][1], ray[2 * u + 1]),
-            )
-            for u in range(nv)
-        }
-    }
-    ident = Contraction(tuple(range(nv)), tuple(range(len(t.edges))))
-    return FamilyDatum(
-        base=base,
-        extended_degree=t.extended_degree(),
-        edge_types={ref: t},
-        lengths=lengths,
-        positions=positions,
-        vertex_curves={0: base_point_curve},
-        contractions={(0, ref): ident},
-    )
+    return _uniform_family(base, terminal_type, base_lengths, base_point_curve, ray)

@@ -49,7 +49,7 @@ from tropcurves.cones import (
 )
 from tropcurves.errors import WalkError
 from tropcurves.evaluation import PointConfiguration, integer_points
-from tropcurves.floors import diagram_curve, floors_of, make_stretched, solution_diagrams
+from tropcurves.floors import diagram_curve, floors_of, make_stretched, solution_diagrams, top_floor_check
 from tropcurves.graphs import (
     CombinatorialType,
     Edge,
@@ -232,10 +232,9 @@ def start_walk(d, g, cfg=None, seed=0):
     curve = diagram_curve(diag, cfg)
     if curve is None:
         raise ValueError("no floor decomposed solution: configuration is not stretched")
-    top = [e for e in diag.elevators if e.top == diag.d]
-    if len(top) != 1 or top[0].weight != 1:
+    if not top_floor_check(diag):
         raise WalkError("top floor elevator is not unique of weight one")
-    mobile_mark = top[0].mark
+    (mobile_mark,) = [e.mark for e in diag.elevators if e.top == diag.d]
     new_curve, elevator = _forget_mark(curve, mobile_mark - 1)
     fixed = PointConfiguration(tuple(p for i, p in enumerate(cfg.points) if i != mobile_mark - 1))
     t = new_curve.ctype

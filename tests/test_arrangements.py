@@ -14,7 +14,6 @@ from tropcurves.arrangements import (
     severi_dim,
     similar_moves,
 )
-from tropcurves.errors import ScaleRefusal
 
 
 def mk(d, *pairs):
@@ -109,20 +108,6 @@ def test_marking_set_refuses_non_nodes():
             with pytest.raises(ValueError, match="not a node"):
                 mk(d, pair)
         assert mk(d, (d, 1)).key() == ((1, d),)
-
-
-def test_scale_refusal():
-    with pytest.raises(ScaleRefusal):
-        equivalence_classes(8, 1)
-
-
-def test_witness_scale_refusal():
-    # both list the nodes; at d = 7 they still answer
-    for call in (empty_criterion, marking_avoiding_line):
-        with pytest.raises(ScaleRefusal):
-            call(8, 1)
-    assert not empty_criterion(7, 15)
-    assert marking_avoiding_line(7, 15).delta() == 15
 
 
 def test_branch_codim():

@@ -24,10 +24,10 @@ from tropcurves.corpus import (
     _scan_order,
     _shapes,
     enumerate_cores,
+    is_general,
     scan_fibers,
 )
-from tropcurves.errors import ScaleRefusal
-from tropcurves.evaluation import PointConfiguration, fiber, integer_points, is_general
+from tropcurves.evaluation import PointConfiguration, fiber, integer_points
 from tropcurves.floors import enumerate_curves, is_vertically_stretched, make_stretched
 from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, genus, is_stable
 from tropcurves.linalg import feasible_nonneg
@@ -124,11 +124,18 @@ def test_degree_two_cores_match_tree_oracle():
     assert len(sweep) == 51
 
 
+def wide_cores(d, b1, bound):
+    """`enumerate_cores(d, b1)` over the wider slope alphabet of
+    coordinates at most bound, from the same generator."""
+    cores = [_core(kids, cycle) for kids, cycle in _shapes((d, d, d), bound, 3 * d + 2, b1)]
+    return sorted(cores, key=lambda t: canonical_key(t, labeled="none"))
+
+
 def test_slope_bound_is_sharp_at_degree_two():
     # widening the slope alphabet adds no realizable cores: the dual
     # polygon bound is not an artifact of the enumeration
     for b1 in (0, 1):
-        wide = [canonical_key(t, labeled="none") for t in enumerate_cores(2, b1, slope_bound=3)]
+        wide = [canonical_key(t, labeled="none") for t in wide_cores(2, b1, 3)]
         normal = [canonical_key(t, labeled="none") for t in enumerate_cores(2, b1)]
         assert wide == normal
     assert set(tree_oracle_cores(2, slope_bound=3)) == set(tree_oracle_cores(2))
@@ -145,7 +152,7 @@ def test_betti_one_cores_degree_two():
     # the ordered keys, which no vertex numbering moves
     frozen = "2b743aaf9018eaee2869af7677b4efb16db2aede7df8cefc81c679e138657fb3"
     assert _keys_digest(cores) == frozen
-    assert _keys_digest(enumerate_cores(2, 1, slope_bound=3)) == frozen
+    assert _keys_digest(wide_cores(2, 1, 3)) == frozen
     for t in cores:
         assert t.is_weightless()
         assert is_stable(t)
@@ -181,11 +188,6 @@ def test_betti_one_cores_generated_once():
     # the ordered keys of enumerate_cores(3, 1, max_valency=3)
     digest = hashlib.sha256(repr(sorted(keys)).encode()).hexdigest()
     assert digest == "973e3ce7a58c0ba8283ad4b463f4cc67840097c92a525eb11f7f066340cec89b"
-
-
-def test_enumerate_cores_refuses_betti_two():
-    with pytest.raises(ScaleRefusal):
-        enumerate_cores(2, 2)
 
 
 def test_enumerate_cores_refuses_a_degree_below_one_and_a_negative_betti_number():

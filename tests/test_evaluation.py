@@ -6,8 +6,8 @@ from fixtures import start_stratum, tropical_line
 
 import tropcurves.corpus
 from tropcurves.cones import cone_dimension
-from tropcurves.corpus import _attach_mark
-from tropcurves.evaluation import PointConfiguration, fiber, genericity_conclusion, is_general
+from tropcurves.corpus import _attach_mark, is_general
+from tropcurves.evaluation import PointConfiguration, fiber, genericity_conclusion
 from tropcurves.floors import make_stretched
 from tropcurves.graphs import genus
 
@@ -99,10 +99,6 @@ def test_genericity_conclusion_rejects_bad_types():
 
 def test_is_general_rejects_repeated_points():
     assert is_general([(0, 0), (0, 0)], 1, 0) is False
-
-
-def test_is_general_unknown_beyond_desk_scale():
-    assert is_general([(0, 0), (1, -5)], 4, 0) == "unknown"
 
 
 def test_is_general_unknown_for_positive_genus_cubics(monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 from fixtures import smooth_cubic_curve, tropical_line
@@ -11,6 +13,7 @@ from tropcurves.families import (
     validate_family,
 )
 from tropcurves.graphs import ParametrizedCurve, TropicalGraph
+from tropcurves.serialize import family_to_json
 
 
 def segment_base():
@@ -98,6 +101,17 @@ def test_interpolating_lengths_with_node_slopes():
     assert slopes[0] == k_a - k_b
 
 
+def test_family_builders_bytes_frozen():
+    # the JSON of a constant family over one edge and one leg and of the
+    # walk's ray family, key order included
+    families = [constant_family(segment_base(), smooth_cubic_curve()), walk_ray_family()[0]]
+    digests = [hashlib.sha256(json.dumps(family_to_json(fam)).encode()).hexdigest() for fam in families]
+    assert digests == [
+        "f5cf5570ae544986e05b219d0b4178244014cefb56d76a7aba1f40f0f706511d",
+        "e84feb956704c80984d06ad92bfb473ee66dd012dcf5a26a722725269562675a",
+    ]
+
+
 def test_induced_slopes_additive_under_reparametrization():
     # scaling the base edge by c scales all slopes by 1/c
     curve = line_curve()
@@ -107,7 +121,8 @@ def test_induced_slopes_additive_under_reparametrization():
     assert s == (F(0), F(0))
 
 
-def test_ray_family_from_walk_terminal():
+def walk_ray_family():
+    """(the ray family of the d = 2 walk's terminal, that terminal)."""
     from tropcurves.walk import run_walk
 
     trace = run_walk(2, 0)
@@ -118,7 +133,11 @@ def test_ray_family_from_walk_terminal():
     base_lengths = [l + r for l, r in zip(trace_base_lengths(term), term.ray[2 * nv :])]
     positions = trace_positions(term)
     base_curve = ParametrizedCurve(t, tuple(base_lengths), positions)
-    fam = ray_family(t, base_lengths, term.ray, base_curve)
+    return ray_family(t, base_lengths, term.ray, base_curve), term
+
+
+def test_ray_family_from_walk_terminal():
+    fam, term = walk_ray_family()
     verdict = validate_family(fam)
     assert verdict.ok, verdict
     slopes = induced_map_slopes(fam, ("leg", 0))

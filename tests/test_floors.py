@@ -7,7 +7,6 @@ import pytest
 
 from fixtures import smooth_cubic_curve, smooth_cubic_type, tropical_line
 
-from tropcurves.errors import ScaleRefusal
 from tropcurves.floors import (
     DOWN,
     Elevator,
@@ -284,13 +283,6 @@ def test_degree_six_shapes():
                 assert legs[fl - 1] >= 0 and out - inflow + legs[fl - 1] == 1
         counts.append(len(shapes))
     assert counts == [1296, 3082, 3959, 3529, 2370, 1253, 530, 179, 47, 9, 1, 0]
-
-
-def test_scale_refusal():
-    with pytest.raises(ScaleRefusal):
-        count_severi(6, 0)
-    with pytest.raises(ScaleRefusal):
-        enumerate_curves(6, 0, make_stretched(17, 6))
 
 
 def test_degree_zero_is_refused():

@@ -1,35 +1,39 @@
 """Every public entry point refuses just past its certified scale, at once.
 
-The bounds: the floor layer and the walk to d = `floors.MAX_DEGREE` (5),
-the marking calculus to d = 7 lines, the core generator to d = 3 and
-Betti number 1, and `is_general` to d = 3, where it answers "unknown"
-beyond.
+Each bound is read from the layer that owns it: `floors.MAX_DEGREE` for
+the floor layer and the walk, `arrangements.MAX_LINES` for the marking
+calculus, and `corpus.MAX_DEGREE` and `corpus.MAX_BETTI` for the cores,
+the scan and `is_general`, which answers "unknown" past them.
 """
 
 import time
 
 import pytest
 
+from tropcurves import arrangements, corpus, floors
 from tropcurves.arrangements import empty_criterion, equivalence_classes, marking_avoiding_line
-from tropcurves.corpus import enumerate_cores, scan_fibers
+from tropcurves.corpus import enumerate_cores, is_general, scan_fibers
 from tropcurves.errors import ScaleRefusal
-from tropcurves.evaluation import is_general
-from tropcurves.floors import MAX_DEGREE, count_severi, enumerate_curves, make_stretched
+from tropcurves.floors import count_severi, enumerate_curves, make_stretched
 from tropcurves.walk import run_walk
 
 
 def test_every_entry_point_refuses_just_past_its_bound_within_a_second():
-    d, cfg = MAX_DEGREE + 1, make_stretched(11, 4)
+    d = floors.MAX_DEGREE + 1
+    lines = arrangements.MAX_LINES + 1
+    core_d = corpus.MAX_DEGREE + 1
+    cfg = make_stretched(3 * core_d - 1, core_d)
     calls = [
         (count_severi, (d, 0)),
         (enumerate_curves, (d, 0)),
+        (enumerate_curves, (d, 0, make_stretched(3 * d - 1, d))),
         (run_walk, (d, 0)),
-        (equivalence_classes, (8, 1)),
-        (empty_criterion, (8, 1)),
-        (marking_avoiding_line, (8, 1)),
-        (enumerate_cores, (4, 0)),
-        (enumerate_cores, (2, 2)),
-        (scan_fibers, (4, 0, cfg)),
+        (equivalence_classes, (lines, 1)),
+        (empty_criterion, (lines, 1)),
+        (marking_avoiding_line, (lines, 1)),
+        (enumerate_cores, (core_d, 0)),
+        (enumerate_cores, (2, corpus.MAX_BETTI + 1)),
+        (scan_fibers, (core_d, 0, cfg)),
     ]
     for call, args in calls:
         start = time.perf_counter()
@@ -37,5 +41,11 @@ def test_every_entry_point_refuses_just_past_its_bound_within_a_second():
             call(*args)
         assert time.perf_counter() - start < 1.0, (call.__name__, args)
     start = time.perf_counter()
-    assert is_general(cfg, 4, 0) == "unknown"
+    assert is_general(cfg, core_d, 0) == "unknown"
+    assert is_general([(0, 0), (1, -5)], core_d, 0) == "unknown"
     assert time.perf_counter() - start < 1.0
+    # at their bound the marking calls still answer: every node off one
+    # line makes an irreducible marking
+    delta = (lines - 2) * (lines - 3) // 2
+    assert not empty_criterion(lines - 1, delta)
+    assert marking_avoiding_line(lines - 1, delta).delta() == delta
