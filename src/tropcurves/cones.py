@@ -284,12 +284,13 @@ def split_vertex(t: CombinatorialType, v, moving_germs):
         raise ValueError("germ descriptor not at the split vertex")
     new_v = t.n_vertices()
     moving_sum = (0, 0)
+    edges, legs = list(t.edges), list(t.legs)
     for s, d in star:
-        if d in moving:
-            moving_sum = vadd(moving_sum, s)
-    edges = list(t.edges)
-    for s, d in star:
-        if d not in moving or d[0] != "edge":
+        if d not in moving:
+            continue
+        moving_sum = vadd(moving_sum, s)
+        if d[0] == "leg":
+            legs[d[1]] = Leg(new_v, s)
             continue
         _, i, end = d
         # edges[i] is read again for a loop's second germ, so a loop with
@@ -297,11 +298,6 @@ def split_vertex(t: CombinatorialType, v, moving_germs):
         # moving germ opens into a real edge
         e = edges[i]
         edges[i] = Edge(new_v, e.v, e.slope) if end == 0 else Edge(e.u, new_v, e.slope)
-    legs = list(t.legs)
-    for s, d in star:
-        if d in moving and d[0] == "leg":
-            j = d[1]
-            legs[j] = Leg(new_v, legs[j].slope)
     # new edge oriented v -> new_v; balancing at new_v forces its slope to
     # be the sum of the germs that moved
     new_edge_index = len(edges)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tropcurves.graphs import ParametrizedCurve, TropicalGraph, check_balancing
+from tropcurves.graphs import ParametrizedCurve, TropicalGraph, check_balancing, exact
 
 F = Fraction
 
@@ -30,8 +30,8 @@ class AffineFunction:
     slope: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", F(self.value))
-        object.__setattr__(self, "slope", F(self.slope))
+        object.__setattr__(self, "value", F(exact(self.value, "affine function: value")))
+        object.__setattr__(self, "slope", F(exact(self.slope, "affine function: slope")))
 
     def at(self, dist):
         return self.value + self.slope * dist
@@ -100,14 +100,15 @@ def _edge_refs(base: BaseCurve):
 
 
 def _fiber_at(fam: FamilyDatum, ref, dist):
-    """The parametrized curve over an interior point of a base edge."""
+    """(lengths, positions) of the fiber at distance dist along base edge
+    or leg ref."""
     t = fam.edge_types[ref]
     lengths = tuple(fam.lengths[ref][i].at(dist) for i in range(len(t.edges)))
     positions = tuple(
         (fam.positions[ref][u][0].at(dist), fam.positions[ref][u][1].at(dist))
         for u in range(t.n_vertices())
     )
-    return t, lengths, positions
+    return lengths, positions
 
 
 def validate_family(fam: FamilyDatum):
@@ -139,42 +140,35 @@ def validate_family(fam: FamilyDatum):
         # affine data; interior positivity is convexity in between
         samples = [F(0), blen] if blen is not None else [F(0), F(1)]
         mid = sum(samples) / 2
-        _t, lengths, positions = _fiber_at(fam, ref, mid)
+        lengths, positions = _fiber_at(fam, ref, mid)
         if any(l <= 0 for l in lengths):
             return FamilyVerdict(False, "fiber-leaves-stratum", f"{ref} at {mid}")
         try:
             ParametrizedCurve(t, lengths, positions)
         except ValueError as exc:
             return FamilyVerdict(False, "fiber-not-a-curve", f"{ref} at {mid}: {exc}")
-        for dist in samples:
-            _t, lengths, positions = _fiber_at(fam, ref, dist)
+        fibers = [_fiber_at(fam, ref, dist) for dist in samples]
+        for dist, (lengths, _) in zip(samples, fibers):
             if any(l < 0 for l in lengths):
                 return FamilyVerdict(False, "negative-length", f"{ref} at {dist}")
-        ends = [(tail, F(0))]
-        if head is not None:
-            ends.append((head, blen))
-        for w, dist in ends:
+        # the ends sit at the first samples: the tail at 0, an edge's head at blen
+        ends = [tail] if head is None else [tail, head]
+        for w, (lengths, positions) in zip(ends, fibers):
             curve = fam.vertex_curves.get(w)
             contraction = fam.contractions.get((w, ref))
             if curve is None or contraction is None:
                 return FamilyVerdict(False, "missing-vertex-data", f"vertex {w}, {ref}")
             # (2): lengths match through the contraction
-            for i in range(len(t.edges)):
+            for i, want in enumerate(lengths):
                 target = contraction.edge_map[i]
-                want = fam.lengths[ref][i].at(dist)
                 have = curve.lengths[target] if target is not None else F(0)
                 if want != have:
                     return FamilyVerdict(
                         False, "length-compatibility", f"{ref} edge {i} at vertex {w}"
                     )
             # (3): positions match through the contraction
-            for u in range(t.n_vertices()):
-                img = contraction.vertex_map[u]
-                want = (
-                    fam.positions[ref][u][0].at(dist),
-                    fam.positions[ref][u][1].at(dist),
-                )
-                if curve.positions[img] != want:
+            for u, want in enumerate(positions):
+                if curve.positions[contraction.vertex_map[u]] != want:
                     return FamilyVerdict(
                         False, "position-compatibility", f"{ref} vertex {u} at base vertex {w}"
                     )

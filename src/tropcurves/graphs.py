@@ -16,8 +16,8 @@ Three layers of data:
   when they are read.
 
 All values are immutable after construction; every operation below is a
-pure function.  Lengths and coordinates are ints or Fractions: a float
-is refused, never converted.
+pure function.  Weights and vertex indices are ints; lengths and
+coordinates are ints or Fractions: a float is refused, never converted.
 
 `components(n, pairs)` is the one union-find: connectivity, contraction,
 floors, elevator shapes, line-arrangement irreducibility and marking
@@ -30,8 +30,9 @@ result is cached on the type: an index kept on each of the 303 curves of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 Vec = tuple[int, int]
@@ -103,7 +104,7 @@ def components(n, pairs):
     """Each vertex's root after joining the pairs in order, the root of u
     hung under the root of v; u and v are connected when their roots agree.
 
-    This is the only union-find: `_contract_core` numbers merged vertices
+    This is the only union-find: `face_contract` numbers merged vertices
     by their sorted roots, so the union direction fixes that numbering.
     """
     parent = list(range(n))
@@ -119,14 +120,26 @@ def components(n, pairs):
 
 
 def _check_graph(weights, ends, leg_vertices):
-    """Refuse a negative weight, an edge endpoint or a leg vertex out of
-    range, or a disconnected graph, naming the vertex, edge or leg."""
+    """Refuse a weight, an edge endpoint or a leg vertex that is not an
+    int (a bool is not), a negative weight, an endpoint or a leg vertex out
+    of range, or a disconnected graph, naming the vertex, edge or leg.
+    Each tuple's types are read in one scan; the offender is sought only
+    when that scan finds one."""
     n = len(weights)
     if n == 0:
         raise ValueError("graph needs at least one vertex")
+    if not set(map(type, weights)) <= _INT:
+        v = next(v for v, w in enumerate(weights) if type(w) is not int)
+        raise ValueError(f"vertex {v}: weight {weights[v]!r} is not an int")
     if min(weights) < 0:
         v = next(v for v, w in enumerate(weights) if w < 0)
         raise ValueError(f"vertex {v}: weight {weights[v]} is negative")
+    if not set(map(type, chain.from_iterable(ends))) <= _INT:
+        i, bad = next((i, x) for i, e in enumerate(ends) for x in e if type(x) is not int)
+        raise ValueError(f"edge {i}: endpoint {bad!r} is not an int")
+    if not set(map(type, leg_vertices)) <= _INT:
+        j = next(j for j, v in enumerate(leg_vertices) if type(v) is not int)
+        raise ValueError(f"leg {j}: vertex {leg_vertices[j]!r} is not an int")
     for i, (u, v) in enumerate(ends):
         if not (0 <= u < n and 0 <= v < n):
             bad = v if 0 <= u < n else u
@@ -150,11 +163,11 @@ class TropicalGraph:
     legs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
         lengths = tuple(Fraction(exact(x, f"edge {i}: length")) for i, x in enumerate(self.lengths))
         object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "legs", tuple(int(v) for v in self.legs))
+        object.__setattr__(self, "legs", tuple(self.legs))
         if len(self.lengths) != len(self.edges):
             raise ValueError(f"one length per edge required: {len(self.lengths)} for {len(self.edges)} edges")
         _check_graph(self.weights, self.edges, self.legs)
@@ -184,7 +197,7 @@ class CombinatorialType:
     legs: tuple[Leg, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "legs", tuple(self.legs))
         _check_graph(self.weights, [(e.u, e.v) for e in self.edges], [leg.vertex for leg in self.legs])
@@ -301,11 +314,30 @@ def overvalency(t: CombinatorialType):
     return sum(len(star) - 3 for star in t.stars() if len(star) > 3)
 
 
-def _contract_core(t: CombinatorialType, edge_indices):
-    """Weighted edge contraction; returns (type, vertex_map, edge_map).
+def contract(t: CombinatorialType, edge_indices):
+    """Contract a set of contracted (slope-zero) edges.
 
-    edge_map sends an old surviving edge index to its new index (contracted
-    edges are absent); vertex_map sends old vertices to merged vertices.
+    Collapsing an edge of nonzero slope would change the parametrized
+    geometry, so it is rejected; use `face_contract` for the face maps of
+    moduli cones, where any edge length may degenerate to zero.
+    """
+    for i in set(edge_indices):
+        # an index out of range is refused by `face_contract`, not read here
+        if 0 <= i < len(t.edges) and t.edges[i].slope != ZERO2:
+            raise ValueError(f"edge {i} has nonzero slope {t.edges[i].slope}; only contracted edges may be collapsed")
+    return face_contract(t, edge_indices)
+
+
+def face_contract(t: CombinatorialType, edge_indices, with_maps=False):
+    """Weighted edge contraction of an arbitrary edge subset.
+
+    This is the contraction appearing on the boundary of a moduli cone:
+    the named edge lengths go to zero and their endpoints merge.  Genus,
+    balancing and the extended degree are all preserved.  Merged vertices
+    are numbered by their sorted `components` roots.  With `with_maps`,
+    returns (type, vertex_map, edge_map): vertex_map sends each old vertex
+    to its merged vertex, edge_map each surviving old edge index to its new
+    index (contracted edges are absent).
     """
     contracted = set(edge_indices)
     subset = sorted(contracted)
@@ -335,35 +367,7 @@ def _contract_core(t: CombinatorialType, edge_indices):
         edges.append(Edge(vertex_map[e.u], vertex_map[e.v], e.slope))
     legs = tuple(Leg(vertex_map[leg.vertex], leg.slope) for leg in t.legs)
     new_t = CombinatorialType(tuple(weights), tuple(edges), legs)
-    return new_t, vertex_map, edge_map
-
-
-def contract(t: CombinatorialType, edge_indices):
-    """Contract a set of contracted (slope-zero) edges.
-
-    Collapsing an edge of nonzero slope would change the parametrized
-    geometry, so it is rejected; use `face_contract` for the face maps of
-    moduli cones, where any edge length may degenerate to zero.
-    """
-    for i in set(edge_indices):
-        # an index out of range is refused by `_contract_core`, not read here
-        if 0 <= i < len(t.edges) and t.edges[i].slope != ZERO2:
-            raise ValueError(f"edge {i} has nonzero slope {t.edges[i].slope}; only contracted edges may be collapsed")
-    new_t, _, _ = _contract_core(t, edge_indices)
-    return new_t
-
-
-def face_contract(t: CombinatorialType, edge_indices, with_maps=False):
-    """Weighted edge contraction of an arbitrary edge subset.
-
-    This is the contraction appearing on the boundary of a moduli cone:
-    the named edge lengths go to zero and their endpoints merge.  Genus,
-    balancing and the extended degree are all preserved.
-    """
-    new_t, vmap, emap = _contract_core(t, edge_indices)
-    if with_maps:
-        return new_t, vmap, emap
-    return new_t
+    return (new_t, vertex_map, edge_map) if with_maps else new_t
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +375,7 @@ def face_contract(t: CombinatorialType, edge_indices, with_maps=False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class ParametrizedCurve:
     """A combinatorial type with exact lengths and vertex positions.
 
@@ -385,14 +389,18 @@ class ParametrizedCurve:
     which agrees with comparing the Fractions.  `lengths` and `positions`
     are read-only tuples of Fractions built on first read: a Fraction
     passed in is the object read back, and an int is read back as a
-    Fraction.  A curve pickles and copies as its constructor call.
+    Fraction; the values given and those views live in the slots `_given`
+    and `_read`, which are not fields.  The class declares its own
+    `__slots__` rather than `slots=True`, whose replacement class the
+    generated frozen `__setattr__` does not know: so any assignment, to a
+    field or not, raises `FrozenInstanceError`.  A curve pickles and copies
+    as its constructor call.
     """
 
+    __slots__ = ("ctype", "den", "ints", "_given", "_read")
     ctype: CombinatorialType
     den: int
     ints: tuple[int, ...]
-    _given: tuple = field(compare=False)
-    _read: tuple | None = field(compare=False)
 
     def __init__(self, ctype: CombinatorialType, lengths, positions):
         values = list(lengths)  # then x and y of each vertex

@@ -23,7 +23,7 @@ Todd (1985) for a relative-interior point.  `strict_point`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -123,7 +123,7 @@ def solve_affine(rows, rhs, width):
     return particular, basis
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LPResult:
     """Outcome of an exact LP solve."""
 
@@ -233,17 +233,12 @@ def feasible_nonneg(rows, rhs, width):
 @dataclass(eq=False)
 class Polyhedron:
     """A polyhedron ``{x : A x = b, x >= 0}`` in standard form over n
-    variables, its rows kept as {col: coeff} dicts with their right-hand
-    sides.  The rows given are kept, not copied."""
+    variables, built from all its rows at once: {col: coeff} dicts with
+    their right-hand sides, kept as given, not copied."""
 
     n: int
-    rows: list = field(default_factory=list)
-    rhs: list = field(default_factory=list)
-
-    def add_eq(self, coeffs, rhs):
-        """Add a row given as {var_index: coeff}."""
-        self.rows.append(dict(coeffs))
-        self.rhs.append(rhs)
+    rows: list
+    rhs: list
 
     def feasible_point(self):
         return self.optimize({}).point

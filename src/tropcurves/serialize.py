@@ -23,10 +23,7 @@ _MAX_DIGITS = 4300  # CPython's default limit on int(str) since 3.10.7 and 3.11
 
 
 def frac_str(x):
-    x = F(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(F(x))
 
 
 def _shown(value):

@@ -96,7 +96,6 @@ class WalkState:
     lengths: tuple  # current point of the closed cone (entry wall: one zero)
     direction: tuple  # motion direction in length coordinates
     fixed: PointConfiguration  # the n-1 pinned points
-    mobile: tuple  # current mobile point position
     elevator: int  # edge index of E
     floor_index: int  # k: host floor of E, counted from the bottom
     ladder: int  # r
@@ -253,7 +252,6 @@ def start_walk(d, g, cfg=None, seed=0):
         lengths=tuple(new_curve.lengths),
         direction=tuple(v),
         fixed=fixed,
-        mobile=cfg.points[mobile_mark - 1],
         elevator=elevator,
         floor_index=k,
         ladder=r,

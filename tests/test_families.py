@@ -145,24 +145,28 @@ def test_ray_family_from_walk_terminal():
     assert nonzero == [term.free_edge]
 
 
-def trace_base_lengths(term):
-    # reconstruct interior lengths from the walk's terminal data
-    from tropcurves.walk import run_walk
+def test_ray_family_moves_positions():
+    # the ray (1, -2) moves the line's vertex; (1, 0) at every vertex, and
+    # 0 on every edge, translates the cubic right by one
+    cubic = smooth_cubic_curve()
+    nv, ne = cubic.ctype.n_vertices(), len(cubic.ctype.edges)
+    for curve, ray in ((line_curve(), (1, -2)), (cubic, (1, 0) * nv + (0,) * ne)):
+        fam = ray_family(curve.ctype, curve.lengths, ray, curve)
+        verdict = validate_family(fam)
+        assert verdict.ok, verdict
+        nv = curve.ctype.n_vertices()
+        assert induced_map_slopes(fam, ("leg", 0)) == ray[2 * nv :] + ray[: 2 * nv]
 
-    trace = run_walk(2, 0)
-    state = None
-    # rerun to fetch the state: the terminal stratum's entry lengths are
-    # recoverable from the ray base; simplest is to rebuild from the ray
-    t = term.stratum
-    nv = t.n_vertices()
-    return [F(1) if term.ray[2 * nv + i] == 0 else F(1) for i in range(len(t.edges))]
+
+def trace_base_lengths(term):
+    """Unit lengths on every edge of the walk terminal's stratum."""
+    return [F(1)] * len(term.stratum.edges)
 
 
 def trace_positions(term):
     t = term.stratum
     nv = t.n_vertices()
     from tropcurves.cones import path_coefficients, expand_lengths
-    from tropcurves.walk import run_walk
 
     # positions consistent with unit lengths: integrate along the tree
     lengths = trace_base_lengths(term)

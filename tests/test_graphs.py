@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropcurves.families import AffineFunction
 from tropcurves.floors import enumerate_curves
 from tropcurves.graphs import (
     CombinatorialType,
@@ -229,6 +230,25 @@ def test_curves_and_graphs_refuse_floats():
         TropicalGraph(weights=(0, 0), edges=((0, 1),), lengths=(0.1,))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TropicalGraph(weights=(0.7,), edges=(), lengths=(), legs=(0,)), r"^vertex 0: weight 0\.7 is not an int$"),
+        (lambda: TropicalGraph(weights=(0, 0), edges=((0, 1.9),), lengths=(1,)), r"^edge 0: endpoint 1\.9 is not an int$"),
+        (lambda: CombinatorialType(weights=(1.5,), edges=()), r"^vertex 0: weight 1\.5 is not an int$"),
+        (lambda: CombinatorialType(weights=(0, 0), edges=(Edge(0.0, 1, (1, 0)),)), r"^edge 0: endpoint 0\.0 is not an int$"),
+        (lambda: TropicalGraph(weights=(0,), edges=(), lengths=(), legs=(True,)), r"^leg 0: vertex True is not an int$"),
+        (lambda: AffineFunction(0.1, 0), r"^affine function: value 0\.1 is a float, not an int or a Fraction$"),
+    ],
+    ids=["graph-weight", "graph-endpoint", "type-weight", "type-endpoint", "bool-leg", "affine-value"],
+)
+def test_graph_data_refuses_non_ints(build, message):
+    # int() would truncate these silently, and a float endpoint would
+    # reach the union-find as a list index
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_enumerated_curves_equal_their_rebuilt_copies():
     # a curve rebuilt from the Fractions it reads back has the same
     # integer form, so it is equal and hashes equal
@@ -251,6 +271,8 @@ def test_parametrized_curve_is_a_frozen_value():
             setattr(curve, name, None)
         with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
             delattr(curve, name)
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'foo'$"):
+        curve.foo = 1
     rebuilt = ParametrizedCurve(t, (F(1, 2),), ((F(1), F(0)), (F(3, 2), F(1))))
     assert rebuilt == curve and hash(rebuilt) == hash(curve) == hash((t, 2, curve.ints))
     assert curve != (t, 2, curve.ints) and curve != "curve"

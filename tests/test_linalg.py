@@ -33,8 +33,7 @@ def test_solve_affine():
 
 def test_lp_feasible_and_optimal():
     # x + y = 4, x,y >= 0: minimize x -> 0, maximize x -> 4
-    P = Polyhedron(2)
-    P.add_eq({0: 1, 1: 1}, 4)
+    P = Polyhedron(2, [{0: 1, 1: 1}], [4])
     res = P.optimize({0: 1}, sense="min")
     assert res.status == "optimal" and res.value == 0
     res = P.optimize({0: 1}, sense="max")
@@ -43,16 +42,14 @@ def test_lp_feasible_and_optimal():
 
 
 def test_lp_infeasible():
-    P = Polyhedron(2)
-    P.add_eq({0: 1, 1: 1}, -1)
+    P = Polyhedron(2, [{0: 1, 1: 1}], [-1])
     assert P.feasible_point() is None
     assert P.dim() == -1
 
 
 def test_lp_unbounded_ray():
     # x - y = 0 with x,y >= 0 is a ray
-    P = Polyhedron(2)
-    P.add_eq({0: 1, 1: -1}, 0)
+    P = Polyhedron(2, [{0: 1, 1: -1}], [0])
     res = P.optimize({0: 1}, sense="max")
     assert res.status == "unbounded"
     assert res.ray[0] == res.ray[1] > 0
@@ -67,6 +64,8 @@ def test_lp_result_is_a_frozen_value():
             setattr(res, name, None)
         with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
             delattr(res, name)
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'foo'$"):
+        res.foo = 1
     assert res == P.optimize({0: 1}) == LPResult("optimal", value=0, point=[0, 4])
     assert res != ("optimal", 0, [0, 4], None) and res != "optimal"
     # a result holding no point hashes; one with a point list does not
@@ -76,22 +75,19 @@ def test_lp_result_is_a_frozen_value():
 
 def test_implicit_equalities_and_interior():
     # x + y = 0, x,y >= 0 forces x = y = 0
-    P = Polyhedron(2)
-    P.add_eq({0: 1, 1: 1}, 0)
+    P = Polyhedron(2, [{0: 1, 1: 1}], [0])
     assert P.implicit_zero_vars() == [0, 1]
     assert P.dim() == 0
     # interior point of the segment x + y = 1
-    Q = Polyhedron(2)
-    Q.add_eq({0: 1, 1: 1}, 1)
+    Q = Polyhedron(2, [{0: 1, 1: 1}], [1])
     p = Q.interior_point()
     assert p[0] > 0 and p[1] > 0 and p[0] + p[1] == 1
 
 
 def test_degenerate_cycling_guard():
     # A classic degenerate instance; Bland's rule must terminate.
-    P = Polyhedron(4)
-    P.add_eq({0: Fraction(1, 4), 1: -8, 2: -1, 3: 9}, 0)
-    P.add_eq({0: Fraction(1, 2), 1: -12, 2: -Fraction(1, 2), 3: 3}, 0)
+    rows = [{0: Fraction(1, 4), 1: -8, 2: -1, 3: 9}, {0: Fraction(1, 2), 1: -12, 2: -Fraction(1, 2), 3: 3}]
+    P = Polyhedron(4, rows, [0, 0])
     res = P.optimize({0: -Fraction(3, 4), 1: 150, 2: -Fraction(1, 50), 3: 6}, sense="min")
     assert res.status in ("optimal", "unbounded")
 
@@ -201,9 +197,7 @@ def test_simplex_matches_vertex_oracle():
         feasible = extremes[0] != []
         rows = [{j: a for j, a in enumerate(row) if a} for row in A]
         assert feasible_nonneg(rows, b, n) == feasible
-        P = Polyhedron(n)
-        for row, bi in zip(rows, b):
-            P.add_eq(row, bi)
+        P = Polyhedron(n, rows, b)
         point = P.feasible_point()
         assert (point is not None) == feasible
         if point is not None:
@@ -272,9 +266,7 @@ def _frozen_systems(count):
 
 
 def _lp_outputs(A, b, objective):
-    P = Polyhedron(len(A[0]))
-    for row, bi in zip(A, b):
-        P.add_eq({j: a for j, a in enumerate(row) if a}, bi)
+    P = Polyhedron(len(A[0]), [{j: a for j, a in enumerate(row) if a} for row in A], b)
     out = []
     for sense in ("min", "max"):
         res = P.optimize(objective, sense=sense)
