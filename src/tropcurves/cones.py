@@ -195,12 +195,11 @@ def integer_positions(t: CombinatorialType, coeffs, lengths, anchor):
     return [c for dx, dy in shifts for c in (x0 + dx, y0 + dy)]
 
 
-def vertex_positions(t: CombinatorialType, points, coeffs, lengths, scale):
-    """Vertex positions (x_0, y_0, x_1, ...), as Fractions, of the int
-    lengths divided by `scale`; the first marked point pins the
+def scaled_positions(t: CombinatorialType, points, coeffs, lengths, scale):
+    """(S, the vertex positions (x_0, y_0, x_1, ...) times S, as ints) of
+    the int lengths divided by `scale`; the first marked point pins the
     translation, else vertex 0 sits at 0.  The point joins the lengths
-    over one common denominator, the tree paths are summed on ints, and
-    each coordinate is divided once."""
+    over one common denominator S and the tree paths are summed on ints."""
     anchor = None
     if points:
         x, y = points[0]
@@ -208,7 +207,13 @@ def vertex_positions(t: CombinatorialType, points, coeffs, lengths, scale):
         lengths = [l * (common // scale) for l in lengths]
         scale = common
         anchor = (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-    return [Fraction(c, scale) for c in integer_positions(t, coeffs, lengths, anchor)]
+    return scale, integer_positions(t, coeffs, lengths, anchor)
+
+
+def vertex_positions(t: CombinatorialType, points, coeffs, lengths, scale):
+    """`scaled_positions` as Fractions: each coordinate divided once."""
+    scale, ints = scaled_positions(t, points, coeffs, lengths, scale)
+    return [Fraction(c, scale) for c in ints]
 
 
 def expand_lengths(t: CombinatorialType, points, coeffs, lengths):

@@ -12,8 +12,10 @@ marks and the floor heights are pinned by theirs.
 
 Counting sums the multiplicities (vertex |det| products) of the curves
 built; it is certified against the independent recursion oracle in
-`tropcurves.recursion` up to MAX_DEGREE.  Counting and enumeration share
-one (d, g) check, in `solution_diagrams`.
+`tropcurves.recursion` up to MAX_DEGREE.  A shape's markings can also be
+counted without listing them (`_completions`), which `unrank_diagram`
+uses to pick the i-th diagram in listing order: the walk's start.
+Listing, counting and unranking share one (d, g) check, `_has_diagrams`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from tropcurves.errors import ScaleRefusal
 from tropcurves.evaluation import PointConfiguration, integer_points
@@ -231,16 +234,30 @@ def _marked_diagrams(d, g):
     comes once: identical elevators are interchangeable, which quotients
     out diagram automorphisms.
     """
-    for combo, weights, legs in _weighted_shapes(d, g):
-        edge_list = [(i, j, w) for (i, j), w in zip(combo, weights)]
-        for fl in range(1, d + 1):
-            edge_list += [(fl, DOWN, 1)] * legs[fl - 1]
+    for shape in _weighted_shapes(d, g):
+        edge_list = _edge_list(d, shape)
         for floor_marks, elevator_marks in _linear_extensions(d, edge_list):
-            elevators = sorted(
-                (Elevator(i, j, w, m) for (i, j, w), m in zip(edge_list, elevator_marks)),
-                key=lambda e: e.mark,
-            )
-            yield FloorDiagram(d, g, floor_marks, tuple(elevators))
+            yield _diagram(d, g, edge_list, floor_marks, elevator_marks)
+
+
+def _edge_list(d, shape):
+    """A shape's elevators (top, bottom, weight): its floor-to-floor
+    elevators in shape order, then its legs floor by floor, so identical
+    elevators sit next to each other."""
+    combo, weights, legs = shape
+    edge_list = [(i, j, w) for (i, j), w in zip(combo, weights)]
+    for fl in range(1, d + 1):
+        edge_list += [(fl, DOWN, 1)] * legs[fl - 1]
+    return edge_list
+
+
+def _diagram(d, g, edge_list, floor_marks, elevator_marks):
+    """The FloorDiagram of one marking of edge_list, elevators by mark."""
+    elevators = sorted(
+        (Elevator(i, j, w, m) for (i, j, w), m in zip(edge_list, elevator_marks)),
+        key=lambda e: e.mark,
+    )
+    return FloorDiagram(d, g, tuple(floor_marks), tuple(elevators))
 
 
 def _linear_extensions(d, edge_list):
@@ -283,6 +300,62 @@ def _linear_extensions(d, edge_list):
             elevator_marks[k] = None
 
     return rec(1, d)
+
+
+def _completions(d, edge_list):
+    """(moves, count, empty) for one shape's partial markings, on the
+    rules of `_linear_extensions`.
+
+    A partial marking is (next floor to mark, unmarked count per class of
+    identical elevators): identical elevators take their marks in list
+    order, so the count says which are marked.  moves(state) lists
+    (object, next state) for each object that may take the next mark, in
+    `_linear_extensions` choice order: the next floor (object None), when
+    no unmarked elevator ends on it, then each class whose top floor is
+    marked, by its first unmarked elevator's index in edge_list.
+    count(state) is the number of full markings that complete it,
+    memoized on the state for this shape only; once every floor is
+    marked only legs are left, in any order, so it is a multinomial
+    there.  `empty` is the state of the empty marking, (d, class sizes).
+    Every partial marking reached completes, so count never reads 0.
+    """
+    classes = []  # [top, index after the run, size] of each run of identical elevators
+    ending = [[] for _ in range(d + 1)]  # the classes whose elevators end on floor i
+    for k, (top, bottom, _w) in enumerate(edge_list):
+        if k and edge_list[k - 1] == edge_list[k]:
+            classes[-1][1] += 1
+            classes[-1][2] += 1
+        else:
+            if bottom != DOWN:
+                ending[bottom].append(len(classes))
+            classes.append([top, k + 1, 1])
+    memo = {}
+
+    def moves(state):
+        next_floor, left = state
+        out = []
+        if next_floor and not any([left[c] for c in ending[next_floor]]):
+            out.append((None, (next_floor - 1, left)))
+        for c, (top, end, _size) in enumerate(classes):
+            n = left[c]
+            if n and top > next_floor:
+                out.append((end - n, (next_floor, left[:c] + (n - 1,) + left[c + 1 :])))
+        return out
+
+    def count(state):
+        total = memo.get(state)
+        if total is None:
+            next_floor, left = state
+            if next_floor:
+                total = sum([count(after) for _k, after in moves(state)])
+            else:  # every floor is marked, so only legs are left, in any order
+                total = factorial(sum(left))
+                for n in left:
+                    total //= factorial(n)
+            memo[state] = total
+        return total
+
+    return moves, count, (d, tuple(size for _top, _end, size in classes))
 
 
 # ---------------------------------------------------------------------------
@@ -417,24 +490,72 @@ def enumerate_curves(d, g, cfg=None):
     return out
 
 
-def solution_diagrams(d, g, cfg=None):
-    """The marked floor diagrams behind `enumerate_curves`, in its order.
-
-    Through a stretched configuration each diagram has exactly one curve
-    (Brugalle-Mikhalkin), so the i-th diagram gives the i-th solution.
-    The floor layer's only (d, g) check: a genus outside 0..(d-1)(d-2)/2
-    has no diagrams.
-    """
+def _has_diagrams(d, g, cfg):
+    """The floor layer's one (d, g) check: refuses d past MAX_DEGREE and
+    d < 1, answers False for a genus outside 0..(d-1)(d-2)/2, which has
+    no diagrams, and otherwise refuses a cfg without 3d + g - 1 points."""
     if d > MAX_DEGREE:
         raise ScaleRefusal(f"the floor layer is certified for d <= {MAX_DEGREE} only")
     if d < 1:
         raise ValueError("degree must be positive")
     if g < 0 or g > (d - 1) * (d - 2) // 2:
-        return []
+        return False
     n = 3 * d + g - 1
     if cfg is not None and len(cfg.points) != n:
         raise ValueError(f"expected {n} points for degree {d} genus {g}")
-    return list(_marked_diagrams(d, g))
+    return True
+
+
+def solution_diagrams(d, g, cfg=None):
+    """The marked floor diagrams behind `enumerate_curves`, in its order.
+
+    Through a stretched configuration each diagram has exactly one curve
+    (Brugalle-Mikhalkin), so the i-th diagram gives the i-th solution.
+    """
+    return list(_marked_diagrams(d, g)) if _has_diagrams(d, g, cfg) else []
+
+
+def unrank_diagram(d, g, i, cfg=None):
+    """solution_diagrams(d, g, cfg)[i % n], n their number, without
+    listing them.
+
+    Each shape's markings are counted by `_completions`, one shape at a
+    time; the prefix sums of the counts, in `_weighted_shapes` order,
+    pick the shape, and the marking is read mark by mark in
+    `_linear_extensions` choice order, skipping each choice by its number
+    of completions.  One shape's memo is held at a time: the chosen
+    shape is counted again unless it was the last, and nothing outlives
+    the call.  ValueError when (d, g) has no diagrams.
+    """
+    if not _has_diagrams(d, g, cfg):
+        raise ValueError(f"degree {d} genus {g} has no marked floor diagrams")
+    shapes = list(_weighted_shapes(d, g))
+    counts = []
+    for shape in shapes:
+        edge_list = _edge_list(d, shape)
+        moves, count, state = _completions(d, edge_list)
+        counts.append(count(state))
+    i %= sum(counts)
+    at = 0
+    while i >= counts[at]:
+        i -= counts[at]
+        at += 1
+    if at < len(shapes) - 1:  # the last shape's memo is the one still held
+        edge_list = _edge_list(d, shapes[at])
+        moves, count, state = _completions(d, edge_list)
+    floor_marks, elevator_marks = [None] * d, [None] * len(edge_list)
+    for mark in range(1, len(floor_marks) + len(elevator_marks) + 1):
+        for k, after in moves(state):
+            completions = count(after)
+            if i < completions:
+                break
+            i -= completions
+        if k is None:
+            floor_marks[state[0] - 1] = mark
+        else:
+            elevator_marks[k] = mark
+        state = after
+    return _diagram(d, g, edge_list, floor_marks, elevator_marks)
 
 
 def count_severi(d, g, cfg=None):

@@ -24,13 +24,18 @@ resolutions of each wall met contract back to it.  The terminal ray is
 certified to move nothing but one contracted edge length.
 
 The geometry runs on Python ints, with denominators cleared once per
-call: the fiber line is solved over the points times their lcm, which
-leaves its direction as it was; the next wall is picked, and the wall
-lengths built, from the lengths and the direction each cleared to one
-denominator; and positions and velocities sum the tree paths on ints
-(`cones.integer_positions`).  Each stratum's path coefficients are built
-once, by its fiber solve, and kept on its `WalkState`.  Fractions are
-made only for what a state, an event or the trace holds.
+call: the start's diagram is unranked from the seed
+(`floors.unrank_diagram`), not picked from a list, and its mark is
+forgotten on the curve's integer form; the fiber line is solved over the
+points times their lcm, which leaves its direction as it was; the next
+wall is picked, and the wall lengths built, from the lengths and the
+direction each cleared to one denominator; positions and velocities sum
+the tree paths on ints (`cones.integer_positions`); and (k, r) is read
+from positions that are ints times one positive denominator.  Each
+stratum's path coefficients are built once, by its fiber solve, and kept
+on its `WalkState`.  Fractions are made only for what a state, an event
+or the trace holds: a state's lengths, a wall's parameter, a terminal
+ray.
 """
 
 from __future__ import annotations
@@ -43,13 +48,14 @@ from tropcurves.cones import (
     classify,
     fiber_rows,
     integer_positions,
+    path,
     resolve_wall,
+    scaled_positions,
     split_vertex,
-    vertex_positions,
 )
 from tropcurves.errors import WalkError
 from tropcurves.evaluation import PointConfiguration, integer_points
-from tropcurves.floors import diagram_curve, floors_of, make_stretched, solution_diagrams, top_floor_check
+from tropcurves.floors import diagram_curve, floors_of, make_stretched, top_floor_check, unrank_diagram
 from tropcurves.graphs import (
     CombinatorialType,
     Edge,
@@ -103,14 +109,21 @@ class WalkState:
 
     def interior_positions(self):
         """Vertex positions strictly inside the stratum along the motion
-        ray: halfway to the next wall, or one unit along a ray."""
+        ray, as Fractions: `_scaled_interior` divided once."""
+        den, positions = self._scaled_interior()
+        return tuple((F(x, den), F(y, den)) for x, y in positions)
+
+    def _scaled_interior(self):
+        """(S, the vertex positions (x, y) times S, as ints) strictly inside
+        the stratum along the motion ray: halfway to the next wall, or one
+        unit along a ray."""
         scale, a, dscale, b, k = _wall_ahead(self.lengths, self.direction)
         if k is None:  # lengths + direction, over L·D
             den, lengths = scale * dscale, [x * dscale + y * scale for x, y in zip(a, b)]
         else:  # lengths + (step / 2)·direction, over 2·L·(-b_k)
             den, lengths = 2 * scale * -b[k], [2 * x * -b[k] + a[k] * y for x, y in zip(a, b)]
-        flat = vertex_positions(self.ctype, self.fixed.points, self.coeffs, lengths, den)
-        return tuple(zip(flat[::2], flat[1::2]))
+        den, flat = scaled_positions(self.ctype, self.fixed.points, self.coeffs, lengths, den)
+        return den, list(zip(flat[::2], flat[1::2]))
 
 
 def _wall_ahead(lengths, direction):
@@ -162,7 +175,8 @@ def _velocities(t, coeffs, direction):
 
 
 def _elevator_foot(t, positions, edge_index):
-    """(foot vertex, top vertex) of a vertical edge, by height."""
+    """(foot vertex, top vertex) of a vertical edge, by height; positions
+    may be scaled by any positive number."""
     e = t.edges[edge_index]
     if positions[e.u][1] <= positions[e.v][1]:
         return e.u, e.v
@@ -171,7 +185,11 @@ def _elevator_foot(t, positions, edge_index):
 
 def _ladder(t, positions, elevator):
     """(k, r, target x): the floor index k of the elevator's foot, the
-    ladder r, and the x of the nearest other downward elevator on floor k."""
+    ladder r, and the x of the nearest other downward elevator on floor k.
+
+    It only compares coordinates, takes their differences and collects x
+    values, so the positions may be ints times one positive denominator;
+    the target x is then in the same units."""
     floors = floors_of(t, positions)
     foot, _top = _elevator_foot(t, positions, elevator)
     k = next((k for k, vs in enumerate(floors, start=1) if foot in vs), None)
@@ -213,10 +231,13 @@ def start_walk(d, g, cfg=None, seed=0):
     """Initial walk state: a floor decomposed solution with its top-floor
     elevator's marked point declared mobile.
 
-    Forgetting that mark merges the two pieces of the top elevator into
+    The solution is the curve of `solution_diagrams(d, g, cfg)[seed % n]`,
+    which `floors.unrank_diagram` picks without listing the n diagrams.
+    Forgetting its mark merges the two pieces of the top elevator into
     one edge, E.  The motion direction is the fiber line of the
     mark-forgotten stratum, oriented so that E's foot moves toward the
-    nearest other downward elevator on its floor.
+    nearest other downward elevator on its floor; (k, r) and that
+    orientation are read from the new curve's integer form.
     """
     if d < 2:
         raise ValueError("the walk needs a non-top floor; degree 1 has a single floor")
@@ -226,8 +247,7 @@ def start_walk(d, g, cfg=None, seed=0):
     n = 3 * d + g - 1
     if cfg is None:
         cfg = make_stretched(n, d)
-    diags = solution_diagrams(d, g, cfg)
-    diag = diags[seed % len(diags)]
+    diag = unrank_diagram(d, g, seed, cfg)
     curve = diagram_curve(diag, cfg)
     if curve is None:
         raise ValueError("no floor decomposed solution: configuration is not stretched")
@@ -236,20 +256,24 @@ def start_walk(d, g, cfg=None, seed=0):
     (mobile_mark,) = [e.mark for e in diag.elevators if e.top == diag.d]
     new_curve, elevator = _forget_mark(curve, mobile_mark - 1)
     fixed = PointConfiguration(tuple(p for i, p in enumerate(cfg.points) if i != mobile_mark - 1))
-    t = new_curve.ctype
+    t, den, ints = new_curve.ctype, new_curve.den, new_curve.ints
     if not classify(t).is_nice():
         raise WalkError("initial stratum is not nice")
     v, coeffs = _fiber_line(t, fixed)
-    k, r, x_target = _ladder(t, new_curve.positions, elevator)
-    foot, _ = _elevator_foot(t, new_curve.positions, elevator)
-    dx = _velocities(t, coeffs, v)[2 * foot]
+    ne = len(t.edges)
+    positions = list(zip(ints[ne::2], ints[ne + 1 :: 2]))  # times den
+    k, r, x_target = _ladder(t, positions, elevator)
+    foot, _ = _elevator_foot(t, positions, elevator)
+    # E's foot's x entry of `_velocities` alone, summed over its tree path from the pinned vertex
+    _scale, step = clear_denominators(v)
+    dx = sum(c * step[j] * t.edges[j].slope[0] for j, c in path(coeffs, t.legs[0].vertex, foot).items())
     if dx == 0:
         raise WalkError("fiber direction does not move the mobile elevator")
-    if (dx > 0) != (x_target > new_curve.positions[foot][0]):
+    if (dx > 0) != (x_target > positions[foot][0]):
         v = tuple(-x for x in v)
     return WalkState(
         ctype=t,
-        lengths=tuple(new_curve.lengths),
+        lengths=tuple(F(x, den) for x in ints[:ne]),
         direction=tuple(v),
         fixed=fixed,
         elevator=elevator,
@@ -266,7 +290,9 @@ def _forget_mark(curve, leg_index):
     the mark.  The mark always sits on a weight-0 vertex between two
     edges: the top floor has in-weight 0 and divergence 1, so it has one
     elevator, of weight 1, and connectivity sends it to a lower floor,
-    where the mark cuts it in two.  Any other shape is a WalkError.
+    where the mark cuts it in two.  Any other shape is a WalkError.  The
+    new lengths and positions are read from the curve's integer form:
+    ints when its denominator is 1, else divided back by it exactly.
     """
     t = curve.ctype
     host = t.legs[leg_index].vertex
@@ -282,27 +308,23 @@ def _forget_mark(curve, leg_index):
     a = e1.v if e1.u == host else e1.u
     b = e2.v if e2.u == host else e2.u
     slope_a_to_host = e1.slope if e1.u == a else (-e1.slope[0], -e1.slope[1])
-    new_edge = Edge(a, b, slope_a_to_host)
-    new_len = curve.lengths[i1] + curve.lengths[i2]
-    edges = []
-    lengths = []
-    for i, e in enumerate(t.edges):
-        if i in (i1, i2):
-            continue
-        edges.append(e)
-        lengths.append(curve.lengths[i])
-    edges.append(new_edge)
-    lengths.append(new_len)
+    ne, ints = len(t.edges), curve.ints
+    edges = [e for i, e in enumerate(t.edges) if i not in (i1, i2)] + [Edge(a, b, slope_a_to_host)]
+    lengths = [x for i, x in enumerate(ints[:ne]) if i not in (i1, i2)] + [ints[i1] + ints[i2]]
+    positions = [p for v, p in enumerate(zip(ints[ne::2], ints[ne + 1 :: 2])) if v != host]
+    if curve.den != 1:
+        lengths = [F(x, curve.den) for x in lengths]
+        positions = [(F(x, curve.den), F(y, curve.den)) for x, y in positions]
+
     # drop the host vertex, renumbering everything above it
     def ren(v):
         return v - 1 if v > host else v
 
-    edges = tuple(Edge(ren(e.u), ren(e.v), e.slope) for e in edges)
-    legs = tuple(Leg(ren(leg.vertex), leg.slope) for leg in legs)
+    edges = tuple(e if max(e.u, e.v) < host else Edge(ren(e.u), ren(e.v), e.slope) for e in edges)
+    legs = tuple(leg if leg.vertex < host else Leg(leg.vertex - 1, leg.slope) for leg in legs)
     weights = tuple(w for v, w in enumerate(t.weights) if v != host)
-    positions = tuple(p for v, p in enumerate(curve.positions) if v != host)
     t2 = CombinatorialType(weights, edges, legs)
-    return ParametrizedCurve(t2, tuple(lengths), positions), len(edges) - 1
+    return ParametrizedCurve(t2, lengths, positions), len(edges) - 1
 
 
 def advance(state: WalkState):
@@ -479,7 +501,7 @@ def run_walk(d, g, cfg=None, seed=0):
 
     def recorded(state, choice):
         # read (k, r) inside the stratum just entered
-        k, r, _x = _ladder(state.ctype, state.interior_positions(), state.elevator)
+        k, r, _x = _ladder(state.ctype, state._scaled_interior()[1], state.elevator)
         events.append(("cross", choice, k, r))
         invariants.append((k, r))
         return replace(state, floor_index=k, ladder=r)

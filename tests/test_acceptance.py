@@ -24,7 +24,7 @@ from tropcurves.floors import (
 from tropcurves.graphs import check_balancing, is_stable
 from tropcurves.recursion import irreducible_severi_degree
 from tropcurves.serialize import dumps, trace_to_json
-from tropcurves.walk import run_walk
+from tropcurves.walk import Terminal, run_walk
 
 
 @pytest.mark.slow
@@ -90,6 +90,28 @@ def test_walk_from_every_start_to_degree_four():
             descents += any(e[:2] == ("cross", "descend") for e in trace.events)
     assert (walks, descents) == (451, 64)
     assert blob.hexdigest() == "de33b0a5d92a99b4b18076c68069d7c1687d0ec800759b5524eb6823014acdcc"
+
+
+@pytest.mark.slow
+def test_walk_at_degree_five_from_a_seeded_sample():
+    # the walk's certified scale, d = MAX_DEGREE = 5: 20 seeded starts per
+    # genus, 140 walks, 15 of them through the heavy-elevator descent;
+    # each ends at a genus-drop witness with (k, r) strictly decreasing,
+    # and every trace is pinned byte for byte
+    assert MAX_DEGREE == 5
+    blob = hashlib.sha256()
+    descents = 0
+    for g in range(7):
+        cfg = make_stretched(3 * 5 + g - 1, 5)
+        for k in range(20):
+            trace = run_walk(5, g, cfg, seed=7919 * k)
+            assert isinstance(trace.terminal, Terminal), (g, k)
+            assert trace.terminal.stratum.edges[trace.terminal.free_edge].slope == (0, 0)
+            assert all(b < a for a, b in zip(trace.invariants, trace.invariants[1:])), (g, k)
+            blob.update(dumps(trace_to_json(trace)).encode())
+            descents += any(e[:2] == ("cross", "descend") for e in trace.events)
+    assert descents == 15
+    assert blob.hexdigest() == "5dfaffa4d5df581982f302a95cd89aec7acac4f1a68217a78b1eb5a8131e4a67"
 
 
 @pytest.mark.slow

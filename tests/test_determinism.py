@@ -45,6 +45,8 @@ COMMANDS = [
     "walk --d 4 --g 2 --seed 3",
     # the top genus at d = 4: the most cycle rows per stratum
     "walk --d 4 --g 3",
+    # the walk's certified scale, started from its unranked diagram
+    "walk --d 5 --g 1 --seed 8",
     # an interval fiber, solved on the rows of consecutive marks
     "fiber --type $start_stratum --points $start_fixed_points",
     # one cycle, so the cone dimension takes an LP, and fiber rows with Fraction right-hand sides

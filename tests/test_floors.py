@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,10 @@ from tropcurves.floors import (
     DOWN,
     Elevator,
     FloorDiagram,
+    MAX_DEGREE,
     NotFloorDecomposed,
+    _completions,
+    _edge_list,
     _linear_extensions,
     _marked_diagrams,
     _weighted_shapes,
@@ -25,7 +29,9 @@ from tropcurves.floors import (
     parse_diagram,
     solution_diagrams,
     top_floor_check,
+    unrank_diagram,
 )
+from tropcurves.errors import ScaleRefusal
 from tropcurves.evaluation import PointConfiguration
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, components, genus
 from tropcurves.recursion import irreducible_severi_degree
@@ -264,6 +270,68 @@ def test_listing_matches_the_filter_all_oracle():
             if d < 5 or g >= 4:
                 assert list(_marked_diagrams(d, g)) == list(_oracle_diagrams(d, g, shapes))
     assert list(_weighted_shapes(5, 7)) == []
+
+
+def _shape_counts(d, g):
+    # each shape with its edge list and the completions of its empty marking
+    for shape in _weighted_shapes(d, g):
+        edge_list = _edge_list(d, shape)
+        _moves, count, empty = _completions(d, edge_list)
+        yield shape, edge_list, count(empty)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_completion_count_equals_listed_markings(d):
+    for g in range(0, (d - 1) * (d - 2) // 2 + 1):
+        for _shape, edge_list, e in _shape_counts(d, g):
+            assert e == sum(1 for _ in _linear_extensions(d, edge_list)), (d, g, edge_list)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_completion_counts_match_the_oracle(d):
+    # every marking of a shape has its multiplicity, the product of w^2
+    # over its bounded elevators, so the counts alone give the Severi
+    # degree; at d = 6 past the listing's certified scale
+    for g in range(0, (d - 1) * (d - 2) // 2 + 1):
+        total = 0
+        for (_combo, weights, _legs), _edge_list, e in _shape_counts(d, g):
+            mult = 1
+            for w in weights:
+                mult *= w * w
+            total += mult * e
+        assert total == irreducible_severi_degree(d, g), (d, g)
+
+
+def test_unranking_equals_listing():
+    # every index at d <= 4, and negative ones and ones past the end,
+    # reads the listed diagram it names modulo their number
+    for d in range(1, 5):
+        for g in range(0, (d - 1) * (d - 2) // 2 + 1):
+            diags = solution_diagrams(d, g)
+            n = len(diags)
+            for i in [*range(n), -1, -n, -n - 1, n, 10**12 + 7, -(10**12) - 7]:
+                assert unrank_diagram(d, g, i) == diags[i % n], (d, g, i)
+    # the listing's one (d, g) check, with its messages
+    with pytest.raises(ValueError, match="no marked floor diagrams"):
+        unrank_diagram(3, 2, 0)
+    with pytest.raises(ValueError, match="degree must be positive"):
+        unrank_diagram(0, 0, 0)
+    with pytest.raises(ValueError, match="expected 8 points for degree 3 genus 0"):
+        unrank_diagram(3, 0, 0, make_stretched(7, 3))
+    with pytest.raises(ScaleRefusal):
+        unrank_diagram(MAX_DEGREE + 1, 0, 0)
+
+
+@pytest.mark.slow
+def test_unranking_equals_listing_at_degree_five():
+    # listing one d = 5 genus takes up to about a second; a seeded sample
+    # of indices per genus, the first and the last included
+    rng = random.Random(5)
+    for g in range(7):
+        diags = solution_diagrams(5, g)
+        n = len(diags)
+        for i in [0, n - 1, -1, n, *rng.sample(range(n), min(n, 40))]:
+            assert unrank_diagram(5, g, i) == diags[i % n], (g, i)
 
 
 def test_degree_six_shapes():

@@ -78,6 +78,23 @@ def test_start_walk_picks_the_seeded_solution():
             assert through == [state.elevator]
 
 
+def test_walk_start_lists_no_diagram(monkeypatch):
+    # the start unranks its seeded diagram: with listing made to fail,
+    # starts up to d = 5 and a whole d = 5 walk still succeed
+    import tropcurves.floors
+
+    def listing(*_args):
+        raise AssertionError("the walk's start listed the diagrams")
+
+    monkeypatch.setattr(tropcurves.floors, "_linear_extensions", listing)
+    monkeypatch.setattr(tropcurves.floors, "_marked_diagrams", listing)
+    for d in (3, 4, 5):
+        assert classify(start_walk(d, 0).ctype).is_nice()
+    trace = run_walk(5, 0)
+    assert isinstance(trace.terminal, Terminal)
+    assert trace.terminal.stratum.edges[trace.terminal.free_edge].slope == (0, 0)
+
+
 def test_advance_reaches_simple_wall():
     state = start_walk(2, 0)
     at_wall, event = advance(state)
