@@ -24,14 +24,16 @@ F = Fraction
 @dataclass(frozen=True)
 class PointConfiguration:
     """An ordered tuple of pairwise distinct rational plane points, given
-    as ints or Fractions and stored as Fractions; a float is refused."""
+    as ints or Fractions and stored as Fractions; a float is refused.  A
+    Fraction is kept as the object given."""
 
     points: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        pts = tuple(
-            (F(exact(p[0], f"point {k}: x")), F(exact(p[1], f"point {k}: y"))) for k, p in enumerate(self.points)
-        )
+        def coordinate(c, k, axis):
+            return c if type(c) is F else F(exact(c, f"point {k}: {axis}"))
+
+        pts = tuple((coordinate(p[0], k, "x"), coordinate(p[1], k, "y")) for k, p in enumerate(self.points))
         object.__setattr__(self, "points", pts)
         if len(set(pts)) != len(pts):
             raise ValueError("configuration points must be pairwise distinct")

@@ -20,12 +20,12 @@ Listing, counting and unranking share one (d, g) check, `_has_diagrams`.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from tropcurves.errors import ScaleRefusal
 from tropcurves.evaluation import PointConfiguration, integer_points
@@ -38,8 +38,7 @@ UP = -2
 MAX_DEGREE = 5  # the floor layer is certified against the oracle up to this degree
 
 
-@dataclass(frozen=True)
-class Elevator:
+class Elevator(NamedTuple):
     """A vertical connection of weight w from floor `top` down to `bottom`.
 
     `bottom` is DOWN for a leg falling to infinity; `top` is UP for a leg
@@ -379,10 +378,11 @@ def diagram_curve(diag: FloorDiagram, cfg):
     integral is passed as an int, so with integer points only the
     elevators of weight above 1 can have Fraction lengths; the curve
     keeps its integer form and makes Fractions only when they are read.
-    Each floor is built in one pass: its elevator ends and its mark,
-    sorted by x, change its slope by +w (an elevator leaves downward), -w
-    (one arrives) or 0 (the mark); the running sum gives the slopes and
-    the heights are integrated outward from the mark.  Returns None when
+    One pass over the elevators puts each end on its floor.  A floor's
+    events, its elevator ends and its mark sorted by x, change its slope
+    by +w (an elevator leaves downward), -w (one arrives) or 0 (the mark);
+    one loop integrates slopes and heights from its left end, and the
+    mark's height then shifts the heights into place.  Returns None when
     the diagram admits no curve over this configuration (two events of a
     floor share an x, an elevator length fails to be positive, or a mark
     misses its object).  cfg is a point configuration, or the pair
@@ -390,78 +390,71 @@ def diagram_curve(diag: FloorDiagram, cfg):
     `enumerate_curves` clears its points once for all its diagrams.
     """
     scale, points = cfg if isinstance(cfg, tuple) else integer_points(cfg.points)
-    positions = []  # times L
-    edges = []  # (tail, head, slope, length)
+    d, n = diag.d, diag.n_marks()
+    # (x, slope change, slot) per floor, slot 2k (2k + 1) elevator k's top
+    # (bottom) vertex; DOWN and UP land in buckets d + 2 and d + 1, unread
+    events = [[] for _ in range(d + 3)]
+    for k, (top, bottom, w, m) in enumerate(diag.elevators):
+        x = points[m - 1][0]
+        events[top].append((x, w, 2 * k))
+        events[bottom].append((x, -w, 2 * k + 1))
+    positions, edges, lengths = [], [], []  # positions times L
     mark_vertex = {}  # mark index -> vertex
-    ends = []  # (vertex, slope) of the non-contracted legs
-    attach_vertex = {}  # (elevator index, floor) -> vertex
-    for fl in range(1, diag.d + 1):
-        events = []  # (x, slope change, elevator index or None at the mark)
-        for k, e in enumerate(diag.elevators):
-            x = points[e.mark - 1][0]
-            if e.top == fl:
-                events.append((x, e.weight, k))
-            if e.bottom == fl:
-                events.append((x, -e.weight, k))
+    attach = [None] * (2 * len(diag.elevators))  # slot -> vertex
+    lefts, downs, rights = [], [], []  # legs of slope (-1, 0), (0, -1), (1, 1): so sorted by (slope, vertex)
+    for fl in range(1, d + 1):
         mark = diag.floor_marks[fl - 1]
         mx, my = points[mark - 1]
-        events.append((mx, 0, None))
-        events.sort(key=lambda ev: ev[0])
-        xs = [x for x, _ds, _k in events]
-        # slopes[i] is the slope on (xs[i-1], xs[i]); 0 left of every event
-        slopes = list(itertools.accumulate((ds for _x, ds, _k in events), initial=0))
-        at = next(i for i, ev in enumerate(events) if ev[2] is None)
-        heights = [my] * len(events)
-        for i in range(at + 1, len(events)):
-            heights[i] = heights[i - 1] + slopes[i] * (xs[i] - xs[i - 1])
-        for i in range(at - 1, -1, -1):
-            heights[i] = heights[i + 1] - slopes[i + 1] * (xs[i + 1] - xs[i])
+        floor = events[fl]
+        floor.append((mx, 0, None))
+        floor.sort(key=lambda ev: ev[0])
         first = len(positions)
-        for i, (x, _ds, k) in enumerate(events):
-            if k is None:
-                mark_vertex[mark] = first + i
+        x0, slope, h, heights = floor[0][0], 0, 0, []
+        for v, (x, ds, slot) in enumerate(floor, first):
+            if v > first:
+                if x == x0:
+                    return None  # coincident events: not a valid solution
+                edges.append(Edge(v - 1, v, (1, slope)))
+                lengths.append(_ratio(x - x0, scale))
+                h += slope * (x - x0)
+            heights.append(h)
+            if slot is None:
+                mark_vertex[mark], shift = v, my - h
             else:
-                attach_vertex[(k, fl)] = first + i
-            positions.append((x, heights[i]))
-        ends += [(first, (-1, 0)), (len(positions) - 1, (1, 1))]
-        for i in range(1, len(events)):
-            dx = xs[i] - xs[i - 1]
-            if dx <= 0:
-                return None  # coincident events: not a valid solution
-            edges.append((first + i - 1, first + i, (1, slopes[i]), _ratio(dx, scale)))
+                attach[slot] = v
+            x0, slope = x, slope + ds
+        positions += [(x, y + shift) for (x, _ds, _slot), y in zip(floor, heights)]
+        lefts.append(first)
+        rights.append(v)
 
-    for k, e in enumerate(diag.elevators):
-        x, qy = points[e.mark - 1]
-        top_v = attach_vertex[(k, e.top)]
+    for k, (_top, bottom, w, m) in enumerate(diag.elevators):
+        x, qy = points[m - 1]
+        top_v = attach[2 * k]
         y_top = positions[top_v][1]
-        mark_v = len(positions)
+        mark_v = mark_vertex[m] = len(positions)
         positions.append((x, qy))
-        mark_vertex[e.mark] = mark_v
         if qy >= y_top:
             return None  # the mark must lie strictly below the upper floor
-        edges.append((top_v, mark_v, (0, -e.weight), _ratio(y_top - qy, e.weight * scale)))
-        if e.bottom == DOWN:
-            ends.append((mark_v, (0, -1)))
+        edges.append(Edge(top_v, mark_v, (0, -w)))
+        lengths.append(_ratio(y_top - qy, w * scale))
+        if bottom == DOWN:
+            downs.append(mark_v)
         else:
-            bot_v = attach_vertex[(k, e.bottom)]
+            bot_v = attach[2 * k + 1]
             y_bot = positions[bot_v][1]
             if y_bot >= qy:
                 return None
-            edges.append((mark_v, bot_v, (0, -e.weight), _ratio(qy - y_bot, e.weight * scale)))
+            edges.append(Edge(mark_v, bot_v, (0, -w)))
+            lengths.append(_ratio(qy - y_bot, w * scale))
 
-    n = diag.n_marks()
     if sorted(mark_vertex) != list(range(1, n + 1)):
         return None
-    legs = [Leg(mark_vertex[m], (0, 0)) for m in range(1, n + 1)]
-    legs += [Leg(v, s) for v, s in sorted(ends, key=lambda t: (t[1], t[0]))]
-    ctype = CombinatorialType(
-        weights=(0,) * len(positions),
-        edges=tuple(Edge(u, v, s) for u, v, s, _l in edges),
-        legs=tuple(legs),
-    )
+    legs = [Leg(mark_vertex[m]) for m in range(1, n + 1)]
+    legs += [Leg(v, (-1, 0)) for v in lefts] + [Leg(v, (0, -1)) for v in downs] + [Leg(v, (1, 1)) for v in rights]
+    ctype = CombinatorialType((0,) * len(positions), tuple(edges), tuple(legs))
     if scale != 1:
         positions = [(_ratio(x, scale), _ratio(y, scale)) for x, y in positions]
-    return ParametrizedCurve(ctype, [l for _u, _v, _s, l in edges], positions)
+    return ParametrizedCurve(ctype, lengths, positions)
 
 
 def enumerate_curves(d, g, cfg=None):

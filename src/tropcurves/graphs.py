@@ -15,9 +15,10 @@ Three layers of data:
   as ints over one common denominator and makes their Fractions only
   when they are read.
 
-All values are immutable after construction; every operation below is a
-pure function.  Weights and vertex indices are ints; lengths and
-coordinates are ints or Fractions: a float is refused, never converted.
+`Edge` and `Leg` are named tuples, equal to their field tuples.  Every
+value is immutable after construction; every operation below is a pure
+function.  Weights and vertex indices are ints; lengths and coordinates
+are ints or Fractions: a float is refused, never converted.
 
 `components(n, pairs)` is the one union-find: connectivity, contraction,
 floors, elevator shapes, line-arrangement irreducibility and marking
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from typing import NamedTuple
 
 Vec = tuple[int, int]
 
@@ -77,8 +79,7 @@ def _value_name(i, ne):
     return f"edge {i}: length" if i < ne else f"vertex {(i - ne) // 2}: {'xy'[(i - ne) % 2]}"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """An edge oriented u -> v carrying the slope of that orientation."""
 
     u: int
@@ -89,8 +90,7 @@ class Edge:
         return self.u == self.v
 
 
-@dataclass(frozen=True)
-class Leg:
+class Leg(NamedTuple):
     """A leg attached to `vertex`, oriented away from it."""
 
     vertex: int
@@ -108,23 +108,26 @@ def components(n, pairs):
     by their sorted roots, so the union direction fixes that numbering.
     """
     parent = list(range(n))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving: x moves to its grandparent
-        return x
-
     for u, v in pairs:
-        parent[root(u)] = root(v)
-    return list(map(root, range(n)))
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving: v moves to its grandparent
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        parent[u] = v
+    for x in range(n):  # each x points at its root, so later finds stop there
+        r = parent[x]
+        while parent[r] != r:
+            r = parent[r]
+        parent[x] = r
+    return parent
 
 
 def _check_graph(weights, ends, leg_vertices):
     """Refuse a weight, an edge endpoint or a leg vertex that is not an
     int (a bool is not), a negative weight, an endpoint or a leg vertex out
     of range, or a disconnected graph, naming the vertex, edge or leg.
-    Each tuple's types are read in one scan; the offender is sought only
-    when that scan finds one."""
+    Each tuple's types are read in one scan and its range in one `min`
+    and `max`; the offender is sought only when that check fails."""
     n = len(weights)
     if n == 0:
         raise ValueError("graph needs at least one vertex")
@@ -134,19 +137,19 @@ def _check_graph(weights, ends, leg_vertices):
     if min(weights) < 0:
         v = next(v for v, w in enumerate(weights) if w < 0)
         raise ValueError(f"vertex {v}: weight {weights[v]} is negative")
-    if not set(map(type, chain.from_iterable(ends))) <= _INT:
-        i, bad = next((i, x) for i, e in enumerate(ends) for x in e if type(x) is not int)
-        raise ValueError(f"edge {i}: endpoint {bad!r} is not an int")
+    flat = list(chain.from_iterable(ends))
+    if not set(map(type, flat)) <= _INT:
+        k = next(k for k, x in enumerate(flat) if type(x) is not int)
+        raise ValueError(f"edge {k // 2}: endpoint {flat[k]!r} is not an int")
     if not set(map(type, leg_vertices)) <= _INT:
         j = next(j for j, v in enumerate(leg_vertices) if type(v) is not int)
         raise ValueError(f"leg {j}: vertex {leg_vertices[j]!r} is not an int")
-    for i, (u, v) in enumerate(ends):
-        if not (0 <= u < n and 0 <= v < n):
-            bad = v if 0 <= u < n else u
-            raise ValueError(f"edge {i}: endpoint {bad} is out of range 0..{n - 1}")
-    for j, v in enumerate(leg_vertices):
-        if not 0 <= v < n:
-            raise ValueError(f"leg {j}: vertex {v} is out of range 0..{n - 1}")
+    if flat and (min(flat) < 0 or max(flat) >= n):
+        k = next(k for k, x in enumerate(flat) if not 0 <= x < n)
+        raise ValueError(f"edge {k // 2}: endpoint {flat[k]} is out of range 0..{n - 1}")
+    if leg_vertices and (min(leg_vertices) < 0 or max(leg_vertices) >= n):
+        j = next(j for j, v in enumerate(leg_vertices) if not 0 <= v < n)
+        raise ValueError(f"leg {j}: vertex {leg_vertices[j]} is out of range 0..{n - 1}")
     roots = components(n, ends)
     if len(set(roots)) != 1:
         v = next(v for v, r in enumerate(roots) if r != roots[0])
@@ -200,10 +203,10 @@ class CombinatorialType:
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "legs", tuple(self.legs))
-        _check_graph(self.weights, [(e.u, e.v) for e in self.edges], [leg.vertex for leg in self.legs])
-        for i, e in enumerate(self.edges):
-            if e.u == e.v and e.slope != ZERO2:
-                raise ValueError(f"edge {i}: a loop with nonzero slope {e.slope} is not realizable")
+        _check_graph(self.weights, [(u, v) for u, v, _s in self.edges], [v for v, _s in self.legs])
+        for i, (u, v, slope) in enumerate(self.edges):
+            if u == v and slope != ZERO2:
+                raise ValueError(f"edge {i}: a loop with nonzero slope {slope} is not realizable")
 
     # -- structure ------------------------------------------------------
     def n_vertices(self):
@@ -423,13 +426,13 @@ class ParametrizedCurve:
                 values = [exact(x, _value_name(i, ne)) for i, x in enumerate(values)]
             den = lcm(*{x.denominator for x in values if type(x) is Fraction})
             ints = tuple(x * den if type(x) is int else x.numerator * (den // x.denominator) for x in values)
-        if any(x <= 0 for x in ints[:ne]):
+        if ne and min(ints[:ne]) <= 0:
             i = next(i for i, x in enumerate(ints[:ne]) if x <= 0)
             raise ValueError(f"edge {i}: length {values[i]} is not strictly positive")
         # a loop has slope zero (CombinatorialType refuses any other), so it fixes no position
-        for i, e in enumerate(ctype.edges):
-            u, v, ln = ne + 2 * e.u, ne + 2 * e.v, ints[i]
-            if (ints[v] - ints[u], ints[v + 1] - ints[u + 1]) != (ln * e.slope[0], ln * e.slope[1]):
+        for i, (u, v, (sx, sy)) in enumerate(ctype.edges):
+            u, v, ln = ne + 2 * u, ne + 2 * v, ints[i]
+            if ints[v] - ints[u] != ln * sx or ints[v + 1] - ints[u + 1] != ln * sy:
                 raise ValueError(f"edge {i}: positions violate geometric consistency")
         put = object.__setattr__
         put(self, "ctype", ctype)
@@ -469,18 +472,19 @@ class ParametrizedCurve:
         germs counts 1.  The germs are gathered in one pass, in `star`
         order: edges by index, then legs (loops have slope zero)."""
         t = self.ctype
-        germs = [[] for _ in range(t.n_vertices())]
-        for e in t.edges:
-            if e.slope != ZERO2:
-                germs[e.u].append(e.slope)
-                germs[e.v].append(vneg(e.slope))
-        for leg in t.legs:
-            if leg.slope != ZERO2:
-                germs[leg.vertex].append(leg.slope)
+        germs = [[] for _ in t.weights]
+        for u, v, (sx, sy) in t.edges:
+            if sx or sy:
+                germs[u].append((sx, sy))
+                germs[v].append((-sx, -sy))
+        for v, slope in t.legs:
+            if slope != ZERO2:
+                germs[v].append(slope)
         m = 1
         for star in germs:
             if len(star) > 3:
                 raise ValueError("multiplicity undefined at vertices with more than three non-contracted germs")
             if len(star) == 3:
-                m *= abs(det2(star[0], star[1]))
+                (ax, ay), (bx, by), _c = star
+                m *= abs(ax * by - ay * bx)
         return m

@@ -50,6 +50,15 @@ def test_point_configuration_refuses_floats():
         PointConfiguration(((F(1, 10), 0), (1, 2.0)))
 
 
+def test_point_configuration_keeps_fractions():
+    # a Fraction is stored as the object given, an int becomes a Fraction
+    x, y = F(1, 3), F(-7, 2)
+    cfg = PointConfiguration(((x, y), (2, F(5))))
+    assert cfg.points[0][0] is x and cfg.points[0][1] is y
+    assert cfg.points == ((x, y), (F(2), F(5)))
+    assert all(type(c) is F for p in cfg.points for c in p)
+
+
 def test_fiber_requires_matching_marks():
     t = marked_line_two_rays()
     with pytest.raises(ValueError):

@@ -101,6 +101,24 @@ def test_curves_frozen():
     assert blob.hexdigest() == "14c89c8455b008b7b541e06775f522e970c67ca51c42c1d3f3ae1128e2ce6c3a"
 
 
+def test_curves_frozen_on_irregular_points():
+    # every curve at d <= 4 through points on y = -mu x whose x values are
+    # seeded integer gaps of 1..5 apart, and through the same points over
+    # 6, with its diagram and multiplicity, pinned byte for byte
+    rng = random.Random("irregular gaps")
+    blob = hashlib.sha256()
+    for d in range(1, 5):
+        for g in range(0, (d - 1) * (d - 2) // 2 + 1):
+            xs = list(itertools.accumulate(rng.randint(1, 5) for _ in range(3 * d + g - 1)))
+            mu = F((3 * d) ** (3 * d) * xs[-1])
+            for den in (1, 6):
+                cfg = PointConfiguration(tuple((F(x, den), -mu * x / den) for x in xs))
+                for diag, curve in enumerate_curves(d, g, cfg):
+                    record = [diag.text(), curve_to_json(curve), curve.multiplicity()]
+                    blob.update(json.dumps(record, sort_keys=True).encode())
+    assert blob.hexdigest() == "6bef0801a13c2fd572470a46b4efbc717cc72869dae968a67c582e07739963e9"
+
+
 def test_enumerate_curves_clears_its_points_once(monkeypatch):
     # every diagram is built over one clearing of the configuration, and
     # builds the curve diagram_curve builds from the configuration itself

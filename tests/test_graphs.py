@@ -3,13 +3,14 @@ import hashlib
 import itertools
 import json
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
 from tropcurves.families import AffineFunction
-from tropcurves.floors import enumerate_curves
+from tropcurves.floors import DOWN, Elevator, enumerate_curves
 from tropcurves.graphs import (
     CombinatorialType,
     Edge,
@@ -249,6 +250,27 @@ def test_graph_data_refuses_non_ints(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "edges, legs, message",
+    [
+        (((0, 1), (2, 5)), (), "edge 1: endpoint 5 is out of range 0..2"),
+        (((0, 1), (-1, 7)), (), "edge 1: endpoint -1 is out of range 0..2"),
+        (((0, 1), (1, 3)), (), "edge 1: endpoint 3 is out of range 0..2"),
+        (((0, 1), (1, 2)), (0, 2, 3, -1), "leg 2: vertex 3 is out of range 0..2"),
+        (((0, 1), (1, 2)), (1, -1), "leg 1: vertex -1 is out of range 0..2"),
+        (((0, 1), (1, 1)), (2,), "graph is disconnected: vertex 2 is not joined to vertex 0"),
+    ],
+)
+def test_graph_refuses_out_of_range_ends(edges, legs, message):
+    # the first endpoint out of range, u before v, or the first leg vertex
+    for build in (
+        lambda: TropicalGraph((0, 0, 0), edges, (1,) * len(edges), legs),
+        lambda: CombinatorialType((0, 0, 0), tuple(Edge(u, v) for u, v in edges), tuple(map(Leg, legs))),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
 def test_enumerated_curves_equal_their_rebuilt_copies():
     # a curve rebuilt from the Fractions it reads back has the same
     # integer form, so it is equal and hashes equal
@@ -282,6 +304,29 @@ def test_parametrized_curve_is_a_frozen_value():
     for other in copies:
         assert other == curve and hash(other) == hash(curve)
         assert (other.lengths, other.positions) == (curve.lengths, curve.positions)
+
+
+def test_edges_and_legs_are_values():
+    # frozen, hashed as their field tuples, and rebuilt by repr, pickle
+    # and copy, as a floor diagram's elevators are; the slope defaults to
+    # zero, and an Edge is never a Leg
+    names = {"Edge": Edge, "Leg": Leg, "Elevator": Elevator}
+    values = [
+        (Edge(0, 1, (1, -2)), (0, 1, (1, -2))),
+        (Leg(2, (0, -1)), (2, (0, -1))),
+        (Elevator(3, DOWN, 2, 5), (3, DOWN, 2, 5)),
+    ]
+    for x, fields in values:
+        for name in ("u", "vertex", "top", "slope", "foo"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, (0, 0))
+        assert hash(x) == hash(fields)
+        for other in (eval(repr(x), names), pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert other == x and type(other) is type(x) and hash(other) == hash(x)
+    assert Edge(0, 1).slope == Leg(0).slope == (0, 0)
+    assert Edge(0, 1) == Edge(0, 1, (0, 0)) and Leg(3) == Leg(3, (0, 0))
+    for e, leg in itertools.product((Edge(0, 0), Edge(0, 1, (1, 0))), (Leg(0), Leg(0, (1, 0)), Leg(1, (1, 0)))):
+        assert e != leg and leg != e
 
 
 def test_curve_multiplicity_line():
