@@ -12,10 +12,12 @@ marks and the floor heights are pinned by theirs.
 
 Counting sums the multiplicities (vertex |det| products) of the curves
 built; it is certified against the independent recursion oracle in
-`tropcurves.recursion` up to MAX_DEGREE.  A shape's markings can also be
-counted without listing them (`_completions`), which `unrank_diagram`
-uses to pick the i-th diagram in listing order: the walk's start.
-Listing, counting and unranking share one (d, g) check, `_has_diagrams`.
+`tropcurves.recursion` up to MAX_DEGREE.  One marking rule, the moves of
+`_completions`, says which object may take the next mark: listing walks
+it, a shape's markings are counted from it without listing them, and
+`unrank_diagram` follows it to pick the i-th diagram in listing order:
+the walk's start.  Listing, counting and unranking share one (d, g)
+check, `_has_diagrams`.
 """
 
 from __future__ import annotations
@@ -225,18 +227,27 @@ def _weighted_shapes(d, g):
 
 
 def _marked_diagrams(d, g):
-    """All marked floor diagrams: linear extensions of the object poset.
-
-    Objects are floors and elevators; floors are totally ordered top to
-    bottom (the top floor's mark is the smallest), each elevator sits
-    between its endpoints, legs come after their floor.  Each diagram
-    comes once: identical elevators are interchangeable, which quotients
-    out diagram automorphisms.
+    """All marked floor diagrams, shape by shape, each shape's markings
+    by a depth-first walk over `_completions`' moves from the empty
+    marking.  Identical elevators take their marks in list order, which
+    quotients out diagram automorphisms, so each diagram comes once.
     """
     for shape in _weighted_shapes(d, g):
         edge_list = _edge_list(d, shape)
-        for floor_marks, elevator_marks in _linear_extensions(d, edge_list):
-            yield _diagram(d, g, edge_list, floor_marks, elevator_marks)
+        moves, _count, empty = _completions(d, edge_list)
+        n = d + len(edge_list)
+        path = [None] * n  # the object of each mark, rewritten as the walk backs up
+        stack = [iter(moves(empty))]  # the moves not yet taken at each depth
+        while stack:
+            for k, after in stack[-1]:
+                path[len(stack) - 1] = k
+                if len(stack) == n:
+                    yield _diagram(d, g, edge_list, path)
+                else:
+                    stack.append(iter(moves(after)))
+                    break
+            else:
+                stack.pop()
 
 
 def _edge_list(d, shape):
@@ -250,73 +261,32 @@ def _edge_list(d, shape):
     return edge_list
 
 
-def _diagram(d, g, edge_list, floor_marks, elevator_marks):
-    """The FloorDiagram of one marking of edge_list, elevators by mark."""
-    elevators = sorted(
-        (Elevator(i, j, w, m) for (i, j, w), m in zip(edge_list, elevator_marks)),
-        key=lambda e: e.mark,
-    )
-    return FloorDiagram(d, g, tuple(floor_marks), tuple(elevators))
-
-
-def _linear_extensions(d, edge_list):
-    """Assign marks 1..n to floors (top-down order) and elevators.
-
-    Floor i gets mark f_i with f_d < f_{d-1} < ... < f_1; elevator k
-    between floors gets f_top < m_k < f_bottom (DOWN = +infinity).
-    Identical elevators sit next to each other in edge_list and take
-    their marks in list order, so each marking comes once.  A floor
-    takes its mark only once no elevator ending on it waits unmarked, so
-    every partial marking extends to a full one.
-    """
-    n = d + len(edge_list)
-    floor_marks = [None] * d
-    elevator_marks = [None] * len(edge_list)
-    waiting = [0] * (d + 2)  # unmarked elevators ending on floor i; legs count at DOWN = -1
-    for _top, bottom, _w in edge_list:
-        waiting[bottom] += 1
-
-    def rec(pos, next_floor):
-        if pos > n:
-            yield tuple(floor_marks), tuple(elevator_marks)
-            return
-        # choose which object receives mark `pos`: the next floor down first
-        if next_floor >= 1 and not waiting[next_floor]:
-            floor_marks[next_floor - 1] = pos
-            yield from rec(pos + 1, next_floor - 1)
-            floor_marks[next_floor - 1] = None
-        for k, (top, bottom, w) in enumerate(edge_list):
-            if elevator_marks[k] is not None:
-                continue
-            if floor_marks[top - 1] is None:
-                continue  # upper floor not yet marked
-            if k and edge_list[k - 1] == edge_list[k] and elevator_marks[k - 1] is None:
-                continue  # an identical elevator before it is still unmarked
-            elevator_marks[k] = pos
-            waiting[bottom] -= 1
-            yield from rec(pos + 1, next_floor)
-            waiting[bottom] += 1
-            elevator_marks[k] = None
-
-    return rec(1, d)
+def _diagram(d, g, edge_list, path):
+    """The FloorDiagram whose marks 1, 2, ... go to the objects of path
+    in turn, named as moves name them: None for the next floor down,
+    else the elevator's index in edge_list."""
+    floor_marks = [mark for mark, k in enumerate(path, 1) if k is None]
+    elevators = [Elevator(*edge_list[k], mark) for mark, k in enumerate(path, 1) if k is not None]
+    return FloorDiagram(d, g, tuple(floor_marks[::-1]), tuple(elevators))
 
 
 def _completions(d, edge_list):
-    """(moves, count, empty) for one shape's partial markings, on the
-    rules of `_linear_extensions`.
+    """(moves, count, empty) for one shape's partial markings.  `moves`
+    is the one marking rule: listing, counting and unranking all read it.
 
-    A partial marking is (next floor to mark, unmarked count per class of
-    identical elevators): identical elevators take their marks in list
-    order, so the count says which are marked.  moves(state) lists
-    (object, next state) for each object that may take the next mark, in
-    `_linear_extensions` choice order: the next floor (object None), when
-    no unmarked elevator ends on it, then each class whose top floor is
-    marked, by its first unmarked elevator's index in edge_list.
-    count(state) is the number of full markings that complete it,
-    memoized on the state for this shape only; once every floor is
-    marked only legs are left, in any order, so it is a multinomial
-    there.  `empty` is the state of the empty marking, (d, class sizes).
-    Every partial marking reached completes, so count never reads 0.
+    Floors take their marks top down, each elevator after its top floor
+    and before its bottom one, identical elevators in list order; so a
+    partial marking is (next floor to mark, unmarked count per class of
+    identical elevators).  moves(state) lists (object, next state) for
+    each object that may take the next mark, in listing order: the next
+    floor (object None), when no unmarked elevator ends on it, then each
+    class whose top floor is marked, by its first unmarked elevator's
+    index in edge_list.  count(state) is the number of full markings that
+    complete it, memoized on the state for this shape only; once every
+    floor is marked only legs are left, in any order, so it is a
+    multinomial there.  `empty` is the state of the empty marking, (d,
+    class sizes).  Every partial marking reached completes, so count
+    never reads 0.
     """
     classes = []  # [top, index after the run, size] of each run of identical elevators
     ending = [[] for _ in range(d + 1)]  # the classes whose elevators end on floor i
@@ -328,14 +298,19 @@ def _completions(d, edge_list):
             if bottom != DOWN:
                 ending[bottom].append(len(classes))
             classes.append([top, k + 1, 1])
+    spans = [(c, top, end) for c, (top, end, _size) in enumerate(classes)]
     memo = {}
 
     def moves(state):
         next_floor, left = state
         out = []
-        if next_floor and not any([left[c] for c in ending[next_floor]]):
-            out.append((None, (next_floor - 1, left)))
-        for c, (top, end, _size) in enumerate(classes):
+        if next_floor:
+            for c in ending[next_floor]:
+                if left[c]:
+                    break
+            else:
+                out.append((None, (next_floor - 1, left)))
+        for c, top, end in spans:
             n = left[c]
             if n and top > next_floor:
                 out.append((end - n, (next_floor, left[:c] + (n - 1,) + left[c + 1 :])))
@@ -466,21 +441,23 @@ def enumerate_curves(d, g, cfg=None):
     method covers each diagram has exactly one curve, so a diagram with
     none proves cfg is outside it: ValueError.
     """
-    diags = solution_diagrams(d, g, cfg)
-    if not diags:
-        return []
+    return list(_curves(d, g, cfg))
+
+
+def _curves(d, g, cfg):
+    """The (diagram, curve) pairs of `enumerate_curves`, one at a time."""
+    if not _has_diagrams(d, g, cfg):
+        return
     if cfg is None:
         cfg = make_stretched(3 * d + g - 1, d)
     cleared = integer_points(cfg.points)
-    out = []
-    for i, diag in enumerate(diags):
+    for i, diag in enumerate(_marked_diagrams(d, g)):
         curve = diagram_curve(diag, cleared)
         if curve is None:
             raise ValueError(
                 f"diagram {i} has no curve through the points: the floor method needs them stretched, top down"
             )
-        out.append((diag, curve))
-    return out
+        yield diag, curve
 
 
 def _has_diagrams(d, g, cfg):
@@ -514,11 +491,11 @@ def unrank_diagram(d, g, i, cfg=None):
 
     Each shape's markings are counted by `_completions`, one shape at a
     time; the prefix sums of the counts, in `_weighted_shapes` order,
-    pick the shape, and the marking is read mark by mark in
-    `_linear_extensions` choice order, skipping each choice by its number
-    of completions.  One shape's memo is held at a time: the chosen
-    shape is counted again unless it was the last, and nothing outlives
-    the call.  ValueError when (d, g) has no diagrams.
+    pick the shape, and the marking is read mark by mark from the same
+    moves that listing walks, skipping each move by its number of
+    completions.  One shape's memo is held at a time: the chosen shape
+    is counted again unless it was the last, and nothing outlives the
+    call.  ValueError when (d, g) has no diagrams.
     """
     if not _has_diagrams(d, g, cfg):
         raise ValueError(f"degree {d} genus {g} has no marked floor diagrams")
@@ -536,25 +513,23 @@ def unrank_diagram(d, g, i, cfg=None):
     if at < len(shapes) - 1:  # the last shape's memo is the one still held
         edge_list = _edge_list(d, shapes[at])
         moves, count, state = _completions(d, edge_list)
-    floor_marks, elevator_marks = [None] * d, [None] * len(edge_list)
-    for mark in range(1, len(floor_marks) + len(elevator_marks) + 1):
+    path = []
+    for _mark in range(d + len(edge_list)):
         for k, after in moves(state):
             completions = count(after)
             if i < completions:
                 break
             i -= completions
-        if k is None:
-            floor_marks[state[0] - 1] = mark
-        else:
-            elevator_marks[k] = mark
+        path.append(k)
         state = after
-    return _diagram(d, g, edge_list, floor_marks, elevator_marks)
+    return _diagram(d, g, edge_list, path)
 
 
 def count_severi(d, g, cfg=None):
     """Multiplicity-weighted count of the curves `enumerate_curves`
-    builds through 3d + g - 1 stretched points (the Severi degree)."""
-    return sum(curve.multiplicity() for _diag, curve in enumerate_curves(d, g, cfg))
+    builds through 3d + g - 1 stretched points (the Severi degree), one
+    curve at a time."""
+    return sum(curve.multiplicity() for _diag, curve in _curves(d, g, cfg))
 
 
 def top_floor_check(diag: FloorDiagram):

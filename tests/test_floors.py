@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,6 @@ from tropcurves.floors import (
     NotFloorDecomposed,
     _completions,
     _edge_list,
-    _linear_extensions,
     _marked_diagrams,
     _weighted_shapes,
     count_severi,
@@ -150,6 +150,19 @@ def test_points_outside_the_floor_method_are_refused():
             run(3, 0, PointConfiguration(points))
 
 
+def test_count_severi_streams_its_curves(monkeypatch):
+    # the count builds one curve at a time: it neither lists the curves
+    # nor the diagrams
+    import tropcurves.floors
+
+    def listing(*_args):
+        raise AssertionError("count_severi listed its curves or diagrams")
+
+    monkeypatch.setattr(tropcurves.floors, "enumerate_curves", listing)
+    monkeypatch.setattr(tropcurves.floors, "solution_diagrams", listing)
+    assert count_severi(4, 1, make_stretched(12, 4)) == irreducible_severi_degree(4, 1)
+
+
 def test_curves_commute_with_a_rational_affine_map():
     # p -> p/6 + (1/2, -1/3) gives points with denominator 6, so the curves
     # are built over L = 6: each must be the image of the curve through the
@@ -194,14 +207,28 @@ def test_generation_order_is_lexicographic():
             shapes = list(_weighted_shapes(d, g))
             keys = [(combo, ws) for combo, ws, _legs in shapes]
             assert keys == sorted(set(keys))
+            edge_lists = []
             for combo, ws, legs in shapes:
                 edge_list = [(i, j, w) for (i, j), w in zip(combo, ws)]
                 edge_list += [(fl, DOWN, 1) for fl in range(1, d + 1) for _ in range(legs[fl - 1])]
+                edge_lists.append(edge_list)
+            # each shape's markings come together, shape by shape in order
+            groups = [
+                (key, list(diags))
+                for key, diags in itertools.groupby(
+                    _marked_diagrams(d, g), key=lambda diag: sorted(e[:3] for e in diag.elevators)
+                )
+            ]
+            assert [key for key, _diags in groups] == [sorted(edge_list) for edge_list in edge_lists]
+            for edge_list, (_key, diags) in zip(edge_lists, groups):
                 seqs = []
-                for floor_marks, elevator_marks in _linear_extensions(d, edge_list):
-                    seq = [-1] * (d + len(edge_list))  # -1: the next floor down
-                    for k, m in enumerate(elevator_marks):
-                        seq[m - 1] = k
+                for diag in diags:
+                    # -1: the next floor down; identical elevators take
+                    # their marks in list order, and diag.elevators is by mark
+                    seq, taken = [-1] * diag.n_marks(), Counter()
+                    for e in diag.elevators:
+                        seq[e.mark - 1] = edge_list.index(e[:3]) + taken[e[:3]]
+                        taken[e[:3]] += 1
                     seqs.append(tuple(seq))
                 assert seqs == sorted(set(seqs))
 
@@ -290,6 +317,14 @@ def test_listing_matches_the_filter_all_oracle():
     assert list(_weighted_shapes(5, 7)) == []
 
 
+@pytest.mark.slow
+def test_degree_five_listing_matches_the_filter_all_oracle():
+    # the diagrams of every (5, g), not only g >= 4 as in tier-1
+    for g in range(7):
+        shapes = list(_oracle_shapes(5, g))
+        assert list(_marked_diagrams(5, g)) == list(_oracle_diagrams(5, g, shapes))
+
+
 def _shape_counts(d, g):
     # each shape with its edge list and the completions of its empty marking
     for shape in _weighted_shapes(d, g):
@@ -300,9 +335,10 @@ def _shape_counts(d, g):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_completion_count_equals_listed_markings(d):
+    # listed by the unpruned reference, which shares no code with `moves`
     for g in range(0, (d - 1) * (d - 2) // 2 + 1):
         for _shape, edge_list, e in _shape_counts(d, g):
-            assert e == sum(1 for _ in _linear_extensions(d, edge_list)), (d, g, edge_list)
+            assert e == sum(1 for _ in _oracle_extensions(d, edge_list)), (d, g, edge_list)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])

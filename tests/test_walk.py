@@ -86,7 +86,6 @@ def test_walk_start_lists_no_diagram(monkeypatch):
     def listing(*_args):
         raise AssertionError("the walk's start listed the diagrams")
 
-    monkeypatch.setattr(tropcurves.floors, "_linear_extensions", listing)
     monkeypatch.setattr(tropcurves.floors, "_marked_diagrams", listing)
     for d in (3, 4, 5):
         assert classify(start_walk(d, 0).ctype).is_nice()
