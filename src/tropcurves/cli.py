@@ -121,19 +121,29 @@ def cmd_walk(args):
     return 0
 
 
-def _read_nodes(path):
-    """The nodes of a marking file: a JSON list of [i, j] line-index pairs."""
+def _read_marking(arr, path):
+    """The marking of `arr` in a file: a JSON list of [i, j] line-index
+    pairs, each node listed once, in either order."""
+    from tropcurves.arrangements import MarkingSet
     from tropcurves.serialize import int_pair
 
     data = _load_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: a marking is a JSON list of [i, j] pairs")
-    return frozenset(int_pair(p, f"{path}: node") for p in data)
+    nodes = set()
+    for p in data:
+        i, j = int_pair(p, f"{path}: node")
+        if (i, j) in nodes or (j, i) in nodes:
+            raise ValueError(f"{path}: node {p} is listed twice")
+        nodes.add((i, j))
+    try:
+        return MarkingSet(arr, frozenset(nodes))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_markings(args):
     from tropcurves.arrangements import (
-        MarkingSet,
         branch_codim,
         empty_criterion,
         equivalence_classes,
@@ -145,7 +155,7 @@ def cmd_markings(args):
         from tropcurves.arrangements import Arrangement
 
         arr = Arrangement(args.d)
-        m1, m2 = (MarkingSet(arr, _read_nodes(path)) for path in args.codim)
+        m1, m2 = (_read_marking(arr, path) for path in args.codim)
         _emit({"codim": branch_codim(m1, m2)})
         return 0
     if args.witness:

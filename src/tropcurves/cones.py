@@ -210,19 +210,14 @@ def scaled_positions(t: CombinatorialType, points, coeffs, lengths, scale):
     return scale, integer_positions(t, coeffs, lengths, anchor)
 
 
-def vertex_positions(t: CombinatorialType, points, coeffs, lengths, scale):
-    """`scaled_positions` as Fractions: each coordinate divided once."""
-    scale, ints = scaled_positions(t, points, coeffs, lengths, scale)
-    return [Fraction(c, scale) for c in ints]
-
-
 def expand_lengths(t: CombinatorialType, points, coeffs, lengths):
     """Rebuild the full position-length vector from a length solution;
     the first marked point pins the translation, else vertex 0 sits at 0.
-    The lengths are cleared to ints once and the positions built by
-    `vertex_positions`."""
+    The lengths are cleared to ints once, the positions built by
+    `scaled_positions` and each coordinate divided once."""
     scale, ints = clear_denominators(lengths)
-    return vertex_positions(t, points, coeffs, ints, scale) + list(lengths)
+    scale, ints = scaled_positions(t, points, coeffs, ints, scale)
+    return [Fraction(c, scale) for c in ints] + list(lengths)
 
 
 def is_realizable(t: CombinatorialType):

@@ -20,6 +20,7 @@ from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, T
 F = Fraction
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _MAX_DIGITS = 4300  # CPython's default limit on int(str) since 3.10.7 and 3.11
+_NAMED = re.compile(r"[a-z]+ JSON\b")  # a refusal that names its document
 
 
 def frac_str(x):
@@ -59,7 +60,10 @@ def dumps(obj):
 
 def _reader(read):
     """Make a missing key or a wrongly shaped value in the JSON given to
-    `read` a ValueError that names it."""
+    `read` a ValueError that names it, and prefix any other ValueError
+    raised under `read` with its document kind, "<kind> JSON: ".  A
+    message that already names a document keeps its text, so a reader
+    called by another adds its kind once."""
 
     @functools.wraps(read)
     def checked(data):
@@ -70,6 +74,10 @@ def _reader(read):
             raise ValueError(f"{what} JSON: missing key {exc.args[0]!r}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"{what} JSON is malformed: {exc}") from None
+        except ValueError as exc:
+            if _NAMED.match(str(exc)):
+                raise
+            raise ValueError(f"{what} JSON: {exc}") from None
 
     return checked
 

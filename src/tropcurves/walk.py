@@ -23,19 +23,19 @@ crossing enters one of the wall's resolutions by construction, since
 resolutions of each wall met contract back to it.  The terminal ray is
 certified to move nothing but one contracted edge length.
 
-The geometry runs on Python ints, with denominators cleared once per
-call: the start's diagram is unranked from the seed
-(`floors.unrank_diagram`), not picked from a list, and its mark is
-forgotten on the curve's integer form; the fiber line is solved over the
-points times their lcm, which leaves its direction as it was; the next
-wall is picked, and the wall lengths built, from the lengths and the
-direction each cleared to one denominator; positions and velocities sum
-the tree paths on ints (`cones.integer_positions`); and (k, r) is read
-from positions that are ints times one positive denominator.  Each
-stratum's path coefficients are built once, by its fiber solve, and kept
-on its `WalkState`.  Fractions are made only for what a state, an event
-or the trace holds: a state's lengths, a wall's parameter, a terminal
-ray.
+The geometry runs on Python ints, and a state keeps them: its lengths
+are ints over `den` and its direction ints over `dscale`.  The start's
+diagram is unranked from the seed (`floors.unrank_diagram`), not picked
+from a list, and its lengths are the integer form of the mark-forgotten
+curve; the fiber line is solved over the points times their lcm, which
+leaves its direction as it was, and that direction is cleared to ints
+once, as it enters; the next wall is picked, and the wall lengths built
+over -b_k·den, on those ints; positions and velocities sum the tree
+paths on ints (`cones.integer_positions`); and (k, r) is read from
+positions that are ints times one positive denominator.  Each stratum's
+path coefficients are built once, by its fiber solve, and kept on its
+`WalkState`.  Fractions are made only for a wall's parameter, a terminal
+ray and `interior_positions()`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from tropcurves.cones import (
     classify,
     fiber_rows,
     integer_positions,
-    path,
     resolve_wall,
     scaled_positions,
     split_vertex,
@@ -99,8 +98,10 @@ class Terminal:
 @dataclass(frozen=True)
 class WalkState:
     ctype: CombinatorialType  # n-1 contracted legs, mobile point unmarked
-    lengths: tuple  # current point of the closed cone (entry wall: one zero)
-    direction: tuple  # motion direction in length coordinates
+    lengths: tuple  # current point of the closed cone (entry wall: one zero), as ints over den
+    den: int  # positive denominator of the lengths
+    direction: tuple  # motion direction in length coordinates, as ints over dscale
+    dscale: int  # positive denominator of the direction
     fixed: PointConfiguration  # the n-1 pinned points
     elevator: int  # edge index of E
     floor_index: int  # k: host floor of E, counted from the bottom
@@ -117,7 +118,8 @@ class WalkState:
         """(S, the vertex positions (x, y) times S, as ints) strictly inside
         the stratum along the motion ray: halfway to the next wall, or one
         unit along a ray."""
-        scale, a, dscale, b, k = _wall_ahead(self.lengths, self.direction)
+        a, scale, b, dscale = self.lengths, self.den, self.direction, self.dscale
+        k = _wall_ahead(a, b)
         if k is None:  # lengths + direction, over L·D
             den, lengths = scale * dscale, [x * dscale + y * scale for x, y in zip(a, b)]
         else:  # lengths + (step / 2)·direction, over 2·L·(-b_k)
@@ -126,22 +128,21 @@ class WalkState:
         return den, list(zip(flat[::2], flat[1::2]))
 
 
-def _wall_ahead(lengths, direction):
-    """The motion line on ints: (L, a, D, b, k) with lengths = a / L and
-    direction = b / D, and k the index of the first length to vanish
-    along it, the least a_k / -b_k over b_k < 0 (the first of equals), or
-    None when no length falls.  The wall sits at step a_k·D / (-b_k·L)."""
-    scale, a = clear_denominators(lengths)
-    dscale, b = clear_denominators(direction)
+def _wall_ahead(a, b):
+    """The index k of the first length a / L to vanish along the direction
+    b / D, both on ints: the least a_k / -b_k over b_k < 0 (the first of
+    equals), or None when no length falls.  The wall sits at step
+    a_k·D / (-b_k·L)."""
     k = None
     for i, (x, y) in enumerate(zip(a, b)):
         if y < 0 and (k is None or x * -b[k] < a[k] * -y):
             k = i
-    return scale, a, dscale, b, k
+    return k
 
 
 def _fiber_line(t, cfg):
-    """The direction of t's one-dimensional fiber over cfg, and its rows' path coefficients.
+    """(D, the direction of t's one-dimensional fiber over cfg times D as
+    ints, its rows' path coefficients).
 
     The points are cleared to ints first: scaling the right-hand side by
     their lcm leaves the kernel, and whether the fiber is empty, as they
@@ -154,19 +155,7 @@ def _fiber_line(t, cfg):
     _base, basis = sol
     if len(basis) != 1:
         raise WalkError(f"fiber dimension {len(basis)} inside a nice stratum, expected 1")
-    return basis[0], coeffs
-
-
-def _velocities(t, coeffs, direction):
-    """Vertex velocities along `direction` times a positive integer, as
-    ints (x_0, y_0, x_1, ...); the first mark's vertex stays pinned.
-
-    Positions are affine in the lengths, so these are the positions of
-    the integer-scaled direction with that vertex pinned at the origin.
-    Callers read only signs.
-    """
-    _scale, step = clear_denominators(direction)
-    return integer_positions(t, coeffs, step, (0, 0))
+    return (*clear_denominators(basis[0]), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +248,22 @@ def start_walk(d, g, cfg=None, seed=0):
     t, den, ints = new_curve.ctype, new_curve.den, new_curve.ints
     if not classify(t).is_nice():
         raise WalkError("initial stratum is not nice")
-    v, coeffs = _fiber_line(t, fixed)
+    dscale, v, coeffs = _fiber_line(t, fixed)
     ne = len(t.edges)
     positions = list(zip(ints[ne::2], ints[ne + 1 :: 2]))  # times den
     k, r, x_target = _ladder(t, positions, elevator)
     foot, _ = _elevator_foot(t, positions, elevator)
-    # E's foot's x entry of `_velocities` alone, summed over its tree path from the pinned vertex
-    _scale, step = clear_denominators(v)
-    dx = sum(c * step[j] * t.edges[j].slope[0] for j, c in path(coeffs, t.legs[0].vertex, foot).items())
+    dx = integer_positions(t, coeffs, v, (0, 0))[2 * foot]
     if dx == 0:
         raise WalkError("fiber direction does not move the mobile elevator")
     if (dx > 0) != (x_target > positions[foot][0]):
-        v = tuple(-x for x in v)
+        v = [-x for x in v]
     return WalkState(
         ctype=t,
-        lengths=tuple(F(x, den) for x in ints[:ne]),
+        lengths=ints[:ne],
+        den=den,
         direction=tuple(v),
+        dscale=dscale,
         fixed=fixed,
         elevator=elevator,
         floor_index=k,
@@ -334,14 +323,13 @@ def advance(state: WalkState):
     At a wall, the germs of its 4-valent vertex are read once: E's own
     germ, the three others, and the one E met (`_met_germ`).
     """
-    scale, a, dscale, b, k = _wall_ahead(state.lengths, state.direction)
+    a, b = state.lengths, state.direction
+    k = _wall_ahead(a, b)
     if k is None:
         return _terminal(state)
-    # length i at the wall is (a_i·(-b_k) + a_k·b_i) / (-b_k·L); one that
-    # does not move stays the Fraction it was
+    # length i at the wall is (a_i·(-b_k) + a_k·b_i) / (-b_k·L)
     wall = [x * -b[k] + a[k] * y for x, y in zip(a, b)]
-    den = -b[k] * scale
-    wall_lengths = tuple(l if y == 0 else F(w, den) for l, w, y in zip(state.lengths, wall, b))
+    den = -b[k] * state.den
     vanished = [i for i, (w, y) in enumerate(zip(wall, b)) if w == 0 and y < 0]
     if len(vanished) != 1:
         raise WalkError(f"{len(vanished)} lengths vanish simultaneously; wall is not simple")
@@ -363,13 +351,13 @@ def advance(state: WalkState):
     event = WallEvent(
         wall_type=wall_type,
         four_valent_vertex=u,
-        parameter=F(a[k] * dscale, den),
+        parameter=F(a[k] * state.dscale, den),
         edge_map=edge_map,
         elevator_germ=e_germ[0],
         others=others,
         met=_met_germ(others),
     )
-    return replace(state, lengths=wall_lengths), event
+    return replace(state, lengths=tuple(wall), den=den), event
 
 
 def _met_germ(others):
@@ -388,10 +376,10 @@ def _terminal(state: WalkState):
         raise WalkError("terminal ray moves more than one contracted edge length")
     free_edge = moving[0]
     # vertex positions must be constant along the ray
-    velocities = _velocities(t, state.coeffs, state.direction)
+    velocities = integer_positions(t, state.coeffs, state.direction, (0, 0))
     if any(velocities):
         raise WalkError("terminal ray moves vertex positions")
-    ray = (F(0),) * len(velocities) + tuple(state.direction)
+    ray = (F(0),) * len(velocities) + tuple(F(x, state.dscale) for x in state.direction)
     return state, Terminal(stratum=t, free_edge=free_edge, ray=ray)
 
 
@@ -430,10 +418,10 @@ def cross(state: WalkState, event: WallEvent, choice: str):
         partner = _far_floor_germ(state, [g for g in others if g != event.met])
     u = event.four_valent_vertex
     new_type, new_edge = split_vertex(event.wall_type, u, [partner[1], event.elevator_germ])
-    lengths = [F(0)] * len(new_type.edges)
+    lengths = [0] * len(new_type.edges)
     for old, new in event.edge_map.items():
         lengths[new] = state.lengths[old]
-    v, coeffs = _fiber_line(new_type, state.fixed)
+    dscale, v, coeffs = _fiber_line(new_type, state.fixed)
     if v[new_edge] == 0:
         raise WalkError("fiber direction ignores the resolving edge")
     if v[new_edge] < 0:
@@ -444,6 +432,7 @@ def cross(state: WalkState, event: WallEvent, choice: str):
         ctype=new_type,
         lengths=tuple(lengths),
         direction=tuple(v),
+        dscale=dscale,
         elevator=event.edge_map[state.elevator],
         coeffs=coeffs,
     )
@@ -455,7 +444,7 @@ def _far_floor_germ(state, floor_side):
     first endpoint that moves horizontally gives that way."""
     t = state.ctype
     dead = t.edges[state.lengths.index(0)]
-    velocities = _velocities(t, state.coeffs, state.direction)
+    velocities = integer_positions(t, state.coeffs, state.direction, (0, 0))
     dxs = [velocities[2 * v] for v in (dead.u, dead.v) if velocities[2 * v] != 0]
     if not dxs:
         raise WalkError("motion direction is vertically degenerate at the wall")

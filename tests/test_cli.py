@@ -297,7 +297,7 @@ def test_fiber_refuses_float_points(tmp_path, capsys):
     pf.write_text(json.dumps({"points": [[0.1, 0], ["1", "2"]]}))
     code, out, err = run_cli(capsys, "fiber", "--type", str(tf), "--points", str(pf))
     assert (code, out) == (2, "")
-    assert err == 'error: rational 0.1 is not an int or a "p/q" string\n'
+    assert err == 'error: config JSON: rational 0.1 is not an int or a "p/q" string\n'
 
 
 def test_walk_error_exit_status(monkeypatch, capsys):
@@ -325,7 +325,7 @@ def test_markings_codim_reads_pairs(tmp_path, capsys):
     assert err == f"error: {m2}: node [2] is not a pair of ints\n"
     m2.write_text("[[1, 4]]")
     code, out, err = run_cli(capsys, "markings", "--d", "3", "--codim", str(m1), str(m2))
-    assert (code, out, err) == (2, "", "error: marking contains a pair that is not a node\n")
+    assert (code, out, err) == (2, "", f"error: {m2}: marking contains a pair that is not a node\n")
     m2.write_text('{"a": 1}')
     code, out, err = run_cli(capsys, "markings", "--d", "3", "--codim", str(m1), str(m2))
     assert (code, out) == (2, "")
@@ -336,7 +336,7 @@ def test_zero_denominator_is_refused_at_the_cli(tmp_path, capsys):
     pf = tmp_path / "points.json"
     pf.write_text(json.dumps({"points": [["1/0", "0"]]}))
     code, out, err = run_cli(capsys, "enumerate", "--d", "1", "--g", "0", "--points", str(pf))
-    assert (code, out, err) == (2, "", "error: rational '1/0' has a zero denominator\n")
+    assert (code, out, err) == (2, "", "error: config JSON: rational '1/0' has a zero denominator\n")
 
 
 def test_exponent_in_a_rational_is_refused_at_the_cli(tmp_path, capsys):
@@ -344,14 +344,14 @@ def test_exponent_in_a_rational_is_refused_at_the_cli(tmp_path, capsys):
     pf = tmp_path / "points.json"
     pf.write_text(json.dumps({"points": [["1e999999999", "0"]]}))
     code, out, err = run_cli(capsys, "enumerate", "--d", "1", "--g", "0", "--points", str(pf))
-    assert (code, out, err) == (2, "", "error: rational '1e999999999' is not an int or a \"p/q\" string\n")
+    assert (code, out, err) == (2, "", "error: config JSON: rational '1e999999999' is not an int or a \"p/q\" string\n")
 
 
 def test_rational_of_5000_digits_is_refused_at_the_cli(tmp_path, capsys):
     pf = tmp_path / "points.json"
     pf.write_text(json.dumps({"points": [["1" * 5000, "0"]]}))
     code, out, err = run_cli(capsys, "enumerate", "--d", "1", "--g", "0", "--points", str(pf))
-    assert (code, out, err) == (2, "", "error: rational '111111111111...' has more than 4300 digits\n")
+    assert (code, out, err) == (2, "", "error: config JSON: rational '111111111111...' has more than 4300 digits\n")
 
 
 LONG_NUMERAL = "1" * 3000
@@ -415,7 +415,7 @@ def test_type_refusals_name_their_record(tmp_path, capsys, document, refusal):
     tf = tmp_path / "type.json"
     tf.write_text(json.dumps(document))
     code, out, err = run_cli(capsys, "classify-stratum", "--type", str(tf))
-    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+    assert (code, out, err) == (2, "", f"error: type JSON: {refusal}\n")
 
 
 def test_base_graph_refusal_names_its_edge(tmp_path, capsys):
@@ -424,7 +424,7 @@ def test_base_graph_refusal_names_its_edge(tmp_path, capsys):
     ff = tmp_path / "fam.json"
     ff.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
-    assert (code, out, err) == (2, "", "error: edge 0: length -3/2 is not strictly positive\n")
+    assert (code, out, err) == (2, "", "error: graph JSON: edge 0: length -3/2 is not strictly positive\n")
 
 
 @pytest.mark.parametrize(
@@ -438,7 +438,21 @@ def test_vertex_curve_refusal_names_its_edge(tmp_path, capsys, length, refusal):
     ff = tmp_path / "fam.json"
     ff.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
-    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+    assert (code, out, err) == (2, "", f"error: curve JSON: {refusal}\n")
+
+
+@pytest.mark.parametrize(
+    "nodes, twice",
+    [([[1, 2], [2, 1], [3, 4]], "[2, 1]"), ([[1, 2], [1, 2], [1, 4]], "[1, 2]")],
+    ids=["reversed", "repeated"],
+)
+def test_codim_refuses_a_node_listed_twice(tmp_path, capsys, nodes, twice):
+    # read as a set, the repeat would vanish and leave a marking of fewer nodes
+    m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
+    m1.write_text(json.dumps(nodes))
+    m2.write_text("[[1, 2], [1, 4]]")
+    code, out, err = run_cli(capsys, "markings", "--d", "4", "--codim", str(m1), str(m2))
+    assert (code, out, err) == (2, "", f"error: {m1}: node {twice} is listed twice\n")
 
 
 def test_codim_refusal_names_both_cardinalities(tmp_path, capsys):

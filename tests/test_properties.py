@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,14 @@ st = hypothesis.strategies
 
 from tropcurves.canonical import aut_order, brute_force_aut_order, canonical_key, relabel  # noqa: E402
 from tropcurves.cli import main  # noqa: E402
-from tropcurves.cones import expand_lengths, is_realizable, path, path_coefficients, reduced_fiber_polyhedron  # noqa: E402
+from tropcurves.cones import (  # noqa: E402
+    expand_lengths,
+    integer_positions,
+    is_realizable,
+    path,
+    path_coefficients,
+    reduced_fiber_polyhedron,
+)
 from tropcurves.corpus import _attach_mark, _cone_contains  # noqa: E402
 from tropcurves.evaluation import PointConfiguration  # noqa: E402
 from tropcurves.families import BaseCurve, constant_family, validate_family  # noqa: E402
@@ -28,7 +36,7 @@ from tropcurves.graphs import (  # noqa: E402
     face_contract,
     genus,
 )
-from tropcurves.linalg import feasible_nonneg  # noqa: E402
+from tropcurves.linalg import clear_denominators, feasible_nonneg  # noqa: E402
 from tropcurves.serialize import (  # noqa: E402
     config_from_json,
     config_to_json,
@@ -40,7 +48,6 @@ from tropcurves.serialize import (  # noqa: E402
     type_from_json,
     type_to_json,
 )
-from tropcurves.walk import _velocities  # noqa: E402
 
 SLOPES = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 RATIONALS = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
@@ -370,14 +377,15 @@ def expansion_inputs(draw):
 @hypothesis.given(expansion_inputs())
 def test_expand_lengths_matches_fraction_arithmetic(inputs):
     # positions are built on ints over one lcm and divided once; the walk's
-    # velocities share that kernel and must have the reference's signs
+    # velocities, the int positions of the cleared direction with the
+    # first mark pinned at the origin, must have the reference's signs
     t, points, lengths = inputs
     coeffs = path_coefficients(t)
     expanded = expand_lengths(t, points, coeffs, lengths)
     assert expanded == _expand_reference(t, points, coeffs, lengths)
     assert all(type(x) is F for x in expanded[: 2 * t.n_vertices()])
     if t.legs:
-        velocities = _velocities(t, coeffs, lengths)
+        velocities = integer_positions(t, coeffs, clear_denominators(lengths)[1], (0, 0))
         reference = _expand_reference(t, ((0, 0),), coeffs, lengths)[: 2 * t.n_vertices()]
         assert all(type(x) is int for x in velocities)
         assert [(x > 0) - (x < 0) for x in velocities] == [(x > 0) - (x < 0) for x in reference]
@@ -497,3 +505,12 @@ def test_mutated_cli_inputs_fail_cleanly(tmp_path_factory, case):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120, err
+        # a reader's refusal names its document or its file; the refusals
+        # made after reading name their operands instead
+        after_reading = (
+            "error: expected ",
+            "error: type has ",
+            "error: type is not balanced ",
+            "error: markings must have the same cardinality",
+        )
+        assert re.match(r"error: ([a-z]+ JSON\b|/[0-9]+\.json: )", err) or err.startswith(after_reading), err

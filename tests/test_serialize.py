@@ -102,13 +102,13 @@ def test_readers_refuse_floats_and_booleans():
     with pytest.raises(ValueError, match="^rational True is not an int"):
         parse_frac(True)
     assert parse_frac(3) == 3 and parse_frac("-7/2") == F(-7, 2)
-    with pytest.raises(ValueError, match=r"^rational 0\.1 is not an int"):
+    with pytest.raises(ValueError, match=r"^config JSON: rational 0\.1 is not an int"):
         config_from_json({"points": [[0.1, 0], ["1", "2"]]})
-    with pytest.raises(ValueError, match="^rational True is not an int"):
+    with pytest.raises(ValueError, match="^config JSON: rational True is not an int"):
         config_from_json({"points": [[True, 0]]})
     data = curve_to_json(smooth_cubic_curve())
     data["edges"][0]["length"] = 1.5
-    with pytest.raises(ValueError, match=r"^rational 1\.5 is not an int"):
+    with pytest.raises(ValueError, match=r"^curve JSON: rational 1\.5 is not an int"):
         curve_from_json(data)
 
 

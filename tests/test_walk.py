@@ -284,9 +284,11 @@ def test_interior_positions_pass_through_the_fixed_points(monkeypatch):
             run_walk(d, g, cfg, seed)
     assert len(states) == 4 * 7  # six crossings each, then the terminal ray
     for state in states:
-        ratios = [-l / v for l, v in zip(state.lengths, state.direction) if v < 0]
+        state_lengths = [F(l, state.den) for l in state.lengths]
+        direction = [F(v, state.dscale) for v in state.direction]
+        ratios = [-l / v for l, v in zip(state_lengths, direction) if v < 0]
         t = min(ratios) / 2 if ratios else 1
-        lengths = tuple(l + t * v for l, v in zip(state.lengths, state.direction))
+        lengths = tuple(l + t * v for l, v in zip(state_lengths, direction))
         positions = state.interior_positions()
         ParametrizedCurve(state.ctype, lengths, positions)  # refuses an inconsistent edge
         marks = [positions[state.ctype.legs[i].vertex] for i in range(len(state.fixed))]
