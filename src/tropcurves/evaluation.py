@@ -87,7 +87,8 @@ def _check_input(t: CombinatorialType, cfg: PointConfiguration):
     if len(marks) != n:
         raise ValueError(f"type has {len(marks)} contracted legs, configuration has {n} points")
     if tuple(marks) != tuple(range(n)):
-        raise ValueError("contracted legs must come first in the leg order")
+        leg = next(i for i, m in enumerate(marks) if i != m)
+        raise ValueError(f"type has non-contracted leg {leg} before contracted leg {marks[leg]}; contracted legs must come first")
 
 
 def curve_at(t: CombinatorialType, x):
@@ -99,9 +100,6 @@ def curve_at(t: CombinatorialType, x):
     nv = t.n_vertices()
     lengths = [x[2 * nv + i] for i in range(len(t.edges))]
     vanished = [i for i, l in enumerate(lengths) if l == 0]
-    if not vanished:
-        positions = tuple((x[2 * v], x[2 * v + 1]) for v in range(nv))
-        return t, ParametrizedCurve(t, tuple(lengths), positions)
     t2, vmap, emap = face_contract(t, vanished, with_maps=True)
     positions = [None] * t2.n_vertices()
     for v in range(nv):

@@ -44,9 +44,9 @@ class BaseCurve:
     graph: TropicalGraph
 
     def __post_init__(self):
-        for u, v in self.graph.edges:
+        for i, (u, v) in enumerate(self.graph.edges):
             if u == v:
-                raise ValueError("the base curve must not have loops")
+                raise ValueError(f"base curve edge {i} is a loop at vertex {u}")
 
 
 @dataclass(frozen=True)

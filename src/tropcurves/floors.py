@@ -74,12 +74,12 @@ class FloorDiagram:
         return m
 
     def text(self):
-        """One floor per line, elevators as weighted arcs w:Fi->Fj|down|up."""
+        """One floor per line, elevators as weighted arcs w:Fi|up->Fj|down."""
         lines = []
         for i in range(self.d, 0, -1):
             lines.append(f"F{i}: mark={self.floor_marks[i - 1]}")
         for e in sorted(self.elevators, key=lambda e: e.mark):
-            dst = "down" if e.bottom == DOWN else ("up" if e.top == UP else f"F{e.bottom}")
+            dst = "down" if e.bottom == DOWN else f"F{e.bottom}"
             src = f"F{e.top}" if e.top > 0 else "up"
             lines.append(f"{e.weight}:{src}->{dst} mark={e.mark}")
         return "\n".join(lines)

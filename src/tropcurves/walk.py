@@ -9,12 +9,16 @@ adjacent to a 4-valent vertex.  What E met there is read once from that
 vertex: a mark, else another vertical (an elevator), else nothing (a
 floor vertex).  Crossing the wall follows a case analysis on the pair
 (k, r) -- the index of E's host floor and the number of special points
-between E and the nearest downward elevator E'.  While r > 1, E slides
-past the point it met.  At r = 1 it merges with E': when E' has weight
-one this is the base case, and otherwise a heavy-elevator descent of two
-more walls lowers the host floor.  (k, r) strictly decreases
-lexicographically until a stratum with an unbounded contracted edge is
-reached: the genus-drop witness.
+between E and the nearest downward elevator E'.  `run_walk` is that
+case analysis, and each case hands `cross` the germ that E's germ leaves
+the wall with.  While r > 1, E slides past the point it met (the floor
+germ beyond it).  At r = 1 it merges with E' (the met germ): when E' has
+weight one this is the base case, and otherwise a heavy-elevator descent
+of two more walls (the downward vertical germ, then the rightward floor
+germ) lowers the host floor.  (k, r) strictly decreases
+lexicographically.  The genus-drop witness, a stratum with an unbounded
+contracted edge, is read only right after the base-case merge; a
+terminal ray anywhere else, or none there, is a WalkError.
 
 Everything is exact.  Every wall is re-checked to be a simple wall.  A
 crossing enters one of the wall's resolutions by construction, since
@@ -383,41 +387,19 @@ def _terminal(state: WalkState):
     return state, Terminal(stratum=t, free_edge=free_edge, ray=ray)
 
 
-def cross(state: WalkState, event: WallEvent, choice: str):
-    """Resolve the wall per the case analysis and enter the next stratum.
+def cross(state: WalkState, event: WallEvent, partner):
+    """Split the wall's 4-valent vertex so that E's germ leaves with
+    ``partner``, one of ``event.others``, and enter the stratum beyond.
 
-    The wall's 4-valent vertex is split so that E's germ leaves with one
-    other germ, read from the event:
-      "continue" -- the floor germ on the far side of the met special
-        point, so E slides past it (case r > 1);
-      "merge" -- the met germ, so E attaches to the mark or elevator it
-        met (the base case, and the start of the heavy-elevator descent);
-      "descend" -- the downward vertical germ;
-      "land" -- the rightward floor germ.
+    `run_walk` names the partner its case asks for: while r > 1, the floor
+    germ on the far side of the point E met (`_far_floor_germ`), so E
+    slides past it; at r = 1, the met germ, so E merges with E' (the base
+    case, and the start of the heavy-elevator descent); in the descent,
+    the downward vertical germ, then the rightward floor germ.
     """
-    if choice not in ("continue", "merge", "descend", "land"):
-        raise ValueError("choice must be continue, merge, descend, or land")
     if sum(1 for l in state.lengths if l == 0) != 1:
         raise WalkError("cross expects a state sitting on its wall")
-    others = event.others
-    if choice in ("merge", "continue") and event.met is None:
-        raise WalkError("no met object at the wall vertex")
-    if choice == "merge":
-        partner = event.met
-    elif choice == "descend":
-        down = [(s, d) for s, d in others if s[0] == 0 and s[1] < 0]
-        if not down:
-            raise WalkError("no downward germ to descend along")
-        partner = down[0]
-    elif choice == "land":
-        floor_right = [(s, d) for s, d in others if s[0] > 0]
-        if not floor_right:
-            raise WalkError("no rightward floor germ to land beside")
-        partner = floor_right[0]
-    else:
-        partner = _far_floor_germ(state, [g for g in others if g != event.met])
-    u = event.four_valent_vertex
-    new_type, new_edge = split_vertex(event.wall_type, u, [partner[1], event.elevator_germ])
+    new_type, new_edge = split_vertex(event.wall_type, event.four_valent_vertex, [partner[1], event.elevator_germ])
     lengths = [0] * len(new_type.edges)
     for old, new in event.edge_map.items():
         lengths[new] = state.lengths[old]
@@ -438,18 +420,19 @@ def cross(state: WalkState, event: WallEvent, choice: str):
     )
 
 
-def _far_floor_germ(state, floor_side):
-    """Of the two floor germs at the wall vertex, the one pointing the way
-    E's foot moves.  The foot is an endpoint of the dead edge, and the
-    first endpoint that moves horizontally gives that way."""
+def _far_floor_germ(state, event):
+    """Of the floor germs at the wall vertex other than the met one, the
+    one pointing the way E's foot moves.  The foot is an endpoint of the
+    dead edge, and the first endpoint that moves horizontally gives that
+    way."""
     t = state.ctype
     dead = t.edges[state.lengths.index(0)]
     velocities = integer_positions(t, state.coeffs, state.direction, (0, 0))
     dxs = [velocities[2 * v] for v in (dead.u, dead.v) if velocities[2 * v] != 0]
     if not dxs:
         raise WalkError("motion direction is vertically degenerate at the wall")
-    for s, d in floor_side:
-        if s[0] != 0 and (s[0] > 0) == (dxs[0] > 0):
+    for s, d in event.others:
+        if (s, d) != event.met and s[0] != 0 and (s[0] > 0) == (dxs[0] > 0):
             return (s, d)
     raise WalkError("no floor germ on the far side")
 
@@ -472,21 +455,30 @@ class WalkTrace:
 
 
 def run_walk(d, g, cfg=None, seed=0):
-    """Drive the walk until the genus-drop witness appears.
+    """Drive the walk through its case analysis (see the module
+    docstring) until the genus-drop witness appears.
 
-    Raises WalkError if the lexicographic descent of (k, r) or any wall
-    invariant fails, or if the a-priori step bound is exceeded.
+    Each wall is reached by one step that refuses a terminal ray, records
+    the wall and checks the a-priori step bound.  Raises WalkError if a
+    terminal ray comes anywhere but right after the base-case merge, or
+    none comes there, if the lexicographic descent of (k, r) or any wall
+    invariant fails, or if the step bound is exceeded.
     """
     state = start_walk(d, g, cfg, seed=seed)
     events = [("start", state.floor_index, state.ladder)]
     invariants = [(state.floor_index, state.ladder)]
-    walls = []
-    crossings = 0
+    walls = []  # each wall is crossed once, so these count the crossings
     bound = 8 * d * (3 * d + g) + 40
 
-    def wall(event):
+    def to_wall(state, before):
+        at_wall, event = advance(state)
+        if isinstance(event, Terminal):
+            raise WalkError(f"terminal ray before {before}")
         walls.append(event.wall_type)
         events.append(("wall", event.kind, event.parameter))
+        if len(walls) > bound:
+            raise WalkError("walk exceeded its a-priori step bound")
+        return at_wall, event
 
     def recorded(state, choice):
         # read (k, r) inside the stratum just entered
@@ -496,50 +488,50 @@ def run_walk(d, g, cfg=None, seed=0):
         return replace(state, floor_index=k, ladder=r)
 
     while True:
-        if crossings > bound:
-            raise WalkError("walk exceeded its a-priori step bound")
-        at_wall, outcome = advance(state)
-        if isinstance(outcome, Terminal):
-            events.append(("terminal", outcome.free_edge))
-            for a, b in zip(invariants, invariants[1:]):
-                if not b < a:
-                    raise WalkError(f"(k, r) failed to decrease: {a} -> {b}")
-            return WalkTrace(
-                events=tuple(events),
-                invariants=tuple(invariants),
-                terminal=outcome,
-                crossings=crossings,
-                walls=tuple(walls),
-            )
-        wall(outcome)
+        at_wall, event = to_wall(state, "the base case")
+        if event.met is None:
+            raise WalkError("no met object at the wall vertex")
+        if at_wall.ladder > 1:  # E slides past the point it met
+            state = recorded(cross(at_wall, event, _far_floor_germ(at_wall, event)), "continue")
+            continue
+        # r == 1: E has reached the nearest downward elevator E' and merges with it
         k = at_wall.floor_index
-        crossings += 1
-        if at_wall.ladder > 1:
-            state = recorded(cross(at_wall, outcome, "continue"), "continue")
-            continue
-        # r == 1: E has reached the nearest downward elevator E'
-        heavy = outcome.kind == "elevator_meets_elevator" and abs(outcome.met[0][1]) > 1
-        state = cross(at_wall, outcome, "merge")
-        if not heavy:
-            # the fiber of the merged stratum must be the unbounded ray
-            events.append(("cross", "merge", "base-case"))
-            continue
+        state = cross(at_wall, event, event.met)
+        if event.kind != "elevator_meets_elevator" or abs(event.met[0][1]) == 1:
+            break
         # heavy elevator: the three-wall descent of the induction step
         events.append(("cross", "merge", "descend-start"))
-        for choice, before in (("descend", "the mark wall"), ("land", "reaching the floor")):
-            at_wall, outcome = advance(state)
-            if isinstance(outcome, Terminal):
-                raise WalkError(f"descent hit a terminal ray before {before}")
-            wall(outcome)
-            if choice == "descend" and outcome.kind != "elevator_meets_marked_point":
-                raise WalkError(f"descent expected the elevator mark, got {outcome.kind}")
-            state = cross(at_wall, outcome, choice)
-            crossings += 1
-            if choice == "descend":
-                events.append(("cross", "descend", None))
-        state = recorded(state, "land")
+        at_wall, event = to_wall(state, "the mark wall")
+        if event.kind != "elevator_meets_marked_point":
+            raise WalkError(f"descent expected the elevator mark, got {event.kind}")
+        down = [germ for germ in event.others if germ[0][0] == 0 and germ[0][1] < 0]
+        if not down:
+            raise WalkError("no downward germ to descend along")
+        state = cross(at_wall, event, down[0])
+        events.append(("cross", "descend", None))
+        at_wall, event = to_wall(state, "reaching the floor")
+        right = [germ for germ in event.others if germ[0][0] > 0]
+        if not right:
+            raise WalkError("no rightward floor germ to land beside")
+        state = recorded(cross(at_wall, event, right[0]), "land")
         if state.floor_index >= k:
             raise WalkError(f"descent failed to lower the floor: {k} -> {state.floor_index}")
+    # the base case: the fiber of the merged stratum must be the unbounded ray
+    events.append(("cross", "merge", "base-case"))
+    _state, terminal = advance(state)
+    if not isinstance(terminal, Terminal):
+        raise WalkError("the base case did not reach the terminal ray")
+    events.append(("terminal", terminal.free_edge))
+    for a, b in zip(invariants, invariants[1:]):
+        if not b < a:
+            raise WalkError(f"(k, r) failed to decrease: {a} -> {b}")
+    return WalkTrace(
+        events=tuple(events),
+        invariants=tuple(invariants),
+        terminal=terminal,
+        crossings=len(walls),
+        walls=tuple(walls),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +555,9 @@ def check_harmonic_or_lcs(base_type, germs):
     one of its three resolutions must be hit by some germ (local
     combinatorial surjectivity).
     """
+    germs = list(germs)
     inside = [g for g in germs if types_isomorphic(g[0], base_type)]
-    if len(inside) == len(list(germs)):
+    if len(inside) == len(germs):
         width = max((len(v) for _t, v in germs), default=0)
         total = [F(0)] * width
         for _t, v in germs:

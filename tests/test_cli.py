@@ -147,6 +147,15 @@ def test_markings_witness_scale_refusal(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("scale refusal:")
 
 
+def test_walk_writes_its_trace_to_stdout(capsys):
+    from tropcurves.serialize import dumps, trace_to_json
+    from tropcurves.walk import run_walk
+
+    code, out, err = run_cli(capsys, "walk", "--d", "3", "--g", "0", "--seed", "8")
+    assert (code, err) == (0, "")
+    assert out == dumps(trace_to_json(run_walk(3, 0, seed=8))) + "\n"
+
+
 def test_walk_trace(tmp_path, capsys):
     out_file = tmp_path / "t.json"
     code, _out, _err = run_cli(
@@ -288,6 +297,20 @@ def test_fiber_and_classify_refuse_unbalanced_type(tmp_path, capsys):
         assert err == "error: type is not balanced at vertex 0\n"
 
 
+def test_fiber_refuses_a_mark_after_a_leg(tmp_path, capsys):
+    # the contracted leg listed last, after the line's three rays
+    from tropcurves.graphs import CombinatorialType
+
+    line = tropical_line(n_marks=1)
+    t = CombinatorialType(line.weights, line.edges, line.legs[1:] + line.legs[:1])
+    tf, pf = tmp_path / "type.json", tmp_path / "pts.json"
+    tf.write_text(json.dumps(type_to_json(t)))
+    pf.write_text(json.dumps({"points": [["0", "0"]]}))
+    code, out, err = run_cli(capsys, "fiber", "--type", str(tf), "--points", str(pf))
+    assert (code, out) == (2, "")
+    assert err == "error: type has non-contracted leg 0 before contracted leg 3; contracted legs must come first\n"
+
+
 def test_fiber_refuses_float_points(tmp_path, capsys):
     from fixtures import tropical_line
 
@@ -425,6 +448,15 @@ def test_base_graph_refusal_names_its_edge(tmp_path, capsys):
     ff.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
     assert (code, out, err) == (2, "", "error: graph JSON: edge 0: length -3/2 is not strictly positive\n")
+
+
+def test_base_loop_refusal_names_its_edge(tmp_path, capsys):
+    data = _constant_family_json()
+    data["base"]["edges"].append({"u": 1, "v": 1, "length": "2"})
+    ff = tmp_path / "fam.json"
+    ff.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate-family", "--family", str(ff))
+    assert (code, out, err) == (2, "", "error: family JSON: base curve edge 1 is a loop at vertex 1\n")
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,9 @@ from fixtures import start_stratum, tropical_line
 
 import tropcurves.corpus
 from tropcurves.cones import cone_dimension
-from tropcurves.corpus import _attach_mark, is_general
+from tropcurves.corpus import _attach_mark, is_general, scan_fibers
 from tropcurves.evaluation import PointConfiguration, fiber, genericity_conclusion
-from tropcurves.floors import make_stretched
+from tropcurves.floors import enumerate_curves, make_stretched
 from tropcurves.graphs import genus
 
 
@@ -108,6 +108,28 @@ def test_genericity_conclusion_rejects_bad_types():
 
 def test_is_general_rejects_repeated_points():
     assert is_general([(0, 0), (0, 0)], 1, 0) is False
+
+
+def test_is_general_rejects_a_sliding_line():
+    # two points on a line of slope (1, 1): the line's vertex slides along
+    # it, a fiber of dimension 1
+    assert is_general(PointConfiguration(((0, 0), (1, 1))), 1, 0) is False
+
+
+def test_is_general_rejects_a_sixth_point_on_the_conic():
+    # the midpoint of an edge of the conic through five stretched points:
+    # the genus-0 scan has a hit, a coincidence below genus 1
+    cfg = make_stretched(5, 2)
+    ((_diag, conic),) = enumerate_curves(2, 0, cfg)
+    e = conic.ctype.edges[0]
+    (ux, uy), (vx, vy) = conic.positions[e.u], conic.positions[e.v]
+    six = PointConfiguration(cfg.points + (((ux + vx) / 2, (uy + vy) / 2),))
+    assert scan_fibers(2, 0, six)
+    assert is_general(six, 2, 1) is False
+
+
+def test_is_general_six_stretched_points_at_genus_one():
+    assert is_general(make_stretched(6, 2), 2, 1) is True
 
 
 def test_is_general_unknown_for_positive_genus_cubics(monkeypatch):

@@ -15,6 +15,8 @@ from tropcurves.floors import (
     FloorDiagram,
     MAX_DEGREE,
     NotFloorDecomposed,
+    StretchedConfig,
+    UP,
     _completions,
     _edge_list,
     _marked_diagrams,
@@ -562,6 +564,29 @@ def test_parse_diagram_refuses_malformed_text(text, problem):
     # text the generator never writes, which diagram_curve cannot build
     with pytest.raises(ValueError, match=problem):
         parse_diagram(text)
+
+
+def test_text_keeps_the_floor_of_a_rising_elevator():
+    # an elevator from up to infinity names the floor it lands on, so its
+    # text is refused for starting up, not read as no line at all
+    diag = FloorDiagram(1, 0, (1,), (Elevator(UP, 1, 1, 2), Elevator(1, DOWN, 1, 3)))
+    assert diag.text() == "F1: mark=1\n1:up->F1 mark=2\n1:F1->down mark=3"
+    with pytest.raises(ValueError, match="^an elevator starts at a floor, not up: '1:up->F1 mark=2'$"):
+        parse_diagram(diag.text())
+
+
+def test_two_events_at_one_x_build_no_curve():
+    # point 1 moved to point 0's x keeps the points vertically stretched,
+    # but the one conic diagram then has two events on one vertical line
+    cfg = make_stretched(5, 2)
+    points = list(cfg.points)
+    points[1] = (points[0][0], points[1][1])
+    moved = StretchedConfig(PointConfiguration(tuple(points)), stretch=cfg.stretch, mu=cfg.mu)
+    assert is_vertically_stretched(moved.points, moved.stretch)
+    (diag,) = _marked_diagrams(2, 0)
+    assert diagram_curve(diag, moved) is None
+    with pytest.raises(ValueError, match="^diagram 0 has no curve through the points"):
+        enumerate_curves(2, 0, moved)
 
 
 def test_top_floor_check_hand_built():

@@ -295,6 +295,51 @@ def test_interior_positions_pass_through_the_fixed_points(monkeypatch):
         assert marks == list(state.fixed.points)
 
 
+def test_terminal_ray_only_after_the_base_case(monkeypatch):
+    # the witness comes only from the base case: a terminal ray given in
+    # place of any earlier wall, on the main line or in the descent, is an
+    # error and not a trace
+    import tropcurves.walk
+
+    trace = run_walk(3, 0, seed=8)
+    refused = set()
+    for i in range(trace.crossings):
+        calls = []
+
+        def ray_at_call_i(state):
+            calls.append(state)
+            if len(calls) == i + 1:
+                return state, Terminal(stratum=state.ctype, free_edge=0, ray=())
+            return advance(state)
+
+        monkeypatch.setattr(tropcurves.walk, "advance", ray_at_call_i)
+        with pytest.raises(WalkError, match="^terminal ray before ") as err:
+            run_walk(3, 0, seed=8)
+        refused.add(str(err.value))
+    assert refused == {f"terminal ray before {w}" for w in ("the base case", "the mark wall", "reaching the floor")}
+
+
+def test_base_case_must_reach_the_terminal_ray(monkeypatch):
+    # the base case always gives the witness: a wall right after the
+    # base-case merge, here the last wall replayed, is an error, not a
+    # second merge on the (k, 1) read before the first
+    import tropcurves.walk
+
+    for d, g, seed in ((2, 0, 0), (3, 0, 8), (4, 2, 3)):
+        walls = []
+
+        def replaying(state):
+            at_wall, outcome = advance(state)
+            if isinstance(outcome, Terminal):
+                return walls[-1]
+            walls.append((at_wall, outcome))
+            return at_wall, outcome
+
+        monkeypatch.setattr(tropcurves.walk, "advance", replaying)
+        with pytest.raises(WalkError, match="^the base case did not reach the terminal ray$"):
+            run_walk(d, g, seed=seed)
+
+
 def test_walls_resolve_and_contract_back():
     trace = run_walk(3, 0, seed=8)
     assert trace.walls
@@ -321,6 +366,7 @@ def test_harmonic_star():
     germs = [(base, (F(1), F(2))), (base, (F(-1), F(-2)))]
     verdict = check_harmonic_or_lcs(base, germs)
     assert verdict.mode == "harmonic" and verdict.ok
+    assert check_harmonic_or_lcs(base, iter(germs)) == verdict == StarVerdict("harmonic", True, (F(0), F(0)))
     bad = check_harmonic_or_lcs(base, [(base, (F(1), F(0)))])
     assert bad.mode == "harmonic" and not bad.ok
 
@@ -336,3 +382,7 @@ def test_lcs_star():
     partial = check_harmonic_or_lcs(wall, [(res[0][0], (F(1),)), (res[1][0], (F(1),))])
     assert not partial.ok
     assert partial.witness  # the missing stratum is reported
+    # the germs are read once, so an iterator gets the same verdicts
+    assert check_harmonic_or_lcs(wall, iter(germs)) == verdict
+    assert check_harmonic_or_lcs(wall, iter(germs[:2])) == partial
+
