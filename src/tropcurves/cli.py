@@ -74,7 +74,12 @@ def cmd_enumerate(args):
     cfg = None  # the built-in stretched configuration
     if args.points:
         cfg = config_from_json(_load_json(args.points))
-    sols = enumerate_curves(args.d, args.g, cfg)
+    try:
+        sols = enumerate_curves(args.d, args.g, cfg)
+    except ValueError as exc:
+        if cfg is None:
+            raise
+        raise ValueError(f"{args.points}: {exc}") from None  # a refusal made with the points names their file
     data = {
         "d": args.d,
         "g": args.g,

@@ -12,8 +12,9 @@ coefficients, `path` the coefficients between two vertices and `xy_rows`
 their displacement rows.  This is the one coordinate system of the
 package: the cycle system, the fiber rows, the incidence scan in
 `corpus` and the walk's velocities in `walk` are all written in it.
-`cone_dimension` takes its rank from the cycle system, which is far
-smaller than the full constraint matrix.
+`integer_positions` places each vertex from its parent along its tree
+edge.  `cone_dimension` takes its rank from the cycle system, which is
+far smaller than the full constraint matrix, and empty for a tree.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def path_coefficients(t: CombinatorialType):
     for any curve of the type; cycle closure makes the choice of path
     immaterial on the cone.  A child's coefficients are its parent's plus
     +1 on the tree edge when the edge points away from the parent, -1
-    when it points towards it, so the tree edges are the keys.
+    when it points towards it, so the tree edges are the keys, and a
+    vertex's own tree edge is the last key of its dict.
     """
     n = t.n_vertices()
     adjacent = [[] for _ in range(n)]
@@ -107,8 +109,12 @@ def path(coeffs, u, v):
 
 
 def xy_rows(t: CombinatorialType, edge_coeffs):
-    """The x and y displacement rows {edge: coeff * slope} of edge coefficients."""
-    return [{j: c * t.edges[j].slope[k] for j, c in edge_coeffs.items()} for k in (0, 1)]
+    """The x and y displacement rows {edge: coeff * slope} of edge coefficients, in one pass."""
+    xs, ys = {}, {}
+    for j, c in edge_coeffs.items():
+        sx, sy = t.edges[j].slope
+        xs[j], ys[j] = c * sx, c * sy
+    return [xs, ys]
 
 
 def cycle_system(t: CombinatorialType, coeffs):
@@ -144,8 +150,10 @@ def constraint_matrix(t: CombinatorialType):
 
 
 def cone_dimension(t: CombinatorialType):
-    """dim = 2V + E - rank(constraints), via the cycle-system fast path."""
+    """dim = 2V + E - rank(constraints), via the cycle-system fast path (no rows for a tree)."""
     ne = len(t.edges)
+    if t.first_betti() == 0:
+        return 2 + ne
     return 2 + ne - mat_rank(cycle_system(t, path_coefficients(t)), ne)
 
 
@@ -184,10 +192,22 @@ def reduced_fiber_polyhedron(t: CombinatorialType, points):
 def integer_positions(t: CombinatorialType, coeffs, lengths, anchor):
     """Vertex positions (x_0, y_0, x_1, ...) of int lengths, on ints: the
     first mark's vertex sits at the int point `anchor`, or vertex 0 at the
-    origin when there is none."""
-    xs = [l * e.slope[0] for l, e in zip(lengths, t.edges)]
-    ys = [l * e.slope[1] for l, e in zip(lengths, t.edges)]
-    shifts = [(sum(c * xs[j] for j, c in p.items()), sum(c * ys[j] for j, c in p.items())) for p in coeffs]
+    origin when there is none.  One O(V) pass from vertex 0 places each
+    vertex from its parent along its tree edge, the last key of its path
+    dict, after any of its ancestors not yet placed."""
+    shifts = [(0, 0)] + [None] * (len(coeffs) - 1)
+    for v in range(1, len(coeffs)):
+        chain = []
+        while shifts[v] is None:
+            j, c = next(reversed(coeffs[v].items()))
+            e = t.edges[j]
+            step = c * lengths[j]
+            chain.append((v, step * e.slope[0], step * e.slope[1]))
+            v = e.u if c > 0 else e.v
+        x, y = shifts[v]
+        for w, dx, dy in reversed(chain):
+            x, y = x + dx, y + dy
+            shifts[w] = (x, y)
     x0 = y0 = 0
     if anchor is not None:
         dx, dy = shifts[t.legs[0].vertex]
@@ -257,14 +277,14 @@ def is_regular(t: CombinatorialType):
 
 
 def classify(t: CombinatorialType):
-    """Nice / simple wall / other, per valency and regularity."""
+    """Nice / simple wall / other, per valency and regularity, from one
+    `stars()` pass: the overvalency of valencies 3 and 4 is the 4-count."""
     if t.is_weightless():
         vals = [len(star) for star in t.stars()]
         four = [v for v, k in enumerate(vals) if k == 4]
-        if all(k == 3 for k in vals) and is_regular(t):
-            return StratumClass(NICE)
-        if len(four) == 1 and all(k in (3, 4) for k in vals) and is_regular(t):
-            return StratumClass(SIMPLE_WALL, four_valent_vertex=four[0])
+        if len(four) <= 1 and all(k in (3, 4) for k in vals):
+            if cone_dimension(t) == len(t.degree()) + t.n_marks() - (1 - t.first_betti()) - len(four):
+                return StratumClass(SIMPLE_WALL, four_valent_vertex=four[0]) if four else StratumClass(NICE)
     return StratumClass(OTHER)
 
 

@@ -126,7 +126,7 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
     `Polyhedron.interior_point` is None when it is empty, and a unit row
     {i: 1} pins each length that point leaves at 0, which vanishes on the
     whole fiber; `solve_affine` on the fiber's own dict rows and these
-    then gives the affine hull, its dimension and the geometry.
+    then gives the affine hull, its dimension and the geometry on ints.
     """
     _check_input(t, cfg)
     P, coeffs = reduced_fiber_polyhedron(t, cfg.points)
@@ -137,7 +137,8 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
     units = [{i: 1} for i, x in enumerate(interior) if not x]
     sol = solve_affine(P.rows + units, P.rhs + [0] * len(units), P.n)
     assert sol is not None
-    l0, basis = sol
+    (scale, ints), basis = sol
+    l0 = [F(x, scale) for x in ints]
     dim = len(basis)
     if len(cfg) == 0:
         dim += 2  # translations survive when nothing is pinned
@@ -151,7 +152,7 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
     if dim >= 2:
         return FiberDescription("higher", dim, cone_dim)
     # one-dimensional: walk the line l0 + s*v against the length bounds
-    v = basis[0]
+    v = [F(x, basis[0][0]) for x in basis[0][1]]
     lo = max((-a / b for a, b in zip(l0, v) if b > 0), default=None)
     hi = min((-a / b for a, b in zip(l0, v) if b < 0), default=None)
     endpoints = []

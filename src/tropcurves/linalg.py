@@ -5,13 +5,14 @@ and Fractions over a stated width, with their right-hand sides.  Both
 kernels, elimination (`mat_rank`, `solve_affine`) and the simplex, run
 over Python ints: `_int_rows`, the one place a row is cleared of
 denominators, clears each row once; it stays a nonzero multiple of its
-rational row and sheds its content after every update.  Fractions are
-built only from what the kernels are given and what they return.  The
-simplex pivots by Bland's rule, so it terminates on every input and its
-answers are exact certificates (feasible point, unbounded ray, or
-infeasibility).  Every solve is cold: phase 1 starts from the artificial
-basis of the system it is given, and `feasible_nonneg` runs phase 1
-alone.  No float enters any computation.
+rational row and sheds its content after every update.  `solve_affine`
+answers on ints too, each vector times the lcm of its denominators;
+Fractions are built only from what the kernels are given and for the
+simplex's answers.  The simplex pivots by Bland's rule, so it terminates
+on every input and its answers are exact certificates (feasible point,
+unbounded ray, or infeasibility).  Every solve is cold: phase 1 starts
+from the artificial basis of the system it is given, and
+`feasible_nonneg` runs phase 1 alone.  No float enters any computation.
 
 `Polyhedron(n, rows, rhs)` holds the row lists it is given, and
 `optimize` answers with a frozen `LPResult`.  The polyhedron asks two
@@ -98,28 +99,36 @@ def mat_rank(rows, width):
     return len(_reduce([row[:width] for row in _int_rows(rows, [0] * len(rows), width)], width))
 
 
+def _cleared(width, entries):
+    """(L, ints): the vector with num / den at each (col, num, den) of
+    entries and 0 elsewhere, times L, the lcm of its denominators in
+    lowest terms, as `clear_denominators` clears its Fractions."""
+    entries = [(col, num // (k := gcd(num, den)), den // k) for col, num, den in entries]
+    scale = lcm(*[den for _col, _num, den in entries])
+    vec = [0] * width
+    for col, num, den in entries:
+        vec[col] = num * (scale // den)
+    return scale, vec
+
+
 def solve_affine(rows, rhs, width):
     """Solve ``A x = b`` exactly, A given as {col: coeff} rows over width columns.
 
     Returns ``(particular, basis)`` where ``basis`` spans the kernel of A,
     or ``None`` when the system is inconsistent.  Both come from the
     reduced row echelon form, which is unique, with the free variables
-    set to zero in the particular solution.
+    set to zero in the particular solution.  Each vector is ``(D, ints)``,
+    on ints: times D, the lcm of its denominators (`_cleared`).
     """
     m = [[*row[:width], row[-1]] for row in _int_rows(rows, rhs, width)]
     pivots = _reduce(m, width)
     if any(row[width] for row in m[len(pivots):]):
         return None
-    particular = [ZERO] * width
-    for row, col in zip(m, pivots):
-        particular[col] = Fraction(row[width], row[col])
-    basis = []
-    for fcol in sorted(set(range(width)) - set(pivots)):
-        vec = [ZERO] * width
-        vec[fcol] = ONE
-        for row, col in zip(m, pivots):
-            vec[col] = Fraction(-row[fcol], row[col])
-        basis.append(vec)
+    particular = _cleared(width, [(col, row[width], row[col]) for row, col in zip(m, pivots)])
+    basis = [
+        _cleared(width, [(fcol, 1, 1), *[(col, -row[fcol], row[col]) for row, col in zip(m, pivots)]])
+        for fcol in sorted(set(range(width)) - set(pivots))
+    ]
     return particular, basis
 
 

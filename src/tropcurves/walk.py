@@ -32,10 +32,10 @@ are ints over `den` and its direction ints over `dscale`.  The start's
 diagram is unranked from the seed (`floors.unrank_diagram`), not picked
 from a list, and its lengths are the integer form of the mark-forgotten
 curve; the fiber line is solved over the points times their lcm, which
-leaves its direction as it was, and that direction is cleared to ints
-once, as it enters; the next wall is picked, and the wall lengths built
-over -b_k·den, on those ints; positions and velocities sum the tree
-paths on ints (`cones.integer_positions`); and (k, r) is read from
+leaves its direction as it was, and `solve_affine` answers it on ints;
+the next wall is picked, and the wall lengths built over -b_k·den, on
+those ints; positions and velocities are built on ints along the tree
+edges (`cones.integer_positions`); and (k, r) is read from
 positions that are ints times one positive denominator.  Each stratum's
 path coefficients are built once, by its fiber solve, and kept on its
 `WalkState`.  Fractions are made only for a wall's parameter, a terminal
@@ -66,7 +66,7 @@ from tropcurves.graphs import (
     ParametrizedCurve,
     face_contract,
 )
-from tropcurves.linalg import clear_denominators, solve_affine
+from tropcurves.linalg import solve_affine
 
 F = Fraction
 
@@ -159,7 +159,7 @@ def _fiber_line(t, cfg):
     _base, basis = sol
     if len(basis) != 1:
         raise WalkError(f"fiber dimension {len(basis)} inside a nice stratum, expected 1")
-    return (*clear_denominators(basis[0]), coeffs)
+    return (*basis[0], coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_enumerate_refuses_points_outside_the_floor_method(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--json", "enumerate", "--d", "3", "--g", "0", "--points", str(pf))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: diagram 0 has no curve through the points")
+    assert err.startswith(f"error: {pf}: diagram 0 has no curve through the points")
     assert err.count("\n") == 1
 
 

@@ -14,6 +14,7 @@ from tropcurves.cones import (
     expand_lengths,
     expected_dimension,
     fiber_rows,
+    integer_positions,
     is_realizable,
     is_regular,
     path_coefficients,
@@ -197,6 +198,42 @@ def test_tree_coordinates_hold_on_every_solution_curve():
                 assert [value(row) for row in rows] == rhs
                 full = expand_lengths(t, points.config.points, coeffs, lengths)
                 assert full == [x for p in curve.positions for x in p] + list(lengths)
+
+
+def test_integer_positions_match_the_root_path_sums():
+    # integer_positions places each vertex from its parent along its tree
+    # edge, in one pass; that must equal each vertex's root path summed
+    # edge by edge, for any int lengths, on walk strata and d <= 2 cores
+    import random
+
+    from tropcurves.corpus import enumerate_cores
+    from tropcurves.walk import run_walk, start_walk
+
+    def root_path_sums(t, coeffs, lengths, anchor):
+        xs = [l * e.slope[0] for l, e in zip(lengths, t.edges)]
+        ys = [l * e.slope[1] for l, e in zip(lengths, t.edges)]
+        shifts = [(sum(c * xs[j] for j, c in p.items()), sum(c * ys[j] for j, c in p.items())) for p in coeffs]
+        x0 = y0 = 0
+        if anchor is not None:
+            dx, dy = shifts[t.legs[0].vertex]
+            x0, y0 = anchor[0] - dx, anchor[1] - dy
+        return [c for dx, dy in shifts for c in (x0 + dx, y0 + dy)]
+
+    types = []
+    for d, g, seed in ((2, 0, 0), (3, 0, 8), (3, 1, 5), (4, 2, 3)):
+        trace = run_walk(d, g, seed=seed)
+        types += [start_walk(d, g, seed=seed).ctype, *trace.walls, trace.terminal.stratum]
+    walked = len(types)
+    types += [t for d in (1, 2) for b1 in (0, 1) for t in enumerate_cores(d, b1)]
+    assert walked > 20 and len(types) - walked > 200
+    rng = random.Random(44)
+    for t in types:
+        coeffs = path_coefficients(t)
+        for _ in range(3):
+            lengths = [rng.randint(-(10**12), 10**12) for _ in t.edges]
+            for anchor in (None, (rng.randint(-99, 99), rng.randint(-99, 99))):
+                want = root_path_sums(t, coeffs, lengths, anchor)
+                assert integer_positions(t, coeffs, lengths, anchor) == want
 
 
 def first_mark_rows(t, points):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropcurves.linalg import LPResult, Polyhedron, feasible_nonneg, mat_rank, solve_affine
+from tropcurves.linalg import LPResult, Polyhedron, clear_denominators, feasible_nonneg, mat_rank, solve_affine
 
 MU = 12**12 * 40  # the stretch ratio (3d)^(3d) * x_max at d = 4, x_max = 40
 
@@ -23,12 +23,14 @@ def test_solve_affine():
     sol = solve_affine([{0: 1, 1: 1}, {0: 1, 1: -1}], [3, 1], 2)
     assert sol is not None
     part, basis = sol
-    assert part == [2, 1]
+    assert part == (1, [2, 1])
     assert basis == []
     assert solve_affine([{0: 1, 1: 1}, {0: 1, 1: 1}], [0, 1], 2) is None
-    part, basis = solve_affine([{0: 1, 1: 1, 2: 1}], [6], 3)
+    (scale, part), basis = solve_affine([{0: 1, 1: 1, 2: 1}], [6], 3)
     assert len(basis) == 2
-    assert sum(part) == 6
+    assert sum(part) == 6 * scale
+    # x0 = 1/3 - x1/3: each vector comes back over the lcm of its denominators
+    assert solve_affine([{0: 3, 1: 1}], [1], 2) == ((3, [1, 0]), [(3, [-1, 3])])
 
 
 def test_lp_feasible_and_optimal():
@@ -379,9 +381,14 @@ def test_elimination_matches_fraction_oracle():
         expected = _oracle_solve(A, b, n)
         rows = _dict_rows(A)
         got = solve_affine(rows, b, n)
-        assert got == expected
+        assert (got is None) == (expected is None)
         if got is not None:
-            assert all(type(x) is Fraction for vec in [got[0], *got[1]] for x in vec)
+            # the int answer divided out is the oracle's, and each vector is
+            # cleared by the lcm of its denominators, as clear_denominators does
+            vectors, want = [got[0], *got[1]], [expected[0], *expected[1]]
+            assert [[Fraction(x, scale) for x in vec] for scale, vec in vectors] == want
+            assert vectors == [clear_denominators(vec) for vec in want]
+            assert all(type(x) is int for scale, vec in vectors for x in (scale, *vec))
         rank = len(_oracle_rref(A, n)[1])
         assert mat_rank(rows, n) == rank
         assert mat_rank(_dict_rows([list(row) + [bi] for row, bi in zip(A, b)]), n + 1) == len(
@@ -395,9 +402,10 @@ def test_elimination_matches_fraction_oracle():
 
 
 def test_elimination_edge_cases():
-    assert solve_affine([], [], 0) == ([], [])
-    assert solve_affine([{}], [0], 2) == ([0, 0], [[1, 0], [0, 1]])
+    assert solve_affine([], [], 0) == ((1, []), [])
+    assert solve_affine([{}], [0], 2) == ((1, [0, 0]), [(1, [1, 0]), (1, [0, 1])])
     assert solve_affine([{}], [Fraction(1, 3)], 2) is None
-    assert solve_affine([{0: -2, 2: 4}], [MU], 3) == ([Fraction(-MU, 2), 0, 0], [[0, 1, 0], [2, 0, 1]])
+    assert solve_affine([{0: -2, 2: 4}], [MU], 3) == ((1, [-MU // 2, 0, 0]), [(1, [0, 1, 0]), (1, [2, 0, 1])])
+    assert solve_affine([{0: -2, 2: 4}], [MU + 1], 3) == ((2, [-MU - 1, 0, 0]), [(1, [0, 1, 0]), (1, [2, 0, 1])])
     assert mat_rank([{}, {}], 2) == 0
     assert mat_rank([{0: MU, 1: 1}, {0: MU * MU, 1: MU}], 2) == 1

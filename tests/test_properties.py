@@ -482,6 +482,10 @@ def mutated_inputs(draw):
 
 @hypothesis.settings(max_examples=800, deadline=None, derandomize=True, database=None)
 @hypothesis.given(mutated_inputs())
+# points the floor method cannot use: refused after reading, naming the file
+@hypothesis.example(
+    case=(("enumerate", "--d", "1", "--g", "0", "--points", "{}"), {"points": [[10**30, "5"], ["-5", "-1"]]})
+)
 def test_mutated_cli_inputs_fail_cleanly(tmp_path_factory, case):
     # one reader contract: whatever a mutated document holds, the CLI
     # answers with a documented exit status, never a traceback, and a

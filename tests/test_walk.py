@@ -9,11 +9,15 @@ from tropcurves.cones import classify, resolve_wall
 from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.floors import make_stretched, solution_diagrams
 from tropcurves.graphs import CombinatorialType, Leg, ParametrizedCurve, face_contract
+from tropcurves.linalg import solve_affine
 from tropcurves.serialize import dumps, fiber_to_json, trace_to_json
 from tropcurves.walk import (
     StarVerdict,
     Terminal,
     WalkError,
+    _elevator_foot,
+    _forget_mark,
+    _ladder,
     advance,
     check_harmonic_or_lcs,
     cross,
@@ -222,9 +226,11 @@ def test_start_stratum_fibers_frozen():
 
 def test_each_stratum_builds_its_path_coefficients_once(monkeypatch):
     # the walk state keeps the coefficients its fiber solve built: one
-    # fiber_rows per stratum entered, one classify for the start stratum
-    # and one for each wall.  Every module's binding of the name is
-    # counted, so a direct import is counted too
+    # fiber_rows per stratum entered and, when the genus is positive, one
+    # classify for the start stratum and one for each wall; a tree's cone
+    # dimension needs no coefficients, so at genus 0 classify builds none.
+    # Every module's binding of the name is counted, so a direct import is
+    # counted too
     import sys
 
     from tropcurves.cones import path_coefficients as build
@@ -241,7 +247,7 @@ def test_each_stratum_builds_its_path_coefficients_once(monkeypatch):
     for d, g, seed in ((3, 0, 8), (4, 2, 3)):
         calls.clear()
         trace = run_walk(d, g, seed=seed)
-        assert len(calls) == 2 * (trace.crossings + 1), (d, g, seed)
+        assert len(calls) == (2 if g else 1) * (trace.crossings + 1), (d, g, seed)
 
 
 def test_walk_commutes_with_a_rational_affine_map():
@@ -338,6 +344,75 @@ def test_base_case_must_reach_the_terminal_ray(monkeypatch):
         monkeypatch.setattr(tropcurves.walk, "advance", replaying)
         with pytest.raises(WalkError, match="^the base case did not reach the terminal ray$"):
             run_walk(d, g, seed=seed)
+
+
+def test_walk_ignores_the_sign_of_its_fiber_solve(monkeypatch):
+    # the walk orients each fiber line itself, at the start toward the
+    # nearest downward elevator and after a crossing away from the wall,
+    # so a solve that hands back the negated direction gives the same bytes
+    import tropcurves.walk
+
+    def negated(rows, rhs, width):
+        particular, basis = solve_affine(rows, rhs, width)
+        return particular, [(scale, [-x for x in vec]) for scale, vec in basis]
+
+    cases = ((2, 0, 0), (3, 0, 8), (3, 1, 5), (4, 2, 3))
+    want = [dumps(trace_to_json(run_walk(d, g, seed=seed))) for d, g, seed in cases]
+    monkeypatch.setattr(tropcurves.walk, "solve_affine", negated)
+    assert [dumps(trace_to_json(run_walk(d, g, seed=seed))) for d, g, seed in cases] == want
+
+
+def test_walk_ignores_edge_orientation(monkeypatch):
+    # every edge of the start stratum stored the other way round, so each
+    # vertical edge has its lower end first: the same curve, and the same
+    # walls, crossings, invariants and terminal ray
+    import tropcurves.walk
+    from tropcurves.graphs import Edge
+
+    def reversed_edges(curve, leg_index):
+        new, elevator = _forget_mark(curve, leg_index)
+        t = new.ctype
+        edges = [Edge(e.v, e.u, (-e.slope[0], -e.slope[1])) for e in t.edges]
+        flipped = CombinatorialType(t.weights, edges, t.legs)
+        return ParametrizedCurve(flipped, new.lengths, new.positions), elevator
+
+    cases = ((2, 0, 0), (3, 0, 8), (3, 1, 5), (4, 2, 3))
+    want = [run_walk(d, g, seed=seed) for d, g, seed in cases]
+    monkeypatch.setattr(tropcurves.walk, "_forget_mark", reversed_edges)
+    for (d, g, seed), trace in zip(cases, want):
+        got = run_walk(d, g, seed=seed)
+        assert (got.events, got.invariants, got.crossings) == (trace.events, trace.invariants, trace.crossings)
+        assert (got.terminal.free_edge, got.terminal.ray) == (trace.terminal.free_edge, trace.terminal.ray)
+
+
+def test_ladder_counts_a_downward_leg_on_the_floor():
+    # a downward elevator to infinity is a vertical edge down to its mark,
+    # which carries the leg; contracting that edge puts the leg on the
+    # floor, where `_ladder` must count it as the same downward elevator
+    from tropcurves.floors import floors_of
+
+    checked = 0
+    for d, g in ((2, 0), (3, 0), (3, 1)):
+        for seed in range(12):
+            state = start_walk(d, g, seed=seed)
+            t, positions = state.ctype, state._scaled_interior()[1]
+            ladder = _ladder(t, positions, state.elevator)
+            floor = floors_of(t, positions)[ladder[0] - 1]
+            for i, e in enumerate(t.edges):
+                if i == state.elevator or e.slope[0] != 0 or e.slope[1] == 0:
+                    continue
+                foot, top = _elevator_foot(t, positions, i)
+                down = [leg for leg in t.legs if leg.vertex == foot and leg.slope[0] == 0 and leg.slope[1] < 0]
+                if top not in floor or not down:
+                    continue
+                t2, vmap, emap = face_contract(t, [i], with_maps=True)
+                moved = [None] * t2.n_vertices()
+                for v, w in vmap.items():
+                    if v != foot:  # the merged vertex keeps the floor's position
+                        moved[w] = positions[v]
+                assert _ladder(t2, moved, emap[state.elevator]) == ladder, (d, g, seed, i)
+                checked += 1
+    assert checked >= 40
 
 
 def test_walls_resolve_and_contract_back():
