@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from tropcurves.canonical import aut_order, types_isomorphic
 from tropcurves.graphs import (
@@ -40,8 +41,7 @@ SIMPLE_WALL = "simple_wall"
 OTHER = "other"
 
 
-@dataclass(frozen=True)
-class StratumClass:
+class StratumClass(NamedTuple):
     kind: str
     four_valent_vertex: int | None = None
 
@@ -270,10 +270,6 @@ def expected_dimension(t: CombinatorialType):
     """|degree| + #marks + (rank(N) - 3) * chi - overvalency, with rank(N)=2."""
     chi = 1 - t.first_betti()
     return len(t.degree()) + t.n_marks() - chi - overvalency(t)
-
-
-def is_regular(t: CombinatorialType):
-    return cone_dimension(t) == expected_dimension(t)
 
 
 def classify(t: CombinatorialType):

@@ -495,8 +495,11 @@ def unrank_diagram(d, g, i, cfg=None):
     moves that listing walks, skipping each move by its number of
     completions.  One shape's memo is held at a time: the chosen shape
     is counted again unless it was the last, and nothing outlives the
-    call.  ValueError when (d, g) has no diagrams.
+    call.  ValueError when i is not an int (a bool is not) or (d, g) has
+    no diagrams.
     """
+    if type(i) is not int:
+        raise ValueError(f"diagram index {i!r} is not an int")
     if not _has_diagrams(d, g, cfg):
         raise ValueError(f"degree {d} genus {g} has no marked floor diagrams")
     shapes = list(_weighted_shapes(d, g))

@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals and a small simplex solver.
 
 Every entry point takes rows in one form, {col: coeff} dicts of ints
-and Fractions over a stated width, with their right-hand sides.  Both
-kernels, elimination (`mat_rank`, `solve_affine`) and the simplex, run
-over Python ints: `_int_rows`, the one place a row is cleared of
-denominators, clears each row once; it stays a nonzero multiple of its
-rational row and sheds its content after every update.  `solve_affine`
-answers on ints too, each vector times the lcm of its denominators;
-Fractions are built only from what the kernels are given and for the
-simplex's answers.  The simplex pivots by Bland's rule, so it terminates
-on every input and its answers are exact certificates (feasible point,
-unbounded ray, or infeasibility).  Every solve is cold: phase 1 starts
+and Fractions over a stated width, with their right-hand sides; a
+column outside 0..width-1 is a ValueError.  Both kernels, elimination
+(`mat_rank`, `solve_affine`) and the simplex, run over Python ints:
+`_int_rows`, the one place a row is cleared of denominators, takes a
+row of ints as given and clears any other once; it stays a nonzero
+multiple of its rational row and sheds its content after every
+update.  `solve_affine` answers on ints too, each vector times the lcm
+of its denominators; Fractions are built only from what the kernels are
+given and for the simplex's answers.  The simplex pivots by Bland's
+rule, so it terminates on every input and its answers are exact
+certificates (feasible point, unbounded ray, or infeasibility).  Every solve is cold: phase 1 starts
 from the artificial basis of the system it is given, and
 `feasible_nonneg` runs phase 1 alone.  No float enters any computation.
 
@@ -30,6 +31,7 @@ from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_INT = {int}
 
 
 def clear_denominators(values):
@@ -41,15 +43,23 @@ def clear_denominators(values):
 
 def _int_rows(rows, rhs, width):
     """[A | m | b] as ints for each {col: coeff} row over width columns and
-    its right-hand side b, m the lcm of the denominators of the row's
-    nonzeros and b: m times the rational row.  The one place a row is
-    cleared of denominators."""
+    its right-hand side b, m times the rational row: m = 1 for a row and b
+    of ints, taken as given, else the lcm of their denominators.  The one
+    place a row is cleared of denominators.  A column outside 0..width-1
+    is a ValueError naming its row; one range check covers all the rows."""
+    if outside := set().union(*rows).difference(range(width)):
+        r, j = next((r, j) for r, row in enumerate(rows) for j in row if j in outside)
+        raise ValueError(f"row {r}: column {j} is out of range 0..{width - 1}")
     out = []
     for row, b in zip(rows, rhs):
-        mult = lcm(b.denominator, *[a.denominator for a in row.values()])
-        dense = [0] * width + [mult, b.numerator * (mult // b.denominator)]
+        mult = 1
+        if type(b) is not int or not _INT.issuperset(map(type, row.values())):
+            mult = lcm(b.denominator, *[a.denominator for a in row.values()])
+            row = {j: a.numerator * (mult // a.denominator) for j, a in row.items()}
+            b = b.numerator * (mult // b.denominator)
+        dense = [0] * width + [mult, b]
         for j, a in row.items():
-            dense[j] = a.numerator * (mult // a.denominator)
+            dense[j] = a
         out.append(dense)
     return out
 
@@ -85,8 +95,10 @@ def _reduce(m, ncols):
         rank = len(pivots)
         if rank == len(m):
             break
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
+        for piv in range(rank, len(m)):
+            if m[piv][col]:
+                break
+        else:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         _eliminate(m, m[rank], col)

@@ -31,21 +31,24 @@ The geometry runs on Python ints, and a state keeps them: its lengths
 are ints over `den` and its direction ints over `dscale`.  The start's
 diagram is unranked from the seed (`floors.unrank_diagram`), not picked
 from a list, and its lengths are the integer form of the mark-forgotten
-curve; the fiber line is solved over the points times their lcm, which
-leaves its direction as it was, and `solve_affine` answers it on ints;
+curve; the fiber line is solved over the points times their lcm,
+cleared once per walk by `start_walk`, which leaves its direction as it
+was, and `solve_affine` answers it on ints;
 the next wall is picked, and the wall lengths built over -b_k·den, on
 those ints; positions and velocities are built on ints along the tree
 edges (`cones.integer_positions`); and (k, r) is read from
 positions that are ints times one positive denominator.  Each stratum's
 path coefficients are built once, by its fiber solve, and kept on its
 `WalkState`.  Fractions are made only for a wall's parameter, a terminal
-ray and `interior_positions()`.
+ray and `interior_positions()`.  `WalkState` and `WallEvent` are named
+tuples: a crossing rebuilds the state with `_replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from tropcurves.canonical import canonical_key, types_isomorphic
 from tropcurves.cones import (
@@ -71,8 +74,7 @@ from tropcurves.linalg import solve_affine
 F = Fraction
 
 
-@dataclass(frozen=True)
-class WallEvent:
+class WallEvent(NamedTuple):
     wall_type: CombinatorialType
     four_valent_vertex: int
     parameter: Fraction  # motion parameter at which the wall is hit
@@ -99,14 +101,14 @@ class Terminal:
     ray: tuple
 
 
-@dataclass(frozen=True)
-class WalkState:
+class WalkState(NamedTuple):
     ctype: CombinatorialType  # n-1 contracted legs, mobile point unmarked
     lengths: tuple  # current point of the closed cone (entry wall: one zero), as ints over den
     den: int  # positive denominator of the lengths
     direction: tuple  # motion direction in length coordinates, as ints over dscale
     dscale: int  # positive denominator of the direction
     fixed: PointConfiguration  # the n-1 pinned points
+    points: tuple  # the pinned points times their lcm, as int pairs
     elevator: int  # edge index of E
     floor_index: int  # k: host floor of E, counted from the bottom
     ladder: int  # r
@@ -144,14 +146,13 @@ def _wall_ahead(a, b):
     return k
 
 
-def _fiber_line(t, cfg):
-    """(D, the direction of t's one-dimensional fiber over cfg times D as
-    ints, its rows' path coefficients).
+def _fiber_line(t, points):
+    """(D, the direction of t's one-dimensional fiber over the int points
+    times D as ints, its rows' path coefficients).
 
-    The points are cleared to ints first: scaling the right-hand side by
-    their lcm leaves the kernel, and whether the fiber is empty, as they
-    were."""
-    _scale, points = integer_points(cfg.points)
+    The points are the walk's pinned points times their lcm: scaling the
+    right-hand side by it leaves the kernel, and whether the fiber is
+    empty, as they were."""
     rows, rhs, coeffs = fiber_rows(t, points)
     sol = solve_affine(rows, rhs, len(t.edges))
     if sol is None:
@@ -249,10 +250,11 @@ def start_walk(d, g, cfg=None, seed=0):
     (mobile_mark,) = [e.mark for e in diag.elevators if e.top == diag.d]
     new_curve, elevator = _forget_mark(curve, mobile_mark - 1)
     fixed = PointConfiguration(tuple(p for i, p in enumerate(cfg.points) if i != mobile_mark - 1))
+    points = tuple(integer_points(fixed.points)[1])  # cleared once per walk
     t, den, ints = new_curve.ctype, new_curve.den, new_curve.ints
     if not classify(t).is_nice():
         raise WalkError("initial stratum is not nice")
-    dscale, v, coeffs = _fiber_line(t, fixed)
+    dscale, v, coeffs = _fiber_line(t, points)
     ne = len(t.edges)
     positions = list(zip(ints[ne::2], ints[ne + 1 :: 2]))  # times den
     k, r, x_target = _ladder(t, positions, elevator)
@@ -269,6 +271,7 @@ def start_walk(d, g, cfg=None, seed=0):
         direction=tuple(v),
         dscale=dscale,
         fixed=fixed,
+        points=points,
         elevator=elevator,
         floor_index=k,
         ladder=r,
@@ -361,7 +364,7 @@ def advance(state: WalkState):
         others=others,
         met=_met_germ(others),
     )
-    return replace(state, lengths=tuple(wall), den=den), event
+    return state._replace(lengths=tuple(wall), den=den), event
 
 
 def _met_germ(others):
@@ -403,14 +406,13 @@ def cross(state: WalkState, event: WallEvent, partner):
     lengths = [0] * len(new_type.edges)
     for old, new in event.edge_map.items():
         lengths[new] = state.lengths[old]
-    dscale, v, coeffs = _fiber_line(new_type, state.fixed)
+    dscale, v, coeffs = _fiber_line(new_type, state.points)
     if v[new_edge] == 0:
         raise WalkError("fiber direction ignores the resolving edge")
     if v[new_edge] < 0:
         v = [-x for x in v]  # away from the wall: the resolving edge grows
     # split_vertex keeps the wall's edge numbering, so E keeps its index
-    return replace(
-        state,
+    return state._replace(
         ctype=new_type,
         lengths=tuple(lengths),
         direction=tuple(v),
@@ -485,7 +487,7 @@ def run_walk(d, g, cfg=None, seed=0):
         k, r, _x = _ladder(state.ctype, state._scaled_interior()[1], state.elevator)
         events.append(("cross", choice, k, r))
         invariants.append((k, r))
-        return replace(state, floor_index=k, ladder=r)
+        return state._replace(floor_index=k, ladder=r)
 
     while True:
         at_wall, event = to_wall(state, "the base case")

@@ -16,7 +16,6 @@ from tropcurves.cones import (
     fiber_rows,
     integer_positions,
     is_realizable,
-    is_regular,
     path_coefficients,
     resolve_wall,
     split_vertex,
@@ -98,12 +97,12 @@ def test_mikhbound_dimension_for_nice_types():
     t1 = smooth_cubic_type()
     assert t1.is_immersed()
     assert cone_dimension(t1) == 9 + 0 + 1 - 1
-    assert is_regular(t1)
+    assert cone_dimension(t1) == expected_dimension(t1)
     assert cone_of(t1).realizable
     t0 = nodal_cubic_type()
     assert t0.is_immersed()
     assert cone_dimension(t0) == 8
-    assert is_regular(t0)
+    assert cone_dimension(t0) == expected_dimension(t0)
     assert cone_of(t0).realizable
 
 

@@ -378,6 +378,14 @@ def test_unranking_equals_listing():
         unrank_diagram(MAX_DEGREE + 1, 0, 0)
 
 
+@pytest.mark.parametrize("index", [1.5, "1", True])
+def test_unranking_refuses_an_index_that_is_not_an_int(index):
+    # a float was truncated to the diagram of its int part, and a str
+    # failed inside a format string; a bool is not an int either
+    with pytest.raises(ValueError, match=f"diagram index {index!r} is not an int"):
+        unrank_diagram(3, 0, index)
+
+
 @pytest.mark.slow
 def test_unranking_equals_listing_at_degree_five():
     # listing one d = 5 genus takes up to about a second; a seeded sample

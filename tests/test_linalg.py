@@ -409,3 +409,19 @@ def test_elimination_edge_cases():
     assert solve_affine([{0: -2, 2: 4}], [MU + 1], 3) == ((2, [-MU - 1, 0, 0]), [(1, [0, 1, 0]), (1, [2, 0, 1])])
     assert mat_rank([{}, {}], 2) == 0
     assert mat_rank([{0: MU, 1: 1}, {0: MU * MU, 1: MU}], 2) == 1
+
+
+@pytest.mark.parametrize(
+    "call, row, column",
+    [
+        (lambda: solve_affine([{2: 1}], [5], 2), 0, 2),
+        (lambda: solve_affine([{0: 1}, {-1: 1}], [5, 1], 2), 1, -1),
+        (lambda: mat_rank([{2: 1}], 2), 0, 2),
+        (lambda: feasible_nonneg([{3: 1}], [5], 2), 0, 3),
+    ],
+)
+def test_columns_outside_the_width_are_refused(call, row, column):
+    # a column of width landed on the row's multiplier, one of -1 on its
+    # right-hand side, and the answers came back wrong without a word
+    with pytest.raises(ValueError, match=rf"^row {row}: column {column} is out of range 0\.\.1$"):
+        call()

@@ -36,7 +36,7 @@ from tropcurves.graphs import (  # noqa: E402
     face_contract,
     genus,
 )
-from tropcurves.linalg import clear_denominators, feasible_nonneg  # noqa: E402
+from tropcurves.linalg import clear_denominators, feasible_nonneg, mat_rank, solve_affine  # noqa: E402
 from tropcurves.serialize import (  # noqa: E402
     config_from_json,
     config_to_json,
@@ -52,6 +52,25 @@ from tropcurves.serialize import (  # noqa: E402
 SLOPES = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 RATIONALS = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
+
+
+@SETTINGS
+@hypothesis.given(
+    st.integers(1, 4),
+    st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=4),
+    st.builds(F, st.integers(1, 7) | st.integers(-7, -1), st.integers(1, 7)),
+)
+def test_linalg_answers_alike_on_ints_and_fractions(n, dense, scale):
+    # rows of ints are taken as given; the same rows as Fractions, and
+    # scaled by a common rational, are cleared first: the system, its
+    # solutions and its nonnegative feasibility are the same
+    rows = [{j: a for j, a in enumerate(row[:n]) if a} for row in dense]
+    rhs = [row[-1] for row in dense]
+    want = (solve_affine(rows, rhs, n), mat_rank(rows, n), feasible_nonneg(rows, rhs, n))
+    for mult in (F(1), scale):
+        r = [{j: a * mult for j, a in row.items()} for row in rows]
+        b = [x * mult for x in rhs]
+        assert (solve_affine(r, b, n), mat_rank(r, n), feasible_nonneg(r, b, n)) == want
 
 
 @SETTINGS

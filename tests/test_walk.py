@@ -44,6 +44,41 @@ def test_start_walk_rejects_degree_one():
         start_walk(1, 0)
 
 
+@pytest.mark.parametrize("seed", [1.5, "1", True])
+def test_walk_refuses_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(ValueError, match="is not an int"):
+        start_walk(3, 0, seed=seed)
+    with pytest.raises(ValueError, match="is not an int"):
+        run_walk(3, 0, None, seed)
+
+
+def test_walk_clears_its_points_once(monkeypatch):
+    # start_walk clears the pinned points; every fiber solve reads them
+    import tropcurves.walk
+    from tropcurves.evaluation import integer_points
+
+    calls = []
+
+    def counting(points):
+        calls.append(points)
+        return integer_points(points)
+
+    monkeypatch.setattr(tropcurves.walk, "integer_points", counting)
+    for d, g, seed in ((3, 0, 8), (4, 2, 3)):
+        calls.clear()
+        trace = run_walk(d, g, None, seed)
+        assert trace.crossings > 0
+        assert len(calls) == 1, (d, g, seed)
+
+
+def test_walk_records_are_immutable():
+    state = start_walk(3, 0)
+    _at_wall, event = advance(state)
+    for record, field in ((state, "lengths"), (event, "parameter"), (classify(state.ctype), "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_start_walk_rejects_unstretched():
     from tropcurves.evaluation import PointConfiguration
     from tropcurves.floors import StretchedConfig
