@@ -217,18 +217,3 @@ def reduce_to_avoiding_line(m: MarkingSet, line=1):
         swapped.add(r)
         current = MarkingSet(current.arrangement, frozenset(swapped))
         path.append(current)
-
-
-def severi_dim(d, g):
-    """3d + g - 1, with the decorated-variety identity asserted.
-
-    The identity 3d + g - 1 = (d+2)(d+1)/2 - 1 - delta holds for
-    delta = (d-1)(d-2)/2 - g.
-    """
-    if not (1 - d <= g <= (d - 1) * (d - 2) // 2):
-        raise ValueError(f"genus {g} out of range for degree {d}")
-    dim = 3 * d + g - 1
-    delta = (d - 1) * (d - 2) // 2 - g
-    decorated = (d + 2) * (d + 1) // 2 - 1 - delta
-    assert dim == decorated
-    return dim

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from math import factorial
 
-from tropcurves.graphs import CombinatorialType, Edge, Leg, vneg
+from tropcurves.graphs import CombinatorialType, vneg
 
 
 def _leg_tag(j, leg, labeled):
@@ -132,19 +132,6 @@ def canonical_key(t: CombinatorialType, labeled="all"):
     return canonical_form(t, labeled)[0]
 
 
-def canonical_type(t: CombinatorialType):
-    """The type relabeled into its canonical numbering."""
-    _, label, _ = canonical_form(t)
-    return relabel(t, label)
-
-
-def relabel(t: CombinatorialType, label):
-    """The type with vertex v renumbered label[v]: its `_encode` encoding."""
-    weights, edge_keys, legs = _encode(t, label)
-    edges = tuple(Edge(*key) for key in edge_keys)
-    return CombinatorialType(weights, edges, tuple(Leg(v, slope) for (_j, slope), v in legs))
-
-
 def types_isomorphic(t1: CombinatorialType, t2: CombinatorialType):
     return canonical_key(t1) == canonical_key(t2)
 
@@ -158,35 +145,3 @@ def aut_order(t: CombinatorialType):
     for mult in Counter(edge_keys).values():
         order *= factorial(mult)
     return order
-
-
-def brute_force_aut_order(t: CombinatorialType):
-    """Independent oracle: try all vertex bijections, then count edge matchings."""
-    from itertools import permutations
-
-    n = t.n_vertices()
-
-    def edge_multiset(perm):
-        out = {}
-        for e in t.edges:
-            u, v = perm[e.u], perm[e.v]
-            a, b = min(u, v), max(u, v)
-            key = (a, b, e.slope if a == u else vneg(e.slope))
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    base_edges = edge_multiset(list(range(n)))
-    loops = sum(1 for e in t.edges if e.is_loop())
-    count = 0
-    for perm in permutations(range(n)):
-        if any(t.weights[perm[v]] != t.weights[v] for v in range(n)):
-            continue
-        # each ordered leg maps to itself, pinning its vertex
-        if any(perm[leg.vertex] != leg.vertex for leg in t.legs):
-            continue
-        if edge_multiset(perm) == base_edges:
-            count += 1
-    result = count * (2 ** loops)
-    for mult in base_edges.values():
-        result *= factorial(mult)
-    return result

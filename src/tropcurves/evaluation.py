@@ -41,9 +41,6 @@ class PointConfiguration:
     def __len__(self):
         return len(self.points)
 
-    def translated(self, dx, dy):
-        return PointConfiguration(tuple((x + dx, y + dy) for x, y in self.points))
-
 
 def integer_points(points):
     """(L, the points times L as int pairs), L the lcm of their denominators."""
@@ -174,17 +171,3 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
         rays=tuple(rays),
         bounded=(lo is not None and hi is not None),
     )
-
-
-def genericity_conclusion(t: CombinatorialType, cfg: PointConfiguration):
-    """When the fiber is nonempty, the underlying graph must be 3-valent
-    and weightless with all non-leg slopes nonzero; returns the verdict."""
-    fb = fiber(t, cfg)
-    if fb.is_empty():
-        return True
-    if not t.is_weightless():
-        return False
-    if any(len(star) != 3 for star in t.stars()):
-        return False
-    return all(e.slope != (0, 0) for e in t.edges)
-

@@ -50,10 +50,6 @@ def vneg(a):
     return (-a[0], -a[1])
 
 
-def det2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def _fraction(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -181,15 +177,6 @@ class TropicalGraph:
     def n_vertices(self):
         return len(self.weights)
 
-    def valency(self, v):
-        val = sum(1 for leg in self.legs if leg == v)
-        for u, w in self.edges:
-            if u == v:
-                val += 1
-            if w == v:
-                val += 1
-        return val
-
 
 @dataclass(frozen=True)
 class CombinatorialType:
@@ -239,9 +226,6 @@ class CombinatorialType:
         germs[v] = []
         return self._gather(germs)[v]
 
-    def valency(self, v):
-        return len(self.star(v))
-
     # -- degree data -----------------------------------------------------
     def contracted_legs(self):
         return tuple(i for i, leg in enumerate(self.legs) if leg.is_contracted())
@@ -262,44 +246,10 @@ class CombinatorialType:
     def is_weightless(self):
         return all(w == 0 for w in self.weights)
 
-    def is_immersed(self):
-        """No contracted edge, and no two germs at a vertex pointing the
-        same way (the map is locally injective away from contracted legs)."""
-        for e in self.edges:
-            if e.slope == ZERO2:
-                return False
-        for star in self.stars():
-            germs = [s for s, _ in star if s != ZERO2]
-            for i in range(len(germs)):
-                for j in range(i + 1, len(germs)):
-                    a, b = germs[i], germs[j]
-                    if det2(a, b) == 0 and a[0] * b[0] + a[1] * b[1] > 0:
-                        return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # operations on graphs and types
 # ---------------------------------------------------------------------------
-
-
-def genus(g):
-    """1 - chi + sum of vertex weights, for a connected graph."""
-    nv, ne = g.n_vertices(), len(g.edges)
-    # chi = b0 - b1 = |V| - |E| for a connected graph
-    return 1 - (nv - ne) + sum(g.weights)
-
-
-def is_stable(g):
-    """Weight-0 vertices need valency >= 3; weight-1 vertices need >= 1."""
-    for v in range(g.n_vertices()):
-        w = g.weights[v]
-        val = g.valency(v)
-        if w == 0 and val < 3:
-            return False
-        if w == 1 and val < 1:
-            return False
-    return True
 
 
 def check_balancing(t: CombinatorialType):
@@ -315,20 +265,6 @@ def check_balancing(t: CombinatorialType):
 
 def overvalency(t: CombinatorialType):
     return sum(len(star) - 3 for star in t.stars() if len(star) > 3)
-
-
-def contract(t: CombinatorialType, edge_indices):
-    """Contract a set of contracted (slope-zero) edges.
-
-    Collapsing an edge of nonzero slope would change the parametrized
-    geometry, so it is rejected; use `face_contract` for the face maps of
-    moduli cones, where any edge length may degenerate to zero.
-    """
-    for i in set(edge_indices):
-        # an index out of range is refused by `face_contract`, not read here
-        if 0 <= i < len(t.edges) and t.edges[i].slope != ZERO2:
-            raise ValueError(f"edge {i} has nonzero slope {t.edges[i].slope}; only contracted edges may be collapsed")
-    return face_contract(t, edge_indices)
 
 
 def face_contract(t: CombinatorialType, edge_indices, with_maps=False):
@@ -461,10 +397,6 @@ class ParametrizedCurve:
 
     def __reduce__(self):
         return ParametrizedCurve, (self.ctype, self.lengths, self.positions)
-
-    def evaluate(self):
-        """Images of the contracted legs, in leg order."""
-        return tuple(self.positions[self.ctype.legs[i].vertex] for i in self.ctype.contracted_legs())
 
     def multiplicity(self):
         """Product over vertices of the |det| of two of the three

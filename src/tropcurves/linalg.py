@@ -21,6 +21,13 @@ kinds of question: `feasible_point` and `optimize` solve the system as
 given, and `interior_point` solves the single LP of Freund, Roundy and
 Todd (1985) for a relative-interior point.  `strict_point`,
 `implicit_zero_vars` and `dim` read their answers off that point.
+
+No code in this package calls `feasible_point`, `strict_point` or
+`implicit_zero_vars`.  They stay because `perfbench/tracer.py` wraps each
+one by name, through `cls.__dict__[meth]`: without `feasible_point`,
+`perfbench/selfcheck.py`, a CI step, fails with `KeyError:
+'feasible_point'`.  They go when the benchmark reads counters instead
+(ROADMAP item 1b).
 """
 
 from __future__ import annotations

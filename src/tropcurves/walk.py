@@ -40,8 +40,9 @@ edges (`cones.integer_positions`); and (k, r) is read from
 positions that are ints times one positive denominator.  Each stratum's
 path coefficients are built once, by its fiber solve, and kept on its
 `WalkState`.  Fractions are made only for a wall's parameter, a terminal
-ray and `interior_positions()`.  `WalkState` and `WallEvent` are named
-tuples: a crossing rebuilds the state with `_replace`.
+ray and the mark-forgotten start curve when its denominator is not 1.
+`WalkState` and `WallEvent` are named tuples: a crossing rebuilds the
+state with `_replace`.
 """
 
 from __future__ import annotations
@@ -113,12 +114,6 @@ class WalkState(NamedTuple):
     floor_index: int  # k: host floor of E, counted from the bottom
     ladder: int  # r
     coeffs: tuple  # ctype's tree-path coefficients, from its fiber solve
-
-    def interior_positions(self):
-        """Vertex positions strictly inside the stratum along the motion
-        ray, as Fractions: `_scaled_interior` divided once."""
-        den, positions = self._scaled_interior()
-        return tuple((F(x, den), F(y, den)) for x, y in positions)
 
     def _scaled_interior(self):
         """(S, the vertex positions (x, y) times S, as ints) strictly inside

@@ -1,16 +1,23 @@
-"""Hand-built curve types and helpers shared across the test suite.
+"""Hand-built curve types, helpers and checks shared across the test suite.
 
 The two cubics are written out floor by floor: a smooth genus-1 cubic
 (two elevators of weight one between the bottom floors making the cycle)
 and a genus-0 cubic with a weight-2 elevator.  Both are weightless,
 3-valent, balanced, of degree three copies each of (1,1), (-1,0), (0,-1).
+
+The checks at the end are predicates the tests assert: genus, stability,
+immersion, the genericity verdict on one fiber, and the brute-force
+automorphism count that `canonical.aut_order` is compared with.  That
+oracle and `relabel` share no code with `tropcurves.canonical`.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import tropcurves.corpus
-from tropcurves.evaluation import PointConfiguration
+from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.floors import StretchedConfig
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve
 from tropcurves.walk import start_walk
@@ -169,3 +176,86 @@ def smooth_cubic_curve():
     )
     lengths = (F(10), F(2), F(2), F(8), F(7), F(1), F(1), F(1), F(1))
     return ParametrizedCurve(t, lengths=lengths, positions=positions)
+
+
+def det2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def genus(g):
+    """1 - chi + sum of vertex weights, for a connected graph or type:
+    chi = |V| - |E|."""
+    return 1 - (g.n_vertices() - len(g.edges)) + sum(g.weights)
+
+
+def is_stable(g):
+    """Weight-0 vertices need valency >= 3; weight-1 vertices need >= 1.
+    A vertex's valency counts its edge ends (two for a loop) and its legs,
+    which a `TropicalGraph` lists as vertex indices and a type as `Leg`s."""
+    valency = Counter(end for e in g.edges for end in e[:2])
+    valency.update(leg if isinstance(leg, int) else leg.vertex for leg in g.legs)
+    return all(valency[v] >= {0: 3, 1: 1}.get(w, 0) for v, w in enumerate(g.weights))
+
+
+def is_immersed(t):
+    """No contracted edge, and no two germs at a vertex pointing the
+    same way (the map is locally injective away from contracted legs)."""
+    if any(e.slope == (0, 0) for e in t.edges):
+        return False
+    for star in t.stars():
+        germs = [s for s, _ in star if s != (0, 0)]
+        for a, b in itertools.combinations(germs, 2):
+            if det2(a, b) == 0 and a[0] * b[0] + a[1] * b[1] > 0:
+                return False
+    return True
+
+
+def genericity_conclusion(t, cfg):
+    """When the fiber is nonempty, the underlying graph must be 3-valent
+    and weightless with all non-leg slopes nonzero; returns the verdict."""
+    if fiber(t, cfg).is_empty():
+        return True
+    if not t.is_weightless():
+        return False
+    if any(len(star) != 3 for star in t.stars()):
+        return False
+    return all(e.slope != (0, 0) for e in t.edges)
+
+
+def relabel(t, label):
+    """The type with vertex v renumbered label[v], its edges and legs in
+    their order and orientation."""
+    weights = [0] * len(label)
+    for v, w in enumerate(t.weights):
+        weights[label[v]] = w
+    edges = tuple(Edge(label[e.u], label[e.v], e.slope) for e in t.edges)
+    return CombinatorialType(tuple(weights), edges, tuple(Leg(label[leg.vertex], leg.slope) for leg in t.legs))
+
+
+def brute_force_aut_order(t):
+    """Independent oracle for `aut_order`: every vertex bijection that keeps
+    the weights, each ordered leg's vertex and the multiset of edges (each
+    keyed by its ends in ascending order, its slope read that way), times
+    2 for each loop and mult! for each edge key of multiplicity mult."""
+    n = t.n_vertices()
+
+    def edge_multiset(perm):
+        out = Counter()
+        for u, v, (sx, sy) in t.edges:
+            a, b = perm[u], perm[v]
+            out[(a, b, sx, sy) if a <= b else (b, a, -sx, -sy)] += 1
+        return out
+
+    base_edges = edge_multiset(range(n))
+    count = 0
+    for perm in itertools.permutations(range(n)):
+        if any(t.weights[perm[v]] != t.weights[v] for v in range(n)):
+            continue
+        if any(perm[leg.vertex] != leg.vertex for leg in t.legs):
+            continue
+        if edge_multiset(perm) == base_edges:
+            count += 1
+    result = count * 2 ** sum(1 for e in t.edges if e.u == e.v)
+    for mult in base_edges.values():
+        result *= factorial(mult)
+    return result

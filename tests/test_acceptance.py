@@ -8,7 +8,7 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
-from fixtures import count_lps, shifted
+from fixtures import count_lps, is_stable, shifted
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import is_realizable
@@ -21,7 +21,7 @@ from tropcurves.floors import (
     make_stretched,
     solution_diagrams,
 )
-from tropcurves.graphs import check_balancing, is_stable
+from tropcurves.graphs import check_balancing
 from tropcurves.recursion import irreducible_severi_degree
 from tropcurves.serialize import dumps, trace_to_json
 from tropcurves.walk import Terminal, run_walk

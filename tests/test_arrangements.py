@@ -11,7 +11,6 @@ from tropcurves.arrangements import (
     is_irreducible,
     marking_avoiding_line,
     reduce_to_avoiding_line,
-    severi_dim,
     similar_moves,
 )
 
@@ -159,14 +158,3 @@ def test_reduction_strategy_strictly_decreases():
     for step in path:
         assert step.delta() == m.delta()
         assert is_irreducible(step)
-
-
-def test_severi_dim_identities():
-    assert severi_dim(3, 1) == 9
-    assert severi_dim(4, 0) == 11
-    assert severi_dim(1, 0) == 2
-    for d in range(1, 21):
-        for g in range(1 - d, (d - 1) * (d - 2) // 2 + 1):
-            assert severi_dim(d, g) == 3 * d + g - 1
-    with pytest.raises(ValueError):
-        severi_dim(3, 5)

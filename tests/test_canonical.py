@@ -1,12 +1,8 @@
 import random
 
-from tropcurves.canonical import (
-    aut_order,
-    brute_force_aut_order,
-    canonical_key,
-    canonical_type,
-    types_isomorphic,
-)
+from fixtures import brute_force_aut_order
+
+from tropcurves.canonical import aut_order, canonical_key, types_isomorphic
 from tropcurves.graphs import CombinatorialType, Edge, Leg
 
 
@@ -59,7 +55,6 @@ def test_isomorphic_relabelings():
         legs=(Leg(1, (-1, 0)), Leg(1, (-1, -1)), Leg(0, (0, 0))),
     )
     assert types_isomorphic(t1, t2)
-    assert canonical_type(t1) == canonical_type(t2)
     t3 = CombinatorialType(
         weights=(0, 1),
         edges=(Edge(0, 1, (2, -1)),),

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fixtures import nodal_cubic_type, smooth_cubic_type, tropical_line
+from fixtures import is_immersed, nodal_cubic_type, smooth_cubic_type, tropical_line
 
 from tropcurves.canonical import types_isomorphic
 from tropcurves.cones import (
@@ -95,12 +95,12 @@ def test_expected_dimension_examples():
 
 def test_mikhbound_dimension_for_nice_types():
     t1 = smooth_cubic_type()
-    assert t1.is_immersed()
+    assert is_immersed(t1)
     assert cone_dimension(t1) == 9 + 0 + 1 - 1
     assert cone_dimension(t1) == expected_dimension(t1)
     assert cone_of(t1).realizable
     t0 = nodal_cubic_type()
-    assert t0.is_immersed()
+    assert is_immersed(t0)
     assert cone_dimension(t0) == 8
     assert cone_dimension(t0) == expected_dimension(t0)
     assert cone_of(t0).realizable

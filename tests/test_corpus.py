@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from fixtures import FORCED_ZERO_POINTS, FRACTIONAL_POINTS, count_lps, reference_cone_contains, shifted
+from fixtures import FORCED_ZERO_POINTS, FRACTIONAL_POINTS, count_lps, genus, is_immersed, is_stable, reference_cone_contains, shifted
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import (
@@ -29,7 +29,7 @@ from tropcurves.corpus import (
 )
 from tropcurves.evaluation import PointConfiguration, fiber, integer_points
 from tropcurves.floors import enumerate_curves, is_vertically_stretched, make_stretched
-from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing, genus, is_stable
+from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing
 from tropcurves.linalg import feasible_nonneg
 from tropcurves.serialize import dumps, fiber_to_json, type_to_json
 
@@ -215,7 +215,7 @@ def test_trivalent_cores_are_the_trivalent_members():
     trivalent = [
         canonical_key(t, labeled="none")
         for t in enumerate_cores(3, 0)
-        if all(t.valency(v) == 3 for v in range(t.n_vertices()))
+        if all(len(t.star(v)) == 3 for v in range(t.n_vertices()))
     ]
     capped = [canonical_key(t, labeled="none") for t in enumerate_cores(3, 0, max_valency=3)]
     assert len(capped) == 791
@@ -238,8 +238,8 @@ def test_marked_types_dimension_law_degree_two():
             for t in level:
                 dim = cone_dimension(t)
                 assert dim >= expected_dimension(t)
-                vals = [t.valency(v) for v in range(t.n_vertices())]
-                if t.is_weightless() and all(k == 3 for k in vals) and t.is_immersed():
+                vals = [len(t.star(v)) for v in range(t.n_vertices())]
+                if t.is_weightless() and all(k == 3 for k in vals) and is_immersed(t):
                     assert dim == len(t.degree()) + t.n_marks() + genus(t) - 1
 
 
@@ -250,7 +250,7 @@ def test_scan_fibers_degree_one():
     for t, fb in hits:
         assert fb.codimension() == 4
         assert t.is_weightless()
-        assert all(t.valency(v) == 3 for v in range(t.n_vertices()))
+        assert all(len(t.star(v)) == 3 for v in range(t.n_vertices()))
 
 
 def test_scan_matches_floor_solutions_degree_two(monkeypatch):

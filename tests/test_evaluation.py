@@ -2,14 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from fixtures import start_stratum, tropical_line
+from fixtures import genericity_conclusion, genus, start_stratum, tropical_line
 
 import tropcurves.corpus
 from tropcurves.cones import cone_dimension
 from tropcurves.corpus import _attach_mark, is_general, scan_fibers
-from tropcurves.evaluation import PointConfiguration, fiber, genericity_conclusion
+from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.floors import enumerate_curves, make_stretched
-from tropcurves.graphs import genus
 
 
 def marked_line_two_rays():
@@ -82,7 +81,7 @@ def test_translation_invariance():
     t = marked_line_two_rays()
     cfg = PointConfiguration(((F(3), F(5)), (F(-5), F(-1))))
     fb1 = fiber(t, cfg)
-    fb2 = fiber(t, cfg.translated(F(7), F(-2)))
+    fb2 = fiber(t, PointConfiguration(tuple((x + 7, y - 2) for x, y in cfg.points)))
     assert fb1.kind == fb2.kind == "point"
     assert fb2.point[0] - fb1.point[0] == 7
 

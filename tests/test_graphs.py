@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from fixtures import genus, is_stable, tropical_line
+
 from tropcurves.families import AffineFunction
 from tropcurves.floors import DOWN, Elevator, enumerate_curves
 from tropcurves.graphs import (
@@ -18,10 +20,7 @@ from tropcurves.graphs import (
     ParametrizedCurve,
     TropicalGraph,
     check_balancing,
-    contract,
     face_contract,
-    genus,
-    is_stable,
     overvalency,
 )
 from tropcurves.serialize import type_to_json
@@ -35,15 +34,6 @@ def theta_graph():
         weights=(0, 0),
         edges=(Edge(0, 1), Edge(0, 1), Edge(0, 1)),
     )
-
-
-def tropical_line(n_marks=0):
-    legs = tuple(Leg(0) for _ in range(n_marks)) + (
-        Leg(0, (1, 1)),
-        Leg(0, (-1, 0)),
-        Leg(0, (0, -1)),
-    )
-    return CombinatorialType(weights=(0,), edges=(), legs=legs)
 
 
 def test_genus_examples():
@@ -95,52 +85,45 @@ def test_contract_edge_merges_weights():
         legs=(Leg(0, (1, 1)), Leg(0, (-1, 0)), Leg(1, (0, -1)), Leg(1, (0, 1)), Leg(0, (0, -1)), Leg(1, (0, -1))),
     )
     before = genus(t)
-    c = contract(t, [0])
+    c = face_contract(t, [0])
     assert c.n_vertices() == 1
     assert c.weights == (0,)
     assert genus(c) == before
+    # an edge of nonzero slope merges its ends too, keeping the genus
+    t = CombinatorialType(
+        weights=(0, 0),
+        edges=(Edge(0, 1, (0, 1)),),
+        legs=(Leg(0, (1, 1)), Leg(0, (-1, 0)), Leg(0, (0, -1)), Leg(1, (0, -1)), Leg(1, (1, 1)), Leg(1, (-1, 0)), Leg(1, (0, -1)), Leg(0, (0, -1))),
+    )
+    c = face_contract(t, [0])
+    assert genus(c) == genus(t)
 
 
 def test_contract_loop_adds_weight():
     t = CombinatorialType(weights=(0,), edges=(Edge(0, 0),), legs=(Leg(0, (1, 1)), Leg(0, (-1, 0)), Leg(0, (0, -1))))
-    c = contract(t, [0])
+    c = face_contract(t, [0])
     assert c.weights == (1,)
     assert genus(c) == genus(t)
 
 
 def test_contract_theta_graph_all_edges():
     th = theta_graph()
-    c = contract(th, [0, 1, 2])
+    c = face_contract(th, [0, 1, 2])
     assert c.n_vertices() == 1
     assert c.weights == (2,)
     assert genus(c) == genus(th) == 2
 
 
-def test_contract_rejects_nonzero_slope():
-    t = CombinatorialType(
-        weights=(0, 0),
-        edges=(Edge(0, 1, (0, 1)),),
-        legs=(Leg(0, (1, 1)), Leg(0, (-1, 0)), Leg(0, (0, -1)), Leg(1, (0, -1)), Leg(1, (1, 1)), Leg(1, (-1, 0)), Leg(1, (0, -1)), Leg(0, (0, -1))),
-    )
-    with pytest.raises(ValueError):
-        contract(t, [0])
-    # face contraction collapses it anyway, preserving genus and balance
-    c = face_contract(t, [0])
-    assert genus(c) == genus(t)
-
-
 def test_contract_refuses_edge_index_out_of_range():
-    # the range is checked before any slope is read, so -1 does not wrap
-    # to the last edge (slope (0, 1), which `contract` would refuse)
+    # -1 does not wrap to the last edge
     t = CombinatorialType(
         weights=(0, 0),
         edges=(Edge(0, 1), Edge(0, 1, (0, 1))),
         legs=(Leg(0, (0, -1)), Leg(1, (0, 1))),
     )
     for bad in ([99], [-1], [0, 2]):
-        for op in (contract, face_contract):
-            with pytest.raises(ValueError, match="edge index out of range"):
-                op(t, bad)
+        with pytest.raises(ValueError, match="edge index out of range"):
+            face_contract(t, bad)
 
 
 def test_face_contract_numbering_frozen():
@@ -375,6 +358,6 @@ def test_genus_invariance_under_contraction_fuzz():
         t = CombinatorialType(weights, tuple(Edge(u, v) for u, v in edges))
         k = rng.randint(0, len(edges))
         subset = rng.sample(range(len(edges)), k)
-        c = contract(t, subset)
+        c = face_contract(t, subset)
         assert genus(c) == genus(t)
         assert check_balancing(c) is None

@@ -7,12 +7,12 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from fixtures import reference_cone_contains, smooth_cubic_curve, tropical_line
+from fixtures import brute_force_aut_order, genus, reference_cone_contains, relabel, smooth_cubic_curve, tropical_line
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from tropcurves.canonical import aut_order, brute_force_aut_order, canonical_key, relabel  # noqa: E402
+from tropcurves.canonical import aut_order, canonical_key  # noqa: E402
 from tropcurves.cli import main  # noqa: E402
 from tropcurves.cones import (  # noqa: E402
     expand_lengths,
@@ -34,7 +34,6 @@ from tropcurves.graphs import (  # noqa: E402
     check_balancing,
     components,
     face_contract,
-    genus,
 )
 from tropcurves.linalg import clear_denominators, feasible_nonneg, mat_rank, solve_affine  # noqa: E402
 from tropcurves.serialize import (  # noqa: E402
@@ -188,19 +187,16 @@ def test_stars_match_a_per_vertex_scan(t):
     reference = [_star_reference(t, v) for v in range(t.n_vertices())]
     assert t.stars() == reference
     assert [t.star(v) for v in range(t.n_vertices())] == reference
-    assert [t.valency(v) for v in range(t.n_vertices())] == [len(s) for s in reference]
     sums = [(sum(s[0] for s, _d in germs), sum(s[1] for s, _d in germs)) for germs in reference]
     unbalanced = [v for v, total in enumerate(sums) if total != (0, 0)]
     assert check_balancing(t) == (unbalanced[0] if unbalanced else None)
 
 
-def test_star_and_valency_refuse_vertices_out_of_range():
+def test_star_refuses_vertices_out_of_range():
     t = smooth_cubic_curve().ctype
     for v in (-1, t.n_vertices()):
         with pytest.raises(ValueError, match="out of range"):
             t.star(v)
-        with pytest.raises(ValueError, match="out of range"):
-            t.valency(v)
 
 
 @st.composite

@@ -330,7 +330,8 @@ def test_interior_positions_pass_through_the_fixed_points(monkeypatch):
         ratios = [-l / v for l, v in zip(state_lengths, direction) if v < 0]
         t = min(ratios) / 2 if ratios else 1
         lengths = tuple(l + t * v for l, v in zip(state_lengths, direction))
-        positions = state.interior_positions()
+        den, scaled = state._scaled_interior()
+        positions = tuple((F(x, den), F(y, den)) for x, y in scaled)
         ParametrizedCurve(state.ctype, lengths, positions)  # refuses an inconsistent edge
         marks = [positions[state.ctype.legs[i].vertex] for i in range(len(state.fixed))]
         assert marks == list(state.fixed.points)
