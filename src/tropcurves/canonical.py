@@ -1,13 +1,20 @@
 """Canonical labeling and automorphism orders for combinatorial types.
 
-Vertices are renumbered by iterative refinement of a coloring (weight,
-valency, incident leg indices and germ slopes), with individualization
-and backtracking on ties.  The canonical encoding makes type equality a
-tuple comparison, and the number of leaf labelings that achieve the
-minimal encoding equals the number of vertex automorphisms.
+Vertices are renumbered by individualization-refinement (McKay and
+Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
+2014).  The first coloring ranks each vertex's (weight, valency); a
+refinement round ranks each vertex's (color, sorted (germ slope,
+neighbor color) pairs, sorted leg tags), and refinement stops at the
+first round that splits no cell.  A coloring that is not discrete
+individualizes each vertex of its least non-singleton cell in turn, and
+a discrete coloring is its own labeling.  Each leg's tag, and each
+vertex's sorted tuple of them, is computed once per call.
 
-`Aut` of a type also permutes indistinguishable parallel edges and flips
-loops, so the order returned by `aut_order` is
+The canonical encoding makes type equality a tuple comparison, and the
+number of leaf labelings that achieve the minimal encoding equals the
+number of vertex automorphisms.  `Aut` of a type also permutes
+indistinguishable parallel edges and flips loops, so the order returned
+by `aut_order` is
 
     (#achieving vertex labelings) * prod(multiplicity! over parallel
     classes) * 2^(#loops).
@@ -21,104 +28,78 @@ from math import factorial
 from tropcurves.graphs import CombinatorialType, vneg
 
 
-def _leg_tag(j, leg, labeled):
-    if labeled == "all":
-        return (j, leg.slope)
-    if labeled == "contracted":
-        # contracted legs are pinned to their point index; the rest are
-        # interchangeable within a slope class
-        return (j, leg.slope) if leg.is_contracted() else (-1, leg.slope)
-    return (-1, leg.slope)
+def _ranks(values):
+    """Each value's rank among the distinct values, and their number."""
+    rank = {s: i for i, s in enumerate(sorted(set(values)))}
+    return [rank[s] for s in values], len(rank)
 
 
-def _adjacency_data(t: CombinatorialType, labeled="all"):
-    """Per-vertex germ descriptors: (slope-away, neighbor) plus leg tags."""
+def _labelings(t: CombinatorialType, tags):
+    """All discrete colorings reachable by individualization-refinement,
+    in search order, each the labeling it gives.  tags[j] is leg j's tag."""
     n = t.n_vertices()
-    incid = [[] for _ in range(n)]
-    for e in t.edges:
-        if e.is_loop():
-            incid[e.u].append((e.slope, e.u))
-            incid[e.u].append((vneg(e.slope), e.u))
-        else:
-            incid[e.u].append((e.slope, e.v))
-            incid[e.v].append((vneg(e.slope), e.u))
+    germs = [[] for _ in range(n)]  # (slope, neighbor) of each edge germ
     legtags = [[] for _ in range(n)]
-    for j, leg in enumerate(t.legs):
-        legtags[leg.vertex].append(_leg_tag(j, leg, labeled))
-    return incid, legtags
-
-
-def _refine(n, incid, legtags, colors):
-    while True:
-        sigs = []
-        for v in range(n):
-            nb = sorted((s, colors[w]) for s, w in incid[v])
-            sigs.append((colors[v], tuple(nb), tuple(sorted(legtags[v]))))
-        order = sorted(set(sigs))
-        ranks = {s: i for i, s in enumerate(order)}
-        new = [ranks[sigs[v]] for v in range(n)]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _encode(t: CombinatorialType, label, labeled="all"):
-    weights = tuple(t.weights[v] for v in sorted(range(t.n_vertices()), key=lambda v: label[v]))
-    edge_keys = []
     for e in t.edges:
-        a, b = label[e.u], label[e.v]
-        if a <= b:
-            edge_keys.append((a, b, e.slope))
-        else:
-            edge_keys.append((b, a, vneg(e.slope)))
-    legs = [(_leg_tag(j, leg, labeled), label[leg.vertex]) for j, leg in enumerate(t.legs)]
-    if labeled != "all":
-        legs = sorted(legs)
-    return (weights, tuple(sorted(edge_keys)), tuple(legs))
-
-
-def _labelings(t: CombinatorialType, labeled="all"):
-    """All discrete colorings reachable by individualization-refinement."""
-    n = t.n_vertices()
-    incid, legtags = _adjacency_data(t, labeled)
-    base = [(t.weights[v], len(incid[v]) + len(legtags[v])) for v in range(n)]
-    order = sorted(set(base))
-    ranks = {s: i for i, s in enumerate(order)}
-    colors0 = [ranks[base[v]] for v in range(n)]
+        germs[e.u].append((e.slope, e.v))
+        germs[e.v].append((vneg(e.slope), e.u))
+    for leg, tag in zip(t.legs, tags):
+        legtags[leg.vertex].append(tag)
+    colors, cells = _ranks([(w, len(g) + len(lt)) for w, g, lt in zip(t.weights, germs, legtags)])
+    legtags = [tuple(sorted(lt)) for lt in legtags]
     out = []
-
-    def rec(colors):
-        colors = _refine(n, incid, legtags, colors)
-        cells = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
+    stack = [(colors, cells)]  # (coloring, its number of cells), searched depth first
+    while stack:
+        colors, cells = stack.pop()
+        # a round only splits cells, as each key starts with the vertex's
+        # color, and the first round that splits none ends the refinement
+        while True:
+            sigs = [(c, tuple(sorted([(s, colors[w]) for s, w in g])), lt) for c, g, lt in zip(colors, germs, legtags)]
+            colors, split = _ranks(sigs)
+            if split == cells:
                 break
-        if target is None:
-            label = [0] * n
-            for rank, v in enumerate(sorted(range(n), key=lambda v: colors[v])):
-                label[v] = rank
-            out.append(label)
-            return
-        for v in target:
+            cells = split
+        if cells == n:
+            out.append(colors)
+            continue
+        size = [0] * n
+        for c in colors:
+            size[c] += 1
+        target = next(c for c, k in enumerate(size) if k > 1)
+        for v in reversed([v for v, c in enumerate(colors) if c == target]):
             branched = [2 * c for c in colors]
             branched[v] -= 1
-            rec(branched)
-
-    rec(colors0)
+            stack.append((branched, cells + 1))
     return out
 
 
+def _encode(t: CombinatorialType, label, tags, labeled):
+    weights = list(t.weights)
+    for v, a in enumerate(label):
+        weights[a] = t.weights[v]
+    edge_keys = []
+    for e in t.edges:
+        a, b = label[e.u], label[e.v]
+        edge_keys.append((a, b, e.slope) if a <= b else (b, a, vneg(e.slope)))
+    legs = [(tag, label[leg.vertex]) for leg, tag in zip(t.legs, tags)]
+    if labeled != "all":
+        legs.sort()
+    return (tuple(weights), tuple(sorted(edge_keys)), tuple(legs))
+
+
 def canonical_form(t: CombinatorialType, labeled="all"):
-    """(minimal encoding, one relabeling achieving it, #achieving labelings)."""
-    best = None
-    best_label = None
-    count = 0
-    for label in _labelings(t, labeled):
-        enc = _encode(t, label, labeled)
+    """(minimal encoding, one relabeling achieving it, #achieving labelings).
+
+    labeled="all" tags leg j by (j, slope); "contracted" pins only the
+    contracted legs to their index, and "none" none, so that the other
+    legs are interchangeable within a slope class: tag (-1, slope)."""
+    tags = [
+        (j if labeled == "all" or labeled == "contracted" and leg.is_contracted() else -1, leg.slope)
+        for j, leg in enumerate(t.legs)
+    ]
+    best, best_label, count = None, None, 0
+    for label in _labelings(t, tags):
+        enc = _encode(t, label, tags, labeled)
         if best is None or enc < best:
             best = enc
             best_label = label
@@ -130,10 +111,6 @@ def canonical_form(t: CombinatorialType, labeled="all"):
 
 def canonical_key(t: CombinatorialType, labeled="all"):
     return canonical_form(t, labeled)[0]
-
-
-def types_isomorphic(t1: CombinatorialType, t2: CombinatorialType):
-    return canonical_key(t1) == canonical_key(t2)
 
 
 def aut_order(t: CombinatorialType):

@@ -258,6 +258,12 @@ def enumerate_cores(d, b1, max_valency=None):
     are refused, the scale `is_general` certifies.  A degree below 1 or a
     negative b1 is a ValueError.
     """
+    return sorted(_cores(d, b1, max_valency), key=lambda t: canonical_key(t, labeled="none"))
+
+
+def _cores(d, b1, max_valency=None):
+    """The cores of `enumerate_cores` as an iterator, in the order they are
+    generated; its arguments are checked, and refused, at the call."""
     if d < 1:
         raise ValueError(f"degree d must be at least 1, got {d}")
     if b1 < 0:
@@ -268,9 +274,7 @@ def enumerate_cores(d, b1, max_valency=None):
         raise ScaleRefusal(f"enumerate_cores is certified for degree d <= {MAX_DEGREE} only")
     # no cap: a vertex has at most its 3d legs and two cycle edges
     cap = 3 * d + 2 if max_valency is None else max_valency
-    cores = [_core(kids, cycle) for kids, cycle in _shapes((d, d, d), d, cap, b1)]
-    cores.sort(key=lambda t: canonical_key(t, labeled="none"))
-    return cores
+    return (_core(kids, cycle) for kids, cycle in _shapes((d, d, d), d, cap, b1))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +496,10 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     the lcm of their denominators, so the LPs and cone tests run on ints.
     Site assignments that survive all points come out in lexicographic
     order of site indices, each with a nonempty fiber, and each new
-    marked type is classified exactly over cfg itself.
+    marked type is classified exactly over cfg itself.  The hits come out
+    sorted by their own keys, so without `cores` the cores are read as
+    they are generated, unsorted and one at a time: no two cores share a
+    hit key, since forgetting a hit's marks gives back its core.
 
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut
@@ -505,7 +512,7 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     """
     n = len(cfg)
     if cores is None:
-        cores = enumerate_cores(d, g)
+        cores = _cores(d, g)
     order = _scan_order(n)
     # every scan LP is {A x = b, x >= 0} with b a point difference, so
     # scaling the points by L > 0 scales solutions by L: same verdicts

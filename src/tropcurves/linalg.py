@@ -121,13 +121,18 @@ def mat_rank(rows, width):
 def _cleared(width, entries):
     """(L, ints): the vector with num / den at each (col, num, den) of
     entries and 0 elsewhere, times L, the lcm of its denominators in
-    lowest terms, as `clear_denominators` clears its Fractions."""
-    entries = [(col, num // (k := gcd(num, den)), den // k) for col, num, den in entries]
+    lowest terms, as `clear_denominators` clears its Fractions.
+
+    The vector is scaled by D, the lcm of the dens as given, then divided
+    by the gcd of D and its entries, which is D / L: D / L divides them
+    all, and a prime p dividing L and L times each value would make L / p
+    a valid scale."""
     scale = lcm(*[den for _col, _num, den in entries])
     vec = [0] * width
     for col, num, den in entries:
         vec[col] = num * (scale // den)
-    return scale, vec
+    k = gcd(scale, *vec)
+    return (scale // k, [x // k for x in vec]) if k > 1 else (scale, vec)
 
 
 def solve_affine(rows, rhs, width):
@@ -139,11 +144,11 @@ def solve_affine(rows, rhs, width):
     set to zero in the particular solution.  Each vector is ``(D, ints)``,
     on ints: times D, the lcm of its denominators (`_cleared`).
     """
-    m = [[*row[:width], row[-1]] for row in _int_rows(rows, rhs, width)]
+    m = _int_rows(rows, rhs, width)  # the multiplier column rides along unread
     pivots = _reduce(m, width)
-    if any(row[width] for row in m[len(pivots):]):
+    if any(row[-1] for row in m[len(pivots):]):
         return None
-    particular = _cleared(width, [(col, row[width], row[col]) for row, col in zip(m, pivots)])
+    particular = _cleared(width, [(col, row[-1], row[col]) for row, col in zip(m, pivots)])
     basis = [
         _cleared(width, [(fcol, 1, 1), *[(col, -row[fcol], row[col]) for row, col in zip(m, pivots)]])
         for fcol in sorted(set(range(width)) - set(pivots))

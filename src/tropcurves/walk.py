@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from tropcurves.canonical import canonical_key, types_isomorphic
+from tropcurves.canonical import canonical_key
 from tropcurves.cones import (
     classify,
     fiber_rows,
@@ -553,8 +553,9 @@ def check_harmonic_or_lcs(base_type, germs):
     combinatorial surjectivity).
     """
     germs = list(germs)
-    inside = [g for g in germs if types_isomorphic(g[0], base_type)]
-    if len(inside) == len(germs):
+    base_key = canonical_key(base_type)
+    hit = {canonical_key(t) for t, _v in germs} - {base_key}
+    if not hit:
         width = max((len(v) for _t, v in germs), default=0)
         total = [F(0)] * width
         for _t, v in germs:
@@ -563,6 +564,5 @@ def check_harmonic_or_lcs(base_type, germs):
         ok = all(x == 0 for x in total)
         return StarVerdict("harmonic", ok, witness=tuple(total))
     resolution_keys = {canonical_key(t) for t, _e in resolve_wall(base_type)}
-    hit = {canonical_key(t) for t, _v in germs if not types_isomorphic(t, base_type)}
     missing = tuple(sorted(resolution_keys - hit))
     return StarVerdict("locally_combinatorially_surjective", not missing, witness=missing)

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 from fixtures import brute_force_aut_order
 
-from tropcurves.canonical import aut_order, canonical_key, types_isomorphic
+from tropcurves.canonical import aut_order, canonical_form, canonical_key
+from tropcurves.corpus import enumerate_cores
 from tropcurves.graphs import CombinatorialType, Edge, Leg
 
 
@@ -54,13 +56,13 @@ def test_isomorphic_relabelings():
         edges=(Edge(0, 1, (-2, -1)),),
         legs=(Leg(1, (-1, 0)), Leg(1, (-1, -1)), Leg(0, (0, 0))),
     )
-    assert types_isomorphic(t1, t2)
+    assert canonical_key(t1) == canonical_key(t2)
     t3 = CombinatorialType(
         weights=(0, 1),
         edges=(Edge(0, 1, (2, -1)),),
         legs=(Leg(0, (-1, 0)), Leg(0, (-1, -1)), Leg(1, (0, 0))),
     )
-    assert not types_isomorphic(t1, t3)
+    assert canonical_key(t1) != canonical_key(t3)
 
 
 def test_aut_matches_brute_force_on_random_graphs():
@@ -96,3 +98,18 @@ def test_canonical_key_stable_under_relabeling():
         weights = tuple(t.weights[perm.index(k)] for k in range(4))
         shuffled = CombinatorialType(weights, edges, legs)
         assert canonical_key(shuffled) == key
+
+
+def test_labelings_frozen():
+    # (key, label, count) in every labeled mode, and aut_order, of every
+    # core at d <= 2 and of the 791 trivalent cores at d = 3: any change to
+    # the search's order or its leaves shows here, not only to its keys
+    cores = [t for d in (1, 2) for b1 in (0, 1) for t in enumerate_cores(d, b1)]
+    cores += enumerate_cores(3, 0, max_valency=3)
+    assert len(cores) == 208 + 791
+    blob = hashlib.sha256()
+    for t in cores:
+        for mode in ("all", "contracted", "none"):
+            blob.update(repr(canonical_form(t, labeled=mode)).encode())
+        blob.update(repr(aut_order(t)).encode())
+    assert blob.hexdigest() == "ea2dc5a923239d0e31a0d98ac2e0d39cb476218eac0e5c7d19996761fadde4fe"

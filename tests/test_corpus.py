@@ -18,6 +18,7 @@ from tropcurves.cones import (
 from tropcurves.corpus import (
     _attach_mark,
     _core,
+    _cores,
     _CoreScanner,
     _direction,
     _materialize,
@@ -351,6 +352,22 @@ def test_betti_one_scan_frozen(monkeypatch):
     encoded = dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits])
     digest = hashlib.sha256(encoded.encode()).hexdigest()
     assert digest == "7926b15335283d2f397d9c9b1bcce69abce43e7df693a88c88808ec72ea5946d"
+
+
+def test_scan_bytes_ignore_the_order_of_the_cores():
+    # without cores, scan_fibers reads them as generated, unsorted: each
+    # hit's key is its own core's alone, so generation, sorted and
+    # reversed order give the same bytes
+    cfg = make_stretched(4, 2).config
+    generated = list(_cores(2, 1))
+    by_core = [{canonical_key(t, labeled="contracted") for t, _fb in scan_fibers(2, 1, cfg, cores=[c])} for c in generated]
+    assert sum(map(len, by_core)) == len(set().union(*by_core)) == 28
+    ordered = enumerate_cores(2, 1)
+    assert ordered != generated
+    encoded = dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in scan_fibers(2, 1, cfg)])
+    for cores in (generated, ordered, generated[::-1]):
+        hits = scan_fibers(2, 1, cfg, cores=cores)
+        assert dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits]) == encoded
 
 
 def site_sets(scanner, table):

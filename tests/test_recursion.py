@@ -1,5 +1,3 @@
-import pytest
-
 from tropcurves.recursion import (
     irreducible_severi_degree,
     relative_count,

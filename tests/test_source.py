@@ -1,6 +1,7 @@
-"""Source hygiene of the package, read with `ast` only: no import goes
-unused, no function, class or method is left without a caller outside the
-tests, and the test oracles import nothing from what they check."""
+"""Source hygiene of the package, read with `ast` only: no import in the
+package or its tests goes unused, no function, class or method is left
+without a caller outside the tests, and the test oracles import nothing
+from what they check."""
 
 import ast
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "tropcurves").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # the code that calls the package: a name read only by the tests is not API
 READERS = PACKAGE + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 # the library API that README and ROADMAP name and that no reader calls
@@ -49,7 +51,7 @@ def _references(node):
     return out
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", PACKAGE + TESTS, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     tree = _tree(path)
     imported = {}
