@@ -36,12 +36,12 @@ The corpus of degree-d, genus-g types is produced and read in three stages:
     table of site masks per direction between two points; exact for
     trees, a sound relaxation of the cycle rows otherwise), which drop a
     placement as soon as some later mark has no site left.  A table
-    folds each anchor pair's path against its direction w once
-    (`_fold`), and each site pair only its own at most two generators
-    onto that.  A complete
-    placement that passes every pair test builds its one marked type,
-    its marks sharing an edge or a leg in the order their points fix, and
-    one exact LP on that type's fiber (`cones.fiber_rows`) decides it.
+    walks the tree once from each anchor, folding one step per vertex
+    against its direction w (`_fold`), and decides each site pair with
+    one cross product; the later marks' domains travel packed in one int.
+    A complete placement that passes every pair test builds its one
+    marked type, its marks sharing an edge or a leg in the order their
+    points fix, and one exact LP on its fiber (`cones.fiber_rows`) decides.
     Every marked type whose fiber over cfg is nonempty appears in the
     scan; all others have empty fibers by construction.
 
@@ -64,7 +64,7 @@ import itertools
 from math import gcd
 
 from tropcurves.canonical import canonical_key
-from tropcurves.cones import fiber_rows, path, path_coefficients
+from tropcurves.cones import fiber_rows, path_coefficients
 from tropcurves.errors import ScaleRefusal
 from tropcurves.evaluation import PointConfiguration, fiber, integer_points
 from tropcurves.graphs import CombinatorialType, Edge, Leg
@@ -287,22 +287,39 @@ class _CoreScanner:
 
     The pair tables (`pair_table`) narrow the sites of every mark not yet
     placed, and a placement that leaves one of them no site is dropped.
-    `placements` asks for an LP only at a complete placement: it builds
-    the placement's one marked type (`_materialize`) and asks whether its
-    fiber (`cones.fiber_rows`, nonnegative lengths) is nonempty.  The
-    points it is given are integer: `scan_fibers` clears their
-    denominators once, so every row it builds holds only ints.
+    `placements` asks for an LP only at a complete placement, on the
+    fiber of its one marked type (`_materialize`).  `scan_fibers` clears
+    the points' denominators once, so every row it builds holds only ints.
     """
 
     def __init__(self, core):
         self.core = core
         self.coeffs = path_coefficients(core)
+        edges, nv = core.edges, core.n_vertices()
         # sites: vertices, edges and non-contracted legs, a mark anywhere along one
-        self.sites = [("vertex", v) for v in range(core.n_vertices())]
-        self.sites += [("edge", i) for i in range(len(core.edges))]
-        self.sites += [
-            ("leg", j) for j, leg in enumerate(core.legs) if not leg.is_contracted()
-        ]
+        self.sites = [("vertex", v) for v in range(nv)]
+        self.sites += [("edge", i) for i in range(len(edges))]
+        self.sites += [("leg", j) for j, leg in enumerate(core.legs) if not leg.is_contracted()]
+        # anchor -> its sites (index, edge slid on, slope, (minus slope,)): a vertex itself,
+        # an edge from its tail, a leg from its root with edge -1, the first of no path
+        self.at = [[(v, None, None, None)] for v in range(nv)]
+        for i, (kind, idx) in enumerate(self.sites[nv:], nv):
+            u, (x, y) = (edges[idx].u, edges[idx].slope) if kind == "edge" else core.legs[idx]
+            self.at[u].append((i, idx if kind == "edge" else -1, (x, y), ((-x, -y),)))
+        # the tree path_coefficients runs along, walked breadth first from each
+        # anchor u: each vertex v with its parent's place (from 1), (its step,),
+        # the path's first and last edge, and the last one's site bit if at v
+        tree = [[] for _ in range(nv)]
+        for j in (next(reversed(c)) for c in self.coeffs[1:]):  # each vertex's own tree edge
+            x, y, (sx, sy) = edges[j]
+            tree[x].append((y, j, ((sx, sy),), 0))
+            tree[y].append((x, j, ((-sx, -sy),), 1 << nv + j))
+        self.walks = [[(u, 0, (), None, None, 0)] for u in range(nv)]
+        for walk in self.walks:
+            for p, (x, _p, _s, first, last, _skip) in enumerate(walk, 1):
+                for y, j, step, skip in tree[x]:
+                    if j != last:
+                        walk.append((y, p, step, first if p > 1 else j, j, skip))
 
     def pair_table(self, w):
         """(fits, back), lists of site masks indexed by site: bit b of
@@ -321,49 +338,60 @@ class _CoreScanner:
         generator's span, tau <= length).  It is exact for trees, whose
         path lengths are free; with cycles the cycle equations are
         dropped, so the cone only over-approximates, and the placement
-        LPs, which carry the cycle rows, decide.  Each anchor pair's path
-        is folded against w once (`_fold`), and each site pair folds only
-        its own at most two generators onto that triple."""
-        t = self.core
-        edges = t.edges
-        # anchor -> its sites, each with the edge it slides on and its
-        # slope: a vertex itself, an edge from its tail, a leg from its root
-        at = {}
-        for i, (kind, idx) in enumerate(self.sites):
-            if kind == "edge":
-                at.setdefault(edges[idx].u, []).append((i, idx, edges[idx].slope))
-            elif kind == "leg":
-                at.setdefault(t.legs[idx].vertex, []).append((i, None, t.legs[idx].slope))
-            else:
-                at.setdefault(idx, []).append((i, None, None))
+        LPs, which carry the cycle rows, decide.  Each site's slope is
+        classified against w once, and one walk of the tree from each
+        anchor u folds one step per vertex v (`_fold`); its first and last
+        edge say whether it traverses a's edge or b's.  A site a at u folds
+        its own generator onto that; if the cone still misses w, a site b at
+        v closes it with one cross product: ahead of w, left with b x right
+        < 0, or right with left x b < 0 (a generator past the nearest on its
+        side cannot close a gap the nearest leaves open)."""
+        wx, wy = w
+        # per anchor: all sites and those along w as masks, those off w's line as (bit, slope, left of w)
+        every = [sum(1 << i for i, *_ in at) for at in self.at]
+        along = [sum(1 << i for i, _e, s, _n in at if s and wx * s[1] == wy * s[0] and wx * s[0] + wy * s[1] > 0)
+                 for at in self.at]
+        sides = [[(1 << i, s, wx * s[1] > wy * s[0]) for i, _e, s, _n in at if s and wx * s[1] != wy * s[0]]
+                 for at in self.at]
         fits = [0] * len(self.sites)
-        back = [0] * len(self.sites)
-        for u, outs in at.items():
-            for v, ins in at.items():
-                diff = path(self.coeffs, u, v)
-                base = _fold([(c * edges[j].slope[0], c * edges[j].slope[1]) for j, c in diff.items()], w)
-                for a, ea, sa in outs:
-                    seen = base if sa is None or diff.get(ea) else _fold(((-sa[0], -sa[1]),), w, base)
-                    inside = _holds(seen)  # more generators only widen a cone holding w
-                    for b, eb, sb in ins:
-                        if inside or sb is not None and not diff.get(eb) and _holds(_fold((sb,), w, seen)):
-                            fits[a] |= 1 << b
-                            back[b] |= 1 << a
+        for u, walk in enumerate(self.walks):
+            folded = [(False, None, None)]  # the empty path, then u -> v for each v walked
+            for v, p, step, first, _last, skip in walk:
+                folded.append(base := _fold(step, w, folded[p]))
+                for a, ea, _s, neg in self.at[u]:
+                    seen = _fold(neg, w, base) if neg and ea != first else base
+                    if _holds(seen):
+                        fits[a] |= every[v]
+                        continue
+                    _ahead, left, right = seen
+                    m = along[v]
+                    for bit, (x, y), is_left in sides[v]:
+                        if (right and x * right[1] < y * right[0]) if is_left else (left and left[0] * y < left[1] * x):
+                            m |= bit
+                    fits[a] |= m & ~skip
+        back = [0] * len(fits)
+        for a, row in enumerate(fits):
+            while row:
+                low = row & -row
+                back[low.bit_length() - 1] |= 1 << a
+                row ^= low
         return fits, back
 
     def placements(self, points):
         """Every site assignment of the points that passes all tests, in
         lexicographic order of site indices.
 
-        The walk is depth first, in site order, and carries the domains,
-        one site mask per mark not yet placed: the sites it may still
-        take.  When mark k takes site i, each later mark j keeps the sites
-        that row i of the pair table of the direction of points[j] -
-        points[k] allows after it, one int AND; the site is dropped if
-        some later mark has none left (forward checking).  A domain's
-        sites are visited lowest bit first, which is site order.  The
-        rows depth k reads are fetched on its first visit, each table
-        built when first needed, so a depth never reached builds none.
+        The walk is depth first, in site order, and carries the domains of
+        the marks not yet placed, the sites each may still take, in one
+        int: mark k + m's is field m, a bit per site under a zero guard.
+        When mark k takes site i, each later mark keeps the sites row i of
+        the pair table of the direction from points[k] to its point allows:
+        one AND with col[i], those rows packed alike.  The site is dropped
+        if some later mark has none left (forward checking): adding
+        2^len(sites) - 1 to a field carries into its guard iff it is
+        nonzero.  A domain's sites are visited lowest bit first, in site
+        order.  Depth k packs its rows on its first visit, each table built
+        when first needed, so a depth never reached builds none.
 
         Only a complete placement asks for an LP, and only when some
         prefix needs one: from its third mark on, or from its second on a
@@ -379,9 +407,14 @@ class _CoreScanner:
         sites = self.sites
         first = 1 if self.core.first_betti() else 2  # the first mark whose prefix needs an LP
         tables = {}  # primitive direction -> its pair table
-        # (direction, side) from mark k to each later mark, for every depth k
-        directions = [[_direction(points[k], points[j]) for j in range(k + 1, n)] for k in range(n)]
-        ahead = [None] * n  # depth k -> the table halves it reads, once visited
+        width = len(sites) + 1
+        full = (1 << width - 1) - 1  # a field's sites
+        # depth k -> each table half (direction, side) it reads -> a 1 in the field of each mark reading it
+        fields = [{} for _ in range(n)]
+        for k, j in itertools.combinations(range(n), 2):
+            half = _direction(points[k], points[j])
+            fields[k][half] = fields[k].get(half, 0) | 1 << (j - k - 1) * width
+        cols = [None] * n  # depth k -> (col, full * ones, guards) once visited
 
         def feasible(assignment):
             """Is the fiber of the assignment's marked type nonempty?"""
@@ -394,22 +427,24 @@ class _CoreScanner:
                 if n <= first or feasible(assignment):
                     yield assignment
                 return
-            if ahead[k] is None:
-                for w, _side in directions[k]:
-                    if w not in tables:
-                        tables[w] = self.pair_table(w)
-                ahead[k] = [tables[w][side] for w, side in directions[k]]
-            rows, rest, dom = ahead[k], domains[1:], domains[0]
+            if cols[k] is None:
+                tables.update((w, self.pair_table(w)) for w, _side in fields[k] if w not in tables)
+                col, ones = [0] * len(sites), sum(fields[k].values())  # ones: a 1 in each later field
+                for (w, side), marks in fields[k].items():
+                    col = [c | h * marks for c, h in zip(col, tables[w][side])]
+                cols[k] = col, full * ones, ones << width - 1
+            col, fill, guards = cols[k]
+            dom, rest = domains & full, domains >> width
             while dom:
                 low = dom & -dom
                 i = low.bit_length() - 1
                 # the domains of marks k + 1, ..., n - 1 once mark k is on site i
-                later = [h[i] & d for h, d in zip(rows, rest)]
-                if all(later):
+                later = rest & col[i]
+                if (later + fill) & guards == guards:
                     yield from place(assignment + (sites[i],), later)
                 dom ^= low
 
-        yield from place((), [(1 << len(sites)) - 1] * n)
+        yield from place((), full * sum(1 << m * width for m in range(n)))
 
 
 def _direction(p, q):

@@ -122,8 +122,21 @@ def _check_graph(weights, ends, leg_vertices):
     """Refuse a weight, an edge endpoint or a leg vertex that is not an
     int (a bool is not), a negative weight, an endpoint or a leg vertex out
     of range, or a disconnected graph, naming the vertex, edge or leg.
-    Each tuple's types are read in one scan and its range in one `min`
-    and `max`; the offender is sought only when that check fails."""
+    A valid graph takes one type scan over all of them, one range check
+    and the `components` pass; only when the scan or the range check
+    fails are the offenders sought, in the order above (`_name_offender`)."""
+    n = len(weights)
+    ids = [*chain.from_iterable(ends), *leg_vertices]
+    if not (n and set(map(type, chain(weights, ids))) <= _INT and min(weights) >= 0 and set(ids) <= set(range(n))):
+        _name_offender(weights, ends, leg_vertices)
+    roots = components(n, ends)
+    if len(set(roots)) != 1:
+        v = next(v for v, r in enumerate(roots) if r != roots[0])
+        raise ValueError(f"graph is disconnected: vertex {v} is not joined to vertex 0")
+
+
+def _name_offender(weights, ends, leg_vertices):
+    """Raise on the first bad weight, endpoint or leg vertex of `_check_graph`."""
     n = len(weights)
     if n == 0:
         raise ValueError("graph needs at least one vertex")
@@ -146,10 +159,6 @@ def _check_graph(weights, ends, leg_vertices):
     if leg_vertices and (min(leg_vertices) < 0 or max(leg_vertices) >= n):
         j = next(j for j, v in enumerate(leg_vertices) if not 0 <= v < n)
         raise ValueError(f"leg {j}: vertex {leg_vertices[j]} is out of range 0..{n - 1}")
-    roots = components(n, ends)
-    if len(set(roots)) != 1:
-        v = next(v for v, r in enumerate(roots) if r != roots[0])
-        raise ValueError(f"graph is disconnected: vertex {v} is not joined to vertex 0")
 
 
 @dataclass(frozen=True)

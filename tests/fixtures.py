@@ -8,7 +8,10 @@ and a genus-0 cubic with a weight-2 elevator.  Both are weightless,
 The checks at the end are predicates the tests assert: genus, stability,
 immersion, the genericity verdict on one fiber, and the brute-force
 automorphism count that `canonical.aut_order` is compared with.  That
-oracle and `relabel` share no code with `tropcurves.canonical`.
+oracle and `relabel` share no code with `tropcurves.canonical`.  The pair
+table reference builds each site pair's cone generators pair by pair,
+from `cones.path`, and tests each with `reference_cone_contains`: no tree
+walk and no fold, so it shares no step with `_CoreScanner.pair_table`.
 """
 
 import itertools
@@ -17,6 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 import tropcurves.corpus
+from tropcurves.cones import path
 from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.floors import StretchedConfig
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve
@@ -85,6 +89,52 @@ def reference_cone_contains(gens, w):
         if x >= 0 and y >= 0:
             return True
     return False
+
+
+def site_sets(scanner, table):
+    """A pair table's halves as dicts from each site to the set of sites
+    whose bits its mask sets."""
+    return tuple(
+        {a: {b for j, b in enumerate(scanner.sites) if mask >> j & 1} for a, mask in zip(scanner.sites, half)}
+        for half in table
+    )
+
+
+def reference_pair_generators(scanner):
+    """Each ordered site pair's displacement cone generators, built pair
+    by pair: the path between the two sites' anchor vertices, each edge's
+    slope times its coefficient; then, leaving a, minus a leg's slope or
+    an edge's when the path does not traverse it, and entering b, plus
+    that slope under the same rule."""
+    t = scanner.core
+
+    def anchor(site):
+        kind, idx = site
+        if kind == "leg":
+            return t.legs[idx].vertex
+        return t.edges[idx].u if kind == "edge" else idx
+
+    def own(site, diff):
+        kind, idx = site
+        if kind == "leg":
+            return [t.legs[idx].slope]
+        return [t.edges[idx].slope] if kind == "edge" and not diff.get(idx) else []
+
+    gens = {}
+    for a in scanner.sites:
+        for b in scanner.sites:
+            diff = path(scanner.coeffs, anchor(a), anchor(b))
+            g = [(c * t.edges[j].slope[0], c * t.edges[j].slope[1]) for j, c in diff.items() if c]
+            g += [(-x, -y) for x, y in own(a, diff)] + own(b, diff)
+            gens[a, b] = [v for v in g if v != (0, 0)]
+    return gens
+
+
+def reference_pair_table(scanner, gens, w):
+    """A pair table as `site_sets` gives it, from each site pair's own
+    generators `gens` (`reference_pair_generators`), one cone test each."""
+    fits = {a: {b for b in scanner.sites if reference_cone_contains(gens[a, b], w)} for a in scanner.sites}
+    return fits, {b: {a for a in scanner.sites if b in fits[a]} for b in scanner.sites}
 
 
 def shifted(cfg, shift):

@@ -4,7 +4,20 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from fixtures import FORCED_ZERO_POINTS, FRACTIONAL_POINTS, count_lps, genus, is_immersed, is_stable, reference_cone_contains, shifted
+from fixtures import (
+    FORCED_ZERO_POINTS,
+    FRACTIONAL_POINTS,
+    count_lps,
+    genus,
+    is_immersed,
+    is_stable,
+    reference_cone_contains,
+    reference_pair_generators,
+    reference_pair_table,
+    shifted,
+    site_sets,
+    tropical_line,
+)
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import (
@@ -12,7 +25,6 @@ from tropcurves.cones import (
     expected_dimension,
     fiber_rows,
     is_realizable,
-    path,
     reduced_fiber_polyhedron,
 )
 from tropcurves.corpus import (
@@ -370,15 +382,6 @@ def test_scan_bytes_ignore_the_order_of_the_cores():
         assert dumps([[type_to_json(t), fiber_to_json(fb)] for t, fb in hits]) == encoded
 
 
-def site_sets(scanner, table):
-    """A pair table's halves as dicts from each site to the set of sites
-    whose bits its mask sets."""
-    return tuple(
-        {a: {b for j, b in enumerate(scanner.sites) if mask >> j & 1} for a, mask in zip(scanner.sites, half)}
-        for half in table
-    )
-
-
 def reference_placements(scanner, points, lp=True):
     """The placement walk without forward checking: a site of mark k is
     tried when the pair table of each earlier mark allows it, then one
@@ -503,36 +506,6 @@ def test_scan_lp_verdict_is_fiber_emptiness():
     assert (len(verdicts), verdicts.count(False)) == (442, 353)
 
 
-def reference_pair_generators(scanner):
-    """Each ordered site pair's displacement cone generators, built pair
-    by pair: the path between the two sites' anchor vertices, each edge's
-    slope times its coefficient; then, leaving a, minus a leg's slope or
-    an edge's when the path does not traverse it, and entering b, plus
-    that slope under the same rule."""
-    t = scanner.core
-
-    def anchor(site):
-        kind, idx = site
-        if kind == "leg":
-            return t.legs[idx].vertex
-        return t.edges[idx].u if kind == "edge" else idx
-
-    def own(site, diff):
-        kind, idx = site
-        if kind == "leg":
-            return [t.legs[idx].slope]
-        return [t.edges[idx].slope] if kind == "edge" and not diff.get(idx) else []
-
-    gens = {}
-    for a in scanner.sites:
-        for b in scanner.sites:
-            diff = path(scanner.coeffs, anchor(a), anchor(b))
-            g = [(c * t.edges[j].slope[0], c * t.edges[j].slope[1]) for j, c in diff.items() if c]
-            g += [(-x, -y) for x, y in own(a, diff)] + own(b, diff)
-            gens[a, b] = [v for v in g if v != (0, 0)]
-    return gens
-
-
 def test_pair_tables_match_per_pair_cone_tests():
     # pair_table folds each anchor pair's path once per direction; the
     # reference runs the pairwise cone test on every site pair's own list,
@@ -556,6 +529,42 @@ def test_pair_tables_match_per_pair_cone_tests():
             fits = {a: {b for b in scanner.sites if reference_cone_contains(gens[a, b], w)} for a in scanner.sites}
             back = {b: {a for a in scanner.sites if b in fits[a]} for b in scanner.sites}
             assert site_sets(scanner, scanner.pair_table(w)) == (fits, back), (core, w)
+
+
+def test_pair_tables_match_per_pair_cone_tests_on_trivalent_cubic_cores():
+    # the tree walks and the one cross product per site pair against each
+    # site pair's own generators, on every 16th trivalent d = 3 core; the
+    # first direction is the one all points of the incidence benchmark's
+    # seed-1 configuration share (perfbench/workloads.py)
+    cores = enumerate_cores(3, 0, max_valency=3)[::16]
+    assert len(cores) == 50
+    for core in cores:
+        scanner = _CoreScanner(core)
+        gens = reference_pair_generators(scanner)
+        for w in [(1, -6973568802), (1, -1), (2, -1), (0, 1)]:
+            assert site_sets(scanner, scanner.pair_table(w)) == reference_pair_table(scanner, gens, w), (core, w)
+
+
+def test_placements_of_no_point_and_of_one_point():
+    # no point leaves the empty placement alone; one point may sit on
+    # every site, and the sites come out in site order
+    for core in enumerate_cores(2, 0) + enumerate_cores(2, 1):
+        scanner = _CoreScanner(core)
+        assert list(scanner.placements([])) == [()]
+        assert list(scanner.placements([(3, -1)])) == [(site,) for site in scanner.sites]
+
+
+def test_placements_with_full_later_domains():
+    # along (1, 0) a mark on the leg of slope (-1, 0) leaves a later mark
+    # every site, so after it both later marks' packed domains are full
+    # fields side by side: neither may carry past its guard bit
+    pts = [(0, 0), (5, 0), (9, 0)]
+    for core in [tropical_line()] + enumerate_cores(2, 0):
+        scanner = _CoreScanner(core)
+        scanner.pair_table = functools.cache(scanner.pair_table)
+        leg = scanner.sites.index(("leg", [leg.slope for leg in core.legs].index((-1, 0))))
+        assert scanner.pair_table((1, 0))[0][leg] == (1 << len(scanner.sites)) - 1
+        assert list(scanner.placements(pts)) == list(reference_placements(scanner, pts))
 
 
 def test_forced_zero_fibers_frozen():

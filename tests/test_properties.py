@@ -7,7 +7,17 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from fixtures import brute_force_aut_order, genus, reference_cone_contains, relabel, smooth_cubic_curve, tropical_line
+from fixtures import (
+    brute_force_aut_order,
+    genus,
+    reference_cone_contains,
+    reference_pair_generators,
+    reference_pair_table,
+    relabel,
+    site_sets,
+    smooth_cubic_curve,
+    tropical_line,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -22,7 +32,7 @@ from tropcurves.cones import (  # noqa: E402
     path_coefficients,
     reduced_fiber_polyhedron,
 )
-from tropcurves.corpus import _attach_mark, _cone_contains  # noqa: E402
+from tropcurves.corpus import _attach_mark, _cone_contains, _CoreScanner, enumerate_cores  # noqa: E402
 from tropcurves.evaluation import PointConfiguration  # noqa: E402
 from tropcurves.families import BaseCurve, constant_family, validate_family  # noqa: E402
 from tropcurves.graphs import (  # noqa: E402
@@ -103,6 +113,24 @@ def cone_cases(draw):
 def test_cone_fold_matches_pairwise_test(case):
     gens, w = case
     assert _cone_contains(gens, w) == reference_cone_contains(gens, w)
+
+
+# every core at d <= 2, both Betti numbers
+SMALL_CORES = [core for d in (1, 2) for b1 in (0, 1) for core in enumerate_cores(d, b1)]
+# nonzero small vectors, and stretched ones as between points on y = -k x
+DIRECTIONS = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any) | st.builds(
+    lambda k: (1, -k), st.integers(0, 10**10 - 1)
+)
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from(SMALL_CORES), DIRECTIONS)
+def test_pair_tables_match_per_pair_cone_tests_on_small_cores(core, w):
+    # the tree walks and the one cross product per site pair against each
+    # site pair's own generators, at a small w or a stretched one, (1, -k)
+    scanner = _CoreScanner(core)
+    gens = reference_pair_generators(scanner)
+    assert site_sets(scanner, scanner.pair_table(w)) == reference_pair_table(scanner, gens, w)
 
 
 @st.composite
