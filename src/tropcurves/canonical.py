@@ -5,7 +5,7 @@ Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
 2014).  The first coloring ranks each vertex's (weight, valency); a
 refinement round ranks each vertex's (color, sorted (germ slope,
 neighbor color) pairs, sorted leg tags), and refinement stops at the
-first round that splits no cell.  A coloring that is not discrete
+first round that splits no cell or leaves every vertex its own.  A coloring that is not discrete
 individualizes each vertex of its least non-singleton cell in turn, and
 a discrete coloring is its own labeling.  Each leg's tag, and each
 vertex's sorted tuple of them, is computed once per call.
@@ -52,14 +52,16 @@ def _labelings(t: CombinatorialType, tags):
     while stack:
         colors, cells = stack.pop()
         # a round only splits cells, as each key starts with the vertex's
-        # color, and the first round that splits none ends the refinement
+        # color, and the first round that splits none ends the refinement,
+        # as does one that leaves every vertex its own cell: its ranks are
+        # its colors, which no later round moves
         while True:
             sigs = [(c, tuple(sorted([(s, colors[w]) for s, w in g])), lt) for c, g, lt in zip(colors, germs, legtags)]
             colors, split = _ranks(sigs)
-            if split == cells:
+            if split == cells or split == n:
                 break
             cells = split
-        if cells == n:
+        if split == n:
             out.append(colors)
             continue
         size = [0] * n

@@ -36,14 +36,19 @@ The corpus of degree-d, genus-g types is produced and read in three stages:
     table of site masks per direction between two points; exact for
     trees, a sound relaxation of the cycle rows otherwise), which drop a
     placement as soon as some later mark has no site left.  A table
-    walks the tree once from each anchor, folding one step per vertex
-    against its direction w (`_fold`), and decides each site pair with
-    one cross product; the later marks' domains travel packed in one int.
-    A complete placement that passes every pair test builds its one
-    marked type, its marks sharing an edge or a leg in the order their
-    points fix, and one exact LP on its fiber (`cones.fiber_rows`) decides.
-    Every marked type whose fiber over cfg is nonempty appears in the
-    scan; all others have empty fibers by construction.
+    classifies each site's slope against its direction w once, walks the
+    tree once from each anchor, folding one step per vertex inline, and
+    decides each site pair with one cross product; the later marks'
+    domains travel packed in one int.  Before the walk, one chain pass
+    over the marks in (x, y) order narrows each domain through the
+    tables of depth 0, so a core where one empties is refuted before any
+    walk node.  A complete placement that passes every pair test builds
+    its one marked type, its marks sharing an edge or a leg in the order
+    their points fix, and one exact LP on its fiber (`cones.fiber_rows`)
+    decides.  The points are read on ints, from the configuration's
+    `cleared` form, made once per configuration.  Every marked type
+    whose fiber over cfg is nonempty appears in the scan; all others
+    have empty fibers by construction.
 
 3.  `is_general(cfg, d, g)` -- no scan below genus g has a hit, and
     every hit at genus g has codimension 2 len(cfg).  Past MAX_DEGREE
@@ -66,7 +71,7 @@ from math import gcd
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import fiber_rows, path_coefficients
 from tropcurves.errors import ScaleRefusal
-from tropcurves.evaluation import PointConfiguration, fiber, integer_points
+from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.graphs import CombinatorialType, Edge, Leg
 from tropcurves.linalg import feasible_nonneg
 
@@ -77,12 +82,11 @@ MAX_DEGREE = 3
 MAX_BETTI = 1
 
 
-def _fold(gens, w, seen=(False, None, None)):
+def _fold(gens, w):
     """Fold generators against a nonzero w into (ahead, left, right):
     whether one is a positive multiple of w, and the ones nearest w
-    counterclockwise and clockwise of it (None if none).  Folding onto
-    seen equals folding seen's generators and gens together."""
-    ahead, left, right = seen
+    counterclockwise and clockwise of it (None if none)."""
+    ahead, left, right = False, None, None
     wx, wy = w
     for g in gens:
         gx, gy = g
@@ -98,18 +102,15 @@ def _fold(gens, w, seen=(False, None, None)):
     return ahead, left, right
 
 
-def _holds(seen):
-    """Is w in the cone of the generators folded into seen?  Either one is
-    ahead, or the nearest on either side span less than a half-turn
-    through w: det(left, right) < 0."""
-    ahead, left, right = seen
-    return ahead or (left is not None and right is not None and left[0] * right[1] < left[1] * right[0])
-
-
 def _cone_contains(gens, w):
     """Exact 2D test: is w a nonnegative combination of the generators?
-    w = 0 always is; any other w takes one O(n) fold and its read."""
-    return w == (0, 0) or _holds(_fold(gens, w))
+    w = 0 always is; any other w takes one O(n) fold: either a generator
+    is ahead, or the nearest on either side span less than a half-turn
+    through w, det(left, right) < 0."""
+    if w == (0, 0):
+        return True
+    ahead, left, right = _fold(gens, w)
+    return ahead or (left is not None and right is not None and left[0] * right[1] < left[1] * right[0])
 
 
 def _slope_sum(m):
@@ -288,33 +289,34 @@ class _CoreScanner:
     The pair tables (`pair_table`) narrow the sites of every mark not yet
     placed, and a placement that leaves one of them no site is dropped.
     `placements` asks for an LP only at a complete placement, on the
-    fiber of its one marked type (`_materialize`).  `scan_fibers` clears
-    the points' denominators once, so every row it builds holds only ints.
+    fiber of its one marked type (`_materialize`).  `scan_fibers` reads
+    the points' cleared form, so every row it builds holds only ints.
     """
 
     def __init__(self, core):
         self.core = core
         self.coeffs = path_coefficients(core)
         edges, nv = core.edges, core.n_vertices()
-        # sites: vertices, edges and non-contracted legs, a mark anywhere along one
+        # sites: vertices, edges and non-contracted legs, a mark anywhere along one;
+        # anchor -> its sites past its own vertex (index, edge slid on, slope, minus
+        # slope): an edge from its tail, a leg from its root with edge -1
         self.sites = [("vertex", v) for v in range(nv)]
-        self.sites += [("edge", i) for i in range(len(edges))]
-        self.sites += [("leg", j) for j, leg in enumerate(core.legs) if not leg.is_contracted()]
-        # anchor -> its sites (index, edge slid on, slope, (minus slope,)): a vertex itself,
-        # an edge from its tail, a leg from its root with edge -1, the first of no path
-        self.at = [[(v, None, None, None)] for v in range(nv)]
-        for i, (kind, idx) in enumerate(self.sites[nv:], nv):
-            u, (x, y) = (edges[idx].u, edges[idx].slope) if kind == "edge" else core.legs[idx]
-            self.at[u].append((i, idx if kind == "edge" else -1, (x, y), ((-x, -y),)))
+        self.at = [[] for _ in range(nv)]
+        for kind, pieces in (("edge", edges), ("leg", core.legs)):
+            for idx, (u, (x, y)) in enumerate((p[0], p.slope) for p in pieces):
+                if kind == "edge" or x or y:
+                    self.at[u].append((len(self.sites), idx if kind == "edge" else -1, (x, y), (-x, -y)))
+                    self.sites.append((kind, idx))
+        self.every = [sum(1 << i for i, *_ in at) | 1 << u for u, at in enumerate(self.at)]  # each anchor's sites
         # the tree path_coefficients runs along, walked breadth first from each
-        # anchor u: each vertex v with its parent's place (from 1), (its step,),
+        # anchor u: each vertex v with its parent's place (from 1), its step,
         # the path's first and last edge, and the last one's site bit if at v
         tree = [[] for _ in range(nv)]
         for j in (next(reversed(c)) for c in self.coeffs[1:]):  # each vertex's own tree edge
             x, y, (sx, sy) = edges[j]
-            tree[x].append((y, j, ((sx, sy),), 0))
-            tree[y].append((x, j, ((-sx, -sy),), 1 << nv + j))
-        self.walks = [[(u, 0, (), None, None, 0)] for u in range(nv)]
+            tree[x].append((y, j, (sx, sy), 0))
+            tree[y].append((x, j, (-sx, -sy), 1 << nv + j))
+        self.walks = [[(u, 0, (0, 0), None, None, 0)] for u in range(nv)]
         for walk in self.walks:
             for p, (x, _p, _s, first, last, _skip) in enumerate(walk, 1):
                 for y, j, step, skip in tree[x]:
@@ -338,35 +340,76 @@ class _CoreScanner:
         generator's span, tau <= length).  It is exact for trees, whose
         path lengths are free; with cycles the cycle equations are
         dropped, so the cone only over-approximates, and the placement
-        LPs, which carry the cycle rows, decide.  Each site's slope is
-        classified against w once, and one walk of the tree from each
-        anchor u folds one step per vertex v (`_fold`); its first and last
-        edge say whether it traverses a's edge or b's.  A site a at u folds
-        its own generator onto that; if the cone still misses w, a site b at
-        v closes it with one cross product: ahead of w, left with b x right
-        < 0, or right with left x b < 0 (a generator past the nearest on its
-        side cannot close a gap the nearest leaves open)."""
+        LPs, which carry the cycle rows, decide.
+
+        Each site's slope is classified against w once per table.  One
+        walk of the tree from each anchor u folds one step per vertex v
+        inline, as `_fold` folds a list, into (ahead, left, right): whether
+        a generator is a positive multiple of w, and the ones nearest w on
+        either side; its first and last edge say whether it traverses a's
+        edge or b's.  A site a at u adds its own generator, minus its slope,
+        to that; the cone holds w when one is ahead or left x right < 0.
+        Otherwise a site b at v closes it with one cross product: ahead of
+        w, left with b x right < 0, or right with left x b < 0 (a generator
+        past the nearest on its side cannot close a gap the nearest leaves
+        open)."""
         wx, wy = w
-        # per anchor: all sites and those along w as masks, those off w's line as (bit, slope, left of w)
-        every = [sum(1 << i for i, *_ in at) for at in self.at]
-        along = [sum(1 << i for i, _e, s, _n in at if s and wx * s[1] == wy * s[0] and wx * s[0] + wy * s[1] > 0)
-                 for at in self.at]
-        sides = [[(1 << i, s, wx * s[1] > wy * s[0]) for i, _e, s, _n in at if s and wx * s[1] != wy * s[0]]
-                 for at in self.at]
+        # per anchor: its sites along w as a mask, those off w's line as (bit,
+        # slope, left of w), and each site's own generator, minus its slope, as
+        # (index, edge, ahead, left, right), as `_fold` would leave it alone;
+        # a vertex site adds none
+        along, sides, leaving = [], [], []
+        for u, at in enumerate(self.at):
+            m, off, own = 0, [], [(u, None, False, None, None)]
+            for i, e, s, neg in at:
+                x, y = s
+                side = wx * y - wy * x
+                if side > 0:
+                    off.append((1 << i, s, True))
+                    own.append((i, e, False, None, neg))
+                elif side < 0:
+                    off.append((1 << i, s, False))
+                    own.append((i, e, False, neg, None))
+                else:
+                    dot = wx * x + wy * y
+                    m |= (dot > 0) << i
+                    own.append((i, e, dot < 0, None, None))
+            along.append(m)
+            sides.append(off)
+            leaving.append(own)
+        every = self.every
         fits = [0] * len(self.sites)
         for u, walk in enumerate(self.walks):
             folded = [(False, None, None)]  # the empty path, then u -> v for each v walked
             for v, p, step, first, _last, skip in walk:
-                folded.append(base := _fold(step, w, folded[p]))
-                for a, ea, _s, neg in self.at[u]:
-                    seen = _fold(neg, w, base) if neg and ea != first else base
-                    if _holds(seen):
+                ahead, left, right = folded[p]
+                sx, sy = step
+                side = wx * sy - wy * sx
+                if side > 0:
+                    if left is None or sx * left[1] - sy * left[0] > 0:
+                        left = step
+                elif side < 0:
+                    if right is None or right[0] * sy - right[1] * sx > 0:
+                        right = step
+                elif sx * wx + sy * wy > 0:
+                    ahead = True
+                folded.append((ahead, left, right))
+                for a, ea, a_ahead, a_left, a_right in leaving[u]:
+                    l, r = left, right
+                    if ea != first:  # the path does not traverse a's edge
+                        if a_left and (l is None or a_left[0] * l[1] - a_left[1] * l[0] > 0):
+                            l = a_left
+                        elif a_right and (r is None or r[0] * a_right[1] - r[1] * a_right[0] > 0):
+                            r = a_right
+                        elif a_ahead:
+                            fits[a] |= every[v]
+                            continue
+                    if ahead or (l and r and l[0] * r[1] < l[1] * r[0]):
                         fits[a] |= every[v]
                         continue
-                    _ahead, left, right = seen
                     m = along[v]
                     for bit, (x, y), is_left in sides[v]:
-                        if (right and x * right[1] < y * right[0]) if is_left else (left and left[0] * y < left[1] * x):
+                        if (r and x * r[1] < y * r[0]) if is_left else (l and l[0] * y < l[1] * x):
                             m |= bit
                     fits[a] |= m & ~skip
         back = [0] * len(fits)
@@ -390,8 +433,19 @@ class _CoreScanner:
         if some later mark has none left (forward checking): adding
         2^len(sites) - 1 to a field carries into its guard iff it is
         nonzero.  A domain's sites are visited lowest bit first, in site
-        order.  Depth k packs its rows on its first visit, each table built
-        when first needed, so a depth never reached builds none.
+        order.  Depth k works out its directions and packs its rows on its
+        first visit, each table built when first needed, so a depth never
+        reached builds none.
+
+        Before the walk, one chain pass narrows the domains: with the marks
+        sorted by their points' (x, y), each consecutive pair whose
+        direction is one of depth 0's tables passes the earlier mark's
+        domain forward through the fits rows, then, in reverse, the later
+        mark's back through the back rows.  A placement that passes every
+        pair test passes these links, so the walk starts from the narrowed
+        domains and yields the same placements; a core where one empties
+        is refuted before any walk node.  Depth 0's tables are the ones the
+        walk fetches first, so the pass builds no other.
 
         Only a complete placement asks for an LP, and only when some
         prefix needs one: from its third mark on, or from its second on a
@@ -411,10 +465,27 @@ class _CoreScanner:
         full = (1 << width - 1) - 1  # a field's sites
         # depth k -> each table half (direction, side) it reads -> a 1 in the field of each mark reading it
         fields = [{} for _ in range(n)]
-        for k, j in itertools.combinations(range(n), 2):
-            half = _direction(points[k], points[j])
-            fields[k][half] = fields[k].get(half, 0) | 1 << (j - k - 1) * width
         cols = [None] * n  # depth k -> (col, full * ones, guards) once visited
+
+        def fetch(k):
+            for j in range(k + 1, n):
+                half = _direction(points[k], points[j])
+                fields[k][half] = fields[k].get(half, 0) | 1 << (j - k - 1) * width
+            tables.update((w, self.pair_table(w)) for w, _side in fields[k] if w not in tables)
+
+        doms = [full] * n
+        if n:
+            fetch(0)  # depth 0's tables, the walk's first
+            chain = sorted(range(n), key=points.__getitem__)
+            # (x, y) order makes each link's later point lie ahead of its earlier one
+            links = [(a, b, tables.get(_direction(points[a], points[b])[0])) for a, b in zip(chain, chain[1:])]
+            links = [link for link in links if link[2]]
+            for a, b, (fits, _back) in links:
+                doms[b] &= _reach(fits, doms[a])
+            for a, b, (_fits, back) in reversed(links):
+                doms[a] &= _reach(back, doms[b])
+            if not all(doms):
+                return
 
         def feasible(assignment):
             """Is the fiber of the assignment's marked type nonempty?"""
@@ -428,7 +499,8 @@ class _CoreScanner:
                     yield assignment
                 return
             if cols[k] is None:
-                tables.update((w, self.pair_table(w)) for w, _side in fields[k] if w not in tables)
+                if k:
+                    fetch(k)
                 col, ones = [0] * len(sites), sum(fields[k].values())  # ones: a 1 in each later field
                 for (w, side), marks in fields[k].items():
                     col = [c | h * marks for c, h in zip(col, tables[w][side])]
@@ -444,7 +516,17 @@ class _CoreScanner:
                     yield from place(assignment + (sites[i],), later)
                 dom ^= low
 
-        yield from place((), full * sum(1 << m * width for m in range(n)))
+        yield from place((), sum(dom << m * width for m, dom in enumerate(doms)))
+
+
+def _reach(rows, dom):
+    """The union of rows[i] over the bits i set in dom."""
+    out = 0
+    while dom:
+        low = dom & -dom
+        out |= rows[low.bit_length() - 1]
+        dom ^= low
+    return out
 
 
 def _direction(p, q):
@@ -527,8 +609,9 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     (`_CoreScanner.placements`).  A complete placement that passes every
     pair test is then decided by one exact LP: is the fiber of its one
     marked type (`_materialize`), over the edge lengths
-    (`cones.fiber_rows`), nonempty?  The points are multiplied once by
-    the lcm of their denominators, so the LPs and cone tests run on ints.
+    (`cones.fiber_rows`), nonempty?  The scan reads the points times the
+    lcm of their denominators from `cfg.cleared`, made once per
+    configuration, so the LPs and cone tests run on ints.
     Site assignments that survive all points come out in lexicographic
     order of site indices, each with a nonempty fiber, and each new
     marked type is classified exactly over cfg itself.  The hits come out
@@ -551,7 +634,7 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     order = _scan_order(n)
     # every scan LP is {A x = b, x >= 0} with b a point difference, so
     # scaling the points by L > 0 scales solutions by L: same verdicts
-    _scale, pts = integer_points(cfg.points)
+    _scale, pts = cfg.cleared
     pts = [pts[i] for i in order]
     results = {}
     for core in cores:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from tropcurves.cones import expand_lengths, reduced_fiber_polyhedron
 from tropcurves.graphs import CombinatorialType, ParametrizedCurve, check_balancing, exact, face_contract
@@ -41,11 +42,12 @@ class PointConfiguration:
     def __len__(self):
         return len(self.points)
 
-
-def integer_points(points):
-    """(L, the points times L as int pairs), L the lcm of their denominators."""
-    scale, flat = clear_denominators([c for p in points for c in p])
-    return scale, list(zip(flat[::2], flat[1::2]))
+    @cached_property
+    def cleared(self):
+        """(L, the points times L as int pairs), L the lcm of their
+        denominators: worked out on the first read, then kept."""
+        scale, flat = clear_denominators([c for p in self.points for c in p])
+        return scale, tuple(zip(flat[::2], flat[1::2]))
 
 
 @dataclass(frozen=True)
@@ -119,21 +121,32 @@ def fiber(t: CombinatorialType, cfg: PointConfiguration):
     """Exact description of the evaluation fiber of ``t`` over ``cfg``.
 
     Positions are eliminated along a spanning tree, so all simplex work
-    happens over the edge-length coordinates.  One LP decides the fiber:
-    `Polyhedron.interior_point` is None when it is empty, and a unit row
-    {i: 1} pins each length that point leaves at 0, which vanishes on the
-    whole fiber; `solve_affine` on the fiber's own dict rows and these
+    happens over the edge-length coordinates.  `solve_affine` on the
+    fiber's own dict rows comes first: no solution is an empty fiber, and
+    a unique one is empty when a length is negative and otherwise is the
+    point fiber, on ints.  Only a hull with a free direction takes an LP:
+    `Polyhedron.interior_point` is None when the fiber is empty, and a
+    unit row {i: 1} pins each length that point leaves at 0, which
+    vanishes on the whole fiber; `solve_affine` on the rows and these
     then gives the affine hull, its dimension and the geometry on ints.
+    A unique solution's zeros are exactly the unit rows that LP would add,
+    so both ways give one description.
     """
     _check_input(t, cfg)
     P, coeffs = reduced_fiber_polyhedron(t, cfg.points)
     cone_dim = _cone_dim(t)
-    interior = P.interior_point()
-    if interior is None:
+    sol = solve_affine(P.rows, P.rhs, P.n)
+    if sol is not None and sol[1]:  # a free direction: the LP decides
+        interior = P.interior_point()
+        if interior is None:
+            sol = None
+        else:
+            units = [{i: 1} for i, x in enumerate(interior) if not x]
+            sol = solve_affine(P.rows + units, P.rhs + [0] * len(units), P.n)
+    elif sol is not None and min(sol[0][1], default=0) < 0:
+        sol = None  # the one solution has a negative length
+    if sol is None:
         return FiberDescription("empty", -1, cone_dim)
-    units = [{i: 1} for i, x in enumerate(interior) if not x]
-    sol = solve_affine(P.rows + units, P.rhs + [0] * len(units), P.n)
-    assert sol is not None
     (scale, ints), basis = sol
     l0 = [F(x, scale) for x in ints]
     dim = len(basis)

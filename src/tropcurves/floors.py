@@ -30,7 +30,7 @@ from math import factorial
 from typing import NamedTuple
 
 from tropcurves.errors import ScaleRefusal
-from tropcurves.evaluation import PointConfiguration, integer_points
+from tropcurves.evaluation import PointConfiguration
 from tropcurves.graphs import CombinatorialType, Edge, Leg, ParametrizedCurve, components
 
 F = Fraction
@@ -139,6 +139,10 @@ class StretchedConfig:
     @property
     def points(self):
         return self.config.points
+
+    @property
+    def cleared(self):
+        return self.config.cleared
 
     def __len__(self):
         return len(self.config)
@@ -360,11 +364,11 @@ def diagram_curve(diag: FloorDiagram, cfg):
     mark's height then shifts the heights into place.  Returns None when
     the diagram admits no curve over this configuration (two events of a
     floor share an x, an elevator length fails to be positive, or a mark
-    misses its object).  cfg is a point configuration, or the pair
-    (L, int points) that `integer_points` makes of one, which is how
-    `enumerate_curves` clears its points once for all its diagrams.
+    misses its object).  cfg is a `PointConfiguration` or a
+    `StretchedConfig`, and its `cleared` form is made on its first read,
+    so `enumerate_curves` clears its points once for all its diagrams.
     """
-    scale, points = cfg if isinstance(cfg, tuple) else integer_points(cfg.points)
+    scale, points = cfg.cleared
     d, n = diag.d, diag.n_marks()
     # (x, slope change, slot) per floor, slot 2k (2k + 1) elevator k's top
     # (bottom) vertex; DOWN and UP land in buckets d + 2 and d + 1, unread
@@ -450,9 +454,8 @@ def _curves(d, g, cfg):
         return
     if cfg is None:
         cfg = make_stretched(3 * d + g - 1, d)
-    cleared = integer_points(cfg.points)
     for i, diag in enumerate(_marked_diagrams(d, g)):
-        curve = diagram_curve(diag, cleared)
+        curve = diagram_curve(diag, cfg)
         if curve is None:
             raise ValueError(
                 f"diagram {i} has no curve through the points: the floor method needs them stretched, top down"

@@ -32,8 +32,8 @@ are ints over `den` and its direction ints over `dscale`.  The start's
 diagram is unranked from the seed (`floors.unrank_diagram`), not picked
 from a list, and its lengths are the integer form of the mark-forgotten
 curve; the fiber line is solved over the points times their lcm,
-cleared once per walk by `start_walk`, which leaves its direction as it
-was, and `solve_affine` answers it on ints;
+the pinned configuration's `cleared` form, made once per walk, which
+leaves its direction as it was, and `solve_affine` answers it on ints;
 the next wall is picked, and the wall lengths built over -b_k·den, on
 those ints; positions and velocities are built on ints along the tree
 edges (`cones.integer_positions`); and (k, r) is read from
@@ -61,7 +61,7 @@ from tropcurves.cones import (
     split_vertex,
 )
 from tropcurves.errors import WalkError
-from tropcurves.evaluation import PointConfiguration, integer_points
+from tropcurves.evaluation import PointConfiguration
 from tropcurves.floors import diagram_curve, floors_of, make_stretched, top_floor_check, unrank_diagram
 from tropcurves.graphs import (
     CombinatorialType,
@@ -108,8 +108,7 @@ class WalkState(NamedTuple):
     den: int  # positive denominator of the lengths
     direction: tuple  # motion direction in length coordinates, as ints over dscale
     dscale: int  # positive denominator of the direction
-    fixed: PointConfiguration  # the n-1 pinned points
-    points: tuple  # the pinned points times their lcm, as int pairs
+    fixed: PointConfiguration  # the n-1 pinned points, cleared once per walk
     elevator: int  # edge index of E
     floor_index: int  # k: host floor of E, counted from the bottom
     ladder: int  # r
@@ -245,11 +244,10 @@ def start_walk(d, g, cfg=None, seed=0):
     (mobile_mark,) = [e.mark for e in diag.elevators if e.top == diag.d]
     new_curve, elevator = _forget_mark(curve, mobile_mark - 1)
     fixed = PointConfiguration(tuple(p for i, p in enumerate(cfg.points) if i != mobile_mark - 1))
-    points = tuple(integer_points(fixed.points)[1])  # cleared once per walk
     t, den, ints = new_curve.ctype, new_curve.den, new_curve.ints
     if not classify(t).is_nice():
         raise WalkError("initial stratum is not nice")
-    dscale, v, coeffs = _fiber_line(t, points)
+    dscale, v, coeffs = _fiber_line(t, fixed.cleared[1])
     ne = len(t.edges)
     positions = list(zip(ints[ne::2], ints[ne + 1 :: 2]))  # times den
     k, r, x_target = _ladder(t, positions, elevator)
@@ -266,7 +264,6 @@ def start_walk(d, g, cfg=None, seed=0):
         direction=tuple(v),
         dscale=dscale,
         fixed=fixed,
-        points=points,
         elevator=elevator,
         floor_index=k,
         ladder=r,
@@ -401,7 +398,7 @@ def cross(state: WalkState, event: WallEvent, partner):
     lengths = [0] * len(new_type.edges)
     for old, new in event.edge_map.items():
         lengths[new] = state.lengths[old]
-    dscale, v, coeffs = _fiber_line(new_type, state.points)
+    dscale, v, coeffs = _fiber_line(new_type, state.fixed.cleared[1])
     if v[new_edge] == 0:
         raise WalkError("fiber direction ignores the resolving edge")
     if v[new_edge] < 0:

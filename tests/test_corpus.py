@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -40,7 +41,7 @@ from tropcurves.corpus import (
     is_general,
     scan_fibers,
 )
-from tropcurves.evaluation import PointConfiguration, fiber, integer_points
+from tropcurves.evaluation import PointConfiguration, fiber
 from tropcurves.floors import enumerate_curves, is_vertically_stretched, make_stretched
 from tropcurves.graphs import CombinatorialType, Edge, Leg, check_balancing
 from tropcurves.linalg import feasible_nonneg
@@ -439,7 +440,7 @@ def test_placements_match_reference_walk(monkeypatch, make_cfg):
     # core of degree 2 and Betti number at most 1 keeps its assignments
     # and their order
     cfg = make_cfg()
-    _scale, pts = integer_points(cfg.points)
+    _scale, pts = cfg.cleared
     pts = [pts[i] for i in _scan_order(len(pts))]
     lps = count_lps(monkeypatch)
     for core in enumerate_cores(2, 0) + enumerate_cores(2, 1):
@@ -462,7 +463,7 @@ def test_placements_build_each_table_once_per_call(points):
     # for the next: each call builds each direction at most once, those
     # of every depth down to the deepest it reaches and no others, so
     # points on a line build one table per core
-    _scale, pts = integer_points(points)
+    _scale, pts = PointConfiguration(points).cleared
     pts = [pts[i] for i in _scan_order(len(pts))]
     reached = [set()]  # the directions of depths 0..k, for each k
     for k, p in enumerate(pts[:-1]):
@@ -488,12 +489,58 @@ def test_placements_build_each_table_once_per_call(points):
         assert min(sizes) < len(reached[-1]) == max(sizes)
 
 
+def walk_nodes(placements):
+    """(the placements listed, the number of walk nodes `placements` made
+    for them): calls of its inner `place`, counted by a profile hook."""
+    nodes = []
+    code = _CoreScanner.placements.__code__
+
+    def hook(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name == "place" and frame.f_code.co_filename == code.co_filename:
+            nodes.append(None)
+
+    sys.setprofile(hook)
+    try:
+        listed = list(placements)
+    finally:
+        sys.setprofile(None)
+    return listed, len(nodes)
+
+
+def test_chain_pass_refutes_cores_before_the_walk():
+    # on points on a line one table serves every consecutive pair of marks
+    # in (x, y) order, and passing each domain forward through its fits
+    # rows alone leaves some mark no site on 148 of the 207 cores of degree
+    # 2 and Betti number at most 1: placements makes no walk node on them,
+    # and the walk with neither forward checking nor LPs reaches no
+    # complete placement there either
+    _scale, pts = make_stretched(5, 2).config.cleared
+    pts = [pts[i] for i in _scan_order(len(pts))]
+    chain = sorted(range(len(pts)), key=pts.__getitem__)
+    cores = enumerate_cores(2, 0) + enumerate_cores(2, 1)
+    refuted = walked = 0
+    for core in cores:
+        scanner = _CoreScanner(core)
+        fits, _back = site_sets(scanner, scanner.pair_table(_direction(pts[chain[0]], pts[chain[1]])[0]))
+        domain = set(scanner.sites)
+        for _link in chain[1:]:
+            domain = set().union(*(fits[a] for a in domain))
+        listed, nodes = walk_nodes(scanner.placements(pts))
+        if domain:
+            walked += nodes > 0
+            continue
+        refuted += 1
+        assert (listed, nodes) == ([], 0), core
+        assert not list(reference_placements(scanner, pts, lp=False)), core
+    assert (len(cores), refuted, walked) == (207, 148, 59)
+
+
 def test_scan_lp_verdict_is_fiber_emptiness():
     # the LP a complete placement asks for, on its marked type's fiber
     # rows, says nonempty exactly when `fiber`, on its own relative-interior
     # LP, does: over every placement the pair tables alone allow, so the
     # rejected ones are checked too
-    _scale, pts = integer_points(FRACTIONAL_POINTS)
+    _scale, pts = PointConfiguration(FRACTIONAL_POINTS).cleared
     pts = [pts[i] for i in _scan_order(len(pts))]
     cfg = PointConfiguration(tuple(pts))
     verdicts = []
@@ -519,7 +566,7 @@ def test_pair_tables_match_per_pair_cone_tests():
     ]
     directions = {(1, 0), (0, 1), (1, 1), (1, -1), (1, -500)}
     for points in configs:
-        _scale, pts = integer_points(points)
+        _scale, pts = PointConfiguration(points).cleared
         directions |= {_direction(p, q)[0] for p, q in itertools.combinations(pts, 2)}
     assert len(directions) == 22
     for core in enumerate_cores(2, 0) + enumerate_cores(2, 1):
@@ -636,7 +683,7 @@ def test_one_ordering_of_a_shared_site_has_a_fiber():
     # of every ordering of the marks sharing an edge or a leg, exactly one
     # has a nonempty fiber, and it is the one type the scan builds
     cfg = PointConfiguration(FORCED_ZERO_POINTS)
-    _scale, pts = integer_points(cfg.points)
+    _scale, pts = cfg.cleared
     order = _scan_order(len(pts))
     pts = [pts[i] for i in order]
     shared = 0

@@ -11,12 +11,13 @@ prints `SCANS[i]`.  Run the checks with
 import os
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 from fixtures import FORCED_ZERO_POINTS, FRACTIONAL_POINTS, affine_image, balanced_type, start_stratum
 
-from tropcurves.corpus import scan_fibers
+from tropcurves.corpus import enumerate_cores, scan_fibers
 from tropcurves.evaluation import PointConfiguration
 from tropcurves.floors import make_stretched
 from tropcurves.serialize import config_to_json, dumps, fiber_to_json, type_to_json
@@ -62,6 +63,12 @@ SCANS = [
     lambda: scan_fibers(2, 1, PointConfiguration(FRACTIONAL_POINTS)),
     # the only tier-1 scan where marks share an edge or a leg
     lambda: scan_fibers(2, 0, PointConfiguration(FORCED_ZERO_POINTS)),
+    # collinear d = 3 over three trivalent cores: the chain pass refutes the
+    # first before any walk node, the second is walked to no hit, and the
+    # third hosts solutions
+    lambda: scan_fibers(
+        3, 0, make_stretched(8, 3).config, cores=itemgetter(0, 4, 641)(enumerate_cores(3, 0, max_valency=3))
+    ),
 ]
 
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("demo_*.py"))

@@ -127,22 +127,25 @@ def test_curves_frozen_on_irregular_points():
 
 
 def test_enumerate_curves_clears_its_points_once(monkeypatch):
-    # every diagram is built over one clearing of the configuration, and
-    # builds the curve diagram_curve builds from the configuration itself
-    import tropcurves.floors
-    from tropcurves.evaluation import integer_points
+    # every diagram is built over one clearing of the configuration, kept
+    # on it, and an equal configuration of its own clears its points once
+    # and builds the same curves
+    import tropcurves.evaluation
 
     calls = []
+    clear = tropcurves.evaluation.clear_denominators
 
-    def counting(points):
-        calls.append(points)
-        return integer_points(points)
+    def counting(values):
+        calls.append(values)
+        return clear(values)
 
-    monkeypatch.setattr(tropcurves.floors, "integer_points", counting)
+    monkeypatch.setattr(tropcurves.evaluation, "clear_denominators", counting)
     cfg = make_stretched(11, 4)
     solutions = enumerate_curves(4, 0, cfg)
-    assert len(solutions) == 303 and calls == [cfg.points]
-    assert all(diagram_curve(diag, cfg) == curve for diag, curve in solutions[::31])
+    assert len(solutions) == 303 and calls == [[c for p in cfg.points for c in p]]
+    again = make_stretched(11, 4)
+    assert all(diagram_curve(diag, again) == curve for diag, curve in solutions[::31])
+    assert len(calls) == 2
 
 
 def test_points_outside_the_floor_method_are_refused():

@@ -52,22 +52,24 @@ def test_walk_refuses_a_seed_that_is_not_an_int(seed):
 
 
 def test_walk_clears_its_points_once(monkeypatch):
-    # start_walk clears the pinned points; every fiber solve reads them
-    import tropcurves.walk
-    from tropcurves.evaluation import integer_points
+    # each configuration clears its points once: the stretched points for
+    # the start curve, then the pinned points, which every fiber solve reads
+    import tropcurves.evaluation
 
     calls = []
+    clear = tropcurves.evaluation.clear_denominators
 
-    def counting(points):
-        calls.append(points)
-        return integer_points(points)
+    def counting(values):
+        calls.append(values)
+        return clear(values)
 
-    monkeypatch.setattr(tropcurves.walk, "integer_points", counting)
+    monkeypatch.setattr(tropcurves.evaluation, "clear_denominators", counting)
     for d, g, seed in ((3, 0, 8), (4, 2, 3)):
         calls.clear()
         trace = run_walk(d, g, None, seed)
         assert trace.crossings > 0
-        assert len(calls) == 1, (d, g, seed)
+        n = 3 * d + g - 1
+        assert [len(values) for values in calls] == [2 * n, 2 * (n - 1)], (d, g, seed)
 
 
 def test_walk_records_are_immutable():
