@@ -5,10 +5,11 @@ Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
 2014).  The first coloring ranks each vertex's (weight, valency); a
 refinement round ranks each vertex's (color, sorted (germ slope,
 neighbor color) pairs, sorted leg tags), and refinement stops at the
-first round that splits no cell or leaves every vertex its own.  A coloring that is not discrete
-individualizes each vertex of its least non-singleton cell in turn, and
-a discrete coloring is its own labeling.  Each leg's tag, and each
-vertex's sorted tuple of them, is computed once per call.
+first round that splits no cell or leaves every vertex its own.  A
+coloring that is not discrete individualizes each vertex of its least
+non-singleton cell in turn, and a discrete coloring is its own labeling.
+Each leg's tag, and each vertex's sorted tuple of them, is computed once
+per call.
 
 The canonical encoding makes type equality a tuple comparison, and the
 number of leaf labelings that achieve the minimal encoding equals the

@@ -52,9 +52,9 @@ def test_betti_one_cores_degree_three():
 def test_cubic_configuration_is_general(monkeypatch, shift):
     # the full genus-0 scan at d = 3: all 6422 tree cores, 8 points on a
     # line, or moved off it, where points j and k lie along a direction
-    # fixed by j + k: 13 pair tables per core instead of one, so the
-    # shifted scan takes about 36 s against 7 s on the line, most of the
-    # difference in building the extra tables
+    # fixed by j + k: up to 13 pair tables per core instead of one, so
+    # the shifted test takes about 7-8 s against 1.5-2.3 s on the line on
+    # a 2-core VM, most of the difference in building the extra tables
     cfg = make_stretched(8, 3)
     if shift is not None:
         cfg = shifted(cfg, shift)
