@@ -299,15 +299,19 @@ class _CoreScanner:
         edges, nv = core.edges, core.n_vertices()
         # sites: vertices, edges and non-contracted legs, a mark anywhere along one;
         # anchor -> its sites past its own vertex (index, edge slid on, slope, minus
-        # slope): an edge from its tail, a leg from its root with edge -1
+        # slope): an edge from its tail, a leg from its root with edge -1, the first
+        # of no path
         self.sites = [("vertex", v) for v in range(nv)]
         self.at = [[] for _ in range(nv)]
+        self.every = [1 << v for v in range(nv)]  # each anchor's sites as a mask
         for kind, pieces in (("edge", edges), ("leg", core.legs)):
-            for idx, (u, (x, y)) in enumerate((p[0], p.slope) for p in pieces):
+            for idx, piece in enumerate(pieces):
+                x, y = s = piece.slope
                 if kind == "edge" or x or y:
-                    self.at[u].append((len(self.sites), idx if kind == "edge" else -1, (x, y), (-x, -y)))
+                    i, u = len(self.sites), piece[0]
+                    self.at[u].append((i, idx if kind == "edge" else -1, s, (-x, -y)))
+                    self.every[u] |= 1 << i
                     self.sites.append((kind, idx))
-        self.every = [sum(1 << i for i, *_ in at) | 1 << u for u, at in enumerate(self.at)]  # each anchor's sites
         # the tree path_coefficients runs along, walked breadth first from each
         # anchor u: each vertex v with its parent's place (from 1), its step,
         # the path's first and last edge, and the last one's site bit if at v
@@ -355,9 +359,8 @@ class _CoreScanner:
         open)."""
         wx, wy = w
         # per anchor: its sites along w as a mask, those off w's line as (bit,
-        # slope, left of w), and each site's own generator, minus its slope, as
-        # (index, edge, ahead, left, right), as `_fold` would leave it alone;
-        # a vertex site adds none
+        # slope, left of w), and each site's own generator, minus its slope,
+        # folded alone: (index, edge, ahead, left, right); a vertex adds none
         along, sides, leaving = [], [], []
         for u, at in enumerate(self.at):
             m, off, own = 0, [], [(u, None, False, None, None)]
