@@ -499,11 +499,12 @@ def walk_nodes(placements):
         if event == "call" and frame.f_code.co_name == "place" and frame.f_code.co_filename == code.co_filename:
             nodes.append(None)
 
+    outer = sys.getprofile()
     sys.setprofile(hook)
     try:
         listed = list(placements)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     return listed, len(nodes)
 
 
