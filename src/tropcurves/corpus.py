@@ -31,33 +31,17 @@ The corpus of degree-d, genus-g types is produced and read in three stages:
     angle, and both coordinates of a vector between two points of that
     triangle lie in [-d, d].
 
-2.  `scan_fibers(d, g, cfg)` -- all ways of attaching len(cfg) contracted
-    legs to a core, walked depth first and pruned by pair tests (one
-    table of site masks per direction between two points; exact for
-    trees, a sound relaxation of the cycle rows otherwise), which drop a
-    placement as soon as some later mark has no site left.  A table
-    classifies each site's slope against its direction w once, walks the
-    tree once from each anchor, folding one step per vertex inline, and
-    decides each site pair with one cross product; the later marks'
-    domains travel packed in one int.  Before the walk, one chain pass
-    over the marks in (x, y) order narrows each domain through the
-    tables of depth 0, so a core where one empties is refuted before any
-    walk node.  A complete placement that passes every pair test builds
-    its one marked type, its marks sharing an edge or a leg in the order
-    their points fix, and one exact LP on its fiber (`cones.fiber_rows`)
-    decides.  The points are read on ints, from the configuration's
-    `cleared` form, made once per configuration.  Every marked type
-    whose fiber over cfg is nonempty appears in the scan; all others
-    have empty fibers by construction.
+2.  `scan_fibers(d, g, cfg)` -- every marked type over a genus-g core
+    whose fiber over cfg is nonempty: the placements of len(cfg)
+    contracted legs on each core, pruned by planar pair tests
+    (`_CoreScanner.pair_table`), walked depth first and, where those
+    tests are not exact, settled by one LP on the fiber
+    (`_CoreScanner.placements`).  Decorated types reduce onto these
+    cores; `scan_fibers` states the reduction.
 
 3.  `is_general(cfg, d, g)` -- no scan below genus g has a hit, and
-    every hit at genus g has codimension 2 len(cfg).  Past MAX_DEGREE
-    and MAX_BETTI, where the first two stages refuse, it is "unknown".
-
-Decorated types -- with vertex weights, contracted loops or contracted
-bridges -- need no stage of their own: each reduces onto a weightless
-core of genus at most g with the same marked points (see `scan_fibers`),
-so scanning the cores of every genus g' <= g certifies them too.
+    every hit at genus g has codimension 2 len(cfg).  Where it answers
+    "unknown" instead is stated once, in its own docstring.
 
 Unrealizable types (empty open cone) are dropped everywhere: they bound
 no stratum of the moduli space.
@@ -82,10 +66,15 @@ MAX_DEGREE = 3
 MAX_BETTI = 1
 
 
-def _fold(gens, w):
-    """Fold generators against a nonzero w into (ahead, left, right):
-    whether one is a positive multiple of w, and the ones nearest w
-    counterclockwise and clockwise of it (None if none)."""
+def _cone_contains(gens, w):
+    """Exact 2D test: is w a nonnegative combination of the generators?
+    w = 0 always is; any other w takes one O(n) fold into (ahead, left,
+    right): whether a generator is a positive multiple of w, and the ones
+    nearest w counterclockwise and clockwise of it.  w is inside when one
+    is ahead, or the nearest on either side span less than a half-turn
+    through w, det(left, right) < 0."""
+    if w == (0, 0):
+        return True
     ahead, left, right = False, None, None
     wx, wy = w
     for g in gens:
@@ -99,17 +88,6 @@ def _fold(gens, w):
                 right = g
         elif gx * wx + gy * wy > 0:
             ahead = True
-    return ahead, left, right
-
-
-def _cone_contains(gens, w):
-    """Exact 2D test: is w a nonnegative combination of the generators?
-    w = 0 always is; any other w takes one O(n) fold: either a generator
-    is ahead, or the nearest on either side span less than a half-turn
-    through w, det(left, right) < 0."""
-    if w == (0, 0):
-        return True
-    ahead, left, right = _fold(gens, w)
     return ahead or (left is not None and right is not None and left[0] * right[1] < left[1] * right[0])
 
 
@@ -284,14 +262,9 @@ def _cores(d, b1, max_valency=None):
 
 
 class _CoreScanner:
-    """Incidence search over one core.
-
-    The pair tables (`pair_table`) narrow the sites of every mark not yet
-    placed, and a placement that leaves one of them no site is dropped.
-    `placements` asks for an LP only at a complete placement, on the
-    fiber of its one marked type (`_materialize`).  `scan_fibers` reads
-    the points' cleared form, so every row it builds holds only ints.
-    """
+    """Incidence search over one core: its sites, the tree walks its
+    pair tables (`pair_table`) read, and the placement walk
+    (`placements`)."""
 
     def __init__(self, core):
         self.core = core
@@ -348,15 +321,15 @@ class _CoreScanner:
 
         Each site's slope is classified against w once per table.  One
         walk of the tree from each anchor u folds one step per vertex v
-        inline, as `_fold` folds a list, into (ahead, left, right): whether
-        a generator is a positive multiple of w, and the ones nearest w on
-        either side; its first and last edge say whether it traverses a's
-        edge or b's.  A site a at u adds its own generator, minus its slope,
-        to that; the cone holds w when one is ahead or left x right < 0.
-        Otherwise a site b at v closes it with one cross product: ahead of
-        w, left with b x right < 0, or right with left x b < 0 (a generator
-        past the nearest on its side cannot close a gap the nearest leaves
-        open)."""
+        inline, as `_cone_contains` folds a list, into (ahead, left,
+        right): whether a generator is a positive multiple of w, and the
+        ones nearest w on either side; its first and last edge say
+        whether it traverses a's edge or b's.  A site a at u adds its own
+        generator, minus its slope, to that; the cone holds w when one is
+        ahead or left x right < 0.  Otherwise a site b at v closes it with
+        one cross product: ahead of w, left with b x right < 0, or right
+        with left x b < 0 (a generator past the nearest on its side cannot
+        close a gap the nearest leaves open)."""
         wx, wy = w
         # per anchor: its sites along w as a mask, those off w's line as (bit,
         # slope, left of w), and each site's own generator, minus its slope,
@@ -603,24 +576,17 @@ def _attach_mark(t, site):
 def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     """All marked types over pure cores with a nonempty fiber over cfg.
 
-    Branch-and-prune over mark placements on each Betti-g weightless
-    core: points are processed extremes-first, and per core one table of
-    pair tests for each direction between two points
-    (`_CoreScanner.pair_table`) narrows the sites every later mark may
-    take; a placement that leaves some later mark no site is dropped.
-    The placements are walked depth first, in site order
-    (`_CoreScanner.placements`).  A complete placement that passes every
-    pair test is then decided by one exact LP: is the fiber of its one
-    marked type (`_materialize`), over the edge lengths
-    (`cones.fiber_rows`), nonempty?  The scan reads the points times the
-    lcm of their denominators from `cfg.cleared`, made once per
-    configuration, so the LPs and cone tests run on ints.
-    Site assignments that survive all points come out in lexicographic
-    order of site indices, each with a nonempty fiber, and each new
-    marked type is classified exactly over cfg itself.  The hits come out
-    sorted by their own keys, so without `cores` the cores are read as
-    they are generated, unsorted and one at a time: no two cores share a
-    hit key, since forgetting a hit's marks gives back its core.
+    Returns (t, fiber(t, cfg)) for each marked type t over a weightless
+    core of Betti number g and degree d (or over `cores`, when given)
+    whose fiber over cfg is nonempty, its marks in cfg's order, each
+    once and sorted by its canonical key (labeled="contracted").  No two
+    cores share a hit key, since forgetting a hit's marks gives back its
+    core, so without `cores` the cores are read as they are generated,
+    one at a time.  Every marked type left out has an empty fiber.  The
+    scan runs on `cfg.cleared`, the points times the lcm of their
+    denominators: its LPs are {A x = b, x >= 0} with b a point
+    difference, so scaling the points changes no verdict.  The degree
+    and Betti number are checked, and refused, as by `enumerate_cores`.
 
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut
@@ -635,8 +601,6 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     if cores is None:
         cores = _cores(d, g)
     order = _scan_order(n)
-    # every scan LP is {A x = b, x >= 0} with b a point difference, so
-    # scaling the points by L > 0 scales solutions by L: same verdicts
     _scale, pts = cfg.cleared
     pts = [pts[i] for i in order]
     results = {}
@@ -658,9 +622,12 @@ def is_general(cfg, d, g):
     codimension 2n in the closed cone or is empty.  cfg is a
     `PointConfiguration`, anything else with `points` (a
     `StretchedConfig`), or a sequence of points.  The corpus bound is a
-    design contract (slope coordinates at most d).  Past the cores' scale,
-    and at its corner (MAX_DEGREE, MAX_BETTI), whose scan is not
-    certified, the verdict is "unknown" before any scan, never a silent False.
+    design contract (slope coordinates at most d).
+
+    The verdict is "unknown", before any scan and never a silent False,
+    when d > MAX_DEGREE or g > MAX_BETTI, where the scans refuse, and at
+    the corner (d, g) = (MAX_DEGREE, MAX_BETTI), where they answer but
+    are not certified.
     """
     if not isinstance(cfg, PointConfiguration):
         pts = tuple(tuple(p) for p in getattr(cfg, "points", cfg))

@@ -3,7 +3,10 @@
 Each bound is read from the layer that owns it: `floors.MAX_DEGREE` for
 the floor layer and the walk, `arrangements.MAX_LINES` for the marking
 calculus, and `corpus.MAX_DEGREE` and `corpus.MAX_BETTI` for the cores,
-the scan and `is_general`, which answers "unknown" past them.
+the scan and `is_general`, which answers "unknown" past them.  The
+command line exits 3 there with one `scale refusal:` line.  README's
+certified-scale table names each entry point this file calls
+(`tests/test_source.py` checks that it does).
 """
 
 import time
@@ -12,13 +15,14 @@ import pytest
 
 from tropcurves import arrangements, corpus, floors
 from tropcurves.arrangements import empty_criterion, equivalence_classes, marking_avoiding_line
+from tropcurves.cli import main
 from tropcurves.corpus import enumerate_cores, is_general, scan_fibers
 from tropcurves.errors import ScaleRefusal
-from tropcurves.floors import count_severi, enumerate_curves, make_stretched
-from tropcurves.walk import run_walk
+from tropcurves.floors import count_severi, enumerate_curves, make_stretched, solution_diagrams, unrank_diagram
+from tropcurves.walk import run_walk, start_walk
 
 
-def test_every_entry_point_refuses_just_past_its_bound_within_a_second():
+def test_every_entry_point_refuses_just_past_its_bound_within_a_second(capsys):
     d = floors.MAX_DEGREE + 1
     lines = arrangements.MAX_LINES + 1
     core_d = corpus.MAX_DEGREE + 1
@@ -27,6 +31,9 @@ def test_every_entry_point_refuses_just_past_its_bound_within_a_second():
         (count_severi, (d, 0)),
         (enumerate_curves, (d, 0)),
         (enumerate_curves, (d, 0, make_stretched(3 * d - 1, d))),
+        (solution_diagrams, (d, 0)),
+        (unrank_diagram, (d, 0, 0)),
+        (start_walk, (d, 0)),
         (run_walk, (d, 0)),
         (equivalence_classes, (lines, 1)),
         (empty_criterion, (lines, 1)),
@@ -34,12 +41,27 @@ def test_every_entry_point_refuses_just_past_its_bound_within_a_second():
         (enumerate_cores, (core_d, 0)),
         (enumerate_cores, (2, corpus.MAX_BETTI + 1)),
         (scan_fibers, (core_d, 0, cfg)),
+        (scan_fibers, (2, corpus.MAX_BETTI + 1, make_stretched(5, 2))),
     ]
     for call, args in calls:
         start = time.perf_counter()
         with pytest.raises(ScaleRefusal):
             call(*args)
         assert time.perf_counter() - start < 1.0, (call.__name__, args)
+    commands = [
+        f"count --d {d} --g 0",
+        f"enumerate --d {d} --g 0",
+        f"walk --d {d} --g 0",
+        f"markings --d {lines} --delta 1 --classes",
+        f"markings --d {lines} --delta 1 --witness",
+    ]
+    for command in commands:
+        start = time.perf_counter()
+        code = main(command.split())
+        out, err = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0, command
+        assert (code, out) == (3, ""), command
+        assert len(err.splitlines()) == 1 and err.startswith("scale refusal:"), (command, err)
     start = time.perf_counter()
     assert is_general(cfg, core_d, 0) == "unknown"
     assert is_general([(0, 0), (1, -5)], core_d, 0) == "unknown"
