@@ -7,7 +7,9 @@ move swaps the two nodes q = L' cap L'' and r = L cap L'' whenever
 p = L cap L' is unmarked; its transitive closure partitions the markings
 into equivalence classes, and the irreducible markings form exactly one
 class, which `equivalence_classes` verifies at desk scale through the
-one union-find, `graphs.components`.
+one union-find, `graphs.components`.  It, `empty_criterion` and
+`marking_avoiding_line` share the marking layer's one scale check,
+`_check_scale`.
 """
 
 from __future__ import annotations
@@ -102,11 +104,11 @@ def similar_moves(m: MarkingSet):
     return list(out.values())
 
 
-def _check_scale(d, delta, what):
-    """Refuse d past MAX_LINES, saying what (verb included) is certified
-    to there, and a negative delta."""
+def _check_scale(d, delta):
+    """The marking layer's one (d, delta) check: refuses d past MAX_LINES
+    and a negative delta."""
     if d > MAX_LINES:
-        raise ScaleRefusal(f"{what} certified for d <= {MAX_LINES} only")
+        raise ScaleRefusal(f"the marking layer is certified for d <= {MAX_LINES} only")
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
 
@@ -118,9 +120,9 @@ def equivalence_classes(d, delta):
     Markings are ints over the bits of `Arrangement.nodes()`.  The pair
     {L, L'} and a third line L'' give one move: with p clear, a marking
     holding q but not r trades q for r, and the reverse trade is the same
-    move read from the image.  Desk scale keeps d <= MAX_LINES.
+    move read from the image.
     """
-    _check_scale(d, delta, "equivalence classes are")
+    _check_scale(d, delta)
     arr = Arrangement(d)
     nodes = arr.nodes()
     bit = {p: 1 << k for k, p in enumerate(nodes)}
@@ -152,10 +154,9 @@ def empty_criterion(d, delta):
     """True when no irreducible delta-marking exists: delta > (d-1)(d-2)/2.
 
     Cross-checked constructively: otherwise a marking disjoint from the
-    first line exists and is irreducible.  Like the witness, it is
-    certified for d <= MAX_LINES only.
+    first line exists and is irreducible.
     """
-    _check_scale(d, delta, "the emptiness criterion is")
+    _check_scale(d, delta)
     bound = (d - 1) * (d - 2) // 2
     empty = delta > bound
     if not empty:
@@ -165,11 +166,8 @@ def empty_criterion(d, delta):
 
 
 def marking_avoiding_line(d, delta, line=1):
-    """A delta-marking disjoint from the given line, when one exists.
-
-    It lists the nodes, so it is certified for d <= MAX_LINES only.
-    """
-    _check_scale(d, delta, "witness markings are")
+    """A delta-marking disjoint from the given line, when one exists."""
+    _check_scale(d, delta)
     arr = Arrangement(d)
     if not 1 <= line <= d:
         raise ValueError(f"line must be one of 1..{d}, got {line}")

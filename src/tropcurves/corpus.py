@@ -23,7 +23,7 @@ The corpus of degree-d, genus-g types is produced and read in three stages:
     before it, and one cycle closes with positive lengths iff the negative
     of each of its slopes lies in the cone of them all, an exact planar
     test.  A cycle is kept as the least of its rotations and reflections,
-    so each core comes out once too.  Higher Betti numbers are refused.
+    so each core comes out once too.
 
     Slope coordinates are bounded by d (the dual-polygon bound).  An
     edge's slope, weight included, is a dual edge of the Newton
@@ -42,6 +42,8 @@ The corpus of degree-d, genus-g types is produced and read in three stages:
 3.  `is_general(cfg, d, g)` -- no scan below genus g has a hit, and
     every hit at genus g has codimension 2 len(cfg).  Where it answers
     "unknown" instead is stated once, in its own docstring.
+
+Stages 1 and 2 share the core layer's one scale check, `_cores`.
 
 Unrealizable types (empty open cone) are dropped everywhere: they bound
 no stratum of the moduli space.
@@ -233,24 +235,22 @@ def enumerate_cores(d, b1, max_valency=None):
     Returns the generated cores, one CombinatorialType per isomorphism
     class (legs unlabeled within a slope class), realizable ones only,
     sorted by canonical key; a core is not relabeled to its canonical
-    form.  A degree above MAX_DEGREE and a Betti number above MAX_BETTI
-    are refused, the scale `is_general` certifies.  A degree below 1 or a
-    negative b1 is a ValueError.
+    form.  d and b1 are checked by `_cores`.
     """
     return sorted(_cores(d, b1, max_valency), key=lambda t: canonical_key(t, labeled="none"))
 
 
 def _cores(d, b1, max_valency=None):
     """The cores of `enumerate_cores` as an iterator, in the order they are
-    generated; its arguments are checked, and refused, at the call."""
+    generated, after the core layer's one (d, b1) check, made at the call:
+    a degree below 1 or a negative b1 is a ValueError, and a degree past
+    MAX_DEGREE or a Betti number past MAX_BETTI is refused."""
     if d < 1:
         raise ValueError(f"degree d must be at least 1, got {d}")
     if b1 < 0:
         raise ValueError(f"Betti number b1 must be non-negative, got {b1}")
-    if b1 > MAX_BETTI:
-        raise ScaleRefusal(f"enumerate_cores is certified for Betti number b1 <= {MAX_BETTI} only")
-    if d > MAX_DEGREE:
-        raise ScaleRefusal(f"enumerate_cores is certified for degree d <= {MAX_DEGREE} only")
+    if d > MAX_DEGREE or b1 > MAX_BETTI:
+        raise ScaleRefusal(f"the core layer is certified for d <= {MAX_DEGREE} and b1 <= {MAX_BETTI} only")
     # no cap: a vertex has at most its 3d legs and two cycle edges
     cap = 3 * d + 2 if max_valency is None else max_valency
     return (_core(kids, cycle) for kids, cycle in _shapes((d, d, d), d, cap, b1))
@@ -585,8 +585,8 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     one at a time.  Every marked type left out has an empty fiber.  The
     scan runs on `cfg.cleared`, the points times the lcm of their
     denominators: its LPs are {A x = b, x >= 0} with b a point
-    difference, so scaling the points changes no verdict.  The degree
-    and Betti number are checked, and refused, as by `enumerate_cores`.
+    difference, so scaling the points changes no verdict.  Without
+    `cores`, d and g are checked by `_cores`.
 
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut

@@ -66,13 +66,6 @@ class FloorDiagram:
     def n_marks(self):
         return self.d + len(self.elevators)
 
-    def multiplicity(self):
-        m = 1
-        for e in self.elevators:
-            if e.top > 0 and e.bottom > 0:
-                m *= e.weight * e.weight
-        return m
-
     def text(self):
         """One floor per line, elevators as weighted arcs w:Fi|up->Fj|down."""
         lines = []

@@ -119,46 +119,38 @@ def components(n, pairs):
 
 
 def _check_graph(weights, ends, leg_vertices):
-    """Refuse a weight, an edge endpoint or a leg vertex that is not an
-    int (a bool is not), a negative weight, an endpoint or a leg vertex out
-    of range, or a disconnected graph, naming the vertex, edge or leg.
-    A valid graph takes one type scan over all of them, one range check
-    and the `components` pass; only when the scan or the range check
-    fails are the offenders sought, in the order above (`_name_offender`)."""
+    """Refuse, naming the vertex, edge or leg, the first of: no vertex, a
+    weight that is not an int (a bool is not), a negative weight, an edge
+    endpoint or a leg vertex that is not an int, an endpoint or a leg
+    vertex out of range, a disconnected graph.  Each condition is one pass
+    over its values; its offender is sought only when that pass fails."""
     n = len(weights)
-    ids = [*chain.from_iterable(ends), *leg_vertices]
-    if not (n and set(map(type, chain(weights, ids))) <= _INT and min(weights) >= 0 and set(ids) <= set(range(n))):
-        _name_offender(weights, ends, leg_vertices)
-    roots = components(n, ends)
-    if len(set(roots)) != 1:
-        v = next(v for v, r in enumerate(roots) if r != roots[0])
-        raise ValueError(f"graph is disconnected: vertex {v} is not joined to vertex 0")
-
-
-def _name_offender(weights, ends, leg_vertices):
-    """Raise on the first bad weight, endpoint or leg vertex of `_check_graph`."""
-    n = len(weights)
-    if n == 0:
+    if not n:
         raise ValueError("graph needs at least one vertex")
-    if not set(map(type, weights)) <= _INT:
+    if not _INT.issuperset(map(type, weights)):
         v = next(v for v, w in enumerate(weights) if type(w) is not int)
         raise ValueError(f"vertex {v}: weight {weights[v]!r} is not an int")
     if min(weights) < 0:
         v = next(v for v, w in enumerate(weights) if w < 0)
         raise ValueError(f"vertex {v}: weight {weights[v]} is negative")
     flat = list(chain.from_iterable(ends))
-    if not set(map(type, flat)) <= _INT:
+    if not _INT.issuperset(map(type, flat)):
         k = next(k for k, x in enumerate(flat) if type(x) is not int)
         raise ValueError(f"edge {k // 2}: endpoint {flat[k]!r} is not an int")
-    if not set(map(type, leg_vertices)) <= _INT:
+    if not _INT.issuperset(map(type, leg_vertices)):
         j = next(j for j, v in enumerate(leg_vertices) if type(v) is not int)
         raise ValueError(f"leg {j}: vertex {leg_vertices[j]!r} is not an int")
-    if flat and (min(flat) < 0 or max(flat) >= n):
-        k = next(k for k, x in enumerate(flat) if not 0 <= x < n)
+    vertices = set(range(n))
+    if not vertices.issuperset(flat):
+        k = next(k for k, x in enumerate(flat) if x not in vertices)
         raise ValueError(f"edge {k // 2}: endpoint {flat[k]} is out of range 0..{n - 1}")
-    if leg_vertices and (min(leg_vertices) < 0 or max(leg_vertices) >= n):
-        j = next(j for j, v in enumerate(leg_vertices) if not 0 <= v < n)
+    if not vertices.issuperset(leg_vertices):
+        j = next(j for j, v in enumerate(leg_vertices) if v not in vertices)
         raise ValueError(f"leg {j}: vertex {leg_vertices[j]} is out of range 0..{n - 1}")
+    roots = components(n, ends)
+    if len(set(roots)) != 1:
+        v = next(v for v, r in enumerate(roots) if r != roots[0])
+        raise ValueError(f"graph is disconnected: vertex {v} is not joined to vertex 0")
 
 
 @dataclass(frozen=True)

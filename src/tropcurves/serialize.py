@@ -59,11 +59,12 @@ def dumps(obj):
 
 
 def _reader(read):
-    """Make a missing key or a wrongly shaped value in the JSON given to
-    `read` a ValueError that names it, and prefix any other ValueError
-    raised under `read` with its document kind, "<kind> JSON: ".  A
-    message that already names a document keeps its text, so a reader
-    called by another adds its kind once."""
+    """Make every refusal under `read` a ValueError that names its
+    document kind once: "<kind> JSON: missing key ...", "<kind> JSON is
+    malformed: ..." for a wrongly shaped value, and any other ValueError
+    prefixed with "<kind> JSON: " unless it names a document already, as
+    one from a reader called by another does.  So the checks under a
+    reader name the field alone."""
 
     @functools.wraps(read)
     def checked(data):
@@ -116,24 +117,23 @@ def int_pair(value, what):
     return tuple(value)
 
 
-def _weights(data, what):
+def _weights(data):
     """The vertex weights in id order; ids and weights are ints and the
     ids are exactly 0..V-1."""
-    vertices = sorted(data["vertices"], key=lambda d: int_value(d["id"], f"{what} JSON: vertex id"))
+    vertices = sorted(data["vertices"], key=lambda d: int_value(d["id"], "vertex id"))
     ids = [d["id"] for d in vertices]
     if ids != list(range(len(vertices))):
-        raise ValueError(f"{what} JSON: vertex ids {_shown(ids)} are not 0..{len(vertices) - 1}")
-    return tuple(int_value(d["weight"], f"{what} JSON: vertex weight") for d in vertices)
+        raise ValueError(f"vertex ids {_shown(ids)} are not 0..{len(vertices) - 1}")
+    return tuple(int_value(d["weight"], "vertex weight") for d in vertices)
 
 
 @_reader
 def graph_from_json(data):
-    what = "graph JSON: vertex"
     return TropicalGraph(
-        weights=_weights(data, "graph"),
-        edges=tuple((int_value(e["u"], what), int_value(e["v"], what)) for e in data["edges"]),
+        weights=_weights(data),
+        edges=tuple((int_value(e["u"], "vertex"), int_value(e["v"], "vertex")) for e in data["edges"]),
         lengths=tuple(parse_frac(e["length"]) for e in data["edges"]),
-        legs=tuple(int_value(l["vertex"], what) for l in data["legs"]),
+        legs=tuple(int_value(l["vertex"], "vertex") for l in data["legs"]),
     )
 
 
@@ -147,16 +147,13 @@ def type_to_json(t: CombinatorialType):
 
 @_reader
 def type_from_json(data):
-    def vertex(x):
-        return int_value(x, "type JSON: vertex")
-
-    def slope(x):
-        return int_pair(x, "type JSON: slope")
-
     return CombinatorialType(
-        weights=_weights(data, "type"),
-        edges=tuple(Edge(vertex(e["u"]), vertex(e["v"]), slope(e["slope"])) for e in data["edges"]),
-        legs=tuple(Leg(vertex(l["vertex"]), slope(l["slope"])) for l in data["legs"]),
+        weights=_weights(data),
+        edges=tuple(
+            Edge(int_value(e["u"], "vertex"), int_value(e["v"], "vertex"), int_pair(e["slope"], "slope"))
+            for e in data["edges"]
+        ),
+        legs=tuple(Leg(int_value(l["vertex"], "vertex"), int_pair(l["slope"], "slope")) for l in data["legs"]),
     )
 
 
@@ -172,7 +169,7 @@ def curve_to_json(c: ParametrizedCurve):
 def curve_from_json(data):
     t = type_from_json(data)
     lengths = tuple(parse_frac(e["length"]) for e in data["edges"])
-    positions = tuple(tuple(map(parse_frac, _pair(p, "curve JSON: position"))) for p in data["positions"])
+    positions = tuple(tuple(map(parse_frac, _pair(p, "position"))) for p in data["positions"])
     return ParametrizedCurve(t, lengths, positions)
 
 
@@ -185,7 +182,7 @@ def config_to_json(cfg: PointConfiguration):
 
 @_reader
 def config_from_json(data):
-    return PointConfiguration(tuple(tuple(map(parse_frac, _pair(p, "config JSON: point"))) for p in data["points"]))
+    return PointConfiguration(tuple(tuple(map(parse_frac, _pair(p, "point"))) for p in data["points"]))
 
 
 # --- cones and fibers -------------------------------------------------------
@@ -290,7 +287,7 @@ def _family_key(key, form, field):
     pattern, name = _FAMILY_KEYS[form]
     match = pattern.fullmatch(key)
     if match is None:
-        raise ValueError(f"family JSON: {field} key {_shown(key)} is not {name}")
+        raise ValueError(f"{field} key {_shown(key)} is not {name}")
     return tuple(part if part.isalpha() else int(part) for part in match.groups())
 
 
@@ -303,10 +300,10 @@ def _check_contraction(key, source, target, vertex_map, edge_map):
         ("edge_map", edge_map, len(source.edges), -1, len(target.edges)),
     ):
         if len(entries) != size:
-            raise ValueError(f"family JSON: contraction {key}: {name} has {len(entries)} entries, not {size}")
+            raise ValueError(f"contraction {key}: {name} has {len(entries)} entries, not {size}")
         bad = next((x for x in entries if not low <= x < high), None)
         if bad is not None:
-            raise ValueError(f"family JSON: contraction {key}: {name} entry {bad} is out of range")
+            raise ValueError(f"contraction {key}: {name} entry {bad} is out of range")
 
 
 @_reader
@@ -328,7 +325,7 @@ def family_from_json(data):
     }
     positions = {
         ref_key(k, "positions"): {
-            index_key(u, "positions"): tuple(map(aff, _pair(p, "family JSON: position")))
+            index_key(u, "positions"): tuple(map(aff, _pair(p, "position")))
             for u, p in v.items()
         }
         for k, v in data["positions"].items()
@@ -340,8 +337,8 @@ def family_from_json(data):
     for key, c in data["contractions"].items():
         w, kind, idx = _family_key(key, "contraction", "contractions")
         ref = (kind, idx)
-        vertex_map = [int_value(x, "family JSON: vertex_map entry") for x in c["vertex_map"]]
-        edge_map = [int_value(x, "family JSON: edge_map entry") for x in c["edge_map"]]
+        vertex_map = [int_value(x, "vertex_map entry") for x in c["vertex_map"]]
+        edge_map = [int_value(x, "edge_map entry") for x in c["edge_map"]]
         if ref in edge_types and w in vertex_curves:
             _check_contraction(key, edge_types[ref], vertex_curves[w].ctype, vertex_map, edge_map)
         contractions[(w, ref)] = Contraction(
@@ -351,7 +348,7 @@ def family_from_json(data):
     return FamilyDatum(
         base=base,
         extended_degree=tuple(
-            int_pair(s, "family JSON: extended_degree slope") for s in data["extended_degree"]
+            int_pair(s, "extended_degree slope") for s in data["extended_degree"]
         ),
         edge_types=edge_types,
         lengths=lengths,

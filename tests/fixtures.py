@@ -5,6 +5,9 @@ The two cubics are written out floor by floor: a smooth genus-1 cubic
 and a genus-0 cubic with a weight-2 elevator.  Both are weightless,
 3-valent, balanced, of degree three copies each of (1,1), (-1,0), (0,-1).
 
+`diagram_weight` is the Brugalle-Mikhalkin weight of a marked floor
+diagram, which the floor tests sum against the recursion oracle.
+
 The checks at the end are predicates the tests assert: genus, stability,
 immersion, the genericity verdict on one fiber, and the brute-force
 automorphism count that `canonical.aut_order` is compared with.  That
@@ -37,6 +40,12 @@ FORCED_ZERO_POINTS = ((-2, -1), (1, 0), (1, 1), (2, 1))
 def affine_image(points):
     """The points mapped by p -> p/6 + (1/2, -1/3): denominators 2, 3 and 6."""
     return PointConfiguration(tuple((x / 6 + F(1, 2), y / 6 - F(1, 3)) for x, y in points))
+
+
+def random_points(rng, n):
+    """n points drawn from the random.Random rng, x then y of each a
+    Fraction with numerator in -10**6..10**6 and denominator in 1..49."""
+    return tuple(tuple(F(rng.randint(-(10**6), 10**6), rng.randint(1, 49)) for _axis in "xy") for _ in range(n))
 
 
 def start_stratum(g):
@@ -236,6 +245,16 @@ def genus(g):
     """1 - chi + sum of vertex weights, for a connected graph or type:
     chi = |V| - |E|."""
     return 1 - (g.n_vertices() - len(g.edges)) + sum(g.weights)
+
+
+def diagram_weight(diag):
+    """The Brugalle-Mikhalkin weight of a marked floor diagram: the product
+    of w^2 over its bounded elevators, those with a floor at both ends."""
+    m = 1
+    for e in diag.elevators:
+        if e.top > 0 and e.bottom > 0:
+            m *= e.weight * e.weight
+    return m
 
 
 def is_stable(g):

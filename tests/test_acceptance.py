@@ -5,14 +5,16 @@ Marked `slow` and deselected by default; run them with
 """
 
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
-from fixtures import count_lps, is_stable, shifted
+from fixtures import count_lps, is_stable, random_points, shifted
 
 from tropcurves.canonical import canonical_key
 from tropcurves.cones import is_realizable
 from tropcurves.corpus import enumerate_cores, scan_fibers
+from tropcurves.evaluation import PointConfiguration, curve_at
 from tropcurves.floors import (
     MAX_DEGREE,
     count_severi,
@@ -72,6 +74,26 @@ def test_cubic_configuration_is_general(monkeypatch, shift):
     for _t, fb in hits:
         assert fb.kind == "point"
         assert fb.codimension() == 16
+
+
+@pytest.mark.slow
+def test_scan_counts_rational_cubics_through_random_points(monkeypatch):
+    # Mikhalkin's count from the scan alone at d = 3: through 8 random
+    # rational points, drawn from two seeds, 9 hits, each a point fiber of
+    # codimension 16, whose multiplicities sum to the oracle's 12
+    lps = count_lps(monkeypatch)
+    keys, counts = [], []
+    for seed in (0, 1):
+        before = len(lps)
+        hits = scan_fibers(3, 0, PointConfiguration(random_points(random.Random(seed), 8)))
+        counts.append(len(lps) - before)
+        assert len(hits) == 9
+        assert all(fb.kind == "point" and fb.codimension() == 16 for _t, fb in hits)
+        assert sum(curve_at(t, fb.point)[1].multiplicity() for t, fb in hits) == irreducible_severi_degree(3, 0) == 12
+        keys.append([canonical_key(t, labeled="contracted") for t, _fb in hits])
+    assert counts == [714, 601]
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest == "bdfa665ae0c6c27245a86d67c2e48dca446b2a0ec2caeab27e84715782b38a92"
 
 
 @pytest.mark.slow

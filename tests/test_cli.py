@@ -24,18 +24,6 @@ def test_count_with_oracle(capsys):
     assert data["agrees"]
 
 
-def test_count_scale_refusal(capsys):
-    code, _out, err = run_cli(capsys, "count", "--d", "7", "--g", "0")
-    assert code == 3
-    assert "scale" in err
-
-
-def test_enumerate_scale_refusal(capsys):
-    code, _out, err = run_cli(capsys, "enumerate", "--d", "6", "--g", "0")
-    assert code == 3
-    assert "scale" in err
-
-
 def test_walk_genus_out_of_range(capsys):
     code, out, err = run_cli(capsys, "walk", "--d", "3", "--g", "5")
     assert code == 2

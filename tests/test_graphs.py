@@ -242,10 +242,14 @@ def test_graph_data_refuses_non_ints(build, message):
         (((0, 1), (1, 2)), (0, 2, 3, -1), "leg 2: vertex 3 is out of range 0..2"),
         (((0, 1), (1, 2)), (1, -1), "leg 1: vertex -1 is out of range 0..2"),
         (((0, 1), (1, 1)), (2,), "graph is disconnected: vertex 2 is not joined to vertex 0"),
+        (((0, 1.0), (1, 5)), (True,), "edge 0: endpoint 1.0 is not an int"),
+        (((0, 1), (1, 5)), (1, 2.0), "leg 1: vertex 2.0 is not an int"),
     ],
 )
 def test_graph_refuses_out_of_range_ends(edges, legs, message):
-    # the first endpoint out of range, u before v, or the first leg vertex
+    # the first endpoint out of range, u before v, or the first leg vertex;
+    # an endpoint that is not an int before a leg vertex, and both before
+    # any range
     for build in (
         lambda: TropicalGraph((0, 0, 0), edges, (1,) * len(edges), legs),
         lambda: CombinatorialType((0, 0, 0), tuple(Edge(u, v) for u, v in edges), tuple(map(Leg, legs))),

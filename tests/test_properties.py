@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import re
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ import pytest
 from fixtures import (
     brute_force_aut_order,
     genus,
+    random_points,
     reference_cone_contains,
     reference_pair_generators,
     reference_pair_table,
@@ -32,8 +34,8 @@ from tropcurves.cones import (  # noqa: E402
     path_coefficients,
     reduced_fiber_polyhedron,
 )
-from tropcurves.corpus import _attach_mark, _cone_contains, _CoreScanner, enumerate_cores  # noqa: E402
-from tropcurves.evaluation import PointConfiguration  # noqa: E402
+from tropcurves.corpus import _attach_mark, _cone_contains, _CoreScanner, enumerate_cores, scan_fibers  # noqa: E402
+from tropcurves.evaluation import PointConfiguration, curve_at  # noqa: E402
 from tropcurves.families import BaseCurve, constant_family, validate_family  # noqa: E402
 from tropcurves.graphs import (  # noqa: E402
     CombinatorialType,
@@ -46,6 +48,7 @@ from tropcurves.graphs import (  # noqa: E402
     face_contract,
 )
 from tropcurves.linalg import clear_denominators, feasible_nonneg, mat_rank, solve_affine  # noqa: E402
+from tropcurves.recursion import irreducible_severi_degree  # noqa: E402
 from tropcurves.serialize import (  # noqa: E402
     config_from_json,
     config_to_json,
@@ -113,6 +116,19 @@ def cone_cases(draw):
 def test_cone_fold_matches_pairwise_test(case):
     gens, w = case
     assert _cone_contains(gens, w) == reference_cone_contains(gens, w)
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+def test_scan_counts_rational_curves_through_random_points(d, seed):
+    # Mikhalkin's count read from the incidence scan alone, with no floor
+    # code: through 3d - 1 general points the hits are point fibers of
+    # codimension 2n, and their multiplicities sum to the Severi degree;
+    # a configuration with any other hit is not general and is rejected
+    n = 3 * d - 1
+    hits = scan_fibers(d, 0, PointConfiguration(random_points(random.Random(seed), n)))
+    hypothesis.assume(all(fb.kind == "point" and fb.codimension() == 2 * n for _t, fb in hits))
+    assert sum(curve_at(t, fb.point)[1].multiplicity() for t, fb in hits) == irreducible_severi_degree(d, 0)
 
 
 # every core at d <= 2, both Betti numbers

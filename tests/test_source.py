@@ -2,8 +2,8 @@
 package or its tests goes unused, no function, class or method is left
 without a caller outside the tests, and the test oracles import nothing
 from what they check.  README.md, read as text, cites a test for every
-claim of its Tests section, states each certified bound as the code
-does, and names the API."""
+claim of its Tests section, states each certified bound and refusal
+sentence as the code does, and names the API."""
 
 import ast
 import re
@@ -169,7 +169,7 @@ def test_readme_scale_table_matches_the_code():
             commands.append(" ".join(v.value for v in node.values if isinstance(v, ast.Constant)).split())
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             commands.append(node.value.split())
-    for layer, entries, bound, _past in rows:
+    for layer, entries, bound, past in rows:
         found = BOUND.findall(bound)
         assert found, f"{layer.strip()}: no bound stated as `module.NAME` (value)"
         for module, name, value in found:
@@ -181,6 +181,13 @@ def test_readme_scale_table_matches_the_code():
                 if isinstance(target, ast.Name)
             }
             assert consts.get(name) == int(value), f"{layer.strip()}: {module}.{name} is {consts.get(name)}, not {value}"
+        # a quoted refusal sentence is the module's own, each bound's value in it its name
+        for sentence in re.findall(r'"(the \w+ layer [^"]*)"', past):
+            for _module, name, value in found:
+                sentence = re.sub(rf"\b{value}\b", f"{{{name}}}", sentence)
+            assert sentence in (ROOT / "src" / "tropcurves" / f"{found[0][0]}.py").read_text(), (
+                f"{layer.strip()}: the code raises no {sentence!r}"
+            )
         calls, _cli, cli = entries.partition("CLI")
         for call in re.findall(r"`([^`]+)`", calls):
             assert call in names, f"{layer.strip()}: test_scale.py never calls {call}"
