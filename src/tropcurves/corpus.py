@@ -581,12 +581,14 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     whose fiber over cfg is nonempty, its marks in cfg's order, each
     once and sorted by its canonical key (labeled="contracted").  No two
     cores share a hit key, since forgetting a hit's marks gives back its
-    core, so without `cores` the cores are read as they are generated,
-    one at a time.  Every marked type left out has an empty fiber.  The
-    scan runs on `cfg.cleared`, the points times the lcm of their
-    denominators: its LPs are {A x = b, x >= 0} with b a point
-    difference, so scaling the points changes no verdict.  Without
-    `cores`, d and g are checked by `_cores`.
+    core, so the cores are read one at a time, as they are generated or
+    given.  Every marked type left out has an empty fiber.  The scan runs
+    on `cfg.cleared`, the points times the lcm of their denominators: its
+    LPs are {A x = b, x >= 0} with b a point difference, so scaling the
+    points changes no verdict.  d and g are checked by `_cores`, with or
+    without `cores`; a given core with a weight, a mark, legs other than
+    d of each class slope, or a Betti number other than g is a ValueError
+    naming its index.
 
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut
@@ -598,13 +600,15 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     emptiness for all decorated types at once.
     """
     n = len(cfg)
-    if cores is None:
-        cores = _cores(d, g)
+    generated = _cores(d, g)  # the (d, g) check; generates nothing until read
+    want = (sorted(_CLASS_SLOPES * d), g, True)  # a given core's legs, Betti number, weightlessness
     order = _scan_order(n)
     _scale, pts = cfg.cleared
     pts = [pts[i] for i in order]
     results = {}
-    for core in cores:
+    for i, core in enumerate(generated if cores is None else cores):
+        if cores is not None and (sorted(core.extended_degree()), core.first_betti(), core.is_weightless()) != want:
+            raise ValueError(f"core {i} is not weightless, of degree {d} and Betti number {g}")
         scanner = _CoreScanner(core)
         for assignment in scanner.placements(pts):
             t = _materialize(core, assignment, order, pts)

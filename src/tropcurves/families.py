@@ -158,17 +158,18 @@ def validate_family(fam: FamilyDatum):
             contraction = fam.contractions.get((w, ref))
             if curve is None or contraction is None:
                 return FamilyVerdict(False, "missing-vertex-data", f"vertex {w}, {ref}")
+            curve_lengths, curve_positions = curve.lengths, curve.positions
             # (2): lengths match through the contraction
             for i, want in enumerate(lengths):
                 target = contraction.edge_map[i]
-                have = curve.lengths[target] if target is not None else F(0)
+                have = curve_lengths[target] if target is not None else F(0)
                 if want != have:
                     return FamilyVerdict(
                         False, "length-compatibility", f"{ref} edge {i} at vertex {w}"
                     )
             # (3): positions match through the contraction
             for u, want in enumerate(positions):
-                if curve.positions[contraction.vertex_map[u]] != want:
+                if curve_positions[contraction.vertex_map[u]] != want:
                     return FamilyVerdict(
                         False, "position-compatibility", f"{ref} vertex {u} at base vertex {w}"
                     )
@@ -203,7 +204,7 @@ def _uniform_family(base: BaseCurve, t, lengths, curve: ParametrizedCurve, ray=N
     and `curve` over every base vertex.  Along each base edge or leg the
     fiber starts at lengths and curve's positions and moves by ray (laid
     out as `evaluation.curve_at` reads a point; fixed when None)."""
-    nv, ne = t.n_vertices(), len(t.edges)
+    nv, ne, start = t.n_vertices(), len(t.edges), curve.positions
     if ray is None:
         ray = (0,) * (2 * nv + ne)
     ident = Contraction(tuple(range(nv)), tuple(range(ne)))
@@ -212,11 +213,7 @@ def _uniform_family(base: BaseCurve, t, lengths, curve: ParametrizedCurve, ray=N
         edge_types[ref] = t
         funcs[ref] = {i: AffineFunction(lengths[i], ray[2 * nv + i]) for i in range(ne)}
         positions[ref] = {
-            u: (
-                AffineFunction(curve.positions[u][0], ray[2 * u]),
-                AffineFunction(curve.positions[u][1], ray[2 * u + 1]),
-            )
-            for u in range(nv)
+            u: (AffineFunction(x, ray[2 * u]), AffineFunction(y, ray[2 * u + 1])) for u, (x, y) in enumerate(start)
         }
         contractions[(tail, ref)] = ident
         if head is not None:

@@ -12,8 +12,8 @@ Three layers of data:
   with a nonzero slope is rejected at construction.
 * `ParametrizedCurve` -- a combinatorial type with lengths and rational
   vertex positions in the plane, consistent edge by edge.  It stores them
-  as ints over one common denominator and makes their Fractions only
-  when they are read.
+  only as ints over one common denominator, and builds their Fractions
+  on each read.
 
 `Edge` and `Leg` are named tuples, equal to their field tuples.  Every
 value is immutable after construction; every operation below is a pure
@@ -48,10 +48,6 @@ def vadd(a, b):
 
 def vneg(a):
     return (-a[0], -a[1])
-
-
-def _fraction(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 _INT = {int}
@@ -326,18 +322,16 @@ class ParametrizedCurve:
     integer form: `ints` holds the lengths, then x and y of each vertex,
     times `den`, their least common denominator.  The check compares those
     ints, and so do the generated `==` and `hash`, on (ctype, den, ints),
-    which agrees with comparing the Fractions.  `lengths` and `positions`
-    are read-only tuples of Fractions built on first read: a Fraction
-    passed in is the object read back, and an int is read back as a
-    Fraction; the values given and those views live in the slots `_given`
-    and `_read`, which are not fields.  The class declares its own
-    `__slots__` rather than `slots=True`, whose replacement class the
-    generated frozen `__setattr__` does not know: so any assignment, to a
-    field or not, raises `FrozenInstanceError`.  A curve pickles and copies
-    as its constructor call.
+    which agrees with comparing the Fractions.  Nothing else is stored:
+    `lengths` and `positions` are tuples of Fractions built from those
+    ints on each read.  The class declares its own `__slots__` rather than
+    `slots=True`, whose replacement class the generated frozen
+    `__setattr__` does not know: so any assignment, to a field or not,
+    raises `FrozenInstanceError`.  A curve pickles and copies as its
+    constructor call.
     """
 
-    __slots__ = ("ctype", "den", "ints", "_given", "_read")
+    __slots__ = ("ctype", "den", "ints")
     ctype: CombinatorialType
     den: int
     ints: tuple[int, ...]
@@ -357,7 +351,7 @@ class ParametrizedCurve:
         types = set(map(type, values))
         if types == _INT:
             den = 1
-            values = ints = tuple(values)
+            ints = tuple(values)
         else:
             if not types <= _EXACT:  # a float, or a rational of some other type
                 values = [exact(x, _value_name(i, ne)) for i, x in enumerate(values)]
@@ -375,23 +369,16 @@ class ParametrizedCurve:
         put(self, "ctype", ctype)
         put(self, "den", den)
         put(self, "ints", ints)
-        put(self, "_given", tuple(values))
-        put(self, "_read", None)
-
-    def _views(self):
-        """(lengths, positions) as Fractions, built on the first call."""
-        if self._read is None:
-            values, ne = tuple(map(_fraction, self._given)), len(self.ctype.edges)
-            object.__setattr__(self, "_read", (values[:ne], tuple(zip(values[ne::2], values[ne + 1 :: 2]))))
-        return self._read
 
     @property
     def lengths(self) -> tuple[Fraction, ...]:
-        return self._views()[0]
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.ints[: len(self.ctype.edges)])
 
     @property
     def positions(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return self._views()[1]
+        den, ints, ne = self.den, self.ints, len(self.ctype.edges)
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in zip(ints[ne::2], ints[ne + 1 :: 2]))
 
     def __repr__(self):
         return f"ParametrizedCurve(ctype={self.ctype!r}, lengths={self.lengths!r}, positions={self.positions!r})"

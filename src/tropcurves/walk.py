@@ -30,17 +30,17 @@ certified to move nothing but one contracted edge length.
 The geometry runs on Python ints, and a state keeps them: its lengths
 are ints over `den` and its direction ints over `dscale`.  The start's
 diagram is unranked from the seed (`floors.unrank_diagram`), not picked
-from a list, and its lengths are the integer form of the mark-forgotten
-curve; the fiber line is solved over the points times their lcm,
-the pinned configuration's `cleared` form, made once per walk, which
-leaves its direction as it was, and `solve_affine` answers it on ints;
-the next wall is picked, and the wall lengths built over -b_k·den, on
-those ints; positions and velocities are built on ints along the tree
-edges (`cones.integer_positions`); and (k, r) is read from
-positions that are ints times one positive denominator.  Each stratum's
-path coefficients are built once, by its fiber solve, and kept on its
-`WalkState`.  Fractions are made only for a wall's parameter, a terminal
-ray and the mark-forgotten start curve when its denominator is not 1.
+from a list, and the mark-forgotten stratum is cut straight from its
+curve's integer form, over the same denominator; the fiber line is
+solved over the points times their lcm, the pinned configuration's
+`cleared` form, made once per walk, which leaves its direction as it
+was, and `solve_affine` answers it on ints; the next wall is picked, and
+the wall lengths built over -b_k·den, on those ints; positions and
+velocities are built on ints along the tree edges
+(`cones.integer_positions`); and (k, r) is read from positions that are
+ints times one positive denominator.  Each stratum's path coefficients
+are built once, by its fiber solve, and kept on its `WalkState`.
+Fractions are made only for a wall's parameter and a terminal ray.
 `WalkState` and `WallEvent` are named tuples: a crossing rebuilds the
 state with `_replace`.
 """
@@ -67,7 +67,6 @@ from tropcurves.graphs import (
     CombinatorialType,
     Edge,
     Leg,
-    ParametrizedCurve,
     face_contract,
 )
 from tropcurves.linalg import solve_affine
@@ -225,10 +224,10 @@ def start_walk(d, g, cfg=None, seed=0):
     one edge, E.  The motion direction is the fiber line of the
     mark-forgotten stratum, oriented so that E's foot moves toward the
     nearest other downward elevator on its floor; (k, r) and that
-    orientation are read from the new curve's integer form.
+    orientation are read from the stratum's integer form.
     """
     if d < 2:
-        raise ValueError("the walk needs a non-top floor; degree 1 has a single floor")
+        raise ValueError(f"the walk needs a non-top floor, so degree d >= 2: degree {d} was given")
     max_genus = (d - 1) * (d - 2) // 2
     if not 0 <= g <= max_genus:
         raise ValueError(f"genus {g} is out of range: degree {d} needs 0 <= g <= {max_genus}")
@@ -242,9 +241,8 @@ def start_walk(d, g, cfg=None, seed=0):
     if not top_floor_check(diag):
         raise WalkError("top floor elevator is not unique of weight one")
     (mobile_mark,) = [e.mark for e in diag.elevators if e.top == diag.d]
-    new_curve, elevator = _forget_mark(curve, mobile_mark - 1)
+    t, den, ints, elevator = _forget_mark(curve, mobile_mark - 1)
     fixed = PointConfiguration(tuple(p for i, p in enumerate(cfg.points) if i != mobile_mark - 1))
-    t, den, ints = new_curve.ctype, new_curve.den, new_curve.ints
     if not classify(t).is_nice():
         raise WalkError("initial stratum is not nice")
     dscale, v, coeffs = _fiber_line(t, fixed.cleared[1])
@@ -274,13 +272,15 @@ def start_walk(d, g, cfg=None, seed=0):
 def _forget_mark(curve, leg_index):
     """Remove a contracted leg and stabilize the 2-valent vertex it leaves.
 
-    Returns (curve, edge): the new curve and the merged edge that carried
-    the mark.  The mark always sits on a weight-0 vertex between two
-    edges: the top floor has in-weight 0 and divergence 1, so it has one
-    elevator, of weight 1, and connectivity sends it to a lower floor,
-    where the mark cuts it in two.  Any other shape is a WalkError.  The
-    new lengths and positions are read from the curve's integer form:
-    ints when its denominator is 1, else divided back by it exactly.
+    Returns (type, den, ints, edge): the mark-forgotten stratum's type,
+    its lengths and then x and y of each vertex as ints over den, and the
+    merged edge that carried the mark.  The mark always sits on a weight-0
+    vertex between two edges: the top floor has in-weight 0 and divergence
+    1, so it has one elevator, of weight 1, and connectivity sends it to a
+    lower floor, where the mark cuts it in two.  Any other shape is a
+    WalkError.  den and ints are the curve's own integer form, with the two
+    lengths summed and the host's position dropped, so no Fraction is made;
+    den need not be their least common denominator.
     """
     t = curve.ctype
     host = t.legs[leg_index].vertex
@@ -299,10 +299,7 @@ def _forget_mark(curve, leg_index):
     ne, ints = len(t.edges), curve.ints
     edges = [e for i, e in enumerate(t.edges) if i not in (i1, i2)] + [Edge(a, b, slope_a_to_host)]
     lengths = [x for i, x in enumerate(ints[:ne]) if i not in (i1, i2)] + [ints[i1] + ints[i2]]
-    positions = [p for v, p in enumerate(zip(ints[ne::2], ints[ne + 1 :: 2])) if v != host]
-    if curve.den != 1:
-        lengths = [F(x, curve.den) for x in lengths]
-        positions = [(F(x, curve.den), F(y, curve.den)) for x, y in positions]
+    xy = ints[ne : ne + 2 * host] + ints[ne + 2 * host + 2 :]  # without the host's position
 
     # drop the host vertex, renumbering everything above it
     def ren(v):
@@ -312,7 +309,7 @@ def _forget_mark(curve, leg_index):
     legs = tuple(leg if leg.vertex < host else Leg(leg.vertex - 1, leg.slope) for leg in legs)
     weights = tuple(w for v, w in enumerate(t.weights) if v != host)
     t2 = CombinatorialType(weights, edges, legs)
-    return ParametrizedCurve(t2, lengths, positions), len(edges) - 1
+    return t2, curve.den, (*lengths, *xy), len(edges) - 1
 
 
 def advance(state: WalkState):

@@ -267,6 +267,20 @@ def test_scan_fibers_degree_one():
         assert all(len(t.star(v)) == 3 for v in range(t.n_vertices()))
 
 
+def test_scan_fibers_refuses_a_given_core_of_another_degree_or_genus():
+    # a given core is checked against (d, g) as a generated one is: a
+    # Betti-1 core, a degree-1 core, a core with a weight and one with a
+    # mark are refused at (2, 0), by their index
+    cfg = make_stretched(5, 2).config
+    tree = enumerate_cores(2, 0)[0]
+    weighted = CombinatorialType((1,) + tree.weights[1:], tree.edges, tree.legs)
+    marked = CombinatorialType(tree.weights, tree.edges, (Leg(0, (0, 0)),) + tree.legs)
+    for other in (enumerate_cores(2, 1)[0], enumerate_cores(1, 0)[0], weighted, marked):
+        with pytest.raises(ValueError, match=r"^core 1 is not weightless, of degree 2 and Betti number 0$"):
+            scan_fibers(2, 0, cfg, cores=[tree, other])
+    assert scan_fibers(2, 0, cfg, cores=[tree]) == scan_fibers(2, 0, cfg, cores=iter([tree]))
+
+
 def test_scan_matches_floor_solutions_degree_two(monkeypatch):
     cfg = make_stretched(5, 2)
     sols = enumerate_curves(2, 0, cfg)

@@ -191,11 +191,11 @@ def test_parametrized_curve_refuses_a_fractional_offset_in_y():
 
 
 def test_parametrized_curve_stores_fractions():
-    # ints become Fractions; a Fraction is stored as it is
+    # ints and Fractions alike are read back as Fractions of the same value
     t = CombinatorialType(weights=(0, 0), edges=(Edge(0, 1, (0, -1)),))
     length = F(3, 2)
     curve = ParametrizedCurve(t, lengths=(length,), positions=((0, 0), (0, F(-3, 2))))
-    assert curve.lengths[0] is length
+    assert curve.lengths == (length,)
     assert all(type(c) is F for p in curve.positions for c in p)
     curve = ParametrizedCurve(t, lengths=(3,), positions=((1, 2), (1, -1)))
     assert curve.lengths == (3,) and type(curve.lengths[0]) is F

@@ -46,6 +46,8 @@ def test_every_entry_point_refuses_just_past_its_bound_within_a_second(capsys):
         (core, enumerate_cores, (2, corpus.MAX_BETTI + 1)),
         (core, scan_fibers, (core_d, 0, cfg)),
         (core, scan_fibers, (2, corpus.MAX_BETTI + 1, make_stretched(5, 2))),
+        (core, scan_fibers, (core_d, 0, cfg, [])),
+        (core, scan_fibers, (2, corpus.MAX_BETTI + 1, make_stretched(5, 2), [])),
     ]
     for sentence, call, args in calls:
         start = time.perf_counter()

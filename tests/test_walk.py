@@ -38,9 +38,10 @@ def test_start_walk_d3_genus1():
     assert classify(state.ctype).is_nice()
 
 
-def test_start_walk_rejects_degree_one():
-    with pytest.raises(ValueError):
-        start_walk(1, 0)
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_start_walk_rejects_degree_one(d):
+    with pytest.raises(ValueError, match=rf"^the walk needs a non-top floor, so degree d >= 2: degree {d} was given$"):
+        start_walk(d, 0)
 
 
 @pytest.mark.parametrize("seed", [1.5, "1", True])
@@ -106,16 +107,45 @@ def test_start_walk_picks_the_seeded_solution():
             diag, curve = sols[seed % len(sols)]
             mark = [e for e in diag.elevators if e.top == d][0].mark
             state = start_walk(d, g, cfg, seed=seed)
-            forgotten, _edge = _forget_mark(curve, mark - 1)
-            assert state.ctype == forgotten.ctype
+            t, den, ints, _edge = _forget_mark(curve, mark - 1)
+            assert state.ctype == t
+            ne = len(t.edges)
+            positions = [(F(x, den), F(y, den)) for x, y in zip(ints[ne::2], ints[ne + 1 :: 2])]
             # E is the one vertical edge whose image holds the mobile point
             px, py = cfg.points[mark - 1]
             through = []
-            for i, e in enumerate(forgotten.ctype.edges):
-                (ux, uy), (vx, vy) = forgotten.positions[e.u], forgotten.positions[e.v]
+            for i, e in enumerate(t.edges):
+                (ux, uy), (vx, vy) = positions[e.u], positions[e.v]
                 if e.slope[0] == 0 and e.slope[1] != 0 and ux == px and min(uy, vy) <= py <= max(uy, vy):
                     through.append(i)
             assert through == [state.elevator]
+
+
+def test_forget_mark_keeps_the_curve_values():
+    # the stratum's ints over den are the values of the mark-forgotten curve
+    # built from Fractions, test-local: the two lengths at the mark summed,
+    # its vertex dropped, and the result a consistent curve of the new type
+    from tropcurves.floors import diagram_curve, top_floor_check, unrank_diagram
+
+    dens = set()
+    for d, g in ((2, 0), (3, 0), (3, 1), (4, 2)):
+        cfg = make_stretched(3 * d + g - 1, d)
+        for seed in range(8):
+            diag = unrank_diagram(d, g, seed, cfg)
+            if not top_floor_check(diag):
+                continue
+            curve = diagram_curve(diag, cfg)
+            (mark,) = [e.mark for e in diag.elevators if e.top == d]
+            t, den, ints, edge = _forget_mark(curve, mark - 1)
+            host = curve.ctype.legs[mark - 1].vertex
+            i1, i2 = [i for i, e in enumerate(curve.ctype.edges) if host in (e.u, e.v)]
+            lengths = [x for i, x in enumerate(curve.lengths) if i not in (i1, i2)]
+            lengths.append(curve.lengths[i1] + curve.lengths[i2])
+            forgotten = ParametrizedCurve(t, lengths, [p for v, p in enumerate(curve.positions) if v != host])
+            assert [F(x, den) for x in ints] == [*forgotten.lengths, *(c for p in forgotten.positions for c in p)]
+            assert (den, edge) == (curve.den, len(t.edges) - 1)
+            dens.add(den)
+    assert dens - {1}  # some start has a denominator to carry
 
 
 def test_walk_start_lists_no_diagram(monkeypatch):
@@ -407,11 +437,9 @@ def test_walk_ignores_edge_orientation(monkeypatch):
     from tropcurves.graphs import Edge
 
     def reversed_edges(curve, leg_index):
-        new, elevator = _forget_mark(curve, leg_index)
-        t = new.ctype
+        t, den, ints, elevator = _forget_mark(curve, leg_index)
         edges = [Edge(e.v, e.u, (-e.slope[0], -e.slope[1])) for e in t.edges]
-        flipped = CombinatorialType(t.weights, edges, t.legs)
-        return ParametrizedCurve(flipped, new.lengths, new.positions), elevator
+        return CombinatorialType(t.weights, edges, t.legs), den, ints, elevator
 
     cases = ((2, 0, 0), (3, 0, 8), (3, 1, 5), (4, 2, 3))
     want = [run_walk(d, g, seed=seed) for d, g, seed in cases]
