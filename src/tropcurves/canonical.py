@@ -19,6 +19,13 @@ by `aut_order` is
 
     (#achieving vertex labelings) * prod(multiplicity! over parallel
     classes) * 2^(#loops).
+
+A key reuses what the type and the call already hold: its weights are
+the type's own tuple whenever relabeling leaves them equal, as it does
+for every weightless type, its edge keys hold the type's slope objects
+in each edge's stored orientation, and the legs of one slope class that
+the key leaves unlabeled share one (-1, slope) tag.  Its edge triples
+and (tag, label) pairs are its own.
 """
 
 from __future__ import annotations
@@ -87,7 +94,8 @@ def _encode(t: CombinatorialType, label, tags, labeled):
     legs = [(tag, label[leg.vertex]) for leg, tag in zip(t.legs, tags)]
     if labeled != "all":
         legs.sort()
-    return (tuple(weights), tuple(sorted(edge_keys)), tuple(legs))
+    weights = tuple(weights)
+    return (t.weights if weights == t.weights else weights, tuple(sorted(edge_keys)), tuple(legs))
 
 
 def canonical_form(t: CombinatorialType, labeled="all"):
@@ -96,8 +104,11 @@ def canonical_form(t: CombinatorialType, labeled="all"):
     labeled="all" tags leg j by (j, slope); "contracted" pins only the
     contracted legs to their index, and "none" none, so that the other
     legs are interchangeable within a slope class: tag (-1, slope)."""
+    unlabeled = {}  # slope -> its one (-1, slope) tag
     tags = [
-        (j if labeled == "all" or labeled == "contracted" and leg.is_contracted() else -1, leg.slope)
+        (j, leg.slope)
+        if labeled == "all" or labeled == "contracted" and leg.is_contracted()
+        else unlabeled.setdefault(leg.slope, (-1, leg.slope))
         for j, leg in enumerate(t.legs)
     ]
     best, best_label, count = None, None, 0

@@ -43,7 +43,12 @@ The corpus of degree-d, genus-g types is produced and read in three stages:
     every hit at genus g has codimension 2 len(cfg).  Where it answers
     "unknown" instead is stated once, in its own docstring.
 
-Stages 1 and 2 share the core layer's one scale check, `_cores`.
+Stages 1 and 2 share the core layer's one scale check, `_cores`.  Each
+`_cores` call also keeps one table of shared parts, so that its cores
+hold one object per distinct edge slope, `Edge`, `Leg` and zero weights
+tuple (hash-consing: Filliatre and Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006).  The table lives in the call's
+generator and is dropped with it: nothing is kept across calls.
 
 Unrealizable types (empty open cone) are dropped everywhere: they bound
 no stratum of the moduli space.
@@ -206,12 +211,22 @@ def _shapes(counts, bound, cap, b1):
             yield (a + ((rest, b),),), ()
 
 
-def _core(kids, cycle):
+def _core(kids, cycle, parts):
     """The core of a shape of `_shapes`: cycle vertices first, then each
-    subtree's vertices depth first; tree edges in that order, then cycle edges."""
+    subtree's vertices depth first; tree edges in that order, then cycle
+    edges.  Its edge slopes, edges, legs and weights are taken from parts,
+    the call's tables of shared parts (see `_cores`), each keyed by the
+    plain tuple of its fields."""
+    slopes, edge_parts, leg_parts, zeros = parts
     k = len(kids)
     edges = []
-    legs = []  # (slope, vertex)
+    legs = []  # (slope, vertex), the key of its Leg
+
+    def edge(v, w, s):
+        key = (v, w, s)
+        if key not in edge_parts:
+            edge_parts[key] = Edge(v, w, slopes.setdefault(s, s))
+        return edge_parts[key]
 
     def place(v, kids):
         for m, sub in kids:
@@ -219,14 +234,18 @@ def _core(kids, cycle):
                 legs.append((_CLASS_SLOPES[m.index(1)], v))
                 continue
             w = len(edges) + k
-            edges.append(Edge(v, w, _slope_sum(m)))
+            edges.append(edge(v, w, _slope_sum(m)))
             place(w, sub)
 
     for v, at_v in enumerate(kids):
         place(v, at_v)
-    weights = (0,) * (len(edges) + k)
-    edges += [Edge(v, (v + 1) % k, c) for v, c in enumerate(cycle)]
-    return CombinatorialType(weights, tuple(edges), tuple(Leg(v, s) for s, v in sorted(legs)))
+    n = len(edges) + k
+    weights = zeros.setdefault(n, (0,) * n)
+    edges += [edge(v, (v + 1) % k, c) for v, c in enumerate(cycle)]
+    for s, v in legs:
+        if (s, v) not in leg_parts:
+            leg_parts[s, v] = Leg(v, s)
+    return CombinatorialType(weights, tuple(edges), tuple(leg_parts[sv] for sv in sorted(legs)))
 
 
 def enumerate_cores(d, b1, max_valency=None):
@@ -235,7 +254,9 @@ def enumerate_cores(d, b1, max_valency=None):
     Returns the generated cores, one CombinatorialType per isomorphism
     class (legs unlabeled within a slope class), realizable ones only,
     sorted by canonical key; a core is not relabeled to its canonical
-    form.  d and b1 are checked by `_cores`.
+    form.  max_valency caps the germs at each vertex; its default, 3d + 2,
+    caps nothing, as a vertex has at most its 3d legs and two cycle
+    edges.  d and b1 are checked by `_cores`.
     """
     return sorted(_cores(d, b1, max_valency), key=lambda t: canonical_key(t, labeled="none"))
 
@@ -244,16 +265,18 @@ def _cores(d, b1, max_valency=None):
     """The cores of `enumerate_cores` as an iterator, in the order they are
     generated, after the core layer's one (d, b1) check, made at the call:
     a degree below 1 or a negative b1 is a ValueError, and a degree past
-    MAX_DEGREE or a Betti number past MAX_BETTI is refused."""
+    MAX_DEGREE or a Betti number past MAX_BETTI is refused.  The cores
+    share their parts through the one table this call makes, which the
+    returned generator holds."""
     if d < 1:
         raise ValueError(f"degree d must be at least 1, got {d}")
     if b1 < 0:
         raise ValueError(f"Betti number b1 must be non-negative, got {b1}")
     if d > MAX_DEGREE or b1 > MAX_BETTI:
         raise ScaleRefusal(f"the core layer is certified for d <= {MAX_DEGREE} and b1 <= {MAX_BETTI} only")
-    # no cap: a vertex has at most its 3d legs and two cycle edges
     cap = 3 * d + 2 if max_valency is None else max_valency
-    return (_core(kids, cycle) for kids, cycle in _shapes((d, d, d), d, cap, b1))
+    parts = ({}, {}, {}, {})  # edge slopes, edges, legs, zero weights by length
+    return (_core(kids, cycle, parts) for kids, cycle in _shapes((d, d, d), d, cap, b1))
 
 
 # ---------------------------------------------------------------------------

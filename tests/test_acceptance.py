@@ -5,8 +5,12 @@ Marked `slow` and deselected by default; run them with
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from fixtures import count_lps, is_stable, random_points, shifted
@@ -28,6 +32,8 @@ from tropcurves.recursion import irreducible_severi_degree
 from tropcurves.serialize import dumps, trace_to_json
 from tropcurves.walk import Terminal, run_walk
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 @pytest.mark.slow
 def test_betti_one_cores_degree_three():
@@ -47,6 +53,25 @@ def test_betti_one_cores_degree_three():
         # the generator decides realizability by a planar cone test; the
         # LP here shares none of its code
         assert is_realizable(t)
+
+
+@pytest.mark.slow
+def test_betti_one_cores_degree_three_peak_at_most_200_mib():
+    # the sorted list of the 63871 cores, with all their keys at once
+    # during the sort, in a fresh process so that no other test's memory
+    # counts: the cores share their parts and the keys their weights and
+    # tags; built from fresh copies of each, the list peaked at 263 MiB
+    code = (
+        "import resource\n"
+        "from tropcurves.corpus import enumerate_cores\n"
+        "print(len(enumerate_cores(3, 1)), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    count, peak = map(int, done.stdout.split())
+    assert count == 63871
+    assert peak <= 200 * 1024  # ru_maxrss is in KiB on Linux
 
 
 @pytest.mark.slow

@@ -8,6 +8,14 @@ from tropcurves.corpus import enumerate_cores
 from tropcurves.graphs import CombinatorialType, Edge, Leg
 
 
+def test_unlabeled_key_reuses_the_weights_and_one_tag_per_slope():
+    for t in enumerate_cores(2, 1):
+        weights, _edge_keys, legs = canonical_key(t, labeled="none")
+        assert weights is t.weights
+        tags = [tag for tag, _label in legs]
+        assert len({id(tag) for tag in tags}) == len(set(tags)) == len({leg.slope for leg in t.legs})
+
+
 def test_theta_graph_aut_order():
     th = CombinatorialType(weights=(0, 0), edges=(Edge(0, 1), Edge(0, 1), Edge(0, 1)))
     assert aut_order(th) == 12  # S3 on the edges times the vertex swap

@@ -141,7 +141,8 @@ def test_degree_two_cores_match_tree_oracle():
 def wide_cores(d, b1, bound):
     """`enumerate_cores(d, b1)` over the wider slope alphabet of
     coordinates at most bound, from the same generator."""
-    cores = [_core(kids, cycle) for kids, cycle in _shapes((d, d, d), bound, 3 * d + 2, b1)]
+    parts = ({}, {}, {}, {})
+    cores = [_core(kids, cycle, parts) for kids, cycle in _shapes((d, d, d), bound, 3 * d + 2, b1)]
     return sorted(cores, key=lambda t: canonical_key(t, labeled="none"))
 
 
@@ -196,12 +197,28 @@ def test_betti_one_cores_generated_once():
     # d = 2 the least first bead already tells a cycle from its
     # reflection; the trivalent cubics need the whole bead sequence
     for d, bound, cap, count in ((2, 2, 8, 156), (2, 3, 8, 156), (2, 2, 3, 21), (3, 3, 3, 3586)):
-        shapes = _shapes((d, d, d), bound, cap, 1)
-        keys = [canonical_key(_core(kids, cycle), labeled="none") for kids, cycle in shapes]
+        shapes, parts = _shapes((d, d, d), bound, cap, 1), ({}, {}, {}, {})
+        keys = [canonical_key(_core(kids, cycle, parts), labeled="none") for kids, cycle in shapes]
         assert len(keys) == len(set(keys)) == count
     # the ordered keys of enumerate_cores(3, 1, max_valency=3)
     digest = hashlib.sha256(repr(sorted(keys)).encode()).hexdigest()
     assert digest == "973e3ce7a58c0ba8283ad4b463f4cc67840097c92a525eb11f7f066340cec89b"
+
+
+def test_cores_of_one_call_share_their_parts():
+    # one object per distinct edge slope, edge, leg and weights tuple over
+    # the cores of one call, each of the kind asked for: an Edge or a Leg
+    # equals the plain tuple of its fields, so a table mixing kinds could
+    # hand back a tuple in its place
+    for cores in (enumerate_cores(2, 1), enumerate_cores(3, 0, max_valency=3)):
+        for objects, kind in (
+            ([e.slope for t in cores for e in t.edges], tuple),
+            ([e for t in cores for e in t.edges], Edge),
+            ([leg for t in cores for leg in t.legs], Leg),
+            ([t.weights for t in cores], tuple),
+        ):
+            assert {type(x) for x in objects} == {kind}
+            assert len({id(x) for x in objects}) == len(set(objects))
 
 
 def test_enumerate_cores_refuses_a_degree_below_one_and_a_negative_betti_number():
