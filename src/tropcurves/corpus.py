@@ -215,8 +215,10 @@ def _core(kids, cycle, parts):
     """The core of a shape of `_shapes`: cycle vertices first, then each
     subtree's vertices depth first; tree edges in that order, then cycle
     edges.  Its edge slopes, edges, legs and weights are taken from parts,
-    the call's tables of shared parts (see `_cores`), each keyed by the
-    plain tuple of its fields."""
+    the call's tables of shared parts (see `_cores`).  An edge is looked up
+    by the plain tuple (u, v, slope) and a leg by (slope, vertex): each
+    table holds one kind only, so an Edge or a Leg, though equal to the
+    plain tuple of its fields, never stands in for another kind."""
     slopes, edge_parts, leg_parts, zeros = parts
     k = len(kids)
     edges = []
