@@ -34,10 +34,11 @@ The corpus of degree-d, genus-g types is produced and read in three stages:
 2.  `scan_fibers(d, g, cfg)` -- every marked type over a genus-g core
     whose fiber over cfg is nonempty: the placements of len(cfg)
     contracted legs on each core, pruned by planar pair tests
-    (`_CoreScanner.pair_table`), walked depth first and, where those
-    tests are not exact, settled by one LP on the fiber
-    (`_CoreScanner.placements`).  Decorated types reduce onto these
-    cores; `scan_fibers` states the reduction.
+    (`_CoreScanner.pair_table`) and walked depth first
+    (`_CoreScanner.placements`); each complete placement's marked type
+    is then, where those tests are not exact, settled by one LP on its
+    fiber.  Decorated types reduce onto these cores; `scan_fibers`
+    states the reduction.
 
 3.  `is_general(cfg, d, g)` -- no scan below genus g has a hit, and
     every hit at genus g has codimension 2 len(cfg).  Where it answers
@@ -422,8 +423,8 @@ class _CoreScanner:
         return fits, back
 
     def placements(self, points):
-        """Every site assignment of the points that passes all tests, in
-        lexicographic order of site indices.
+        """Every site assignment of the points that passes all pair tests,
+        in lexicographic order of site indices.
 
         The walk is depth first, in site order, and carries the domains of
         the marks not yet placed, the sites each may still take, in one
@@ -446,21 +447,11 @@ class _CoreScanner:
         pair test passes these links, so the walk starts from the narrowed
         domains and yields the same placements; a core where one empties
         is refuted before any walk node.  Depth 0's tables are the ones the
-        walk fetches first, so the pass builds no other.
-
-        Only a complete placement asks for an LP, and only when some
-        prefix needs one: from its third mark on, or from its second on a
-        core with a cycle, whose rows the pair test only relaxes;
-        translations absorb the first point.  The LP asks whether the
-        fiber of the placement's marked type is nonempty.  A piece of a
-        split edge or leg has nonnegative length exactly when the marks
-        on it lie in the order `_materialize` gives them, and forgetting
-        the later marks maps that fiber into the fiber of each prefix, so
-        this one LP decides as an LP at every prefix would.
+        walk fetches first, so the pass builds no other.  No LP is asked
+        here: `scan_fibers` asks it on the marked type it keeps.
         """
         n = len(points)
         sites = self.sites
-        first = 1 if self.core.first_betti() else 2  # the first mark whose prefix needs an LP
         tables = {}  # primitive direction -> its pair table
         width = len(sites) + 1
         full = (1 << width - 1) - 1  # a field's sites
@@ -488,16 +479,10 @@ class _CoreScanner:
             if not all(doms):
                 return
 
-        def feasible(assignment):
-            """Is the fiber of the assignment's marked type nonempty?"""
-            t = _materialize(self.core, assignment, range(n), points)
-            return feasible_nonneg(*fiber_rows(t, points)[:2], len(t.edges))
-
         def place(assignment, domains):
             k = len(assignment)
             if k == n:
-                if n <= first or feasible(assignment):
-                    yield assignment
+                yield assignment
                 return
             if cols[k] is None:
                 if k:
@@ -541,7 +526,11 @@ def _direction(p, q):
 
 
 def _scan_order(n):
-    """Process extreme points first: far separations kill branches early."""
+    """The marks in the order the placement walk places them: the
+    extreme points first, alternating ends inwards.  It is no faster
+    than the configuration's own order; it stays because it fixes
+    how `_materialize` numbers a hit's vertices and edges and which
+    placement `scan_fibers` keeps per key, and so the scan digests."""
     lo, hi = 0, n - 1
     order = []
     while lo <= hi:
@@ -615,6 +604,16 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     d of each class slope, or a Betti number other than g is a ValueError
     naming its index.
 
+    Each placement that `_CoreScanner.placements` yields is built into
+    its one marked type.  Where the pair tests are not exact, from the
+    third mark on, or from the second when g > 0 as the tests only relax
+    the cycle rows (translations absorb the first point), that type asks
+    one LP: is its fiber nonempty?  An empty one drops the placement.  A
+    piece of a split edge or leg has nonnegative length exactly when the
+    marks on it lie in the order `_materialize` gives them, and
+    forgetting the later marks maps that fiber into the fiber of each
+    prefix, so this one LP decides as an LP at every prefix would.
+
     Types outside the pure corpus reduce onto it: deleting a contracted
     loop or cycle edge, zeroing a weight, or contracting a contracted cut
     edge turns a nonempty fiber of a decorated genus-g type into a
@@ -628,8 +627,9 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
     generated = _cores(d, g)  # the (d, g) check; generates nothing until read
     want = (sorted(_CLASS_SLOPES * d), g, True)  # a given core's legs, Betti number, weightlessness
     order = _scan_order(n)
-    _scale, pts = cfg.cleared
-    pts = [pts[i] for i in order]
+    _scale, cleared = cfg.cleared
+    pts = [cleared[i] for i in order]
+    lp = n > (2 if g == 0 else 1)  # the pair tests are not exact past these marks
     results = {}
     for i, core in enumerate(generated if cores is None else cores):
         if cores is not None and (sorted(core.extended_degree()), core.first_betti(), core.is_weightless()) != want:
@@ -637,6 +637,8 @@ def scan_fibers(d, g, cfg: PointConfiguration, cores=None):
         scanner = _CoreScanner(core)
         for assignment in scanner.placements(pts):
             t = _materialize(core, assignment, order, pts)
+            if lp and not feasible_nonneg(*fiber_rows(t, cleared)[:2], len(t.edges)):
+                continue
             key = canonical_key(t, labeled="contracted")
             if key not in results:
                 results[key] = (t, fiber(t, cfg))

@@ -55,13 +55,15 @@ _EXACT = {int, Fraction}
 
 
 def exact(x, where):
-    """x as an int or a Fraction.  A float is refused, naming `where`: it
-    holds a binary fraction, not the rational meant.  Any other rational
-    type is converted."""
+    """x as an int or a Fraction.  A float or a bool is refused, naming
+    `where`: a float holds a binary fraction, not the rational meant, and
+    a bool is no number.  Any other rational type, such as a
+    decimal.Decimal, is converted."""
     if type(x) is int or type(x) is Fraction:
         return x
-    if isinstance(x, float):
-        raise ValueError(f"{where} {x!r} is a float, not an int or a Fraction")
+    for kind in (float, bool):
+        if isinstance(x, kind):
+            raise ValueError(f"{where} {x!r} is a {kind.__name__}, not an int or a Fraction")
     return Fraction(x)
 
 
@@ -196,32 +198,23 @@ class CombinatorialType:
     def n_vertices(self):
         return len(self.weights)
 
-    def _gather(self, germs):
-        """Append each germ to germs[vertex], for each vertex whose entry
-        is a list and not None, in the one germ order: edges by index (a
-        loop gives both its germs), then legs.  A germ is a (slope,
-        descriptor) pair."""
-        for i, e in enumerate(self.edges):
-            if (at := germs[e.u]) is not None:
-                at.append((e.slope, ("edge", i, 0)))
-            if (at := germs[e.v]) is not None:
-                at.append((vneg(e.slope), ("edge", i, 1)))
-        for j, leg in enumerate(self.legs):
-            if (at := germs[leg.vertex]) is not None:
-                at.append((leg.slope, ("leg", j)))
-        return germs
-
     def stars(self):
-        """Every vertex's germs, in one pass."""
-        return self._gather([[] for _ in self.weights])
+        """Every vertex's germs, in one pass, in the one germ order: edges
+        by index (a loop gives both its germs), then legs.  A germ is a
+        (slope, descriptor) pair."""
+        germs = [[] for _ in self.weights]
+        for i, e in enumerate(self.edges):
+            germs[e.u].append((e.slope, ("edge", i, 0)))
+            germs[e.v].append((vneg(e.slope), ("edge", i, 1)))
+        for j, leg in enumerate(self.legs):
+            germs[leg.vertex].append((leg.slope, ("leg", j)))
+        return germs
 
     def star(self, v):
         """The germs at v alone, as in `stars`."""
         if not 0 <= v < len(self.weights):
             raise ValueError(f"vertex {v} out of range")
-        germs = [None] * len(self.weights)
-        germs[v] = []
-        return self._gather(germs)[v]
+        return self.stars()[v]
 
     # -- degree data -----------------------------------------------------
     def contracted_legs(self):

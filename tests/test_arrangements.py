@@ -118,6 +118,13 @@ def test_branch_codim():
     assert branch_codim(m1, m3) == 2
     with pytest.raises(ValueError):
         branch_codim(m1, mk(4, (1, 2)))
+    with pytest.raises(ValueError, match="^markings live on different arrangements$"):
+        branch_codim(m1, mk(5, (1, 2), (3, 4)))
+
+
+def test_arrangement_needs_a_line():
+    with pytest.raises(ValueError, match="^need at least one line$"):
+        Arrangement(0)
 
 
 def test_empty_criterion():
@@ -158,3 +165,6 @@ def test_reduction_strategy_strictly_decreases():
     for step in path:
         assert step.delta() == m.delta()
         assert is_irreducible(step)
+    # line 1 alone meets the other three: a reducible marking is refused
+    with pytest.raises(ValueError, match="^reduction strategy requires an irreducible marking$"):
+        reduce_to_avoiding_line(mk(4, (1, 2), (1, 3), (1, 4)))

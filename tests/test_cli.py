@@ -79,6 +79,11 @@ def test_markings_refuse_negative_delta(capsys):
         assert "delta must be non-negative" in err
 
 
+def test_markings_refuse_degree_zero(capsys):
+    code, out, err = run_cli(capsys, "markings", "--d", "0", "--delta", "1")
+    assert (code, out, err) == (2, "", "error: need at least one line\n")
+
+
 def test_byte_determinism(capsys):
     _c, out1, _ = run_cli(capsys, "--json", "count", "--d", "2", "--g", "0")
     _c, out2, _ = run_cli(capsys, "--json", "count", "--d", "2", "--g", "0")

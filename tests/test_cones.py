@@ -152,6 +152,9 @@ def test_split_vertex_moves_germs():
     assert new_t.n_vertices() == 2
     assert new_t.edges[new_edge].slope == (1, 1)
     assert check_balancing(new_t) is None
+    # a germ of another vertex is refused
+    with pytest.raises(ValueError, match="^germ descriptor not at the split vertex$"):
+        split_vertex(new_t, 0, [new_t.star(1)[0][1]])
 
 
 def test_split_vertex_with_loop_germ():

@@ -466,22 +466,31 @@ def first_lp(scanner):
     ids=["line", "one-shifted", "all-shifted", "fractional", "four-on-a-line"],
 )
 def test_placements_match_reference_walk(monkeypatch, make_cfg):
-    # forward checking cuts only subtrees that yield nothing, and one LP
-    # per complete placement decides as an LP at every prefix does: every
-    # core of degree 2 and Betti number at most 1 keeps its assignments
-    # and their order
+    # forward checking cuts only subtrees that yield nothing: every core
+    # of degree 2 and Betti number at most 1 keeps the placements the pair
+    # tables alone allow, and their order, and asks no LP.  The scan then
+    # asks one LP per such placement where the tables are not exact, and
+    # that one LP decides as an LP at every prefix does: it keeps the
+    # types of the placements the reference walk with LPs keeps
     cfg = make_cfg()
     _scale, pts = cfg.cleared
-    pts = [pts[i] for i in _scan_order(len(pts))]
+    order = _scan_order(len(pts))
+    pts = [pts[i] for i in order]
     lps = count_lps(monkeypatch)
     for core in enumerate_cores(2, 0) + enumerate_cores(2, 1):
         scanner = _CoreScanner(core)
         # a table depends on its direction alone: both walks read one copy
         scanner.pair_table = functools.cache(scanner.pair_table)
         del lps[:]
-        assert list(scanner.placements(pts)) == list(reference_placements(scanner, pts))
-        # one LP for each complete placement the pair tables alone reach
-        assert len(lps) == len(list(reference_placements(scanner, pts, lp=False)))
+        listed = list(scanner.placements(pts))
+        assert listed == list(reference_placements(scanner, pts, lp=False))
+        assert not lps
+        hits = scan_fibers(2, core.first_betti(), cfg, cores=[core])
+        assert len(lps) == (len(listed) if len(pts) > first_lp(scanner) else 0)
+        kept = [_materialize(core, a, order, pts) for a in reference_placements(scanner, pts)]
+        assert {canonical_key(t, labeled="contracted") for t, _fb in hits} == {
+            canonical_key(t, labeled="contracted") for t in kept
+        }
 
 
 @pytest.mark.parametrize(
@@ -643,7 +652,7 @@ def test_placements_with_full_later_domains():
         scanner.pair_table = functools.cache(scanner.pair_table)
         leg = scanner.sites.index(("leg", [leg.slope for leg in core.legs].index((-1, 0))))
         assert scanner.pair_table((1, 0))[0][leg] == (1 << len(scanner.sites)) - 1
-        assert list(scanner.placements(pts)) == list(reference_placements(scanner, pts))
+        assert list(scanner.placements(pts)) == list(reference_placements(scanner, pts, lp=False))
 
 
 def test_forced_zero_fibers_frozen():
@@ -713,7 +722,8 @@ def fanned_out_types(core, assignment, order):
 
 def test_one_ordering_of_a_shared_site_has_a_fiber():
     # of every ordering of the marks sharing an edge or a leg, exactly one
-    # has a nonempty fiber, and it is the one type the scan builds
+    # has a nonempty fiber, and it is the one type the scan builds, over
+    # the placements whose built type the scan's LP keeps
     cfg = PointConfiguration(FORCED_ZERO_POINTS)
     _scale, pts = cfg.cleared
     order = _scan_order(len(pts))
@@ -723,7 +733,10 @@ def test_one_ordering_of_a_shared_site_has_a_fiber():
         for assignment in _CoreScanner(core).placements(pts):
             if len(set(assignment)) == len(assignment):
                 continue
+            kept = _materialize(core, assignment, order, pts)
+            if fiber(kept, cfg).is_empty():
+                continue
             shared += 1
             nonempty = [t for t in fanned_out_types(core, assignment, order) if not fiber(t, cfg).is_empty()]
-            assert [type_to_json(t) for t in nonempty] == [type_to_json(_materialize(core, assignment, order, pts))]
+            assert [type_to_json(t) for t in nonempty] == [type_to_json(kept)]
     assert shared == 149

@@ -47,6 +47,9 @@ def test_point_configuration_refuses_floats():
         PointConfiguration(((0.1, 0.2), (1, 2)))
     with pytest.raises(ValueError, match=r"^point 1: y 2\.0 is a float, not an int or a Fraction$"):
         PointConfiguration(((F(1, 10), 0), (1, 2.0)))
+    # a bool is no number either, though Python counts True as 1
+    with pytest.raises(ValueError, match=r"^point 0: x True is a bool, not an int or a Fraction$"):
+        PointConfiguration(((True, 0), (2, 3)))
 
 
 def test_point_configuration_keeps_fractions():

@@ -430,6 +430,9 @@ def test_degree_zero_is_refused():
     for g in (0, 2):
         with pytest.raises(ValueError, match="degree must be positive"):
             enumerate_curves(0, g)
+    # and a configuration of no points is refused as it is built
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        make_stretched(0, 2)
     # the default configuration is the one the counts use
     assert enumerate_curves(2, 0) == enumerate_curves(2, 0, make_stretched(5, 2))
 

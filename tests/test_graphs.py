@@ -5,6 +5,7 @@ import json
 import pickle
 import re
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from tropcurves.graphs import (
     ParametrizedCurve,
     TropicalGraph,
     check_balancing,
+    exact,
     face_contract,
     overvalency,
 )
@@ -199,6 +201,8 @@ def test_parametrized_curve_stores_fractions():
     assert all(type(c) is F for p in curve.positions for c in p)
     curve = ParametrizedCurve(t, lengths=(3,), positions=((1, 2), (1, -1)))
     assert curve.lengths == (3,) and type(curve.lengths[0]) is F
+    # any other rational type is converted, a Decimal to its exact value
+    assert exact(Decimal("-1.25"), "x") == F(-5, 4) and type(exact(Decimal("2"), "x")) is F
     assert curve.positions == ((1, 2), (1, -1))
     assert all(type(c) is F for p in curve.positions for c in p)
 
@@ -212,6 +216,11 @@ def test_curves_and_graphs_refuse_floats():
         ParametrizedCurve(t, lengths=(3,), positions=((0, 0), (0, -3.0)))
     with pytest.raises(ValueError, match=r"^edge 0: length 0\.1 is a float, not an int or a Fraction$"):
         TropicalGraph(weights=(0, 0), edges=((0, 1),), lengths=(0.1,))
+    # a bool is no number, though Python counts True as 1
+    with pytest.raises(ValueError, match=r"^edge 0: length True is a bool, not an int or a Fraction$"):
+        ParametrizedCurve(t, lengths=(True,), positions=((0, 0), (0, -1)))
+    with pytest.raises(ValueError, match=r"^edge 0: length True is a bool, not an int or a Fraction$"):
+        TropicalGraph(weights=(0, 0), edges=((0, 1),), lengths=(True,))
 
 
 @pytest.mark.parametrize(
@@ -223,8 +232,19 @@ def test_curves_and_graphs_refuse_floats():
         (lambda: CombinatorialType(weights=(0, 0), edges=(Edge(0.0, 1, (1, 0)),)), r"^edge 0: endpoint 0\.0 is not an int$"),
         (lambda: TropicalGraph(weights=(0,), edges=(), lengths=(), legs=(True,)), r"^leg 0: vertex True is not an int$"),
         (lambda: AffineFunction(0.1, 0), r"^affine function: value 0\.1 is a float, not an int or a Fraction$"),
+        (lambda: AffineFunction(1, False), r"^affine function: slope False is a bool, not an int or a Fraction$"),
+        (lambda: TropicalGraph((0, 0), ((0, 1),), ()), "^one length per edge required: 0 for 1 edges$"),
     ],
-    ids=["graph-weight", "graph-endpoint", "type-weight", "type-endpoint", "bool-leg", "affine-value"],
+    ids=[
+        "graph-weight",
+        "graph-endpoint",
+        "type-weight",
+        "type-endpoint",
+        "bool-leg",
+        "affine-value",
+        "affine-bool",
+        "graph-length",
+    ],
 )
 def test_graph_data_refuses_non_ints(build, message):
     # int() would truncate these silently, and a float endpoint would
